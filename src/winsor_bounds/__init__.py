@@ -1,19 +1,12 @@
 """Exact attained lower bounds on exponential moments of Winsorized and
 truncated random variables under the constraints E X >= 0, E X^2 <= sigma^2,
 together with brute-force oracles, tangent-minorant certificates, asymptotic
-laws, and CSV sweep emitters."""
+laws, and CSV sweep emitters.
 
-from .asymptotics import (
-    AsymptoticConstants,
-    Regime,
-    f_of_t,
-    solve_t_star,
-    t_star,
-    trunc_asymptote,
-    universal_asymptote,
-    winsor_large_sigma_coeff,
-    winsor_small_sigma_slope,
-)
+The package namespace holds the bound API; the solvers, certificates,
+oracles and asymptotics live in their submodules (``winsor_bounds.winsor``,
+``winsor_bounds.trunc``, ...)."""
+
 from .distributions import BoundQuery, TwoPointDistribution, two_point
 from .errors import (
     CaseViolationError,
@@ -24,76 +17,33 @@ from .errors import (
     ParameterError,
     WinsorBoundsError,
 )
-from .roots import Bracket, RootResult, find_bracket, solve_root
-from .trunc import (
-    Branch,
-    B_star,
-    TruncSolution,
-    log_B_star,
-    lower_bound_trunc,
-    solve_A_c,
-    solve_A_c_sigma,
-    trunc_moment,
-)
+from .trunc import Branch, TruncSolution, lower_bound_trunc
 from .winsor import (
     UniversalWinsorSolution,
     WinsorSolution,
-    b_star,
-    ell1,
-    log_b_star,
     lower_bound_fixed_c,
     lower_bound_universal,
-    optimal_c_for_two_point,
-    optimal_winsor_moment,
-    solve_a_c_sigma,
-    solve_a_sigma,
-    winsor_moment,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticConstants",
     "BoundQuery",
-    "Bracket",
     "Branch",
-    "B_star",
     "CaseViolationError",
     "ExponentOverflowError",
     "MaxIterationsError",
     "NonFiniteValueError",
     "NoSignChangeError",
     "ParameterError",
-    "Regime",
-    "RootResult",
     "TruncSolution",
     "TwoPointDistribution",
     "UniversalWinsorSolution",
     "WinsorBoundsError",
     "WinsorSolution",
-    "b_star",
-    "ell1",
-    "f_of_t",
-    "find_bracket",
-    "log_B_star",
-    "log_b_star",
+    "__version__",
     "lower_bound_fixed_c",
     "lower_bound_trunc",
     "lower_bound_universal",
-    "optimal_c_for_two_point",
-    "optimal_winsor_moment",
-    "solve_A_c",
-    "solve_A_c_sigma",
-    "solve_a_c_sigma",
-    "solve_a_sigma",
-    "solve_root",
-    "solve_t_star",
-    "t_star",
-    "trunc_asymptote",
-    "trunc_moment",
     "two_point",
-    "universal_asymptote",
-    "winsor_large_sigma_coeff",
-    "winsor_moment",
-    "winsor_small_sigma_slope",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import ParameterError
+from .errors import require_positive
 from .roots import Bracket, solve_root
 
 
@@ -31,8 +31,7 @@ class AsymptoticConstants:
 
 def f_of_t(t: float) -> float:
     """ln t + 2(1 - t); switches sign once, - to +, on (0, 1)."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise ParameterError(f"t must be a positive real, got {t!r}")
+    require_positive("t", t)
     return math.log(t) + 2.0 * (1.0 - t)
 
 
@@ -57,22 +56,22 @@ def t_star() -> float:
 def winsor_small_sigma_slope(c: float) -> float:
     """Coefficient of sigma^2 in the fixed-tilt Winsorized bound near sigma=0:
     -c^2 / (4(e^c - 1))."""
-    _require_positive("c", c)
+    require_positive("c", c)
     return -c * c / (4.0 * math.expm1(c))
 
 
 def winsor_large_sigma_coeff(c: float) -> float:
     """Coefficient of ln^2(sigma)/sigma^2 in the fixed-tilt Winsorized bound
     for large sigma: 4 e^c / c^2."""
-    _require_positive("c", c)
+    require_positive("c", c)
     return 4.0 * math.exp(c) / (c * c)
 
 
 def trunc_asymptote(c: float, sigma: float, regime: Regime) -> float:
     """Leading truncated-bound approximation: 1 - c*sigma^2 near zero,
     (4/c^2) ln^2(sigma)/sigma^2 at infinity."""
-    _require_positive("c", c)
-    _require_positive("sigma", sigma)
+    require_positive("c", c)
+    require_positive("sigma", sigma)
     if regime is Regime.SMALL_SIGMA:
         return 1.0 - c * sigma * sigma
     log_sigma = math.log(sigma)
@@ -82,14 +81,9 @@ def trunc_asymptote(c: float, sigma: float, regime: Regime) -> float:
 def universal_asymptote(sigma: float, regime: Regime) -> float:
     """Leading universal Winsorized approximation: 1 - (1-t*)t* sigma^2 near
     zero, e^2 ln^2(sigma)/sigma^2 at infinity."""
-    _require_positive("sigma", sigma)
+    require_positive("sigma", sigma)
     constants = solve_t_star()
     if regime is Regime.SMALL_SIGMA:
         return 1.0 + constants.small_sigma_universal_slope * sigma * sigma
     log_sigma = math.log(sigma)
     return constants.large_sigma_universal_coeff * log_sigma * log_sigma / (sigma * sigma)
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ParameterError(f"{name} must be a positive real, got {value!r}")

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CaseViolationError, ParameterError
+from .errors import CaseViolationError, ParameterError, require_positive
 from .trunc import B_star, solve_A_c
 from .winsor import b_star
 
@@ -78,7 +78,8 @@ def capped_exp(kind: MomentKind, c: float, x):
 
 def winsor_minorant(a: float, c: float) -> QuadraticMinorant:
     """Certificate for the Winsorized moment: contacts at -a and b_star(a, c)."""
-    _validate(a, c)
+    require_positive("a", a)
+    require_positive("c", c)
     b = b_star(a, c)
     decay = math.exp(-a * c)
     w = c * decay
@@ -96,7 +97,8 @@ def winsor_minorant(a: float, c: float) -> QuadraticMinorant:
 def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
     """Certificate for the truncated moment when sigma^2 = a <= A_c:
     contacts at -a and the cut point 1."""
-    _validate(a, c)
+    require_positive("a", a)
+    require_positive("c", c)
     threshold = solve_A_c(c)
     if a > threshold * (1.0 + 1e-9):
         raise CaseViolationError(
@@ -118,7 +120,8 @@ def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
 def trunc_minorant_large(a: float, c: float) -> QuadraticMinorant:
     """Certificate for the truncated moment when B_star(a, c) >= 1:
     contacts at -a and b = B_star(a, c)."""
-    _validate(a, c)
+    require_positive("a", a)
+    require_positive("c", c)
     b = B_star(a, c)
     if b < 1.0 - 1e-12:
         raise CaseViolationError(
@@ -240,10 +243,3 @@ def tangency_gaps(
             deriv = (d(x0 + h) - d(x0 - h)) / (2.0 * h)
         out[x0] = (value_gap, abs(deriv) / scale)
     return out
-
-
-def _validate(a: float, c: float) -> None:
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParameterError(f"a must be a positive real, got {a!r}")
-    if not (math.isfinite(c) and c > 0.0):
-        raise ParameterError(f"c must be a positive real, got {c!r}")

@@ -12,19 +12,11 @@ Exit codes: 0 success, 1 failed verification, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import asymptotics, oracle, verify
 from .distributions import BoundQuery
-from .errors import (
-    CaseViolationError,
-    ExponentOverflowError,
-    MaxIterationsError,
-    NonFiniteValueError,
-    NoSignChangeError,
-    ParameterError,
-)
+from .errors import CaseViolationError, ParameterError, WinsorBoundsError, require_positive
 from .sweeps import SweepKind, compute_sweep, sigma_grid, write_csv
 from .trunc import lower_bound_trunc
 from .winsor import lower_bound_fixed_c, lower_bound_universal
@@ -75,31 +67,22 @@ def cmd_bound(args) -> int:
     if len(c_values) != 1:
         raise ParameterError("bound takes a single --c value")
     query = BoundQuery(c=c_values[0], sigma=args.sigma, cut=args.cut)
+    pairs = [
+        ("kind", args.kind),
+        ("c", repr(query.c)),
+        ("sigma", repr(query.sigma)),
+        ("cut", repr(query.cut)),
+    ]
     if args.kind == "fixed-winsor":
         solution = lower_bound_fixed_c(query)
-        _emit((
-            ("kind", args.kind),
-            ("c", repr(query.c)),
-            ("sigma", repr(query.sigma)),
-            ("cut", repr(query.cut)),
-            ("bound", repr(solution.bound)),
-            ("a", repr(solution.a_c_sigma)),
-            ("b", repr(solution.b_c_sigma)),
-        ))
+        pairs.append(("bound", repr(solution.bound)))
     else:
         solution = lower_bound_trunc(query)
-        pairs = [
-            ("kind", args.kind),
-            ("c", repr(query.c)),
-            ("sigma", repr(query.sigma)),
-            ("cut", repr(query.cut)),
-            ("branch", solution.branch.value),
-            ("bound", repr(solution.bound)),
-            ("A_c", repr(solution.A_c)),
-            ("a", repr(solution.extremal.a)),
-            ("b", repr(solution.extremal.b)),
-        ]
-        _emit(pairs)
+        pairs.append(("branch", solution.branch.value))
+        pairs.append(("bound", repr(solution.bound)))
+        pairs.append(("A_c", repr(solution.A_c)))
+    # the extremal law carries the solved support points for both kinds
+    _emit((*pairs, ("a", repr(solution.extremal.a)), ("b", repr(solution.extremal.b))))
     return EXIT_OK
 
 
@@ -125,8 +108,7 @@ def cmd_verify(args) -> int:
 def cmd_collapse_demo(args) -> int:
     if args.steps < 1:
         raise ParameterError(f"--steps must be >= 1, got {args.steps}")
-    if not (math.isfinite(args.sigma) and args.sigma > 0.0):
-        raise ParameterError(f"sigma must be a positive real, got {args.sigma!r}")
+    require_positive("sigma", args.sigma)
     # start inside the collapse regime a < min(1, sigma^2), where the
     # positive support point sigma^2/a clears the cut
     start = 0.5 * min(1.0, args.sigma * args.sigma)
@@ -208,12 +190,7 @@ def main(argv=None) -> int:
     except (ParameterError, CaseViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        MaxIterationsError,
-        NoSignChangeError,
-        NonFiniteValueError,
-        ExponentOverflowError,
-    ) as exc:
+    except WinsorBoundsError as exc:  # every other error is a solver failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

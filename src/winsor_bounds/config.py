@@ -3,7 +3,7 @@
 import math
 import os
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 
 DEFAULT_TOL = 1e-12
 TOL_ENV_VAR = "WINSOR_BOUNDS_TOL"
@@ -30,7 +30,6 @@ def resolve_tolerances(abs_tol: float | None, rel_tol: float | None) -> tuple[fl
     fallback = default_tolerance()
     abs_tol = fallback if abs_tol is None else abs_tol
     rel_tol = fallback if rel_tol is None else rel_tol
-    for name, value in (("abs_tol", abs_tol), ("rel_tol", rel_tol)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{name} must be a positive real, got {value!r}")
+    require_positive("abs_tol", abs_tol)
+    require_positive("rel_tol", rel_tol)
     return abs_tol, rel_tol

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 
 _MOMENT_RTOL = 1e-14
 
@@ -25,10 +24,8 @@ class TwoPointDistribution:
     p_pos: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise ParameterError(f"a must be a positive real, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise ParameterError(f"b must be a positive real, got {self.b!r}")
+        require_positive("a", self.a)
+        require_positive("b", self.b)
         # p may round to exactly 1.0 when the support ratio exceeds double
         # resolution (b/a beyond ~1e16), so only exclude zero masses.
         if not (0.0 < self.p_neg <= 1.0 and 0.0 < self.p_pos <= 1.0):
@@ -38,7 +35,8 @@ class TwoPointDistribution:
         scale = self.a * self.p_neg + self.b * self.p_pos
         if abs(self.mean) > _MOMENT_RTOL * scale:
             raise ParameterError("masses do not give a zero mean")
-        if abs(self.second_moment - self.a * self.b) > _MOMENT_RTOL * self.a * self.b:
+        # second_moment / (a*b), which cannot overflow where b^2 would
+        if abs(self.a * self.p_neg / self.b + self.b * self.p_pos / self.a - 1.0) > _MOMENT_RTOL:
             raise ParameterError("second moment must equal a*b")
 
     @property
@@ -52,10 +50,8 @@ class TwoPointDistribution:
 
 def two_point(a: float, b: float) -> TwoPointDistribution:
     """The zero-mean two-point law with support {-a, b}."""
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParameterError(f"a must be a positive real, got {a!r}")
-    if not (math.isfinite(b) and b > 0.0):
-        raise ParameterError(f"b must be a positive real, got {b!r}")
+    require_positive("a", a)
+    require_positive("b", b)
     total = a + b
     return TwoPointDistribution(a=a, b=b, p_neg=b / total, p_pos=a / total)
 
@@ -75,9 +71,9 @@ class BoundQuery:
     cut: float = 1.0
 
     def __post_init__(self) -> None:
-        for name, value in (("c", self.c), ("sigma", self.sigma), ("cut", self.cut)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{name} must be a positive real, got {value!r}")
+        require_positive("c", self.c)
+        require_positive("sigma", self.sigma)
+        require_positive("cut", self.cut)
 
     @property
     def effective_c(self) -> float:

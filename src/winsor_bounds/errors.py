@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, plus the one argument
+validator every public entry point uses."""
+
+import math
 
 
 class WinsorBoundsError(Exception):
@@ -30,3 +33,13 @@ class MaxIterationsError(WinsorBoundsError):
 
 class CaseViolationError(WinsorBoundsError, ValueError):
     """A certificate was requested outside its case condition."""
+
+
+def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
+    """Raise ParameterError naming ``name`` unless value is a finite real
+    > 0 (>= 0 with ``allow_zero``)."""
+    if math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0)):
+        return
+    if allow_zero:
+        raise ParameterError(f"{name} must be a nonnegative real, got {value!r}")
+    raise ParameterError(f"{name} must be a positive real, got {value!r}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import MomentKind
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 
 
 @dataclass(frozen=True)
@@ -224,22 +224,18 @@ def trunc_collapse_sequence(sigma: float, a_values) -> list[CollapsePoint]:
     sit outside the collapse regime and may evaluate to huge values or
     infinity, reported as data.
     """
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ParameterError(f"sigma must be a positive real, got {sigma!r}")
+    require_positive("sigma", sigma)
     a_values = list(a_values)
     if not a_values or any(a <= 0.0 or not math.isfinite(a) for a in a_values):
         raise ParameterError("a_values must be a non-empty list of positive reals")
     if any(later >= earlier for earlier, later in zip(a_values, a_values[1:])):
         raise ParameterError("a_values must be strictly decreasing")
 
-    sigma2 = sigma * sigma
-    out = []
-    for a in a_values:
-        b = sigma2 / a
-        c = 1.0 / (a * a)
-        upper = b if b < 1.0 else 0.0
-        pos_arg = c * upper
-        pos = math.exp(pos_arg) if pos_arg < 700.0 else math.inf
-        moment = (a * pos + b * math.exp(-c * a)) / (a + b)
-        out.append(CollapsePoint(a=a, c=c, moment=moment))
-    return out
+    a = np.array(a_values, dtype=float)
+    c = 1.0 / (a * a)
+    with np.errstate(over="ignore"):
+        moments = two_point_moment_grid(MomentKind.TRUNC, c, sigma, a)
+    return [
+        CollapsePoint(a=float(x), c=float(t), moment=float(m))
+        for x, t, m in zip(a, c, moments)
+    ]

@@ -20,6 +20,7 @@ from .errors import (
     NonFiniteValueError,
     NoSignChangeError,
     ParameterError,
+    require_positive,
 )
 
 _EPS = 2.220446049250313e-16
@@ -100,8 +101,7 @@ def find_bracket(
     functions that increase through zero, -1 for decreasing ones); it decides
     whether to expand outward (factor 2) or contract inward (factor 1/2).
     """
-    if not (math.isfinite(seed) and seed > 0.0):
-        raise ParameterError(f"seed must be a positive real, got {seed!r}")
+    require_positive("seed", seed)
     if direction_hint == 0:
         raise ParameterError("direction_hint must be +1 or -1")
 
@@ -117,6 +117,10 @@ def find_bracket(
     prev, f_prev = seed, f_seed
     for _ in range(max_steps):
         cur = prev * factor
+        if cur == 0.0:  # halving underflowed: no positive float is left to probe
+            raise NoSignChangeError(
+                f"no sign change above 0 from seed {seed!r}: the contraction underflowed to 0"
+            )
         f_cur = _checked(f, cur)
         if f_cur == 0.0:
             return _bracket_about(f, cur)

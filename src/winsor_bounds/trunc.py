@@ -9,9 +9,9 @@ sigma^2 relative to the threshold A_c:
 * sigma^2 >= A_c: attained by X_{A_cs, B_cs} where A_cs solves
   a * B_star(a, c) = sigma^2 and B_cs = sigma^2 / A_cs >= 1.
 
-B_star(a, c) = (2(e^{ac} - 1) - ac)/c mirrors the Winsorized support-point
-map but without the e^c factor; A_c is its unique preimage of 1.  Unlike the
-Winsorized case there is no positive tilt-universal floor: along
+B_star(a, c) = (2(e^{ac} - 1) - ac)/c is the Winsorized support-point map
+evaluated at z = ac instead of z = c(1+a); A_c is its unique preimage of 1.
+Unlike the Winsorized case there is no positive tilt-universal floor: along
 (a, sigma^2/a) with tilt 1/a^2 the truncated moment collapses to 0.
 """
 
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import BoundQuery, TwoPointDistribution, two_point
-from .errors import ExponentOverflowError, ParameterError
+from .errors import require_positive
 from .roots import Bracket, find_bracket, solve_root
-from .winsor import EXP_ARG_MAX, LOG_FORM_CUTOVER
+from .winsor import _exp_checked, _log_support_point, _solve_moment_match, _support_point
 
 
 class Branch(str, Enum):
@@ -34,25 +34,16 @@ class Branch(str, Enum):
 
 def B_star(a: float, c: float) -> float:
     """(2(e^{ac} - 1) - ac) / c; strictly increasing in a from 0 to infinity."""
-    _validate_ac(a, c)
-    z = a * c
-    if z > EXP_ARG_MAX:
-        raise ExponentOverflowError(
-            f"B_star(a={a!r}, c={c!r}): exponent {z!r} exceeds double range"
-        )
-    return (2.0 * math.expm1(z) - z) / c
+    require_positive("a", a, allow_zero=True)
+    require_positive("c", c)
+    return _support_point(a, c, 0.0)
 
 
 def log_B_star(a: float, c: float) -> float:
     """ln B_star(a, c), stable for arbitrarily large a*c."""
-    _validate_ac(a, c)
-    if a == 0.0:
-        raise ParameterError("log_B_star requires a > 0")
-    z = a * c
-    if z <= LOG_FORM_CUTOVER:
-        return math.log((2.0 * math.expm1(z) - z) / c)
-    correction = math.log1p(-0.5 * (2.0 + z) * math.exp(-z))
-    return z + math.log(2.0 / c) + correction
+    require_positive("a", a)
+    require_positive("c", c)
+    return _log_support_point(a, c, 0.0)
 
 
 def solve_A_c(
@@ -61,10 +52,10 @@ def solve_A_c(
     rel_tol: float | None = None,
 ) -> float:
     """Unique a > 0 with B_star(a, c) = 1; the branch threshold for sigma^2."""
-    _validate_c(c)
+    require_positive("c", c)
 
     def h(a: float) -> float:
-        return log_B_star(a, c)
+        return _log_support_point(a, c, 0.0)
 
     # B_star tends to a as c -> 0 (threshold near 1) and to (2/c)e^{ac} for
     # large c, so this static bracket straddles the root for any moderate c;
@@ -87,17 +78,11 @@ def solve_A_c_sigma(
     rel_tol: float | None = None,
 ) -> float:
     """Unique a > 0 with a * B_star(a, c) = sigma^2, solved in log form."""
-    _validate_c(c)
-    _validate_sigma(sigma)
-    target = 2.0 * math.log(sigma)
-
-    def g(a: float) -> float:
-        return math.log(a) + log_B_star(a, c) - target
-
+    require_positive("c", c)
+    require_positive("sigma", sigma)
     # a*B_star ~ a^2 for small a and ~ (2a/c) e^{ac} for large a.
     seed = max(math.log1p(sigma * sigma) / c, min(sigma, 1.0))
-    bracket = find_bracket(g, seed, direction_hint=1)
-    return solve_root(g, bracket, abs_tol=abs_tol, rel_tol=rel_tol).root
+    return _solve_moment_match(c, sigma, 0.0, seed, abs_tol, rel_tol)
 
 
 def trunc_moment(dist: TwoPointDistribution, c: float) -> float:
@@ -107,16 +92,8 @@ def trunc_moment(dist: TwoPointDistribution, c: float) -> float:
     above the cut it contributes 1 exactly.  Underflow of e^{-ca} to 0 is
     legitimate and kept.
     """
-    _validate_c(c)
-    if dist.b < 1.0:
-        z = c * dist.b
-        if z > EXP_ARG_MAX:
-            raise ExponentOverflowError(
-                f"trunc_moment: exponent {z!r} exceeds double range"
-            )
-        pos = math.exp(z)
-    else:
-        pos = 1.0
+    require_positive("c", c)
+    pos = _exp_checked(c * dist.b, "trunc_moment") if dist.b < 1.0 else 1.0
     return dist.p_pos * pos + dist.p_neg * math.exp(-c * dist.a)
 
 
@@ -181,19 +158,3 @@ def lower_bound_trunc(
         bound=trunc_moment(extremal, c_eff),
         extremal=extremal,
     )
-
-
-def _validate_ac(a: float, c: float) -> None:
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ParameterError(f"a must be a nonnegative real, got {a!r}")
-    _validate_c(c)
-
-
-def _validate_c(c: float) -> None:
-    if not (math.isfinite(c) and c > 0.0):
-        raise ParameterError(f"c must be a positive real, got {c!r}")
-
-
-def _validate_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ParameterError(f"sigma must be a positive real, got {sigma!r}")

@@ -11,12 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import asymptotics, certificates, oracle, trunc, winsor
 from .asymptotics import Regime
 from .certificates import MomentKind
 from .distributions import BoundQuery, two_point
+from .roots import Bracket, solve_root
 from .trunc import Branch
 
 C_GRID = (0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
@@ -59,6 +59,10 @@ def _bounded_check(name, worst, tol, detail=""):
 
 def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
+
+
+def _root_between(f, lo: float, hi: float) -> float:
+    return solve_root(f, Bracket(lo, hi, f(lo), f(hi))).root
 
 
 def suite_roots() -> list[CheckResult]:
@@ -220,22 +224,16 @@ def suite_certificates() -> list[CheckResult]:
 
     for c in C_GRID:
         for sigma in SIGMA_GRID:
-            a = winsor.solve_a_c_sigma(c, sigma)
-            minorant = certificates.winsor_minorant(a, c)
-            report = certificates.check_certificate(minorant, MomentKind.WINSOR, c)
-            all_passed &= report.passed
-            worst_gap = min(worst_gap, report.worst_gap)
-            if not report.passed and not detail:
-                detail = f"winsor c={c} sigma={sigma:.3g} x={report.worst_x:.3g}"
-            for value_gap, deriv_gap in certificates.tangency_gaps(
-                minorant, MomentKind.WINSOR, c
-            ).values():
-                worst_tangency = max(worst_tangency, value_gap, deriv_gap or 0.0)
-
+            # (kind, minorant, whether the upper contact is a tangency)
+            cases = [(
+                MomentKind.WINSOR,
+                certificates.winsor_minorant(winsor.solve_a_c_sigma(c, sigma), c),
+                True,
+            )]
             solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
             if solution.branch is Branch.SMALL_SIGMA:
                 minorant = certificates.trunc_minorant_small(sigma * sigma, c)
-                tangent_upper = False
+                cases.append((MomentKind.TRUNC, minorant, False))
                 beta_floor = (
                     math.exp(-sigma * sigma * c)
                     * c
@@ -247,16 +245,17 @@ def suite_certificates() -> list[CheckResult]:
                 )
             else:
                 minorant = certificates.trunc_minorant_large(solution.A_c_sigma, c)
-                tangent_upper = True
-            report = certificates.check_certificate(minorant, MomentKind.TRUNC, c)
-            all_passed &= report.passed
-            worst_gap = min(worst_gap, report.worst_gap)
-            if not report.passed and not detail:
-                detail = f"trunc c={c} sigma={sigma:.3g} x={report.worst_x:.3g}"
-            for value_gap, deriv_gap in certificates.tangency_gaps(
-                minorant, MomentKind.TRUNC, c, upper_contact_tangent=tangent_upper
-            ).values():
-                worst_tangency = max(worst_tangency, value_gap, deriv_gap or 0.0)
+                cases.append((MomentKind.TRUNC, minorant, True))
+            for kind, minorant, tangent_upper in cases:
+                report = certificates.check_certificate(minorant, kind, c)
+                all_passed &= report.passed
+                worst_gap = min(worst_gap, report.worst_gap)
+                if not report.passed and not detail:
+                    detail = f"{kind.value} c={c} sigma={sigma:.3g} x={report.worst_x:.3g}"
+                for value_gap, deriv_gap in certificates.tangency_gaps(
+                    minorant, kind, c, upper_contact_tangent=tangent_upper
+                ).values():
+                    worst_tangency = max(worst_tangency, value_gap, deriv_gap or 0.0)
 
     results.append(CheckResult(
         name="certificates.minorant_below_moment",
@@ -299,21 +298,17 @@ def suite_oracle(seed: int = 1) -> list[CheckResult]:
     worst_value = 0.0
     worst_cell = 0.0
     for c, sigma in ORACLE_PAIRS:
-        analytic_w = winsor.lower_bound_fixed_c(BoundQuery(c, sigma))
-        found = oracle.refine_grid_min(c, sigma, MomentKind.WINSOR)
-        worst_value = max(worst_value, _relative_gap(found.min_value, analytic_w.bound))
-        worst_cell = max(
-            worst_cell,
-            abs(math.log(found.argmin_a / analytic_w.a_c_sigma)) / math.log(found.cell_ratio),
-        )
-
-        analytic_t = trunc.lower_bound_trunc(BoundQuery(c, sigma))
-        found = oracle.refine_grid_min(c, sigma, MomentKind.TRUNC)
-        worst_value = max(worst_value, _relative_gap(found.min_value, analytic_t.bound))
-        worst_cell = max(
-            worst_cell,
-            abs(math.log(found.argmin_a / analytic_t.extremal.a)) / math.log(found.cell_ratio),
-        )
+        for kind, lower_bound in (
+            (MomentKind.WINSOR, winsor.lower_bound_fixed_c),
+            (MomentKind.TRUNC, trunc.lower_bound_trunc),
+        ):
+            analytic = lower_bound(BoundQuery(c, sigma))
+            found = oracle.refine_grid_min(c, sigma, kind)
+            worst_value = max(worst_value, _relative_gap(found.min_value, analytic.bound))
+            worst_cell = max(
+                worst_cell,
+                abs(math.log(found.argmin_a / analytic.extremal.a)) / math.log(found.cell_ratio),
+            )
     results.append(_bounded_check("oracle.two_point_grid_min_value", worst_value, 1e-6))
     results.append(_bounded_check("oracle.two_point_grid_min_argmin", worst_cell, 1.0,
                                   "within one refined grid cell"))
@@ -472,23 +467,18 @@ def suite_asymptotics() -> list[CheckResult]:
     results.append(_bounded_check("asymptotics.exp_c_separation_at_1e10",
                                   separation_gap, 0.05, "c=1"))
 
-    slope_min = minimize_scalar(
-        asymptotics.winsor_small_sigma_slope,
-        bounds=(1e-6, 20.0),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    coeff_min = minimize_scalar(
-        asymptotics.winsor_large_sigma_coeff,
-        bounds=(1e-6, 20.0),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
+    # Both infima over the tilt sit where the closed-form derivative
+    # vanishes: the slope's where 2(1 - e^{-c}) = c, whose root is -ln t_star,
+    # and the coefficient's where 4 e^c (c - 2) / c^3 = 0, i.e. at c = 2.
+    slope_c = _root_between(lambda c: 2.0 * (1.0 - math.exp(-c)) - c, 0.5, 10.0)
+    coeff_c = _root_between(lambda c: 4.0 * math.exp(c) * (c - 2.0) / c**3, 0.5, 10.0)
     worst = max(
-        abs(slope_min.x - constants.minus_ln_t_star),
-        abs(slope_min.fun - constants.small_sigma_universal_slope),
-        abs(coeff_min.x - 2.0),
-        abs(coeff_min.fun - constants.large_sigma_universal_coeff),
+        abs(slope_c - constants.minus_ln_t_star),
+        abs(asymptotics.winsor_small_sigma_slope(slope_c)
+            - constants.small_sigma_universal_slope),
+        abs(coeff_c - 2.0),
+        abs(asymptotics.winsor_large_sigma_coeff(coeff_c)
+            - constants.large_sigma_universal_coeff),
     )
     results.append(_bounded_check("asymptotics.infimum_identities", worst, 1e-6))
 

@@ -7,6 +7,8 @@ quantity here is a closed form or a scalar root:
 
 * ``b_star(a, c)`` is the positive support point making the quadratic
   tangent certificate touch exp(c W) at both -a and b; it always exceeds 2.
+  It is one instance of the support-point map (2(e^z - 1) - ac)/c shared
+  with the truncated bound: z = c(1+a) here, z = ac for ``trunc.B_star``.
 * ``solve_a_c_sigma`` matches the second moment, a * b_star(a, c) = sigma^2,
   fixing the extremal law for a given tilt c.
 * ``ell1`` is (1+a)^2 times the log-derivative of the optimal-tilt moment
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 from . import asymptotics
 from .distributions import BoundQuery, TwoPointDistribution, two_point
-from .errors import ExponentOverflowError, NoSignChangeError, ParameterError
+from .errors import ExponentOverflowError, NoSignChangeError, ParameterError, require_positive
 from .roots import Bracket, find_bracket, solve_root
 
 EXP_ARG_MAX = 709.0  # exp() overflows just above ln(DBL_MAX) ~ 709.78
@@ -42,31 +44,62 @@ def _exp_checked(z: float, context: str) -> float:
     return math.exp(z)
 
 
+def _support_point(a: float, c: float, shift: float) -> float:
+    """(2(e^z - 1) - ac) / c with z = shift + ac: the upper atom of the
+    extremal law, shift = c for the Winsorized map and 0 for the truncated
+    one.  Arguments are trusted; the public wrappers validate them."""
+    z = shift + a * c
+    if z > EXP_ARG_MAX:
+        raise ExponentOverflowError(
+            f"support point at a={a!r}, c={c!r}: exponent {z!r} exceeds double range"
+        )
+    return (2.0 * math.expm1(z) - a * c) / c
+
+
+def _log_support_point(a: float, c: float, shift: float) -> float:
+    """ln _support_point(a, c, shift), stable for arbitrarily large z."""
+    z = shift + a * c
+    if z <= LOG_FORM_CUTOVER:
+        return math.log((2.0 * math.expm1(z) - a * c) / c)
+    # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction term
+    # is below 1e-11 past the cutover and underflows harmlessly to 0.
+    correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
+    return z + math.log(2.0 / c) + correction
+
+
+def _solve_moment_match(
+    c: float, sigma: float, shift: float, seed: float, abs_tol: float | None, rel_tol: float | None
+) -> float:
+    """Unique a > 0 with a * _support_point(a, c, shift) = sigma^2.
+
+    Solved in log form, ln a + ln support(a) = 2 ln sigma, which keeps the
+    equation O(1)-scaled for any sigma and overflow-free during bracketing.
+    """
+    target = 2.0 * math.log(sigma)
+
+    def g(a: float) -> float:
+        return math.log(a) + _log_support_point(a, c, shift) - target
+
+    bracket = find_bracket(g, seed, direction_hint=1)
+    return solve_root(g, bracket, abs_tol=abs_tol, rel_tol=rel_tol).root
+
+
 def b_star(a: float, c: float) -> float:
     """Saturated positive support point (2(e^{c+ac} - 1) - ac) / c.
 
     Strictly increasing in a, always > 2.  Raises ExponentOverflowError when
     c + a*c leaves the double exponent range; use log_b_star there.
     """
-    _validate_ac(a, c)
-    z = c + a * c
-    if z > EXP_ARG_MAX:
-        raise ExponentOverflowError(
-            f"b_star(a={a!r}, c={c!r}): exponent {z!r} exceeds double range"
-        )
-    return (2.0 * math.expm1(z) - a * c) / c
+    require_positive("a", a, allow_zero=True)
+    require_positive("c", c)
+    return _support_point(a, c, c)
 
 
 def log_b_star(a: float, c: float) -> float:
     """ln b_star(a, c), stable for arbitrarily large c + a*c."""
-    _validate_ac(a, c)
-    z = c + a * c
-    if z <= LOG_FORM_CUTOVER:
-        return math.log((2.0 * math.expm1(z) - a * c) / c)
-    # b_star = (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction term
-    # is below 1e-11 past the cutover and underflows harmlessly to 0.
-    correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
-    return z + math.log(2.0 / c) + correction
+    require_positive("a", a, allow_zero=True)
+    require_positive("c", c)
+    return _log_support_point(a, c, c)
 
 
 def solve_a_c_sigma(
@@ -75,21 +108,11 @@ def solve_a_c_sigma(
     abs_tol: float | None = None,
     rel_tol: float | None = None,
 ) -> float:
-    """Unique a > 0 with a * b_star(a, c) = sigma^2.
-
-    Solved in log form, ln a + ln b_star(a, c) = 2 ln sigma, which keeps the
-    equation O(1)-scaled for any sigma and overflow-free during bracketing.
-    """
-    _validate_c_sigma(c, sigma)
-    sigma2 = sigma * sigma
-    target = 2.0 * math.log(sigma)
-
-    def g(a: float) -> float:
-        return math.log(a) + log_b_star(a, c) - target
-
-    seed = _a_c_sigma_seed(c, sigma2)
-    bracket = find_bracket(g, seed, direction_hint=1)
-    return solve_root(g, bracket, abs_tol=abs_tol, rel_tol=rel_tol).root
+    """Unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form."""
+    require_positive("c", c)
+    require_positive("sigma", sigma)
+    seed = _a_c_sigma_seed(c, sigma * sigma)
+    return _solve_moment_match(c, sigma, c, seed, abs_tol, rel_tol)
 
 
 def _a_c_sigma_seed(c: float, sigma2: float) -> float:
@@ -113,10 +136,12 @@ def ell1(a: float, sigma: float) -> float:
     Vanishes at a = sigma^2 and switches sign exactly once, - to +, on
     (0, sigma^2); that interior root is the universal extremal a.
     """
-    if not (math.isfinite(a) and a > 0.0):
-        raise ParameterError(f"a must be a positive real, got {a!r}")
-    _validate_sigma(sigma)
-    sigma2 = sigma * sigma
+    require_positive("a", a)
+    require_positive("sigma", sigma)
+    return _ell1(a, sigma * sigma)
+
+
+def _ell1(a: float, sigma2: float) -> float:
     return math.log(a / sigma2) - 2.0 * (a + 1.0) * (a - sigma2) / (a * a + sigma2)
 
 
@@ -131,11 +156,11 @@ def solve_a_sigma(
     regimes of the root; the boundary zero of ell1 at a = sigma^2 is excluded
     by keeping the bracket strictly interior.
     """
-    _validate_sigma(sigma)
+    require_positive("sigma", sigma)
     sigma2 = sigma * sigma
 
     def f(a: float) -> float:
-        return ell1(a, sigma)
+        return _ell1(a, sigma2)
 
     seed = 0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2)
     try:
@@ -152,7 +177,7 @@ def solve_a_sigma(
 def optimal_c_for_two_point(a: float, sigma: float) -> float:
     """Tilt minimizing the Winsorized moment of X_{a, sigma^2/a}:
     ln(sigma^2/a) / (1 + a)."""
-    _validate_sigma(sigma)
+    require_positive("sigma", sigma)
     sigma2 = sigma * sigma
     if not (math.isfinite(a) and 0.0 < a < sigma2):
         raise ParameterError(f"a must lie in (0, sigma^2), got {a!r}")
@@ -161,7 +186,7 @@ def optimal_c_for_two_point(a: float, sigma: float) -> float:
 
 def winsor_moment(dist: TwoPointDistribution, c: float) -> float:
     """E exp(c * min(1, X)) for a two-point law, in closed form."""
-    _validate_c(c)
+    require_positive("c", c)
     upper = min(1.0, dist.b)
     pos = _exp_checked(c * upper, "winsor_moment")
     neg = _exp_checked(-c * dist.a, "winsor_moment")
@@ -234,9 +259,8 @@ def lower_bound_universal(
 ) -> UniversalWinsorSolution:
     """Exact attained lower bound on E exp(c * min(cut, X)) over all tilts
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
-    _validate_sigma(sigma)
-    if not (math.isfinite(cut) and cut > 0.0):
-        raise ParameterError(f"cut must be a positive real, got {cut!r}")
+    require_positive("sigma", sigma)
+    require_positive("cut", cut)
     sigma_eff = sigma / cut
     a = solve_a_sigma(sigma_eff, abs_tol=abs_tol, rel_tol=rel_tol)
     b = sigma_eff * sigma_eff / a
@@ -251,24 +275,3 @@ def lower_bound_universal(
         bound=bound,
         extremal=two_point(a, b),
     )
-
-
-def _validate_ac(a: float, c: float) -> None:
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ParameterError(f"a must be a nonnegative real, got {a!r}")
-    _validate_c(c)
-
-
-def _validate_c(c: float) -> None:
-    if not (math.isfinite(c) and c > 0.0):
-        raise ParameterError(f"c must be a positive real, got {c!r}")
-
-
-def _validate_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ParameterError(f"sigma must be a positive real, got {sigma!r}")
-
-
-def _validate_c_sigma(c: float, sigma: float) -> None:
-    _validate_c(c)
-    _validate_sigma(sigma)

@@ -35,6 +35,12 @@ def test_extreme_support_ratio_mass_rounds_to_one():
     assert dist.p_pos > 0.0
 
 
+def test_second_moment_check_survives_huge_support():
+    # b^2 overflows here while a*b does not
+    dist = two_point(450.0, 2.2e197)
+    assert dist.p_pos > 0.0
+
+
 def test_query_validation():
     with pytest.raises(ParameterError):
         BoundQuery(c=0.0, sigma=1.0)

@@ -99,6 +99,21 @@ class TestCollapse:
         for a in (0.5, 0.2, 0.1, 0.05, 0.01):
             assert winsor.optimal_winsor_moment(a, 1.0) >= floor * (1.0 - 1e-12)
 
+    def test_matches_scalar_reference(self):
+        # the same arithmetic as a scalar loop with math.exp; NumPy's exp may
+        # differ from libm's by an ulp, so each moment may move by a few ulps
+        rtol = 4.0 * np.finfo(float).eps
+        for sigma in (0.3, 1.0, 10.0):
+            sigma2 = sigma * sigma
+            a_values = np.geomspace(2.0 * sigma2, 1e-3 * min(1.0, sigma2), 500)
+            for point in oracle.trunc_collapse_sequence(sigma, a_values):
+                a = point.a
+                b, c = sigma2 / a, 1.0 / (a * a)
+                upper = b if b < 1.0 else 0.0
+                expected = (a * math.exp(c * upper) + b * math.exp(-c * a)) / (a + b)
+                assert point.c == c
+                assert abs(point.moment - expected) <= rtol * expected
+
     def test_underflow_reports_zero(self):
         points = oracle.trunc_collapse_sequence(1.0, (1e-3,))
         # e^{-ca} = e^{-1000} underflows; only the positive mass remains

@@ -75,6 +75,19 @@ class TestFindBracket:
         with pytest.raises(NoSignChangeError):
             find_bracket(lambda x: x - 1e80, seed=1.0, direction_hint=1)
 
+    def test_contraction_stops_before_zero(self):
+        # positive on every float, so halving from 1e-300 underflows to 0.0
+        # within the step budget; f must never be called at 0
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return math.log(x) + 1000.0
+
+        with pytest.raises(NoSignChangeError):
+            find_bracket(f, seed=1e-300, direction_hint=1)
+        assert min(probes) > 0.0
+
     def test_non_finite_probe_raises(self):
         with pytest.raises(NonFiniteValueError):
             find_bracket(lambda x: math.nan, seed=1.0)

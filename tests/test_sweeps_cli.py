@@ -2,13 +2,18 @@
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import winsor_bounds
 from winsor_bounds import cli
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import ParameterError
 from winsor_bounds.sweeps import SweepKind, compute_sweep, read_csv, sigma_grid, write_csv
+from winsor_bounds.trunc import lower_bound_trunc
 from winsor_bounds.winsor import lower_bound_fixed_c, lower_bound_universal
 
 
@@ -207,6 +212,46 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err != ""
+
+    @pytest.mark.parametrize("sigma", (1e100, 1e150))
+    def test_huge_sigma_is_valid(self, sigma, capsys):
+        # b = sigma^2/a squares past the double range; the bounds stay exact
+        bounds = (
+            lower_bound_universal(sigma).bound,
+            lower_bound_fixed_c(BoundQuery(1.0, sigma)).bound,
+            lower_bound_trunc(BoundQuery(1.0, sigma)).bound,
+        )
+        assert all(0.0 < bound <= 1.0 for bound in bounds)
+        for kind in ("universal-winsor", "fixed-winsor", "trunc"):
+            tilt = [] if kind == "universal-winsor" else ["--c", "1"]
+            code = cli.main(["bound", "--kind", kind, *tilt, "--sigma", repr(sigma)])
+            assert code == 0
+            fields = dict(pair.split("=", 1) for pair in capsys.readouterr().out.split())
+            assert 0.0 < float(fields["bound"]) <= 1.0
+
+    def test_underflowing_bracket_exit_code(self, capsys):
+        code = cli.main(["bound", "--kind", "fixed-winsor", "--c", "100", "--sigma", "1e-150"])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_runtime_never_imports_scipy(self):
+        script = (
+            "import sys\n"
+            "from winsor_bounds import cli\n"
+            "code = cli.main(['verify', '--suite', 'asymptotics'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(winsor_bounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         from winsor_bounds.errors import MaxIterationsError

@@ -1,0 +1,93 @@
+"""Every public entry point rejects a non-positive or non-finite argument
+with a ParameterError that names the argument."""
+
+import math
+import re
+
+import pytest
+
+from winsor_bounds import asymptotics, certificates, cli, config, oracle, roots, trunc, winsor
+from winsor_bounds.asymptotics import Regime
+from winsor_bounds.distributions import BoundQuery, TwoPointDistribution, two_point
+from winsor_bounds.errors import ParameterError
+
+BAD = (0.0, -1.0, math.nan, math.inf)
+LAW = two_point(1.0, 2.0)
+
+# (entry point, argument name, call with the argument set to v); the
+# support maps b_star, log_b_star and B_star accept a = 0 and are listed
+# for a separately below.
+ENTRY_POINTS = [
+    ("BoundQuery", "c", lambda v: BoundQuery(v, 1.0)),
+    ("BoundQuery", "sigma", lambda v: BoundQuery(1.0, v)),
+    ("BoundQuery", "cut", lambda v: BoundQuery(1.0, 1.0, v)),
+    ("two_point", "a", lambda v: two_point(v, 1.0)),
+    ("two_point", "b", lambda v: two_point(1.0, v)),
+    ("TwoPointDistribution", "a", lambda v: TwoPointDistribution(v, 1.0, 0.5, 0.5)),
+    ("TwoPointDistribution", "b", lambda v: TwoPointDistribution(1.0, v, 0.5, 0.5)),
+    ("b_star", "c", lambda v: winsor.b_star(1.0, v)),
+    ("log_b_star", "c", lambda v: winsor.log_b_star(1.0, v)),
+    ("B_star", "c", lambda v: trunc.B_star(1.0, v)),
+    ("log_B_star", "a", lambda v: trunc.log_B_star(v, 1.0)),
+    ("log_B_star", "c", lambda v: trunc.log_B_star(1.0, v)),
+    ("solve_a_c_sigma", "c", lambda v: winsor.solve_a_c_sigma(v, 1.0)),
+    ("solve_a_c_sigma", "sigma", lambda v: winsor.solve_a_c_sigma(1.0, v)),
+    ("ell1", "a", lambda v: winsor.ell1(v, 1.0)),
+    ("ell1", "sigma", lambda v: winsor.ell1(0.5, v)),
+    ("solve_a_sigma", "sigma", lambda v: winsor.solve_a_sigma(v)),
+    ("optimal_c_for_two_point", "a", lambda v: winsor.optimal_c_for_two_point(v, 1.0)),
+    ("optimal_c_for_two_point", "sigma", lambda v: winsor.optimal_c_for_two_point(0.5, v)),
+    ("winsor_moment", "c", lambda v: winsor.winsor_moment(LAW, v)),
+    ("lower_bound_universal", "sigma", lambda v: winsor.lower_bound_universal(v)),
+    ("lower_bound_universal", "cut", lambda v: winsor.lower_bound_universal(1.0, v)),
+    ("solve_A_c", "c", lambda v: trunc.solve_A_c(v)),
+    ("solve_A_c_sigma", "c", lambda v: trunc.solve_A_c_sigma(v, 1.0)),
+    ("solve_A_c_sigma", "sigma", lambda v: trunc.solve_A_c_sigma(1.0, v)),
+    ("trunc_moment", "c", lambda v: trunc.trunc_moment(LAW, v)),
+    ("f_of_t", "t", lambda v: asymptotics.f_of_t(v)),
+    ("winsor_small_sigma_slope", "c", lambda v: asymptotics.winsor_small_sigma_slope(v)),
+    ("winsor_large_sigma_coeff", "c", lambda v: asymptotics.winsor_large_sigma_coeff(v)),
+    ("trunc_asymptote", "c", lambda v: asymptotics.trunc_asymptote(v, 1.0, Regime.SMALL_SIGMA)),
+    ("trunc_asymptote", "sigma", lambda v: asymptotics.trunc_asymptote(1.0, v, Regime.SMALL_SIGMA)),
+    ("universal_asymptote", "sigma",
+     lambda v: asymptotics.universal_asymptote(v, Regime.LARGE_SIGMA)),
+    ("winsor_minorant", "a", lambda v: certificates.winsor_minorant(v, 1.0)),
+    ("winsor_minorant", "c", lambda v: certificates.winsor_minorant(1.0, v)),
+    ("trunc_minorant_small", "a", lambda v: certificates.trunc_minorant_small(v, 1.0)),
+    ("trunc_minorant_small", "c", lambda v: certificates.trunc_minorant_small(0.1, v)),
+    ("trunc_minorant_large", "a", lambda v: certificates.trunc_minorant_large(v, 1.0)),
+    ("trunc_minorant_large", "c", lambda v: certificates.trunc_minorant_large(1.0, v)),
+    ("trunc_collapse_sequence", "sigma", lambda v: oracle.trunc_collapse_sequence(v, (0.5,))),
+    ("find_bracket", "seed", lambda v: roots.find_bracket(lambda x: x - 1.0, v)),
+    ("resolve_tolerances", "abs_tol", lambda v: config.resolve_tolerances(v, None)),
+    ("resolve_tolerances", "rel_tol", lambda v: config.resolve_tolerances(None, v)),
+]
+
+SUPPORT_MAPS = [
+    ("b_star", winsor.b_star),
+    ("log_b_star", winsor.log_b_star),
+    ("B_star", trunc.B_star),
+]
+
+
+@pytest.mark.parametrize("value", BAD, ids=repr)
+@pytest.mark.parametrize(
+    "entry, name, call", ENTRY_POINTS, ids=[f"{e}-{n}" for e, n, _ in ENTRY_POINTS]
+)
+def test_rejects_bad_argument_by_name(entry, name, call, value):
+    with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", BAD[1:], ids=repr)
+@pytest.mark.parametrize("entry, fn", SUPPORT_MAPS, ids=[e for e, _ in SUPPORT_MAPS])
+def test_support_maps_reject_bad_a_but_accept_zero(entry, fn, value):
+    with pytest.raises(ParameterError, match=r"^a must"):
+        fn(value, 1.0)
+    assert math.isfinite(fn(0.0, 1.0))
+
+
+@pytest.mark.parametrize("value", ("0", "-1", "nan", "inf"))
+def test_cli_collapse_demo_rejects_bad_sigma(value, capsys):
+    assert cli.main(["collapse-demo", "--sigma", value]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: sigma must")

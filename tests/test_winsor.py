@@ -9,7 +9,7 @@ from mpmath import mp, mpf
 
 from winsor_bounds import winsor
 from winsor_bounds.distributions import BoundQuery, two_point
-from winsor_bounds.errors import ExponentOverflowError, ParameterError
+from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError, ParameterError
 
 mp.dps = 50
 
@@ -231,6 +231,12 @@ class TestLowerBoundFixedC:
         assert solution.b_c_sigma > 2.0
         assert 0.0 < solution.bound <= 1.0
         assert solution.extremal.a == solution.a_c_sigma
+
+    def test_root_below_smallest_float_raises_no_sign_change(self):
+        # the moment-matching root lies below the subnormal range, so the
+        # bracket search contracts to 0 and must say so instead of probing it
+        with pytest.raises(NoSignChangeError):
+            winsor.lower_bound_fixed_c(BoundQuery(100.0, 1e-150))
 
     @given(
         c=st.floats(min_value=0.05, max_value=8.0),

@@ -25,6 +25,9 @@ from .winsor import b_star
 GAP_RTOL = 1e-12       # allowed negative gap, relative to max(1, F)
 EQUALITY_RTOL = 1e-10  # |F - G| below this counts as contact
 CONTACT_WINDOW = 1e-2  # equality must sit within this relative distance
+GRID_BASE_POINTS = 100_001  # uniform points across the span of the grid
+GRID_WINDOW_POINTS = 2_001  # points in the window around each contact and the kink
+TANGENCY_REL_STEP = 1e-6    # finite-difference step, relative to 1 + |contact|
 
 
 class MomentKind(str, Enum):
@@ -150,35 +153,30 @@ class CertificateReport:
     worst_gap: float          # min of (F - G)/max(1, F); >= -GAP_RTOL to pass
     worst_x: float
     equality_localized: bool  # near-contact points are the only equalities
-    stray_equality_x: float | None
     n_points: int
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def certificate_grid(minorant: QuadraticMinorant, n_base: int = 100_001) -> np.ndarray:
+def certificate_grid(minorant: QuadraticMinorant) -> np.ndarray:
     """Evaluation grid: wide span around the contacts plus dense refinement
     near each contact and near the kink at x = 1."""
     lo_c, hi_c = minorant.contact_points
     span = 10.0 * max(abs(lo_c), abs(hi_c), 1.0)
-    pieces = [np.linspace(-span, span, n_base)]
+    pieces = [np.linspace(-span, span, GRID_BASE_POINTS)]
     for x0 in (lo_c, hi_c, 1.0):
         window = 1e-3 * (1.0 + abs(x0))
-        pieces.append(np.linspace(x0 - window, x0 + window, 2001))
+        pieces.append(np.linspace(x0 - window, x0 + window, GRID_WINDOW_POINTS))
         pieces.append(np.array([x0]))
     return np.unique(np.concatenate(pieces))
 
 
 def check_certificate(
-    minorant: QuadraticMinorant,
-    kind: MomentKind,
-    c: float,
-    grid: np.ndarray | None = None,
+    minorant: QuadraticMinorant, kind: MomentKind, c: float
 ) -> CertificateReport:
-    """Verify G <= F on the grid with equality only near the contacts."""
-    if grid is None:
-        grid = certificate_grid(minorant)
+    """Verify G <= F on certificate_grid with equality only near the contacts."""
+    grid = certificate_grid(minorant)
     f_values = capped_exp(kind, c, grid)
     gap = f_values - minorant(grid)
     scale = np.maximum(1.0, f_values)
@@ -187,23 +185,16 @@ def check_certificate(
     worst_idx = int(np.argmin(normalized))
     passed = bool(normalized[worst_idx] >= -GAP_RTOL)
 
-    equality = np.abs(normalized) <= EQUALITY_RTOL
-    localized = True
-    stray: float | None = None
-    if np.any(equality):
-        xs = grid[equality]
-        near_contact = np.zeros_like(xs, dtype=bool)
-        for x0 in minorant.contact_points:
-            near_contact |= np.abs(xs - x0) <= CONTACT_WINDOW * (1.0 + abs(x0))
-        if not bool(np.all(near_contact)):
-            localized = False
-            stray = float(xs[~near_contact][0])
+    xs = grid[np.abs(normalized) <= EQUALITY_RTOL]
+    near_contact = np.zeros_like(xs, dtype=bool)
+    for x0 in minorant.contact_points:
+        near_contact |= np.abs(xs - x0) <= CONTACT_WINDOW * (1.0 + abs(x0))
+    localized = bool(np.all(near_contact))
     return CertificateReport(
         passed=passed and localized,
         worst_gap=float(normalized[worst_idx]),
         worst_x=float(grid[worst_idx]),
         equality_localized=localized,
-        stray_equality_x=stray,
         n_points=int(grid.size),
     )
 
@@ -213,7 +204,6 @@ def tangency_gaps(
     kind: MomentKind,
     c: float,
     upper_contact_tangent: bool = True,
-    rel_step: float = 1e-6,
 ) -> dict[float, tuple[float, float | None]]:
     """Normalized |F - G| and |F' - G'| at each contact point.
 
@@ -231,7 +221,7 @@ def tangency_gaps(
 
     lower, upper = minorant.contact_points
     for x0 in (lower, upper):
-        h = rel_step * (1.0 + abs(x0))
+        h = TANGENCY_REL_STEP * (1.0 + abs(x0))
         value_gap = abs(d(x0)) / scale
         if x0 == upper and not upper_contact_tangent:
             out[x0] = (value_gap, None)

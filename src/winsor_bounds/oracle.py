@@ -22,6 +22,13 @@ import numpy as np
 from .certificates import MomentKind
 from .errors import ParameterError, require_positive
 
+REFINE_POINTS = (10_000, 1_000)    # a points of the coarse and the fine sweep
+UNIVERSAL_COARSE = (2_000, 200)    # (a, c) points of the joint scan
+UNIVERSAL_FINE = (300, 300)        # (a, c) points of each refinement round
+UNIVERSAL_ROUNDS = 2
+UNIVERSAL_WINDOW_CELLS = 12        # coarse cells kept on each side of the argmin
+PROBE_TILT_RANGE = (0.05, 10.0)
+
 
 @dataclass(frozen=True)
 class GridMinResult:
@@ -35,7 +42,6 @@ class GridMinResult:
     argmin_c: float  # the fixed tilt, or the grid argmin for joint searches
     min_value: float
     cell_ratio: float
-    grid_spec: str
     cell_ratio_c: float | None = None
 
 
@@ -56,72 +62,30 @@ def two_point_moment_grid(
         return (a * np.exp(c * upper) + b * np.exp(-c * a)) / (a + b)
 
 
-def grid_min_two_point(
-    c: float,
-    sigma: float,
-    kind: MomentKind,
-    a_lo: float,
-    a_hi: float,
-    n_points: int = 10_000,
-) -> GridMinResult:
-    """Minimize the two-point moment over a log-spaced grid in a.
+def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
+    """Two-stage minimization: coarse sweep over (0, ~sigma^2 * 100), then a
+    fine sweep across a +/- 2-cell window around the coarse argmin.
 
     Ties resolve to the smaller a (first grid index), so the reduction is
     order-independent and deterministic.
     """
-    if not (0.0 < a_lo < a_hi):
-        raise ParameterError(f"need 0 < a_lo < a_hi, got [{a_lo!r}, {a_hi!r}]")
-    grid = np.geomspace(a_lo, a_hi, n_points)
+    sigma2 = sigma * sigma
+    n_coarse, n_fine = REFINE_POINTS
+    coarse_grid = np.geomspace(sigma2 * 1e-8, sigma2 * 1e2, n_coarse)
+    idx = int(np.argmin(two_point_moment_grid(kind, c, sigma, coarse_grid)))
+    lo, hi = coarse_grid[max(idx - 2, 0)], coarse_grid[min(idx + 2, n_coarse - 1)]
+    grid = np.geomspace(lo, hi, n_fine)
     values = two_point_moment_grid(kind, c, sigma, grid)
     idx = int(np.argmin(values))
     return GridMinResult(
         argmin_a=float(grid[idx]),
         argmin_c=c,
         min_value=float(values[idx]),
-        cell_ratio=(a_hi / a_lo) ** (1.0 / (n_points - 1)),
-        grid_spec=f"{kind.value}: a in [{a_lo:.6g}, {a_hi:.6g}] log x {n_points}",
+        cell_ratio=(hi / lo) ** (1.0 / (n_fine - 1)),
     )
 
 
-def refine_grid_min(
-    c: float,
-    sigma: float,
-    kind: MomentKind,
-    coarse_points: int = 10_000,
-    refine_points: int = 1_000,
-) -> GridMinResult:
-    """Two-stage minimization: coarse sweep over (0, ~sigma^2 * 100), then a
-    fine sweep across a +/- 2-cell window around the coarse argmin."""
-    sigma2 = sigma * sigma
-    a_lo, a_hi = sigma2 * 1e-8, sigma2 * 1e2
-    coarse_grid = np.geomspace(a_lo, a_hi, coarse_points)
-    coarse = two_point_moment_grid(kind, c, sigma, coarse_grid)
-    idx = int(np.argmin(coarse))
-    lo = coarse_grid[max(idx - 2, 0)]
-    hi = coarse_grid[min(idx + 2, coarse_points - 1)]
-    fine = grid_min_two_point(c, sigma, kind, lo, hi, refine_points)
-    return GridMinResult(
-        argmin_a=fine.argmin_a,
-        argmin_c=c,
-        min_value=fine.min_value,
-        cell_ratio=fine.cell_ratio,
-        grid_spec=(
-            f"{kind.value}: coarse {coarse_points} log pts on "
-            f"[{a_lo:.3g}, {a_hi:.3g}], refined {refine_points} pts on "
-            f"[{lo:.6g}, {hi:.6g}]"
-        ),
-    )
-
-
-def universal_grid_min(
-    sigma: float,
-    coarse_a: int = 2_000,
-    coarse_c: int = 200,
-    refine_a: int = 300,
-    refine_c: int = 300,
-    refine_rounds: int = 2,
-    window_cells: int = 12,
-) -> GridMinResult:
+def universal_grid_min(sigma: float) -> GridMinResult:
     """Joint minimization of the Winsorized moment over (a, c).
 
     A broad log-log scan followed by repeated window refinements.  The
@@ -132,7 +96,8 @@ def universal_grid_min(
     """
     sigma2 = sigma * sigma
 
-    def scan(a_lo, a_hi, c_lo, c_hi, na, nc):
+    def scan(a_lo, a_hi, c_lo, c_hi, shape):
+        na, nc = shape
         a = np.geomspace(a_lo, a_hi, na)[:, None]
         c = np.geomspace(c_lo, c_hi, nc)[None, :]
         values = two_point_moment_grid(MomentKind.WINSOR, c, sigma, a)
@@ -140,26 +105,22 @@ def universal_grid_min(
         i, j = divmod(flat, nc)
         return a[:, 0], c[0, :], i, j, float(values[i, j])
 
-    a_lo, a_hi = sigma2 * 1e-5, sigma2 * (1.0 - 1e-9)
-    c_lo, c_hi = 0.05, 20.0
-    a_grid, c_grid, i, j, value = scan(a_lo, a_hi, c_lo, c_hi, coarse_a, coarse_c)
-    for _ in range(refine_rounds):
-        a2_lo = a_grid[max(i - window_cells, 0)]
-        a2_hi = a_grid[min(i + window_cells, a_grid.size - 1)]
-        c2_lo = c_grid[max(j - window_cells, 0)]
-        c2_hi = c_grid[min(j + window_cells, c_grid.size - 1)]
-        a_grid, c_grid, i, j, value = scan(a2_lo, a2_hi, c2_lo, c2_hi, refine_a, refine_c)
+    a_grid, c_grid, i, j, value = scan(
+        sigma2 * 1e-5, sigma2 * (1.0 - 1e-9), 0.05, 20.0, UNIVERSAL_COARSE
+    )
+    w = UNIVERSAL_WINDOW_CELLS
+    for _ in range(UNIVERSAL_ROUNDS):
+        a_grid, c_grid, i, j, value = scan(
+            a_grid[max(i - w, 0)], a_grid[min(i + w, a_grid.size - 1)],
+            c_grid[max(j - w, 0)], c_grid[min(j + w, c_grid.size - 1)],
+            UNIVERSAL_FINE,
+        )
     return GridMinResult(
         argmin_a=float(a_grid[i]),
         argmin_c=float(c_grid[j]),
         min_value=value,
         cell_ratio=float(a_grid[1] / a_grid[0]),
         cell_ratio_c=float(c_grid[1] / c_grid[0]),
-        grid_spec=(
-            f"winsor joint: coarse {coarse_a}x{coarse_c} on "
-            f"a[{a_lo:.3g},{a_hi:.3g}] x c[{c_lo},{c_hi}], then "
-            f"{refine_rounds} x {refine_a}x{refine_c} window refinements"
-        ),
     )
 
 
@@ -172,9 +133,7 @@ class ThreePointProbe:
     tilts: np.ndarray    # (n,)
 
 
-def sample_three_point(
-    sigma: float, n_samples: int, seed: int, tilt_range: tuple[float, float] = (0.05, 10.0)
-) -> ThreePointProbe:
+def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointProbe:
     """Deterministic (seeded) sample of admissible three-point laws.
 
     Support points are centered to zero mean, then scaled so the second
@@ -190,7 +149,7 @@ def sample_three_point(
     raw_second = np.maximum(raw_second, 1e-300)
     target = (sigma * rng.uniform(0.05, 1.0, size=(n_samples, 1))) ** 2
     support = centered * np.sqrt(target / raw_second)
-    tilts = rng.uniform(*tilt_range, size=n_samples)
+    tilts = rng.uniform(*PROBE_TILT_RANGE, size=n_samples)
     return ThreePointProbe(support=support, masses=masses, tilts=tilts)
 
 

@@ -89,12 +89,7 @@ def _bracket_about(f: Callable[[float], float], x0: float) -> Bracket:
     raise NoSignChangeError(f"no strict sign change around exact zero at {x0!r}")
 
 
-def find_bracket(
-    f: Callable[[float], float],
-    seed: float,
-    direction_hint: int = 1,
-    max_steps: int = MAX_BRACKET_STEPS,
-) -> Bracket:
+def find_bracket(f: Callable[[float], float], seed: float, direction_hint: int = 1) -> Bracket:
     """Bracket a sign change of f on (0, inf) by geometric probing from seed.
 
     ``direction_hint`` is the sign of f's slope through the root (+1 for
@@ -115,7 +110,7 @@ def find_bracket(
     factor = 2.0 if outward else 0.5
 
     prev, f_prev = seed, f_seed
-    for _ in range(max_steps):
+    for _ in range(MAX_BRACKET_STEPS):
         cur = prev * factor
         if cur == 0.0:  # halving underflowed: no positive float is left to probe
             raise NoSignChangeError(
@@ -130,7 +125,7 @@ def find_bracket(
             return Bracket(cur, prev, f_cur, f_prev)
         prev, f_prev = cur, f_cur
     raise NoSignChangeError(
-        f"no sign change within {max_steps} geometric steps from seed {seed!r}"
+        f"no sign change within {MAX_BRACKET_STEPS} geometric steps from seed {seed!r}"
     )
 
 
@@ -139,7 +134,6 @@ def solve_root(
     bracket: Bracket,
     abs_tol: float | None = None,
     rel_tol: float | None = None,
-    max_iter: int = MAX_SOLVE_ITERATIONS,
 ) -> RootResult:
     """Drive the bracket down around a root of f.
 
@@ -148,7 +142,7 @@ def solve_root(
     the bracket is narrower than max(abs_tol, rel_tol*|root|) AND
     |f(root)| <= abs_tol; the returned root never leaves the initial bracket.
 
-    Raises MaxIterationsError after ``max_iter`` steps, which for a
+    Raises MaxIterationsError after MAX_SOLVE_ITERATIONS steps, which for a
     continuous f only happens when the residual target is unreachable in
     double precision (a pathologically steep or noisy function).
     """
@@ -162,7 +156,7 @@ def solve_root(
     c, fc = a, fa
     d = e = b - a
 
-    for iteration in range(max_iter):
+    for iteration in range(MAX_SOLVE_ITERATIONS):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -229,6 +223,6 @@ def solve_root(
             d = e = b - a
 
     raise MaxIterationsError(
-        f"no convergence in {max_iter} iterations; last estimate {b!r} "
+        f"no convergence in {MAX_SOLVE_ITERATIONS} iterations; last estimate {b!r} "
         f"with residual {fb!r} (abs_tol={abs_tol!r})"
     )

@@ -46,11 +46,7 @@ def log_B_star(a: float, c: float) -> float:
     return _log_support_point(a, c, 0.0)
 
 
-def solve_A_c(
-    c: float,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-) -> float:
+def solve_A_c(c: float) -> float:
     """Unique a > 0 with B_star(a, c) = 1; the branch threshold for sigma^2."""
     require_positive("c", c)
 
@@ -68,21 +64,16 @@ def solve_A_c(
         bracket = Bracket(lo, hi, f_lo, f_hi)
     else:
         bracket = find_bracket(h, lo, direction_hint=1)
-    return solve_root(h, bracket, abs_tol=abs_tol, rel_tol=rel_tol).root
+    return solve_root(h, bracket).root
 
 
-def solve_A_c_sigma(
-    c: float,
-    sigma: float,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-) -> float:
+def solve_A_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * B_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
     # a*B_star ~ a^2 for small a and ~ (2a/c) e^{ac} for large a.
     seed = max(math.log1p(sigma * sigma) / c, min(sigma, 1.0))
-    return _solve_moment_match(c, sigma, 0.0, seed, abs_tol, rel_tol)
+    return _solve_moment_match(c, sigma, 0.0, seed)
 
 
 def trunc_moment(dist: TwoPointDistribution, c: float) -> float:
@@ -115,11 +106,7 @@ class TruncSolution:
     extremal: TwoPointDistribution
 
 
-def lower_bound_trunc(
-    query: BoundQuery,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-) -> TruncSolution:
+def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     """Exact attained lower bound on E exp(c * X * 1{X < cut}) given
     E X >= 0 and E X^2 <= sigma^2.
 
@@ -129,7 +116,7 @@ def lower_bound_trunc(
     c_eff = query.effective_c
     sigma_eff = query.effective_sigma
     sigma2 = sigma_eff * sigma_eff
-    a_threshold = solve_A_c(c_eff, abs_tol=abs_tol, rel_tol=rel_tol)
+    a_threshold = solve_A_c(c_eff)
 
     if sigma2 <= a_threshold:
         extremal = two_point(sigma2, 1.0)
@@ -143,7 +130,7 @@ def lower_bound_trunc(
             extremal=extremal,
         )
 
-    a = solve_A_c_sigma(c_eff, sigma_eff, abs_tol=abs_tol, rel_tol=rel_tol)
+    a = solve_A_c_sigma(c_eff, sigma_eff)
     # On this branch b >= 1 holds exactly; root-solver roundoff at the branch
     # boundary can land an ulp below the cut, where the truncation indicator
     # would flip, so snap such b back onto the cut.

@@ -67,9 +67,7 @@ def _log_support_point(a: float, c: float, shift: float) -> float:
     return z + math.log(2.0 / c) + correction
 
 
-def _solve_moment_match(
-    c: float, sigma: float, shift: float, seed: float, abs_tol: float | None, rel_tol: float | None
-) -> float:
+def _solve_moment_match(c: float, sigma: float, shift: float, seed: float) -> float:
     """Unique a > 0 with a * _support_point(a, c, shift) = sigma^2.
 
     Solved in log form, ln a + ln support(a) = 2 ln sigma, which keeps the
@@ -80,8 +78,7 @@ def _solve_moment_match(
     def g(a: float) -> float:
         return math.log(a) + _log_support_point(a, c, shift) - target
 
-    bracket = find_bracket(g, seed, direction_hint=1)
-    return solve_root(g, bracket, abs_tol=abs_tol, rel_tol=rel_tol).root
+    return solve_root(g, find_bracket(g, seed, direction_hint=1)).root
 
 
 def b_star(a: float, c: float) -> float:
@@ -102,17 +99,12 @@ def log_b_star(a: float, c: float) -> float:
     return _log_support_point(a, c, c)
 
 
-def solve_a_c_sigma(
-    c: float,
-    sigma: float,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-) -> float:
+def solve_a_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
     seed = _a_c_sigma_seed(c, sigma * sigma)
-    return _solve_moment_match(c, sigma, c, seed, abs_tol, rel_tol)
+    return _solve_moment_match(c, sigma, c, seed)
 
 
 def _a_c_sigma_seed(c: float, sigma2: float) -> float:
@@ -145,11 +137,7 @@ def _ell1(a: float, sigma2: float) -> float:
     return math.log(a / sigma2) - 2.0 * (a + 1.0) * (a - sigma2) / (a * a + sigma2)
 
 
-def solve_a_sigma(
-    sigma: float,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-) -> float:
+def solve_a_sigma(sigma: float) -> float:
     """The sign-change root of ell1 on (0, sigma^2).
 
     Seeded with 0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic
@@ -171,7 +159,7 @@ def solve_a_sigma(
         lo = 1e-12 * min(1.0, sigma2)
         hi = sigma2 * (1.0 - 1e-12)
         bracket = Bracket(lo, hi, f(lo), f(hi))
-    return solve_root(f, bracket, abs_tol=abs_tol, rel_tol=rel_tol).root
+    return solve_root(f, bracket).root
 
 
 def optimal_c_for_two_point(a: float, sigma: float) -> float:
@@ -235,34 +223,25 @@ class UniversalWinsorSolution:
         return self.sigma / self.cut
 
 
-def lower_bound_fixed_c(
-    query: BoundQuery,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-) -> WinsorSolution:
+def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
     """Exact attained lower bound on E exp(c * min(cut, X)) given
     E X >= 0 and E X^2 <= sigma^2."""
     c_eff = query.effective_c
     sigma_eff = query.effective_sigma
-    a = solve_a_c_sigma(c_eff, sigma_eff, abs_tol=abs_tol, rel_tol=rel_tol)
+    a = solve_a_c_sigma(c_eff, sigma_eff)
     b = sigma_eff * sigma_eff / a
     extremal = two_point(a, b)
     bound = winsor_moment(extremal, c_eff)
     return WinsorSolution(query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=extremal)
 
 
-def lower_bound_universal(
-    sigma: float,
-    cut: float = 1.0,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-) -> UniversalWinsorSolution:
+def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolution:
     """Exact attained lower bound on E exp(c * min(cut, X)) over all tilts
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
     require_positive("sigma", sigma)
     require_positive("cut", cut)
     sigma_eff = sigma / cut
-    a = solve_a_sigma(sigma_eff, abs_tol=abs_tol, rel_tol=rel_tol)
+    a = solve_a_sigma(sigma_eff)
     b = sigma_eff * sigma_eff / a
     c_opt = optimal_c_for_two_point(a, sigma_eff)
     bound = optimal_winsor_moment(a, sigma_eff)

@@ -185,8 +185,13 @@ def optimal_winsor_moment(a: float, sigma: float) -> float:
     """Winsorized moment of X_{a, sigma^2/a} at its optimal tilt:
     a(1+a)(a/sigma^2)^{-1/(1+a)} / (a^2 + sigma^2)."""
     c_opt = optimal_c_for_two_point(a, sigma)
-    sigma2 = sigma * sigma
-    return a * (1.0 + a) * math.exp(c_opt) / (a * a + sigma2)
+    if a >= 1.0:
+        return a * (1.0 + a) * math.exp(c_opt) / (a * a + sigma * sigma)
+    # Below a = 1 the two logs in c_opt cancel as sigma -> 0 and push the
+    # moment above 1; with r = a/sigma^2 it is (1+a) r^{a/(1+a)} / (1 + ar),
+    # whose log is free of that cancellation.
+    r = (a / sigma) / sigma
+    return math.exp(math.log1p(a) + a / (1.0 + a) * math.log(r) - math.log1p(a * r))
 
 
 @dataclass(frozen=True)

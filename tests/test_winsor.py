@@ -2,14 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from winsor_bounds import winsor
+from winsor_bounds import verify, winsor
 from winsor_bounds.distributions import BoundQuery, two_point
 from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError, ParameterError
+from winsor_bounds.sweeps import sigma_grid
 
 mp.dps = 50
 
@@ -291,6 +293,13 @@ class TestLowerBoundUniversal:
         assert scaled.cut == 2.0 and scaled.sigma == 2.0
         assert scaled.effective_sigma == 1.0
 
+    def test_bound_never_exceeds_one_at_tiny_sigma(self):
+        # the bound is 1 - (1 - t_star) t_star sigma^2 as sigma -> 0, within
+        # an ulp of 1 below sigma ~ 1e-8: it must round to at most 1
+        for sigma in np.geomspace(1e-150, 1e-3, 300):
+            bound = winsor.lower_bound_universal(float(sigma)).bound
+            assert 0.0 < bound <= 1.0, (sigma, bound)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             winsor.lower_bound_universal(-1.0)
@@ -312,3 +321,40 @@ def test_derivative_identity_for_log_optimal_moment():
             analytic = winsor.ell1(a, sigma) / (1.0 + a) ** 2
             if abs(analytic) > 0.05:
                 assert abs(numeric - analytic) <= 1e-4 * abs(analytic)
+
+
+def mp_optimal_moment(a, sigma):
+    a, sigma2 = mpf(a), mpf(sigma) ** 2
+    return a * (1 + a) * (sigma2 / a) ** (1 / (1 + a)) / (a * a + sigma2)
+
+
+def direct_optimal_moment(a, sigma):
+    # the closed form as written, a(1+a) e^{c_opt} / (a^2 + sigma^2)
+    c_opt = winsor.optimal_c_for_two_point(a, sigma)
+    return a * (1.0 + a) * math.exp(c_opt) / (a * a + sigma * sigma)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        np.geomspace(1e-150, 1e-3, 300),
+        sigma_grid(0.05, 100.0, 200, "log"),
+        verify.SIGMA_GRID,
+        np.geomspace(1e3, 1e150, 300),
+    ],
+    ids=["tiny-sigma", "figure-grid", "verify-grid", "huge-sigma"],
+)
+def test_optimal_moment_accuracy_against_mpmath(grid):
+    # at the universal extremal a, the library's moment is at least as
+    # accurate as the direct closed form, and within 1e-15 relative
+    def worst_error(moment):
+        worst = 0.0
+        for sigma in grid:
+            a = winsor.solve_a_sigma(float(sigma))
+            exact = mp_optimal_moment(a, float(sigma))
+            worst = max(worst, float(abs(moment(a, float(sigma)) - exact) / exact))
+        return worst
+
+    worst = worst_error(winsor.optimal_winsor_moment)
+    assert worst <= worst_error(direct_optimal_moment)
+    assert worst <= 1e-15

@@ -26,8 +26,7 @@ REFINE_POINTS = (10_000, 1_000)    # a points of the coarse and the fine sweep
 UNIVERSAL_COARSE = (2_000, 200)    # (a, c) points of the joint scan
 UNIVERSAL_FINE = (300, 300)        # (a, c) points of each refinement round
 UNIVERSAL_ROUNDS = 2
-UNIVERSAL_WINDOW_CELLS = 12        # coarse cells kept on each side of the argmin
-PROBE_TILT_RANGE = (0.05, 10.0)
+UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,8 @@ def two_point_moment_grid(
 
 def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
     """Two-stage minimization: coarse sweep over (0, ~sigma^2 * 100), then a
-    fine sweep across a +/- 2-cell window around the coarse argmin.
-
-    Ties resolve to the smaller a (first grid index), so the reduction is
-    order-independent and deterministic.
-    """
+    fine sweep across a +/- 2-cell window around the coarse argmin.  Ties
+    resolve to the smaller a, so the result is deterministic."""
     sigma2 = sigma * sigma
     n_coarse, n_fine = REFINE_POINTS
     coarse_grid = np.geomspace(sigma2 * 1e-8, sigma2 * 1e2, n_coarse)
@@ -149,7 +145,7 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
     raw_second = np.maximum(raw_second, 1e-300)
     target = (sigma * rng.uniform(0.05, 1.0, size=(n_samples, 1))) ** 2
     support = centered * np.sqrt(target / raw_second)
-    tilts = rng.uniform(*PROBE_TILT_RANGE, size=n_samples)
+    tilts = rng.uniform(0.05, 10.0, size=n_samples)
     return ThreePointProbe(support=support, masses=masses, tilts=tilts)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics, certificates, oracle, trunc, winsor
+from . import asymptotics, certificates, errors, oracle, trunc, winsor
 from .asymptotics import Regime
 from .certificates import MomentKind
 from .distributions import BoundQuery, two_point
@@ -502,7 +502,7 @@ def run_suite(name: str, seed: int = 1) -> list[CheckResult]:
             out.extend(run_suite(suite_name, seed))
         return out
     if name not in SUITES:
-        raise KeyError(name)
+        raise errors.ParameterError(f"suite must be one of {', '.join(SUITES)}, all; got {name!r}")
     if name == "oracle":
         return suite_oracle(seed)
     return SUITES[name]()

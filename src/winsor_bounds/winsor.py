@@ -187,9 +187,8 @@ def optimal_winsor_moment(a: float, sigma: float) -> float:
     c_opt = optimal_c_for_two_point(a, sigma)
     if a >= 1.0:
         return a * (1.0 + a) * math.exp(c_opt) / (a * a + sigma * sigma)
-    # Below a = 1 the two logs in c_opt cancel as sigma -> 0 and push the
-    # moment above 1; with r = a/sigma^2 it is (1+a) r^{a/(1+a)} / (1 + ar),
-    # whose log is free of that cancellation.
+    # Below a = 1 the logs in c_opt cancel as sigma -> 0, pushing the moment
+    # above 1; in r = a/sigma^2 it is (1+a) r^{a/(1+a)} / (1 + ar), cancel-free.
     r = (a / sigma) / sigma
     return math.exp(math.log1p(a) + a / (1.0 + a) * math.log(r) - math.log1p(a * r))
 

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from winsor_bounds import asymptotics, oracle, trunc, verify, winsor
+from winsor_bounds import asymptotics, oracle, trunc, winsor
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.sweeps import SweepKind, compute_sweep, sigma_grid
@@ -96,10 +96,9 @@ def test_criterion_06_universal_consistency_identities():
                f"(tol 1e-8) over 40 sigma")
 
 
-def test_criterion_07_certificate_suite():
-    start = time.perf_counter()
-    results = verify.suite_certificates()
-    elapsed = time.perf_counter() - start
+def test_criterion_07_certificate_suite(verify_all):
+    results = verify_all.by_suite["certificates"]
+    elapsed = verify_all.seconds["certificates"]
     failed = [r for r in results if not r.passed]
     assert not failed, failed
     assert elapsed < 30.0
@@ -107,8 +106,8 @@ def test_criterion_07_certificate_suite():
                f"{elapsed:.1f} s (limit 30 s)")
 
 
-def test_criterion_08_oracle_equivalence():
-    results = verify.suite_oracle(seed=1)
+def test_criterion_08_oracle_equivalence(verify_all):
+    results = verify_all.by_suite["oracle"]
     failed = [r for r in results if not r.passed]
     assert not failed, failed
     by_name = {r.name: r for r in results}
@@ -131,8 +130,8 @@ def test_criterion_09_trunc_branch_continuity():
     _report(9, f"branch values at sigma^2 = A_c agree to {worst:.2e} (tol 1e-10)")
 
 
-def test_criterion_10_ordering_and_monotonicity():
-    results = verify.suite_ordering()
+def test_criterion_10_ordering_and_monotonicity(verify_all):
+    results = verify_all.by_suite["ordering"]
     failed = [r for r in results if not r.passed]
     assert not failed, failed
     _report(10, "L_T <= L_W <= 1, L_universal <= L_W with equality only at "
@@ -184,3 +183,45 @@ def test_criterion_12_figure_shapes():
     _report(12, "figure sweeps reproduce the documented shapes "
                 "(monotone universal curve, ratio panels with the c=2 column "
                 "on top approaching 1, truncated ratios falling toward e^-c)")
+
+
+# Every verify check, in run order, with its tolerance: a refactor that
+# drops, renames, reorders or loosens a check fails here.
+VERIFY_INVENTORY = [
+    ("roots.winsor_fixed_c_residual", 1e-10),
+    ("roots.winsor_universal_residual", 1e-10),
+    ("roots.trunc_moment_match_residual", 1e-10),
+    ("roots.trunc_threshold_identity", 1e-10),
+    ("roots.universal_consistency", 1e-8),
+    ("roots.log_moment_derivative_identity", 1e-4),
+    ("ordering.bound_chain", 1e-12),
+    ("ordering.equality_at_optimal_tilt", 1e-10),
+    ("ordering.monotone_in_sigma", 1e-12),
+    ("ordering.trunc_branch_inequalities", 1e-12),
+    ("ordering.trunc_branch_continuity", 1e-10),
+    ("ordering.interior_tilt_optimality", -1e-14),
+    ("ordering.cut_rescaling_identity", 0.0),
+    ("certificates.minorant_below_moment", 1e-12),
+    ("certificates.contact_tangency", 1e-6),
+    ("certificates.trunc_small_beta_floor", 1e-12),
+    ("certificates.negative_control", 1e-12),
+    ("oracle.two_point_grid_min_value", 1e-6),
+    ("oracle.two_point_grid_min_argmin", 1.0),
+    ("oracle.universal_grid_min_value", 1e-6),
+    ("oracle.universal_grid_min_argmin", 1.0),
+    ("oracle.argmin_uniqueness_margin", -1e-12),
+    ("oracle.three_point_probes", 1e-12),
+    ("oracle.trunc_collapse", 1e-2),
+    ("asymptotics.t_star_identity", 1e-10),
+    ("asymptotics.small_sigma_slopes", 1e-2),
+    ("asymptotics.large_sigma_within_30pct", 0.30),
+    ("asymptotics.large_sigma_monotone_approach", 0.0),
+    ("asymptotics.slow_convergence_regression", 1e-3),
+    ("asymptotics.exp_c_separation_monotone", 0.0),
+    ("asymptotics.exp_c_separation_at_1e10", 0.05),
+    ("asymptotics.infimum_identities", 1e-6),
+]
+
+
+def test_verify_check_inventory(verify_all):
+    assert [(r.name, r.tolerance) for r in verify_all.results] == VERIFY_INVENTORY

@@ -1,5 +1,6 @@
 """Sweep tables, CSV round-trips, and the command-line surface."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import winsor_bounds
-from winsor_bounds import cli
+from winsor_bounds import cli, verify
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import ParameterError
 from winsor_bounds.sweeps import SweepKind, compute_sweep, read_csv, sigma_grid, write_csv
@@ -266,11 +267,26 @@ class TestCli:
         assert captured.out == ""
         assert "iterations" in captured.err
 
-    def test_verify_all_under_a_minute(self, capsys):
-        import time
+    def test_verify_all_under_a_minute(self, verify_all, capsys, monkeypatch):
+        # the session's single run of every suite, printed through cmd_verify
+        calls = []
 
-        start = time.perf_counter()
+        def recorded(name, seed):
+            calls.append((name, seed))
+            return verify_all.results
+
+        monkeypatch.setattr(verify, "run_suite", recorded)
         assert cli.main(["verify", "--suite", "all"]) == 0
-        assert time.perf_counter() - start < 60.0
+        assert calls == [("all", 1)]
+        assert sum(verify_all.seconds.values()) < 60.0
         out = capsys.readouterr().out
         assert "32/32 checks passed" in out
+
+    def test_failed_verification_exit_code(self, verify_all, capsys, monkeypatch):
+        checks = list(verify_all.by_suite["roots"])
+        checks[2] = dataclasses.replace(checks[2], passed=False, detail="forced failure")
+        monkeypatch.setitem(verify.SUITES, "roots", lambda: checks)
+        assert cli.main(["verify", "--suite", "roots"]) == cli.EXIT_VERIFY_FAILED
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("FAIL")] == [checks[2].line()]
+        assert lines[-1] == f"{len(checks) - 1}/{len(checks)} checks passed"

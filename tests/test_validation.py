@@ -1,12 +1,14 @@
-"""Every public entry point rejects a non-positive or non-finite argument
-with a ParameterError that names the argument."""
+"""Every public entry point rejects a non-positive or non-finite argument,
+or an unknown name, with a ParameterError that names the argument."""
 
 import math
 import re
 
 import pytest
 
-from winsor_bounds import asymptotics, certificates, cli, config, oracle, roots, trunc, winsor
+from winsor_bounds import (
+    asymptotics, certificates, cli, config, oracle, roots, trunc, verify, winsor,
+)
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.distributions import BoundQuery, TwoPointDistribution, two_point
 from winsor_bounds.errors import ParameterError
@@ -91,3 +93,8 @@ def test_support_maps_reject_bad_a_but_accept_zero(entry, fn, value):
 def test_cli_collapse_demo_rejects_bad_sigma(value, capsys):
     assert cli.main(["collapse-demo", "--sigma", value]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: sigma must")
+
+
+def test_unknown_verify_suite_names_the_valid_ones():
+    with pytest.raises(ParameterError, match=r"^suite must be one of roots, .*, all; got 'bogus'"):
+        verify.run_suite("bogus")

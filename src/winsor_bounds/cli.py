@@ -161,11 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(run=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run invariant suites")
-    p_verify.add_argument(
-        "--suite",
-        choices=("roots", "ordering", "certificates", "oracle", "asymptotics", "all"),
-        default="all",
-    )
+    p_verify.add_argument("--suite", choices=(*verify.SUITES, "all"), default="all")
     p_verify.add_argument("--seed", type=int, default=1, help="oracle probe seed")
     p_verify.set_defaults(run=cmd_verify)
 

@@ -18,8 +18,8 @@ class ExponentOverflowError(WinsorBoundsError, OverflowError):
 
 
 class NoSignChangeError(WinsorBoundsError):
-    """Bracket search exhausted its step budget without finding opposite
-    function signs."""
+    """No positive double brackets the root: the bracket search exhausted its
+    step budget, or the root lies below the smallest positive double."""
 
 
 class NonFiniteValueError(WinsorBoundsError):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .config import resolve_tolerances
+from .config import default_tolerance
 from .errors import (
     MaxIterationsError,
     NonFiniteValueError,
@@ -57,9 +57,8 @@ class Bracket:
 class RootResult:
     """Solved root with its residual and iteration count.
 
-    When ``converged`` is true the residual is no larger than the absolute
-    tolerance and the final bracket was narrower than
-    max(abs_tol, rel_tol * |root|).
+    When ``converged`` is true the residual is no larger than the tolerance
+    tol and the final bracket was narrower than max(tol, tol * |root|).
     """
 
     root: float
@@ -89,25 +88,21 @@ def _bracket_about(f: Callable[[float], float], x0: float) -> Bracket:
     raise NoSignChangeError(f"no strict sign change around exact zero at {x0!r}")
 
 
-def find_bracket(f: Callable[[float], float], seed: float, direction_hint: int = 1) -> Bracket:
+def find_bracket(f: Callable[[float], float], seed: float) -> Bracket:
     """Bracket a sign change of f on (0, inf) by geometric probing from seed.
 
-    ``direction_hint`` is the sign of f's slope through the root (+1 for
-    functions that increase through zero, -1 for decreasing ones); it decides
-    whether to expand outward (factor 2) or contract inward (factor 1/2).
+    f must increase through its root: where f(seed) < 0 the search expands
+    outward (factor 2), otherwise it contracts inward (factor 1/2).
     """
     require_positive("seed", seed)
-    if direction_hint == 0:
-        raise ParameterError("direction_hint must be +1 or -1")
 
     f_seed = _checked(f, seed)
     if f_seed == 0.0:
         return _bracket_about(f, seed)
 
-    # Root lies above the seed when an increasing f is still negative there
-    # (or a decreasing f still positive); otherwise it lies below.
-    outward = (f_seed < 0.0) == (direction_hint > 0)
-    factor = 2.0 if outward else 0.5
+    # f increases through the root, so the root lies above the seed while f
+    # is still negative there, and below it otherwise.
+    factor = 2.0 if f_seed < 0.0 else 0.5
 
     prev, f_prev = seed, f_seed
     for _ in range(MAX_BRACKET_STEPS):
@@ -129,24 +124,20 @@ def find_bracket(f: Callable[[float], float], seed: float, direction_hint: int =
     )
 
 
-def solve_root(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    abs_tol: float | None = None,
-    rel_tol: float | None = None,
-) -> RootResult:
+def solve_root(f: Callable[[float], float], bracket: Bracket) -> RootResult:
     """Drive the bracket down around a root of f.
 
     Brent-style: each step is an inverse quadratic or secant candidate,
     accepted only when it beats bisection, otherwise bisect.  Succeeds once
-    the bracket is narrower than max(abs_tol, rel_tol*|root|) AND
-    |f(root)| <= abs_tol; the returned root never leaves the initial bracket.
+    the bracket is narrower than max(tol, tol*|root|) AND |f(root)| <= tol,
+    with tol = config.default_tolerance(); the returned root never leaves
+    the initial bracket.
 
     Raises MaxIterationsError after MAX_SOLVE_ITERATIONS steps, which for a
     continuous f only happens when the residual target is unreachable in
     double precision (a pathologically steep or noisy function).
     """
-    abs_tol, rel_tol = resolve_tolerances(abs_tol, rel_tol)
+    tol = default_tolerance()
     lo0, hi0 = bracket.lo, bracket.hi
 
     a, b = bracket.lo, bracket.hi
@@ -162,20 +153,18 @@ def solve_root(
             fa, fb, fc = fb, fc, fb
 
         width = abs(c - b)
-        if fb == 0.0 or (
-            width <= max(abs_tol, rel_tol * abs(b)) and abs(fb) <= abs_tol
-        ):
+        if fb == 0.0 or (width <= max(tol, tol * abs(b)) and abs(fb) <= tol):
             root = min(max(b, lo0), hi0)
             return RootResult(root=root, residual=fb, iterations=iteration, converged=True)
 
         # Adjacent floats still straddling a sign change: no representable
         # point is left to try, so the residual target is unreachable in
-        # double precision (f is too steep at this scale for abs_tol).
+        # double precision (f is too steep at this scale for tol).
         inner, outer = (b, c) if b < c else (c, b)
         if math.nextafter(inner, outer) >= outer:
             raise MaxIterationsError(
                 f"bracket collapsed to adjacent floats [{inner!r}, {outer!r}] "
-                f"with residual {fb!r} still above abs_tol={abs_tol!r}; "
+                f"with residual {fb!r} still above tol={tol!r}; "
                 "the function is too steep at this scale for the tolerance"
             )
 
@@ -224,5 +213,5 @@ def solve_root(
 
     raise MaxIterationsError(
         f"no convergence in {MAX_SOLVE_ITERATIONS} iterations; last estimate {b!r} "
-        f"with residual {fb!r} (abs_tol={abs_tol!r})"
+        f"with residual {fb!r} (tol={tol!r})"
     )

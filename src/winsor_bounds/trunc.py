@@ -24,7 +24,9 @@ from enum import Enum
 from .distributions import BoundQuery, TwoPointDistribution, two_point
 from .errors import require_positive
 from .roots import Bracket, find_bracket, solve_root
-from .winsor import _exp_checked, _log_support_point, _solve_moment_match, _support_point
+from .winsor import (
+    _exp_checked, _log_support_point, _sigma_squared, _solve_moment_match, _support_point,
+)
 
 
 class Branch(str, Enum):
@@ -63,7 +65,7 @@ def solve_A_c(c: float) -> float:
     if f_lo < 0.0 < f_hi:
         bracket = Bracket(lo, hi, f_lo, f_hi)
     else:
-        bracket = find_bracket(h, lo, direction_hint=1)
+        bracket = find_bracket(h, lo)
     return solve_root(h, bracket).root
 
 
@@ -115,7 +117,7 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     """
     c_eff = query.effective_c
     sigma_eff = query.effective_sigma
-    sigma2 = sigma_eff * sigma_eff
+    sigma2 = _sigma_squared(sigma_eff)
     a_threshold = solve_A_c(c_eff)
 
     if sigma2 <= a_threshold:

@@ -44,6 +44,19 @@ def _exp_checked(z: float, context: str) -> float:
     return math.exp(z)
 
 
+def _sigma_squared(sigma: float) -> float:
+    """sigma^2, refusing its underflow to 0.0: the lower support point of
+    every extremal law is at most sigma^2, so no positive double is left
+    to hold it."""
+    sigma2 = sigma * sigma
+    if sigma2 == 0.0:
+        raise NoSignChangeError(
+            f"sigma^2 underflows to 0.0 at sigma={sigma!r}: the extremal lower "
+            "support point lies below the smallest positive double"
+        )
+    return sigma2
+
+
 def _support_point(a: float, c: float, shift: float) -> float:
     """(2(e^z - 1) - ac) / c with z = shift + ac: the upper atom of the
     extremal law, shift = c for the Winsorized map and 0 for the truncated
@@ -78,7 +91,7 @@ def _solve_moment_match(c: float, sigma: float, shift: float, seed: float) -> fl
     def g(a: float) -> float:
         return math.log(a) + _log_support_point(a, c, shift) - target
 
-    return solve_root(g, find_bracket(g, seed, direction_hint=1)).root
+    return solve_root(g, find_bracket(g, seed)).root
 
 
 def b_star(a: float, c: float) -> float:
@@ -103,7 +116,7 @@ def solve_a_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
-    seed = _a_c_sigma_seed(c, sigma * sigma)
+    seed = _a_c_sigma_seed(c, _sigma_squared(sigma))
     return _solve_moment_match(c, sigma, c, seed)
 
 
@@ -130,7 +143,7 @@ def ell1(a: float, sigma: float) -> float:
     """
     require_positive("a", a)
     require_positive("sigma", sigma)
-    return _ell1(a, sigma * sigma)
+    return _ell1(a, _sigma_squared(sigma))
 
 
 def _ell1(a: float, sigma2: float) -> float:
@@ -145,14 +158,14 @@ def solve_a_sigma(sigma: float) -> float:
     by keeping the bracket strictly interior.
     """
     require_positive("sigma", sigma)
-    sigma2 = sigma * sigma
+    sigma2 = _sigma_squared(sigma)
 
     def f(a: float) -> float:
         return _ell1(a, sigma2)
 
     seed = 0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2)
     try:
-        bracket = find_bracket(f, seed, direction_hint=1)
+        bracket = find_bracket(f, seed)
     except NoSignChangeError:
         # ell1 rises through its interior root and returns to 0 only at
         # sigma^2 itself, so this full-width bracket is always valid.
@@ -175,10 +188,13 @@ def optimal_c_for_two_point(a: float, sigma: float) -> float:
 def winsor_moment(dist: TwoPointDistribution, c: float) -> float:
     """E exp(c * min(1, X)) for a two-point law, in closed form."""
     require_positive("c", c)
-    upper = min(1.0, dist.b)
-    pos = _exp_checked(c * upper, "winsor_moment")
-    neg = _exp_checked(-c * dist.a, "winsor_moment")
-    return dist.p_pos * pos + dist.p_neg * neg
+    x_pos, x_neg = c * min(1.0, dist.b), -c * dist.a
+    moment = dist.p_pos * _exp_checked(x_pos, "winsor_moment") + dist.p_neg * math.exp(x_neg)
+    if abs(moment - 1.0) > 2.0**-26:
+        return moment
+    # This close to 1 the sum keeps fewer than 26 bits of moment - 1 and can
+    # round above 1; the deviation from 1, summed directly, keeps them.
+    return 1.0 + (dist.p_pos * math.expm1(x_pos) + dist.p_neg * math.expm1(x_neg))
 
 
 def optimal_winsor_moment(a: float, sigma: float) -> float:

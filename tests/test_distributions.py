@@ -1,5 +1,7 @@
 """Two-point law and query value objects."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,3 +58,11 @@ def test_query_rescaling_fields():
     query = BoundQuery(c=1.5, sigma=4.0, cut=2.0)
     assert query.effective_c == 3.0
     assert query.effective_sigma == 2.0
+
+
+def test_law_is_its_support():
+    dist = two_point(1.0, 3.0)
+    assert [field.name for field in dataclasses.fields(dist)] == ["a", "b"]
+    assert (dist.p_neg, dist.p_pos) == (0.75, 0.25)
+    # a/(a+b) underflows to 0 here; the support is still a valid law
+    assert (two_point(1e-200, 1e200).p_neg, two_point(1e-200, 1e200).p_pos) == (1.0, 0.0)

@@ -206,13 +206,23 @@ class TestCli:
         assert abs(float(fields["minus_ln_t_star"]) - 1.59362426004004) < 1e-12
         assert abs(float(fields["large_sigma_universal_coeff"]) - math.exp(2.0)) < 1e-15
 
-    def test_extreme_tilt_fails_validation(self, capsys):
-        # c=500 solves, but the extremal mass a/(a+b) underflows to zero
+    def test_extreme_tilt_is_valid(self, capsys):
+        # the extremal mass a/(a+b) underflows to zero; the law is still valid
         code = cli.main(["bound", "--kind", "fixed-winsor", "--c", "500", "--sigma", "1"])
-        assert code == 2
+        assert code == 0
+        fields = dict(pair.split("=", 1) for pair in capsys.readouterr().out.split())
+        assert 0.0 < float(fields["bound"]) <= 1.0
+
+    @pytest.mark.parametrize("kind", ("universal-winsor", "fixed-winsor", "trunc"))
+    def test_underflowing_sigma_squared_exit_code(self, kind, capsys):
+        # sigma^2 = 0.0 in doubles leaves no positive float for the lower atom
+        tilt = [] if kind == "universal-winsor" else ["--c", "1"]
+        code = cli.main(["bound", "--kind", kind, *tilt, "--sigma", "1e-170"])
+        assert code == cli.EXIT_NO_CONVERGENCE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err != ""
+        assert captured.err.startswith("error: sigma^2 underflows")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("sigma", (1e100, 1e150))
     def test_huge_sigma_is_valid(self, sigma, capsys):

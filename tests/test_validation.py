@@ -1,17 +1,20 @@
 """Every public entry point rejects a non-positive or non-finite argument,
-or an unknown name, with a ParameterError that names the argument."""
+or an unknown name, with a ParameterError that names the argument; valid
+input is never answered with one."""
 
 import math
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from winsor_bounds import (
-    asymptotics, certificates, cli, config, oracle, roots, trunc, verify, winsor,
+    asymptotics, certificates, cli, oracle, roots, trunc, verify, winsor,
 )
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.distributions import BoundQuery, TwoPointDistribution, two_point
-from winsor_bounds.errors import ParameterError
+from winsor_bounds.errors import CaseViolationError, ParameterError, WinsorBoundsError
 
 BAD = (0.0, -1.0, math.nan, math.inf)
 LAW = two_point(1.0, 2.0)
@@ -25,8 +28,8 @@ ENTRY_POINTS = [
     ("BoundQuery", "cut", lambda v: BoundQuery(1.0, 1.0, v)),
     ("two_point", "a", lambda v: two_point(v, 1.0)),
     ("two_point", "b", lambda v: two_point(1.0, v)),
-    ("TwoPointDistribution", "a", lambda v: TwoPointDistribution(v, 1.0, 0.5, 0.5)),
-    ("TwoPointDistribution", "b", lambda v: TwoPointDistribution(1.0, v, 0.5, 0.5)),
+    ("TwoPointDistribution", "a", lambda v: TwoPointDistribution(v, 1.0)),
+    ("TwoPointDistribution", "b", lambda v: TwoPointDistribution(1.0, v)),
     ("b_star", "c", lambda v: winsor.b_star(1.0, v)),
     ("log_b_star", "c", lambda v: winsor.log_b_star(1.0, v)),
     ("B_star", "c", lambda v: trunc.B_star(1.0, v)),
@@ -61,8 +64,6 @@ ENTRY_POINTS = [
     ("trunc_minorant_large", "c", lambda v: certificates.trunc_minorant_large(1.0, v)),
     ("trunc_collapse_sequence", "sigma", lambda v: oracle.trunc_collapse_sequence(v, (0.5,))),
     ("find_bracket", "seed", lambda v: roots.find_bracket(lambda x: x - 1.0, v)),
-    ("resolve_tolerances", "abs_tol", lambda v: config.resolve_tolerances(v, None)),
-    ("resolve_tolerances", "rel_tol", lambda v: config.resolve_tolerances(None, v)),
 ]
 
 SUPPORT_MAPS = [
@@ -98,3 +99,30 @@ def test_cli_collapse_demo_rejects_bad_sigma(value, capsys):
 def test_unknown_verify_suite_names_the_valid_ones():
     with pytest.raises(ParameterError, match=r"^suite must be one of roots, .*, all; got 'bogus'"):
         verify.run_suite("bogus")
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+# c stops at 709, where winsor_moment's e^c leaves the double range.
+@given(c=log_uniform(1e-8, 709.0), sigma=log_uniform(1e-150, 1e150))
+@example(c=370.0, sigma=1.0)  # the upper mass a/(a+b) underflows to 0
+@example(c=1.0, sigma=1e-155)  # sigma^2 is subnormal
+@example(c=1.5891577536909545e-07, sigma=2.172236753457656e-05)  # bound within an ulp of 1
+@settings(max_examples=300, deadline=None)
+def test_valid_domain_is_answered_or_fails_in_the_solver(c, sigma):
+    query = BoundQuery(c, sigma)
+    solves = (
+        lambda: winsor.lower_bound_fixed_c(query),
+        lambda: trunc.lower_bound_trunc(query),
+        lambda: winsor.lower_bound_universal(sigma),
+    )
+    for solve in solves:
+        try:
+            bound = solve().bound
+        except (ParameterError, CaseViolationError):
+            raise
+        except WinsorBoundsError:
+            continue  # a solver-class failure, not "invalid parameters"
+        assert 0.0 < bound <= 1.0

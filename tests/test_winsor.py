@@ -182,6 +182,18 @@ class TestWinsorMoment:
         dist = two_point(1e-14, 1.0)
         assert abs(winsor.winsor_moment(dist, 2.0) - 1.0) < 1e-12
 
+    def test_near_one_is_within_an_ulp(self):
+        # extremal laws whose moment is within ~1e-8 of 1, where the plain
+        # sum of the two atoms misses it by up to 1.7 * 2^-53
+        for c in np.geomspace(1e-8, 1e-1, 15):
+            for sigma in np.geomspace(1e-10, 1e-3, 15):
+                dist = winsor.lower_bound_fixed_c(BoundQuery(float(c), float(sigma))).extremal
+                moment = winsor.winsor_moment(dist, float(c))
+                a, b = mpf(dist.a), mpf(dist.b)
+                exact = (a * mp.exp(c * min(1, b)) + b * mp.exp(-c * a)) / (a + b)
+                assert moment <= 1.0
+                assert abs(moment - exact) <= 2.0**-53
+
     def test_overflow_signalled_for_sub_cut_support(self):
         dist = two_point(1.0, 0.5)
         with pytest.raises(ExponentOverflowError):

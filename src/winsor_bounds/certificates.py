@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CaseViolationError, ParameterError, require_positive
-from .trunc import B_star, solve_A_c
+from .trunc import B_star, _below_threshold
 from .winsor import b_star
 
 GAP_RTOL = 1e-12       # allowed negative gap, relative to max(1, F)
@@ -102,10 +102,9 @@ def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
     contacts at -a and the cut point 1."""
     require_positive("a", a)
     require_positive("c", c)
-    threshold = solve_A_c(c)
-    if a > threshold * (1.0 + 1e-9):
+    if not _below_threshold(a / (1.0 + 1e-9), c):
         raise CaseViolationError(
-            f"trunc_minorant_small requires a <= A_c = {threshold!r}, got a={a!r}"
+            f"trunc_minorant_small requires a <= A_c(c), got a={a!r}, c={c!r}"
         )
     eac = math.exp(a * c)
     w = math.exp(-a * c)

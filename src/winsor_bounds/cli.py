@@ -63,10 +63,7 @@ def cmd_bound(args) -> int:
 
     if args.c is None:
         raise ParameterError(f"{args.kind} requires --c")
-    c_values = _parse_c_list(args.c)
-    if len(c_values) != 1:
-        raise ParameterError("bound takes a single --c value")
-    query = BoundQuery(c=c_values[0], sigma=args.sigma, cut=args.cut)
+    query = BoundQuery(c=args.c, sigma=args.sigma, cut=args.cut)
     pairs = [
         ("kind", args.kind),
         ("c", repr(query.c)),
@@ -144,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="compute a single bound")
     p_bound.add_argument("--kind", choices=_BOUND_KINDS, required=True)
-    p_bound.add_argument("--c", type=str, default=None, help="tilt parameter")
+    p_bound.add_argument("--c", type=float, default=None, help="tilt parameter")
     p_bound.add_argument("--sigma", type=float, required=True)
     p_bound.add_argument("--cut", type=float, default=1.0)
     p_bound.set_defaults(run=cmd_bound)

@@ -11,6 +11,8 @@ sigma^2 relative to the threshold A_c:
 
 B_star(a, c) = (2(e^{ac} - 1) - ac)/c is the Winsorized support-point map
 evaluated at z = ac instead of z = c(1+a); A_c is its unique preimage of 1.
+B_star increases in a, so sigma^2 <= A_c exactly when B_star(sigma^2, c) <= 1:
+the branch is decided in closed form, without solving for A_c.
 Unlike the Winsorized case there is no positive tilt-universal floor: along
 (a, sigma^2/a) with tilt 1/a^2 the truncated moment collapses to 0.
 """
@@ -25,7 +27,8 @@ from .distributions import BoundQuery, TwoPointDistribution, two_point
 from .errors import require_positive
 from .roots import Bracket, find_bracket, solve_root
 from .winsor import (
-    _exp_checked, _log_support_point, _sigma_squared, _solve_moment_match, _support_point,
+    EXP_ARG_MAX, _exp_checked, _log_support_point, _sigma_squared, _solve_moment_match,
+    _support_point,
 )
 
 
@@ -96,54 +99,50 @@ class TruncSolution:
     (cut level 1) parameterization carried by ``query``.
 
     On the small-sigma branch the extremal law is X_{sigma^2, 1} and the
-    moment-matching fields are absent (None).
+    moment-matching fields are absent (None).  The bound does not need the
+    threshold ``A_c``, so it is solved only when read.
     """
 
     query: BoundQuery
     branch: Branch
-    A_c: float
     A_c_sigma: float | None
     B_c_sigma: float | None
     bound: float
     extremal: TwoPointDistribution
+
+    @property
+    def A_c(self) -> float:
+        return solve_A_c(self.query.effective_c)
+
+
+def _below_threshold(a: float, c: float) -> bool:
+    """a <= A_c, decided as B_star(a, c) <= 1 (B_star increases in a)
+    multiplied through by c > 0; past EXP_ARG_MAX, B_star is far above 1."""
+    z = a * c
+    return z <= EXP_ARG_MAX and 2.0 * math.expm1(z) - z <= c
 
 
 def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     """Exact attained lower bound on E exp(c * X * 1{X < cut}) given
     E X >= 0 and E X^2 <= sigma^2.
 
-    Ties at sigma^2 = A_c take the small-sigma branch (both branches agree
-    there numerically; a fixed rule keeps sweeps deterministic).
+    The small-sigma branch, which solves no root, is taken when
+    B_star(sigma^2, c) <= 1: ties at sigma^2 = A_c go small (both branches
+    agree there numerically; a fixed rule keeps sweeps deterministic).
     """
     c_eff = query.effective_c
     sigma_eff = query.effective_sigma
     sigma2 = _sigma_squared(sigma_eff)
-    a_threshold = solve_A_c(c_eff)
-
-    if sigma2 <= a_threshold:
+    if _below_threshold(sigma2, c_eff):
+        branch, a, b = Branch.SMALL_SIGMA, None, None
         extremal = two_point(sigma2, 1.0)
-        return TruncSolution(
-            query=query,
-            branch=Branch.SMALL_SIGMA,
-            A_c=a_threshold,
-            A_c_sigma=None,
-            B_c_sigma=None,
-            bound=trunc_moment(extremal, c_eff),
-            extremal=extremal,
-        )
-
-    a = solve_A_c_sigma(c_eff, sigma_eff)
-    # On this branch b >= 1 holds exactly; root-solver roundoff at the branch
-    # boundary can land an ulp below the cut, where the truncation indicator
-    # would flip, so snap such b back onto the cut.
-    b = max(sigma2 / a, 1.0)
-    extremal = two_point(a, b)
-    return TruncSolution(
-        query=query,
-        branch=Branch.LARGE_SIGMA,
-        A_c=a_threshold,
-        A_c_sigma=a,
-        B_c_sigma=b,
-        bound=trunc_moment(extremal, c_eff),
-        extremal=extremal,
-    )
+    else:
+        branch = Branch.LARGE_SIGMA
+        a = solve_A_c_sigma(c_eff, sigma_eff)
+        # On this branch b >= 1 holds exactly; root-solver roundoff at the
+        # branch boundary can land an ulp below the cut, where the truncation
+        # indicator would flip, so snap such b back onto the cut.
+        b = max(sigma2 / a, 1.0)
+        extremal = two_point(a, b)
+    return TruncSolution(query=query, branch=branch, A_c_sigma=a, B_c_sigma=b,
+                         bound=trunc_moment(extremal, c_eff), extremal=extremal)

@@ -100,6 +100,13 @@ class TestTruncSmallMinorant:
         with pytest.raises(CaseViolationError):
             certificates.trunc_minorant_small(threshold * 1.5, 1.0)
 
+    def test_case_slack_is_one_part_in_a_billion(self):
+        for c in (0.5, 1.0, 5.0):
+            threshold = trunc.solve_A_c(c)
+            certificates.trunc_minorant_small(threshold * (1.0 + 0.5e-9), c)
+            with pytest.raises(CaseViolationError):
+                certificates.trunc_minorant_small(threshold * (1.0 + 2e-9), c)
+
     def test_certificate_passes(self):
         for sigma2, c in ((0.25, 1.0), (0.3, 2.0)):
             report = certificates.check_certificate(

@@ -146,6 +146,13 @@ class TestCli:
     def test_missing_c_exit_code(self, capsys):
         assert cli.main(["bound", "--kind", "trunc", "--sigma", "1"]) == 2
 
+    @pytest.mark.parametrize("raw", ["1,2", "abc"])
+    def test_bound_takes_one_real_c(self, raw, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["bound", "--kind", "trunc", "--c", raw, "--sigma", "1"])
+        assert excinfo.value.code == 2
+        assert "--c" in capsys.readouterr().err
+
     def test_sweep_writes_csv(self, tmp_path, capsys):
         out = str(tmp_path / "fig.csv")
         code = cli.main([

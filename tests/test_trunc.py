@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -202,3 +203,42 @@ class TestLowerBoundTrunc:
     def test_validation(self):
         with pytest.raises(ParameterError):
             trunc.lower_bound_trunc(BoundQuery(1.0, 1.0, -1.0))
+
+
+class TestBranchInClosedForm:
+    def test_bound_solves_no_threshold(self, monkeypatch):
+        queries = (BoundQuery(1.0, 0.5), BoundQuery(1.0, 1.0))
+        expected = [trunc.lower_bound_trunc(q) for q in queries]
+        assert expected[1].A_c == trunc.solve_A_c(1.0)
+
+        def refuse(c):
+            raise AssertionError("A_c solved on the bound path")
+
+        monkeypatch.setattr(trunc, "solve_A_c", refuse)
+        for query, before in zip(queries, expected):
+            solution = trunc.lower_bound_trunc(query)
+            assert solution.bound == before.bound
+            assert solution.branch is before.branch
+        assert [s.branch for s in expected] == [Branch.SMALL_SIGMA, Branch.LARGE_SIGMA]
+
+    @pytest.mark.parametrize("c", [float(c) for c in np.geomspace(1e-6, 1e3, 25)])
+    def test_branch_agrees_with_solved_threshold(self, c):
+        threshold = trunc.solve_A_c(c)
+        for factor, branch in ((1.0 - 1e-9, Branch.SMALL_SIGMA), (1.0 + 1e-9, Branch.LARGE_SIGMA)):
+            query = BoundQuery(c, math.sqrt(threshold * factor))
+            assert trunc.lower_bound_trunc(query).branch is branch
+
+    def test_product_underflowing_to_zero_takes_small_branch(self):
+        # sigma^2 * c underflows to 0.0; a log-form test would take log(0)
+        solution = trunc.lower_bound_trunc(BoundQuery(1e-8, 1e-160))
+        assert solution.branch is Branch.SMALL_SIGMA
+        assert solution.bound == 1.0
+
+    def test_huge_tilt_tiny_sigma(self):
+        # the A_c solve cannot bracket c = 1e300, but the bound needs no A_c
+        solution = trunc.lower_bound_trunc(BoundQuery(1e300, 1e-150))
+        assert solution.branch is Branch.SMALL_SIGMA
+        assert solution.bound == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+    def test_tiny_tilt_tiny_sigma(self):
+        assert trunc.lower_bound_trunc(BoundQuery(1e-300, 1e-100)).bound == 1.0

@@ -5,9 +5,9 @@ gamma*x^2 lying below the capped exponential F and touching it exactly at
 the extremal support points.  beta > 0 > gamma makes E G(X) monotone in the
 constraint moments, so E F(X) >= E G(X) >= E G(X_{a,b}) = E F(X_{a,b}) for
 every admissible X.  This module rebuilds those parabolas from their closed
-forms and checks the geometry numerically on dense grids: G <= F everywhere,
-equality only near the contact points, and tangency (value and one-sided
-derivative) at each contact.
+forms and checks the geometry numerically on dense grids (G <= F everywhere,
+equality only near the contact points) and in closed form at each contact
+(value and slope, one-sided on the cut).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ EQUALITY_RTOL = 1e-10  # |F - G| below this counts as contact
 CONTACT_WINDOW = 1e-2  # equality must sit within this relative distance
 GRID_BASE_POINTS = 100_001  # uniform points across the span of the grid
 GRID_WINDOW_POINTS = 2_001  # points in the window around each contact and the kink
-TANGENCY_REL_STEP = 1e-6    # finite-difference step, relative to 1 + |contact|
 
 
 class MomentKind(str, Enum):
@@ -198,37 +197,30 @@ def check_certificate(
     )
 
 
-def tangency_gaps(
-    minorant: QuadraticMinorant,
-    kind: MomentKind,
-    c: float,
-    upper_contact_tangent: bool = True,
-) -> dict[float, tuple[float, float | None]]:
-    """Normalized |F - G| and |F' - G'| at each contact point.
+def contact_gaps(
+    minorant: QuadraticMinorant, kind: MomentKind, c: float
+) -> dict[float, tuple[float, float]]:
+    """Value and slope gaps at each contact point, in closed form.
 
-    Derivatives are central differences, except at a contact sitting on the
-    kink at x = 1 where the second-order one-sided (right) difference is
-    used.  The small-sigma truncated certificate pins only the value at its
-    upper contact, not the slope: pass ``upper_contact_tangent=False`` there
-    and the derivative gap is reported as None.
+    Both are relative to max(1, F(x0)).  Inside a piece of F the gaps are
+    |F - G| and |F' - G'|, with G'(x) = lower_slope + 2 gamma (x - x_lo)
+    (beta + 2 gamma x for raw coefficients).  At a contact on the cut
+    (x0 = 1) the slope gap is max(G'(1), 0): with gamma < 0, F - G is convex
+    on x < 1 and on x >= 1, so a zero value there plus G'(1) <= 0 is what
+    proves G <= F on the right of the cut.
     """
-    out: dict[float, tuple[float, float | None]] = {}
-    scale = max(1.0, math.exp(min(c, 700.0)))
-
-    def d(x: float) -> float:
-        return float(capped_exp(kind, c, x) - minorant(x))
-
-    lower, upper = minorant.contact_points
-    for x0 in (lower, upper):
-        h = TANGENCY_REL_STEP * (1.0 + abs(x0))
-        value_gap = abs(d(x0)) / scale
-        if x0 == upper and not upper_contact_tangent:
-            out[x0] = (value_gap, None)
-            continue
-        if abs(x0 - 1.0) <= 2.0 * h:
-            # contact on the kink: second-order one-sided (right) difference
-            deriv = (-3.0 * d(x0) + 4.0 * d(x0 + h) - d(x0 + 2.0 * h)) / (2.0 * h)
+    out: dict[float, tuple[float, float]] = {}
+    x_lo = minorant.contact_points[0]
+    for x0 in minorant.contact_points:
+        f_value = float(capped_exp(kind, c, x0))
+        if minorant.lower_slope is not None:
+            g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - x_lo)
         else:
-            deriv = (d(x0 + h) - d(x0 - h)) / (2.0 * h)
-        out[x0] = (value_gap, abs(deriv) / scale)
+            g_slope = minorant.beta + 2.0 * minorant.gamma * x0
+        if x0 == 1.0:
+            slope_gap = max(g_slope, 0.0)
+        else:
+            slope_gap = abs((c * f_value if x0 < 1.0 else 0.0) - g_slope)
+        scale = max(1.0, f_value)
+        out[x0] = (abs(f_value - float(minorant(x0))) / scale, slope_gap / scale)
     return out

@@ -19,7 +19,8 @@ class ExponentOverflowError(WinsorBoundsError, OverflowError):
 
 class NoSignChangeError(WinsorBoundsError):
     """No positive double brackets the root: the bracket search exhausted its
-    step budget, or the root lies below the smallest positive double."""
+    step budget, or the root (or a truncated bound) lies below the smallest
+    positive double."""
 
 
 class NonFiniteValueError(WinsorBoundsError):

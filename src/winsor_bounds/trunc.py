@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import BoundQuery, TwoPointDistribution, two_point
-from .errors import require_positive
-from .roots import Bracket, find_bracket, solve_root
+from .errors import NoSignChangeError, require_positive
 from .winsor import (
-    EXP_ARG_MAX, _exp_checked, _log_support_point, _sigma_squared, _solve_moment_match,
-    _support_point,
+    EXP_ARG_MAX, _exp_checked, _log_support_point, _seeded_root, _sigma_squared,
+    _solve_moment_match, _support_point, _upper_support,
 )
 
 
@@ -52,24 +51,14 @@ def log_B_star(a: float, c: float) -> float:
 
 
 def solve_A_c(c: float) -> float:
-    """Unique a > 0 with B_star(a, c) = 1; the branch threshold for sigma^2."""
+    """Unique a > 0 with B_star(a, c) = 1; the branch threshold for sigma^2.
+
+    Seeded with ln(1 + c/2)/c, within a factor 2 of the root for every c:
+    B_star tends to a as c -> 0 (threshold near 1) and to (2/c)e^{ac} for
+    large c (threshold near ln(c/2)/c).
+    """
     require_positive("c", c)
-
-    def h(a: float) -> float:
-        return _log_support_point(a, c, 0.0)
-
-    # B_star tends to a as c -> 0 (threshold near 1) and to (2/c)e^{ac} for
-    # large c, so this static bracket straddles the root for any moderate c;
-    # beyond c ~ 2e7 the root drops below 1e-6 and the geometric search
-    # takes over.
-    lo = 1e-6
-    hi = max(2.0, 2.0 / c)
-    f_lo, f_hi = h(lo), h(hi)
-    if f_lo < 0.0 < f_hi:
-        bracket = Bracket(lo, hi, f_lo, f_hi)
-    else:
-        bracket = find_bracket(h, lo)
-    return solve_root(h, bracket).root
+    return _seeded_root(lambda a: _log_support_point(a, c, 0.0), math.log1p(0.5 * c) / c)
 
 
 def solve_A_c_sigma(c: float, sigma: float) -> float:
@@ -77,7 +66,7 @@ def solve_A_c_sigma(c: float, sigma: float) -> float:
     require_positive("c", c)
     require_positive("sigma", sigma)
     # a*B_star ~ a^2 for small a and ~ (2a/c) e^{ac} for large a.
-    seed = max(math.log1p(sigma * sigma) / c, min(sigma, 1.0))
+    seed = max(math.log1p(_sigma_squared(sigma)) / c, min(sigma, 1.0))
     return _solve_moment_match(c, sigma, 0.0, seed)
 
 
@@ -128,7 +117,8 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
 
     The small-sigma branch, which solves no root, is taken when
     B_star(sigma^2, c) <= 1: ties at sigma^2 = A_c go small (both branches
-    agree there numerically; a fixed rule keeps sweeps deterministic).
+    agree there numerically; a fixed rule keeps sweeps deterministic).  A
+    bound below the smallest positive double raises NoSignChangeError.
     """
     c_eff = query.effective_c
     sigma_eff = query.effective_sigma
@@ -142,7 +132,12 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
         # On this branch b >= 1 holds exactly; root-solver roundoff at the
         # branch boundary can land an ulp below the cut, where the truncation
         # indicator would flip, so snap such b back onto the cut.
-        b = max(sigma2 / a, 1.0)
+        b = max(_upper_support(sigma2, a), 1.0)
         extremal = two_point(a, b)
+    bound = trunc_moment(extremal, c_eff)
+    if bound == 0.0:
+        raise NoSignChangeError(
+            f"the truncated bound underflows to 0.0 at c={c_eff!r}, sigma={sigma_eff!r}"
+        )
     return TruncSolution(query=query, branch=branch, A_c_sigma=a, B_c_sigma=b,
-                         bound=trunc_moment(extremal, c_eff), extremal=extremal)
+                         bound=bound, extremal=extremal)

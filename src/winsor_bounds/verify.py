@@ -224,16 +224,13 @@ def suite_certificates() -> list[CheckResult]:
 
     for c in C_GRID:
         for sigma in SIGMA_GRID:
-            # (kind, minorant, whether the upper contact is a tangency)
             cases = [(
                 MomentKind.WINSOR,
                 certificates.winsor_minorant(winsor.solve_a_c_sigma(c, sigma), c),
-                True,
             )]
             solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
             if solution.branch is Branch.SMALL_SIGMA:
                 minorant = certificates.trunc_minorant_small(sigma * sigma, c)
-                cases.append((MomentKind.TRUNC, minorant, False))
                 beta_floor = (
                     math.exp(-sigma * sigma * c)
                     * c
@@ -245,17 +242,15 @@ def suite_certificates() -> list[CheckResult]:
                 )
             else:
                 minorant = certificates.trunc_minorant_large(solution.A_c_sigma, c)
-                cases.append((MomentKind.TRUNC, minorant, True))
-            for kind, minorant, tangent_upper in cases:
+            cases.append((MomentKind.TRUNC, minorant))
+            for kind, minorant in cases:
                 report = certificates.check_certificate(minorant, kind, c)
                 all_passed &= report.passed
                 worst_gap = min(worst_gap, report.worst_gap)
                 if not report.passed and not detail:
                     detail = f"{kind.value} c={c} sigma={sigma:.3g} x={report.worst_x:.3g}"
-                for value_gap, deriv_gap in certificates.tangency_gaps(
-                    minorant, kind, c, upper_contact_tangent=tangent_upper
-                ).values():
-                    worst_tangency = max(worst_tangency, value_gap, deriv_gap or 0.0)
+                for gaps in certificates.contact_gaps(minorant, kind, c).values():
+                    worst_tangency = max(worst_tangency, *gaps)
 
     results.append(CheckResult(
         name="certificates.minorant_below_moment",
@@ -264,7 +259,7 @@ def suite_certificates() -> list[CheckResult]:
         tolerance=certificates.GAP_RTOL,
         detail=detail or "all families, full grid",
     ))
-    results.append(_bounded_check("certificates.contact_tangency", worst_tangency, 1e-6))
+    results.append(_bounded_check("certificates.contact_tangency", worst_tangency, 1e-12))
     results.append(_bounded_check(
         "certificates.trunc_small_beta_floor", worst_beta_margin, 1e-12,
         "beta > e^{-ac} c (1+a^2)/(1+a)^2 up to roundoff"

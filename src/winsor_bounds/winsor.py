@@ -28,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import asymptotics
 from .distributions import BoundQuery, TwoPointDistribution, two_point
 from .errors import ExponentOverflowError, NoSignChangeError, ParameterError, require_positive
-from .roots import Bracket, find_bracket, solve_root
+from .roots import find_bracket, solve_root
 
 EXP_ARG_MAX = 709.0  # exp() overflows just above ln(DBL_MAX) ~ 709.78
 LOG_FORM_CUTOVER = 30.0
@@ -45,16 +46,35 @@ def _exp_checked(z: float, context: str) -> float:
 
 
 def _sigma_squared(sigma: float) -> float:
-    """sigma^2, refusing its underflow to 0.0: the lower support point of
-    every extremal law is at most sigma^2, so no positive double is left
-    to hold it."""
+    """sigma^2, refusing a square outside the doubles: past ~1.34e154 it
+    overflows (ExponentOverflowError), and once it underflows to 0.0 no
+    positive double is left for the lower support point, which is at most
+    sigma^2 (NoSignChangeError)."""
     sigma2 = sigma * sigma
     if sigma2 == 0.0:
         raise NoSignChangeError(
             f"sigma^2 underflows to 0.0 at sigma={sigma!r}: the extremal lower "
             "support point lies below the smallest positive double"
         )
+    if sigma2 == math.inf:
+        raise ExponentOverflowError(f"sigma^2 overflows at sigma={sigma!r}")
     return sigma2
+
+
+def _upper_support(sigma2: float, a: float) -> float:
+    """b = sigma^2 / a, refusing its overflow to inf."""
+    b = sigma2 / a
+    if b == math.inf:
+        raise ExponentOverflowError(f"b = sigma^2/a overflows at sigma^2={sigma2!r}, a={a!r}")
+    return b
+
+
+def _seeded_root(f: Callable[[float], float], seed: float) -> float:
+    """Root of f, which increases through it, bracketed from seed; a seed
+    that underflowed to 0.0 puts the root below the smallest positive double."""
+    if seed == 0.0:
+        raise NoSignChangeError("the root's seed underflows to 0.0: no positive double holds it")
+    return solve_root(f, find_bracket(f, seed)).root
 
 
 def _support_point(a: float, c: float, shift: float) -> float:
@@ -91,7 +111,7 @@ def _solve_moment_match(c: float, sigma: float, shift: float, seed: float) -> fl
     def g(a: float) -> float:
         return math.log(a) + _log_support_point(a, c, shift) - target
 
-    return solve_root(g, find_bracket(g, seed)).root
+    return _seeded_root(g, seed)
 
 
 def b_star(a: float, c: float) -> float:
@@ -121,18 +141,12 @@ def solve_a_c_sigma(c: float, sigma: float) -> float:
 
 
 def _a_c_sigma_seed(c: float, sigma2: float) -> float:
-    # Blend of both asymptotic regimes: a ~ c sigma^2 / (2(e^c - 1)) as
-    # sigma -> 0 and a ~ ln(sigma^2)/c as sigma -> infinity.
-    seeds = []
-    denom = 2.0 * math.expm1(c) if c <= EXP_ARG_MAX else math.inf
-    if math.isfinite(denom) and denom > 0.0:
-        small = c * sigma2 / denom
-        if small > 0.0 and math.isfinite(small):
-            seeds.append(small)
-    large = math.log1p(sigma2) / c
-    if large > 0.0 and math.isfinite(large):
-        seeds.append(large)
-    return min(seeds) if seeds else min(sigma2, 1.0)
+    # The smaller of both asymptotic laws: a ~ c sigma^2 / (2(e^c - 1)) as
+    # sigma -> 0 and a ~ ln(1 + sigma^2)/c as sigma -> infinity.  Past
+    # EXP_ARG_MAX the first is formed at e^EXP_ARG_MAX, an overestimate the
+    # bracket search contracts from.
+    small = c * sigma2 / (2.0 * math.expm1(min(c, EXP_ARG_MAX)))
+    return min(small, math.log1p(sigma2) / c)
 
 
 def ell1(a: float, sigma: float) -> float:
@@ -147,32 +161,25 @@ def ell1(a: float, sigma: float) -> float:
 
 
 def _ell1(a: float, sigma2: float) -> float:
-    return math.log(a / sigma2) - 2.0 * (a + 1.0) * (a - sigma2) / (a * a + sigma2)
+    # divided through by sigma^2, in r = a/sigma^2: no sigma^2-sized product
+    # is formed, so it stays finite wherever sigma^2 is
+    r = a / sigma2
+    return math.log(r) - 2.0 * (a + 1.0) * (r - 1.0) / (a * r + 1.0)
 
 
 def solve_a_sigma(sigma: float) -> float:
     """The sign-change root of ell1 on (0, sigma^2).
 
     Seeded with 0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic
-    regimes of the root; the boundary zero of ell1 at a = sigma^2 is excluded
-    by keeping the bracket strictly interior.
+    regimes of the root and stays below the boundary zero of ell1 at
+    a = sigma^2.  Raises ExponentOverflowError when sigma^2 overflows, and
+    NoSignChangeError when sigma^2 or the seed underflows to 0.0 or no sign
+    change is found from the seed.
     """
     require_positive("sigma", sigma)
     sigma2 = _sigma_squared(sigma)
-
-    def f(a: float) -> float:
-        return _ell1(a, sigma2)
-
     seed = 0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2)
-    try:
-        bracket = find_bracket(f, seed)
-    except NoSignChangeError:
-        # ell1 rises through its interior root and returns to 0 only at
-        # sigma^2 itself, so this full-width bracket is always valid.
-        lo = 1e-12 * min(1.0, sigma2)
-        hi = sigma2 * (1.0 - 1e-12)
-        bracket = Bracket(lo, hi, f(lo), f(hi))
-    return solve_root(f, bracket).root
+    return _seeded_root(lambda a: _ell1(a, sigma2), seed)
 
 
 def optimal_c_for_two_point(a: float, sigma: float) -> float:
@@ -249,7 +256,7 @@ def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
     c_eff = query.effective_c
     sigma_eff = query.effective_sigma
     a = solve_a_c_sigma(c_eff, sigma_eff)
-    b = sigma_eff * sigma_eff / a
+    b = _upper_support(sigma_eff * sigma_eff, a)
     extremal = two_point(a, b)
     bound = winsor_moment(extremal, c_eff)
     return WinsorSolution(query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=extremal)
@@ -262,7 +269,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     require_positive("cut", cut)
     sigma_eff = sigma / cut
     a = solve_a_sigma(sigma_eff)
-    b = sigma_eff * sigma_eff / a
+    b = _upper_support(sigma_eff * sigma_eff, a)
     c_opt = optimal_c_for_two_point(a, sigma_eff)
     bound = optimal_winsor_moment(a, sigma_eff)
     return UniversalWinsorSolution(

@@ -202,7 +202,7 @@ VERIFY_INVENTORY = [
     ("ordering.interior_tilt_optimality", -1e-14),
     ("ordering.cut_rescaling_identity", 0.0),
     ("certificates.minorant_below_moment", 1e-12),
-    ("certificates.contact_tangency", 1e-6),
+    ("certificates.contact_tangency", 1e-12),
     ("certificates.trunc_small_beta_floor", 1e-12),
     ("certificates.negative_control", 1e-12),
     ("oracle.two_point_grid_min_value", 1e-6),

@@ -171,6 +171,43 @@ class TestCheckCertificate:
         assert not report.passed
         assert report.worst_gap < -1e-3
 
+    def test_contact_gaps_vanish_at_solved_roots(self):
+        c, sigma = 2.0, 3.0
+        cases = (
+            (MomentKind.WINSOR, certificates.winsor_minorant(winsor.solve_a_c_sigma(c, sigma), c)),
+            (MomentKind.TRUNC, certificates.trunc_minorant_small(0.1, c)),
+            (MomentKind.TRUNC,
+             certificates.trunc_minorant_large(trunc.solve_A_c_sigma(c, sigma), c)),
+        )
+        for kind, minorant in cases:
+            gaps = certificates.contact_gaps(minorant, kind, c)
+            assert set(gaps) == set(minorant.contact_points)
+            assert max(max(pair) for pair in gaps.values()) <= 1e-12
+
+    def test_contact_gaps_flag_perturbed_beta(self):
+        a = winsor.solve_a_c_sigma(1.0, 1.0)
+        good = certificates.winsor_minorant(a, 1.0)
+        broken = QuadraticMinorant(
+            alpha=good.alpha, beta=0.9 * good.beta, gamma=good.gamma,
+            contact_points=good.contact_points,
+        )
+        gaps = certificates.contact_gaps(broken, MomentKind.WINSOR, 1.0)
+        assert max(max(pair) for pair in gaps.values()) > 0.1
+
+    def test_contact_gaps_flag_rising_slope_on_the_cut(self):
+        # on the cut only the value and G'(1) <= 0 are required; a parabola
+        # touching F(1) = 1 with slope +0.5 there crosses F just right of 1
+        gamma = -0.25
+        beta = 0.5 - 2.0 * gamma
+        rising = QuadraticMinorant(
+            alpha=1.0 - beta - gamma, beta=beta, gamma=gamma, contact_points=(-1.0, 1.0)
+        )
+        value_gap, slope_gap = certificates.contact_gaps(rising, MomentKind.TRUNC, 1.0)[1.0]
+        assert value_gap <= 1e-15
+        assert slope_gap == pytest.approx(0.5)
+        small = certificates.trunc_minorant_small(0.25, 1.0)
+        assert certificates.contact_gaps(small, MomentKind.TRUNC, 1.0)[1.0][1] == 0.0
+
     def test_equality_localization_flags_stray_contact(self):
         # a parabola secant to exp(c min(1, x)) crosses it, creating
         # equalities far from its declared contacts

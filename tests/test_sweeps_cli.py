@@ -255,6 +255,25 @@ class TestCli:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("sigma", ("1e160", "4.466835921509689e-162"))
+    def test_out_of_range_universal_exit_code(self, sigma, capsys):
+        # sigma^2 overflows at 1e160; at 4.47e-162 the root of ell1 has no
+        # positive double left to bracket it
+        code = cli.main(["bound", "--kind", "universal-winsor", "--sigma", sigma])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+
+    def test_tiny_trunc_threshold_is_printed(self, capsys):
+        code = cli.main(["bound", "--kind", "trunc", "--c", "1e300", "--sigma", "1e-150"])
+        assert code == 0
+        fields = dict(pair.split("=", 1) for pair in capsys.readouterr().out.split())
+        assert fields["A_c"].startswith("6.90082380717")
+        assert fields["A_c"].endswith("e-298")
+        assert 0.0 < float(fields["bound"]) <= 1.0
+
     def test_runtime_never_imports_scipy(self):
         script = (
             "import sys\n"

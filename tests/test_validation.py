@@ -105,11 +105,17 @@ def log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 
 
-# c stops at 709, where winsor_moment's e^c leaves the double range.
-@given(c=log_uniform(1e-8, 709.0), sigma=log_uniform(1e-150, 1e150))
+# Past c ~ 709 the fixed-tilt moment's e^c, and past sigma ~ 1.34e154 sigma^2,
+# leave the double range: those calls must fail in the solver class (exit 3).
+@given(c=log_uniform(1e-8, 1e300), sigma=log_uniform(1e-300, 1e300))
 @example(c=370.0, sigma=1.0)  # the upper mass a/(a+b) underflows to 0
 @example(c=1.0, sigma=1e-155)  # sigma^2 is subnormal
 @example(c=1.5891577536909545e-07, sigma=2.172236753457656e-05)  # bound within an ulp of 1
+@example(c=1.0, sigma=4.466835921509689e-162)  # a fallback bracket hit ln(0)
+@example(c=1.0, sigma=2.2e-162)  # the universal seed underflows to 0.0
+@example(c=1.0, sigma=1e160)  # sigma^2 overflows
+@example(c=1.6e14, sigma=1e150)  # b = sigma^2/a overflows
+@example(c=5.080218046912991e24, sigma=1e140)  # the truncated bound underflows to 0.0
 @settings(max_examples=300, deadline=None)
 def test_valid_domain_is_answered_or_fails_in_the_solver(c, sigma):
     query = BoundQuery(c, sigma)

@@ -312,6 +312,10 @@ class TestLowerBoundUniversal:
             bound = winsor.lower_bound_universal(float(sigma)).bound
             assert 0.0 < bound <= 1.0, (sigma, bound)
 
+    def test_answers_where_sigma_squared_products_overflow(self):
+        # ell1 once formed 2(a+1)(a - sigma^2), which overflows here
+        assert 0.0 < winsor.lower_bound_universal(1e153).bound <= 1.0
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             winsor.lower_bound_universal(-1.0)

@@ -18,9 +18,9 @@ class ExponentOverflowError(WinsorBoundsError, OverflowError):
 
 
 class NoSignChangeError(WinsorBoundsError):
-    """No positive double brackets the root: the bracket search exhausted its
-    step budget, or the root (or a truncated bound) lies below the smallest
-    positive double."""
+    """No positive double brackets the root: the bracket search left the
+    positive doubles with no sign change, or the root (or a truncated bound)
+    lies below the smallest positive double."""
 
 
 class NonFiniteValueError(WinsorBoundsError):

@@ -105,12 +105,14 @@ def find_bracket(f: Callable[[float], float], seed: float) -> Bracket:
     factor = 2.0 if f_seed < 0.0 else 0.5
 
     prev, f_prev = seed, f_seed
-    for _ in range(MAX_BRACKET_STEPS):
+    while True:  # no step budget: ends at a sign change or past the positive doubles
         cur = prev * factor
         if cur == 0.0:  # halving underflowed: no positive float is left to probe
             raise NoSignChangeError(
                 f"no sign change above 0 from seed {seed!r}: the contraction underflowed to 0"
             )
+        if cur == math.inf:  # doubling overflowed: no finite float is left to probe
+            raise NoSignChangeError(f"no sign change below inf from seed {seed!r}")
         f_cur = _checked(f, cur)
         if f_cur == 0.0:
             return _bracket_about(f, cur)
@@ -119,9 +121,6 @@ def find_bracket(f: Callable[[float], float], seed: float) -> Bracket:
                 return Bracket(prev, cur, f_prev, f_cur)
             return Bracket(cur, prev, f_cur, f_prev)
         prev, f_prev = cur, f_cur
-    raise NoSignChangeError(
-        f"no sign change within {MAX_BRACKET_STEPS} geometric steps from seed {seed!r}"
-    )
 
 
 def solve_root(f: Callable[[float], float], bracket: Bracket) -> RootResult:

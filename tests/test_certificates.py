@@ -14,6 +14,31 @@ def finite_difference(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
+def reference_check(minorant, kind, c):
+    """(passed, worst_gap, worst_x, equality_localized) from one pass over the
+    sorted, unique certificate_grid, with the worst point taken by argmin."""
+    grid = certificates.certificate_grid(minorant)
+    f_values = certificates.capped_exp(kind, c, grid)
+    normalized = (f_values - minorant(grid)) / np.maximum(1.0, f_values)
+    i = int(np.argmin(normalized))
+    xs = grid[np.abs(normalized) <= certificates.EQUALITY_RTOL]
+    near_contact = np.zeros_like(xs, dtype=bool)
+    for x0 in minorant.contact_points:
+        near_contact |= np.abs(xs - x0) <= certificates.CONTACT_WINDOW * (1.0 + abs(x0))
+    localized = bool(np.all(near_contact))
+    passed = bool(normalized[i] >= -certificates.GAP_RTOL) and localized
+    return passed, float(normalized[i]), float(grid[i]), localized
+
+
+def beta_scaled(minorant, factor):
+    return QuadraticMinorant(
+        alpha=minorant.alpha,
+        beta=factor * minorant.beta,
+        gamma=minorant.gamma,
+        contact_points=minorant.contact_points,
+    )
+
+
 class TestWinsorMinorant:
     def test_tangency_at_both_contacts(self):
         for a, c in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.4)):
@@ -223,6 +248,35 @@ class TestCheckCertificate:
         with pytest.raises(ParameterError):
             QuadraticMinorant(alpha=1.0, beta=1.0, gamma=0.0, contact_points=(0.0, 1.0))
 
+    def test_nan_minorant_fails(self):
+        good = certificates.winsor_minorant(1.0, 1.0)
+        nan = QuadraticMinorant(
+            alpha=float("nan"), beta=good.beta, gamma=good.gamma,
+            contact_points=good.contact_points,
+        )
+        report = certificates.check_certificate(nan, MomentKind.WINSOR, 1.0)
+        assert not report.passed
+        assert math.isnan(report.worst_gap)
+        assert report.worst_x == reference_check(nan, MomentKind.WINSOR, 1.0)[2]
+
+    def test_tie_reports_the_smaller_x(self):
+        # F = 1 at c = 0, and G = 2 only at x = 20, the last point of the wide
+        # span (walked first), and at the contact x0 = -1.23456789, which is
+        # off the span and walked later: the gaps tie at -1 and the smaller
+        # x is reported, as argmin on the sorted grid does
+        x0 = -1.23456789
+
+        class TwoSpikes(QuadraticMinorant):
+            def __call__(self, x):
+                return np.where(np.isin(x, (x0, 20.0)), 2.0, 0.0)
+
+        spikes = TwoSpikes(alpha=0.0, beta=1.0, gamma=-1.0, contact_points=(x0, 2.0))
+        report = certificates.check_certificate(spikes, MomentKind.WINSOR, 0.0)
+        assert (report.worst_gap, report.worst_x) == (-1.0, x0)
+        assert not report.passed
+        assert reference_check(spikes, MomentKind.WINSOR, 0.0)[1:3] == (-1.0, x0)
+        assert x0 not in np.linspace(-20.0, 20.0, certificates.GRID_BASE_POINTS)
+
     def test_grid_spans_ten_times_contacts(self):
         minorant = certificates.winsor_minorant(1.0, 1.0)
         grid = certificates.certificate_grid(minorant)
@@ -231,3 +285,42 @@ class TestCheckCertificate:
         assert grid.size >= 100_000
         # exact contact points are on the grid
         assert np.any(grid == -1.0) and np.any(grid == b)
+
+
+def solved_winsor(c, sigma):
+    return certificates.winsor_minorant(winsor.solve_a_c_sigma(c, sigma), c), MomentKind.WINSOR, c
+
+
+REFERENCE_CASES = {
+    "winsor-0.5-0.2": lambda: solved_winsor(0.5, 0.2),
+    "winsor-1-1": lambda: solved_winsor(1.0, 1.0),
+    "winsor-5-30": lambda: solved_winsor(5.0, 30.0),
+    "trunc-small-contact-on-cut": lambda: (
+        certificates.trunc_minorant_small(0.25, 1.0), MomentKind.TRUNC, 1.0
+    ),
+    "trunc-large": lambda: (
+        certificates.trunc_minorant_large(trunc.solve_A_c_sigma(2.0, 3.0), 2.0), MomentKind.TRUNC, 2.0
+    ),
+    "beta-times-0.9": lambda: (
+        beta_scaled(solved_winsor(1.0, 1.0)[0], 0.9), MomentKind.WINSOR, 1.0
+    ),
+    "stray-contact": lambda: (
+        QuadraticMinorant(alpha=0.0, beta=1.0, gamma=-1e-6, contact_points=(-50.0, 60.0)),
+        MomentKind.WINSOR,
+        1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_blockwise_check_matches_sorted_grid_reference(case):
+    # walking the unsorted pieces in blocks reports, bit for bit, what argmin
+    # over the sorted, unique grid reports
+    minorant, kind, c = REFERENCE_CASES[case]()
+    report = certificates.check_certificate(minorant, kind, c)
+    passed, worst_gap, worst_x, localized = reference_check(minorant, kind, c)
+    assert repr(report.worst_gap) == repr(worst_gap)
+    assert repr(report.worst_x) == repr(worst_x)
+    assert report.passed is passed
+    assert report.equality_localized is localized
+    assert report.n_points >= certificates.certificate_grid(minorant).size

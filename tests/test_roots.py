@@ -70,10 +70,23 @@ class TestFindBracket:
         with pytest.raises(NoSignChangeError):
             find_bracket(lambda x: x, seed=1.0)
 
-    def test_step_budget_limits_reach(self):
-        # the root sits beyond 2^200 times the seed, so 200 doublings miss it
+    def test_expansion_has_no_step_budget(self):
+        # the root sits beyond 2^200 times the seed: about 266 doublings
+        bracket = find_bracket(lambda x: x - 1e80, seed=1.0)
+        assert bracket.lo < 1e80 < bracket.hi
+
+    def test_expansion_stops_before_inf(self):
+        # negative on every float, so doubling from 1.0 overflows to inf;
+        # f must never be called at inf
+        probes = []
+
+        def f(x):
+            probes.append(x)
+            return -1.0
+
         with pytest.raises(NoSignChangeError):
-            find_bracket(lambda x: x - 1e80, seed=1.0)
+            find_bracket(f, seed=1.0)
+        assert max(probes) < math.inf
 
     def test_contraction_stops_before_zero(self):
         # positive on every float, so halving from 1e-300 underflows to 0.0

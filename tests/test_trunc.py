@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from winsor_bounds import trunc, winsor
 from winsor_bounds.distributions import BoundQuery, two_point
@@ -242,3 +243,22 @@ class TestBranchInClosedForm:
 
     def test_tiny_tilt_tiny_sigma(self):
         assert trunc.lower_bound_trunc(BoundQuery(1e-300, 1e-100)).bound == 1.0
+
+
+def test_huge_tilt_root_far_below_its_seed_against_mpmath():
+    # the root a ~ 7.3e-298 lies more than 200 halvings below the seed 1e-140;
+    # the bound is subnormal, so it carries only ~9 significant digits
+    solution = trunc.lower_bound_trunc(BoundQuery(1e300, 1e-140))
+    with mp.workdps(50):
+        c, sigma2 = mpf(1e300), mpf(1e-140) ** 2
+
+        def g(u):  # ln a + ln B_star(a, c) - ln sigma^2 with a = e^u
+            a = mp.exp(u)
+            return u + mp.log((2 * mp.expm1(a * c) - a * c) / c) - mp.log(sigma2)
+
+        a = mp.exp(mp.findroot(g, (mp.log(1e-298), mp.log(1e-297)), solver="anderson"))
+        b = sigma2 / a
+        exact = (a + b * mp.exp(-c * a)) / (a + b)
+        assert solution.branch is Branch.LARGE_SIGMA
+        assert abs(solution.bound - exact) <= 1e-6 * exact
+        assert exact == pytest.approx(5.3369e-315, rel=1e-4)

@@ -1,13 +1,13 @@
 """Quadratic tangent-minorant certificates.
 
-Each bound in this package is proved by a parabola G(x) = alpha + beta*x +
-gamma*x^2 lying below the capped exponential F and touching it exactly at
-the extremal support points.  beta > 0 > gamma makes E G(X) monotone in the
-constraint moments, so E F(X) >= E G(X) >= E G(X_{a,b}) = E F(X_{a,b}) for
-every admissible X.  This module rebuilds those parabolas from their closed
-forms and checks the geometry numerically on dense grids (G <= F everywhere,
-equality only near the contact points) and in closed form at each contact
-(value and slope, one-sided on the cut).
+Each bound in this package is proved by a parabola G lying below the capped
+exponential F and touching it exactly at the extremal support points.
+beta = G'(0) > 0 > gamma makes E G(X) monotone in the constraint moments, so
+E F(X) >= E G(X) >= E G(X_{a,b}) = E F(X_{a,b}) for every admissible X.
+Each G is stored anchored at its lower contact -a, where its value e^{-ac}
+and slope c e^{-ac} are closed forms.  This module builds them and checks
+the geometry on dense grids (G <= F, equality only near the contacts) and
+in closed form at each contact (value and slope, one-sided on the cut).
 """
 
 from __future__ import annotations
@@ -37,24 +37,17 @@ class MomentKind(str, Enum):
 
 @dataclass(frozen=True)
 class QuadraticMinorant:
-    """alpha + beta*x + gamma*x^2 touching the capped exponential at
-    ``contact_points``; beta > 0 > gamma always.
+    """G(x) = lower_value + lower_slope*u + gamma*u^2 with u = x - x_lo,
+    touching F at ``contact_points`` = (x_lo, x_hi); beta = G'(0) > 0 > gamma.
 
-    ``lower_value``/``lower_slope`` carry the same parabola anchored at the
-    lower contact, where both are known in closed form (e^{-ac} and
-    c e^{-ac}).  The raw coefficients reach magnitude e^c, so evaluating
-    them near the lower contact (where F ~ 1) cancels catastrophically for
-    large c; the anchored form keeps the roundoff proportional to F(x)
-    everywhere.  Instances built from raw coefficients only (both anchors
-    None) evaluate the plain polynomial.
+    About the origin the coefficients reach e^c and cancel catastrophically
+    near x_lo for large c; anchored at x_lo, roundoff stays proportional to F.
     """
 
-    alpha: float
-    beta: float
-    gamma: float
     contact_points: tuple[float, float]
-    lower_value: float | None = None
-    lower_slope: float | None = None
+    lower_value: float
+    lower_slope: float
+    gamma: float
 
     def __post_init__(self) -> None:
         if not (self.beta > 0.0 > self.gamma):
@@ -63,15 +56,19 @@ class QuadraticMinorant:
                 f"gamma={self.gamma!r}"
             )
 
+    @property
+    def beta(self) -> float:
+        """G'(0) = lower_slope - 2 gamma x_lo."""
+        return self.lower_slope - 2.0 * self.gamma * self.contact_points[0]
+
     def __call__(self, x):
-        if self.lower_value is not None:
-            u = np.subtract(x, self.contact_points[0])
-            return self.lower_value + self.lower_slope * u + self.gamma * np.square(u)
-        return self.alpha + self.beta * x + self.gamma * np.square(x)
+        u = np.subtract(x, self.contact_points[0])
+        return self.lower_value + self.lower_slope * u + self.gamma * np.square(u)
 
 
-def capped_exp(kind: MomentKind, c: float, x):
-    """F(x): exp(c*min(1,x)) for winsor, exp(c*x*1{x<1}) for trunc."""
+def capped_exp(kind: MomentKind, c, x):
+    """F(x): exp(c*min(1,x)) for winsor, exp(c*x*1{x<1}) for trunc; c is a
+    scalar or an array that broadcasts against x."""
     x = np.asarray(x, dtype=float)
     with np.errstate(under="ignore"):
         if kind is MomentKind.WINSOR:
@@ -79,22 +76,21 @@ def capped_exp(kind: MomentKind, c: float, x):
         return np.exp(np.where(x < 1.0, c * x, 0.0))
 
 
+def _tangent_minorant(a: float, c: float, b: float) -> QuadraticMinorant:
+    """The parabola tangent to e^{cx} at -a with G'(b) = 0, which
+    gamma = -c e^{-ac} / (2(a+b)) gives: F is flat at b, and the support
+    maps b_star and B_star are what put G(b) on F."""
+    w = math.exp(-a * c)
+    return QuadraticMinorant(
+        contact_points=(-a, b), lower_value=w, lower_slope=c * w, gamma=-c * w / (2.0 * (a + b))
+    )
+
+
 def winsor_minorant(a: float, c: float) -> QuadraticMinorant:
     """Certificate for the Winsorized moment: contacts at -a and b_star(a, c)."""
     require_positive("a", a)
     require_positive("c", c)
-    b = b_star(a, c)
-    decay = math.exp(-a * c)
-    w = c * decay
-    denom = 2.0 * (a + b)
-    return QuadraticMinorant(
-        alpha=math.exp(c) - b * b * w / denom,
-        beta=2.0 * b * w / denom,
-        gamma=-w / denom,
-        contact_points=(-a, b),
-        lower_value=decay,
-        lower_slope=w,
-    )
+    return _tangent_minorant(a, c, b_star(a, c))
 
 
 def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
@@ -106,16 +102,12 @@ def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
         raise CaseViolationError(
             f"trunc_minorant_small requires a <= A_c(c), got a={a!r}, c={c!r}"
         )
-    eac = math.exp(a * c)
     w = math.exp(-a * c)
-    denom = (a + 1.0) ** 2
     return QuadraticMinorant(
-        alpha=w * (a * a * eac + c * a * a + a * c + 2.0 * a + 1.0) / denom,
-        beta=w * (2.0 * a * (eac - 1.0) + c * (1.0 - a * a)) / denom,
-        gamma=w * (eac - a * c - c - 1.0) / denom,
         contact_points=(-a, 1.0),
         lower_value=w,
         lower_slope=c * w,
+        gamma=w * (math.exp(a * c) - a * c - c - 1.0) / (a + 1.0) ** 2,
     )
 
 
@@ -131,17 +123,7 @@ def trunc_minorant_large(a: float, c: float) -> QuadraticMinorant:
         )
     # Roundoff at the case boundary may put b an ulp below the cut, where
     # the truncation indicator flips; the case condition pins b >= 1.
-    b = max(b, 1.0)
-    w = math.exp(-a * c)
-    denom = 2.0 * (a + b)
-    return QuadraticMinorant(
-        alpha=w * (c * a * a + 2.0 * a * b * c + 2.0 * a + 2.0 * b) / denom,
-        beta=2.0 * c * b * w / denom,
-        gamma=-c * w / denom,
-        contact_points=(-a, b),
-        lower_value=w,
-        lower_slope=c * w,
-    )
+    return _tangent_minorant(a, c, max(b, 1.0))
 
 
 @dataclass(frozen=True)
@@ -153,9 +135,6 @@ class CertificateReport:
     worst_x: float
     equality_localized: bool  # near-contact points are the only equalities
     n_points: int
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def _grid_pieces(minorant: QuadraticMinorant) -> list[np.ndarray]:
@@ -214,20 +193,16 @@ def contact_gaps(
     """Value and slope gaps at each contact point, in closed form.
 
     Both are relative to max(1, F(x0)).  Inside a piece of F the gaps are
-    |F - G| and |F' - G'|, with G'(x) = lower_slope + 2 gamma (x - x_lo)
-    (beta + 2 gamma x for raw coefficients).  At a contact on the cut
-    (x0 = 1) the slope gap is max(G'(1), 0): with gamma < 0, F - G is convex
-    on x < 1 and on x >= 1, so a zero value there plus G'(1) <= 0 is what
-    proves G <= F on the right of the cut.
+    |F - G| and |F' - G'|, with G'(x) = lower_slope + 2 gamma (x - x_lo).
+    At a contact on the cut (x0 = 1) the slope gap is max(G'(1), 0): with
+    gamma < 0, F - G is convex on x < 1 and on x >= 1, so a zero value there
+    plus G'(1) <= 0 is what proves G <= F on the right of the cut.
     """
     out: dict[float, tuple[float, float]] = {}
     x_lo = minorant.contact_points[0]
     for x0 in minorant.contact_points:
         f_value = float(capped_exp(kind, c, x0))
-        if minorant.lower_slope is not None:
-            g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - x_lo)
-        else:
-            g_slope = minorant.beta + 2.0 * minorant.gamma * x0
+        g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - x_lo)
         if x0 == 1.0:
             slope_gap = max(g_slope, 0.0)
         else:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import require_positive
+from .errors import ExponentOverflowError, NoSignChangeError, require_positive
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,18 @@ def two_point(a: float, b: float) -> TwoPointDistribution:
     return TwoPointDistribution(a, b)
 
 
+def _rescaled(product: str, value: float, x: float, cut: float) -> float:
+    """``product`` (c*cut or sigma/cut), formed from x and cut as ``value``,
+    refusing a result outside the doubles: an overflow to inf raises
+    ExponentOverflowError, and an underflow to 0.0, which leaves no positive
+    double to solve at, raises NoSignChangeError."""
+    if value == math.inf:
+        raise ExponentOverflowError(f"{product} overflows to inf (operands {x!r}, {cut!r})")
+    if value == 0.0:
+        raise NoSignChangeError(f"{product} underflows to 0.0 (operands {x!r}, {cut!r})")
+    return value
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """A bound request: tilt c, second-moment budget sigma, cut level.
@@ -67,9 +80,9 @@ class BoundQuery:
     @property
     def effective_c(self) -> float:
         """Tilt parameter after rescaling to cut level 1."""
-        return self.c * self.cut
+        return _rescaled("c*cut", self.c * self.cut, self.c, self.cut)
 
     @property
     def effective_sigma(self) -> float:
         """Second-moment budget after rescaling to cut level 1."""
-        return self.sigma / self.cut
+        return _rescaled("sigma/cut", self.sigma / self.cut, self.sigma, self.cut)

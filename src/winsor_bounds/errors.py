@@ -19,8 +19,8 @@ class ExponentOverflowError(WinsorBoundsError, OverflowError):
 
 class NoSignChangeError(WinsorBoundsError):
     """No positive double brackets the root: the bracket search left the
-    positive doubles with no sign change, or the root (or a truncated bound)
-    lies below the smallest positive double."""
+    positive doubles with no sign change, or the root (or a truncated bound,
+    or a cut-rescaled parameter) lies below the smallest positive double."""
 
 
 class NonFiniteValueError(WinsorBoundsError):

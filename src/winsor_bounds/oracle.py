@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import MomentKind
+from .certificates import MomentKind, capped_exp
 from .errors import ParameterError, require_positive
 
 REFINE_POINTS = (10_000, 1_000)    # a points of the coarse and the fine sweep
@@ -51,14 +51,8 @@ def two_point_moment_grid(
     broadcastable)."""
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    sigma2 = sigma * sigma
-    b = sigma2 / a
-    if kind is MomentKind.WINSOR:
-        upper = np.minimum(b, 1.0)
-    else:
-        upper = np.where(b < 1.0, b, 0.0)
-    with np.errstate(under="ignore"):
-        return (a * np.exp(c * upper) + b * np.exp(-c * a)) / (a + b)
+    b = sigma * sigma / a
+    return (a * capped_exp(kind, c, b) + b * np.exp(-c * a)) / (a + b)
 
 
 def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
@@ -151,16 +145,10 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
 
 def probe_moments(probe: ThreePointProbe, kind: MomentKind, c) -> np.ndarray:
     """E exp(c * capped(X)) for each sampled law; c may be scalar or (n,)."""
-    x = probe.support
     c = np.asarray(c, dtype=float)
     if c.ndim == 1:
         c = c[:, None]
-    if kind is MomentKind.WINSOR:
-        capped = np.minimum(x, 1.0)
-    else:
-        capped = np.where(x < 1.0, x, 0.0)
-    with np.errstate(under="ignore"):
-        return np.sum(probe.masses * np.exp(c * capped), axis=1)
+    return np.sum(probe.masses * capped_exp(kind, c, probe.support), axis=1)
 
 
 @dataclass(frozen=True)

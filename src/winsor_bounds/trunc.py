@@ -66,7 +66,14 @@ def solve_A_c_sigma(c: float, sigma: float) -> float:
     require_positive("c", c)
     require_positive("sigma", sigma)
     # a*B_star ~ a^2 for small a and ~ (2a/c) e^{ac} for large a.
-    seed = max(math.log1p(_sigma_squared(sigma)) / c, min(sigma, 1.0))
+    if c * min(sigma, 1.0) > EXP_ARG_MAX:
+        # Then ac is large: ac e^{ac} = c^2 sigma^2 / 2 = e^t, t >= 12.4,
+        # so ac ~ t - ln t.  The other seed ignores c and would start
+        # hundreds of halvings above the root.
+        t = 2.0 * (math.log(c) + math.log(sigma)) - math.log(2.0)
+        seed = (t - math.log(t)) / c
+    else:
+        seed = max(math.log1p(_sigma_squared(sigma)) / c, min(sigma, 1.0))
     return _solve_moment_match(c, sigma, 0.0, seed)
 
 

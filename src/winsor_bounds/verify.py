@@ -265,14 +265,15 @@ def suite_certificates() -> list[CheckResult]:
         "beta > e^{-ac} c (1+a^2)/(1+a)^2 up to roundoff"
     ))
 
-    # Negative control: shrinking beta by 10% must break the certificate.
+    # Negative control: shrinking beta = G'(0) by 10%, i.e. subtracting
+    # 0.1 beta x from G, must break the certificate.
     a = winsor.solve_a_c_sigma(1.0, 1.0)
     good = certificates.winsor_minorant(a, 1.0)
     broken = certificates.QuadraticMinorant(
-        alpha=good.alpha,
-        beta=0.9 * good.beta,
-        gamma=good.gamma,
         contact_points=good.contact_points,
+        lower_value=good.lower_value + 0.1 * good.beta * a,
+        lower_slope=good.lower_slope - 0.1 * good.beta,
+        gamma=good.gamma,
     )
     report = certificates.check_certificate(broken, MomentKind.WINSOR, 1.0)
     results.append(CheckResult(

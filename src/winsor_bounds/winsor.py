@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import asymptotics
-from .distributions import BoundQuery, TwoPointDistribution, two_point
+from .distributions import BoundQuery, TwoPointDistribution, _rescaled, two_point
 from .errors import ExponentOverflowError, NoSignChangeError, ParameterError, require_positive
 from .roots import find_bracket, solve_root
 
@@ -267,7 +267,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
     require_positive("sigma", sigma)
     require_positive("cut", cut)
-    sigma_eff = sigma / cut
+    sigma_eff = _rescaled("sigma/cut", sigma / cut, sigma, cut)
     a = solve_a_sigma(sigma_eff)
     b = _upper_support(sigma_eff * sigma_eff, a)
     c_opt = optimal_c_for_two_point(a, sigma_eff)

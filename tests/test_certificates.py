@@ -30,12 +30,20 @@ def reference_check(minorant, kind, c):
     return passed, float(normalized[i]), float(grid[i]), localized
 
 
+def from_coefficients(alpha, beta, gamma, contact_points, cls=QuadraticMinorant):
+    """alpha + beta*x + gamma*x^2, anchored at its lower contact."""
+    x_lo = contact_points[0]
+    return cls(
+        contact_points=contact_points,
+        lower_value=alpha + beta * x_lo + gamma * x_lo * x_lo,
+        lower_slope=beta + 2.0 * gamma * x_lo,
+        gamma=gamma,
+    )
+
+
 def beta_scaled(minorant, factor):
-    return QuadraticMinorant(
-        alpha=minorant.alpha,
-        beta=factor * minorant.beta,
-        gamma=minorant.gamma,
-        contact_points=minorant.contact_points,
+    return from_coefficients(
+        float(minorant(0.0)), factor * minorant.beta, minorant.gamma, minorant.contact_points
     )
 
 
@@ -62,31 +70,17 @@ class TestWinsorMinorant:
 
     def test_strict_gap_away_from_contacts(self):
         minorant = certificates.winsor_minorant(1.0, 1.0)
-        # F(0) - G(0) = 1 - alpha > 0
-        assert 1.0 - minorant.alpha > 0.0
+        # F(0) - G(0) > 0
+        assert minorant(0.0) < 1.0
 
     def test_unit_coefficients(self):
         minorant = certificates.winsor_minorant(1.0, 1.0)
         b = 2.0 * math.e**2 - 3.0
         w = math.exp(-1.0)
         denom = 2.0 * (1.0 + b)
-        assert abs(minorant.alpha - (math.e - b * b * w / denom)) < 1e-12
+        assert abs(minorant(0.0) - (math.e - b * b * w / denom)) < 1e-12
         assert abs(minorant.beta - 2.0 * b * w / denom) < 1e-14
         assert abs(minorant.gamma + w / denom) < 1e-16
-
-    def test_anchored_and_raw_forms_agree(self):
-        minorant = certificates.winsor_minorant(0.7, 2.0)
-        raw = QuadraticMinorant(
-            alpha=minorant.alpha,
-            beta=minorant.beta,
-            gamma=minorant.gamma,
-            contact_points=minorant.contact_points,
-        )
-        xs = np.linspace(-5.0, 50.0, 1001)
-        scale = abs(minorant.alpha) + abs(minorant.beta) * np.abs(xs) + abs(
-            minorant.gamma
-        ) * xs**2
-        assert np.all(np.abs(minorant(xs) - raw(xs)) <= 1e-12 * np.maximum(1.0, scale))
 
     def test_certificate_passes_at_solved_roots(self):
         for c, sigma in ((0.5, 0.2), (1.0, 1.0), (5.0, 30.0)):
@@ -185,13 +179,7 @@ class TestTruncLargeMinorant:
 class TestCheckCertificate:
     def test_negative_control_fails(self):
         a = winsor.solve_a_c_sigma(1.0, 1.0)
-        good = certificates.winsor_minorant(a, 1.0)
-        broken = QuadraticMinorant(
-            alpha=good.alpha,
-            beta=0.9 * good.beta,
-            gamma=good.gamma,
-            contact_points=good.contact_points,
-        )
+        broken = beta_scaled(certificates.winsor_minorant(a, 1.0), 0.9)
         report = certificates.check_certificate(broken, MomentKind.WINSOR, 1.0)
         assert not report.passed
         assert report.worst_gap < -1e-3
@@ -211,11 +199,7 @@ class TestCheckCertificate:
 
     def test_contact_gaps_flag_perturbed_beta(self):
         a = winsor.solve_a_c_sigma(1.0, 1.0)
-        good = certificates.winsor_minorant(a, 1.0)
-        broken = QuadraticMinorant(
-            alpha=good.alpha, beta=0.9 * good.beta, gamma=good.gamma,
-            contact_points=good.contact_points,
-        )
+        broken = beta_scaled(certificates.winsor_minorant(a, 1.0), 0.9)
         gaps = certificates.contact_gaps(broken, MomentKind.WINSOR, 1.0)
         assert max(max(pair) for pair in gaps.values()) > 0.1
 
@@ -224,9 +208,7 @@ class TestCheckCertificate:
         # touching F(1) = 1 with slope +0.5 there crosses F just right of 1
         gamma = -0.25
         beta = 0.5 - 2.0 * gamma
-        rising = QuadraticMinorant(
-            alpha=1.0 - beta - gamma, beta=beta, gamma=gamma, contact_points=(-1.0, 1.0)
-        )
+        rising = from_coefficients(1.0 - beta - gamma, beta, gamma, (-1.0, 1.0))
         value_gap, slope_gap = certificates.contact_gaps(rising, MomentKind.TRUNC, 1.0)[1.0]
         assert value_gap <= 1e-15
         assert slope_gap == pytest.approx(0.5)
@@ -236,24 +218,19 @@ class TestCheckCertificate:
     def test_equality_localization_flags_stray_contact(self):
         # a parabola secant to exp(c min(1, x)) crosses it, creating
         # equalities far from its declared contacts
-        fake = QuadraticMinorant(
-            alpha=0.0, beta=1.0, gamma=-1e-6, contact_points=(-50.0, 60.0)
-        )
+        fake = from_coefficients(0.0, 1.0, -1e-6, (-50.0, 60.0))
         report = certificates.check_certificate(fake, MomentKind.WINSOR, 1.0)
         assert not report.passed
 
     def test_sign_constraint_enforced_at_construction(self):
         with pytest.raises(ParameterError):
-            QuadraticMinorant(alpha=1.0, beta=-1.0, gamma=-1.0, contact_points=(0.0, 1.0))
+            from_coefficients(1.0, -1.0, -1.0, (0.0, 1.0))
         with pytest.raises(ParameterError):
-            QuadraticMinorant(alpha=1.0, beta=1.0, gamma=0.0, contact_points=(0.0, 1.0))
+            from_coefficients(1.0, 1.0, 0.0, (0.0, 1.0))
 
     def test_nan_minorant_fails(self):
         good = certificates.winsor_minorant(1.0, 1.0)
-        nan = QuadraticMinorant(
-            alpha=float("nan"), beta=good.beta, gamma=good.gamma,
-            contact_points=good.contact_points,
-        )
+        nan = from_coefficients(math.nan, good.beta, good.gamma, good.contact_points)
         report = certificates.check_certificate(nan, MomentKind.WINSOR, 1.0)
         assert not report.passed
         assert math.isnan(report.worst_gap)
@@ -270,7 +247,7 @@ class TestCheckCertificate:
             def __call__(self, x):
                 return np.where(np.isin(x, (x0, 20.0)), 2.0, 0.0)
 
-        spikes = TwoSpikes(alpha=0.0, beta=1.0, gamma=-1.0, contact_points=(x0, 2.0))
+        spikes = from_coefficients(0.0, 1.0, -1.0, (x0, 2.0), cls=TwoSpikes)
         report = certificates.check_certificate(spikes, MomentKind.WINSOR, 0.0)
         assert (report.worst_gap, report.worst_x) == (-1.0, x0)
         assert not report.passed
@@ -305,7 +282,7 @@ REFERENCE_CASES = {
         beta_scaled(solved_winsor(1.0, 1.0)[0], 0.9), MomentKind.WINSOR, 1.0
     ),
     "stray-contact": lambda: (
-        QuadraticMinorant(alpha=0.0, beta=1.0, gamma=-1e-6, contact_points=(-50.0, 60.0)),
+        from_coefficients(0.0, 1.0, -1e-6, (-50.0, 60.0)),
         MomentKind.WINSOR,
         1.0,
     ),

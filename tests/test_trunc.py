@@ -11,6 +11,7 @@ from mpmath import mp, mpf
 from winsor_bounds import trunc, winsor
 from winsor_bounds.distributions import BoundQuery, two_point
 from winsor_bounds.errors import ExponentOverflowError, ParameterError
+from winsor_bounds.roots import find_bracket
 from winsor_bounds.trunc import Branch
 
 
@@ -245,8 +246,28 @@ class TestBranchInClosedForm:
         assert trunc.lower_bound_trunc(BoundQuery(1e-300, 1e-100)).bound == 1.0
 
 
+def test_huge_tilt_root_is_bracketed_in_a_few_probes(monkeypatch):
+    # at c * min(sigma, 1) > EXP_ARG_MAX the seed follows the large-tilt law
+    # a c e^{ac} = c^2 sigma^2 / 2; the root ~7.3e-298 lies hundreds of
+    # halvings below min(sigma, 1) = 1e-140
+    probes = 0
+
+    def counting_find_bracket(f, seed):
+        def counted(x):
+            nonlocal probes
+            probes += 1
+            return f(x)
+
+        return find_bracket(counted, seed)
+
+    monkeypatch.setattr(winsor, "find_bracket", counting_find_bracket)
+    solution = trunc.lower_bound_trunc(BoundQuery(1e300, 1e-140))
+    assert solution.branch is Branch.LARGE_SIGMA
+    assert 0 < probes <= 4
+
+
 def test_huge_tilt_root_far_below_its_seed_against_mpmath():
-    # the root a ~ 7.3e-298 lies more than 200 halvings below the seed 1e-140;
+    # the root a ~ 7.3e-298 lies more than 200 halvings below min(sigma, 1);
     # the bound is subnormal, so it carries only ~9 significant digits
     solution = trunc.lower_bound_trunc(BoundQuery(1e300, 1e-140))
     with mp.workdps(50):

@@ -14,7 +14,10 @@ from winsor_bounds import (
 )
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.distributions import BoundQuery, TwoPointDistribution, two_point
-from winsor_bounds.errors import CaseViolationError, ParameterError, WinsorBoundsError
+from winsor_bounds.errors import (
+    CaseViolationError, ExponentOverflowError, NoSignChangeError, ParameterError,
+    WinsorBoundsError,
+)
 
 BAD = (0.0, -1.0, math.nan, math.inf)
 LAW = two_point(1.0, 2.0)
@@ -99,6 +102,35 @@ def test_cli_collapse_demo_rejects_bad_sigma(value, capsys):
 def test_unknown_verify_suite_names_the_valid_ones():
     with pytest.raises(ParameterError, match=r"^suite must be one of roots, .*, all; got 'bogus'"):
         verify.run_suite("bogus")
+
+
+# Valid input whose cut rescaling leaves the doubles: (kind, c, sigma, cut,
+# the product named in the message, the error).
+RESCALING_OUT_OF_RANGE = [
+    ("fixed-winsor", 1e200, 1.0, 1e200, "c*cut", ExponentOverflowError),
+    ("fixed-winsor", 1e-200, 1e-200, 1e-200, "c*cut", NoSignChangeError),
+    ("trunc", 1e-200, 1e-200, 1e-200, "c*cut", NoSignChangeError),
+    ("fixed-winsor", 1.0, 1e-320, 1e10, "sigma/cut", NoSignChangeError),
+    ("universal-winsor", None, 1e300, 1e-10, "sigma/cut", ExponentOverflowError),
+]
+
+
+@pytest.mark.parametrize("kind, c, sigma, cut, product, error", RESCALING_OUT_OF_RANGE)
+def test_cut_rescaling_outside_the_doubles_fails_in_the_solver(
+    kind, c, sigma, cut, product, error, capsys
+):
+    solve = {
+        "fixed-winsor": lambda: winsor.lower_bound_fixed_c(BoundQuery(c, sigma, cut)),
+        "trunc": lambda: trunc.lower_bound_trunc(BoundQuery(c, sigma, cut)),
+        "universal-winsor": lambda: winsor.lower_bound_universal(sigma, cut),
+    }[kind]
+    with pytest.raises(error, match=rf"^{re.escape(product)} "):
+        solve()
+    argv = ["bound", "--kind", kind, "--sigma", repr(sigma), "--cut", repr(cut)]
+    if c is not None:
+        argv += ["--c", repr(c)]
+    assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith(f"error: {product} ")
 
 
 def log_uniform(lo, hi):

@@ -62,8 +62,9 @@ class QuadraticMinorant:
         return self.lower_slope - 2.0 * self.gamma * self.contact_points[0]
 
     def __call__(self, x):
+        # in Horner form: (x - x_lo)^2 alone overflows once x_hi passes ~1.3e154
         u = np.subtract(x, self.contact_points[0])
-        return self.lower_value + self.lower_slope * u + self.gamma * np.square(u)
+        return self.lower_value + u * (self.lower_slope + self.gamma * u)
 
 
 def capped_exp(kind: MomentKind, c, x):

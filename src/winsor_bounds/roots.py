@@ -4,13 +4,16 @@ A geometric bracket search on (0, inf) plus a hybrid Brent-style iteration
 (bisection safeguarded by secant / inverse quadratic steps).  Convergence
 demands both a tight bracket and a small function residual, so downstream
 solvers can rely on |f(root)| directly instead of re-deriving it from slope
-estimates.  Everything here is pure and deterministic: identical inputs
-produce bitwise-identical results.
+estimates.  Sweeps solve whole columns of neighbouring equations instead,
+with a warm-started, bracket-safeguarded Newton iteration in u = ln a
+(``_newton_columns``).  Everything here is pure and deterministic: identical
+inputs produce bitwise-identical results.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,6 +29,7 @@ from .errors import (
 _EPS = 2.220446049250313e-16
 MAX_BRACKET_STEPS = 200
 MAX_SOLVE_ITERATIONS = 200
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)  # ln of the smallest normal double
 
 
 def _opposite_signs(u: float, v: float) -> bool:
@@ -214,3 +218,59 @@ def solve_root(f: Callable[[float], float], bracket: Bracket) -> RootResult:
         f"no convergence in {MAX_SOLVE_ITERATIONS} iterations; last estimate {b!r} "
         f"with residual {fb!r} (tol={tol!r})"
     )
+
+
+def _newton_columns(columns):
+    """Roots in u = ln a of columns of lanes, solved one column at a time.
+
+    A column is a list of lanes; a lane is a pair whose first item is None
+    (nothing to solve) or (g, lo, hi): g(u) returns the value and slope of
+    a function that increases through its only root in [lo, hi].  Each lane
+    starts from the root of the last settled lane before it in its column
+    (the midpoint of its bracket if none), takes Newton steps, and bisects
+    whenever a step leaves the bracket, which every evaluation narrows.  It
+    stops once |g| <= tol (tol = config.default_tolerance(), read once, at
+    the first column) and takes one more Newton step to polish the root.
+    The bracket never reaches below the smallest normal double.
+
+    Yields each column with the list of its lanes' roots, None for a lane
+    with nothing to solve or one that did not settle: no convergence in
+    MAX_SOLVE_ITERATIONS evaluations, a bracket collapsed to adjacent
+    floats, a non-finite value, an arithmetic error in g, or a root below
+    the smallest normal double.  Callers answer such lanes another way.
+    """
+    tol = default_tolerance()
+    for column in columns:
+        roots, warm = [], None
+        for equation, _ in column:
+            root = None if equation is None else _newton_lane(*equation, warm, tol)
+            roots.append(root)
+            warm = warm if root is None else root
+        yield column, roots
+
+
+def _newton_lane(g, lo: float, hi: float, start: float | None, tol: float) -> float | None:
+    lo = max(lo, _LOG_MIN_NORMAL)
+    u = 0.5 * (lo + hi) if start is None else min(max(start, lo), hi)
+    for _ in range(MAX_SOLVE_ITERATIONS):
+        try:
+            value, slope = g(u)
+        except (ArithmeticError, ValueError):  # exp overflow or log(0) inside g
+            return None
+        if not math.isfinite(value):
+            return None
+        if abs(value) <= tol:
+            if slope > 0.0:  # False for a NaN slope as well
+                u -= value / slope
+            return u if u >= _LOG_MIN_NORMAL else None
+        if value < 0.0:
+            lo = u
+        else:
+            hi = u
+        step = u - value / slope if slope > 0.0 else lo
+        if not lo < step < hi:  # also catches a NaN step
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:  # no float is left between the bracket ends
+                return None
+        u = step
+    return None

@@ -3,6 +3,11 @@
 These reproduce the package's reference figures: the universal Winsorized
 bound as a function of sigma, and the two ratio panels
 (universal/fixed-tilt and truncated/Winsorized) across a tilt list.
+Each bound of a sweep is one column of lanes, one lane per sigma, solved in
+increasing sigma by a Newton iteration in u = ln a warm-started from the
+root of the lane before it; a lane that iteration cannot settle is answered
+by the scalar ``lower_bound_*`` call, in the order a row-by-row loop over
+those calls would make them, so a sweep raises what that loop raises.
 Files are written atomically (temp file + rename) with every value at full
 double precision, so emitted CSVs diff cleanly and round-trip bitwise.
 """
@@ -17,9 +22,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import BoundQuery
-from .errors import ParameterError
-from .trunc import lower_bound_trunc
-from .winsor import lower_bound_fixed_c, lower_bound_universal
+from .errors import ParameterError, WinsorBoundsError
+from .roots import _newton_columns
+from .trunc import _trunc_lane, lower_bound_trunc
+from .winsor import _fixed_c_lane, _universal_lane, lower_bound_fixed_c, lower_bound_universal
 
 
 class SweepKind(str, Enum):
@@ -74,6 +80,37 @@ def sigma_grid(sigma_min: float, sigma_max: float, points: int, scale: str = "lo
     raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
+# Each bound as (scalar call taking (c, sigma, cut), lane taking (c*cut, sigma/cut)).
+_UNIVERSAL = (
+    lambda c, sigma, cut: lower_bound_universal(sigma, cut),
+    lambda c_eff, sigma_eff: _universal_lane(sigma_eff),
+)
+_FIXED = (lambda c, sigma, cut: lower_bound_fixed_c(BoundQuery(c, sigma, cut)), _fixed_c_lane)
+_TRUNC = (lambda c, sigma, cut: lower_bound_trunc(BoundQuery(c, sigma, cut)), _trunc_lane)
+
+
+def _attempt(f, *args):
+    """f(*args), or None where it raises a package, arithmetic or value
+    error; the scalar call then answers, or raises, in its place."""
+    try:
+        return f(*args)
+    except (WinsorBoundsError, ArithmeticError, ValueError):
+        return None
+
+
+_UNBUILT = (None, None)  # a lane whose building raised
+
+
+def _finished(lane, root):
+    """The bound of a lane, (equation, finish), from its root; None when the
+    scalar call must answer it: the lane was not built, its equation did not
+    settle, or finishing it raised."""
+    equation, finish = lane
+    if finish is None or (equation is not None and root is None):
+        return None
+    return _attempt(finish, None if root is None else math.exp(root))
+
+
 def compute_sweep(
     kind: SweepKind,
     sigma_values,
@@ -91,30 +128,53 @@ def compute_sweep(
     if kind is SweepKind.UNIVERSAL_WINSOR and c_values:
         raise ParameterError("universal-winsor sweeps take no tilt list")
 
+    # the bound columns in the order one row evaluates them
+    if kind is SweepKind.UNIVERSAL_WINSOR:
+        columns = [(_UNIVERSAL, None)]
+    elif kind is SweepKind.FIXED_C_WINSOR:
+        columns = [(_FIXED, c) for c in c_values]
+    elif kind is SweepKind.TRUNC:
+        columns = [(_TRUNC, c) for c in c_values]
+    elif kind is SweepKind.RATIO_UNIVERSAL_OVER_FIXED:
+        columns = [(_UNIVERSAL, None)] + [(_FIXED, c) for c in c_values]
+    else:  # RATIO_TRUNC_OVER_WINSOR
+        columns = [(bound, c) for c in c_values for bound in (_TRUNC, _FIXED)]
+
+    # sigma/cut and c*cut as BoundQuery(c, sigma, cut) validates and forms
+    # them, once per row and once per column; None where that raises
+    sigma_effs = [
+        _attempt(lambda: BoundQuery(1.0, sigma, cut).effective_sigma) for sigma in sigma_values
+    ]
+
+    def lanes(lane, c):
+        """(equation, finish) per sigma; _UNBUILT where an input or the building raised."""
+        c_eff = 1.0 if c is None else _attempt(lambda: BoundQuery(c, 1.0, cut).effective_c)
+        return [
+            _attempt(lane, c_eff, sigma_eff) or _UNBUILT
+            if c_eff is not None and sigma_eff is not None else _UNBUILT
+            for sigma_eff in sigma_effs
+        ]
+
+    try:  # only the finished bounds outlive their column
+        solved = [
+            list(map(_finished, column, roots))
+            for column, roots in _newton_columns(lanes(lane, c) for (_, lane), c in columns)
+        ]
+    except ParameterError:  # a bad WINSOR_BOUNDS_TOL: the scalar calls report it
+        solved = [[None] * len(sigma_values) for _ in columns]
+
     rows = []
-    for sigma in sigma_values:
-        if kind is SweepKind.UNIVERSAL_WINSOR:
-            values = (lower_bound_universal(sigma, cut).bound,)
-        elif kind is SweepKind.FIXED_C_WINSOR:
-            values = tuple(
-                lower_bound_fixed_c(BoundQuery(c, sigma, cut)).bound for c in c_values
-            )
-        elif kind is SweepKind.TRUNC:
-            values = tuple(
-                lower_bound_trunc(BoundQuery(c, sigma, cut)).bound for c in c_values
-            )
-        elif kind is SweepKind.RATIO_UNIVERSAL_OVER_FIXED:
-            universal = lower_bound_universal(sigma, cut).bound
-            values = tuple(
-                universal / lower_bound_fixed_c(BoundQuery(c, sigma, cut)).bound
-                for c in c_values
-            )
-        else:  # RATIO_TRUNC_OVER_WINSOR
-            values = tuple(
-                lower_bound_trunc(BoundQuery(c, sigma, cut)).bound
-                / lower_bound_fixed_c(BoundQuery(c, sigma, cut)).bound
-                for c in c_values
-            )
+    for i, sigma in enumerate(sigma_values):
+        bounds = [
+            column[i] if column[i] is not None else scalar(c, sigma, cut).bound
+            for column, ((scalar, _), c) in zip(solved, columns)
+        ]
+        if kind is SweepKind.RATIO_UNIVERSAL_OVER_FIXED:
+            values = tuple(bounds[0] / fixed for fixed in bounds[1:])
+        elif kind is SweepKind.RATIO_TRUNC_OVER_WINSOR:
+            values = tuple(t / w for t, w in zip(bounds[::2], bounds[1::2]))
+        else:
+            values = tuple(bounds)
         rows.append((sigma, *values))
     return SweepTable(
         kind=kind, c_values=c_values, sigma_values=sigma_values, rows=tuple(rows)

@@ -26,8 +26,8 @@ from enum import Enum
 from .distributions import BoundQuery, TwoPointDistribution, two_point
 from .errors import NoSignChangeError, require_positive
 from .winsor import (
-    EXP_ARG_MAX, _exp_checked, _log_support_point, _seeded_root, _sigma_squared,
-    _solve_moment_match, _support_point, _upper_support,
+    EXP_ARG_MAX, _exp_checked, _log_support_point, _moment_match_equation, _seeded_root,
+    _sigma_squared, _solve_moment_match, _support_point, _upper_support,
 )
 
 
@@ -130,12 +130,30 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     c_eff = query.effective_c
     sigma_eff = query.effective_sigma
     sigma2 = _sigma_squared(sigma_eff)
-    if _below_threshold(sigma2, c_eff):
-        branch, a, b = Branch.SMALL_SIGMA, None, None
+    a = None if _below_threshold(sigma2, c_eff) else solve_A_c_sigma(c_eff, sigma_eff)
+    branch, b, extremal, bound = _trunc_finish(c_eff, sigma_eff, sigma2, a)
+    return TruncSolution(query=query, branch=branch, A_c_sigma=a, B_c_sigma=b,
+                         bound=bound, extremal=extremal)
+
+
+def _trunc_lane(c_eff: float, sigma_eff: float):
+    """The truncated bound for a column solver: its equation in u = ln a
+    (None on the small-sigma branch, which solves no root) and the step
+    that finishes the bound from the root a."""
+    sigma2 = _sigma_squared(sigma_eff)
+    small = _below_threshold(sigma2, c_eff)
+    equation = None if small else _moment_match_equation(c_eff, sigma_eff, 0.0)
+    return equation, lambda a: _trunc_finish(c_eff, sigma_eff, sigma2, a)[3]
+
+
+def _trunc_finish(c_eff: float, sigma_eff: float, sigma2: float, a: float | None):
+    """(branch, b, extremal law, bound) of the truncated solution with root
+    a = A_c_sigma, or a = None on the small-sigma branch."""
+    if a is None:
+        branch, b = Branch.SMALL_SIGMA, None
         extremal = two_point(sigma2, 1.0)
     else:
         branch = Branch.LARGE_SIGMA
-        a = solve_A_c_sigma(c_eff, sigma_eff)
         # On this branch b >= 1 holds exactly; root-solver roundoff at the
         # branch boundary can land an ulp below the cut, where the truncation
         # indicator would flip, so snap such b back onto the cut.
@@ -146,5 +164,4 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
         raise NoSignChangeError(
             f"the truncated bound underflows to 0.0 at c={c_eff!r}, sigma={sigma_eff!r}"
         )
-    return TruncSolution(query=query, branch=branch, A_c_sigma=a, B_c_sigma=b,
-                         bound=bound, extremal=extremal)
+    return branch, b, extremal, bound

@@ -93,11 +93,34 @@ def _log_support_point(a: float, c: float, shift: float) -> float:
     """ln _support_point(a, c, shift), stable for arbitrarily large z."""
     z = shift + a * c
     if z <= LOG_FORM_CUTOVER:
-        return math.log((2.0 * math.expm1(z) - a * c) / c)
+        support = (2.0 * math.expm1(z) - a * c) / c
+        if support == math.inf:  # a tiny c overflows the quotient, not its log
+            return math.log(2.0 * math.expm1(z) - a * c) - math.log(c)
+        return math.log(support)
     # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction term
     # is below 1e-11 past the cutover and underflows harmlessly to 0.
     correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
     return z + math.log(2.0 / c) + correction
+
+
+def _moment_match_equation(c: float, sigma: float, shift: float):
+    """The moment match of _solve_moment_match in u = ln a, for a column
+    solver: (g, lo, hi), g(u) giving the value and slope of
+    u + ln S(e^u) - 2 ln sigma.  Both maps have S(a) >= a, so a S(a) >= a^2
+    puts the root at or below ln sigma, and then S(root) <= S(sigma) puts it
+    at or above 2 ln sigma - ln S(sigma)."""
+    log_sigma = math.log(sigma)
+    target = 2.0 * log_sigma
+
+    def g(u: float) -> tuple[float, float]:
+        a = math.exp(u)
+        z = shift + a * c
+        log_support = _log_support_point(a, c, shift)
+        # d ln S/du = a(2e^z - 1)/S, formed as a(2 - e^-z) e^(z - ln S): finite for any z
+        slope = 1.0 + a * (2.0 - math.exp(-z)) * math.exp(z - log_support)
+        return u + log_support - target, slope
+
+    return g, target - _log_support_point(sigma, c, shift), log_sigma
 
 
 def _solve_moment_match(c: float, sigma: float, shift: float, seed: float) -> float:
@@ -165,6 +188,26 @@ def _ell1(a: float, sigma2: float) -> float:
     # is formed, so it stays finite wherever sigma^2 is
     r = a / sigma2
     return math.log(r) - 2.0 * (a + 1.0) * (r - 1.0) / (a * r + 1.0)
+
+
+def _ell1_equation(sigma: float, sigma2: float):
+    """ell1 in u = ln a, for a column solver: (g, lo, hi), g(u) giving the
+    value and slope of _ell1(e^u, sigma2).  The root lies below the boundary
+    zero at hi = ln sigma^2 and above lo: ell1 <= ln r + 2(a + 1), so
+    u + 2e^u <= L = 2 ln sigma - 2 makes ell1 <= 0, which u = L - 2 (for
+    L <= 2) and u = ln(L/4) (otherwise) satisfy."""
+    target = 2.0 * math.log(sigma)
+    room = target - 2.0
+
+    def g(u: float) -> tuple[float, float]:
+        a = math.exp(u)
+        r = a / sigma2
+        d = a * r + 1.0
+        w, s = a / d, (a + 1.0) / d  # the slope's terms, each divided by d so none overflows
+        slope = 1.0 - 2.0 * (w * (r - 1.0) + s * r - 2.0 * w * r * s * (r - 1.0))
+        return _ell1(a, sigma2), slope
+
+    return g, room - 2.0 if room <= 2.0 else math.log(0.25 * room), target
 
 
 def solve_a_sigma(sigma: float) -> float:
@@ -256,10 +299,22 @@ def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
     c_eff = query.effective_c
     sigma_eff = query.effective_sigma
     a = solve_a_c_sigma(c_eff, sigma_eff)
+    b, extremal, bound = _fixed_c_finish(c_eff, sigma_eff, a)
+    return WinsorSolution(query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=extremal)
+
+
+def _fixed_c_finish(c_eff: float, sigma_eff: float, a: float):
+    """(b, extremal law, bound) of the fixed-tilt solution with root a."""
     b = _upper_support(sigma_eff * sigma_eff, a)
     extremal = two_point(a, b)
-    bound = winsor_moment(extremal, c_eff)
-    return WinsorSolution(query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=extremal)
+    return b, extremal, winsor_moment(extremal, c_eff)
+
+
+def _fixed_c_lane(c_eff: float, sigma_eff: float):
+    """The fixed-tilt bound for a column solver: its equation in u = ln a
+    and the step that finishes the bound from the root a."""
+    equation = _moment_match_equation(c_eff, sigma_eff, c_eff)
+    return equation, lambda a: _fixed_c_finish(c_eff, sigma_eff, a)[2]
 
 
 def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolution:
@@ -269,9 +324,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     require_positive("cut", cut)
     sigma_eff = _rescaled("sigma/cut", sigma / cut, sigma, cut)
     a = solve_a_sigma(sigma_eff)
-    b = _upper_support(sigma_eff * sigma_eff, a)
-    c_opt = optimal_c_for_two_point(a, sigma_eff)
-    bound = optimal_winsor_moment(a, sigma_eff)
+    b, c_opt, bound = _universal_finish(sigma_eff, a)
     return UniversalWinsorSolution(
         sigma=sigma,
         cut=cut,
@@ -281,3 +334,16 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
         bound=bound,
         extremal=two_point(a, b),
     )
+
+
+def _universal_finish(sigma_eff: float, a: float):
+    """(b, optimal tilt, bound) of the universal solution with root a."""
+    b = _upper_support(sigma_eff * sigma_eff, a)
+    return b, optimal_c_for_two_point(a, sigma_eff), optimal_winsor_moment(a, sigma_eff)
+
+
+def _universal_lane(sigma_eff: float):
+    """The universal bound for a column solver: its equation in u = ln a
+    and the step that finishes the bound from the root a."""
+    equation = _ell1_equation(sigma_eff, _sigma_squared(sigma_eff))
+    return equation, lambda a: _universal_finish(sigma_eff, a)[2]

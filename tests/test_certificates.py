@@ -1,6 +1,7 @@
 """Tangent-minorant certificates: construction, geometry, negative control."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -196,6 +197,20 @@ class TestCheckCertificate:
             gaps = certificates.contact_gaps(minorant, kind, c)
             assert set(gaps) == set(minorant.contact_points)
             assert max(max(pair) for pair in gaps.values()) <= 1e-12
+
+    def test_huge_upper_contact_stays_finite(self):
+        # at c = 600, sigma = 1 the upper contact is ~1.26e258, where
+        # (x - x_lo)^2 alone overflows; the minorant must not form it
+        c = 600.0
+        minorant = certificates.winsor_minorant(winsor.solve_a_c_sigma(c, 1.0), c)
+        assert minorant.contact_points[1] > 1e258
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gaps = certificates.contact_gaps(minorant, MomentKind.WINSOR, c)
+            report = certificates.check_certificate(minorant, MomentKind.WINSOR, c)
+        assert all(math.isfinite(gap) for pair in gaps.values() for gap in pair)
+        assert max(max(pair) for pair in gaps.values()) <= 1e-12
+        assert report.passed
 
     def test_contact_gaps_flag_perturbed_beta(self):
         a = winsor.solve_a_c_sigma(1.0, 1.0)

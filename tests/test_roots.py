@@ -13,7 +13,8 @@ from winsor_bounds.errors import (
     NoSignChangeError,
     ParameterError,
 )
-from winsor_bounds.roots import Bracket, RootResult, find_bracket, solve_root
+from winsor_bounds import roots as roots_module
+from winsor_bounds.roots import Bracket, RootResult, _newton_columns, find_bracket, solve_root
 
 
 def bisect(f, lo, hi, iters=200):
@@ -202,3 +203,79 @@ class TestToleranceEnvOverride:
     def test_result_is_a_value_object(self):
         result = RootResult(root=1.0, residual=0.0, iterations=3, converged=True)
         assert result == RootResult(root=1.0, residual=0.0, iterations=3, converged=True)
+
+
+def exp_plus_linear(t, counter=None):
+    """u + e^u - t with its slope: increasing, one root, in [t - e^t - 1, t]."""
+
+    def g(u):
+        if counter is not None:
+            counter.append(u)
+        return u + math.exp(u) - t, 1.0 + math.exp(u)
+
+    return g
+
+
+def column_roots(*columns):
+    return [roots for _, roots in _newton_columns(columns)]
+
+
+class TestNewtonColumns:
+    def test_column_matches_bisection(self):
+        targets = [0.1 * k for k in range(-20, 60)]
+        lanes = [((exp_plus_linear(t), t - math.exp(t) - 1.0, t), None) for t in targets]
+        (roots,) = column_roots(lanes)
+        for t, root in zip(targets, roots):
+            oracle = bisect(lambda u: u + math.exp(u) - t, t - math.exp(t) - 1.0, t)
+            assert root == pytest.approx(oracle, rel=4e-16, abs=4e-16)
+
+    def test_warm_start_spends_few_evaluations(self):
+        calls = []
+        lanes = [((exp_plus_linear(0.05 * k, calls), -10.0, 10.0), None) for k in range(100)]
+        column_roots(lanes)
+        # the first lane starts cold at the bracket midpoint; the others
+        # start at their neighbour's root, 0.05 away in t
+        assert len(calls) <= 15 + 4 * 99
+
+    def test_yields_each_column_with_its_roots(self):
+        first = [((exp_plus_linear(1.0), -5.0, 1.0), "a"), (None, "b")]
+        second = [((exp_plus_linear(2.0), -5.0, 2.0), "c")]
+        solved = list(_newton_columns([first, second]))
+        assert [column for column, _ in solved] == [first, second]
+        assert solved[0][1][1] is None
+        assert solved[0][1][0] == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            lambda u: (1.0 - math.exp(1e3 - u), 1.0),  # OverflowError inside g
+            lambda u: (math.log(u - 100.0), 1.0),  # ValueError inside g
+            lambda u: (math.nan, 1.0),
+            lambda u: (u + 800.0, 1.0),  # root below the smallest normal double
+            lambda u: (1.0 if u > 0.5 else -1.0, 0.0),  # a jump, never within tol
+        ],
+        ids=["overflow", "domain", "nan", "subnormal-root", "jump"],
+    )
+    def test_unsettled_lane_is_none_and_the_next_lane_solves(self, g):
+        lanes = [((g, -900.0, 10.0), None), ((exp_plus_linear(1.0), -5.0, 5.0), None)]
+        (roots,) = column_roots(lanes)
+        assert roots[0] is None
+        assert roots[1] == pytest.approx(0.0, abs=1e-15)
+
+    def test_bisects_where_newton_cannot_step(self):
+        # a zero slope everywhere: every step is a bisection
+        g = lambda u: (math.atan(u - 1.0), 0.0)
+        (roots,) = column_roots([((g, -20.0, 20.0), None)])
+        assert abs(roots[0] - 1.0) <= 1e-12
+
+    def test_tolerance_is_read_once_per_call(self, monkeypatch):
+        reads = []
+        monkeypatch.setattr(roots_module, "default_tolerance", lambda: reads.append(1) or 1e-12)
+        lanes = [((exp_plus_linear(0.1 * k), -5.0, 5.0), None) for k in range(10)]
+        column_roots(lanes, lanes)
+        assert reads == [1]
+
+    def test_invalid_tolerance_override_rejected(self, monkeypatch):
+        monkeypatch.setenv(TOL_ENV_VAR, "not-a-number")
+        with pytest.raises(ParameterError):
+            column_roots([((exp_plus_linear(1.0), -5.0, 5.0), None)])

@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import winsor_bounds
 from winsor_bounds import cli, verify
 from winsor_bounds.distributions import BoundQuery
-from winsor_bounds.errors import ParameterError
+from winsor_bounds.errors import ParameterError, WinsorBoundsError
 from winsor_bounds.sweeps import SweepKind, compute_sweep, read_csv, sigma_grid, write_csv
 from winsor_bounds.trunc import lower_bound_trunc
 from winsor_bounds.winsor import lower_bound_fixed_c, lower_bound_universal
@@ -39,13 +40,18 @@ class TestSigmaGrid:
             sigma_grid(1.0, 2.0, 10, "cubic")
 
 
+# Sweeps solve each column by a warm-started Newton iteration in u = ln a;
+# the scalar lower_bound_* calls (bracketed Brent) are the reference.
+SWEEP_RTOL = 2e-15
+
+
 class TestComputeSweep:
     def test_universal_kind(self):
         grid = sigma_grid(0.5, 5.0, 5)
         table = compute_sweep(SweepKind.UNIVERSAL_WINSOR, grid)
         assert table.column_labels == ("bound",)
         for (sigma, value) in table.rows:
-            assert value == lower_bound_universal(sigma).bound
+            assert value == pytest.approx(lower_bound_universal(sigma).bound, rel=SWEEP_RTOL, abs=0)
             assert 0.0 < value <= 1.0
 
     def test_ratio_kinds_stay_in_unit_interval(self):
@@ -63,6 +69,108 @@ class TestComputeSweep:
             compute_sweep(SweepKind.UNIVERSAL_WINSOR, grid, c_values=(1.0,))
 
 
+FIGURE_GRID = sigma_grid(0.05, 100.0, 200)
+FIGURE_TILTS = (1.0, 1.5, 2.0, 3.0, 5.0)
+WIDE_GRID = tuple(float(s) for s in np.geomspace(1e-6, 1e8, 600))
+WIDE_TILTS = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
+SCALAR = {
+    SweepKind.UNIVERSAL_WINSOR: lambda c, sigma, cut: lower_bound_universal(sigma, cut),
+    SweepKind.FIXED_C_WINSOR: lambda c, sigma, cut: lower_bound_fixed_c(BoundQuery(c, sigma, cut)),
+    SweepKind.TRUNC: lambda c, sigma, cut: lower_bound_trunc(BoundQuery(c, sigma, cut)),
+}
+
+
+def scalar_rows(kind, sigmas, tilts, cut):
+    """The sweep's rows from a row-major loop over the scalar calls."""
+    columns = tilts or (None,)
+    return [(s, *(SCALAR[kind](c, s, cut).bound for c in columns)) for s in sigmas]
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except WinsorBoundsError as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnSolverAgainstScalar:
+    """Sweeps solve by warm-started Newton columns; every lane must agree
+    with its scalar lower_bound_* call, and a failing lane must fail as the
+    row-major scalar loop fails first."""
+
+    @pytest.mark.parametrize("kind", list(SCALAR), ids=lambda k: k.value)
+    def test_figure_grid(self, kind):
+        tilts = () if kind is SweepKind.UNIVERSAL_WINSOR else FIGURE_TILTS
+        table = compute_sweep(kind, FIGURE_GRID, tilts)
+        for row, expected in zip(table.rows, scalar_rows(kind, FIGURE_GRID, tilts, 1.0)):
+            assert row[0] == expected[0]
+            assert row[1:] == pytest.approx(expected[1:], rel=SWEEP_RTOL, abs=0)
+
+    @pytest.mark.parametrize("cut", (1.0, 2.5))
+    @pytest.mark.parametrize("kind", list(SCALAR), ids=lambda k: k.value)
+    def test_wide_grid(self, kind, cut):
+        tilts = () if kind is SweepKind.UNIVERSAL_WINSOR else WIDE_TILTS
+        table = compute_sweep(kind, WIDE_GRID, tilts, cut)
+        for row, expected in zip(table.rows, scalar_rows(kind, WIDE_GRID, tilts, cut)):
+            assert row[1:] == pytest.approx(expected[1:], rel=SWEEP_RTOL, abs=0)
+
+    @pytest.mark.parametrize(
+        "kind, sigmas, tilts, cut",
+        [
+            (SweepKind.FIXED_C_WINSOR, tuple(np.geomspace(1e-8, 10.0, 60)), (400.0,), 1.0),
+            (SweepKind.FIXED_C_WINSOR, tuple(np.geomspace(1e-8, 10.0, 60)), (1.0, 400.0), 2.5),
+            # c = 400 fails at the small sigma, c = 1 only at the large
+            (SweepKind.FIXED_C_WINSOR, tuple(np.geomspace(1e-80, 1e160, 60)), (1.0, 400.0), 1.0),
+            (SweepKind.UNIVERSAL_WINSOR, tuple(np.geomspace(1e-161, 1e-157, 30)), (), 1.0),
+            (SweepKind.UNIVERSAL_WINSOR, tuple(np.geomspace(1e-158, 1e-150, 30)), (), 1.0),
+            (SweepKind.TRUNC, tuple(np.geomspace(1e-2, 1e300, 60)), (1e-300,), 1.0),
+            (SweepKind.TRUNC, tuple(np.geomspace(1e-2, 1e300, 60)), (1.0, 1e-300), 1.0),
+        ],
+        ids=["fixed-400", "fixed-400-cut", "fixed-400-tiny", "universal-subnormal",
+             "universal-subnormal-edge", "trunc-tiny-tilt", "trunc-tiny-tilt-second"],
+    )
+    def test_failing_lanes_fail_as_the_scalar_loop(self, kind, sigmas, tilts, cut):
+        sigmas = tuple(float(s) for s in sigmas)
+        got = outcome(lambda: compute_sweep(kind, sigmas, tilts, cut).rows)
+        expected = outcome(lambda: scalar_rows(kind, sigmas, tilts, cut))
+        if isinstance(expected, tuple):  # the scalar loop raised: same class, same message
+            assert got == expected
+        else:
+            assert [row[1:] for row in got] == [
+                pytest.approx(row[1:], rel=SWEEP_RTOL, abs=0) for row in expected
+            ]
+
+    def test_ratio_kinds_divide_the_scalar_bounds(self):
+        grid = FIGURE_GRID[::10]
+        fixed = compute_sweep(SweepKind.FIXED_C_WINSOR, grid, FIGURE_TILTS).rows
+        trunc_rows = compute_sweep(SweepKind.TRUNC, grid, FIGURE_TILTS).rows
+        universal = compute_sweep(SweepKind.UNIVERSAL_WINSOR, grid).rows
+        over_fixed = compute_sweep(SweepKind.RATIO_UNIVERSAL_OVER_FIXED, grid, FIGURE_TILTS).rows
+        over_winsor = compute_sweep(SweepKind.RATIO_TRUNC_OVER_WINSOR, grid, FIGURE_TILTS).rows
+        for f, t, u, uf, tw in zip(fixed, trunc_rows, universal, over_fixed, over_winsor):
+            assert uf[1:] == tuple(u[1] / value for value in f[1:])
+            assert tw[1:] == tuple(tv / fv for tv, fv in zip(t[1:], f[1:]))
+
+    def test_figure_sweeps_never_import_numpy(self):
+        script = (
+            "import sys\n"
+            "from winsor_bounds.sweeps import SweepKind, compute_sweep, sigma_grid\n"
+            "grid = sigma_grid(0.05, 100.0, 200)\n"
+            "tilts = (1.0, 1.5, 2.0, 3.0, 5.0)\n"
+            "compute_sweep(SweepKind.UNIVERSAL_WINSOR, grid)\n"
+            "compute_sweep(SweepKind.RATIO_UNIVERSAL_OVER_FIXED, grid, tilts)\n"
+            "compute_sweep(SweepKind.RATIO_TRUNC_OVER_WINSOR, grid, tilts)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+        )
+        src = str(Path(winsor_bounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
 class TestCsvRoundTrip:
     def test_bitwise_round_trip_and_recompute(self, tmp_path):
         grid = sigma_grid(0.3, 30.0, 7)
@@ -75,8 +183,9 @@ class TestCsvRoundTrip:
         for row, original in zip(rows, table.rows):
             assert row == original  # parse is bitwise
             sigma = row[0]
-            assert row[1] == lower_bound_fixed_c(BoundQuery(1.0, sigma)).bound
-            assert row[2] == lower_bound_fixed_c(BoundQuery(2.5, sigma)).bound
+            for value, c in zip(row[1:], (1.0, 2.5)):
+                scalar = lower_bound_fixed_c(BoundQuery(c, sigma)).bound
+                assert value == pytest.approx(scalar, rel=SWEEP_RTOL, abs=0)
 
     def test_file_format(self, tmp_path):
         grid = sigma_grid(0.5, 2.0, 3)

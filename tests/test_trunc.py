@@ -245,6 +245,17 @@ class TestBranchInClosedForm:
     def test_tiny_tilt_tiny_sigma(self):
         assert trunc.lower_bound_trunc(BoundQuery(1e-300, 1e-100)).bound == 1.0
 
+    @pytest.mark.parametrize("sigma", (1e4, 1e100, 1.34e154))
+    def test_tiny_tilt_large_sigma(self, sigma):
+        # bracketing probes a near 1e301, where (2 expm1(ac) - ac)/c
+        # overflows although its log does not
+        solution = trunc.lower_bound_trunc(BoundQuery(1e-300, sigma))
+        assert solution.branch is Branch.LARGE_SIGMA
+        assert solution.bound == 1.0
+        assert trunc.log_B_star(2e301, 1e-300) == pytest.approx(
+            math.log(2.0 * math.expm1(20.0) - 20.0) + 300.0 * math.log(10.0), rel=1e-15
+        )
+
 
 def test_huge_tilt_root_is_bracketed_in_a_few_probes(monkeypatch):
     # at c * min(sigma, 1) > EXP_ARG_MAX the seed follows the large-tilt law

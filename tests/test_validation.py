@@ -149,6 +149,7 @@ def log_uniform(lo, hi):
 @example(c=1.6e14, sigma=1e150)  # b = sigma^2/a overflows
 @example(c=5.080218046912991e24, sigma=1e140)  # the truncated bound underflows to 0.0
 @example(c=1e300, sigma=1e-140)  # the trunc root lies 200+ halvings below its seed
+@example(c=1e-300, sigma=1e4)  # (2 expm1(ac) - ac)/c overflows while bracketing
 @settings(max_examples=300, deadline=None)
 def test_valid_domain_is_answered_or_fails_in_the_solver(c, sigma):
     query = BoundQuery(c, sigma)

@@ -1,6 +1,7 @@
 """Winsorized bound core: support-point map, moment matching, universal tilt."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -374,3 +375,49 @@ def test_optimal_moment_accuracy_against_mpmath(grid):
     worst = worst_error(winsor.optimal_winsor_moment)
     assert worst <= worst_error(direct_optimal_moment)
     assert worst <= 1e-15
+
+
+def mp_moment_match(u, c, sigma, shift):
+    a, c = mp.e ** u, mpf(c)
+    z = mpf(shift) + a * c
+    return u + mp.log((2 * mp.expm1(z) - a * c) / c) - 2 * mp.log(mpf(sigma))
+
+
+def mp_ell1(u, sigma):
+    a = mp.e ** u
+    r = a / mpf(sigma) ** 2
+    return mp.log(r) - 2 * (a + 1) * (r - 1) / (a * r + 1)
+
+
+COLUMN_CASES = [(c, sigma) for c in (1e-3, 0.5, 2.0, 40.0) for sigma in (1e-4, 0.3, 5.0, 1e5)]
+
+
+class TestColumnEquations:
+    """The equations the sweeps solve in u = ln a: slopes against mpmath,
+    and brackets whose ends straddle the root."""
+
+    @pytest.mark.parametrize("c, sigma", COLUMN_CASES)
+    @pytest.mark.parametrize("winsorized", (True, False), ids=("winsor", "trunc"))
+    def test_moment_match(self, c, sigma, winsorized):
+        shift = c if winsorized else 0.0
+        g, lo, hi = winsor._moment_match_equation(c, sigma, shift)
+        lo = max(lo, math.log(sys.float_info.min))  # as the solver clamps it
+        assert g(lo)[0] <= 0.0 <= g(hi)[0]
+        for t in (0.1, 0.5, 0.9):
+            u = lo + t * (hi - lo)
+            value, slope = g(u)
+            f = lambda v: mp_moment_match(v, c, sigma, shift)
+            assert value == pytest.approx(float(f(mpf(u))), rel=1e-12, abs=1e-12)
+            assert slope == pytest.approx(float(mp.diff(f, mpf(u))), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", (1e-100, 1e-4, 0.3, 1.0, 5.0, 1e5, 1e150))
+    def test_ell1(self, sigma):
+        g, lo, hi = winsor._ell1_equation(sigma, sigma * sigma)
+        assert g(lo)[0] < 0.0
+        assert lo < math.log(winsor.solve_a_sigma(sigma)) < hi
+        for t in (0.1, 0.5, 0.9):
+            u = lo + t * (hi - lo)
+            value, slope = g(u)
+            f = lambda v: mp_ell1(v, sigma)
+            assert value == pytest.approx(float(f(mpf(u))), rel=1e-12, abs=1e-12)
+            assert slope == pytest.approx(float(mp.diff(f, mpf(u))), rel=1e-9, abs=1e-12)

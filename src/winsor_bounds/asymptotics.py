@@ -13,7 +13,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import require_positive
-from .roots import Bracket, solve_root
+from .roots import _solve
 
 
 class Regime(str, Enum):
@@ -37,10 +37,12 @@ def f_of_t(t: float) -> float:
 
 @lru_cache(maxsize=1)
 def solve_t_star() -> AsymptoticConstants:
-    """Root t_star of f_of_t on (0, 1) plus every constant derived from it."""
-    lo, hi = 1e-6, 1.0 - 1e-6
-    result = solve_root(f_of_t, Bracket(lo, hi, f_of_t(lo), f_of_t(hi)))
-    t = result.root
+    """Root t_star of f_of_t on (0, 1) plus every constant derived from it.
+
+    f_of_t increases on (0, 1/2), with slope 1 - 2t in ln t, and is positive
+    at 1/2, so the root lies below it.
+    """
+    t = _solve(lambda t: (f_of_t(t), 1.0 - 2.0 * t), 0.25, 0.5)
     return AsymptoticConstants(
         t_star=t,
         minus_ln_t_star=-math.log(t),

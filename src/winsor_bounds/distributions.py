@@ -58,6 +58,14 @@ def _rescaled(product: str, value: float, x: float, cut: float) -> float:
     return value
 
 
+def _effective_c(c: float, cut: float) -> float:
+    return _rescaled("c*cut", c * cut, c, cut)
+
+
+def _effective_sigma(sigma: float, cut: float) -> float:
+    return _rescaled("sigma/cut", sigma / cut, sigma, cut)
+
+
 @dataclass(frozen=True)
 class BoundQuery:
     """A bound request: tilt c, second-moment budget sigma, cut level.
@@ -80,9 +88,9 @@ class BoundQuery:
     @property
     def effective_c(self) -> float:
         """Tilt parameter after rescaling to cut level 1."""
-        return _rescaled("c*cut", self.c * self.cut, self.c, self.cut)
+        return _effective_c(self.c, self.cut)
 
     @property
     def effective_sigma(self) -> float:
         """Second-moment budget after rescaling to cut level 1."""
-        return _rescaled("sigma/cut", self.sigma / self.cut, self.sigma, self.cut)
+        return _effective_sigma(self.sigma, self.cut)

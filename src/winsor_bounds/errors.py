@@ -18,9 +18,9 @@ class ExponentOverflowError(WinsorBoundsError, OverflowError):
 
 
 class NoSignChangeError(WinsorBoundsError):
-    """No positive double brackets the root: the bracket search left the
-    positive doubles with no sign change, or the root (or a truncated bound,
-    or a cut-rescaled parameter) lies below the smallest positive double."""
+    """No positive double holds the root: the equation is still positive at
+    the smallest positive double, or the root's seed (or a truncated bound,
+    or a cut-rescaled parameter) underflows to 0.0."""
 
 
 class NonFiniteValueError(WinsorBoundsError):
@@ -28,8 +28,9 @@ class NonFiniteValueError(WinsorBoundsError):
 
 
 class MaxIterationsError(WinsorBoundsError):
-    """The root solver hit its iteration cap; signals a pathological
-    function rather than a tolerance issue."""
+    """The root solver hit its evaluation cap, or its bracket collapsed to
+    adjacent doubles with the residual still above the tolerance: the
+    function is too steep at this scale for double precision."""
 
 
 class CaseViolationError(WinsorBoundsError, ValueError):

@@ -3,11 +3,12 @@
 These reproduce the package's reference figures: the universal Winsorized
 bound as a function of sigma, and the two ratio panels
 (universal/fixed-tilt and truncated/Winsorized) across a tilt list.
-Each bound of a sweep is one column of lanes, one lane per sigma, solved in
-increasing sigma by a Newton iteration in u = ln a warm-started from the
-root of the lane before it; a lane that iteration cannot settle is answered
-by the scalar ``lower_bound_*`` call, in the order a row-by-row loop over
-those calls would make them, so a sweep raises what that loop raises.
+A sweep checks its arguments first, then runs a row-by-row loop over the
+bodies of the scalar ``lower_bound_*`` calls, one column per bound, whose
+root solve starts from the last root of its column instead of its seed.  A
+lane (one sigma of one column) that fails from there is solved again from
+its seed, so a sweep answers, and raises, what the loop over the scalar
+calls would.
 Files are written atomically (temp file + rename) with every value at full
 double precision, so emitted CSVs diff cleanly and round-trip bitwise.
 """
@@ -21,11 +22,10 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import BoundQuery
-from .errors import ParameterError, WinsorBoundsError
-from .roots import _newton_columns
-from .trunc import _trunc_lane, lower_bound_trunc
-from .winsor import _fixed_c_lane, _universal_lane, lower_bound_fixed_c, lower_bound_universal
+from .distributions import _effective_c, _effective_sigma
+from .errors import ParameterError, WinsorBoundsError, require_positive
+from .trunc import _trunc
+from .winsor import _fixed_c, _universal
 
 
 class SweepKind(str, Enum):
@@ -80,35 +80,16 @@ def sigma_grid(sigma_min: float, sigma_max: float, points: int, scale: str = "lo
     raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
-# Each bound as (scalar call taking (c, sigma, cut), lane taking (c*cut, sigma/cut)).
-_UNIVERSAL = (
-    lambda c, sigma, cut: lower_bound_universal(sigma, cut),
-    lambda c_eff, sigma_eff: _universal_lane(sigma_eff),
+# Each bound as a lane, (c, sigma, cut, start) -> (root, ..., bound): the
+# body of its lower_bound_* call on arguments already checked, rescaled to
+# cut level 1 as lower_bound_* rescales them; the root None where none was solved.
+_UNIVERSAL = lambda c, sigma, cut, start: _universal(_effective_sigma(sigma, cut), start)
+_FIXED = lambda c, sigma, cut, start: _fixed_c(
+    _effective_c(c, cut), _effective_sigma(sigma, cut), start
 )
-_FIXED = (lambda c, sigma, cut: lower_bound_fixed_c(BoundQuery(c, sigma, cut)), _fixed_c_lane)
-_TRUNC = (lambda c, sigma, cut: lower_bound_trunc(BoundQuery(c, sigma, cut)), _trunc_lane)
-
-
-def _attempt(f, *args):
-    """f(*args), or None where it raises a package, arithmetic or value
-    error; the scalar call then answers, or raises, in its place."""
-    try:
-        return f(*args)
-    except (WinsorBoundsError, ArithmeticError, ValueError):
-        return None
-
-
-_UNBUILT = (None, None)  # a lane whose building raised
-
-
-def _finished(lane, root):
-    """The bound of a lane, (equation, finish), from its root; None when the
-    scalar call must answer it: the lane was not built, its equation did not
-    settle, or finishing it raised."""
-    equation, finish = lane
-    if finish is None or (equation is not None and root is None):
-        return None
-    return _attempt(finish, None if root is None else math.exp(root))
+_TRUNC = lambda c, sigma, cut, start: _trunc(
+    _effective_c(c, cut), _effective_sigma(sigma, cut), start
+)
 
 
 def compute_sweep(
@@ -127,6 +108,9 @@ def compute_sweep(
         raise ParameterError(f"sweep kind {kind.value!r} requires a tilt list")
     if kind is SweepKind.UNIVERSAL_WINSOR and c_values:
         raise ParameterError("universal-winsor sweeps take no tilt list")
+    for name, values in (("c", c_values), ("sigma", sigma_values), ("cut", (cut,))):
+        for value in values:
+            require_positive(name, value)
 
     # the bound columns in the order one row evaluates them
     if kind is SweepKind.UNIVERSAL_WINSOR:
@@ -140,35 +124,18 @@ def compute_sweep(
     else:  # RATIO_TRUNC_OVER_WINSOR
         columns = [(bound, c) for c in c_values for bound in (_TRUNC, _FIXED)]
 
-    # sigma/cut and c*cut as BoundQuery(c, sigma, cut) validates and forms
-    # them, once per row and once per column; None where that raises
-    sigma_effs = [
-        _attempt(lambda: BoundQuery(1.0, sigma, cut).effective_sigma) for sigma in sigma_values
-    ]
-
-    def lanes(lane, c):
-        """(equation, finish) per sigma; _UNBUILT where an input or the building raised."""
-        c_eff = 1.0 if c is None else _attempt(lambda: BoundQuery(c, 1.0, cut).effective_c)
-        return [
-            _attempt(lane, c_eff, sigma_eff) or _UNBUILT
-            if c_eff is not None and sigma_eff is not None else _UNBUILT
-            for sigma_eff in sigma_effs
-        ]
-
-    try:  # only the finished bounds outlive their column
-        solved = [
-            list(map(_finished, column, roots))
-            for column, roots in _newton_columns(lanes(lane, c) for (_, lane), c in columns)
-        ]
-    except ParameterError:  # a bad WINSOR_BOUNDS_TOL: the scalar calls report it
-        solved = [[None] * len(sigma_values) for _ in columns]
-
+    starts = [None] * len(columns)  # the last root of each column
     rows = []
-    for i, sigma in enumerate(sigma_values):
-        bounds = [
-            column[i] if column[i] is not None else scalar(c, sigma, cut).bound
-            for column, ((scalar, _), c) in zip(solved, columns)
-        ]
+    for sigma in sigma_values:
+        bounds = []
+        for j, (lane, c) in enumerate(columns):
+            try:
+                solved = lane(c, sigma, cut, starts[j])
+            except WinsorBoundsError:  # answer, or raise, as the scalar call does
+                solved = lane(c, sigma, cut, None)
+            if solved[0] is not None:
+                starts[j] = solved[0]
+            bounds.append(solved[-1])
         if kind is SweepKind.RATIO_UNIVERSAL_OVER_FIXED:
             values = tuple(bounds[0] / fixed for fixed in bounds[1:])
         elif kind is SweepKind.RATIO_TRUNC_OVER_WINSOR:

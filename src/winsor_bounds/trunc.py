@@ -25,9 +25,10 @@ from enum import Enum
 
 from .distributions import BoundQuery, TwoPointDistribution, two_point
 from .errors import NoSignChangeError, require_positive
+from .roots import _solve
 from .winsor import (
-    EXP_ARG_MAX, _exp_checked, _log_support_point, _moment_match_equation, _seeded_root,
-    _sigma_squared, _solve_moment_match, _support_point, _upper_support,
+    EXP_ARG_MAX, _exp_checked, _log_support_point, _log_support_slope, _moment_match,
+    _sigma_squared, _support_point, _upper_support,
 )
 
 
@@ -53,28 +54,36 @@ def log_B_star(a: float, c: float) -> float:
 def solve_A_c(c: float) -> float:
     """Unique a > 0 with B_star(a, c) = 1; the branch threshold for sigma^2.
 
-    Seeded with ln(1 + c/2)/c, within a factor 2 of the root for every c:
-    B_star tends to a as c -> 0 (threshold near 1) and to (2/c)e^{ac} for
-    large c (threshold near ln(c/2)/c).
+    Solved as ln B_star(a, c) = 0 from ln(1 + c/2)/c, within a factor 2 of
+    the root for every c: B_star tends to a as c -> 0 (threshold near 1) and
+    to (2/c)e^{ac} for large c (threshold near ln(c/2)/c).  B_star(a, c) >= a
+    puts the root at or below 1.
     """
     require_positive("c", c)
-    return _seeded_root(lambda a: _log_support_point(a, c, 0.0), math.log1p(0.5 * c) / c)
+    return _solve(lambda a: _log_support_slope(a, c, 0.0), math.log1p(0.5 * c) / c, 1.0)
 
 
 def solve_A_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * B_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
-    # a*B_star ~ a^2 for small a and ~ (2a/c) e^{ac} for large a.
-    if c * min(sigma, 1.0) > EXP_ARG_MAX:
+    return _A_c_sigma(c, sigma)
+
+
+def _A_c_sigma(c: float, sigma: float, start: float | None = None) -> float:
+    """solve_A_c_sigma on trusted arguments, from start or, when None, from
+    a seed that follows a*B_star ~ a^2 for small a and ~ (2a/c) e^{ac} for
+    large a; the solve clamps it to sigma, which a*B_star >= a^2 puts above
+    the root."""
+    if start is None and c * min(sigma, 1.0) > EXP_ARG_MAX:
         # Then ac is large: ac e^{ac} = c^2 sigma^2 / 2 = e^t, t >= 12.4,
         # so ac ~ t - ln t.  The other seed ignores c and would start
         # hundreds of halvings above the root.
         t = 2.0 * (math.log(c) + math.log(sigma)) - math.log(2.0)
-        seed = (t - math.log(t)) / c
-    else:
-        seed = max(math.log1p(_sigma_squared(sigma)) / c, min(sigma, 1.0))
-    return _solve_moment_match(c, sigma, 0.0, seed)
+        start = (t - math.log(t)) / c
+    elif start is None:
+        start = max(math.log1p(_sigma_squared(sigma)) / c, min(sigma, 1.0))
+    return _moment_match(c, sigma, 0.0, start)
 
 
 def trunc_moment(dist: TwoPointDistribution, c: float) -> float:
@@ -127,41 +136,29 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     agree there numerically; a fixed rule keeps sweeps deterministic).  A
     bound below the smallest positive double raises NoSignChangeError.
     """
-    c_eff = query.effective_c
-    sigma_eff = query.effective_sigma
-    sigma2 = _sigma_squared(sigma_eff)
-    a = None if _below_threshold(sigma2, c_eff) else solve_A_c_sigma(c_eff, sigma_eff)
-    branch, b, extremal, bound = _trunc_finish(c_eff, sigma_eff, sigma2, a)
+    a, branch, b, extremal, bound = _trunc(query.effective_c, query.effective_sigma)
     return TruncSolution(query=query, branch=branch, A_c_sigma=a, B_c_sigma=b,
                          bound=bound, extremal=extremal)
 
 
-def _trunc_lane(c_eff: float, sigma_eff: float):
-    """The truncated bound for a column solver: its equation in u = ln a
-    (None on the small-sigma branch, which solves no root) and the step
-    that finishes the bound from the root a."""
-    sigma2 = _sigma_squared(sigma_eff)
-    small = _below_threshold(sigma2, c_eff)
-    equation = None if small else _moment_match_equation(c_eff, sigma_eff, 0.0)
-    return equation, lambda a: _trunc_finish(c_eff, sigma_eff, sigma2, a)[3]
-
-
-def _trunc_finish(c_eff: float, sigma_eff: float, sigma2: float, a: float | None):
-    """(branch, b, extremal law, bound) of the truncated solution with root
-    a = A_c_sigma, or a = None on the small-sigma branch."""
-    if a is None:
-        branch, b = Branch.SMALL_SIGMA, None
+def _trunc(c: float, sigma: float, start: float | None = None):
+    """(a, branch, b, extremal law, bound) of lower_bound_trunc at cut level
+    1, its root A_c_sigma solved from start (from its seed when None); a and
+    b are None on the small-sigma branch, which solves no root."""
+    sigma2 = _sigma_squared(sigma)
+    if _below_threshold(sigma2, c):
+        a, branch, b = None, Branch.SMALL_SIGMA, None
         extremal = two_point(sigma2, 1.0)
     else:
-        branch = Branch.LARGE_SIGMA
+        a, branch = _A_c_sigma(c, sigma, start), Branch.LARGE_SIGMA
         # On this branch b >= 1 holds exactly; root-solver roundoff at the
         # branch boundary can land an ulp below the cut, where the truncation
         # indicator would flip, so snap such b back onto the cut.
         b = max(_upper_support(sigma2, a), 1.0)
         extremal = two_point(a, b)
-    bound = trunc_moment(extremal, c_eff)
+    bound = trunc_moment(extremal, c)
     if bound == 0.0:
         raise NoSignChangeError(
-            f"the truncated bound underflows to 0.0 at c={c_eff!r}, sigma={sigma_eff!r}"
+            f"the truncated bound underflows to 0.0 at c={c!r}, sigma={sigma!r}"
         )
-    return branch, b, extremal, bound
+    return a, branch, b, extremal, bound

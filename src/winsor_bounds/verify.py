@@ -16,7 +16,7 @@ from . import asymptotics, certificates, errors, oracle, trunc, winsor
 from .asymptotics import Regime
 from .certificates import MomentKind
 from .distributions import BoundQuery, two_point
-from .roots import Bracket, solve_root
+from .roots import _solve
 from .trunc import Branch
 
 C_GRID = (0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
@@ -59,10 +59,6 @@ def _bounded_check(name, worst, tol, detail=""):
 
 def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
-
-
-def _root_between(f, lo: float, hi: float) -> float:
-    return solve_root(f, Bracket(lo, hi, f(lo), f(hi))).root
 
 
 def suite_roots() -> list[CheckResult]:
@@ -466,8 +462,16 @@ def suite_asymptotics() -> list[CheckResult]:
     # Both infima over the tilt sit where the closed-form derivative
     # vanishes: the slope's where 2(1 - e^{-c}) = c, whose root is -ln t_star,
     # and the coefficient's where 4 e^c (c - 2) / c^3 = 0, i.e. at c = 2.
-    slope_c = _root_between(lambda c: 2.0 * (1.0 - math.exp(-c)) - c, 0.5, 10.0)
-    coeff_c = _root_between(lambda c: 4.0 * math.exp(c) * (c - 2.0) / c**3, 0.5, 10.0)
+    # Both are solved as equations rising through their root, with slopes in ln c.
+    slope_c = _solve(
+        lambda c: (c + 2.0 * math.expm1(-c), c * (1.0 - 2.0 * math.exp(-c))), 1.0, 10.0
+    )
+    coeff_c = _solve(
+        lambda c: (4.0 * math.exp(c) * (c - 2.0) / c**3,
+                   4.0 * math.exp(c) * (c * c - 4.0 * c + 6.0) / c**3),
+        1.0,
+        10.0,
+    )
     worst = max(
         abs(slope_c - constants.minus_ln_t_star),
         abs(asymptotics.winsor_small_sigma_slope(slope_c)

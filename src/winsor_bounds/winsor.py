@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from . import asymptotics
-from .distributions import BoundQuery, TwoPointDistribution, _rescaled, two_point
+from .distributions import BoundQuery, TwoPointDistribution, _effective_sigma, two_point
 from .errors import ExponentOverflowError, NoSignChangeError, ParameterError, require_positive
-from .roots import find_bracket, solve_root
+from .roots import _solve
 
 EXP_ARG_MAX = 709.0  # exp() overflows just above ln(DBL_MAX) ~ 709.78
 LOG_FORM_CUTOVER = 30.0
@@ -69,14 +68,6 @@ def _upper_support(sigma2: float, a: float) -> float:
     return b
 
 
-def _seeded_root(f: Callable[[float], float], seed: float) -> float:
-    """Root of f, which increases through it, bracketed from seed; a seed
-    that underflowed to 0.0 puts the root below the smallest positive double."""
-    if seed == 0.0:
-        raise NoSignChangeError("the root's seed underflows to 0.0: no positive double holds it")
-    return solve_root(f, find_bracket(f, seed)).root
-
-
 def _support_point(a: float, c: float, shift: float) -> float:
     """(2(e^z - 1) - ac) / c with z = shift + ac: the upper atom of the
     extremal law, shift = c for the Winsorized map and 0 for the truncated
@@ -103,38 +94,26 @@ def _log_support_point(a: float, c: float, shift: float) -> float:
     return z + math.log(2.0 / c) + correction
 
 
-def _moment_match_equation(c: float, sigma: float, shift: float):
-    """The moment match of _solve_moment_match in u = ln a, for a column
-    solver: (g, lo, hi), g(u) giving the value and slope of
-    u + ln S(e^u) - 2 ln sigma.  Both maps have S(a) >= a, so a S(a) >= a^2
-    puts the root at or below ln sigma, and then S(root) <= S(sigma) puts it
-    at or above 2 ln sigma - ln S(sigma)."""
-    log_sigma = math.log(sigma)
-    target = 2.0 * log_sigma
-
-    def g(u: float) -> tuple[float, float]:
-        a = math.exp(u)
-        z = shift + a * c
-        log_support = _log_support_point(a, c, shift)
-        # d ln S/du = a(2e^z - 1)/S, formed as a(2 - e^-z) e^(z - ln S): finite for any z
-        slope = 1.0 + a * (2.0 - math.exp(-z)) * math.exp(z - log_support)
-        return u + log_support - target, slope
-
-    return g, target - _log_support_point(sigma, c, shift), log_sigma
+def _log_support_slope(a: float, c: float, shift: float) -> tuple[float, float]:
+    """ln S and its slope in ln a, a(2e^z - 1)/S, for S = _support_point(a, c,
+    shift).  The slope is formed as (2 - e^-z) e^(ln a + z - ln S), finite
+    for any z: the exponent is at most ln(ac/2) plus roundoff."""
+    z = shift + a * c
+    log_support = _log_support_point(a, c, shift)
+    return log_support, (2.0 - math.exp(-z)) * math.exp(math.log(a) + z - log_support)
 
 
-def _solve_moment_match(c: float, sigma: float, shift: float, seed: float) -> float:
-    """Unique a > 0 with a * _support_point(a, c, shift) = sigma^2.
-
-    Solved in log form, ln a + ln support(a) = 2 ln sigma, which keeps the
-    equation O(1)-scaled for any sigma and overflow-free during bracketing.
-    """
+def _moment_match(c: float, sigma: float, shift: float, start: float) -> float:
+    """Unique a > 0 with a * _support_point(a, c, shift) = sigma^2, solved from
+    start as ln a + ln S(a) = 2 ln sigma, which stays O(1)-scaled for any
+    sigma.  Both maps have S(a) >= a, so the root lies at or below sigma."""
     target = 2.0 * math.log(sigma)
 
-    def g(a: float) -> float:
-        return math.log(a) + _log_support_point(a, c, shift) - target
+    def f(a: float) -> tuple[float, float]:
+        log_support, slope = _log_support_slope(a, c, shift)
+        return math.log(a) + log_support - target, 1.0 + slope
 
-    return _seeded_root(g, seed)
+    return _solve(f, start, sigma)
 
 
 def b_star(a: float, c: float) -> float:
@@ -159,17 +138,28 @@ def solve_a_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
-    seed = _a_c_sigma_seed(c, _sigma_squared(sigma))
-    return _solve_moment_match(c, sigma, c, seed)
+    return _a_c_sigma(c, sigma)
 
 
-def _a_c_sigma_seed(c: float, sigma2: float) -> float:
-    # The smaller of both asymptotic laws: a ~ c sigma^2 / (2(e^c - 1)) as
-    # sigma -> 0 and a ~ ln(1 + sigma^2)/c as sigma -> infinity.  Past
-    # EXP_ARG_MAX the first is formed at e^EXP_ARG_MAX, an overestimate the
-    # bracket search contracts from.
+def _seed(value: float) -> float:
+    """A root's asymptotic seed, refused once it underflows to 0.0: the root
+    is then taken to lie below the smallest positive double."""
+    if value == 0.0:
+        raise NoSignChangeError("the root's seed underflows to 0.0: no positive double holds it")
+    return value
+
+
+def _a_c_sigma(c: float, sigma: float, start: float | None = None) -> float:
+    """solve_a_c_sigma on trusted arguments, from start or, when None, from
+    the smaller of both asymptotic laws: a ~ c sigma^2 / (2(e^c - 1)) as
+    sigma -> 0 and a ~ ln(1 + sigma^2)/c as sigma -> infinity.  Past
+    EXP_ARG_MAX the first is formed at e^EXP_ARG_MAX, an overestimate.  The
+    seed is checked whatever the start, so a warm start fails where a cold
+    one does."""
+    sigma2 = _sigma_squared(sigma)
     small = c * sigma2 / (2.0 * math.expm1(min(c, EXP_ARG_MAX)))
-    return min(small, math.log1p(sigma2) / c)
+    seed = _seed(min(small, math.log1p(sigma2) / c))
+    return _moment_match(c, sigma, c, seed if start is None else start)
 
 
 def ell1(a: float, sigma: float) -> float:
@@ -190,39 +180,35 @@ def _ell1(a: float, sigma2: float) -> float:
     return math.log(r) - 2.0 * (a + 1.0) * (r - 1.0) / (a * r + 1.0)
 
 
-def _ell1_equation(sigma: float, sigma2: float):
-    """ell1 in u = ln a, for a column solver: (g, lo, hi), g(u) giving the
-    value and slope of _ell1(e^u, sigma2).  The root lies below the boundary
-    zero at hi = ln sigma^2 and above lo: ell1 <= ln r + 2(a + 1), so
-    u + 2e^u <= L = 2 ln sigma - 2 makes ell1 <= 0, which u = L - 2 (for
-    L <= 2) and u = ln(L/4) (otherwise) satisfy."""
-    target = 2.0 * math.log(sigma)
-    room = target - 2.0
+def solve_a_sigma(sigma: float) -> float:
+    """The sign-change root of ell1 on (0, sigma^2).
 
-    def g(u: float) -> tuple[float, float]:
-        a = math.exp(u)
+    Raises ExponentOverflowError when sigma^2 overflows, and
+    NoSignChangeError when the root lies below the smallest positive double.
+    """
+    require_positive("sigma", sigma)
+    return _a_sigma(sigma)
+
+
+def _a_sigma(sigma: float, start: float | None = None) -> float:
+    """solve_a_sigma on a trusted sigma, from start or, when None, from
+    0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic regimes of the
+    root; the seed is checked whatever the start.  The upper end is
+    sigma^2/2, not the boundary zero of ell1 at sigma^2:
+    ell1(sigma^2/2) = (a + 1)/(a/2 + 1) - ln 2 > 0.3, so the root lies below
+    it and no step can settle on the boundary zero.  sigma^2/2 is positive
+    whenever the seed (at most 0.21 sigma^2) is."""
+    sigma2 = _sigma_squared(sigma)
+    seed = _seed(0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2))
+
+    def f(a: float) -> tuple[float, float]:
         r = a / sigma2
         d = a * r + 1.0
         w, s = a / d, (a + 1.0) / d  # the slope's terms, each divided by d so none overflows
         slope = 1.0 - 2.0 * (w * (r - 1.0) + s * r - 2.0 * w * r * s * (r - 1.0))
         return _ell1(a, sigma2), slope
 
-    return g, room - 2.0 if room <= 2.0 else math.log(0.25 * room), target
-
-
-def solve_a_sigma(sigma: float) -> float:
-    """The sign-change root of ell1 on (0, sigma^2).
-
-    Seeded with 0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic
-    regimes of the root and stays below the boundary zero of ell1 at
-    a = sigma^2.  Raises ExponentOverflowError when sigma^2 overflows, and
-    NoSignChangeError when sigma^2 or the seed underflows to 0.0 or no sign
-    change is found from the seed.
-    """
-    require_positive("sigma", sigma)
-    sigma2 = _sigma_squared(sigma)
-    seed = 0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2)
-    return _seeded_root(lambda a: _ell1(a, sigma2), seed)
+    return _solve(f, seed if start is None else start, 0.5 * sigma2)
 
 
 def optimal_c_for_two_point(a: float, sigma: float) -> float:
@@ -296,25 +282,17 @@ class UniversalWinsorSolution:
 def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
     """Exact attained lower bound on E exp(c * min(cut, X)) given
     E X >= 0 and E X^2 <= sigma^2."""
-    c_eff = query.effective_c
-    sigma_eff = query.effective_sigma
-    a = solve_a_c_sigma(c_eff, sigma_eff)
-    b, extremal, bound = _fixed_c_finish(c_eff, sigma_eff, a)
+    a, b, extremal, bound = _fixed_c(query.effective_c, query.effective_sigma)
     return WinsorSolution(query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=extremal)
 
 
-def _fixed_c_finish(c_eff: float, sigma_eff: float, a: float):
-    """(b, extremal law, bound) of the fixed-tilt solution with root a."""
-    b = _upper_support(sigma_eff * sigma_eff, a)
+def _fixed_c(c: float, sigma: float, start: float | None = None):
+    """(a, b, extremal law, bound) of lower_bound_fixed_c at cut level 1,
+    its root solved from start (from its seed when None)."""
+    a = _a_c_sigma(c, sigma, start)
+    b = _upper_support(sigma * sigma, a)
     extremal = two_point(a, b)
-    return b, extremal, winsor_moment(extremal, c_eff)
-
-
-def _fixed_c_lane(c_eff: float, sigma_eff: float):
-    """The fixed-tilt bound for a column solver: its equation in u = ln a
-    and the step that finishes the bound from the root a."""
-    equation = _moment_match_equation(c_eff, sigma_eff, c_eff)
-    return equation, lambda a: _fixed_c_finish(c_eff, sigma_eff, a)[2]
+    return a, b, extremal, winsor_moment(extremal, c)
 
 
 def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolution:
@@ -322,9 +300,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
     require_positive("sigma", sigma)
     require_positive("cut", cut)
-    sigma_eff = _rescaled("sigma/cut", sigma / cut, sigma, cut)
-    a = solve_a_sigma(sigma_eff)
-    b, c_opt, bound = _universal_finish(sigma_eff, a)
+    a, b, c_opt, bound = _universal(_effective_sigma(sigma, cut))
     return UniversalWinsorSolution(
         sigma=sigma,
         cut=cut,
@@ -336,14 +312,9 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     )
 
 
-def _universal_finish(sigma_eff: float, a: float):
-    """(b, optimal tilt, bound) of the universal solution with root a."""
-    b = _upper_support(sigma_eff * sigma_eff, a)
-    return b, optimal_c_for_two_point(a, sigma_eff), optimal_winsor_moment(a, sigma_eff)
-
-
-def _universal_lane(sigma_eff: float):
-    """The universal bound for a column solver: its equation in u = ln a
-    and the step that finishes the bound from the root a."""
-    equation = _ell1_equation(sigma_eff, _sigma_squared(sigma_eff))
-    return equation, lambda a: _universal_finish(sigma_eff, a)[2]
+def _universal(sigma: float, start: float | None = None):
+    """(a, b, optimal tilt, bound) of lower_bound_universal at cut level 1,
+    its root solved from start (from its seed when None)."""
+    a = _a_sigma(sigma, start)
+    b = _upper_support(sigma * sigma, a)
+    return a, b, optimal_c_for_two_point(a, sigma), optimal_winsor_moment(a, sigma)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from winsor_bounds import verify
+from winsor_bounds import roots, trunc, verify, winsor
 
 
 @dataclass(frozen=True)
@@ -29,3 +29,28 @@ def verify_all() -> VerifyRun:
         seconds[name] = time.perf_counter() - start
     results = [check for checks in by_suite.values() for check in checks]
     return VerifyRun(results=results, by_suite=by_suite, seconds=seconds)
+
+
+@dataclass
+class Solves:
+    equations: list  # (f, start, hi) as each solve received them
+    points: list  # every a at which an equation was evaluated
+
+
+@pytest.fixture
+def solves(monkeypatch) -> Solves:
+    """Records each root solve of the bounds: the equation handed to
+    roots._solve from winsor and trunc, and every point it was evaluated at."""
+    record = Solves(equations=[], points=[])
+
+    def recorded(f, start, hi):
+        def counted(a):
+            record.points.append(a)
+            return f(a)
+
+        record.equations.append((f, start, hi))
+        return roots._solve(counted, start, hi)
+
+    for module in (winsor, trunc):
+        monkeypatch.setattr(module, "_solve", recorded)
+    return record

@@ -11,7 +11,6 @@ from mpmath import mp, mpf
 from winsor_bounds import trunc, winsor
 from winsor_bounds.distributions import BoundQuery, two_point
 from winsor_bounds.errors import ExponentOverflowError, ParameterError
-from winsor_bounds.roots import find_bracket
 from winsor_bounds.trunc import Branch
 
 
@@ -257,24 +256,30 @@ class TestBranchInClosedForm:
         )
 
 
-def test_huge_tilt_root_is_bracketed_in_a_few_probes(monkeypatch):
+def test_huge_tilt_root_is_bracketed_in_a_few_probes(solves):
     # at c * min(sigma, 1) > EXP_ARG_MAX the seed follows the large-tilt law
     # a c e^{ac} = c^2 sigma^2 / 2; the root ~7.3e-298 lies hundreds of
     # halvings below min(sigma, 1) = 1e-140
-    probes = 0
-
-    def counting_find_bracket(f, seed):
-        def counted(x):
-            nonlocal probes
-            probes += 1
-            return f(x)
-
-        return find_bracket(counted, seed)
-
-    monkeypatch.setattr(winsor, "find_bracket", counting_find_bracket)
     solution = trunc.lower_bound_trunc(BoundQuery(1e300, 1e-140))
     assert solution.branch is Branch.LARGE_SIGMA
-    assert 0 < probes <= 4
+    assert 0 < len(solves.points) <= 4
+
+
+def test_tiny_tilt_seed_is_clamped_to_sigma(solves):
+    # the seed ln(1 + sigma^2)/c = 1.84e301 ignores that a*B_star ~ a^2 at
+    # tiny ac; clamped to sigma it starts at the root
+    solution = trunc.lower_bound_trunc(BoundQuery(1e-300, 1e4))
+    assert solution.bound == 1.0
+    assert 0 < len(solves.points) <= 4
+
+
+@pytest.mark.parametrize("c", (1e-20, 1e-16, 1.0, 1e300))
+def test_threshold_against_mpmath(c):
+    # B_star(a, c) = 1 is 2 expm1(z) - z = c in z = ac, solved here in ln z
+    with mp.workdps(60):
+        g = lambda v: mp.log(2 * mp.expm1(mp.exp(v)) - mp.exp(v)) - mp.log(c)
+        exact = mp.exp(mp.findroot(g, mp.log(mp.log1p(mpf(c) / 2)))) / mpf(c)
+        assert abs(trunc.solve_A_c(c) - exact) <= 1e-15 * exact
 
 
 def test_huge_tilt_root_far_below_its_seed_against_mpmath():

@@ -5,6 +5,7 @@ input is never answered with one."""
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from winsor_bounds.errors import (
     CaseViolationError, ExponentOverflowError, NoSignChangeError, ParameterError,
     WinsorBoundsError,
 )
+from winsor_bounds.sweeps import SweepKind, compute_sweep
 
 BAD = (0.0, -1.0, math.nan, math.inf)
 LAW = two_point(1.0, 2.0)
@@ -66,7 +68,10 @@ ENTRY_POINTS = [
     ("trunc_minorant_large", "a", lambda v: certificates.trunc_minorant_large(v, 1.0)),
     ("trunc_minorant_large", "c", lambda v: certificates.trunc_minorant_large(1.0, v)),
     ("trunc_collapse_sequence", "sigma", lambda v: oracle.trunc_collapse_sequence(v, (0.5,))),
-    ("find_bracket", "seed", lambda v: roots.find_bracket(lambda x: x - 1.0, v)),
+    ("_solve", "start", lambda v: roots._solve(lambda x: (x - 1.0, x), v, 2.0)),
+    ("compute_sweep", "c", lambda v: compute_sweep(SweepKind.FIXED_C_WINSOR, (1.0,), (v,))),
+    ("compute_sweep", "sigma", lambda v: compute_sweep(SweepKind.TRUNC, (v,), (1.0,))),
+    ("compute_sweep", "cut", lambda v: compute_sweep(SweepKind.UNIVERSAL_WINSOR, (1.0,), (), v)),
 ]
 
 SUPPORT_MAPS = [
@@ -166,3 +171,50 @@ def test_valid_domain_is_answered_or_fails_in_the_solver(c, sigma):
         except WinsorBoundsError:
             continue  # a solver-class failure, not "invalid parameters"
         assert 0.0 < bound <= 1.0
+
+
+def log_grid(lo, hi, n):
+    return [float(x) for x in np.geomspace(lo, hi, n)]
+
+
+# The failure maps of the supported domain: (bound call, grid, points that
+# answer at least, failures by class).  Every failure is a solver-class
+# error: the root or the bound lies outside the doubles.
+OUTCOME_MAPS = {
+    "fixed": (
+        lambda c, sigma: winsor.lower_bound_fixed_c(BoundQuery(c, sigma)),
+        [(c, s) for c in log_grid(1e-6, 700.0, 50) for s in log_grid(1e-100, 1e100, 201)],
+        9901,
+        {"NoSignChangeError": 132, "MaxIterationsError": 17},
+    ),
+    "trunc": (
+        lambda c, sigma: trunc.lower_bound_trunc(BoundQuery(c, sigma)),
+        [(c, s) for c in log_grid(1e-12, 1e300, 52) for s in log_grid(1e-170, 1e170, 69)],
+        1891,
+        {"NoSignChangeError": 769, "ExponentOverflowError": 928},
+    ),
+    "universal": (
+        lambda c, sigma: winsor.lower_bound_universal(sigma),
+        [(None, s) for s in log_grid(1e-300, 1e300, 601)],
+        310,
+        {"NoSignChangeError": 139, "MaxIterationsError": 6, "ExponentOverflowError": 146},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(OUTCOME_MAPS))
+def test_outcome_map(kind):
+    solve, grid, answered_at_least, failures = OUTCOME_MAPS[kind]
+    answered, failed = 0, {}
+    for c, sigma in grid:
+        try:
+            bound = solve(c, sigma).bound
+        except (ParameterError, CaseViolationError):
+            raise
+        except WinsorBoundsError as exc:
+            failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1
+            continue
+        assert 0.0 < bound <= 1.0, (c, sigma, bound)
+        answered += 1
+    assert answered >= answered_at_least
+    assert failed == failures

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from winsor_bounds import verify, winsor
+from winsor_bounds import trunc, verify, winsor
 from winsor_bounds.distributions import BoundQuery, two_point
-from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError, ParameterError
+from winsor_bounds.errors import (
+    ExponentOverflowError, MaxIterationsError, NoSignChangeError, ParameterError,
+)
 from winsor_bounds.sweeps import sigma_grid
 
 mp.dps = 50
@@ -253,6 +255,14 @@ class TestLowerBoundFixedC:
         with pytest.raises(NoSignChangeError):
             winsor.lower_bound_fixed_c(BoundQuery(100.0, 1e-150))
 
+    @pytest.mark.parametrize("c, sigma", [(1e10, 1e22), (1e50, 1e10)])
+    def test_root_below_the_doubles_costs_one_probe(self, c, sigma, solves):
+        # the first Newton step underflows to 0.0; one probe at the smallest
+        # positive double, where the equation is still positive, settles it
+        with pytest.raises(NoSignChangeError):
+            winsor.lower_bound_fixed_c(BoundQuery(c, sigma))
+        assert len(solves.points) <= 3
+
     @given(
         c=st.floats(min_value=0.05, max_value=8.0),
         sigma=st.floats(min_value=1e-2, max_value=1e3),
@@ -276,6 +286,23 @@ class TestLowerBoundFixedC:
         first = winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).bound
         second = winsor.lower_bound_fixed_c(BoundQuery(c, sigma * grow)).bound
         assert second <= first + 1e-12
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: winsor.lower_bound_universal(1e-158),
+        lambda: winsor.lower_bound_fixed_c(BoundQuery(700.0, 3.6184987596427426e-06)),
+    ],
+    ids=["universal", "fixed"],
+)
+def test_subnormal_root_collapses_in_a_few_evaluations(solve, solves):
+    # adjacent subnormals near the root differ by more than the tolerance
+    # in f; a Newton step too small to move a moves it one ulp, so the
+    # collapsed bracket is found at once
+    with pytest.raises(MaxIterationsError, match="adjacent floats"):
+        solve()
+    assert len(solves.points) <= 3
 
 
 class TestLowerBoundUniversal:
@@ -393,31 +420,38 @@ COLUMN_CASES = [(c, sigma) for c in (1e-3, 0.5, 2.0, 40.0) for sigma in (1e-4, 0
 
 
 class TestColumnEquations:
-    """The equations the sweeps solve in u = ln a: slopes against mpmath,
-    and brackets whose ends straddle the root."""
+    """The equations the bounds hand to the root solver, with their slopes
+    in u = ln a: values and slopes against mpmath, and upper ends above the
+    root at which the equation is not negative."""
 
     @pytest.mark.parametrize("c, sigma", COLUMN_CASES)
     @pytest.mark.parametrize("winsorized", (True, False), ids=("winsor", "trunc"))
-    def test_moment_match(self, c, sigma, winsorized):
+    def test_moment_match(self, c, sigma, winsorized, solves):
         shift = c if winsorized else 0.0
-        g, lo, hi = winsor._moment_match_equation(c, sigma, shift)
-        lo = max(lo, math.log(sys.float_info.min))  # as the solver clamps it
-        assert g(lo)[0] <= 0.0 <= g(hi)[0]
-        for t in (0.1, 0.5, 0.9):
-            u = lo + t * (hi - lo)
-            value, slope = g(u)
-            f = lambda v: mp_moment_match(v, c, sigma, shift)
-            assert value == pytest.approx(float(f(mpf(u))), rel=1e-12, abs=1e-12)
-            assert slope == pytest.approx(float(mp.diff(f, mpf(u))), rel=1e-12)
+        solve = winsor.solve_a_c_sigma if winsorized else trunc.solve_A_c_sigma
+        root = solve(c, sigma)
+        ((f, start, hi),) = solves.equations
+        assert hi == sigma
+        assert root <= hi and f(hi)[0] >= 0.0
+        # at hi the slope keeps only ~z*eps relative accuracy (z = shift + ac
+        # cancels against ln S); the solver needs it for its steps only
+        g = lambda v: mp_moment_match(v, c, sigma, shift)
+        for a in (0.1 * root, root, math.sqrt(root * hi), hi):
+            value, slope = f(a)
+            u = mpf(math.log(a))
+            assert value == pytest.approx(float(g(u)), rel=1e-12, abs=1e-12)
+            if a < hi:
+                assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-12)
 
     @pytest.mark.parametrize("sigma", (1e-100, 1e-4, 0.3, 1.0, 5.0, 1e5, 1e150))
-    def test_ell1(self, sigma):
-        g, lo, hi = winsor._ell1_equation(sigma, sigma * sigma)
-        assert g(lo)[0] < 0.0
-        assert lo < math.log(winsor.solve_a_sigma(sigma)) < hi
-        for t in (0.1, 0.5, 0.9):
-            u = lo + t * (hi - lo)
-            value, slope = g(u)
-            f = lambda v: mp_ell1(v, sigma)
-            assert value == pytest.approx(float(f(mpf(u))), rel=1e-12, abs=1e-12)
-            assert slope == pytest.approx(float(mp.diff(f, mpf(u))), rel=1e-9, abs=1e-12)
+    def test_ell1(self, sigma, solves):
+        root = winsor.solve_a_sigma(sigma)
+        ((f, start, hi),) = solves.equations
+        assert hi == 0.5 * sigma * sigma
+        assert root < hi and f(hi)[0] > 0.3
+        g = lambda v: mp_ell1(v, sigma)
+        for a in (0.1 * root, 0.9 * root, 1.1 * root, hi):
+            value, slope = f(a)
+            u = mpf(math.log(a))
+            assert value == pytest.approx(float(g(u)), rel=1e-12, abs=1e-12)
+            assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-9, abs=1e-12)

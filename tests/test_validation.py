@@ -187,6 +187,12 @@ OUTCOME_MAPS = {
         9901,
         {"NoSignChangeError": 132, "MaxIterationsError": 17},
     ),
+    "wide": (
+        lambda c, sigma: winsor.lower_bound_fixed_c(BoundQuery(c, sigma)),
+        [(c, s) for c in log_grid(1e-300, 1e300, 61) for s in log_grid(1e-170, 1e154, 55)],
+        1257,
+        {"NoSignChangeError": 2097, "MaxIterationsError": 1},
+    ),
     "trunc": (
         lambda c, sigma: trunc.lower_bound_trunc(BoundQuery(c, sigma)),
         [(c, s) for c in log_grid(1e-12, 1e300, 52) for s in log_grid(1e-170, 1e170, 69)],

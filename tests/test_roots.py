@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from winsor_bounds.config import TOL_ENV_VAR
 from winsor_bounds.errors import (
     MaxIterationsError,
     NonFiniteValueError,
@@ -15,7 +14,6 @@ from winsor_bounds.errors import (
 )
 from winsor_bounds import roots as roots_module
 from winsor_bounds.roots import _solve
-from winsor_bounds.sweeps import SweepKind, compute_sweep
 
 
 def bisect(f, lo, hi, iters=200):
@@ -186,21 +184,14 @@ class TestSolveRoot:
             _solve(f, 1.0, 2.0)
 
 
-class TestToleranceEnvOverride:
-    def test_invalid_override_rejected(self, monkeypatch):
-        monkeypatch.setenv(TOL_ENV_VAR, "not-a-number")
-        with pytest.raises(ParameterError):
-            _solve(LOG_PLUS_LINEAR, 0.1, 0.5)
-        monkeypatch.setenv(TOL_ENV_VAR, "-1e-9")
-        with pytest.raises(ParameterError):
-            _solve(LOG_PLUS_LINEAR, 0.1, 0.5)
-
-    def test_valid_override_applies(self, monkeypatch):
-        monkeypatch.setenv(TOL_ENV_VAR, "1e-6")
+class TestTolerance:
+    def test_patched_tolerance_applies(self, monkeypatch):
+        monkeypatch.setattr(roots_module, "TOL", 1e-6)
         probes = []
         root = _solve(recording(LOG_PLUS_LINEAR, probes), 0.1, 0.5)
-        # accepted at the first point within 1e-6, then polished once
-        assert abs(LOG_PLUS_LINEAR(probes[-1])[0]) <= 1e-6
+        # accepted at the first point within 1e-6, which the default 1e-12
+        # would not accept, then polished once
+        assert 1e-12 < abs(LOG_PLUS_LINEAR(probes[-1])[0]) <= 1e-6
         assert abs(root - 0.20318786997997995) < 1e-9
 
 
@@ -245,14 +236,3 @@ class TestNewtonColumns:
         # a zero slope everywhere: every step is a geometric bisection
         f = lambda a: (math.atan(math.log(a) - 1.0), 0.0)
         assert abs(math.log(_solve(f, 1.0, math.exp(20.0))) - 1.0) <= 1e-12
-
-    def test_tolerance_is_read_once_per_call(self, monkeypatch):
-        reads = []
-        monkeypatch.setattr(roots_module, "default_tolerance", lambda: reads.append(1) or 1e-12)
-        _solve(exp_plus_linear(2.0), 1.0, 10.0)
-        assert reads == [1]
-
-    def test_invalid_tolerance_override_rejected(self, monkeypatch):
-        monkeypatch.setenv(TOL_ENV_VAR, "not-a-number")
-        with pytest.raises(ParameterError):
-            compute_sweep(SweepKind.FIXED_C_WINSOR, (0.5, 1.0), (1.0,))

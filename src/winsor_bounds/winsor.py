@@ -152,12 +152,14 @@ def _seed(value: float) -> float:
 def _a_c_sigma(c: float, sigma: float, start: float | None = None) -> float:
     """solve_a_c_sigma on trusted arguments, from start or, when None, from
     the smaller of both asymptotic laws: a ~ c sigma^2 / (2(e^c - 1)) as
-    sigma -> 0 and a ~ ln(1 + sigma^2)/c as sigma -> infinity.  Past
-    EXP_ARG_MAX the first is formed at e^EXP_ARG_MAX, an overestimate.  The
-    seed is checked whatever the start, so a warm start fails where a cold
-    one does."""
+    sigma -> 0 and a ~ ln(1 + sigma^2)/c as sigma -> infinity.  The first
+    is formed as (c / (2(e^c - 1))) * sigma^2, since c * sigma^2 alone
+    underflows at tiny tilt (the factor tends to 1/2 as c -> 0); past
+    EXP_ARG_MAX it is formed at e^EXP_ARG_MAX, an overestimate.  The seed is
+    checked whatever the start, so a warm start fails where a cold one
+    does."""
     sigma2 = _sigma_squared(sigma)
-    small = c * sigma2 / (2.0 * math.expm1(min(c, EXP_ARG_MAX)))
+    small = c / (2.0 * math.expm1(min(c, EXP_ARG_MAX))) * sigma2
     seed = _seed(min(small, math.log1p(sigma2) / c))
     return _moment_match(c, sigma, c, seed if start is None else start)
 

@@ -190,8 +190,8 @@ OUTCOME_MAPS = {
     "wide": (
         lambda c, sigma: winsor.lower_bound_fixed_c(BoundQuery(c, sigma)),
         [(c, s) for c in log_grid(1e-300, 1e300, 61) for s in log_grid(1e-170, 1e154, 55)],
-        1257,
-        {"NoSignChangeError": 2097, "MaxIterationsError": 1},
+        1612,
+        {"NoSignChangeError": 1712, "MaxIterationsError": 31},
     ),
     "trunc": (
         lambda c, sigma: trunc.lower_bound_trunc(BoundQuery(c, sigma)),

@@ -255,6 +255,13 @@ class TestLowerBoundFixedC:
         with pytest.raises(NoSignChangeError):
             winsor.lower_bound_fixed_c(BoundQuery(100.0, 1e-150))
 
+    def test_tiny_tilt_seed_does_not_underflow(self):
+        # c * sigma^2 underflows to 0.0 here, but the root, ~sigma^2/2, is a
+        # normal double: the seed must be formed without that product
+        solution = winsor.lower_bound_fixed_c(BoundQuery(1e-300, 1e-152))
+        assert solution.bound == 1.0
+        assert solution.a_c_sigma == pytest.approx(5e-305, rel=1e-15)
+
     @pytest.mark.parametrize("c, sigma", [(1e10, 1e22), (1e50, 1e10)])
     def test_root_below_the_doubles_costs_one_probe(self, c, sigma, solves):
         # the first Newton step underflows to 0.0; one probe at the smallest

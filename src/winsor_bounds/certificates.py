@@ -19,8 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import CaseViolationError, ParameterError, require_positive
-from .trunc import B_star, _below_threshold
-from .winsor import b_star
+from .trunc import _below_threshold
+from .winsor import _support_point
 
 GAP_RTOL = 1e-12       # allowed negative gap, relative to max(1, F)
 EQUALITY_RTOL = 1e-10  # |F - G| below this counts as contact
@@ -91,7 +91,7 @@ def winsor_minorant(a: float, c: float) -> QuadraticMinorant:
     """Certificate for the Winsorized moment: contacts at -a and b_star(a, c)."""
     require_positive("a", a)
     require_positive("c", c)
-    return _tangent_minorant(a, c, b_star(a, c))
+    return _tangent_minorant(a, c, _support_point(a, c, c))
 
 
 def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
@@ -117,7 +117,7 @@ def trunc_minorant_large(a: float, c: float) -> QuadraticMinorant:
     contacts at -a and b = B_star(a, c)."""
     require_positive("a", a)
     require_positive("c", c)
-    b = B_star(a, c)
+    b = _support_point(a, c, 0.0)
     if b < 1.0 - 1e-12:
         raise CaseViolationError(
             f"trunc_minorant_large requires B_star(a, c) >= 1, got {b!r}"

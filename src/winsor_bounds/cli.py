@@ -44,8 +44,6 @@ def _emit(pairs) -> None:
 
 
 def cmd_bound(args) -> int:
-    if args.sigma is None:
-        raise ParameterError("bound requires --sigma")
     if args.kind == "universal-winsor":
         if args.c is not None:
             raise ParameterError("universal-winsor takes no --c")

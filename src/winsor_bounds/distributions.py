@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ExponentOverflowError, NoSignChangeError, require_positive
+from .errors import in_range, require_positive
 
 
 @dataclass(frozen=True)
@@ -46,24 +45,12 @@ def two_point(a: float, b: float) -> TwoPointDistribution:
     return TwoPointDistribution(a, b)
 
 
-def _rescaled(product: str, value: float, x: float, cut: float) -> float:
-    """``product`` (c*cut or sigma/cut), formed from x and cut as ``value``,
-    refusing a result outside the doubles: an overflow to inf raises
-    ExponentOverflowError, and an underflow to 0.0, which leaves no positive
-    double to solve at, raises NoSignChangeError."""
-    if value == math.inf:
-        raise ExponentOverflowError(f"{product} overflows to inf (operands {x!r}, {cut!r})")
-    if value == 0.0:
-        raise NoSignChangeError(f"{product} underflows to 0.0 (operands {x!r}, {cut!r})")
-    return value
-
-
 def _effective_c(c: float, cut: float) -> float:
-    return _rescaled("c*cut", c * cut, c, cut)
+    return in_range("c*cut", c * cut, c, cut)
 
 
 def _effective_sigma(sigma: float, cut: float) -> float:
-    return _rescaled("sigma/cut", sigma / cut, sigma, cut)
+    return in_range("sigma/cut", sigma / cut, sigma, cut)
 
 
 @dataclass(frozen=True)

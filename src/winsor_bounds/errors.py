@@ -1,5 +1,6 @@
 """Exception hierarchy shared across the package, plus the one argument
-validator every public entry point uses."""
+validator every public entry point uses and the one range guard every
+result that can leave the doubles passes through."""
 
 import math
 
@@ -13,14 +14,15 @@ class ParameterError(WinsorBoundsError, ValueError):
 
 
 class ExponentOverflowError(WinsorBoundsError, OverflowError):
-    """An exponent exceeds the double-precision range; signalled explicitly
-    instead of returning infinity."""
+    """An exponent, or a quantity the answer needs (see ``in_range``),
+    exceeds the double-precision range; signalled explicitly instead of
+    returning infinity."""
 
 
 class NoSignChangeError(WinsorBoundsError):
-    """No positive double holds the root: the equation is still positive at
-    the smallest positive double, or the root's seed (or a truncated bound,
-    or a cut-rescaled parameter) underflows to 0.0."""
+    """No positive double holds the answer: the equation is still positive at
+    the smallest positive double, or a quantity the answer needs (see
+    ``in_range``) underflows to 0.0."""
 
 
 class NonFiniteValueError(WinsorBoundsError):
@@ -45,3 +47,17 @@ def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
     if allow_zero:
         raise ParameterError(f"{name} must be a nonnegative real, got {value!r}")
     raise ParameterError(f"{name} must be a positive real, got {value!r}")
+
+
+def in_range(quantity: str, value: float, *operands: float) -> float:
+    """Return the positive result ``value``, named ``quantity`` and formed
+    from ``operands``, unless it has left the doubles: an overflow to inf
+    raises ExponentOverflowError, and an underflow to 0.0, which leaves no
+    positive double to answer with, raises NoSignChangeError."""
+    if value == math.inf:
+        fate, error = "overflows to inf", ExponentOverflowError
+    elif value == 0.0:
+        fate, error = "underflows to 0.0", NoSignChangeError
+    else:
+        return value
+    raise error(f"{quantity} {fate} (operands {', '.join(map(repr, operands))})")

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import BoundQuery, TwoPointDistribution, two_point
-from .errors import NoSignChangeError, require_positive
+from .errors import in_range, require_positive
 from .roots import _solve
 from .winsor import (
     EXP_ARG_MAX, _exp_checked, _log_support_point, _log_support_slope, _moment_match,
-    _sigma_squared, _support_point, _upper_support,
+    _support_point,
 )
 
 
@@ -67,14 +67,16 @@ def solve_A_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * B_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
-    return _A_c_sigma(c, sigma)
+    return _A_c_sigma(c, sigma, sigma * sigma)
 
 
-def _A_c_sigma(c: float, sigma: float, start: float | None = None) -> float:
-    """solve_A_c_sigma on trusted arguments, from start or, when None, from
+def _A_c_sigma(c: float, sigma: float, sigma2: float, start: float | None = None) -> float:
+    """solve_A_c_sigma on trusted c and sigma, from start or, when None, from
     a seed that follows a*B_star ~ a^2 for small a and ~ (2a/c) e^{ac} for
-    large a; the solve clamps it to sigma, which a*B_star >= a^2 puts above
-    the root."""
+    large a, capped at sigma, which a*B_star >= a^2 puts above the root.
+    sigma2 = sigma * sigma may have left the doubles: the seed reads it only
+    through ln(1 + sigma2)/c, and the cap keeps that seed a positive double
+    wherever the quotient overflows."""
     if start is None and c * min(sigma, 1.0) > EXP_ARG_MAX:
         # Then ac is large: ac e^{ac} = c^2 sigma^2 / 2 = e^t, t >= 12.4,
         # so ac ~ t - ln t.  The other seed ignores c and would start
@@ -82,7 +84,7 @@ def _A_c_sigma(c: float, sigma: float, start: float | None = None) -> float:
         t = 2.0 * (math.log(c) + math.log(sigma)) - math.log(2.0)
         start = (t - math.log(t)) / c
     elif start is None:
-        start = max(math.log1p(_sigma_squared(sigma)) / c, min(sigma, 1.0))
+        start = min(max(math.log1p(sigma2) / c, min(sigma, 1.0)), sigma)
     return _moment_match(c, sigma, 0.0, start)
 
 
@@ -145,20 +147,16 @@ def _trunc(c: float, sigma: float, start: float | None = None):
     """(a, branch, b, extremal law, bound) of lower_bound_trunc at cut level
     1, its root A_c_sigma solved from start (from its seed when None); a and
     b are None on the small-sigma branch, which solves no root."""
-    sigma2 = _sigma_squared(sigma)
+    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     if _below_threshold(sigma2, c):
         a, branch, b = None, Branch.SMALL_SIGMA, None
         extremal = two_point(sigma2, 1.0)
     else:
-        a, branch = _A_c_sigma(c, sigma, start), Branch.LARGE_SIGMA
+        a, branch = _A_c_sigma(c, sigma, sigma2, start), Branch.LARGE_SIGMA
         # On this branch b >= 1 holds exactly; root-solver roundoff at the
         # branch boundary can land an ulp below the cut, where the truncation
         # indicator would flip, so snap such b back onto the cut.
-        b = max(_upper_support(sigma2, a), 1.0)
+        b = max(in_range("b = sigma^2/a", sigma2 / a, sigma2, a), 1.0)
         extremal = two_point(a, b)
-    bound = trunc_moment(extremal, c)
-    if bound == 0.0:
-        raise NoSignChangeError(
-            f"the truncated bound underflows to 0.0 at c={c!r}, sigma={sigma!r}"
-        )
+    bound = in_range("the truncated bound", trunc_moment(extremal, c), c, sigma)
     return a, branch, b, extremal, bound

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from . import asymptotics
 from .distributions import BoundQuery, TwoPointDistribution, _effective_sigma, two_point
-from .errors import ExponentOverflowError, NoSignChangeError, ParameterError, require_positive
+from .errors import ExponentOverflowError, ParameterError, in_range, require_positive
 from .roots import _solve
 
 EXP_ARG_MAX = 709.0  # exp() overflows just above ln(DBL_MAX) ~ 709.78
@@ -42,30 +42,6 @@ def _exp_checked(z: float, context: str) -> float:
     if z > EXP_ARG_MAX:
         raise ExponentOverflowError(f"{context}: exponent {z!r} exceeds double range")
     return math.exp(z)
-
-
-def _sigma_squared(sigma: float) -> float:
-    """sigma^2, refusing a square outside the doubles: past ~1.34e154 it
-    overflows (ExponentOverflowError), and once it underflows to 0.0 no
-    positive double is left for the lower support point, which is at most
-    sigma^2 (NoSignChangeError)."""
-    sigma2 = sigma * sigma
-    if sigma2 == 0.0:
-        raise NoSignChangeError(
-            f"sigma^2 underflows to 0.0 at sigma={sigma!r}: the extremal lower "
-            "support point lies below the smallest positive double"
-        )
-    if sigma2 == math.inf:
-        raise ExponentOverflowError(f"sigma^2 overflows at sigma={sigma!r}")
-    return sigma2
-
-
-def _upper_support(sigma2: float, a: float) -> float:
-    """b = sigma^2 / a, refusing its overflow to inf."""
-    b = sigma2 / a
-    if b == math.inf:
-        raise ExponentOverflowError(f"b = sigma^2/a overflows at sigma^2={sigma2!r}, a={a!r}")
-    return b
 
 
 def _support_point(a: float, c: float, shift: float) -> float:
@@ -138,29 +114,20 @@ def solve_a_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
-    return _a_c_sigma(c, sigma)
+    return _a_c_sigma(c, sigma, in_range("sigma^2", sigma * sigma, sigma))
 
 
-def _seed(value: float) -> float:
-    """A root's asymptotic seed, refused once it underflows to 0.0: the root
-    is then taken to lie below the smallest positive double."""
-    if value == 0.0:
-        raise NoSignChangeError("the root's seed underflows to 0.0: no positive double holds it")
-    return value
-
-
-def _a_c_sigma(c: float, sigma: float, start: float | None = None) -> float:
-    """solve_a_c_sigma on trusted arguments, from start or, when None, from
-    the smaller of both asymptotic laws: a ~ c sigma^2 / (2(e^c - 1)) as
-    sigma -> 0 and a ~ ln(1 + sigma^2)/c as sigma -> infinity.  The first
-    is formed as (c / (2(e^c - 1))) * sigma^2, since c * sigma^2 alone
-    underflows at tiny tilt (the factor tends to 1/2 as c -> 0); past
-    EXP_ARG_MAX it is formed at e^EXP_ARG_MAX, an overestimate.  The seed is
-    checked whatever the start, so a warm start fails where a cold one
-    does."""
-    sigma2 = _sigma_squared(sigma)
+def _a_c_sigma(c: float, sigma: float, sigma2: float, start: float | None = None) -> float:
+    """solve_a_c_sigma on trusted arguments, sigma2 = sigma^2 among them,
+    from start or, when None, from the smaller of both asymptotic laws:
+    a ~ c sigma^2 / (2(e^c - 1)) as sigma -> 0 and a ~ ln(1 + sigma^2)/c as
+    sigma -> infinity.  The first is formed as (c / (2(e^c - 1))) * sigma^2,
+    since c * sigma^2 alone underflows at tiny tilt (the factor tends to 1/2
+    as c -> 0); past EXP_ARG_MAX it is formed at e^EXP_ARG_MAX, an
+    overestimate.  The seed is checked whatever the start, so a warm start
+    fails where a cold one does."""
     small = c / (2.0 * math.expm1(min(c, EXP_ARG_MAX))) * sigma2
-    seed = _seed(min(small, math.log1p(sigma2) / c))
+    seed = in_range("the root's seed", min(small, math.log1p(sigma2) / c), c, sigma)
     return _moment_match(c, sigma, c, seed if start is None else start)
 
 
@@ -172,7 +139,7 @@ def ell1(a: float, sigma: float) -> float:
     """
     require_positive("a", a)
     require_positive("sigma", sigma)
-    return _ell1(a, _sigma_squared(sigma))
+    return _ell1(a, in_range("sigma^2", sigma * sigma, sigma))
 
 
 def _ell1(a: float, sigma2: float) -> float:
@@ -189,19 +156,19 @@ def solve_a_sigma(sigma: float) -> float:
     NoSignChangeError when the root lies below the smallest positive double.
     """
     require_positive("sigma", sigma)
-    return _a_sigma(sigma)
+    return _a_sigma(in_range("sigma^2", sigma * sigma, sigma))
 
 
-def _a_sigma(sigma: float, start: float | None = None) -> float:
-    """solve_a_sigma on a trusted sigma, from start or, when None, from
-    0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic regimes of the
-    root; the seed is checked whatever the start.  The upper end is
+def _a_sigma(sigma2: float, start: float | None = None) -> float:
+    """solve_a_sigma on a trusted sigma2 = sigma^2, from start or, when None,
+    from 0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic regimes
+    of the root; the seed is checked whatever the start.  The upper end is
     sigma^2/2, not the boundary zero of ell1 at sigma^2:
     ell1(sigma^2/2) = (a + 1)/(a/2 + 1) - ln 2 > 0.3, so the root lies below
     it and no step can settle on the boundary zero.  sigma^2/2 is positive
     whenever the seed (at most 0.21 sigma^2) is."""
-    sigma2 = _sigma_squared(sigma)
-    seed = _seed(0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2))
+    seed = 0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2)
+    seed = in_range("the root's seed", seed, sigma2)
 
     def f(a: float) -> tuple[float, float]:
         r = a / sigma2
@@ -291,8 +258,9 @@ def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
 def _fixed_c(c: float, sigma: float, start: float | None = None):
     """(a, b, extremal law, bound) of lower_bound_fixed_c at cut level 1,
     its root solved from start (from its seed when None)."""
-    a = _a_c_sigma(c, sigma, start)
-    b = _upper_support(sigma * sigma, a)
+    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
+    a = _a_c_sigma(c, sigma, sigma2, start)
+    b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
     extremal = two_point(a, b)
     return a, b, extremal, winsor_moment(extremal, c)
 
@@ -317,6 +285,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
 def _universal(sigma: float, start: float | None = None):
     """(a, b, optimal tilt, bound) of lower_bound_universal at cut level 1,
     its root solved from start (from its seed when None)."""
-    a = _a_sigma(sigma, start)
-    b = _upper_support(sigma * sigma, a)
+    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
+    a = _a_sigma(sigma2, start)
+    b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
     return a, b, optimal_c_for_two_point(a, sigma), optimal_winsor_moment(a, sigma)

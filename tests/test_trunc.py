@@ -255,6 +255,21 @@ class TestBranchInClosedForm:
             math.log(2.0 * math.expm1(20.0) - 20.0) + 300.0 * math.log(10.0), rel=1e-15
         )
 
+    @pytest.mark.parametrize("c", (1e-308, 1e-310, 1e-320))
+    def test_seed_quotient_overflowing_is_capped_at_sigma(self, c):
+        # ln(1 + sigma^2)/c overflows to inf; the seed is capped at sigma
+        solution = trunc.lower_bound_trunc(BoundQuery(c, 1e5))
+        assert solution.branch is Branch.LARGE_SIGMA
+        assert solution.bound == 1.0
+
+
+@pytest.mark.parametrize("sigma", (1e-200, 1e160))
+def test_solve_A_c_sigma_where_sigma_squared_leaves_the_doubles(sigma):
+    # sigma^2 underflows to 0.0 or overflows to inf; the log-form equation
+    # ln a + ln B_star(a, c) = 2 ln sigma never forms it
+    a = trunc.solve_A_c_sigma(1.0, sigma)
+    assert abs(math.log(a) + trunc.log_B_star(a, 1.0) - 2.0 * math.log(sigma)) <= 1e-12
+
 
 def test_huge_tilt_root_is_bracketed_in_a_few_probes(solves):
     # at c * min(sigma, 1) > EXP_ARG_MAX the seed follows the large-tilt law

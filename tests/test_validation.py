@@ -109,33 +109,49 @@ def test_unknown_verify_suite_names_the_valid_ones():
         verify.run_suite("bogus")
 
 
-# Valid input whose cut rescaling leaves the doubles: (kind, c, sigma, cut,
-# the product named in the message, the error).
-RESCALING_OUT_OF_RANGE = [
-    ("fixed-winsor", 1e200, 1.0, 1e200, "c*cut", ExponentOverflowError),
-    ("fixed-winsor", 1e-200, 1e-200, 1e-200, "c*cut", NoSignChangeError),
-    ("trunc", 1e-200, 1e-200, 1e-200, "c*cut", NoSignChangeError),
-    ("fixed-winsor", 1.0, 1e-320, 1e10, "sigma/cut", NoSignChangeError),
-    ("universal-winsor", None, 1e300, 1e-10, "sigma/cut", ExponentOverflowError),
+# Valid input for which a positive quantity the answer needs leaves the
+# doubles: (kind, c, sigma, cut, the quantity named in the message, its
+# operands, the error).  sigma^2 underflowing is covered by
+# test_underflowing_sigma_squared_exit_code in test_sweeps_cli.py.
+RESULTS_OUT_OF_RANGE = [
+    ("fixed-winsor", 1e200, 1.0, 1e200, "c*cut", (1e200, 1e200), ExponentOverflowError),
+    ("fixed-winsor", 1e-200, 1e-200, 1e-200, "c*cut", (1e-200, 1e-200), NoSignChangeError),
+    ("trunc", 1e-200, 1e-200, 1e-200, "c*cut", (1e-200, 1e-200), NoSignChangeError),
+    ("fixed-winsor", 1.0, 1e-320, 1e10, "sigma/cut", (1e-320, 1e10), NoSignChangeError),
+    ("universal-winsor", None, 1e300, 1e-10, "sigma/cut", (1e300, 1e-10), ExponentOverflowError),
+    ("universal-winsor", None, 1e160, 1.0, "sigma^2", (1e160,), ExponentOverflowError),
+    # b's operands are sigma^2 and the solved a; only sigma^2 is asserted
+    ("trunc", 1.6e14, 1e150, 1.0, "b = sigma^2/a", (1e150 * 1e150,), ExponentOverflowError),
+    ("fixed-winsor", 100.0, 1e-150, 1.0, "the root's seed", (100.0, 1e-150), NoSignChangeError),
+    ("trunc", 5.080218046912991e24, 1e140, 1.0, "the truncated bound",
+     (5.080218046912991e24, 1e140), NoSignChangeError),
 ]
 
 
-@pytest.mark.parametrize("kind, c, sigma, cut, product, error", RESCALING_OUT_OF_RANGE)
+# Named and identified as when the table held only cut rescaling rows, so
+# the ids of those five rows stay stable.
+@pytest.mark.parametrize(
+    "kind, c, sigma, cut, quantity, operands, error", RESULTS_OUT_OF_RANGE,
+    ids=[f"{k}-{c}-{s}-{cut}-{q}-{e.__name__}" for k, c, s, cut, q, _, e in RESULTS_OUT_OF_RANGE],
+)
 def test_cut_rescaling_outside_the_doubles_fails_in_the_solver(
-    kind, c, sigma, cut, product, error, capsys
+    kind, c, sigma, cut, quantity, operands, error, capsys
 ):
     solve = {
         "fixed-winsor": lambda: winsor.lower_bound_fixed_c(BoundQuery(c, sigma, cut)),
         "trunc": lambda: trunc.lower_bound_trunc(BoundQuery(c, sigma, cut)),
         "universal-winsor": lambda: winsor.lower_bound_universal(sigma, cut),
     }[kind]
-    with pytest.raises(error, match=rf"^{re.escape(product)} "):
+    with pytest.raises(error, match=rf"^{re.escape(quantity)} ") as raised:
         solve()
+    assert f"(operands {', '.join(map(repr, operands))}" in str(raised.value)
     argv = ["bound", "--kind", kind, "--sigma", repr(sigma), "--cut", repr(cut)]
     if c is not None:
         argv += ["--c", repr(c)]
     assert cli.main(argv) == cli.EXIT_NO_CONVERGENCE
-    assert capsys.readouterr().err.startswith(f"error: {product} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {quantity} ")
+    assert "Traceback" not in err
 
 
 def log_uniform(lo, hi):

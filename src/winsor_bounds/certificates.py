@@ -8,6 +8,13 @@ Each G is stored anchored at its lower contact -a, where its value e^{-ac}
 and slope c e^{-ac} are closed forms.  This module builds them and checks
 the geometry on dense grids (G <= F, equality only near the contacts) and
 in closed form at each contact (value and slope, one-sided on the cut).
+
+capped_exp and QuadraticMinorant.__call__ are the only code that computes
+F and G; both take ``out=`` and give the same bits with or without it.
+The grid check walks sorted linspace pieces in blocks held in buffers
+allocated once per check, and skips work whose result is known: a block
+with every x >= 1 has F = F(1), and a block with every x < 0 has F <= 1
+(no division by max(1, F)) and F = 0.0, without exp, where c*x < -746.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ CONTACT_WINDOW = 1e-2  # equality must sit within this relative distance
 GRID_BASE_POINTS = 100_001  # uniform points across the span of the grid
 GRID_WINDOW_POINTS = 2_001  # points in the window around each contact and the kink
 _BLOCK = 8_192  # points per evaluation block: a 64 KB temporary stays in L2
+# exp is exactly 0.0 below about -745.13 (half the least subnormal); c*x
+# below this cutoff needs no exp call
+_EXP_ZERO_BELOW = -746.0
 
 
 class MomentKind(str, Enum):
@@ -61,20 +71,32 @@ class QuadraticMinorant:
         """G'(0) = lower_slope - 2 gamma x_lo."""
         return self.lower_slope - 2.0 * self.gamma * self.contact_points[0]
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """G(x), written into ``out`` when given (one temporary either way)."""
         # in Horner form: (x - x_lo)^2 alone overflows once x_hi passes ~1.3e154
-        u = np.subtract(x, self.contact_points[0])
-        return self.lower_value + u * (self.lower_slope + self.gamma * u)
+        if out is None:
+            out = np.empty(np.shape(x))
+        u = np.subtract(x, self.contact_points[0], out=out)
+        slope = u * self.gamma
+        slope += self.lower_slope
+        np.multiply(u, slope, out=out)
+        return np.add(out, self.lower_value, out=out)[()]
 
 
-def capped_exp(kind: MomentKind, c, x):
+def capped_exp(kind: MomentKind, c, x, out=None):
     """F(x): exp(c*min(1,x)) for winsor, exp(c*x*1{x<1}) for trunc; c is a
-    scalar or an array that broadcasts against x."""
+    scalar or an array that broadcasts against x.  Written into ``out`` when
+    given, which must have the broadcast shape and share no memory with x."""
     x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(c), x.shape))
+    if kind is MomentKind.WINSOR:
+        np.multiply(c, np.minimum(x, 1.0, out=out), out=out)
+    else:
+        out.fill(0.0)
+        np.multiply(c, x, out=out, where=x < 1.0)
     with np.errstate(under="ignore"):
-        if kind is MomentKind.WINSOR:
-            return np.exp(c * np.minimum(x, 1.0))
-        return np.exp(np.where(x < 1.0, c * x, 0.0))
+        return np.exp(out, out=out)[()]
 
 
 def _tangent_minorant(a: float, c: float, b: float) -> QuadraticMinorant:
@@ -138,21 +160,21 @@ class CertificateReport:
     n_points: int
 
 
-def _grid_pieces(minorant: QuadraticMinorant) -> list[np.ndarray]:
-    """Sorted pieces: a wide span, then a window and the point at each contact and x = 1."""
+def _grid_pieces(minorant: QuadraticMinorant) -> list[tuple[float, float, int]]:
+    """Sorted pieces as np.linspace's (start, stop, num): a wide span, then a
+    window and the point at each contact and x = 1."""
     lo_c, hi_c = minorant.contact_points
     span = 10.0 * max(abs(lo_c), abs(hi_c), 1.0)
-    pieces = [np.linspace(-span, span, GRID_BASE_POINTS)]
+    pieces = [(-span, span, GRID_BASE_POINTS)]
     for x0 in dict.fromkeys((lo_c, hi_c, 1.0)):
         window = 1e-3 * (1.0 + abs(x0))
-        pieces.append(np.linspace(x0 - window, x0 + window, GRID_WINDOW_POINTS))
-        pieces.append(np.array([x0]))
+        pieces += [(x0 - window, x0 + window, GRID_WINDOW_POINTS), (x0, x0, 1)]
     return pieces
 
 
 def certificate_grid(minorant: QuadraticMinorant) -> np.ndarray:
     """Evaluation grid: the points check_certificate covers, sorted and unique."""
-    return np.unique(np.concatenate(_grid_pieces(minorant)))
+    return np.unique(np.concatenate([np.linspace(*piece) for piece in _grid_pieces(minorant)]))
 
 
 def check_certificate(
@@ -160,20 +182,55 @@ def check_certificate(
 ) -> CertificateReport:
     """Verify G <= F on certificate_grid with equality only near the contacts.
 
-    Walks the grid piece by piece in blocks of _BLOCK points, without sorting;
-    the worst point is argmin's on the sorted grid (NaN, least gap, least x)."""
+    Walks the grid piece by piece in blocks of _BLOCK points, without sorting,
+    in buffers allocated once per check; the worst point is argmin's on the
+    sorted grid (NaN, least gap, least x).  Each block is rebuilt in place as
+    np.linspace's points, index*step + start with the last one stop, and its
+    first and last x say which work has a known result:
+    - every x >= 1: F is the constant F(1);
+    - every x < 0 (c >= 0): F <= 1, so the gap is not divided by max(1, F),
+      and F is 0.0 without exp on the prefix where c*x < _EXP_ZERO_BELOW;
+    - otherwise every point goes through capped_exp."""
     pieces = _grid_pieces(minorant)
+    index = np.arange(_BLOCK, dtype=float)
+    x, f, g, gap = (np.empty(_BLOCK) for _ in range(4))
+    f_at_cut = capped_exp(kind, c, 1.0)
+    scale_at_cut = np.maximum(1.0, f_at_cut)
+    zero_below = _EXP_ZERO_BELOW / c if c > 0.0 else -math.inf
     worst, localized = (True, math.inf, math.inf), True  # worst: (gap is a number, gap, x)
-    for piece in pieces:
-        for start in range(0, piece.size, _BLOCK):
-            x = piece[start : start + _BLOCK]
-            f_values = capped_exp(kind, c, x)
-            normalized = (f_values - minorant(x)) / np.maximum(1.0, f_values)
-            i = int(np.argmin(normalized))
-            gap = float(normalized[i])
-            worst = min(worst, (gap == gap, gap if gap == gap else 0.0, float(x[i])))
-            if not gap > EQUALITY_RTOL:  # otherwise no point of the block is an equality
-                xs = x[np.abs(normalized) <= EQUALITY_RTOL]
+    for start, stop, num in pieces:
+        # np.linspace takes this form unless step is 0.0, which a window at
+        # least 2e-3 wide rules out; reading a block's x range from its ends
+        # needs sorted points, which finite ones are
+        step = (stop - start) / (num - 1) if num > 1 else 0.0
+        ordered = math.isfinite(start) and math.isfinite(step)
+        for first in range(0, num, _BLOCK):
+            n = min(_BLOCK, num - first)
+            xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
+            np.add(index[:n], first, out=xb)
+            np.multiply(xb, step, out=xb)
+            np.add(xb, start, out=xb)
+            if first + n == num:
+                xb[-1] = stop
+            minorant(xb, out=gb)
+            if ordered and xb[0] >= 1.0:
+                np.subtract(f_at_cut, gb, out=gapb)
+                np.divide(gapb, scale_at_cut, out=gapb)
+            elif ordered and xb[-1] < 0.0 and c >= 0.0:
+                zeros = int(xb.searchsorted(zero_below))
+                fb[:zeros] = 0.0
+                if zeros < n:
+                    capped_exp(kind, c, xb[zeros:], out=fb[zeros:])
+                np.subtract(fb, gb, out=gapb)
+            else:
+                capped_exp(kind, c, xb, out=fb)
+                np.subtract(fb, gb, out=gapb)
+                np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
+            i = int(gapb.argmin())
+            gap_i = float(gapb[i])
+            worst = min(worst, (gap_i == gap_i, gap_i if gap_i == gap_i else 0.0, float(xb[i])))
+            if not gap_i > EQUALITY_RTOL:  # otherwise no point of the block is an equality
+                xs = xb[np.abs(gapb) <= EQUALITY_RTOL]
                 near_contact = np.zeros_like(xs, dtype=bool)
                 for x0 in minorant.contact_points:
                     near_contact |= np.abs(xs - x0) <= CONTACT_WINDOW * (1.0 + abs(x0))
@@ -184,7 +241,7 @@ def check_certificate(
         worst_gap=worst_gap if is_number else math.nan,
         worst_x=worst_x,
         equality_localized=localized,
-        n_points=sum(piece.size for piece in pieces),
+        n_points=sum(num for _, _, num in pieces),
     )
 
 

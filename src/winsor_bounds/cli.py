@@ -16,7 +16,13 @@ import sys
 
 from . import asymptotics, oracle, verify
 from .distributions import BoundQuery
-from .errors import CaseViolationError, ParameterError, WinsorBoundsError, require_positive
+from .errors import (
+    CaseViolationError,
+    ParameterError,
+    WinsorBoundsError,
+    in_range,
+    require_positive,
+)
 from .sweeps import SweepKind, compute_sweep, sigma_grid, write_csv
 from .trunc import lower_bound_trunc
 from .winsor import lower_bound_fixed_c, lower_bound_universal
@@ -106,8 +112,16 @@ def cmd_collapse_demo(args) -> int:
     require_positive("sigma", args.sigma)
     # start inside the collapse regime a < min(1, sigma^2), where the
     # positive support point sigma^2/a clears the cut
-    start = 0.5 * min(1.0, args.sigma * args.sigma)
-    a_values = [start * 0.5**k for k in range(args.steps)]
+    start = 0.5 * min(1.0, in_range("sigma^2", args.sigma * args.sigma, args.sigma))
+    a_values = [start]
+    while len(a_values) < args.steps:
+        a = start * 0.5 ** len(a_values)
+        if not 0.0 < a < a_values[-1]:  # the halvings have run out of doubles
+            raise ParameterError(
+                f"--steps must be <= {len(a_values)} at sigma={args.sigma!r}, where "
+                f"a = {start!r} * 0.5^k stops decreasing above 0.0, got {args.steps}"
+            )
+        a_values.append(a)
     points = oracle.trunc_collapse_sequence(args.sigma, a_values)
     floor = lower_bound_universal(args.sigma).bound
     print(f"{'a':>12} {'c':>12} {'trunc_moment':>22} {'winsor_floor':>22}")

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from winsor_bounds import certificates, trunc, winsor
+from winsor_bounds import certificates, oracle, trunc, winsor
 from winsor_bounds.certificates import MomentKind, QuadraticMinorant
 from winsor_bounds.errors import CaseViolationError, ParameterError
 
@@ -46,6 +46,26 @@ def beta_scaled(minorant, factor):
     return from_coefficients(
         float(minorant(0.0)), factor * minorant.beta, minorant.gamma, minorant.contact_points
     )
+
+
+class Recording(QuadraticMinorant):
+    """A minorant that keeps a copy of every x it is evaluated at."""
+
+    seen: list = []
+
+    def __call__(self, x, out=None):
+        Recording.seen.append(np.array(x, dtype=float))
+        return super().__call__(x, out=out)
+
+
+class Zero(QuadraticMinorant):
+    """G = 0.0 everywhere, so the gap is 0.0 exactly where F underflows."""
+
+    def __call__(self, x, out=None):
+        if out is None:
+            out = np.empty(np.shape(x))
+        out[...] = 0.0
+        return out
 
 
 class TestWinsorMinorant:
@@ -259,8 +279,11 @@ class TestCheckCertificate:
         x0 = -1.23456789
 
         class TwoSpikes(QuadraticMinorant):
-            def __call__(self, x):
-                return np.where(np.isin(x, (x0, 20.0)), 2.0, 0.0)
+            def __call__(self, x, out=None):
+                if out is None:
+                    out = np.empty(np.shape(x))
+                out[...] = np.where(np.isin(x, (x0, 20.0)), 2.0, 0.0)
+                return out
 
         spikes = from_coefficients(0.0, 1.0, -1.0, (x0, 2.0), cls=TwoSpikes)
         report = certificates.check_certificate(spikes, MomentKind.WINSOR, 0.0)
@@ -301,7 +324,72 @@ REFERENCE_CASES = {
         MomentKind.WINSOR,
         1.0,
     ),
+    # six span blocks where c*x < _EXP_ZERO_BELOW throughout, so F is 0.0
+    # with no exp call, then one that the cutoff splits
+    "winsor-10-1e6-zero-prefix": lambda: solved_winsor(10.0, 1e6),
+    # large branch: a zero prefix, then a block across the subnormal band
+    # -745.13 < c*x < -708, where exp is neither 0.0 nor normal
+    "trunc-large-50-10-subnormal-band": lambda: (
+        certificates.trunc_minorant_large(trunc.solve_A_c_sigma(50.0, 10.0), 50.0),
+        MomentKind.TRUNC,
+        50.0,
+    ),
+    # the window around the lower contact -1.9e-42 is a block across 0, and
+    # the window around the cut one across 1 where F climbs to e^100
+    "winsor-100-1-window-across-0": lambda: solved_winsor(100.0, 1.0),
+    # G = 0.5 + 10x - 10x^2 lies above F = e^{2x} most, relative to F > 1,
+    # at x = 1 - sqrt(0.55) = 0.25838..., inside the window of a contact
+    # declared there, a block inside (0, 1)
+    "worst-inside-0-1": lambda: (
+        from_coefficients(0.5, 10.0, -10.0, (-1.0, 0.25838)), MomentKind.WINSOR, 2.0
+    ),
+    # F and G are both 0.0 on the zero prefix: the worst gap is +0.0 at -span
+    "zero-minorant": lambda: (
+        from_coefficients(0.0, 1.0, -1.0, (-1.0, 200.0), cls=Zero), MomentKind.WINSOR, 10.0
+    ),
+    # c = 0: no zero prefix, and F = 1 everywhere
+    "winsor-1-1-at-c-0": lambda: (solved_winsor(1.0, 1.0)[0], MomentKind.WINSOR, 0.0),
+    # c < 0: F > 1 on x < 0, so neither shortcut for x < 0 holds; G = 1
+    # + x/100 - 100x^2 rises above F = e^{-2x} only near x = 0.01
+    "c-minus-2": lambda: (
+        from_coefficients(1.0, 0.01, -100.0, (-1.0, 1.0)), MomentKind.WINSOR, -2.0
+    ),
 }
+
+
+def block_kinds(minorant, c):
+    """The kinds of block check_certificate walks for this minorant, read
+    from np.linspace's pieces as the check reads them."""
+    kinds = set()
+    for start, stop, num in certificates._grid_pieces(minorant):
+        points = np.linspace(start, stop, num)
+        for first in range(0, num, certificates._BLOCK):
+            x = points[first : first + certificates._BLOCK]
+            if x[0] >= 1.0:
+                kinds.add("x >= 1")
+                continue
+            zero = c * x < certificates._EXP_ZERO_BELOW
+            if zero.all():
+                kinds.add("exact zero")
+            elif zero.any():
+                kinds.add("split by the cutoff")
+            if np.any((c * x > -745.13) & (c * x < -708.0)):
+                kinds.add("subnormal band")
+            if x[0] < 0.0 <= x[-1]:
+                kinds.add("across 0")
+            if x[0] < 1.0 <= x[-1]:
+                kinds.add("across 1")
+    return kinds
+
+
+def test_reference_cases_reach_every_kind_of_block():
+    reached = set()
+    for make in REFERENCE_CASES.values():
+        minorant, _, c = make()
+        reached |= block_kinds(minorant, c)
+    assert reached == {
+        "x >= 1", "exact zero", "split by the cutoff", "subnormal band", "across 0", "across 1"
+    }
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
@@ -316,3 +404,88 @@ def test_blockwise_check_matches_sorted_grid_reference(case):
     assert report.passed is passed
     assert report.equality_localized is localized
     assert report.n_points >= certificates.certificate_grid(minorant).size
+
+
+# at winsor-0.5-0.2 the span's last point index*step + start is not stop
+@pytest.mark.parametrize("case", ["winsor-0.5-0.2", "winsor-5-30", "trunc-large"])
+def test_walked_points_are_the_linspace_points(case):
+    # each block is rebuilt in place as index*step + start with the last
+    # point set to stop: bit for bit the points of np.linspace
+    minorant, kind, c = REFERENCE_CASES[case]()
+    recording = from_coefficients(0.0, 1.0, -1.0, minorant.contact_points, cls=Recording)
+    Recording.seen = []
+    certificates.check_certificate(recording, kind, c)
+    walked = np.concatenate(Recording.seen)
+    linspace = np.concatenate([np.linspace(*piece) for piece in certificates._grid_pieces(minorant)])
+    assert bits(walked) == bits(linspace)
+
+
+def test_exp_is_exactly_zero_below_the_cutoff():
+    # the check sets F to 0.0 without calling exp where c*x < _EXP_ZERO_BELOW;
+    # a numpy whose exp stops returning exactly 0.0 there fails here, not in
+    # a certificate
+    cutoff = certificates._EXP_ZERO_BELOW
+    below = np.concatenate((
+        [cutoff, np.nextafter(cutoff, -np.inf)],
+        np.linspace(2.0 * cutoff, cutoff, 100_001),
+        -np.logspace(3.0, 308.0, 10_001),
+        [-np.inf],
+    ))
+    with np.errstate(under="ignore"):
+        assert np.all(np.exp(below) == 0.0)
+        assert np.exp(cutoff) == 0.0
+        # the margin: the least subnormal is still returned just above -745.13
+        assert np.exp(-745.13) > 0.0
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def f_by_formula(kind, c, x):
+    """F as one numpy expression, the form capped_exp must reproduce."""
+    with np.errstate(under="ignore"):
+        if kind is MomentKind.WINSOR:
+            return np.exp(c * np.minimum(x, 1.0))
+        return np.exp(np.where(x < 1.0, c * x, 0.0))
+
+
+OUT_CASES = {
+    "grid": lambda: np.linspace(-800.0, 3.0, 5_001),
+    "scalar": lambda: np.asarray(0.5),
+}
+
+
+@pytest.mark.parametrize("kind", list(MomentKind))
+@pytest.mark.parametrize("points", OUT_CASES)
+def test_capped_exp_out_gives_the_allocating_bits(kind, points):
+    x = OUT_CASES[points]()
+    out = np.full(x.shape, np.nan)
+    expected = bits(f_by_formula(kind, 2.0, x))
+    assert bits(certificates.capped_exp(kind, 2.0, x)) == expected
+    assert bits(certificates.capped_exp(kind, 2.0, x, out=out)) == expected
+    assert bits(out) == expected
+
+
+@pytest.mark.parametrize("kind", list(MomentKind))
+def test_capped_exp_out_with_broadcast_tilts(kind):
+    # probe_moments' shapes: tilts (n, 1) against supports (n, 3)
+    probe = oracle.sample_three_point(2.0, 500, seed=3)
+    c = probe.tilts[:, None]
+    out = np.empty(probe.support.shape)
+    certificates.capped_exp(kind, c, probe.support, out=out)
+    expected = bits(f_by_formula(kind, c, probe.support))
+    assert bits(certificates.capped_exp(kind, c, probe.support)) == expected
+    assert bits(out) == expected
+
+
+def test_minorant_out_gives_the_allocating_bits():
+    minorant = certificates.winsor_minorant(winsor.solve_a_c_sigma(600.0, 1.0), 600.0)
+    x = np.linspace(-1e259, 1e259, 5_001)
+    out = np.full(x.shape, np.nan)
+    u = x - minorant.contact_points[0]
+    expected = bits(minorant.lower_value + u * (minorant.lower_slope + minorant.gamma * u))
+    assert bits(minorant(x)) == expected
+    assert bits(minorant(x, out=out)) == expected
+    assert bits(out) == expected
+    assert type(minorant(0.5)) is np.float64

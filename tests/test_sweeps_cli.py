@@ -300,6 +300,17 @@ class TestCli:
         assert cli.main(["collapse-demo", "--sigma", "1", "--steps", "1"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
+    def test_collapse_demo_rejects_steps_past_the_doubles(self, capsys):
+        # at sigma = 1, a = 0.5 * 0.5^k is positive for the first 1074 k only
+        assert sum(0.5 * 0.5**k > 0.0 for k in range(1100)) == 1074
+        for steps in ("1075", "1100"):
+            assert cli.main(["collapse-demo", "--sigma", "1", "--steps", steps]) == cli.EXIT_VALIDATION
+            assert capsys.readouterr().err.startswith("error: --steps must be <= 1074 at sigma=1.0")
+
+    def test_collapse_demo_underflowing_sigma_squared_exit_code(self, capsys):
+        assert cli.main(["collapse-demo", "--sigma", "1e-200"]) == cli.EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err.startswith("error: sigma^2 underflows to 0.0")
+
     def test_collapse_demo_sigma_ten_floor(self, capsys):
         assert cli.main(["collapse-demo", "--sigma", "10", "--steps", "3"]) == 0
         last = capsys.readouterr().out.strip().splitlines()[-1].split()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import require_positive
+from .errors import LN_DBL_MAX, exp_or_inf, in_range, require_positive
 from .roots import _solve
 
 
@@ -59,14 +59,17 @@ def winsor_small_sigma_slope(c: float) -> float:
     """Coefficient of sigma^2 in the fixed-tilt Winsorized bound near sigma=0:
     -c^2 / (4(e^c - 1))."""
     require_positive("c", c)
-    return -c * c / (4.0 * math.expm1(c))
+    denominator = 4.0 * math.expm1(min(c, LN_DBL_MAX))
+    if denominator == math.inf:  # there e^c - 1 is e^c to double precision
+        return -0.25 * math.exp(2.0 * math.log(c) - c)
+    return -c * c / denominator
 
 
 def winsor_large_sigma_coeff(c: float) -> float:
     """Coefficient of ln^2(sigma)/sigma^2 in the fixed-tilt Winsorized bound
     for large sigma: 4 e^c / c^2."""
     require_positive("c", c)
-    return 4.0 * math.exp(c) / (c * c)
+    return in_range("4e^c/c^2", 4.0 * exp_or_inf(c) / (c * c), c)
 
 
 def trunc_asymptote(c: float, sigma: float, regime: Regime) -> float:

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 failed verification, 2 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import asymptotics, oracle, verify
@@ -110,19 +111,23 @@ def cmd_collapse_demo(args) -> int:
     if args.steps < 1:
         raise ParameterError(f"--steps must be >= 1, got {args.steps}")
     require_positive("sigma", args.sigma)
+    sigma2 = in_range("sigma^2", args.sigma * args.sigma, args.sigma)
     # start inside the collapse regime a < min(1, sigma^2), where the
-    # positive support point sigma^2/a clears the cut
-    start = 0.5 * min(1.0, in_range("sigma^2", args.sigma * args.sigma, args.sigma))
+    # positive support point sigma^2/a clears the cut; halve a while the tilt
+    # 1/a^2 and sigma^2/a stay doubles (the oracle refuses a start past them)
+    start = 0.5 * min(1.0, sigma2)
     a_values = [start]
     while len(a_values) < args.steps:
         a = start * 0.5 ** len(a_values)
-        if not 0.0 < a < a_values[-1]:  # the halvings have run out of doubles
-            raise ParameterError(
-                f"--steps must be <= {len(a_values)} at sigma={args.sigma!r}, where "
-                f"a = {start!r} * 0.5^k stops decreasing above 0.0, got {args.steps}"
-            )
+        if not (a * a and 1.0 / (a * a) < math.inf and sigma2 / a < math.inf):
+            break
         a_values.append(a)
     points = oracle.trunc_collapse_sequence(args.sigma, a_values)
+    if len(points) < args.steps:
+        raise ParameterError(
+            f"--steps must be <= {len(points)} at sigma={args.sigma!r}, where the tilt "
+            f"1/a^2 and b = sigma^2/a of a = {start!r} * 0.5^k stay doubles, got {args.steps}"
+        )
     floor = lower_bound_universal(args.sigma).bound
     print(f"{'a':>12} {'c':>12} {'trunc_moment':>22} {'winsor_floor':>22}")
     for point in points:

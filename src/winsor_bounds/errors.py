@@ -4,6 +4,8 @@ result that can leave the doubles passes through."""
 
 import math
 
+LN_DBL_MAX = 709.782712893384  # ln(DBL_MAX): e^z is a double up to here, and no further
+
 
 class WinsorBoundsError(Exception):
     """Base class for all errors raised by this package."""
@@ -53,11 +55,17 @@ def in_range(quantity: str, value: float, *operands: float) -> float:
     """Return the positive result ``value``, named ``quantity`` and formed
     from ``operands``, unless it has left the doubles: an overflow to inf
     raises ExponentOverflowError, and an underflow to 0.0, which leaves no
-    positive double to answer with, raises NoSignChangeError."""
-    if value == math.inf:
+    positive double to answer with, raises NoSignChangeError.  A NaN, which
+    finite operands form only through an inf, counts as an overflow."""
+    if not value < math.inf:
         fate, error = "overflows to inf", ExponentOverflowError
     elif value == 0.0:
         fate, error = "underflows to 0.0", NoSignChangeError
     else:
         return value
     raise error(f"{quantity} {fate} (operands {', '.join(map(repr, operands))})")
+
+
+def exp_or_inf(z: float) -> float:
+    """e^z, or inf past LN_DBL_MAX, where math.exp raises; in_range refuses it."""
+    return math.exp(z) if z <= LN_DBL_MAX else math.inf

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import MomentKind, capped_exp
-from .errors import ParameterError, require_positive
+from .errors import ParameterError, in_range, require_positive
 
 REFINE_POINTS = (10_000, 1_000)    # a points of the coarse and the fine sweep
 UNIVERSAL_COARSE = (2_000, 200)    # (a, c) points of the joint scan
@@ -165,7 +165,7 @@ def trunc_collapse_sequence(sigma: float, a_values) -> list[CollapsePoint]:
     where the positive support point clears the cut (b >= 1); exact
     underflow of e^{-c a} to 0 is reported as 0.  Points with a > sigma^2
     sit outside the collapse regime and may evaluate to huge values or
-    infinity, reported as data.
+    infinity, reported as data.  in_range refuses an a whose c or b is no double.
     """
     require_positive("sigma", sigma)
     a_values = list(a_values)
@@ -175,7 +175,11 @@ def trunc_collapse_sequence(sigma: float, a_values) -> list[CollapsePoint]:
         raise ParameterError("a_values must be strictly decreasing")
 
     a = np.array(a_values, dtype=float)
-    c = 1.0 / (a * a)
+    with np.errstate(over="ignore", divide="ignore"):
+        c = 1.0 / (a * a)
+    last = float(a[-1])  # a decreases: the last a has the largest c and b
+    in_range("the tilt 1/a^2", float(c[-1]), last)
+    in_range("b = sigma^2/a", sigma * sigma / last, sigma, last)
     with np.errstate(over="ignore"):
         moments = two_point_moment_grid(MomentKind.TRUNC, c, sigma, a)
     return [

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import BoundQuery, TwoPointDistribution, two_point
-from .errors import in_range, require_positive
+from .errors import exp_or_inf, in_range, require_positive
 from .roots import _solve
 from .winsor import (
-    EXP_ARG_MAX, _exp_checked, _log_support_point, _log_support_slope, _moment_match,
-    _support_point,
+    EXP_ARG_MAX, _log_support_point, _log_support_slope, _moment_match, _support_point,
 )
 
 
@@ -38,7 +37,8 @@ class Branch(str, Enum):
 
 
 def B_star(a: float, c: float) -> float:
-    """(2(e^{ac} - 1) - ac) / c; strictly increasing in a from 0 to infinity."""
+    """(2(e^{ac} - 1) - ac) / c; strictly increasing in a from 0 to infinity.
+    Raises ExponentOverflowError where it overflows; use log_B_star there."""
     require_positive("a", a, allow_zero=True)
     require_positive("c", c)
     return _support_point(a, c, 0.0)
@@ -96,7 +96,7 @@ def trunc_moment(dist: TwoPointDistribution, c: float) -> float:
     legitimate and kept.
     """
     require_positive("c", c)
-    pos = _exp_checked(c * dist.b, "trunc_moment") if dist.b < 1.0 else 1.0
+    pos = in_range("e^(cb)", exp_or_inf(c * dist.b), c, dist.b) if dist.b < 1.0 else 1.0
     return dist.p_pos * pos + dist.p_neg * math.exp(-c * dist.a)
 
 

@@ -76,10 +76,8 @@ def suite_roots() -> list[CheckResult]:
             worst = max(worst, residual)
     results.append(_bounded_check("roots.winsor_fixed_c_residual", worst, 1e-10))
 
-    worst = 0.0
-    for sigma in SIGMA_GRID:
-        a = winsor.solve_a_sigma(sigma)
-        worst = max(worst, abs(winsor.ell1(a, sigma)))
+    a_universal = {sigma: winsor.solve_a_sigma(sigma) for sigma in SIGMA_GRID}
+    worst = max(abs(winsor.ell1(a, sigma)) for sigma, a in a_universal.items())
     results.append(_bounded_check("roots.winsor_universal_residual", worst, 1e-10))
 
     worst = 0.0
@@ -99,8 +97,7 @@ def suite_roots() -> list[CheckResult]:
     results.append(_bounded_check("roots.trunc_threshold_identity", worst, 1e-10))
 
     worst = 0.0
-    for sigma in SIGMA_GRID:
-        a_univ = winsor.solve_a_sigma(sigma)
+    for sigma, a_univ in a_universal.items():
         c_opt = winsor.optimal_c_for_two_point(a_univ, sigma)
         a_fixed = winsor.solve_a_c_sigma(c_opt, sigma)
         worst = max(worst, _relative_gap(a_univ, a_fixed))
@@ -141,6 +138,7 @@ def suite_ordering() -> list[CheckResult]:
         for sigma in SIGMA_GRID
     }
     universal = {sigma: winsor.lower_bound_universal(sigma) for sigma in SIGMA_GRID}
+    thresholds = {c: trunc.solve_A_c(c) for c in C_GRID}  # A_c, solved once per tilt
 
     worst = 0.0
     for (c, sigma), bound in fixed.items():
@@ -171,14 +169,14 @@ def suite_ordering() -> list[CheckResult]:
     worst = 0.0
     for (c, sigma), solution in truncated.items():
         if solution.branch is Branch.LARGE_SIGMA:
-            worst = max(worst, (solution.A_c - solution.A_c_sigma) / solution.A_c)
+            worst = max(worst, (thresholds[c] - solution.A_c_sigma) / thresholds[c])
             worst = max(worst, 1.0 - solution.B_c_sigma)
     results.append(_bounded_check("ordering.trunc_branch_inequalities", worst, 1e-12,
                                   "A_c_sigma >= A_c and B_c_sigma >= 1"))
 
     worst = 0.0
     for c in (0.5, 1.0, 2.0, 5.0):
-        threshold = trunc.solve_A_c(c)
+        threshold = thresholds[c]
         small = trunc.trunc_moment(two_point(threshold, 1.0), c)
         a_large = trunc.solve_A_c_sigma(c, math.sqrt(threshold))
         b_large = max(threshold / a_large, 1.0)
@@ -289,12 +287,13 @@ def suite_oracle(seed: int = 1) -> list[CheckResult]:
 
     worst_value = 0.0
     worst_cell = 0.0
+    solved = {}  # each bound is solved once; the probes and the collapse read them again
     for c, sigma in ORACLE_PAIRS:
         for kind, lower_bound in (
             (MomentKind.WINSOR, winsor.lower_bound_fixed_c),
             (MomentKind.TRUNC, trunc.lower_bound_trunc),
         ):
-            analytic = lower_bound(BoundQuery(c, sigma))
+            analytic = solved[(kind, c, sigma)] = lower_bound(BoundQuery(c, sigma))
             found = oracle.refine_grid_min(c, sigma, kind)
             worst_value = max(worst_value, _relative_gap(found.min_value, analytic.bound))
             worst_cell = max(
@@ -307,8 +306,9 @@ def suite_oracle(seed: int = 1) -> list[CheckResult]:
 
     worst_value = 0.0
     worst_cell = 0.0
+    universal = {}
     for sigma in (0.5, 1.0, 10.0):
-        analytic = winsor.lower_bound_universal(sigma)
+        analytic = universal[sigma] = winsor.lower_bound_universal(sigma)
         found = oracle.universal_grid_min(sigma)
         worst_value = max(worst_value, _relative_gap(found.min_value, analytic.bound))
         worst_cell = max(
@@ -333,9 +333,9 @@ def suite_oracle(seed: int = 1) -> list[CheckResult]:
                                   "values one refined cell away strictly exceed the minimum"))
 
     probe = oracle.sample_three_point(1.0, 100_000, seed)
-    floor_fixed = winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0)).bound
-    floor_universal = winsor.lower_bound_universal(1.0).bound
-    floor_trunc = trunc.lower_bound_trunc(BoundQuery(1.0, 1.0)).bound
+    floor_fixed = solved[(MomentKind.WINSOR, 1.0, 1.0)].bound
+    floor_universal = universal[1.0].bound
+    floor_trunc = solved[(MomentKind.TRUNC, 1.0, 1.0)].bound
     margins = [
         float(np.min(oracle.probe_moments(probe, MomentKind.WINSOR, 1.0))) - floor_fixed,
         float(np.min(oracle.probe_moments(probe, MomentKind.WINSOR, probe.tilts)))
@@ -348,9 +348,8 @@ def suite_oracle(seed: int = 1) -> list[CheckResult]:
     points = oracle.trunc_collapse_sequence(1.0, (0.5, 0.2, 0.1, 0.05))
     moments = [p.moment for p in points]
     collapse_ok = all(m2 < m1 for m1, m2 in zip(moments, moments[1:])) and moments[-1] < 1e-2
-    winsor_floor = winsor.lower_bound_universal(1.0).bound
     floor_ok = all(
-        winsor.optimal_winsor_moment(p.a, 1.0) >= winsor_floor * (1.0 - 1e-12)
+        winsor.optimal_winsor_moment(p.a, 1.0) >= floor_universal * (1.0 - 1e-12)
         for p in points
     )
     results.append(CheckResult(
@@ -389,6 +388,11 @@ def suite_asymptotics() -> list[CheckResult]:
     # |ratio - 1| shrinking monotonically along the big-sigma ladder.
     ladder = (1e4, 1e6, 1e8, 1e10)
     cs = (1.0, 1.5, 2.0, 3.0)
+    # each ladder bound is solved once; the separation checks below read them again
+    queries = [(c, s) for c in cs for s in ladder]
+    fixed = {q: winsor.lower_bound_fixed_c(BoundQuery(*q)).bound for q in queries}
+    truncated = {q: trunc.lower_bound_trunc(BoundQuery(*q)).bound for q in queries}
+    universal = {s: winsor.lower_bound_universal(s).bound for s in ladder}
     worst_at_1e6 = 0.0
     worst_monotone = 0.0
     for c in cs:
@@ -396,17 +400,13 @@ def suite_asymptotics() -> list[CheckResult]:
         gaps_w, gaps_t = [], []
         for s in ladder:
             log_term = math.log(s) ** 2 / (s * s)
-            ratio_w = winsor.lower_bound_fixed_c(BoundQuery(c, s)).bound / (coeff_w * log_term)
-            ratio_t = trunc.lower_bound_trunc(BoundQuery(c, s)).bound / (
-                asymptotics.trunc_asymptote(c, s, Regime.LARGE_SIGMA)
-            )
+            ratio_w = fixed[(c, s)] / (coeff_w * log_term)
+            ratio_t = truncated[(c, s)] / asymptotics.trunc_asymptote(c, s, Regime.LARGE_SIGMA)
             gaps_w.append(abs(ratio_w - 1.0))
             gaps_t.append(abs(ratio_t - 1.0))
             if s == 1e6:
                 worst_at_1e6 = max(worst_at_1e6, gaps_w[-1], gaps_t[-1])
-        worst_monotone = max(
-            worst_monotone, max(g2 - g1 for g1, g2 in zip(gaps_w, gaps_w[1:]))
-        )
+        worst_monotone = max(worst_monotone, max(g2 - g1 for g1, g2 in zip(gaps_w, gaps_w[1:])))
         if c <= 2.0:
             # the truncated ratio crosses 1 inside the ladder for larger c,
             # so its distance to 1 is only monotone up to c = 2 here
@@ -415,22 +415,16 @@ def suite_asymptotics() -> list[CheckResult]:
             )
     gaps_u = []
     for s in ladder:
-        ratio = winsor.lower_bound_universal(s).bound / asymptotics.universal_asymptote(
-            s, Regime.LARGE_SIGMA
-        )
+        ratio = universal[s] / asymptotics.universal_asymptote(s, Regime.LARGE_SIGMA)
         gaps_u.append(abs(ratio - 1.0))
         if s == 1e6:
             worst_at_1e6 = max(worst_at_1e6, gaps_u[-1])
-    worst_monotone = max(
-        worst_monotone, max(g2 - g1 for g1, g2 in zip(gaps_u, gaps_u[1:]))
-    )
+    worst_monotone = max(worst_monotone, max(g2 - g1 for g1, g2 in zip(gaps_u, gaps_u[1:])))
     results.append(_bounded_check("asymptotics.large_sigma_within_30pct", worst_at_1e6, 0.30))
     results.append(_bounded_check("asymptotics.large_sigma_monotone_approach",
                                   worst_monotone, 0.0))
 
-    ratio_1e10 = asymptotics.universal_asymptote(1e10, Regime.LARGE_SIGMA) / (
-        winsor.lower_bound_universal(1e10).bound
-    )
+    ratio_1e10 = asymptotics.universal_asymptote(1e10, Regime.LARGE_SIGMA) / universal[1e10]
     results.append(_bounded_check(
         "asymptotics.slow_convergence_regression",
         abs(ratio_1e10 - 1.2011783441755197),
@@ -442,16 +436,8 @@ def suite_asymptotics() -> list[CheckResult]:
     # 5% at sigma=1e10 for c=1 (the approach is only logarithmic in sigma).
     worst_monotone = 0.0
     for c in (1.0, 1.5, 2.0):
-        ratios = []
-        for s in ladder:
-            ratios.append(
-                winsor.lower_bound_fixed_c(BoundQuery(c, s)).bound
-                / trunc.lower_bound_trunc(BoundQuery(c, s)).bound
-                / math.exp(c)
-            )
-        worst_monotone = max(
-            worst_monotone, max(r1 - r2 for r1, r2 in zip(ratios, ratios[1:]))
-        )
+        ratios = [fixed[(c, s)] / truncated[(c, s)] / math.exp(c) for s in ladder]
+        worst_monotone = max(worst_monotone, max(r1 - r2 for r1, r2 in zip(ratios, ratios[1:])))
         if c == 1.0:
             separation_gap = abs(ratios[-1] - 1.0)
     results.append(_bounded_check("asymptotics.exp_c_separation_monotone",

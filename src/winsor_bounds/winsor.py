@@ -31,29 +31,22 @@ from dataclasses import dataclass
 
 from . import asymptotics
 from .distributions import BoundQuery, TwoPointDistribution, _effective_sigma, two_point
-from .errors import ExponentOverflowError, ParameterError, in_range, require_positive
+from .errors import LN_DBL_MAX, ParameterError, exp_or_inf, in_range, require_positive
 from .roots import _solve
 
-EXP_ARG_MAX = 709.0  # exp() overflows just above ln(DBL_MAX) ~ 709.78
+EXP_ARG_MAX = 709.0  # only picks a numeric form (a seed, a branch test); it refuses nothing
 LOG_FORM_CUTOVER = 30.0
-
-
-def _exp_checked(z: float, context: str) -> float:
-    if z > EXP_ARG_MAX:
-        raise ExponentOverflowError(f"{context}: exponent {z!r} exceeds double range")
-    return math.exp(z)
 
 
 def _support_point(a: float, c: float, shift: float) -> float:
     """(2(e^z - 1) - ac) / c with z = shift + ac: the upper atom of the
     extremal law, shift = c for the Winsorized map and 0 for the truncated
-    one.  Arguments are trusted; the public wrappers validate them."""
+    one.  Arguments are trusted; the public wrappers validate them.  z is
+    clamped at LN_DBL_MAX, where 2(e^z - 1) already overflows; only an
+    overflow is refused, as B_star(0, c) = 0 is an answer."""
     z = shift + a * c
-    if z > EXP_ARG_MAX:
-        raise ExponentOverflowError(
-            f"support point at a={a!r}, c={c!r}: exponent {z!r} exceeds double range"
-        )
-    return (2.0 * math.expm1(z) - a * c) / c
+    support = (2.0 * math.expm1(min(z, LN_DBL_MAX)) - a * c) / c
+    return in_range("the support point", support, a, c) if support else support
 
 
 def _log_support_point(a: float, c: float, shift: float) -> float:
@@ -95,8 +88,8 @@ def _moment_match(c: float, sigma: float, shift: float, start: float) -> float:
 def b_star(a: float, c: float) -> float:
     """Saturated positive support point (2(e^{c+ac} - 1) - ac) / c.
 
-    Strictly increasing in a, always > 2.  Raises ExponentOverflowError when
-    c + a*c leaves the double exponent range; use log_b_star there.
+    Strictly increasing in a, always > 2.  Raises ExponentOverflowError where
+    it overflows (c + a*c past ~709.09, or a tiny c); use log_b_star there.
     """
     require_positive("a", a, allow_zero=True)
     require_positive("c", c)
@@ -194,7 +187,8 @@ def winsor_moment(dist: TwoPointDistribution, c: float) -> float:
     """E exp(c * min(1, X)) for a two-point law, in closed form."""
     require_positive("c", c)
     x_pos, x_neg = c * min(1.0, dist.b), -c * dist.a
-    moment = dist.p_pos * _exp_checked(x_pos, "winsor_moment") + dist.p_neg * math.exp(x_neg)
+    e_pos = in_range("e^(c*min(1, b))", exp_or_inf(x_pos), c, dist.b)
+    moment = dist.p_pos * e_pos + dist.p_neg * math.exp(x_neg)
     if abs(moment - 1.0) > 2.0**-26:
         return moment
     # This close to 1 the sum keeps fewer than 26 bits of moment - 1 and can

@@ -3,11 +3,12 @@
 import math
 
 import pytest
+from mpmath import mp, mpf
 from scipy.optimize import minimize_scalar
 
 from winsor_bounds import asymptotics
 from winsor_bounds.asymptotics import Regime
-from winsor_bounds.errors import ParameterError
+from winsor_bounds.errors import ExponentOverflowError, ParameterError
 
 
 def bisect(f, lo, hi, iters=200):
@@ -52,6 +53,23 @@ def test_small_sigma_slope_values():
     # c -> 0 tail behaves like -c/4 with a c^2/8 correction
     c = 1e-8
     assert abs(asymptotics.winsor_small_sigma_slope(c) + c / 4.0) < c * c
+
+
+@pytest.mark.parametrize("c", [709.0, 709.78, 709.8, 720.0, 800.0, 1e200])
+def test_small_sigma_slope_past_the_overflowing_denominator(c):
+    # 4(e^c - 1) overflows past c ~ 708.4; the slope is a double up to
+    # c ~ 757 and rounds to -0.0 beyond
+    slope = asymptotics.winsor_small_sigma_slope(c)
+    assert math.isfinite(slope) and slope <= 0.0
+    with mp.workdps(50):
+        expected = float(-mpf(c) ** 2 / (4 * mp.expm1(c)))
+    assert slope == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [709.0, 800.0, 1e200, 1e-160])
+def test_large_sigma_coeff_overflow_signalled(c):
+    with pytest.raises(ExponentOverflowError, match=r"^4e\^c/c\^2 overflows"):
+        asymptotics.winsor_large_sigma_coeff(c)
 
 
 def test_large_sigma_coeff_values():

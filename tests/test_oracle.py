@@ -3,10 +3,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from winsor_bounds import oracle, trunc, winsor
 from winsor_bounds.certificates import MomentKind
 from winsor_bounds.distributions import BoundQuery
+from winsor_bounds.errors import ExponentOverflowError
 from winsor_bounds.trunc import Branch
 
 
@@ -120,9 +122,15 @@ class TestCollapse:
         expected = 1e-3 / (1e-3 + 1e3)
         assert points[0].moment == expected
 
-    def test_input_validation(self):
-        import pytest
+    def test_refuses_a_whose_tilt_or_support_point_is_no_double(self):
+        # 1/a^2 = 1e320 at sigma = 1; b = sigma^2/a = 1e310 at sigma = 1e100
+        with pytest.raises(ExponentOverflowError, match=r"^the tilt 1/a\^2 overflows"):
+            oracle.trunc_collapse_sequence(1.0, (0.5, 1e-160))
+        with pytest.raises(ExponentOverflowError, match=r"^b = sigma\^2/a overflows") as raised:
+            oracle.trunc_collapse_sequence(1e100, np.array([0.5, 1e-110]))
+        assert str(raised.value).endswith("(operands 1e+100, 1e-110)")
 
+    def test_input_validation(self):
         from winsor_bounds.errors import ParameterError
 
         with pytest.raises(ParameterError):

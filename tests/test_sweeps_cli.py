@@ -301,11 +301,28 @@ class TestCli:
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
     def test_collapse_demo_rejects_steps_past_the_doubles(self, capsys):
-        # at sigma = 1, a = 0.5 * 0.5^k is positive for the first 1074 k only
-        assert sum(0.5 * 0.5**k > 0.0 for k in range(1100)) == 1074
-        for steps in ("1075", "1100"):
-            assert cli.main(["collapse-demo", "--sigma", "1", "--steps", steps]) == cli.EXIT_VALIDATION
-            assert capsys.readouterr().err.startswith("error: --steps must be <= 1074 at sigma=1.0")
+        # a = 0.5 * 0.5^k keeps its tilt 1/a^2 a double for the first 511 k
+        # only, and at sigma = 1e100 keeps b = sigma^2/a one for the first 359
+        a_values = [0.5 * 0.5**k for k in range(520)]
+        assert sum(1.0 / (a * a) < math.inf for a in a_values) == 511
+        assert sum(1e100 * 1e100 / a < math.inf for a in a_values) == 359
+        for sigma, limit in (("1", "511 at sigma=1.0"), ("1e100", "359 at sigma=1e+100")):
+            for steps in (int(limit.split()[0]) + 1, 1100):
+                argv = ["collapse-demo", "--sigma", sigma, "--steps", str(steps)]
+                assert cli.main(argv) == cli.EXIT_VALIDATION
+                assert capsys.readouterr().err.startswith(f"error: --steps must be <= {limit}")
+
+    @pytest.mark.parametrize("sigma, steps", [("1", "511"), ("1e100", "359")])
+    def test_collapse_demo_prints_doubles_up_to_the_limit(self, sigma, steps, capsys):
+        assert cli.main(["collapse-demo", "--sigma", sigma, "--steps", steps]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == int(steps)
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split())
+
+    def test_collapse_demo_first_tilt_past_the_doubles_exit_code(self, capsys):
+        # sigma^2 = 1e-200 is a double, but the first tilt 1/a^2 = 4e400 is not
+        assert cli.main(["collapse-demo", "--sigma", "1e-100"]) == cli.EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err.startswith("error: the tilt 1/a^2 overflows to inf")
 
     def test_collapse_demo_underflowing_sigma_squared_exit_code(self, capsys):
         assert cli.main(["collapse-demo", "--sigma", "1e-200"]) == cli.EXIT_NO_CONVERGENCE
@@ -446,3 +463,27 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [checks[2].line()]
         assert lines[-1] == f"{len(checks) - 1}/{len(checks)} checks passed"
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_figures_match_the_reference(tmp_path):
+    # the three figure tables on the full 200-sigma grid, as the script
+    # writes them, against the benchmark's stored reference (read only)
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "reproduce_figures.py"),
+         "--outdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    references = sorted((REPO_ROOT / "perfbench" / "reference").glob("fig*.csv"))
+    assert [ref.name for ref in references] == sorted(p.name for p in tmp_path.iterdir())
+    for ref in references:
+        got_header, got = read_csv(str(tmp_path / ref.name))
+        want_header, want = read_csv(str(ref))
+        assert got_header == want_header
+        assert [len(row) for row in got] == [len(row) for row in want]
+        for got_row, want_row in zip(got, want):
+            for g, w in zip(got_row, want_row):
+                assert g == w or abs(g - w) <= 1e-12 * max(abs(g), abs(w)), (ref.name, g, w)

@@ -51,6 +51,11 @@ class TestBStar:
         with pytest.raises(ExponentOverflowError):
             trunc.B_star(1000.0, 1.0)
 
+    def test_overflowing_quotient_signalled(self):
+        # z = ac = 700 leaves e^z a double, but dividing by c = 1e-5 overflows
+        with pytest.raises(ExponentOverflowError, match=r"^the support point overflows"):
+            trunc.B_star(7e7, 1e-5)
+
     def test_log_form(self):
         for a, c in ((0.01, 1.0), (3.0, 2.0), (25.0, 1.0)):
             assert abs(trunc.log_B_star(a, c) - math.log(trunc.B_star(a, c))) < 1e-12
@@ -128,6 +133,14 @@ class TestTruncMoment:
     def test_sub_cut_support_keeps_exponential(self):
         dist = two_point(0.5, 0.5)
         assert abs(trunc.trunc_moment(dist, 1.0) - math.cosh(0.5)) < 1e-14
+
+    def test_exponential_up_to_the_edge_of_the_doubles(self):
+        # cb = 709.65 lies below ln DBL_MAX ~ 709.78, so e^(cb) is a double
+        value = trunc.trunc_moment(two_point(1.0, 0.9), 788.5)
+        assert math.isfinite(value)
+        assert value == pytest.approx(8.29e307, rel=1e-3)
+        with pytest.raises(ExponentOverflowError, match=r"^e\^\(cb\) overflows"):
+            trunc.trunc_moment(two_point(1.0, 0.9), 800.0)
 
     def test_underflow_to_zero_is_reported(self):
         dist = two_point(1.0, 1e6)

@@ -4,6 +4,7 @@ input is never answered with one."""
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from winsor_bounds import (
-    asymptotics, certificates, cli, oracle, roots, trunc, verify, winsor,
+    asymptotics, certificates, cli, errors, oracle, roots, trunc, verify, winsor,
 )
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.distributions import BoundQuery, TwoPointDistribution, two_point
@@ -109,6 +110,15 @@ def test_unknown_verify_suite_names_the_valid_ones():
         verify.run_suite("bogus")
 
 
+def test_exponential_edge_is_where_the_doubles_end():
+    assert errors.LN_DBL_MAX == math.log(sys.float_info.max)
+    assert errors.exp_or_inf(errors.LN_DBL_MAX) == math.exp(errors.LN_DBL_MAX) < math.inf
+    past = math.nextafter(errors.LN_DBL_MAX, math.inf)
+    with pytest.raises(OverflowError):
+        math.exp(past)
+    assert errors.exp_or_inf(past) == math.inf
+
+
 # Valid input for which a positive quantity the answer needs leaves the
 # doubles: (kind, c, sigma, cut, the quantity named in the message, its
 # operands, the error).  sigma^2 underflowing is covered by
@@ -125,6 +135,9 @@ RESULTS_OUT_OF_RANGE = [
     ("fixed-winsor", 100.0, 1e-150, 1.0, "the root's seed", (100.0, 1e-150), NoSignChangeError),
     ("trunc", 5.080218046912991e24, 1e140, 1.0, "the truncated bound",
      (5.080218046912991e24, 1e140), NoSignChangeError),
+    # the moment's exponential: its operands are c and the solved b; only c
+    # is asserted.  Past ln DBL_MAX ~ 709.78, e^c overflows
+    ("fixed-winsor", 709.9, 1.0, 1.0, "e^(c*min(1, b))", (709.9,), ExponentOverflowError),
 ]
 
 
@@ -158,7 +171,7 @@ def log_uniform(lo, hi):
     return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
 
 
-# Past c ~ 709 the fixed-tilt moment's e^c, and past sigma ~ 1.34e154 sigma^2,
+# Past c ~ 709.78 the fixed-tilt moment's e^c, and past sigma ~ 1.34e154 sigma^2,
 # leave the double range: those calls must fail in the solver class (exit 3).
 @given(c=log_uniform(1e-8, 1e300), sigma=log_uniform(1e-300, 1e300))
 @example(c=370.0, sigma=1.0)  # the upper mass a/(a+b) underflows to 0
@@ -220,6 +233,14 @@ OUTCOME_MAPS = {
         [(None, s) for s in log_grid(1e-300, 1e300, 601)],
         310,
         {"NoSignChangeError": 139, "MaxIterationsError": 6, "ExponentOverflowError": 146},
+    ),
+    # the fixed tilt across the edge of the doubles, ln DBL_MAX ~ 709.78: the
+    # moment's e^c is answered up to it and overflows past it
+    "band": (
+        lambda c, sigma: winsor.lower_bound_fixed_c(BoundQuery(c, sigma)),
+        [(c, s) for c in log_grid(700.0, 720.0, 81) for s in log_grid(1e-160, 1e10, 60)],
+        215,
+        {"NoSignChangeError": 4291, "MaxIterationsError": 159, "ExponentOverflowError": 195},
     ),
 }
 

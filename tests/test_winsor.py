@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from winsor_bounds import trunc, verify, winsor
+from winsor_bounds import cli, trunc, verify, winsor
 from winsor_bounds.distributions import BoundQuery, two_point
 from winsor_bounds.errors import (
     ExponentOverflowError, MaxIterationsError, NoSignChangeError, ParameterError,
@@ -66,6 +66,11 @@ class TestBStar:
     def test_overflow_signalled(self):
         with pytest.raises(ExponentOverflowError):
             winsor.b_star(1000.0, 1.0)
+
+    def test_overflowing_quotient_signalled(self):
+        # z = 700.00001 leaves e^z a double, but dividing by c = 1e-5 overflows
+        with pytest.raises(ExponentOverflowError, match=r"^the support point overflows"):
+            winsor.b_star(7e7, 1e-5)
 
     def test_log_form_matches_direct(self):
         for a, c in ((0.1, 0.5), (2.0, 1.0), (30.0, 3.0), (0.0, 7.0)):
@@ -254,6 +259,13 @@ class TestLowerBoundFixedC:
         # bracket search contracts to 0 and must say so instead of probing it
         with pytest.raises(NoSignChangeError):
             winsor.lower_bound_fixed_c(BoundQuery(100.0, 1e-150))
+
+    def test_moment_exponential_up_to_the_edge_of_the_doubles(self):
+        # e^709.5 is a double (the edge is ln DBL_MAX ~ 709.78); the bound is 1
+        solution = winsor.lower_bound_fixed_c(BoundQuery(709.5, 1.0))
+        assert solution.bound == 1.0
+        assert solution.a_c_sigma == pytest.approx(2.618e-306, rel=1e-3, abs=0.0)
+        assert cli.main(["bound", "--kind", "fixed-winsor", "--c", "709.5", "--sigma", "1"]) == 0
 
     def test_tiny_tilt_seed_does_not_underflow(self):
         # c * sigma^2 underflows to 0.0 here, but the root, ~sigma^2/2, is a

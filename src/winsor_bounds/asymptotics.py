@@ -67,9 +67,10 @@ def winsor_small_sigma_slope(c: float) -> float:
 
 def winsor_large_sigma_coeff(c: float) -> float:
     """Coefficient of ln^2(sigma)/sigma^2 in the fixed-tilt Winsorized bound
-    for large sigma: 4 e^c / c^2."""
+    for large sigma: 4 e^c / c^2.  Divided by c twice: c^2 underflows to 0
+    below c ~ 1.5e-162, where the quotient has overflowed."""
     require_positive("c", c)
-    return in_range("4e^c/c^2", 4.0 * exp_or_inf(c) / (c * c), c)
+    return in_range("4e^c/c^2", 4.0 * exp_or_inf(c) / c / c, c)
 
 
 def trunc_asymptote(c: float, sigma: float, regime: Regime) -> float:

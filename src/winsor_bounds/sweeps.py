@@ -4,11 +4,12 @@ These reproduce the package's reference figures: the universal Winsorized
 bound as a function of sigma, and the two ratio panels
 (universal/fixed-tilt and truncated/Winsorized) across a tilt list.
 A sweep checks its arguments first, then runs a row-by-row loop over the
-bodies of the scalar ``lower_bound_*`` calls, one column per bound, whose
-root solve starts from the last root of its column instead of its seed.  A
-lane (one sigma of one column) that fails from there is solved again from
-its seed, so a sweep answers, and raises, what the loop over the scalar
-calls would.
+bodies of the scalar ``lower_bound_*`` calls, one column per bound.  Each
+lane (one sigma of one column) starts its root solve from the column's
+extrapolated path instead of its seed: the line in (ln sigma, ln a) through
+the column's last two roots, the secant predictor of numerical continuation.
+A lane that fails from there is solved again from its seed, so a sweep
+answers, and raises, what the loop over the scalar calls would.
 Files are written atomically (temp file + rename) with every value at full
 double precision, so emitted CSVs diff cleanly and round-trip bitwise.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import _effective_c, _effective_sigma
-from .errors import ParameterError, WinsorBoundsError, require_positive
+from .errors import ParameterError, WinsorBoundsError, exp_or_inf, require_positive
 from .trunc import _trunc
 from .winsor import _fixed_c, _universal
 
@@ -80,6 +81,21 @@ def sigma_grid(sigma_min: float, sigma_max: float, points: int, scale: str = "lo
     raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
+def _start(path, log_sigma: float) -> float | None:
+    """Where a column's next lane, at ln sigma = log_sigma, starts its root
+    solve, given path, the column's last roots as (ln sigma, ln a, a),
+    oldest first: on the line in (ln sigma, ln a) through the last two, at
+    the last root where only one is known or where that line leaves the
+    positive finite doubles, and at the lane's seed (None) where none is."""
+    if len(path) < 2:
+        return path[-1][2] if path else None
+    (s1, u1, _), (s2, u2, a2) = path
+    if s2 == s1:  # adjacent sigmas whose logarithms round to one double
+        return a2
+    start = exp_or_inf(u2 + (u2 - u1) / (s2 - s1) * (log_sigma - s2))
+    return start if 0.0 < start < math.inf else a2
+
+
 # Each bound as a lane, (c, sigma, cut, start) -> (root, ..., bound): the
 # body of its lower_bound_* call on arguments already checked, rescaled to
 # cut level 1 as lower_bound_* rescales them; the root None where none was solved.
@@ -124,17 +140,21 @@ def compute_sweep(
     else:  # RATIO_TRUNC_OVER_WINSOR
         columns = [(bound, c) for c in c_values for bound in (_TRUNC, _FIXED)]
 
-    starts = [None] * len(columns)  # the last root of each column
+    # each column's last two roots as (ln sigma, ln a, a), oldest first; a
+    # lane that solves no root starts its column's path afresh
+    paths = [()] * len(columns)
     rows = []
     for sigma in sigma_values:
+        log_sigma = math.log(sigma)
         bounds = []
         for j, (lane, c) in enumerate(columns):
+            path = paths[j]
             try:
-                solved = lane(c, sigma, cut, starts[j])
+                solved = lane(c, sigma, cut, _start(path, log_sigma))
             except WinsorBoundsError:  # answer, or raise, as the scalar call does
                 solved = lane(c, sigma, cut, None)
-            if solved[0] is not None:
-                starts[j] = solved[0]
+            root = solved[0]
+            paths[j] = () if root is None else (*path[-1:], (log_sigma, math.log(root), root))
             bounds.append(solved[-1])
         if kind is SweepKind.RATIO_UNIVERSAL_OVER_FIXED:
             values = tuple(bounds[0] / fixed for fixed in bounds[1:])

@@ -96,8 +96,13 @@ def trunc_moment(dist: TwoPointDistribution, c: float) -> float:
     legitimate and kept.
     """
     require_positive("c", c)
-    pos = in_range("e^(cb)", exp_or_inf(c * dist.b), c, dist.b) if dist.b < 1.0 else 1.0
-    return dist.p_pos * pos + dist.p_neg * math.exp(-c * dist.a)
+    return _trunc_moment(dist.a, dist.b, c)
+
+
+def _trunc_moment(a: float, b: float, c: float) -> float:
+    """trunc_moment of the law on {-a, b}, on trusted arguments."""
+    pos = in_range("e^(cb)", exp_or_inf(c * b), c, b) if b < 1.0 else 1.0
+    return a / (a + b) * pos + b / (a + b) * math.exp(-c * a)
 
 
 @dataclass(frozen=True)
@@ -138,25 +143,31 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     agree there numerically; a fixed rule keeps sweeps deterministic).  A
     bound below the smallest positive double raises NoSignChangeError.
     """
-    a, branch, b, extremal, bound = _trunc(query.effective_c, query.effective_sigma)
-    return TruncSolution(query=query, branch=branch, A_c_sigma=a, B_c_sigma=b,
-                         bound=bound, extremal=extremal)
+    root, branch, a, b, bound = _trunc(query.effective_c, query.effective_sigma)
+    return TruncSolution(
+        query=query,
+        branch=branch,
+        A_c_sigma=root,
+        B_c_sigma=None if root is None else b,
+        bound=bound,
+        extremal=two_point(a, b),
+    )
 
 
 def _trunc(c: float, sigma: float, start: float | None = None):
-    """(a, branch, b, extremal law, bound) of lower_bound_trunc at cut level
-    1, its root A_c_sigma solved from start (from its seed when None); a and
-    b are None on the small-sigma branch, which solves no root."""
+    """(A_c_sigma, branch, a, b, bound) of lower_bound_trunc at cut level 1,
+    the extremal law being the one on {-a, b}, its root A_c_sigma solved
+    from start (from its seed when None); the root is None on the
+    small-sigma branch, which solves none and takes (a, b) = (sigma^2, 1)."""
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     if _below_threshold(sigma2, c):
-        a, branch, b = None, Branch.SMALL_SIGMA, None
-        extremal = two_point(sigma2, 1.0)
+        root, branch, a, b = None, Branch.SMALL_SIGMA, sigma2, 1.0
     else:
-        a, branch = _A_c_sigma(c, sigma, sigma2, start), Branch.LARGE_SIGMA
+        root = a = _A_c_sigma(c, sigma, sigma2, start)
+        branch = Branch.LARGE_SIGMA
         # On this branch b >= 1 holds exactly; root-solver roundoff at the
         # branch boundary can land an ulp below the cut, where the truncation
         # indicator would flip, so snap such b back onto the cut.
         b = max(in_range("b = sigma^2/a", sigma2 / a, sigma2, a), 1.0)
-        extremal = two_point(a, b)
-    bound = in_range("the truncated bound", trunc_moment(extremal, c), c, sigma)
-    return a, branch, b, extremal, bound
+    bound = in_range("the truncated bound", _trunc_moment(a, b, c), c, sigma)
+    return root, branch, a, b, bound

@@ -27,6 +27,7 @@ so budgets up to sigma ~ 1e10 and beyond never overflow.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import asymptotics
@@ -36,6 +37,7 @@ from .roots import _solve
 
 EXP_ARG_MAX = 709.0  # only picks a numeric form (a seed, a branch test); it refuses nothing
 LOG_FORM_CUTOVER = 30.0
+DBL_MIN = sys.float_info.min  # the smallest normal double
 
 
 def _support_point(a: float, c: float, shift: float) -> float:
@@ -43,8 +45,12 @@ def _support_point(a: float, c: float, shift: float) -> float:
     extremal law, shift = c for the Winsorized map and 0 for the truncated
     one.  Arguments are trusted; the public wrappers validate them.  z is
     clamped at LN_DBL_MAX, where 2(e^z - 1) already overflows; only an
-    overflow is refused, as B_star(0, c) = 0 is an answer."""
+    overflow is refused, as B_star(0, c) = 0 is an answer.  With shift 0
+    and ac below DBL_MIN the map is a(2(e^z - 1)/z - 1), which is a: the
+    quotient by c would keep only the bits of a subnormal ac, or none."""
     z = shift + a * c
+    if z < DBL_MIN and not shift:
+        return a
     support = (2.0 * math.expm1(min(z, LN_DBL_MAX)) - a * c) / c
     return in_range("the support point", support, a, c) if support else support
 
@@ -52,6 +58,8 @@ def _support_point(a: float, c: float, shift: float) -> float:
 def _log_support_point(a: float, c: float, shift: float) -> float:
     """ln _support_point(a, c, shift), stable for arbitrarily large z."""
     z = shift + a * c
+    if z < DBL_MIN and not shift:  # the map is a, as in _support_point
+        return math.log(a)
     if z <= LOG_FORM_CUTOVER:
         support = (2.0 * math.expm1(z) - a * c) / c
         if support == math.inf:  # a tiny c overflows the quotient, not its log
@@ -79,8 +87,22 @@ def _moment_match(c: float, sigma: float, shift: float, start: float) -> float:
     target = 2.0 * math.log(sigma)
 
     def f(a: float) -> tuple[float, float]:
-        log_support, slope = _log_support_slope(a, c, shift)
-        return math.log(a) + log_support - target, 1.0 + slope
+        # _log_support_slope's expressions, in its order, in one frame
+        log_a = math.log(a)
+        z = shift + a * c
+        if z < DBL_MIN and not shift:
+            log_support = log_a
+        elif z <= LOG_FORM_CUTOVER:
+            support = (2.0 * math.expm1(z) - a * c) / c
+            if support == math.inf:
+                log_support = math.log(2.0 * math.expm1(z) - a * c) - math.log(c)
+            else:
+                log_support = math.log(support)
+        else:
+            correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
+            log_support = z + math.log(2.0 / c) + correction
+        slope = (2.0 - math.exp(-z)) * math.exp(log_a + z - log_support)
+        return log_a + log_support - target, 1.0 + slope
 
     return _solve(f, start, sigma)
 
@@ -137,9 +159,12 @@ def ell1(a: float, sigma: float) -> float:
 
 def _ell1(a: float, sigma2: float) -> float:
     # divided through by sigma^2, in r = a/sigma^2: no sigma^2-sized product
-    # is formed, so it stays finite wherever sigma^2 is
+    # is formed, so it stays finite wherever sigma^2 is; below DBL_MIN, r
+    # keeps few bits or none (a start far below the root at huge sigma), and
+    # ln r is formed from its operands
     r = a / sigma2
-    return math.log(r) - 2.0 * (a + 1.0) * (r - 1.0) / (a * r + 1.0)
+    log_r = math.log(r) if r >= DBL_MIN else math.log(a) - math.log(sigma2)
+    return log_r - 2.0 * (a + 1.0) * (r - 1.0) / (a * r + 1.0)
 
 
 def solve_a_sigma(sigma: float) -> float:
@@ -186,14 +211,20 @@ def optimal_c_for_two_point(a: float, sigma: float) -> float:
 def winsor_moment(dist: TwoPointDistribution, c: float) -> float:
     """E exp(c * min(1, X)) for a two-point law, in closed form."""
     require_positive("c", c)
-    x_pos, x_neg = c * min(1.0, dist.b), -c * dist.a
-    e_pos = in_range("e^(c*min(1, b))", exp_or_inf(x_pos), c, dist.b)
-    moment = dist.p_pos * e_pos + dist.p_neg * math.exp(x_neg)
+    return _winsor_moment(dist.a, dist.b, c)
+
+
+def _winsor_moment(a: float, b: float, c: float) -> float:
+    """winsor_moment of the law on {-a, b}, on trusted arguments."""
+    p_pos, p_neg = a / (a + b), b / (a + b)
+    x_pos, x_neg = c * min(1.0, b), -c * a
+    e_pos = in_range("e^(c*min(1, b))", exp_or_inf(x_pos), c, b)
+    moment = p_pos * e_pos + p_neg * math.exp(x_neg)
     if abs(moment - 1.0) > 2.0**-26:
         return moment
     # This close to 1 the sum keeps fewer than 26 bits of moment - 1 and can
     # round above 1; the deviation from 1, summed directly, keeps them.
-    return 1.0 + (dist.p_pos * math.expm1(x_pos) + dist.p_neg * math.expm1(x_neg))
+    return 1.0 + (p_pos * math.expm1(x_pos) + p_neg * math.expm1(x_neg))
 
 
 def optimal_winsor_moment(a: float, sigma: float) -> float:
@@ -245,18 +276,20 @@ class UniversalWinsorSolution:
 def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
     """Exact attained lower bound on E exp(c * min(cut, X)) given
     E X >= 0 and E X^2 <= sigma^2."""
-    a, b, extremal, bound = _fixed_c(query.effective_c, query.effective_sigma)
-    return WinsorSolution(query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=extremal)
+    a, b, bound = _fixed_c(query.effective_c, query.effective_sigma)
+    return WinsorSolution(
+        query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=two_point(a, b)
+    )
 
 
 def _fixed_c(c: float, sigma: float, start: float | None = None):
-    """(a, b, extremal law, bound) of lower_bound_fixed_c at cut level 1,
-    its root solved from start (from its seed when None)."""
+    """(a, b, bound) of lower_bound_fixed_c at cut level 1, the extremal law
+    being the one on {-a, b}, its root solved from start (from its seed
+    when None)."""
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     a = _a_c_sigma(c, sigma, sigma2, start)
     b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
-    extremal = two_point(a, b)
-    return a, b, extremal, winsor_moment(extremal, c)
+    return a, b, _winsor_moment(a, b, c)
 
 
 def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolution:

@@ -66,7 +66,8 @@ def test_small_sigma_slope_past_the_overflowing_denominator(c):
     assert slope == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("c", [709.0, 800.0, 1e200, 1e-160])
+# below c ~ 1.5e-162, c^2 underflows to 0.0 where the quotient has overflowed
+@pytest.mark.parametrize("c", [709.0, 800.0, 1e200, 1e-160, 1e-170, 1e-300])
 def test_large_sigma_coeff_overflow_signalled(c):
     with pytest.raises(ExponentOverflowError, match=r"^4e\^c/c\^2 overflows"):
         asymptotics.winsor_large_sigma_coeff(c)

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import cli, verify
+from winsor_bounds import cli, verify, winsor
 from winsor_bounds.distributions import BoundQuery
-from winsor_bounds.errors import ParameterError, WinsorBoundsError
+from winsor_bounds.errors import LN_DBL_MAX, ParameterError, WinsorBoundsError
 from winsor_bounds.sweeps import SweepKind, compute_sweep, read_csv, sigma_grid, write_csv
-from winsor_bounds.trunc import lower_bound_trunc
+from winsor_bounds.trunc import Branch, lower_bound_trunc
 from winsor_bounds.winsor import lower_bound_fixed_c, lower_bound_universal
 
 
@@ -40,8 +40,9 @@ class TestSigmaGrid:
             sigma_grid(1.0, 2.0, 10, "cubic")
 
 
-# Sweeps solve each column by a warm-started Newton iteration in u = ln a;
-# the scalar lower_bound_* calls (bracketed Brent) are the reference.
+# Sweeps start each lane's root solve from its column's extrapolated path,
+# the scalar lower_bound_* calls from their seeds; both run roots._solve to
+# the same tolerance, so their bounds differ by a few ulps at most.
 SWEEP_RTOL = 2e-15
 
 
@@ -125,9 +126,14 @@ class TestColumnSolverAgainstScalar:
             (SweepKind.UNIVERSAL_WINSOR, tuple(np.geomspace(1e-158, 1e-150, 30)), (), 1.0),
             (SweepKind.TRUNC, tuple(np.geomspace(1e-2, 1e300, 60)), (1e-300,), 1.0),
             (SweepKind.TRUNC, tuple(np.geomspace(1e-2, 1e300, 60)), (1.0, 1e-300), 1.0),
+            # at sigma = 1e154 a start from the last root, ~2e-299, makes
+            # a/sigma^2 underflow; the extrapolated one, ~2e307, is ~10^305
+            # above the root and takes more than 200 evaluations
+            (SweepKind.UNIVERSAL_WINSOR, (1e-150, 1e-149, 1e154), (), 1.0),
         ],
         ids=["fixed-400", "fixed-400-cut", "fixed-400-tiny", "universal-subnormal",
-             "universal-subnormal-edge", "trunc-tiny-tilt", "trunc-tiny-tilt-second"],
+             "universal-subnormal-edge", "trunc-tiny-tilt", "trunc-tiny-tilt-second",
+             "universal-jump"],
     )
     def test_failing_lanes_fail_as_the_scalar_loop(self, kind, sigmas, tilts, cut):
         sigmas = tuple(float(s) for s in sigmas)
@@ -139,6 +145,78 @@ class TestColumnSolverAgainstScalar:
             assert [row[1:] for row in got] == [
                 pytest.approx(row[1:], rel=SWEEP_RTOL, abs=0) for row in expected
             ]
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [sigma_grid(0.05, 3.0, 50, "linear"), sigma_grid(0.05, 100.0, 2),
+         sigma_grid(0.05, 100.0, 3)],
+        ids=["linear", "two-point", "three-point"],
+    )
+    @pytest.mark.parametrize("kind", list(SCALAR), ids=lambda k: k.value)
+    def test_unequal_or_few_steps(self, kind, sigmas):
+        # a linear grid's ln-sigma steps shrink along the column; two and
+        # three points give a path of no roots, one root and two roots
+        tilts = () if kind is SweepKind.UNIVERSAL_WINSOR else (0.5, 1.0, 5.0)
+        table = compute_sweep(kind, sigmas, tilts)
+        for row, expected in zip(table.rows, scalar_rows(kind, sigmas, tilts, 1.0)):
+            assert row[1:] == pytest.approx(expected[1:], rel=SWEEP_RTOL, abs=0)
+
+    @pytest.mark.parametrize("c", (0.5, 1.0, 5.0))
+    def test_truncated_column_crossing_the_threshold(self, c, solves):
+        # sigma^2 passes A_c inside the grid: the small-sigma lanes solve no
+        # root, so the first large-sigma lane starts from its seed, as the
+        # scalar call does, and the path grows again from there
+        sigmas = sigma_grid(0.05, 3.0, 50, "linear")
+        rows = compute_sweep(SweepKind.TRUNC, sigmas, (c,)).rows
+        sweep_starts = [start for _, start, _ in solves.equations]
+        solves.equations.clear()
+        scalar = [lower_bound_trunc(BoundQuery(c, sigma)) for sigma in sigmas]
+        first_large = [s.branch for s in scalar].index(Branch.LARGE_SIGMA)
+        assert 0 < first_large < len(sigmas) - 3
+        assert len(sweep_starts) == len(solves.equations) == len(sigmas) - first_large
+        assert sweep_starts[0] == solves.equations[0][1]
+        assert [row[1] for row in rows] == pytest.approx(
+            [s.bound for s in scalar], rel=SWEEP_RTOL, abs=0
+        )
+
+    @pytest.mark.parametrize(
+        "kind, sigma",
+        [(SweepKind.UNIVERSAL_WINSOR, 0.51), (SweepKind.UNIVERSAL_WINSOR, 0.59),
+         (SweepKind.FIXED_C_WINSOR, 0.54)],
+        ids=["universal-overflow", "universal-underflow", "fixed-overflow"],
+    )
+    def test_extrapolation_leaving_the_doubles(self, kind, sigma):
+        # Over one ulp of sigma the roots move by a rounding of an ulp or
+        # two, so the line through them has a slope of several decades per
+        # decade of sigma; at sigma = 1e150 it leaves the doubles.  The lane
+        # starts from the last root there and answers as the scalar call does.
+        if kind is SweepKind.UNIVERSAL_WINSOR:
+            tilts, lane = (), winsor._universal
+        else:
+            tilts, lane = (1.0,), lambda sigma, start=None: winsor._fixed_c(1.0, sigma, start)
+        sigmas = (sigma, math.nextafter(sigma, 1.0), 1e150)
+        a1 = lane(sigmas[0])[0]
+        a2 = lane(sigmas[1], a1)[0]  # as the sweep solves it, from a1
+        s1, s2, s3 = (math.log(s) for s in sigmas)
+        line = math.log(a2) + (math.log(a2) - math.log(a1)) / (s2 - s1) * (s3 - s2)
+        assert not math.log(math.ulp(0.0)) < line < LN_DBL_MAX
+        got = outcome(lambda: compute_sweep(kind, sigmas, tilts).rows)
+        expected = outcome(lambda: scalar_rows(kind, sigmas, tilts, 1.0))
+        assert [row[1:] for row in got] == [
+            pytest.approx(row[1:], rel=SWEEP_RTOL, abs=0) for row in expected
+        ]
+
+    def test_figure_sweeps_f_evaluation_budget(self, solves):
+        # A count, not a timing: the three figure sweeps made 3,061 solves
+        # and 8,968 evaluations of the equations handed to roots._solve when
+        # lanes began to start from the extrapolated path (11,933 from the
+        # column's last root).  The ceiling is that count plus 5%; a change
+        # that needs more evaluations is a regression, not a new ceiling.
+        compute_sweep(SweepKind.UNIVERSAL_WINSOR, FIGURE_GRID)
+        compute_sweep(SweepKind.RATIO_UNIVERSAL_OVER_FIXED, FIGURE_GRID, FIGURE_TILTS)
+        compute_sweep(SweepKind.RATIO_TRUNC_OVER_WINSOR, FIGURE_GRID, FIGURE_TILTS)
+        evaluations = len(solves.points)
+        assert evaluations <= 9_400, f"{evaluations} evaluations in {len(solves.equations)} solves"
 
     def test_ratio_kinds_divide_the_scalar_bounds(self):
         grid = FIGURE_GRID[::10]

@@ -56,6 +56,23 @@ class TestBStar:
         with pytest.raises(ExponentOverflowError, match=r"^the support point overflows"):
             trunc.B_star(7e7, 1e-5)
 
+    @pytest.mark.parametrize("a, c", [(1e-200, 1e-200), (1e-160, 1e-160)])
+    def test_underflowing_or_subnormal_ac_against_mpmath(self, a, c):
+        # ac underflows to 0.0 or is subnormal: (2 expm1(ac) - ac)/c kept
+        # none or few of its bits; the map is a(2 expm1(z)/z - 1) = a there
+        with mp.workdps(50):
+            z = mpf(a) * mpf(c)
+            exact = (2 * mp.expm1(z) - z) / mpf(c)
+            assert trunc.B_star(a, c) == pytest.approx(float(exact), rel=2**-52, abs=0)
+            log_exact = float(mp.log(exact))
+        assert trunc.log_B_star(a, c) == pytest.approx(log_exact, rel=2**-52, abs=0)
+
+    @pytest.mark.parametrize(
+        "a, c", [(1.5e-154, 1.5e-154), (1e-300, 1.0), (1.0, 1e-300), (0.3, 2.0)]
+    )
+    def test_normal_ac_keeps_the_quotient(self, a, c):
+        assert trunc.B_star(a, c) == (2.0 * math.expm1(a * c) - a * c) / c
+
     def test_log_form(self):
         for a, c in ((0.01, 1.0), (3.0, 2.0), (25.0, 1.0)):
             assert abs(trunc.log_B_star(a, c) - math.log(trunc.B_star(a, c))) < 1e-12

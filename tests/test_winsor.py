@@ -143,6 +143,13 @@ class TestEll1:
     def test_diverges_at_zero(self):
         assert winsor.ell1(1e-290, 1.0) < -600.0
 
+    @pytest.mark.parametrize("a, sigma", [(5e-324, 1e154), (1e-300, 1e10)])
+    def test_where_a_over_sigma_squared_leaves_the_normals(self, a, sigma):
+        # a/sigma^2 underflows to 0.0 or keeps a subnormal's few bits: a root
+        # solve that starts far below the root at huge sigma probes such a
+        expected = mp_ell1(mp.log(mpf(a)), sigma)
+        assert winsor.ell1(a, sigma) == pytest.approx(float(expected), rel=1e-15, abs=0)
+
     def test_root_against_bisection(self):
         # interior root for sigma = 1; frozen from 50-digit bisection:
         # 0.14734064676109530794
@@ -461,6 +468,20 @@ class TestColumnEquations:
             assert value == pytest.approx(float(g(u)), rel=1e-12, abs=1e-12)
             if a < hi:
                 assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-12)
+
+    @pytest.mark.parametrize("c", (1e-320, 5e-324))
+    def test_truncated_moment_match_where_ac_is_subnormal(self, c, solves):
+        # z = ac below DBL_MIN: the map is a(2 expm1(z)/z - 1) = a, where
+        # the quotient (2 expm1(z) - z)/c keeps only a subnormal's bits
+        sigma = 10.0
+        root = trunc.solve_A_c_sigma(c, sigma)
+        ((f, start, hi),) = solves.equations
+        g = lambda v: mp_moment_match(v, c, sigma, 0.0)
+        for a in (0.3, 3.0, root, hi):
+            value, slope = f(a)
+            u = mpf(math.log(a))
+            assert value == pytest.approx(float(g(u)), rel=1e-12, abs=1e-15)
+            assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-12)
 
     @pytest.mark.parametrize("sigma", (1e-100, 1e-4, 0.3, 1.0, 5.0, 1e5, 1e150))
     def test_ell1(self, sigma, solves):

@@ -68,9 +68,15 @@ def winsor_small_sigma_slope(c: float) -> float:
 def winsor_large_sigma_coeff(c: float) -> float:
     """Coefficient of ln^2(sigma)/sigma^2 in the fixed-tilt Winsorized bound
     for large sigma: 4 e^c / c^2.  Divided by c twice: c^2 underflows to 0
-    below c ~ 1.5e-162, where the quotient has overflowed."""
+    below c ~ 1.5e-162, where the quotient has overflowed.  Past c ~ 708.4,
+    4 e^c overflows before the divisions, so there it is formed as w * w
+    with w = 2 e^{c/2} / c, a double up to c ~ 721.5 (w ** 2 would raise)."""
     require_positive("c", c)
-    return in_range("4e^c/c^2", 4.0 * exp_or_inf(c) / c / c, c)
+    coeff = 4.0 * exp_or_inf(c) / c / c
+    if coeff == math.inf:
+        w = 2.0 * exp_or_inf(0.5 * c) / c
+        coeff = w * w
+    return in_range("4e^c/c^2", coeff, c)
 
 
 def trunc_asymptote(c: float, sigma: float, regime: Regime) -> float:

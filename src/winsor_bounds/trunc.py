@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import BoundQuery, TwoPointDistribution, two_point
-from .errors import exp_or_inf, in_range, require_positive
+from .errors import LN_DBL_MAX, exp_or_inf, in_range, require_positive
 from .roots import _solve
-from .winsor import (
-    EXP_ARG_MAX, _log_support_point, _log_support_slope, _moment_match, _support_point,
-)
+from .winsor import _log_support, _moment_match, _support_point
 
 
 class Branch(str, Enum):
@@ -48,7 +46,7 @@ def log_B_star(a: float, c: float) -> float:
     """ln B_star(a, c), stable for arbitrarily large a*c."""
     require_positive("a", a)
     require_positive("c", c)
-    return _log_support_point(a, c, 0.0)
+    return _log_support(a, c, 0.0)[1]
 
 
 def solve_A_c(c: float) -> float:
@@ -60,7 +58,7 @@ def solve_A_c(c: float) -> float:
     puts the root at or below 1.
     """
     require_positive("c", c)
-    return _solve(lambda a: _log_support_slope(a, c, 0.0), math.log1p(0.5 * c) / c, 1.0)
+    return _solve(lambda a: _log_support(a, c, 0.0)[1:], math.log1p(0.5 * c) / c, 1.0)
 
 
 def solve_A_c_sigma(c: float, sigma: float) -> float:
@@ -77,7 +75,7 @@ def _A_c_sigma(c: float, sigma: float, sigma2: float, start: float | None = None
     sigma2 = sigma * sigma may have left the doubles: the seed reads it only
     through ln(1 + sigma2)/c, and the cap keeps that seed a positive double
     wherever the quotient overflows."""
-    if start is None and c * min(sigma, 1.0) > EXP_ARG_MAX:
+    if start is None and c * min(sigma, 1.0) > LN_DBL_MAX:
         # Then ac is large: ac e^{ac} = c^2 sigma^2 / 2 = e^t, t >= 12.4,
         # so ac ~ t - ln t.  The other seed ignores c and would start
         # hundreds of halvings above the root.
@@ -129,9 +127,10 @@ class TruncSolution:
 
 def _below_threshold(a: float, c: float) -> bool:
     """a <= A_c, decided as B_star(a, c) <= 1 (B_star increases in a)
-    multiplied through by c > 0; past EXP_ARG_MAX, B_star is far above 1."""
+    multiplied through by c > 0; past LN_DBL_MAX, 2(e^z - 1) alone exceeds
+    every double c."""
     z = a * c
-    return z <= EXP_ARG_MAX and 2.0 * math.expm1(z) - z <= c
+    return z <= LN_DBL_MAX and 2.0 * math.expm1(z) - z <= c
 
 
 def lower_bound_trunc(query: BoundQuery) -> TruncSolution:

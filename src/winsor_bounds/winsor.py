@@ -35,7 +35,6 @@ from .distributions import BoundQuery, TwoPointDistribution, _effective_sigma, t
 from .errors import LN_DBL_MAX, ParameterError, exp_or_inf, in_range, require_positive
 from .roots import _solve
 
-EXP_ARG_MAX = 709.0  # only picks a numeric form (a seed, a branch test); it refuses nothing
 LOG_FORM_CUTOVER = 30.0
 DBL_MIN = sys.float_info.min  # the smallest normal double
 
@@ -45,39 +44,42 @@ def _support_point(a: float, c: float, shift: float) -> float:
     extremal law, shift = c for the Winsorized map and 0 for the truncated
     one.  Arguments are trusted; the public wrappers validate them.  z is
     clamped at LN_DBL_MAX, where 2(e^z - 1) already overflows; only an
-    overflow is refused, as B_star(0, c) = 0 is an answer.  With shift 0
-    and ac below DBL_MIN the map is a(2(e^z - 1)/z - 1), which is a: the
-    quotient by c would keep only the bits of a subnormal ac, or none."""
+    overflow is refused, as B_star(0, c) = 0 is an answer.  With z below
+    DBL_MIN the map is 2(1 + a)(e^z - 1)/z - a for shift c and
+    a(2(e^z - 1)/z - 1) for shift 0, which are a + 2 and a: the quotient by
+    c would keep only the bits of a subnormal z, or none."""
     z = shift + a * c
-    if z < DBL_MIN and not shift:
-        return a
+    if z < DBL_MIN:
+        return a + 2.0 if shift else a
     support = (2.0 * math.expm1(min(z, LN_DBL_MAX)) - a * c) / c
     return in_range("the support point", support, a, c) if support else support
 
 
-def _log_support_point(a: float, c: float, shift: float) -> float:
-    """ln _support_point(a, c, shift), stable for arbitrarily large z."""
+def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]:
+    """(ln a, ln S, d ln S / d ln a) for S = _support_point(a, c, shift),
+    stable for arbitrarily large z = shift + ac; ln a is -inf at a = 0,
+    where the slope is 0.  The slope a(2e^z - 1)/S is formed as
+    (2 - e^-z) e^(ln a + z - ln S): the exponent is at most ln(ac/2) plus
+    roundoff of about an ulp of z, which past z ~ 2^61 can leave the doubles;
+    the slope is inf there, not a raise, as ln S still answers."""
+    log_a = math.log(a) if a else -math.inf
     z = shift + a * c
-    if z < DBL_MIN and not shift:  # the map is a, as in _support_point
-        return math.log(a)
-    if z <= LOG_FORM_CUTOVER:
+    if z < DBL_MIN:  # the map is a + 2 or a, as in _support_point
+        log_support = math.log(a + 2.0) if shift else log_a
+    elif z <= LOG_FORM_CUTOVER:
         support = (2.0 * math.expm1(z) - a * c) / c
         if support == math.inf:  # a tiny c overflows the quotient, not its log
-            return math.log(2.0 * math.expm1(z) - a * c) - math.log(c)
-        return math.log(support)
-    # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction term
-    # is below 1e-11 past the cutover and underflows harmlessly to 0.
-    correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
-    return z + math.log(2.0 / c) + correction
-
-
-def _log_support_slope(a: float, c: float, shift: float) -> tuple[float, float]:
-    """ln S and its slope in ln a, a(2e^z - 1)/S, for S = _support_point(a, c,
-    shift).  The slope is formed as (2 - e^-z) e^(ln a + z - ln S), finite
-    for any z: the exponent is at most ln(ac/2) plus roundoff."""
-    z = shift + a * c
-    log_support = _log_support_point(a, c, shift)
-    return log_support, (2.0 - math.exp(-z)) * math.exp(math.log(a) + z - log_support)
+            log_support = math.log(2.0 * math.expm1(z) - a * c) - math.log(c)
+        else:
+            log_support = math.log(support)
+    else:
+        # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction
+        # term is below 1e-11 past the cutover and underflows harmlessly to 0.
+        correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
+        log_support = z + math.log(2.0 / c) + correction
+    exponent = log_a + z - log_support
+    slope = math.inf if exponent > LN_DBL_MAX else (2.0 - math.exp(-z)) * math.exp(exponent)
+    return log_a, log_support, slope
 
 
 def _moment_match(c: float, sigma: float, shift: float, start: float) -> float:
@@ -87,21 +89,7 @@ def _moment_match(c: float, sigma: float, shift: float, start: float) -> float:
     target = 2.0 * math.log(sigma)
 
     def f(a: float) -> tuple[float, float]:
-        # _log_support_slope's expressions, in its order, in one frame
-        log_a = math.log(a)
-        z = shift + a * c
-        if z < DBL_MIN and not shift:
-            log_support = log_a
-        elif z <= LOG_FORM_CUTOVER:
-            support = (2.0 * math.expm1(z) - a * c) / c
-            if support == math.inf:
-                log_support = math.log(2.0 * math.expm1(z) - a * c) - math.log(c)
-            else:
-                log_support = math.log(support)
-        else:
-            correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
-            log_support = z + math.log(2.0 / c) + correction
-        slope = (2.0 - math.exp(-z)) * math.exp(log_a + z - log_support)
+        log_a, log_support, slope = _log_support(a, c, shift)
         return log_a + log_support - target, 1.0 + slope
 
     return _solve(f, start, sigma)
@@ -122,7 +110,7 @@ def log_b_star(a: float, c: float) -> float:
     """ln b_star(a, c), stable for arbitrarily large c + a*c."""
     require_positive("a", a, allow_zero=True)
     require_positive("c", c)
-    return _log_support_point(a, c, c)
+    return _log_support(a, c, c)[1]
 
 
 def solve_a_c_sigma(c: float, sigma: float) -> float:
@@ -136,12 +124,12 @@ def _a_c_sigma(c: float, sigma: float, sigma2: float, start: float | None = None
     """solve_a_c_sigma on trusted arguments, sigma2 = sigma^2 among them,
     from start or, when None, from the smaller of both asymptotic laws:
     a ~ c sigma^2 / (2(e^c - 1)) as sigma -> 0 and a ~ ln(1 + sigma^2)/c as
-    sigma -> infinity.  The first is formed as (c / (2(e^c - 1))) * sigma^2,
+    sigma -> infinity.  The first is formed as (c / (e^c - 1)) * 0.5 * sigma^2,
     since c * sigma^2 alone underflows at tiny tilt (the factor tends to 1/2
-    as c -> 0); past EXP_ARG_MAX it is formed at e^EXP_ARG_MAX, an
-    overestimate.  The seed is checked whatever the start, so a warm start
-    fails where a cold one does."""
-    small = c / (2.0 * math.expm1(min(c, EXP_ARG_MAX))) * sigma2
+    as c -> 0) and 2(e^c - 1) overflows past c ~ 709.09; past LN_DBL_MAX it
+    is formed at e^LN_DBL_MAX, an overestimate.  The seed is checked
+    whatever the start, so a warm start fails where a cold one does."""
+    small = c / math.expm1(min(c, LN_DBL_MAX)) * 0.5 * sigma2
     seed = in_range("the root's seed", min(small, math.log1p(sigma2) / c), c, sigma)
     return _moment_match(c, sigma, c, seed if start is None else start)
 

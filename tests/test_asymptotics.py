@@ -66,11 +66,20 @@ def test_small_sigma_slope_past_the_overflowing_denominator(c):
     assert slope == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-# below c ~ 1.5e-162, c^2 underflows to 0.0 where the quotient has overflowed
-@pytest.mark.parametrize("c", [709.0, 800.0, 1e200, 1e-160, 1e-170, 1e-300])
+# below c ~ 1.5e-162, c^2 underflows to 0.0 where the quotient has overflowed;
+# past c ~ 721.5, 4e^c/c^2 itself leaves the doubles
+@pytest.mark.parametrize("c", [800.0, 1e200, 1e-160, 1e-170, 1e-300])
 def test_large_sigma_coeff_overflow_signalled(c):
     with pytest.raises(ExponentOverflowError, match=r"^4e\^c/c\^2 overflows"):
         asymptotics.winsor_large_sigma_coeff(c)
+
+
+@pytest.mark.parametrize("c", [709.0, 715.0, 721.0])
+def test_large_sigma_coeff_where_4e_c_overflows(c):
+    # 4e^c overflows before the divisions, but 4e^c/c^2 is a double
+    with mp.workdps(50):
+        expected = float(4 * mp.exp(mpf(c)) / mpf(c) ** 2)
+    assert asymptotics.winsor_large_sigma_coeff(c) == pytest.approx(expected, rel=1e-13)
 
 
 def test_large_sigma_coeff_values():

@@ -366,6 +366,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_verify_unknown_suite_exit_code(self, capsys):
+        # run_suite, not argparse, refuses it and names the valid suites
+        assert cli.main(["verify", "--suite", "bogus"]) == 2
+        assert "suite must be one of roots, " in capsys.readouterr().err
+
     def test_collapse_demo(self, capsys):
         assert cli.main(["collapse-demo", "--sigma", "1", "--steps", "6"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -504,6 +509,28 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_bound_and_sweep_never_import_numpy(self, tmp_path):
+        out = str(tmp_path / "ratio.csv")
+        script = (
+            "import sys\n"
+            "from winsor_bounds import cli\n"
+            "codes = [cli.main(['bound', '--kind', kind, '--c', '1', '--sigma', '2'])\n"
+            "         for kind in ('fixed-winsor', 'trunc')]\n"
+            "codes.append(cli.main(['bound', '--kind', 'universal-winsor', '--sigma', '2']))\n"
+            "codes.append(cli.main(['sweep', '--kind', 'ratio-trunc-over-winsor', '--c', '1,2',\n"
+            f"    '--sigma-min', '0.1', '--sigma-max', '10', '--points', '5', '--out', {out!r}]))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+            "sys.exit(max(codes))\n"
+        )
+        src = str(Path(winsor_bounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert len(read_csv(out)[1]) == 5
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         from winsor_bounds.errors import MaxIterationsError

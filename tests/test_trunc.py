@@ -1,6 +1,7 @@
 """Truncated bound core: support map, branch threshold, piecewise bound."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -265,6 +266,19 @@ class TestBranchInClosedForm:
         assert solution.branch is Branch.SMALL_SIGMA
         assert solution.bound == 1.0
 
+    @pytest.mark.parametrize("z", (709.01, 709.05, 709.09, 709.1, 709.5))
+    def test_branch_at_the_largest_tilt(self, z):
+        # at c = DBL_MAX, B_star(sigma^2, c) <= 1 holds up to z = c sigma^2
+        # ~ 709.09, above 709, and the small branch is exact: (sigma^2, 1)
+        c = sys.float_info.max
+        sigma = math.sqrt(z / c)
+        a = sigma * sigma
+        with mp.workdps(50):
+            small = (2 * mp.expm1(mpf(a) * c) - mpf(a) * c) / c <= 1
+        solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
+        assert solution.branch is (Branch.SMALL_SIGMA if small else Branch.LARGE_SIGMA)
+        assert solution.extremal.a <= a and solution.extremal.b >= 1.0
+
     def test_huge_tilt_tiny_sigma(self):
         # the A_c solve cannot bracket c = 1e300, but the bound needs no A_c
         solution = trunc.lower_bound_trunc(BoundQuery(1e300, 1e-150))
@@ -302,7 +316,7 @@ def test_solve_A_c_sigma_where_sigma_squared_leaves_the_doubles(sigma):
 
 
 def test_huge_tilt_root_is_bracketed_in_a_few_probes(solves):
-    # at c * min(sigma, 1) > EXP_ARG_MAX the seed follows the large-tilt law
+    # at c * min(sigma, 1) > LN_DBL_MAX the seed follows the large-tilt law
     # a c e^{ac} = c^2 sigma^2 / 2; the root ~7.3e-298 lies hundreds of
     # halvings below min(sigma, 1) = 1e-140
     solution = trunc.lower_bound_trunc(BoundQuery(1e300, 1e-140))

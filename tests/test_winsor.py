@@ -77,6 +77,23 @@ class TestBStar:
             direct = math.log(winsor.b_star(a, c))
             assert abs(winsor.log_b_star(a, c) - direct) < 1e-12 * max(1.0, abs(direct))
 
+    @pytest.mark.parametrize("c", (1e-320, 5e-324))
+    def test_subnormal_tilt(self, c):
+        # z = c(1 + a) below DBL_MIN: the map is 2(1 + a) expm1(z)/z - a = a + 2
+        assert winsor.b_star(0.5, c) == 2.5
+        assert winsor.log_b_star(0.5, c) == math.log(2.5)
+        assert winsor.log_b_star(0.0, c) == math.log(2.0)
+
+    @pytest.mark.parametrize("log_map", (winsor.log_b_star, trunc.log_B_star))
+    def test_log_form_where_its_slope_leaves_the_doubles(self, log_map):
+        # z ~ 8.6e18: the slope's exponent ln a + z - ln S keeps an ulp of z
+        # (1024) of roundoff and passes ln DBL_MAX; ln S still answers
+        a, c = 6.198772557999916e222, 1.3924193088795288e-204
+        shift = c if log_map is winsor.log_b_star else 0
+        z = mpf(shift) + mpf(a) * c
+        expected = mp.log(2 * mp.expm1(z) - mpf(a) * c) - mp.log(c)
+        assert log_map(a, c) == pytest.approx(float(expected), rel=1e-15)
+
     def test_log_form_beyond_overflow(self):
         # 50-digit reference for ln b_star at a huge exponent
         a, c = 2000.0, 1.0
@@ -274,6 +291,12 @@ class TestLowerBoundFixedC:
         assert solution.a_c_sigma == pytest.approx(2.618e-306, rel=1e-3, abs=0.0)
         assert cli.main(["bound", "--kind", "fixed-winsor", "--c", "709.5", "--sigma", "1"]) == 0
 
+    def test_subnormal_tilt(self):
+        # b_star is a + 2 there, so a(a + 2) = 1 puts the root at sqrt(2) - 1
+        solution = winsor.lower_bound_fixed_c(BoundQuery(1e-320, 1.0))
+        assert abs(solution.a_c_sigma - (math.sqrt(2.0) - 1.0)) <= 1e-15
+        assert solution.bound == 1.0
+
     def test_tiny_tilt_seed_does_not_underflow(self):
         # c * sigma^2 underflows to 0.0 here, but the root, ~sigma^2/2, is a
         # normal double: the seed must be formed without that product
@@ -470,17 +493,34 @@ class TestColumnEquations:
                 assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-12)
 
     @pytest.mark.parametrize("c", (1e-320, 5e-324))
-    def test_truncated_moment_match_where_ac_is_subnormal(self, c, solves):
-        # z = ac below DBL_MIN: the map is a(2 expm1(z)/z - 1) = a, where
-        # the quotient (2 expm1(z) - z)/c keeps only a subnormal's bits
-        sigma = 10.0
-        root = trunc.solve_A_c_sigma(c, sigma)
+    @pytest.mark.parametrize("winsorized", (True, False), ids=("winsor", "trunc"))
+    def test_moment_match_where_z_is_subnormal(self, c, winsorized, solves):
+        # z = shift + ac below DBL_MIN: the map is 2(1 + a) expm1(z)/z - a =
+        # a + 2 (shift c) or a(2 expm1(z)/z - 1) = a (shift 0), where the
+        # quotient (2 expm1(z) - ac)/c keeps only a subnormal's bits
+        sigma, shift = 10.0, c if winsorized else 0.0
+        solve = winsor.solve_a_c_sigma if winsorized else trunc.solve_A_c_sigma
+        root = solve(c, sigma)
         ((f, start, hi),) = solves.equations
-        g = lambda v: mp_moment_match(v, c, sigma, 0.0)
+        g = lambda v: mp_moment_match(v, c, sigma, shift)
         for a in (0.3, 3.0, root, hi):
             value, slope = f(a)
             u = mpf(math.log(a))
             assert value == pytest.approx(float(g(u)), rel=1e-12, abs=1e-15)
+            assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-12)
+
+    @pytest.mark.parametrize("c", (1e-3, 0.5, 2.0, 40.0, 700.0))
+    def test_threshold(self, c, solves):
+        # ln B_star(a, c) = 0, through the same log-form body as the moment
+        # matches; past LOG_FORM_CUTOVER (c = 40, 700 at a = 1) in log form
+        root = trunc.solve_A_c(c)
+        ((f, start, hi),) = solves.equations
+        assert hi == 1.0
+        g = lambda v: mp_moment_match(v, c, 1.0, 0.0) - v
+        for a in (0.1 * root, root, 1.0):
+            value, slope = f(a)
+            u = mpf(math.log(a))
+            assert value == pytest.approx(float(g(u)), rel=1e-12, abs=1e-12)
             assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-12)
 
     @pytest.mark.parametrize("sigma", (1e-100, 1e-4, 0.3, 1.0, 5.0, 1e5, 1e150))

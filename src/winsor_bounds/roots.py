@@ -28,11 +28,13 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     f(a) returns f's value and its slope in ln a, a f'(a).  f must increase
     through its only root in (0, hi] and must not be negative at hi.  Each
     evaluation narrows the bracket, which starts as (0, hi]; a Newton step
-    too small to move a moves it one ulp toward the root, and a step that
-    leaves the bracket is replaced by a geometric bisection, which probes
-    the smallest positive double once while no point below the root is
-    known.  The root is accepted once |f| <= TOL and is polished by one
-    more Newton step.
+    too small to move a moves it one ulp toward the root.  A geometric
+    bisection replaces a step that leaves the bracket, and, by rtsafe's
+    progress rule (Numerical Recipes, 3rd ed., 9.4), a move in ln a above
+    half the move before last, a bisection's move counting as infinite.  It
+    probes the smallest positive double while no point below the root is
+    known, and the upper end for a step past it while that end is unprobed.
+    The root is accepted once |f| <= TOL and polished by one Newton step.
 
     Raises NonFiniteValueError where f is not finite, NoSignChangeError where
     f > TOL at the smallest positive double (the root lies below it), and
@@ -43,15 +45,17 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     require_positive("start", start)
     # an open bracket (lo, hi) whose hi starts one ulp above the given end:
     # a step may land on that end once, but never on a point already probed
-    lo, a, hi = 0.0, min(start, hi), math.nextafter(hi, math.inf)
+    lo, a, end, hi = 0.0, min(start, hi), hi, math.nextafter(hi, math.inf)
+    last = older = math.inf  # the sizes of the last two moves in ln a
     for _ in range(MAX_SOLVE_ITERATIONS):
         value, slope = f(a)
         if not math.isfinite(value):
             raise NonFiniteValueError(f"f({a!r}) returned non-finite value {value!r}")
         try:
-            step = a * math.exp(-value / slope)  # the Newton step in ln a
+            move = value / slope  # the Newton move in ln a
+            step = a * math.exp(-move)
         except ArithmeticError:  # a zero slope, or a step past the doubles
-            step = math.nan
+            move = step = math.nan
         if abs(value) <= TOL:
             return step if lo < step < hi else a  # polished by the Newton step
         if value < 0.0:
@@ -64,14 +68,17 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
             hi = a
         if step == a:  # a correction below half an ulp: move one ulp toward the root
             step = math.nextafter(a, hi if value < 0.0 else 0.0)
-        if not lo < step < hi:  # NaN, or outside (as any step against a negative slope is)
-            step = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else _TINY
+        # NaN, outside (as any step against a negative slope is), or short
+        # of halving the move before last
+        if not lo < step < hi or abs(move) > 0.5 * older:
+            bisection = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else _TINY
+            step, move = end if step >= hi > end else bisection, math.inf
             if not lo < step < hi:
                 raise MaxIterationsError(
                     f"bracket collapsed to adjacent floats [{lo!r}, {hi!r}] with |f| "
                     f"still above tol={TOL!r}; f is too steep at this scale for the tolerance"
                 )
-        a = step
+        a, last, older = step, abs(move), last
     raise MaxIterationsError(
         f"no convergence in {MAX_SOLVE_ITERATIONS} evaluations; bracket [{lo!r}, {hi!r}] "
         f"(tol={TOL!r})"

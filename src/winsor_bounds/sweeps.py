@@ -1,15 +1,16 @@
 """Parameter sweeps over sigma, serialized as CSV.
 
 These reproduce the package's reference figures: the universal Winsorized
-bound as a function of sigma, and the two ratio panels
-(universal/fixed-tilt and truncated/Winsorized) across a tilt list.
-A sweep checks its arguments first, then runs a row-by-row loop over the
-bodies of the scalar ``lower_bound_*`` calls, one column per bound.  Each
-lane (one sigma of one column) starts its root solve from the column's
-extrapolated path instead of its seed: the line in (ln sigma, ln a) through
-the column's last two roots, the secant predictor of numerical continuation.
-A lane that fails from there is solved again from its seed, so a sweep
-answers, and raises, what the loop over the scalar calls would.
+bound against sigma, and the ratio panels universal/fixed-tilt and
+truncated/Winsorized across a tilt list.  Each sweep kind is one entry of
+``_KINDS``, a bound lane over another or over nothing.  A sweep checks its
+arguments, then loops row by row over the bodies of the scalar
+``lower_bound_*`` calls, solving each distinct bound column (lane, tilt)
+once per row, and divides.  Each lane (one sigma of one column) starts its
+root solve from the column's extrapolated path: the line in (ln sigma, ln a)
+through the column's last two roots, the secant predictor of numerical
+continuation.  A lane that fails from there is solved again from its seed,
+so a sweep answers, and raises, what the loop over the scalar calls would.
 Files are written atomically (temp file + rename) with every value at full
 double precision, so emitted CSVs diff cleanly and round-trip bitwise.
 """
@@ -37,14 +38,6 @@ class SweepKind(str, Enum):
     RATIO_TRUNC_OVER_WINSOR = "ratio-trunc-over-winsor"
 
 
-_NEEDS_C = {
-    SweepKind.FIXED_C_WINSOR,
-    SweepKind.TRUNC,
-    SweepKind.RATIO_UNIVERSAL_OVER_FIXED,
-    SweepKind.RATIO_TRUNC_OVER_WINSOR,
-}
-
-
 @dataclass(frozen=True)
 class SweepTable:
     """Grid of bound (or ratio) values: one row per sigma, one value column
@@ -57,9 +50,7 @@ class SweepTable:
 
     @property
     def column_labels(self) -> tuple[str, ...]:
-        if self.kind is SweepKind.UNIVERSAL_WINSOR:
-            return ("bound",)
-        return tuple(f"c={c!r}" for c in self.c_values)
+        return tuple(f"c={c!r}" for c in self.c_values) or ("bound",)
 
 
 def sigma_grid(sigma_min: float, sigma_max: float, points: int, scale: str = "log") -> tuple[float, ...]:
@@ -107,38 +98,43 @@ _TRUNC = lambda c, sigma, cut, start: _trunc(
     _effective_c(c, cut), _effective_sigma(sigma, cut), start
 )
 
+# Each kind as a quotient of bound lanes, (numerator, denominator or None):
+# the figures' ratio panels divide one bound column by another at each tilt.
+_KINDS = {
+    SweepKind.UNIVERSAL_WINSOR: (_UNIVERSAL, None),
+    SweepKind.FIXED_C_WINSOR: (_FIXED, None),
+    SweepKind.TRUNC: (_TRUNC, None),
+    SweepKind.RATIO_UNIVERSAL_OVER_FIXED: (_UNIVERSAL, _FIXED),
+    SweepKind.RATIO_TRUNC_OVER_WINSOR: (_TRUNC, _FIXED),
+}
 
-def compute_sweep(
-    kind: SweepKind,
-    sigma_values,
-    c_values=(),
-    cut: float = 1.0,
-) -> SweepTable:
+
+def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) -> SweepTable:
     """Evaluate the requested bound or ratio over the sigma grid."""
     kind = SweepKind(kind)
     c_values = tuple(float(c) for c in c_values)
     sigma_values = tuple(float(s) for s in sigma_values)
     if any(right <= left for left, right in zip(sigma_values, sigma_values[1:])):
         raise ParameterError("sigma_values must be strictly increasing")
-    if kind in _NEEDS_C and not c_values:
+    tilted = set(_KINDS[kind]) - {_UNIVERSAL, None}
+    if tilted and not c_values:
         raise ParameterError(f"sweep kind {kind.value!r} requires a tilt list")
-    if kind is SweepKind.UNIVERSAL_WINSOR and c_values:
-        raise ParameterError("universal-winsor sweeps take no tilt list")
+    if c_values and not tilted:
+        raise ParameterError(f"{kind.value} sweeps take no tilt list")
     for name, values in (("c", c_values), ("sigma", sigma_values), ("cut", (cut,))):
         for value in values:
             require_positive(name, value)
 
-    # the bound columns in the order one row evaluates them
-    if kind is SweepKind.UNIVERSAL_WINSOR:
-        columns = [(_UNIVERSAL, None)]
-    elif kind is SweepKind.FIXED_C_WINSOR:
-        columns = [(_FIXED, c) for c in c_values]
-    elif kind is SweepKind.TRUNC:
-        columns = [(_TRUNC, c) for c in c_values]
-    elif kind is SweepKind.RATIO_UNIVERSAL_OVER_FIXED:
-        columns = [(_UNIVERSAL, None)] + [(_FIXED, c) for c in c_values]
-    else:  # RATIO_TRUNC_OVER_WINSOR
-        columns = [(bound, c) for c in c_values for bound in (_TRUNC, _FIXED)]
+    # the distinct bound columns, keyed (lane, c) with c None for the universal
+    # lane, in first-use order, and each value as (numerator, denominator or
+    # None) column indices
+    keys = {}
+    cells = [
+        [lane and keys.setdefault((lane, None if lane is _UNIVERSAL else c), len(keys))
+         for lane in _KINDS[kind]]
+        for c in c_values or (None,)
+    ]
+    columns = tuple(keys)
 
     # each column's last two roots as (ln sigma, ln a, a), oldest first; a
     # lane that solves no root starts its column's path afresh
@@ -156,16 +152,8 @@ def compute_sweep(
             root = solved[0]
             paths[j] = () if root is None else (*path[-1:], (log_sigma, math.log(root), root))
             bounds.append(solved[-1])
-        if kind is SweepKind.RATIO_UNIVERSAL_OVER_FIXED:
-            values = tuple(bounds[0] / fixed for fixed in bounds[1:])
-        elif kind is SweepKind.RATIO_TRUNC_OVER_WINSOR:
-            values = tuple(t / w for t, w in zip(bounds[::2], bounds[1::2]))
-        else:
-            values = tuple(bounds)
-        rows.append((sigma, *values))
-    return SweepTable(
-        kind=kind, c_values=c_values, sigma_values=sigma_values, rows=tuple(rows)
-    )
+        rows.append((sigma, *(bounds[n] if d is None else bounds[n] / bounds[d] for n, d in cells)))
+    return SweepTable(kind, c_values, sigma_values, tuple(rows))
 
 
 def write_csv(table: SweepTable, path: str) -> None:

@@ -489,6 +489,4 @@ def run_suite(name: str, seed: int = 1) -> list[CheckResult]:
         return out
     if name not in SUITES:
         raise errors.ParameterError(f"suite must be one of {', '.join(SUITES)}, all; got {name!r}")
-    if name == "oracle":
-        return suite_oracle(seed)
-    return SUITES[name]()
+    return SUITES[name](seed) if name == "oracle" else SUITES[name]()

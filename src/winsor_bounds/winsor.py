@@ -57,11 +57,12 @@ def _support_point(a: float, c: float, shift: float) -> float:
 
 def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]:
     """(ln a, ln S, d ln S / d ln a) for S = _support_point(a, c, shift),
-    stable for arbitrarily large z = shift + ac; ln a is -inf at a = 0,
-    where the slope is 0.  The slope a(2e^z - 1)/S is formed as
-    (2 - e^-z) e^(ln a + z - ln S): the exponent is at most ln(ac/2) plus
-    roundoff of about an ulp of z, which past z ~ 2^61 can leave the doubles;
-    the slope is inf there, not a raise, as ln S still answers."""
+    stable for arbitrarily large z = shift + ac; ln a is -inf at a = 0, where
+    the slope is 0 for shift c and NaN for shift 0 (log_B_star refuses a = 0).
+    The slope a(2e^z - 1)/S is (2 - e^-z) e^(ln a + z - ln S).  Past the
+    cutover z cancels from the exponent exactly, which leaves ln(ac/2) less
+    the correction, not an ulp of z of roundoff; so it is below LN_DBL_MAX
+    there, and at most z <= 30 elsewhere, as S >= a."""
     log_a = math.log(a) if a else -math.inf
     z = shift + a * c
     if z < DBL_MIN:  # the map is a + 2 or a, as in _support_point
@@ -76,10 +77,11 @@ def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]
         # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction
         # term is below 1e-11 past the cutover and underflows harmlessly to 0.
         correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
-        log_support = z + math.log(2.0 / c) + correction
-    exponent = log_a + z - log_support
-    slope = math.inf if exponent > LN_DBL_MAX else (2.0 - math.exp(-z)) * math.exp(exponent)
-    return log_a, log_support, slope
+        log_2_over_c = math.log(2.0 / c)
+        log_support = z + log_2_over_c + correction
+        exponent = log_a - log_2_over_c - correction  # ln a + z - ln S, z cancelled
+        return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(exponent)
+    return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(log_a + z - log_support)
 
 
 def _moment_match(c: float, sigma: float, shift: float, start: float) -> float:

@@ -4,22 +4,12 @@ import math
 
 import pytest
 from mpmath import mp, mpf
-from scipy.optimize import minimize_scalar
 
 from winsor_bounds import asymptotics
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.errors import ExponentOverflowError, ParameterError
 
-
-def bisect(f, lo, hi, iters=200):
-    f_lo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == (f_lo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from reference import bisect, golden_section_min
 
 
 def test_f_of_t_values():
@@ -106,25 +96,15 @@ def test_universal_asymptote_values():
 
 def test_universal_slope_is_minimum_over_tilts():
     constants = asymptotics.solve_t_star()
-    result = minimize_scalar(
-        asymptotics.winsor_small_sigma_slope,
-        bounds=(1e-6, 20.0),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    assert abs(result.x - constants.minus_ln_t_star) < 1e-6
-    assert abs(result.fun - constants.small_sigma_universal_slope) < 1e-6
+    x, fun = golden_section_min(asymptotics.winsor_small_sigma_slope, 1e-6, 20.0, xtol=1e-8)
+    assert abs(x - constants.minus_ln_t_star) < 1e-6
+    assert abs(fun - constants.small_sigma_universal_slope) < 1e-6
 
 
 def test_universal_coeff_is_minimum_over_tilts():
-    result = minimize_scalar(
-        asymptotics.winsor_large_sigma_coeff,
-        bounds=(1e-6, 20.0),
-        method="bounded",
-        options={"xatol": 1e-8},
-    )
-    assert abs(result.x - 2.0) < 1e-6
-    assert abs(result.fun - math.exp(2.0)) < 1e-6
+    x, fun = golden_section_min(asymptotics.winsor_large_sigma_coeff, 1e-6, 20.0, xtol=1e-8)
+    assert abs(x - 2.0) < 1e-6
+    assert abs(fun - math.exp(2.0)) < 1e-6
 
 
 def test_parameter_validation():

@@ -15,21 +15,7 @@ from winsor_bounds.errors import (
 from winsor_bounds import roots as roots_module
 from winsor_bounds.roots import _solve
 
-
-def bisect(f, lo, hi, iters=200):
-    """Independent plain-bisection oracle."""
-    f_lo = f(lo)
-    assert f_lo * f(hi) < 0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from reference import bisect
 
 
 def with_slope(f, df):
@@ -92,6 +78,12 @@ class TestFindBracket:
         # the root sits about 266 doublings above the start
         root = _solve(lambda x: (x / 1e80 - 1.0, x / 1e80), 1.0, 1e81)
         assert root == pytest.approx(1e80, rel=1e-15)
+
+    def test_evaluation_cap(self, monkeypatch):
+        # the root sits ~266 doublings above the start: more than 3 evaluations
+        monkeypatch.setattr(roots_module, "MAX_SOLVE_ITERATIONS", 3)
+        with pytest.raises(MaxIterationsError, match="no convergence in 3 evaluations"):
+            _solve(lambda x: (x / 1e80 - 1.0, x / 1e80), 1.0, 1e81)
 
     def test_expansion_stops_before_inf(self):
         # negative on every float, so steps run past hi; f must never be

@@ -69,6 +69,11 @@ class TestComputeSweep:
         with pytest.raises(ParameterError):
             compute_sweep(SweepKind.UNIVERSAL_WINSOR, grid, c_values=(1.0,))
 
+    @pytest.mark.parametrize("sigmas", [(1.0, 1.0), (2.0, 1.0), (0.5, 3.0, 2.0)])
+    def test_requires_increasing_sigmas(self, sigmas):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            compute_sweep(SweepKind.UNIVERSAL_WINSOR, sigmas)
+
 
 FIGURE_GRID = sigma_grid(0.05, 100.0, 200)
 FIGURE_TILTS = (1.0, 1.5, 2.0, 3.0, 5.0)
@@ -128,7 +133,7 @@ class TestColumnSolverAgainstScalar:
             (SweepKind.TRUNC, tuple(np.geomspace(1e-2, 1e300, 60)), (1.0, 1e-300), 1.0),
             # at sigma = 1e154 a start from the last root, ~2e-299, makes
             # a/sigma^2 underflow; the extrapolated one, ~2e307, is ~10^305
-            # above the root and takes more than 200 evaluations
+            # above the root, where the solver's progress rule bisects
             (SweepKind.UNIVERSAL_WINSOR, (1e-150, 1e-149, 1e154), (), 1.0),
         ],
         ids=["fixed-400", "fixed-400-cut", "fixed-400-tiny", "universal-subnormal",
@@ -157,6 +162,24 @@ class TestColumnSolverAgainstScalar:
         # a linear grid's ln-sigma steps shrink along the column; two and
         # three points give a path of no roots, one root and two roots
         tilts = () if kind is SweepKind.UNIVERSAL_WINSOR else (0.5, 1.0, 5.0)
+        table = compute_sweep(kind, sigmas, tilts)
+        for row, expected in zip(table.rows, scalar_rows(kind, sigmas, tilts, 1.0)):
+            assert row[1:] == pytest.approx(expected[1:], rel=SWEEP_RTOL, abs=0)
+
+    def test_jump_is_solved_once_per_lane(self, solves):
+        # the lane at 1e154 answers from its extrapolated start, ~10^305
+        # above the root, and is not solved again from its seed
+        compute_sweep(SweepKind.UNIVERSAL_WINSOR, (1e-150, 1e-149, 1e154))
+        assert len(solves.equations) == 3
+
+    @pytest.mark.parametrize("kind", list(SCALAR), ids=lambda k: k.value)
+    def test_adjacent_sigmas_with_one_logarithm(self, kind):
+        # 1e100 and its next two doubles share one ln sigma: the third lane
+        # starts from the last root, not from a line through the last two
+        sigmas = (1e100, math.nextafter(1e100, math.inf))
+        sigmas += (math.nextafter(sigmas[1], math.inf),)
+        assert len({math.log(s) for s in sigmas}) == 1
+        tilts = () if kind is SweepKind.UNIVERSAL_WINSOR else (1e-90, 1.0)
         table = compute_sweep(kind, sigmas, tilts)
         for row, expected in zip(table.rows, scalar_rows(kind, sigmas, tilts, 1.0)):
             assert row[1:] == pytest.approx(expected[1:], rel=SWEEP_RTOL, abs=0)
@@ -352,6 +375,22 @@ class TestCli:
         assert header == ("sigma", "c=1.0", "c=2.0")
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("raw", ["1,x", ","])
+    def test_sweep_refuses_a_bad_tilt_list(self, raw, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        code = cli.main([
+            "sweep", "--kind", "fixed-winsor", "--c", raw,
+            "--sigma-min", "0.5", "--sigma-max", "5", "--points", "3", "--out", out,
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: --c expects")
+        assert not os.path.exists(out)
+
+    def test_universal_bound_takes_no_c(self, capsys):
+        argv = ["bound", "--kind", "universal-winsor", "--c", "1", "--sigma", "1"]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: universal-winsor takes no --c\n"
+
     def test_sweep_bad_range_exit_code(self, tmp_path):
         out = str(tmp_path / "x.csv")
         code = cli.main([
@@ -378,6 +417,10 @@ class TestCli:
         last = lines[-1].split()
         assert float(last[2]) < 1e-2
         assert abs(float(last[3]) - 0.8781357139504142) < 1e-10
+
+    def test_collapse_demo_needs_a_step(self, capsys):
+        assert cli.main(["collapse-demo", "--sigma", "1", "--steps", "0"]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --steps must be >= 1, got 0\n"
 
     def test_collapse_demo_single_step(self, capsys):
         assert cli.main(["collapse-demo", "--sigma", "1", "--steps", "1"]) == 0
@@ -559,6 +602,21 @@ class TestCli:
         assert sum(verify_all.seconds.values()) < 60.0
         out = capsys.readouterr().out
         assert "32/32 checks passed" in out
+
+    def test_all_runs_each_suite_once_in_order(self, monkeypatch):
+        calls = []
+
+        def stub(name):
+            def suite(*seed):
+                calls.append((name, *seed))
+                return [name]
+
+            return suite
+
+        for name in verify.SUITES:
+            monkeypatch.setitem(verify.SUITES, name, stub(name))
+        assert verify.run_suite("all", seed=7) == list(verify.SUITES)
+        assert calls == [(name, 7) if name == "oracle" else (name,) for name in verify.SUITES]
 
     def test_failed_verification_exit_code(self, verify_all, capsys, monkeypatch):
         checks = list(verify_all.by_suite["roots"])

@@ -14,16 +14,7 @@ from winsor_bounds.distributions import BoundQuery, two_point
 from winsor_bounds.errors import ExponentOverflowError, ParameterError
 from winsor_bounds.trunc import Branch
 
-
-def bisect(f, lo, hi, iters=200):
-    f_lo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == (f_lo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+from reference import bisect
 
 
 class TestBStar:

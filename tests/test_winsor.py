@@ -16,23 +16,14 @@ from winsor_bounds.errors import (
 )
 from winsor_bounds.sweeps import sigma_grid
 
+from reference import bisect
+
 mp.dps = 50
 
 
 def mp_b_star(a, c):
     a, c = mpf(a), mpf(c)
     return (2 * (mp.e ** (c + a * c) - 1) - a * c) / c
-
-
-def bisect(f, lo, hi, iters=200):
-    f_lo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) < 0.0) == (f_lo < 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 class TestBStar:
@@ -86,13 +77,28 @@ class TestBStar:
 
     @pytest.mark.parametrize("log_map", (winsor.log_b_star, trunc.log_B_star))
     def test_log_form_where_its_slope_leaves_the_doubles(self, log_map):
-        # z ~ 8.6e18: the slope's exponent ln a + z - ln S keeps an ulp of z
-        # (1024) of roundoff and passes ln DBL_MAX; ln S still answers
+        # z ~ 8.6e18: formed as ln a + z - ln S, the slope's exponent would
+        # keep an ulp of z (1024) of roundoff and pass ln DBL_MAX
         a, c = 6.198772557999916e222, 1.3924193088795288e-204
         shift = c if log_map is winsor.log_b_star else 0
         z = mpf(shift) + mpf(a) * c
         expected = mp.log(2 * mp.expm1(z) - mpf(a) * c) - mp.log(c)
         assert log_map(a, c) == pytest.approx(float(expected), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "a, c", [(6.2e222, 1.39e-204), (1e200, 1e-180), (3e15, 1e3)]
+    )
+    @pytest.mark.parametrize("winsorized", (True, False), ids=("winsor", "trunc"))
+    def test_log_form_slope_against_mpmath(self, a, c, winsorized):
+        # ulp(z) is past ln(ac/2) at each point: the exponent ln a + z - ln S
+        # cancelled to 0 or leaves the doubles, reading 2.0 or inf; z must
+        # cancel exactly, leaving ln(ac/2)
+        shift = c if winsorized else 0.0
+        z = mpf(shift) + mpf(a) * c
+        support = (2 * mp.expm1(z) - mpf(a) * c) / c
+        expected = mpf(a) * (2 * mp.exp(z) - 1) / support
+        slope = winsor._log_support(a, c, shift)[2]
+        assert slope == pytest.approx(float(expected), rel=1e-13)
 
     def test_log_form_beyond_overflow(self):
         # 50-digit reference for ln b_star at a huge exponent
@@ -352,6 +358,17 @@ def test_subnormal_root_collapses_in_a_few_evaluations(solve, solves):
     with pytest.raises(MaxIterationsError, match="adjacent floats"):
         solve()
     assert len(solves.points) <= 3
+
+
+@pytest.mark.parametrize("start", (1e30, 1e100, 2e307))
+def test_universal_root_from_far_above(start, solves):
+    # ell1 ~ 2a far above the root, so each Newton move lowers ln a by ~1;
+    # the progress rule bisects instead (19 to 23 evaluations, against 69
+    # from 1e30 and more than 200 from the other two by Newton alone)
+    seeded = winsor._universal(1e154)[-1]
+    del solves.points[:]
+    assert winsor._universal(1e154, start)[-1] == pytest.approx(seeded, rel=2e-15, abs=0)
+    assert len(solves.points) <= 40
 
 
 class TestLowerBoundUniversal:

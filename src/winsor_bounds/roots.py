@@ -36,7 +36,7 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     known, and the upper end for a step past it while that end is unprobed.
     The root is accepted once |f| <= TOL and polished by one Newton step.
 
-    Raises NonFiniteValueError where f is not finite, NoSignChangeError where
+    Raises NonFiniteValueError where f is NaN or -inf, NoSignChangeError where
     f > TOL at the smallest positive double (the root lies below it), and
     MaxIterationsError when the bracket collapses to adjacent doubles with
     |f| > TOL at both (f is too steep at this scale for TOL) or after
@@ -49,7 +49,7 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     last = older = math.inf  # the sizes of the last two moves in ln a
     for _ in range(MAX_SOLVE_ITERATIONS):
         value, slope = f(a)
-        if not math.isfinite(value):
+        if not value > -math.inf:  # NaN or -inf; +inf lies above the root
             raise NonFiniteValueError(f"f({a!r}) returned non-finite value {value!r}")
         try:
             move = value / slope  # the Newton move in ln a

@@ -62,9 +62,12 @@ def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]
     The slope a(2e^z - 1)/S is (2 - e^-z) e^(ln a + z - ln S).  Past the
     cutover z cancels from the exponent exactly, which leaves ln(ac/2) less
     the correction, not an ulp of z of roundoff; so it is below LN_DBL_MAX
-    there, and at most z <= 30 elsewhere, as S >= a."""
+    there, and at most z <= 30 elsewhere, as S >= a.  Where z overflows, ln S
+    and the slope, about ac/2, are inf."""
     log_a = math.log(a) if a else -math.inf
     z = shift + a * c
+    if z == math.inf:
+        return log_a, math.inf, math.inf
     if z < DBL_MIN:  # the map is a + 2 or a, as in _support_point
         log_support = math.log(a + 2.0) if shift else log_a
     elif z <= LOG_FORM_CUTOVER:

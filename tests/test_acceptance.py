@@ -11,7 +11,7 @@ import numpy as np
 
 from winsor_bounds import asymptotics, oracle, trunc, winsor
 from winsor_bounds.asymptotics import Regime
-from winsor_bounds.distributions import BoundQuery
+from winsor_bounds.distributions import two_point
 from winsor_bounds.sweeps import SweepKind, compute_sweep, sigma_grid
 
 
@@ -67,18 +67,13 @@ def test_criterion_04_slow_large_sigma_ratio():
                f"{seconds * 1e3:.2f} ms")
 
 
-def test_criterion_05_small_sigma_slopes():
-    sigma = 1e-3
-    sigma2 = sigma * sigma
-    worst = 0.0
-    for c in (0.5, 1.0, 2.0, 5.0):
-        bound_w = winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).bound
-        slope = -c * c / (4.0 * math.expm1(c))
-        worst = max(worst, abs((bound_w - 1.0) / sigma2 / slope - 1.0))
-        bound_t = trunc.lower_bound_trunc(BoundQuery(c, sigma)).bound
-        worst = max(worst, abs((bound_t - 1.0) / sigma2 / (-c) - 1.0))
-    assert worst <= 0.01
-    _report(5, f"small-sigma slopes match within {worst:.2e} (tol 1%) "
+def test_criterion_05_small_sigma_slopes(verify_all):
+    # verify's check: both bounds at sigma = 1e-3 against their sigma^2
+    # slopes, -c^2 / (4(e^c - 1)) and -c, for c in {0.5, 1, 2, 5}
+    by_name = {r.name: r for r in verify_all.by_suite["asymptotics"]}
+    check = by_name["asymptotics.small_sigma_slopes"]
+    assert check.passed and check.tolerance == 0.01
+    _report(5, f"small-sigma slopes match within {check.worst:.2e} (tol 1%) "
                f"for c in {{0.5, 1, 2, 5}}")
 
 
@@ -120,8 +115,6 @@ def test_criterion_09_trunc_branch_continuity():
     worst = 0.0
     for c in (0.5, 1.0, 2.0, 5.0):
         threshold = trunc.solve_A_c(c)
-        from winsor_bounds.distributions import two_point
-
         small = trunc.trunc_moment(two_point(threshold, 1.0), c)
         a = trunc.solve_A_c_sigma(c, math.sqrt(threshold))
         large = trunc.trunc_moment(two_point(a, max(threshold / a, 1.0)), c)

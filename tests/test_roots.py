@@ -106,6 +106,16 @@ class TestFindBracket:
         with pytest.raises(NonFiniteValueError):
             _solve(lambda x: (math.nan, 1.0), 1.0, 2.0)
 
+    def test_positive_infinity_lies_above_the_root(self):
+        # an overflowed log form reads +inf, which narrows the bracket from
+        # above; -inf raises, as NaN does
+        def f(x):
+            return (math.inf, math.inf) if x > 1e10 else (math.log(x), 1.0)
+
+        assert _solve(f, 1e20, 1e30) == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(NonFiniteValueError):
+            _solve(lambda x: (-math.inf, 1.0), 1.0, 2.0)
+
     def test_exact_zero_at_the_start_is_the_root(self):
         probes = []
         assert _solve(recording(lambda x: (x - 1.0, x), probes), 1.0, 2.0) == 1.0

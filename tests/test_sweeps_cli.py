@@ -18,6 +18,8 @@ from winsor_bounds.sweeps import SweepKind, compute_sweep, read_csv, sigma_grid,
 from winsor_bounds.trunc import Branch, lower_bound_trunc
 from winsor_bounds.winsor import lower_bound_fixed_c, lower_bound_universal
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
 
 class TestSigmaGrid:
     def test_log_grid_endpoints(self):
@@ -56,9 +58,17 @@ class TestComputeSweep:
             assert 0.0 < value <= 1.0
 
     def test_ratio_kinds_stay_in_unit_interval(self):
-        grid = sigma_grid(0.2, 50.0, 8)
-        for kind in (SweepKind.RATIO_UNIVERSAL_OVER_FIXED, SweepKind.RATIO_TRUNC_OVER_WINSOR):
-            table = compute_sweep(kind, grid, c_values=(1.0, 2.0))
+        log_grid = sigma_grid(0.2, 50.0, 8)
+        # a linear grid's unequal ln-sigma steps extrapolate the lanes'
+        # starts, and its truncated columns cross from the small-sigma
+        # branch to the large one
+        linear_grid = sigma_grid(0.05, 3.0, 50, "linear")
+        cases = [(kind, log_grid, (1.0, 2.0)) for kind in
+                 (SweepKind.RATIO_UNIVERSAL_OVER_FIXED, SweepKind.RATIO_TRUNC_OVER_WINSOR)]
+        cases.append((SweepKind.RATIO_TRUNC_OVER_WINSOR, linear_grid, (0.5, 1.0, 5.0)))
+        for kind, grid, c_values in cases:
+            table = compute_sweep(kind, grid, c_values)
+            assert len(table.rows) == len(grid)
             for row in table.rows:
                 assert all(0.0 < value <= 1.0 + 1e-12 for value in row[1:])
 
@@ -322,6 +332,59 @@ class TestCsvRoundTrip:
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
 
+# Every outcome of `bound` through cli.main, above all at the edges of the
+# doubles: (arguments, exit code, stderr prefix).  Exit 0 prints a bound in
+# (0, 1] and nothing on stderr; any other exit prints nothing on stdout and an
+# error line that starts with the prefix, never a traceback.
+BOUND_OUTCOMES = [
+    ("--kind trunc --c 1 --sigma 0.5", 0, ""),
+    # a threshold A_c near 7e-298, and a subnormal truncated bound whose
+    # root lies near 7e-298
+    ("--kind trunc --c 1e300 --sigma 1e-150", 0, ""),
+    ("--kind trunc --c 1e300 --sigma 1e-140", 0, ""),
+    # ell1 once overflowed in sigma^2-sized products
+    ("--kind universal-winsor --sigma 1e153", 0, ""),
+    # a root near 5e-305, whose seed once underflowed in c*sigma^2
+    ("--kind fixed-winsor --c 1e-300 --sigma 1e-152", 0, ""),
+    # a seed ln(1 + sigma^2)/c that once overflowed at a tiny tilt
+    ("--kind trunc --c 1e-310 --sigma 1e5", 0, ""),
+    # e^709.5 is a double just below ln(DBL_MAX) ~ 709.78 (once refused at 709)
+    ("--kind fixed-winsor --c 709.5 --sigma 1", 0, ""),
+    # a subnormal tilt, where the support map is a + 2
+    ("--kind fixed-winsor --c 1e-320 --sigma 1", 0, ""),
+    # the extremal mass a/(a+b) underflows to zero; the law is still valid
+    ("--kind fixed-winsor --c 500 --sigma 1", 0, ""),
+    ("--kind universal-winsor --sigma -1", 2, "error: sigma must be a positive real, got -1.0\n"),
+    ("--kind trunc --sigma 1", 2, "error: trunc requires --c\n"),
+    ("--kind universal-winsor --c 1 --sigma 1", 2, "error: universal-winsor takes no --c\n"),
+    # valid input whose answer or an intermediate leaves the doubles: exit 3
+    ("--kind fixed-winsor --c 1e200 --sigma 1 --cut 1e200", 3, "error: c*cut overflows to inf"),
+    ("--kind fixed-winsor --c 1e-200 --sigma 1e-200 --cut 1e-200", 3,
+     "error: c*cut underflows to 0.0"),
+    ("--kind fixed-winsor --c 1 --sigma 1e-320 --cut 1e10", 3,
+     "error: sigma/cut underflows to 0.0"),
+    ("--kind universal-winsor --sigma 1e300 --cut 1e-10", 3, "error: sigma/cut overflows to inf"),
+    ("--kind universal-winsor --sigma 1e160", 3, "error: sigma^2 overflows to inf"),
+    # sigma^2 = 0.0 leaves no positive double for the lower atom
+    ("--kind universal-winsor --sigma 1e-170", 3, "error: sigma^2 underflows to 0.0"),
+    ("--kind fixed-winsor --c 1 --sigma 1e-170", 3, "error: sigma^2 underflows to 0.0"),
+    ("--kind trunc --c 1 --sigma 1e-170", 3, "error: sigma^2 underflows to 0.0"),
+    ("--kind trunc --c 1.6e14 --sigma 1e150", 3, "error: b = sigma^2/a overflows to inf"),
+    ("--kind fixed-winsor --c 100 --sigma 1e-150", 3, "error: the root's seed underflows to 0.0"),
+    ("--kind trunc --c 5.080218046912991e24 --sigma 1e140", 3,
+     "error: the truncated bound underflows to 0.0"),
+    ("--kind fixed-winsor --c 709.9 --sigma 1", 3, "error: e^(c*min(1, b)) overflows to inf"),
+    # the root of ell1 lies below the smallest positive double
+    ("--kind universal-winsor --sigma 4.466835921509689e-162", 3,
+     "error: f > 0 at the smallest positive double"),
+]
+
+
+def _row_id(argv):
+    """'--kind trunc --c 1 --sigma 0.5' -> 'trunc,c=1,sigma=0.5'."""
+    return argv.removeprefix("--kind ").replace(" --", ",").replace(" ", "=")
+
+
 class TestCli:
     def test_bound_universal(self, capsys):
         code = cli.main(["bound", "--kind", "universal-winsor", "--sigma", "1"])
@@ -347,14 +410,20 @@ class TestCli:
         fields = dict(pair.split("=", 1) for pair in capsys.readouterr().out.split())
         assert abs(float(fields["a"]) - 0.2196629301855436) < 1e-9
 
-    def test_validation_exit_code(self, capsys):
-        assert cli.main(["bound", "--kind", "universal-winsor", "--sigma", "-1"]) == 2
+    @pytest.mark.parametrize(
+        "argv, code, prefix", BOUND_OUTCOMES, ids=[_row_id(row[0]) for row in BOUND_OUTCOMES]
+    )
+    def test_bound_outcome(self, argv, code, prefix, capsys):
+        assert cli.main(["bound", *argv.split()]) == code
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "sigma" in captured.err
-
-    def test_missing_c_exit_code(self, capsys):
-        assert cli.main(["bound", "--kind", "trunc", "--sigma", "1"]) == 2
+        if code == cli.EXIT_OK:
+            assert captured.err == ""
+            fields = dict(pair.split("=", 1) for pair in captured.out.split())
+            assert 0.0 < float(fields["bound"]) <= 1.0
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith(prefix)
+            assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("raw", ["1,2", "abc"])
     def test_bound_takes_one_real_c(self, raw, capsys):
@@ -385,11 +454,6 @@ class TestCli:
         assert code == cli.EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: --c expects")
         assert not os.path.exists(out)
-
-    def test_universal_bound_takes_no_c(self, capsys):
-        argv = ["bound", "--kind", "universal-winsor", "--c", "1", "--sigma", "1"]
-        assert cli.main(argv) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == "error: universal-winsor takes no --c\n"
 
     def test_sweep_bad_range_exit_code(self, tmp_path):
         out = str(tmp_path / "x.csv")
@@ -476,24 +540,6 @@ class TestCli:
         assert abs(float(fields["minus_ln_t_star"]) - 1.59362426004004) < 1e-12
         assert abs(float(fields["large_sigma_universal_coeff"]) - math.exp(2.0)) < 1e-15
 
-    def test_extreme_tilt_is_valid(self, capsys):
-        # the extremal mass a/(a+b) underflows to zero; the law is still valid
-        code = cli.main(["bound", "--kind", "fixed-winsor", "--c", "500", "--sigma", "1"])
-        assert code == 0
-        fields = dict(pair.split("=", 1) for pair in capsys.readouterr().out.split())
-        assert 0.0 < float(fields["bound"]) <= 1.0
-
-    @pytest.mark.parametrize("kind", ("universal-winsor", "fixed-winsor", "trunc"))
-    def test_underflowing_sigma_squared_exit_code(self, kind, capsys):
-        # sigma^2 = 0.0 in doubles leaves no positive float for the lower atom
-        tilt = [] if kind == "universal-winsor" else ["--c", "1"]
-        code = cli.main(["bound", "--kind", kind, *tilt, "--sigma", "1e-170"])
-        assert code == cli.EXIT_NO_CONVERGENCE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: sigma^2 underflows")
-        assert "Traceback" not in captured.err
-
     @pytest.mark.parametrize("sigma", (1e100, 1e150))
     def test_huge_sigma_is_valid(self, sigma, capsys):
         # b = sigma^2/a squares past the double range; the bounds stay exact
@@ -509,25 +555,6 @@ class TestCli:
             assert code == 0
             fields = dict(pair.split("=", 1) for pair in capsys.readouterr().out.split())
             assert 0.0 < float(fields["bound"]) <= 1.0
-
-    def test_underflowing_bracket_exit_code(self, capsys):
-        code = cli.main(["bound", "--kind", "fixed-winsor", "--c", "100", "--sigma", "1e-150"])
-        assert code == cli.EXIT_NO_CONVERGENCE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "Traceback" not in captured.err
-
-    @pytest.mark.parametrize("sigma", ("1e160", "4.466835921509689e-162"))
-    def test_out_of_range_universal_exit_code(self, sigma, capsys):
-        # sigma^2 overflows at 1e160; at 4.47e-162 the root of ell1 has no
-        # positive double left to bracket it
-        code = cli.main(["bound", "--kind", "universal-winsor", "--sigma", sigma])
-        assert code == cli.EXIT_NO_CONVERGENCE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert "Traceback" not in captured.err
 
     def test_tiny_trunc_threshold_is_printed(self, capsys):
         code = cli.main(["bound", "--kind", "trunc", "--c", "1e300", "--sigma", "1e-150"])
@@ -552,6 +579,32 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_runtime_only_job_needs_no_test_extras(self):
+        # CI's runtime-only job installs the package and pytest alone, then
+        # runs the test modules its pytest step lists: each must import with
+        # hypothesis, mpmath and scipy refused
+        workflow = (REPO_ROOT / ".github" / "workflows" / "tests.yml").read_text()
+        job = workflow.split("\n  runtime-only:\n", 1)[1]
+        step = next(line for line in job.splitlines() if "python -m pytest" in line)
+        modules = [Path(word).stem for word in step.split() if word.startswith("tests/")]
+        assert modules
+        script = (
+            "import importlib, sys\n"
+            "class RefuseTestExtras:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] in ('hypothesis', 'mpmath', 'scipy'):\n"
+            "            raise ImportError(f'{name} is a test extra')\n"
+            "sys.meta_path.insert(0, RefuseTestExtras())\n"
+            f"for module in {['conftest', *modules]!r}:\n"
+            "    importlib.import_module(module)\n"
+        )
+        src = str(Path(winsor_bounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, str(REPO_ROOT / "tests")))}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_bound_and_sweep_never_import_numpy(self, tmp_path):
         out = str(tmp_path / "ratio.csv")
@@ -626,9 +679,6 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [checks[2].line()]
         assert lines[-1] == f"{len(checks) - 1}/{len(checks)} checks passed"
-
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_figures_match_the_reference(tmp_path):

@@ -300,3 +300,27 @@ def test_random_starts_answer_as_the_seed(kind, solves):
         assert len(solves.points) <= RANDOM_START_EVALUATIONS, (c, sigma, start)
         if seeded >= sys.float_info.min:
             assert bound == pytest.approx(seeded, rel=RANDOM_START_RTOL, abs=0), (c, sigma, start)
+
+
+@pytest.mark.parametrize("kind", list(OUTCOME_MAPS))
+def test_random_starts_fail_as_the_seed(kind, solves):
+    # At every failing point that reaches a solve, one solve from a start
+    # log-uniform over [smallest double, hi] raises the seeded solve's class.
+    # Messages are not compared: a refusal names the solved a, which moves
+    # by ulps between starts.
+    lane, grid = LANES[kind], OUTCOME_MAPS[kind][1]
+    rng = random.Random(1)
+    for c, sigma in grid:
+        del solves.equations[:], solves.points[:]
+        try:
+            lane(c, sigma, None)
+            continue
+        except WinsorBoundsError as exc:
+            seeded = type(exc)
+        if not solves.equations:  # refused before any solve
+            continue
+        hi = solves.equations[-1][2]
+        start = math.exp(rng.uniform(math.log(roots._TINY), math.log(hi)))
+        with pytest.raises(WinsorBoundsError) as excinfo:
+            lane(c, sigma, start)
+        assert type(excinfo.value) is seeded, (c, sigma, start, excinfo.value)

@@ -174,6 +174,15 @@ class TestLowerBoundTrunc:
         assert solution.B_c_sigma >= 1.0
         assert solution.A_c_sigma >= solution.A_c
 
+    def test_branch_continuity(self):
+        for c in (0.5, 1.0, 2.0, 5.0):
+            threshold = trunc.solve_A_c(c)
+            sigma = math.sqrt(threshold)
+            small = trunc.trunc_moment(two_point(threshold, 1.0), c)
+            a = trunc.solve_A_c_sigma(c, sigma)
+            large = trunc.trunc_moment(two_point(a, max(threshold / a, 1.0)), c)
+            assert abs(small - large) <= 1e-10 * small
+
     def test_branch_tie_goes_small(self):
         threshold = trunc.solve_A_c(1.0)
         solution = trunc.lower_bound_trunc(BoundQuery(1.0, math.sqrt(threshold)))

@@ -46,7 +46,7 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     # an open bracket (lo, hi) whose hi starts one ulp above the given end:
     # a step may land on that end once, but never on a point already probed
     lo, a, end, hi = 0.0, min(start, hi), hi, math.nextafter(hi, math.inf)
-    last = older = math.inf  # the sizes of the last two moves in ln a
+    last = older = math.inf  # half the sizes of the last two moves in ln a
     for _ in range(MAX_SOLVE_ITERATIONS):
         value, slope = f(a)
         if not value > -math.inf:  # NaN or -inf; +inf lies above the root
@@ -70,15 +70,17 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
             step = math.nextafter(a, hi if value < 0.0 else 0.0)
         # NaN, outside (as any step against a negative slope is), or short
         # of halving the move before last
-        if not lo < step < hi or abs(move) > 0.5 * older:
+        size = abs(move)
+        if not lo < step < hi or size > older:
             bisection = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else _TINY
-            step, move = end if step >= hi > end else bisection, math.inf
+            step, size = end if step >= hi > end else bisection, math.inf
             if not lo < step < hi:
                 raise MaxIterationsError(
                     f"bracket collapsed to adjacent floats [{lo!r}, {hi!r}] with |f| "
                     f"still above tol={TOL!r}; f is too steep at this scale for the tolerance"
                 )
-        a, last, older = step, abs(move), last
+        a = step
+        older, last = last, 0.5 * size
     raise MaxIterationsError(
         f"no convergence in {MAX_SOLVE_ITERATIONS} evaluations; bracket [{lo!r}, {hi!r}] "
         f"(tol={TOL!r})"

@@ -6,11 +6,13 @@ truncated/Winsorized across a tilt list.  Each sweep kind is one entry of
 ``_KINDS``, a bound lane over another or over nothing.  A sweep checks its
 arguments, then loops row by row over the bodies of the scalar
 ``lower_bound_*`` calls, solving each distinct bound column (lane, tilt)
-once per row, and divides.  Each lane (one sigma of one column) starts its
-root solve from the column's extrapolated path: the line in (ln sigma, ln a)
-through the column's last two roots, the secant predictor of numerical
-continuation.  A lane that fails from there is solved again from its seed,
-so a sweep answers, and raises, what the loop over the scalar calls would.
+once per row, and divides; what the bodies read of sigma is formed once per
+row, and of the tilt once per column.  Each lane (one sigma of one column)
+starts its root solve from the column's extrapolated path: the cubic in
+(ln sigma, ln a) through the column's last four roots, the predictor of
+numerical continuation.  A lane that fails from there is solved again from
+its seed, so a sweep answers, and raises, what the loop over the scalar
+calls would.
 Files are written atomically (temp file + rename) with every value at full
 double precision, so emitted CSVs diff cleanly and round-trip bitwise.
 """
@@ -24,10 +26,10 @@ import tempfile
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import _effective_c, _effective_sigma
+from .distributions import _effective_c
 from .errors import ParameterError, WinsorBoundsError, exp_or_inf, require_positive
-from .trunc import _trunc
-from .winsor import _fixed_c, _universal
+from .trunc import _trunc_lane
+from .winsor import _fixed_lane, _row, _tilt, _universal_lane
 
 
 class SweepKind(str, Enum):
@@ -72,31 +74,43 @@ def sigma_grid(sigma_min: float, sigma_max: float, points: int, scale: str = "lo
     raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
 
 
-def _start(path, log_sigma: float) -> float | None:
-    """Where a column's next lane, at ln sigma = log_sigma, starts its root
-    solve, given path, the column's last roots as (ln sigma, ln a, a),
-    oldest first: on the line in (ln sigma, ln a) through the last two, at
-    the last root where only one is known or where that line leaves the
-    positive finite doubles, and at the lane's seed (None) where none is."""
-    if len(path) < 2:
-        return path[-1][2] if path else None
-    (s1, u1, _), (s2, u2, a2) = path
-    if s2 == s1:  # adjacent sigmas whose logarithms round to one double
-        return a2
-    start = exp_or_inf(u2 + (u2 - u1) / (s2 - s1) * (log_sigma - s2))
-    return start if 0.0 < start < math.inf else a2
+def _start(path, x: float) -> float | None:
+    """Where a column's next lane, at ln sigma = x, starts its root solve,
+    given the column's path (see _extend): on the path's polynomial, at the
+    last root where that leaves the positive finite doubles, and at the
+    lane's seed (None) where the column has no path."""
+    if path is None:
+        return None
+    a, s0, s1, s2, d0, d1, d2, d3 = path
+    start = exp_or_inf(d0 + (x - s0) * (d1 + (x - s1) * (d2 + (x - s2) * d3)))
+    return start if 0.0 < start < math.inf else a
 
 
-# Each bound as a lane, (c, sigma, cut, start) -> (root, ..., bound): the
-# body of its lower_bound_* call on arguments already checked, rescaled to
-# cut level 1 as lower_bound_* rescales them; the root None where none was solved.
-_UNIVERSAL = lambda c, sigma, cut, start: _universal(_effective_sigma(sigma, cut), start)
-_FIXED = lambda c, sigma, cut, start: _fixed_c(
-    _effective_c(c, cut), _effective_sigma(sigma, cut), start
-)
-_TRUNC = lambda c, sigma, cut, start: _trunc(
-    _effective_c(c, cut), _effective_sigma(sigma, cut), start
-)
+def _extend(path, x: float, a: float):
+    """path with the root a at ln sigma = x added.  A path is a column's last
+    root and the Newton form of the cubic in (ln sigma, ln a) through its
+    last four roots, (a, s0, s1, s2, d0, d1, d2, d3): s_k the k-th newest
+    abscissa, d_k the divided difference over the k + 1 newest roots, so a
+    root updates each d_k with one division.  A path starts at one root, its
+    differences 0 at abscissae -1e300 and -2e300, far below every ln sigma:
+    through fewer roots it is a constant, a line or a quadratic to 1e-300.
+    It starts afresh at a root on the last abscissa (adjacent sigmas whose
+    logarithms round to one double)."""
+    u = math.log(a)
+    if path is None or x == path[1]:
+        return a, x, -1e300, -2e300, u, 0.0, 0.0, 0.0
+    _, s0, s1, s2, d0, d1, d2, _ = path
+    e1 = (u - d0) / (x - s0)
+    e2 = (e1 - d1) / (x - s1)
+    return a, x, s0, s1, u, e1, e2, (e2 - d2) / (x - s2)
+
+
+# Each bound as a lane, (its tilt's inputs from (c, cut), its body): the body
+# of its lower_bound_* call at cut level 1, (tilt inputs, _row(sigma, cut),
+# start) -> (root, ..., bound), the root None where none was solved.
+_UNIVERSAL = (lambda c, cut: None, _universal_lane)
+_FIXED = (_tilt, _fixed_lane)
+_TRUNC = (_effective_c, _trunc_lane)
 
 # Each kind as a quotient of bound lanes, (numerator, denominator or None):
 # the figures' ratio panels divide one bound column by another at each tilt.
@@ -134,23 +148,33 @@ def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) 
          for lane in _KINDS[kind]]
         for c in c_values or (None,)
     ]
+    # each column as (body, its tilt's inputs), formed once; where one leaves
+    # the doubles, the first row runs as its scalar calls, raising where they do
     columns = tuple(keys)
+    try:
+        lanes = [(body, form(c, cut)) for (form, body), c in columns]
+    except WinsorBoundsError:
+        lanes = None
 
-    # each column's last two roots as (ln sigma, ln a, a), oldest first; a
-    # lane that solves no root starts its column's path afresh
-    paths = [()] * len(columns)
+    # each column's path (see _extend), None before its first root and after
+    # a lane that solves none
+    paths = [None] * len(columns)
     rows = []
     for sigma in sigma_values:
-        log_sigma = math.log(sigma)
+        if lanes is None:
+            for (form, body), c in columns:
+                body(form(c, cut), _row(sigma, cut), None)
+        row = _row(sigma, cut)  # raises where the row's first scalar call does
+        log_sigma = row[2]
         bounds = []
-        for j, (lane, c) in enumerate(columns):
+        for j, (body, tilt) in enumerate(lanes):
             path = paths[j]
             try:
-                solved = lane(c, sigma, cut, _start(path, log_sigma))
+                solved = body(tilt, row, _start(path, log_sigma))
             except WinsorBoundsError:  # answer, or raise, as the scalar call does
-                solved = lane(c, sigma, cut, None)
+                solved = body(tilt, row, None)
             root = solved[0]
-            paths[j] = () if root is None else (*path[-1:], (log_sigma, math.log(root), root))
+            paths[j] = None if root is None else _extend(path, log_sigma, root)
             bounds.append(solved[-1])
         rows.append((sigma, *(bounds[n] if d is None else bounds[n] / bounds[d] for n, d in cells)))
     return SweepTable(kind, c_values, sigma_values, tuple(rows))
@@ -165,8 +189,7 @@ def write_csv(table: SweepTable, path: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(("sigma", *table.column_labels))
-            for row in table.rows:
-                writer.writerow(tuple(repr(value) for value in row))
+            writer.writerows(table.rows)  # str(float) is repr(float)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import BoundQuery, TwoPointDistribution, two_point
+from .distributions import BoundQuery, TwoPointDistribution, _effective_c, two_point
 from .errors import LN_DBL_MAX, exp_or_inf, in_range, require_positive
 from .roots import _solve
-from .winsor import _log_support, _moment_match, _support_point
+from .winsor import _log_support, _moment_match, _row, _support_point
 
 
 class Branch(str, Enum):
@@ -65,25 +65,26 @@ def solve_A_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * B_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
-    return _A_c_sigma(c, sigma, sigma * sigma)
+    return _A_c_sigma(c, (sigma, sigma * sigma, math.log(sigma)))
 
 
-def _A_c_sigma(c: float, sigma: float, sigma2: float, start: float | None = None) -> float:
-    """solve_A_c_sigma on trusted c and sigma, from start or, when None, from
-    a seed that follows a*B_star ~ a^2 for small a and ~ (2a/c) e^{ac} for
-    large a, capped at sigma, which a*B_star >= a^2 puts above the root.
-    sigma2 = sigma * sigma may have left the doubles: the seed reads it only
-    through ln(1 + sigma2)/c, and the cap keeps that seed a positive double
-    wherever the quotient overflows."""
+def _A_c_sigma(c: float, row, start: float | None = None) -> float:
+    """solve_A_c_sigma on trusted c and row = (sigma, sigma^2, ln sigma), from
+    start or, when None, from a seed that follows a*B_star ~ a^2 for small a
+    and ~ (2a/c) e^{ac} for large a, capped at sigma, which a*B_star >= a^2
+    puts above the root.  sigma^2 may have left the doubles: the seed reads
+    it only through ln(1 + sigma^2)/c, and the cap keeps that seed a
+    positive double wherever the quotient overflows."""
+    sigma, sigma2, log_sigma = row
     if start is None and c * min(sigma, 1.0) > LN_DBL_MAX:
         # Then ac is large: ac e^{ac} = c^2 sigma^2 / 2 = e^t, t >= 12.4,
         # so ac ~ t - ln t.  The other seed ignores c and would start
         # hundreds of halvings above the root.
-        t = 2.0 * (math.log(c) + math.log(sigma)) - math.log(2.0)
+        t = 2.0 * (math.log(c) + log_sigma) - math.log(2.0)
         start = (t - math.log(t)) / c
     elif start is None:
         start = min(max(math.log1p(sigma2) / c, min(sigma, 1.0)), sigma)
-    return _moment_match(c, sigma, 0.0, start)
+    return _moment_match(c, row, 0.0, start)
 
 
 def trunc_moment(dist: TwoPointDistribution, c: float) -> float:
@@ -142,7 +143,7 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     agree there numerically; a fixed rule keeps sweeps deterministic).  A
     bound below the smallest positive double raises NoSignChangeError.
     """
-    root, branch, a, b, bound = _trunc(query.effective_c, query.effective_sigma)
+    root, branch, a, b, bound = _trunc(query.c, query.sigma, cut=query.cut)
     return TruncSolution(
         query=query,
         branch=branch,
@@ -153,16 +154,22 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     )
 
 
-def _trunc(c: float, sigma: float, start: float | None = None):
-    """(A_c_sigma, branch, a, b, bound) of lower_bound_trunc at cut level 1,
-    the extremal law being the one on {-a, b}, its root A_c_sigma solved
-    from start (from its seed when None); the root is None on the
-    small-sigma branch, which solves none and takes (a, b) = (sigma^2, 1)."""
-    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
+def _trunc(c: float, sigma: float, start: float | None = None, cut: float = 1.0):
+    """(A_c_sigma, branch, a, b, bound) of lower_bound_trunc(BoundQuery(c,
+    sigma, cut)) at cut level 1, the extremal law being the one on {-a, b},
+    its root A_c_sigma solved from start (from its seed when None); the root
+    is None on the small-sigma branch, which solves none and takes
+    (a, b) = (sigma^2, 1)."""
+    return _trunc_lane(_effective_c(c, cut), _row(sigma, cut), start)
+
+
+def _trunc_lane(c: float, row, start):
+    """_trunc on c*cut and _row(sigma, cut): a sweep's lane."""
+    sigma, sigma2, _ = row
     if _below_threshold(sigma2, c):
         root, branch, a, b = None, Branch.SMALL_SIGMA, sigma2, 1.0
     else:
-        root = a = _A_c_sigma(c, sigma, sigma2, start)
+        root = a = _A_c_sigma(c, row, start)
         branch = Branch.LARGE_SIGMA
         # On this branch b >= 1 holds exactly; root-solver roundoff at the
         # branch boundary can land an ulp below the cut, where the truncation

@@ -31,7 +31,9 @@ import sys
 from dataclasses import dataclass
 
 from . import asymptotics
-from .distributions import BoundQuery, TwoPointDistribution, _effective_sigma, two_point
+from .distributions import (
+    BoundQuery, TwoPointDistribution, _effective_c, _effective_sigma, two_point,
+)
 from .errors import LN_DBL_MAX, ParameterError, exp_or_inf, in_range, require_positive
 from .roots import _solve
 
@@ -87,17 +89,32 @@ def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]
     return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(log_a + z - log_support)
 
 
-def _moment_match(c: float, sigma: float, shift: float, start: float) -> float:
-    """Unique a > 0 with a * _support_point(a, c, shift) = sigma^2, solved from
-    start as ln a + ln S(a) = 2 ln sigma, which stays O(1)-scaled for any
-    sigma.  Both maps have S(a) >= a, so the root lies at or below sigma."""
-    target = 2.0 * math.log(sigma)
+def _moment_match(c: float, row, shift: float, start: float) -> float:
+    """Unique a > 0 with a * _support_point(a, c, shift) = sigma^2, row being
+    (sigma, sigma^2, ln sigma), solved from start as ln a + ln S(a) =
+    2 ln sigma, which stays O(1)-scaled for any sigma.  Both maps have
+    S(a) >= a, so the root lies at or below sigma."""
+    target = 2.0 * row[2]
 
     def f(a: float) -> tuple[float, float]:
         log_a, log_support, slope = _log_support(a, c, shift)
         return log_a + log_support - target, 1.0 + slope
 
-    return _solve(f, start, sigma)
+    return _solve(f, start, row[0])
+
+
+def _row(sigma: float, cut: float) -> tuple[float, float, float]:
+    """What a bound reads of sigma at cut level 1: (s, s^2, ln s) for
+    s = sigma/cut, with s and s^2 range-checked."""
+    s = _effective_sigma(sigma, cut)
+    return s, in_range("sigma^2", s * s, s), math.log(s)
+
+
+def _tilt(c: float, cut: float) -> tuple[float, float]:
+    """What a fixed-tilt bound reads of c at cut level 1: c*cut, range-checked,
+    and the factor (c / (e^c - 1)) / 2 of its small-sigma seed at it."""
+    c = _effective_c(c, cut)
+    return c, c / math.expm1(min(c, LN_DBL_MAX)) * 0.5
 
 
 def b_star(a: float, c: float) -> float:
@@ -122,11 +139,11 @@ def solve_a_c_sigma(c: float, sigma: float) -> float:
     """Unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form."""
     require_positive("c", c)
     require_positive("sigma", sigma)
-    return _a_c_sigma(c, sigma, in_range("sigma^2", sigma * sigma, sigma))
+    return _a_c_sigma(_tilt(c, 1.0), _row(sigma, 1.0))
 
 
-def _a_c_sigma(c: float, sigma: float, sigma2: float, start: float | None = None) -> float:
-    """solve_a_c_sigma on trusted arguments, sigma2 = sigma^2 among them,
+def _a_c_sigma(tilt, row, start: float | None = None) -> float:
+    """solve_a_c_sigma on _tilt(c, 1) and _row(sigma, 1) of trusted c, sigma,
     from start or, when None, from the smaller of both asymptotic laws:
     a ~ c sigma^2 / (2(e^c - 1)) as sigma -> 0 and a ~ ln(1 + sigma^2)/c as
     sigma -> infinity.  The first is formed as (c / (e^c - 1)) * 0.5 * sigma^2,
@@ -134,9 +151,9 @@ def _a_c_sigma(c: float, sigma: float, sigma2: float, start: float | None = None
     as c -> 0) and 2(e^c - 1) overflows past c ~ 709.09; past LN_DBL_MAX it
     is formed at e^LN_DBL_MAX, an overestimate.  The seed is checked
     whatever the start, so a warm start fails where a cold one does."""
-    small = c / math.expm1(min(c, LN_DBL_MAX)) * 0.5 * sigma2
-    seed = in_range("the root's seed", min(small, math.log1p(sigma2) / c), c, sigma)
-    return _moment_match(c, sigma, c, seed if start is None else start)
+    (c, factor), (sigma, sigma2, _) = tilt, row
+    seed = in_range("the root's seed", min(factor * sigma2, math.log1p(sigma2) / c), c, sigma)
+    return _moment_match(c, row, c, seed if start is None else start)
 
 
 def ell1(a: float, sigma: float) -> float:
@@ -223,7 +240,11 @@ def _winsor_moment(a: float, b: float, c: float) -> float:
 def optimal_winsor_moment(a: float, sigma: float) -> float:
     """Winsorized moment of X_{a, sigma^2/a} at its optimal tilt:
     a(1+a)(a/sigma^2)^{-1/(1+a)} / (a^2 + sigma^2)."""
-    c_opt = optimal_c_for_two_point(a, sigma)
+    return _optimal_winsor_moment(a, sigma, optimal_c_for_two_point(a, sigma))
+
+
+def _optimal_winsor_moment(a: float, sigma: float, c_opt: float) -> float:
+    """optimal_winsor_moment with its optimal tilt c_opt already formed."""
     if a >= 1.0:
         return a * (1.0 + a) * math.exp(c_opt) / (a * a + sigma * sigma)
     # Below a = 1 the logs in c_opt cancel as sigma -> 0, pushing the moment
@@ -269,20 +290,24 @@ class UniversalWinsorSolution:
 def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
     """Exact attained lower bound on E exp(c * min(cut, X)) given
     E X >= 0 and E X^2 <= sigma^2."""
-    a, b, bound = _fixed_c(query.effective_c, query.effective_sigma)
+    a, b, bound = _fixed_c(query.c, query.sigma, cut=query.cut)
     return WinsorSolution(
         query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=two_point(a, b)
     )
 
 
-def _fixed_c(c: float, sigma: float, start: float | None = None):
-    """(a, b, bound) of lower_bound_fixed_c at cut level 1, the extremal law
-    being the one on {-a, b}, its root solved from start (from its seed
-    when None)."""
-    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
-    a = _a_c_sigma(c, sigma, sigma2, start)
+def _fixed_c(c: float, sigma: float, start: float | None = None, cut: float = 1.0):
+    """(a, b, bound) of lower_bound_fixed_c(BoundQuery(c, sigma, cut)) at cut
+    level 1, the extremal law being the one on {-a, b}, its root solved from
+    start (from its seed when None)."""
+    return _fixed_lane(_tilt(c, cut), _row(sigma, cut), start)
+
+
+def _fixed_lane(tilt, row, start):
+    """_fixed_c on _tilt(c, cut) and _row(sigma, cut): a sweep's lane."""
+    a, sigma2 = _a_c_sigma(tilt, row, start), row[1]
     b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
-    return a, b, _winsor_moment(a, b, c)
+    return a, b, _winsor_moment(a, b, tilt[0])
 
 
 def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolution:
@@ -290,7 +315,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
     require_positive("sigma", sigma)
     require_positive("cut", cut)
-    a, b, c_opt, bound = _universal(_effective_sigma(sigma, cut))
+    a, b, c_opt, bound = _universal(sigma, cut=cut)
     return UniversalWinsorSolution(
         sigma=sigma,
         cut=cut,
@@ -302,10 +327,16 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     )
 
 
-def _universal(sigma: float, start: float | None = None):
-    """(a, b, optimal tilt, bound) of lower_bound_universal at cut level 1,
-    its root solved from start (from its seed when None)."""
-    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
+def _universal(sigma: float, start: float | None = None, cut: float = 1.0):
+    """(a, b, optimal tilt, bound) of lower_bound_universal(sigma, cut) at
+    cut level 1, its root solved from start (from its seed when None)."""
+    return _universal_lane(None, _row(sigma, cut), start)
+
+
+def _universal_lane(tilt, row, start):
+    """_universal on _row(sigma, cut): a sweep's lane, with no tilt (None)."""
+    sigma, sigma2, _ = row
     a = _a_sigma(sigma2, start)
     b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
-    return a, b, optimal_c_for_two_point(a, sigma), optimal_winsor_moment(a, sigma)
+    c_opt = optimal_c_for_two_point(a, sigma)
+    return a, b, c_opt, _optimal_winsor_moment(a, sigma, c_opt)

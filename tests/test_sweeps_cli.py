@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import cli, verify, winsor
+from winsor_bounds import cli, trunc, verify, winsor
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import LN_DBL_MAX, ParameterError, WinsorBoundsError
-from winsor_bounds.sweeps import SweepKind, compute_sweep, read_csv, sigma_grid, write_csv
+from winsor_bounds.sweeps import (
+    SweepKind, SweepTable, compute_sweep, read_csv, sigma_grid, write_csv,
+)
 from winsor_bounds.trunc import Branch, lower_bound_trunc
 from winsor_bounds.winsor import lower_bound_fixed_c, lower_bound_universal
 
@@ -107,6 +109,29 @@ def outcome(compute):
         return compute()
     except WinsorBoundsError as exc:
         return type(exc), str(exc)
+
+
+# Each single-lane kind's bound at cut level 1 as its lane body, (c, sigma) ->
+# (root, ..., bound), its root solved from its seed.
+LANE_BODIES = {
+    SweepKind.UNIVERSAL_WINSOR: lambda c, sigma: winsor._universal(sigma),
+    SweepKind.FIXED_C_WINSOR: winsor._fixed_c,
+    SweepKind.TRUNC: trunc._trunc,
+}
+# steps in ln sigma that grow along the grid
+NONUNIFORM_GRID = tuple(0.05 * 2000.0 ** ((i / 39) ** 2) for i in range(40))
+
+
+def through(points, x):
+    """The polynomial through points (x_i, u_i) at x, in Lagrange's form."""
+    total = 0.0
+    for i, (xi, ui) in enumerate(points):
+        weight = 1.0
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                weight *= (x - xj) / (xi - xj)
+        total += weight * ui
+    return total
 
 
 class TestColumnSolverAgainstScalar:
@@ -239,17 +264,90 @@ class TestColumnSolverAgainstScalar:
             pytest.approx(row[1:], rel=SWEEP_RTOL, abs=0) for row in expected
         ]
 
+    @pytest.mark.parametrize(
+        "kind, sigmas, tilt, cut",
+        [
+            # five lanes: the seed, then paths of one, two, three and four roots
+            (SweepKind.UNIVERSAL_WINSOR, sigma_grid(0.5, 5.0, 5), None, 1.0),
+            (SweepKind.FIXED_C_WINSOR, sigma_grid(0.5, 5.0, 5), 1.0, 1.0),
+            # the small-sigma lanes solve no root; the first large one starts
+            # from its seed and the path grows again from there
+            (SweepKind.TRUNC, sigma_grid(0.05, 3.0, 50, "linear"), 1.0, 1.0),
+            (SweepKind.UNIVERSAL_WINSOR, NONUNIFORM_GRID, None, 1.0),
+            (SweepKind.FIXED_C_WINSOR, NONUNIFORM_GRID, 2.0, 1.0),
+            # the abscissae are ln(sigma/cut), the tilt c*cut
+            (SweepKind.FIXED_C_WINSOR, sigma_grid(0.2, 50.0, 12), 1.5, 2.5),
+            (SweepKind.TRUNC, sigma_grid(0.2, 50.0, 12), 1.5, 2.5),
+        ],
+        ids=["universal-few-roots", "fixed-few-roots", "trunc-restart", "universal-nonuniform",
+             "fixed-nonuniform", "fixed-cut", "trunc-cut"],
+    )
+    def test_lanes_start_on_the_path_polynomial(self, kind, sigmas, tilt, cut, solves):
+        # Each lane starts on the polynomial in (ln sigma, ln a) through its
+        # column's last roots, at most four, since the column last had none,
+        # and from its seed where it has none; it answers as the scalar call.
+        tilts = () if tilt is None else (tilt,)
+        rows = compute_sweep(kind, sigmas, tilts, cut).rows
+        starts = [start for _, start, _ in solves.equations]
+        path, expected = [], []
+        for sigma in sigmas:
+            del solves.equations[:]
+            x = math.log(sigma / cut)
+            root = LANE_BODIES[kind](tilt and tilt * cut, sigma / cut)[0]
+            if root is None:  # a truncated lane on the small-sigma branch
+                path = []
+                continue
+            expected.append(math.exp(through(path[-4:], x)) if path else solves.equations[0][1])
+            path.append((x, math.log(root)))
+        assert len(expected) > 4
+        assert starts == pytest.approx(expected, rel=1e-9, abs=0)
+        assert [row[1:] for row in rows] == [
+            pytest.approx(row[1:], rel=SWEEP_RTOL, abs=0)
+            for row in scalar_rows(kind, sigmas, tilts, cut)
+        ]
+
+    @pytest.mark.parametrize(
+        "kind, sigmas, tilts, cut, message",
+        [
+            (SweepKind.FIXED_C_WINSOR, (1.0, 2.0), (1e-9, 1e300), 1e10, "c*cut overflows to inf"),
+            # the first column's lane fails first, in the row where the
+            # second's c*cut overflows
+            (SweepKind.FIXED_C_WINSOR, (2e-150, 1.0), (50.0, 1e308), 2.0,
+             "the root's seed underflows to 0.0"),
+            # the first lane reads c*cut before sigma^2, and sigma^2 before
+            # the next lane's c*cut
+            (SweepKind.FIXED_C_WINSOR, (1e-200, 1.0), (1e-300, 1.0), 1e-30,
+             "c*cut underflows to 0.0"),
+            (SweepKind.FIXED_C_WINSOR, (1e-200, 1.0), (1.0, 1e-300), 1e-30,
+             "sigma^2 underflows to 0.0"),
+            (SweepKind.TRUNC, (1.0, 1e150, 1e160), (1.0, 2.0), 1.0, "sigma^2 overflows to inf"),
+            (SweepKind.UNIVERSAL_WINSOR, (1.0, 1e150, 1e160), (), 1.0, "sigma^2 overflows to inf"),
+            (SweepKind.UNIVERSAL_WINSOR, (1.0, 1e300), (), 1e-10, "sigma/cut overflows to inf"),
+        ],
+        ids=["c-cut", "c-cut-after-a-failed-lane", "c-cut-before-sigma2", "sigma2-before-c-cut",
+             "trunc-sigma2", "universal-sigma2", "sigma-cut"],
+    )
+    def test_inputs_leaving_the_doubles_fail_as_the_scalar_loop(
+        self, kind, sigmas, tilts, cut, message
+    ):
+        # c*cut is formed once per column and sigma/cut and sigma^2 once per
+        # row, but a sweep raises the scalar loop's first error, at its lane
+        expected = outcome(lambda: scalar_rows(kind, sigmas, tilts, cut))
+        assert isinstance(expected, tuple) and expected[1].startswith(message)
+        assert outcome(lambda: compute_sweep(kind, sigmas, tilts, cut).rows) == expected
+
     def test_figure_sweeps_f_evaluation_budget(self, solves):
         # A count, not a timing: the three figure sweeps made 3,061 solves
-        # and 8,968 evaluations of the equations handed to roots._solve when
-        # lanes began to start from the extrapolated path (11,933 from the
-        # column's last root).  The ceiling is that count plus 5%; a change
-        # that needs more evaluations is a regression, not a new ceiling.
+        # and 6,180 evaluations of the equations handed to roots._solve when
+        # lanes began to start from the cubic through the column's last four
+        # roots (8,968 from the line through its last two, 11,933 from its
+        # last root).  The ceiling is that count plus 5%; a change that needs
+        # more evaluations is a regression, not a new ceiling.
         compute_sweep(SweepKind.UNIVERSAL_WINSOR, FIGURE_GRID)
         compute_sweep(SweepKind.RATIO_UNIVERSAL_OVER_FIXED, FIGURE_GRID, FIGURE_TILTS)
         compute_sweep(SweepKind.RATIO_TRUNC_OVER_WINSOR, FIGURE_GRID, FIGURE_TILTS)
         evaluations = len(solves.points)
-        assert evaluations <= 9_400, f"{evaluations} evaluations in {len(solves.equations)} solves"
+        assert evaluations <= 6_500, f"{evaluations} evaluations in {len(solves.equations)} solves"
 
     def test_ratio_kinds_divide_the_scalar_bounds(self):
         grid = FIGURE_GRID[::10]
@@ -297,6 +395,21 @@ class TestCsvRoundTrip:
             for value, c in zip(row[1:], (1.0, 2.5)):
                 scalar = lower_bound_fixed_c(BoundQuery(c, sigma)).bound
                 assert value == pytest.approx(scalar, rel=SWEEP_RTOL, abs=0)
+
+    def test_cells_are_written_as_repr(self, tmp_path):
+        # csv formats each float cell with str, which is repr: the shortest
+        # decimal that reads back to the same double
+        values = (5e-324, 1e-05, 0.1 + 0.2, 1e16, 1.0, 1.7976931348623157e308)
+        table = SweepTable(SweepKind.FIXED_C_WINSOR, (1.0,), values,
+                           tuple((value, value) for value in values))
+        path = str(tmp_path / "cells.csv")
+        write_csv(table, path)
+        expected = "sigma,c=1.0\n" + "".join(f"{value!r},{value!r}\n" for value in values)
+        assert open(path, "rb").read() == expected.encode("utf-8")
+        _, rows = read_csv(path)
+        assert [tuple(map(float.hex, row)) for row in rows] == [
+            tuple(map(float.hex, row)) for row in table.rows
+        ]
 
     def test_file_format(self, tmp_path):
         grid = sigma_grid(0.5, 2.0, 3)

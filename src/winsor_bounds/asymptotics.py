@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import LN_DBL_MAX, exp_or_inf, in_range, require_positive
+from .errors import LN_DBL_MAX, _choice, exp_or_inf, in_range, require_positive
 from .roots import _solve
 
 
@@ -80,22 +80,23 @@ def winsor_large_sigma_coeff(c: float) -> float:
 
 
 def trunc_asymptote(c: float, sigma: float, regime: Regime) -> float:
-    """Leading truncated-bound approximation: 1 - c*sigma^2 near zero,
-    (4/c^2) ln^2(sigma)/sigma^2 at infinity."""
+    """Leading truncated-bound approximation: 1 - c*sigma^2 near zero, 4q^2
+    at infinity with q = ln(sigma)/sigma/c, which forms no c^2 or sigma^2."""
     require_positive("c", c)
     require_positive("sigma", sigma)
-    if regime is Regime.SMALL_SIGMA:
+    if _choice(Regime, "regime", regime) is Regime.SMALL_SIGMA:
         return 1.0 - c * sigma * sigma
-    log_sigma = math.log(sigma)
-    return (4.0 / (c * c)) * log_sigma * log_sigma / (sigma * sigma)
+    q = math.log(sigma) / sigma / c
+    value = 4.0 * q * q  # only an overflow is refused: it is 0.0 at sigma = 1
+    return in_range("(4/c^2) ln^2(sigma)/sigma^2", value, c, sigma) if value else value
 
 
 def universal_asymptote(sigma: float, regime: Regime) -> float:
     """Leading universal Winsorized approximation: 1 - (1-t*)t* sigma^2 near
-    zero, e^2 ln^2(sigma)/sigma^2 at infinity."""
+    zero, e^2 q^2 at infinity with q = ln(sigma)/sigma, which forms no sigma^2."""
     require_positive("sigma", sigma)
-    constants = solve_t_star()
-    if regime is Regime.SMALL_SIGMA:
-        return 1.0 + constants.small_sigma_universal_slope * sigma * sigma
-    log_sigma = math.log(sigma)
-    return constants.large_sigma_universal_coeff * log_sigma * log_sigma / (sigma * sigma)
+    if _choice(Regime, "regime", regime) is Regime.SMALL_SIGMA:
+        return 1.0 + solve_t_star().small_sigma_universal_slope * sigma * sigma
+    q = math.log(sigma) / sigma
+    value = solve_t_star().large_sigma_universal_coeff * q * q
+    return in_range("e^2 ln^2(sigma)/sigma^2", value, sigma) if value else value

@@ -51,6 +51,14 @@ def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
     raise ParameterError(f"{name} must be a positive real, got {value!r}")
 
 
+def _choice(enum, name: str, value):
+    """enum(value), or a ParameterError naming ``name`` and the valid values."""
+    valid = [member.value for member in enum]
+    if value not in valid:
+        raise ParameterError(f"{name} must be one of {', '.join(valid)}; got {value!r}")
+    return enum(value)
+
+
 def in_range(quantity: str, value: float, *operands: float) -> float:
     """Return the positive result ``value``, named ``quantity`` and formed
     from ``operands``, unless it has left the doubles: an overflow to inf

@@ -59,7 +59,7 @@ def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
     """Two-stage minimization: coarse sweep over (0, ~sigma^2 * 100), then a
     fine sweep across a +/- 2-cell window around the coarse argmin.  Ties
     resolve to the smaller a, so the result is deterministic."""
-    sigma2 = sigma * sigma
+    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     n_coarse, n_fine = REFINE_POINTS
     coarse_grid = np.geomspace(sigma2 * 1e-8, sigma2 * 1e2, n_coarse)
     idx = int(np.argmin(two_point_moment_grid(kind, c, sigma, coarse_grid)))
@@ -84,7 +84,7 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     inside.  Flat argmin resolves row-major, i.e. to the smaller a first,
     then the smaller c.
     """
-    sigma2 = sigma * sigma
+    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
 
     def scan(a_lo, a_hi, c_lo, c_hi, shape):
         na, nc = shape

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import _effective_c
-from .errors import ParameterError, WinsorBoundsError, exp_or_inf, require_positive
+from .errors import ParameterError, WinsorBoundsError, _choice, exp_or_inf, require_positive
 from .trunc import _trunc_lane
 from .winsor import _fixed_lane, _row, _tilt, _universal_lane
 
@@ -125,7 +125,7 @@ _KINDS = {
 
 def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) -> SweepTable:
     """Evaluate the requested bound or ratio over the sigma grid."""
-    kind = SweepKind(kind)
+    kind = _choice(SweepKind, "kind", kind)
     c_values = tuple(float(c) for c in c_values)
     sigma_values = tuple(float(s) for s in sigma_values)
     if any(right <= left for left, right in zip(sigma_values, sigma_values[1:])):

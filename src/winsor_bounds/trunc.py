@@ -143,7 +143,9 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     agree there numerically; a fixed rule keeps sweeps deterministic).  A
     bound below the smallest positive double raises NoSignChangeError.
     """
-    root, branch, a, b, bound = _trunc(query.c, query.sigma, cut=query.cut)
+    root, branch, a, b, bound = _trunc_lane(
+        _effective_c(query.c, query.cut), _row(query.sigma, query.cut), None
+    )
     return TruncSolution(
         query=query,
         branch=branch,
@@ -154,17 +156,12 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     )
 
 
-def _trunc(c: float, sigma: float, start: float | None = None, cut: float = 1.0):
-    """(A_c_sigma, branch, a, b, bound) of lower_bound_trunc(BoundQuery(c,
-    sigma, cut)) at cut level 1, the extremal law being the one on {-a, b},
-    its root A_c_sigma solved from start (from its seed when None); the root
-    is None on the small-sigma branch, which solves none and takes
-    (a, b) = (sigma^2, 1)."""
-    return _trunc_lane(_effective_c(c, cut), _row(sigma, cut), start)
-
-
 def _trunc_lane(c: float, row, start):
-    """_trunc on c*cut and _row(sigma, cut): a sweep's lane."""
+    """(A_c_sigma, branch, a, b, bound) of lower_bound_trunc at cut level 1,
+    the extremal law on {-a, b}, from c*cut, _row(sigma, cut) and the start
+    of the root A_c_sigma (its seed when None): the scalar call's body and a
+    sweep's lane.  The root is None on the small-sigma branch, which solves
+    none and takes (a, b) = (sigma^2, 1)."""
     sigma, sigma2, _ = row
     if _below_threshold(sigma2, c):
         root, branch, a, b = None, Branch.SMALL_SIGMA, sigma2, 1.0

@@ -290,21 +290,16 @@ class UniversalWinsorSolution:
 def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
     """Exact attained lower bound on E exp(c * min(cut, X)) given
     E X >= 0 and E X^2 <= sigma^2."""
-    a, b, bound = _fixed_c(query.c, query.sigma, cut=query.cut)
+    a, b, bound = _fixed_lane(_tilt(query.c, query.cut), _row(query.sigma, query.cut), None)
     return WinsorSolution(
         query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=two_point(a, b)
     )
 
 
-def _fixed_c(c: float, sigma: float, start: float | None = None, cut: float = 1.0):
-    """(a, b, bound) of lower_bound_fixed_c(BoundQuery(c, sigma, cut)) at cut
-    level 1, the extremal law being the one on {-a, b}, its root solved from
-    start (from its seed when None)."""
-    return _fixed_lane(_tilt(c, cut), _row(sigma, cut), start)
-
-
 def _fixed_lane(tilt, row, start):
-    """_fixed_c on _tilt(c, cut) and _row(sigma, cut): a sweep's lane."""
+    """(a, b, bound) of lower_bound_fixed_c at cut level 1, the extremal law
+    on {-a, b}, from _tilt(c, cut), _row(sigma, cut) and the root's start
+    (its seed when None): the scalar call's body and a sweep's lane."""
     a, sigma2 = _a_c_sigma(tilt, row, start), row[1]
     b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
     return a, b, _winsor_moment(a, b, tilt[0])
@@ -315,7 +310,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
     require_positive("sigma", sigma)
     require_positive("cut", cut)
-    a, b, c_opt, bound = _universal(sigma, cut=cut)
+    a, b, c_opt, bound = _universal_lane(None, _row(sigma, cut), None)
     return UniversalWinsorSolution(
         sigma=sigma,
         cut=cut,
@@ -327,14 +322,10 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     )
 
 
-def _universal(sigma: float, start: float | None = None, cut: float = 1.0):
-    """(a, b, optimal tilt, bound) of lower_bound_universal(sigma, cut) at
-    cut level 1, its root solved from start (from its seed when None)."""
-    return _universal_lane(None, _row(sigma, cut), start)
-
-
 def _universal_lane(tilt, row, start):
-    """_universal on _row(sigma, cut): a sweep's lane, with no tilt (None)."""
+    """(a, b, optimal tilt, bound) of lower_bound_universal at cut level 1,
+    from no tilt (None), _row(sigma, cut) and the root's start (its seed when
+    None): the scalar call's body and a sweep's lane."""
     sigma, sigma2, _ = row
     a = _a_sigma(sigma2, start)
     b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from winsor_bounds import roots, trunc, verify, winsor
+from winsor_bounds import roots, sweeps, trunc, verify, winsor
 
 
 @dataclass(frozen=True)
@@ -54,3 +54,20 @@ def solves(monkeypatch) -> Solves:
     for module in (winsor, trunc):
         monkeypatch.setattr(module, "_solve", recorded)
     return record
+
+
+@pytest.fixture(scope="session")
+def lanes() -> dict:
+    """Each bound's lane body as a call on floats, keyed by its single-bound
+    sweep kind: (c, sigma, start=None, cut=1.0) -> (root, ..., bound), the
+    root solved from start (from its seed when None) and None where none is
+    solved; the universal lane reads no c.  Built from the (form, body) pairs
+    of sweeps._KINDS, so a test reaches the body that the sweeps and the
+    scalar lower_bound_* calls run, with its inputs formed as they form them."""
+
+    def call(form, body):
+        return lambda c, sigma, start=None, cut=1.0: body(
+            form(c, cut), winsor._row(sigma, cut), start
+        )
+
+    return {kind: call(*lane) for kind, (lane, over) in sweeps._KINDS.items() if over is None}

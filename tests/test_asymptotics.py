@@ -94,6 +94,36 @@ def test_universal_asymptote_values():
     assert abs(asymptotics.universal_asymptote(sigma, Regime.LARGE_SIGMA) - expected) < 1e-25
 
 
+# c^2 underflows to 0 below c ~ 1.5e-162 and sigma^2 overflows past
+# sigma ~ 1.3e154, where the asymptotes are still doubles
+@pytest.mark.parametrize("c, sigma", [(1e-170, 1e170), (1.0, 1e155), (2.0, 3.0)])
+def test_large_sigma_asymptotes_past_a_square_out_of_the_doubles(c, sigma):
+    with mp.workdps(50):
+        log_term = mp.log(mpf(sigma)) ** 2 / mpf(sigma) ** 2
+        trunc_expected = float(4 * log_term / mpf(c) ** 2)
+        universal_expected = float(mp.exp(2) * log_term)
+    got = asymptotics.trunc_asymptote(c, sigma, Regime.LARGE_SIGMA)
+    assert got == pytest.approx(trunc_expected, rel=1e-14, abs=0)
+    got = asymptotics.universal_asymptote(sigma, Regime.LARGE_SIGMA)
+    assert got == pytest.approx(universal_expected, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize(
+    "asymptote",
+    [lambda c, sigma: asymptotics.trunc_asymptote(c, sigma, Regime.LARGE_SIGMA),
+     lambda c, sigma: asymptotics.universal_asymptote(sigma, Regime.LARGE_SIGMA)],
+    ids=["trunc", "universal"],
+)
+def test_large_sigma_asymptote_overflow_signalled(asymptote):
+    # a square that underflows to 0 must not be a divisor: 1e-200^2 is 0.0
+    with pytest.raises(ExponentOverflowError, match=r"ln\^2\(sigma\)/sigma\^2 overflows"):
+        asymptote(1e-200, 1e-200)
+    with pytest.raises(ExponentOverflowError, match=r"ln\^2\(sigma\)/sigma\^2 overflows"):
+        asymptote(1.0, 1e-200)
+    # ln sigma is 0 at sigma = 1, an exact zero that is no underflow
+    assert asymptote(1e-200, 1.0) == 0.0
+
+
 def test_universal_slope_is_minimum_over_tilts():
     constants = asymptotics.solve_t_star()
     x, fun = golden_section_min(asymptotics.winsor_small_sigma_slope, 1e-6, 20.0, xtol=1e-8)

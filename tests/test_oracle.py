@@ -8,7 +8,7 @@ import pytest
 from winsor_bounds import oracle, trunc, winsor
 from winsor_bounds.certificates import MomentKind
 from winsor_bounds.distributions import BoundQuery
-from winsor_bounds.errors import ExponentOverflowError
+from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError
 from winsor_bounds.trunc import Branch
 
 
@@ -55,6 +55,24 @@ class TestGridMin:
             MomentKind.WINSOR, 1.0, 1.0, np.array([0.2, 0.2196, 0.25])
         )
         assert int(np.argmin(values)) == 1
+
+    @pytest.mark.parametrize(
+        "search",
+        [lambda s: oracle.refine_grid_min(1.0, s, MomentKind.WINSOR),
+         lambda s: oracle.refine_grid_min(1.0, s, MomentKind.TRUNC),
+         oracle.universal_grid_min],
+        ids=["refine-winsor", "refine-trunc", "universal"],
+    )
+    @pytest.mark.parametrize(
+        "sigma, error, fate",
+        [(1e200, ExponentOverflowError, "overflows"), (1e-200, NoSignChangeError, "underflows")],
+        ids=["overflow", "underflow"],
+    )
+    def test_refuses_sigma_squared_outside_the_doubles(self, search, sigma, error, fate):
+        # the grids are spanned by multiples of sigma^2: where it is inf or
+        # 0.0 they would hold NaN or no geometric sequence
+        with pytest.raises(error, match=rf"^sigma\^2 {fate}"):
+            search(sigma)
 
 
 class TestThreePointProbes:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import cli, trunc, verify, winsor
+from winsor_bounds import cli, verify
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import LN_DBL_MAX, ParameterError, WinsorBoundsError
 from winsor_bounds.sweeps import (
@@ -111,13 +111,6 @@ def outcome(compute):
         return type(exc), str(exc)
 
 
-# Each single-lane kind's bound at cut level 1 as its lane body, (c, sigma) ->
-# (root, ..., bound), its root solved from its seed.
-LANE_BODIES = {
-    SweepKind.UNIVERSAL_WINSOR: lambda c, sigma: winsor._universal(sigma),
-    SweepKind.FIXED_C_WINSOR: winsor._fixed_c,
-    SweepKind.TRUNC: trunc._trunc,
-}
 # steps in ln sigma that grow along the grid
 NONUNIFORM_GRID = tuple(0.05 * 2000.0 ** ((i / 39) ** 2) for i in range(40))
 
@@ -243,18 +236,15 @@ class TestColumnSolverAgainstScalar:
          (SweepKind.FIXED_C_WINSOR, 0.54)],
         ids=["universal-overflow", "universal-underflow", "fixed-overflow"],
     )
-    def test_extrapolation_leaving_the_doubles(self, kind, sigma):
+    def test_extrapolation_leaving_the_doubles(self, kind, sigma, lanes):
         # Over one ulp of sigma the roots move by a rounding of an ulp or
         # two, so the line through them has a slope of several decades per
         # decade of sigma; at sigma = 1e150 it leaves the doubles.  The lane
         # starts from the last root there and answers as the scalar call does.
-        if kind is SweepKind.UNIVERSAL_WINSOR:
-            tilts, lane = (), winsor._universal
-        else:
-            tilts, lane = (1.0,), lambda sigma, start=None: winsor._fixed_c(1.0, sigma, start)
+        tilts = () if kind is SweepKind.UNIVERSAL_WINSOR else (1.0,)
         sigmas = (sigma, math.nextafter(sigma, 1.0), 1e150)
-        a1 = lane(sigmas[0])[0]
-        a2 = lane(sigmas[1], a1)[0]  # as the sweep solves it, from a1
+        a1 = lanes[kind](1.0, sigmas[0])[0]  # the universal lane reads no c
+        a2 = lanes[kind](1.0, sigmas[1], a1)[0]  # as the sweep solves it, from a1
         s1, s2, s3 = (math.log(s) for s in sigmas)
         line = math.log(a2) + (math.log(a2) - math.log(a1)) / (s2 - s1) * (s3 - s2)
         assert not math.log(math.ulp(0.0)) < line < LN_DBL_MAX
@@ -282,7 +272,7 @@ class TestColumnSolverAgainstScalar:
         ids=["universal-few-roots", "fixed-few-roots", "trunc-restart", "universal-nonuniform",
              "fixed-nonuniform", "fixed-cut", "trunc-cut"],
     )
-    def test_lanes_start_on_the_path_polynomial(self, kind, sigmas, tilt, cut, solves):
+    def test_lanes_start_on_the_path_polynomial(self, kind, sigmas, tilt, cut, solves, lanes):
         # Each lane starts on the polynomial in (ln sigma, ln a) through its
         # column's last roots, at most four, since the column last had none,
         # and from its seed where it has none; it answers as the scalar call.
@@ -293,7 +283,7 @@ class TestColumnSolverAgainstScalar:
         for sigma in sigmas:
             del solves.equations[:]
             x = math.log(sigma / cut)
-            root = LANE_BODIES[kind](tilt and tilt * cut, sigma / cut)[0]
+            root = lanes[kind](tilt and tilt * cut, sigma / cut)[0]
             if root is None:  # a truncated lane on the small-sigma branch
                 path = []
                 continue

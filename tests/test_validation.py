@@ -111,6 +111,31 @@ def test_unknown_verify_suite_names_the_valid_ones():
         verify.run_suite("bogus")
 
 
+@pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
+def test_regime_given_by_its_value(regime):
+    # Regime is a str Enum: its value selects it, not the large-sigma law
+    assert asymptotics.trunc_asymptote(1.0, 0.1, regime.value) == (
+        asymptotics.trunc_asymptote(1.0, 0.1, regime)
+    )
+    assert asymptotics.universal_asymptote(0.5, regime.value) == (
+        asymptotics.universal_asymptote(0.5, regime)
+    )
+
+
+@pytest.mark.parametrize(
+    "name, choices, call",
+    [("regime", Regime, lambda v: asymptotics.trunc_asymptote(1.0, 0.1, v)),
+     ("regime", Regime, lambda v: asymptotics.universal_asymptote(1.0, v)),
+     ("kind", SweepKind, lambda v: compute_sweep(v, (1.0,)))],
+    ids=["trunc_asymptote", "universal_asymptote", "compute_sweep"],
+)
+@pytest.mark.parametrize("value", ("bogus", None, 1.0), ids=repr)
+def test_unknown_choice_names_the_valid_ones(name, choices, call, value):
+    valid = ", ".join(choice.value for choice in choices)
+    with pytest.raises(ParameterError, match=rf"^{name} must be one of {re.escape(valid)}; got "):
+        call(value)
+
+
 def test_exponential_edge_is_where_the_doubles_end():
     assert errors.LN_DBL_MAX == math.log(sys.float_info.max)
     assert errors.exp_or_inf(errors.LN_DBL_MAX) == math.exp(errors.LN_DBL_MAX) < math.inf
@@ -264,26 +289,23 @@ def test_outcome_map(kind):
     assert failed == failures
 
 
-# Each map's bound as the lane a sweep solves, (c, sigma, start) -> (root,
-# ..., bound), its root solved from start (from its seed when None).
-LANES = {
-    "fixed": winsor._fixed_c,
-    "wide": winsor._fixed_c,
-    "trunc": trunc._trunc,
-    "universal": lambda c, sigma, start: winsor._universal(sigma, start),
-    "band": winsor._fixed_c,
+# Each map's bound as the sweep kind whose lane solves it (see the lanes fixture)
+LANE_KINDS = {
+    "trunc": SweepKind.TRUNC,
+    "universal": SweepKind.UNIVERSAL_WINSOR,
+    **dict.fromkeys(("fixed", "wide", "band"), SweepKind.FIXED_C_WINSOR),
 }
 RANDOM_START_EVALUATIONS = 40  # measured worst case 26, over seeds 1, 2 and 3
 RANDOM_START_RTOL = 2e-15  # measured worst case 6.5e-16, at normal bounds
 
 
 @pytest.mark.parametrize("kind", list(OUTCOME_MAPS))
-def test_random_starts_answer_as_the_seed(kind, solves):
+def test_random_starts_answer_as_the_seed(kind, solves, lanes):
     # At every answered point, one solve from a start log-uniform over
     # [smallest double, hi] answers in a bounded number of evaluations and
     # gives the seeded bound.  Roots are not compared: at flat points they
     # differ by more than the bounds do.
-    lane, grid = LANES[kind], OUTCOME_MAPS[kind][1]
+    lane, grid = lanes[LANE_KINDS[kind]], OUTCOME_MAPS[kind][1]
     rng = random.Random(1)
     for c, sigma in grid:
         del solves.equations[:], solves.points[:]
@@ -303,12 +325,12 @@ def test_random_starts_answer_as_the_seed(kind, solves):
 
 
 @pytest.mark.parametrize("kind", list(OUTCOME_MAPS))
-def test_random_starts_fail_as_the_seed(kind, solves):
+def test_random_starts_fail_as_the_seed(kind, solves, lanes):
     # At every failing point that reaches a solve, one solve from a start
     # log-uniform over [smallest double, hi] raises the seeded solve's class.
     # Messages are not compared: a refusal names the solved a, which moves
     # by ulps between starts.
-    lane, grid = LANES[kind], OUTCOME_MAPS[kind][1]
+    lane, grid = lanes[LANE_KINDS[kind]], OUTCOME_MAPS[kind][1]
     rng = random.Random(1)
     for c, sigma in grid:
         del solves.equations[:], solves.points[:]

@@ -14,7 +14,7 @@ from winsor_bounds.distributions import BoundQuery, two_point
 from winsor_bounds.errors import (
     ExponentOverflowError, MaxIterationsError, NoSignChangeError, ParameterError,
 )
-from winsor_bounds.sweeps import sigma_grid
+from winsor_bounds.sweeps import SweepKind, sigma_grid
 
 from reference import bisect
 
@@ -361,13 +361,14 @@ def test_subnormal_root_collapses_in_a_few_evaluations(solve, solves):
 
 
 @pytest.mark.parametrize("start", (1e30, 1e100, 2e307))
-def test_universal_root_from_far_above(start, solves):
+def test_universal_root_from_far_above(start, solves, lanes):
     # ell1 ~ 2a far above the root, so each Newton move lowers ln a by ~1;
     # the progress rule bisects instead (19 to 23 evaluations, against 69
     # from 1e30 and more than 200 from the other two by Newton alone)
-    seeded = winsor._universal(1e154)[-1]
+    lane = lanes[SweepKind.UNIVERSAL_WINSOR]
+    seeded = lane(None, 1e154)[-1]
     del solves.points[:]
-    assert winsor._universal(1e154, start)[-1] == pytest.approx(seeded, rel=2e-15, abs=0)
+    assert lane(None, 1e154, start)[-1] == pytest.approx(seeded, rel=2e-15, abs=0)
     assert len(solves.points) <= 40
 
 

@@ -24,6 +24,7 @@ from .errors import ParameterError, in_range, require_positive
 
 REFINE_POINTS = (10_000, 1_000)    # a points of the coarse and the fine sweep
 UNIVERSAL_COARSE = (2_000, 200)    # (a, c) points of the joint scan
+UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
 UNIVERSAL_FINE = (300, 300)        # (a, c) points of each refinement round
 UNIVERSAL_ROUNDS = 2
 UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
@@ -56,12 +57,20 @@ def two_point_moment_grid(
 
 
 def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
-    """Two-stage minimization: coarse sweep over (0, ~sigma^2 * 100), then a
-    fine sweep across a +/- 2-cell window around the coarse argmin.  Ties
-    resolve to the smaller a, so the result is deterministic."""
+    """Two-stage minimization: coarse sweep over a in [sigma^2 * 1e-8,
+    sigma^2 * 1e2], then a fine sweep across a +/- 2-cell window around the
+    coarse argmin.  Ties resolve to the smaller a, so the result is
+    deterministic.  in_range refuses a sigma for which an end of the coarse
+    grid is no positive double."""
+    require_positive("c", c)
+    require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     n_coarse, n_fine = REFINE_POINTS
-    coarse_grid = np.geomspace(sigma2 * 1e-8, sigma2 * 1e2, n_coarse)
+    coarse_grid = np.geomspace(
+        in_range("the grid's lower end sigma^2 * 1e-8", sigma2 * 1e-8, sigma),
+        in_range("the grid's upper end sigma^2 * 1e2", sigma2 * 1e2, sigma),
+        n_coarse,
+    )
     idx = int(np.argmin(two_point_moment_grid(kind, c, sigma, coarse_grid)))
     lo, hi = coarse_grid[max(idx - 2, 0)], coarse_grid[min(idx + 2, n_coarse - 1)]
     grid = np.geomspace(lo, hi, n_fine)
@@ -82,9 +91,16 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     objective has a curved shallow valley in the (a, c) plane, so the
     refinement window must span many coarse cells to keep the true minimum
     inside.  Flat argmin resolves row-major, i.e. to the smaller a first,
-    then the smaller c.
+    then the smaller c.  in_range refuses a sigma for which the lower end of
+    the coarse a grid underflows, or the largest moment term, a * e^c at the
+    grid's upper corner, overflows.
     """
+    require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
+    c_lo, c_hi = UNIVERSAL_TILTS
+    a_lo = in_range("the grid's lower end sigma^2 * 1e-5", sigma2 * 1e-5, sigma)
+    a_hi = sigma2 * (1.0 - 1e-9)
+    in_range("the grid's largest term a * e^c", a_hi * math.exp(c_hi), sigma)
 
     def scan(a_lo, a_hi, c_lo, c_hi, shape):
         na, nc = shape
@@ -95,9 +111,7 @@ def universal_grid_min(sigma: float) -> GridMinResult:
         i, j = divmod(flat, nc)
         return a[:, 0], c[0, :], i, j, float(values[i, j])
 
-    a_grid, c_grid, i, j, value = scan(
-        sigma2 * 1e-5, sigma2 * (1.0 - 1e-9), 0.05, 20.0, UNIVERSAL_COARSE
-    )
+    a_grid, c_grid, i, j, value = scan(a_lo, a_hi, c_lo, c_hi, UNIVERSAL_COARSE)
     w = UNIVERSAL_WINDOW_CELLS
     for _ in range(UNIVERSAL_ROUNDS):
         a_grid, c_grid, i, j, value = scan(
@@ -130,6 +144,7 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
     moment is a uniform fraction of sigma^2; tilts are sampled uniformly for
     probing bounds that optimize over the tilt.
     """
+    require_positive("sigma", sigma)
     rng = np.random.default_rng(seed)
     points = rng.normal(0.0, 2.0 * sigma, size=(n_samples, 3))
     masses = rng.dirichlet((1.0, 1.0, 1.0), size=n_samples)

@@ -49,29 +49,34 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     last = older = math.inf  # half the sizes of the last two moves in ln a
     for _ in range(MAX_SOLVE_ITERATIONS):
         value, slope = f(a)
-        if not value > -math.inf:  # NaN or -inf; +inf lies above the root
-            raise NonFiniteValueError(f"f({a!r}) returned non-finite value {value!r}")
         try:
             move = value / slope  # the Newton move in ln a
             step = a * math.exp(-move)
         except ArithmeticError:  # a zero slope, or a step past the doubles
             move = step = math.nan
-        if abs(value) <= TOL:
-            return step if lo < step < hi else a  # polished by the Newton step
-        if value < 0.0:
+        if value < -TOL:
             lo = a
-        elif a == _TINY:
-            raise NoSignChangeError(
-                f"f > 0 at the smallest positive double {_TINY!r}: the root lies below it"
-            )
-        else:
+        elif value > TOL:
             hi = a
+        elif value == value:  # |f| <= TOL
+            return step if lo < step < hi else a  # polished by the Newton step
+        else:
+            raise NonFiniteValueError(f"f({a!r}) returned non-finite value {value!r}")
         if step == a:  # a correction below half an ulp: move one ulp toward the root
             step = math.nextafter(a, hi if value < 0.0 else 0.0)
         # NaN, outside (as any step against a negative slope is), or short
         # of halving the move before last
         size = abs(move)
         if not lo < step < hi or size > older:
+            # f = -inf leaves a NaN or zero step, and f > 0 at the smallest
+            # positive double an empty bracket: both are refused here, on
+            # the path every such evaluation takes, not tested on every step
+            if value == -math.inf:
+                raise NonFiniteValueError(f"f({a!r}) returned non-finite value {value!r}")
+            if a == _TINY and value > 0.0:
+                raise NoSignChangeError(
+                    f"f > 0 at the smallest positive double {_TINY!r}: the root lies below it"
+                )
             bisection = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else _TINY
             step, size = end if step >= hi > end else bisection, math.inf
             if not lo < step < hi:

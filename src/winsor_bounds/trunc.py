@@ -61,18 +61,12 @@ def solve_A_c(c: float) -> float:
     return _solve(lambda a: _log_support(a, c, 0.0)[1:], math.log1p(0.5 * c) / c, 1.0)
 
 
-def solve_A_c_sigma(c: float, sigma: float) -> float:
-    """Unique a > 0 with a * B_star(a, c) = sigma^2, solved in log form."""
-    require_positive("c", c)
-    require_positive("sigma", sigma)
-    return _A_c_sigma(c, (sigma, sigma * sigma, math.log(sigma)))
-
-
-def _A_c_sigma(c: float, row, start: float | None = None) -> float:
-    """solve_A_c_sigma on trusted c and row = (sigma, sigma^2, ln sigma), from
-    start or, when None, from a seed that follows a*B_star ~ a^2 for small a
-    and ~ (2a/c) e^{ac} for large a, capped at sigma, which a*B_star >= a^2
-    puts above the root.  sigma^2 may have left the doubles: the seed reads
+def _A_c_sigma(c: float, row, start: float | None) -> float:
+    """The unique a > 0 with a * B_star(a, c) = sigma^2, solved in log form
+    on trusted c and row = (sigma, sigma^2, ln sigma), from start or, when
+    None, from a seed that follows a*B_star ~ a^2 for small a and
+    ~ (2a/c) e^{ac} for large a, capped at sigma, which a*B_star >= a^2 puts
+    above the root.  sigma^2 may have left the doubles: the seed reads
     it only through ln(1 + sigma^2)/c, and the cap keeps that seed a
     positive double wherever the quotient overflows."""
     sigma, sigma2, log_sigma = row
@@ -87,19 +81,13 @@ def _A_c_sigma(c: float, row, start: float | None = None) -> float:
     return _moment_match(c, row, 0.0, start)
 
 
-def trunc_moment(dist: TwoPointDistribution, c: float) -> float:
-    """E exp(c * X * 1{X < 1}) for a two-point law, in closed form.
+def _trunc_moment(a: float, b: float, c: float) -> float:
+    """E exp(c * X * 1{X < 1}) for the law on {-a, b}, in closed form.
 
     The positive support point contributes e^{cb} only when b < 1; at or
     above the cut it contributes 1 exactly.  Underflow of e^{-ca} to 0 is
     legitimate and kept.
     """
-    require_positive("c", c)
-    return _trunc_moment(dist.a, dist.b, c)
-
-
-def _trunc_moment(a: float, b: float, c: float) -> float:
-    """trunc_moment of the law on {-a, b}, on trusted arguments."""
     pos = in_range("e^(cb)", exp_or_inf(c * b), c, b) if b < 1.0 else 1.0
     return a / (a + b) * pos + b / (a + b) * math.exp(-c * a)
 
@@ -110,8 +98,8 @@ class TruncSolution:
     (cut level 1) parameterization carried by ``query``.
 
     On the small-sigma branch the extremal law is X_{sigma^2, 1} and the
-    moment-matching fields are absent (None).  The bound does not need the
-    threshold ``A_c``, so it is solved only when read.
+    moment-matching fields are absent (None).  Neither the bound nor the
+    extremal law needs the threshold ``A_c``, so each is formed when read.
     """
 
     query: BoundQuery
@@ -119,7 +107,14 @@ class TruncSolution:
     A_c_sigma: float | None
     B_c_sigma: float | None
     bound: float
-    extremal: TwoPointDistribution
+
+    @property
+    def extremal(self) -> TwoPointDistribution:
+        """The extremal law: on {-sigma^2, 1} at cut level 1 on the small-sigma
+        branch, else on {-A_c_sigma, B_c_sigma}."""
+        if self.branch is Branch.SMALL_SIGMA:
+            return two_point(_row(self.query.sigma, self.query.cut)[1], 1.0)
+        return two_point(self.A_c_sigma, self.B_c_sigma)
 
     @property
     def A_c(self) -> float:
@@ -147,12 +142,8 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
         _effective_c(query.c, query.cut), _row(query.sigma, query.cut), None
     )
     return TruncSolution(
-        query=query,
-        branch=branch,
-        A_c_sigma=root,
-        B_c_sigma=None if root is None else b,
-        bound=bound,
-        extremal=two_point(a, b),
+        query=query, branch=branch, A_c_sigma=root,
+        B_c_sigma=None if root is None else b, bound=bound,
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import asymptotics, certificates, errors, oracle, trunc, winsor
 from .asymptotics import Regime
 from .certificates import MomentKind
-from .distributions import BoundQuery, two_point
+from .distributions import BoundQuery
 from .roots import _solve
 from .trunc import Branch
 
@@ -61,6 +61,11 @@ def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _optimal_winsor_moment(a: float, sigma: float) -> float:
+    """The Winsorized moment of X_{a, sigma^2/a} at its optimal tilt."""
+    return winsor._optimal_winsor_moment(a, sigma, winsor.optimal_c_for_two_point(a, sigma))
+
+
 def suite_roots() -> list[CheckResult]:
     """Residuals of every solved root plus the analytic identities tying the
     universal quantities together."""
@@ -69,21 +74,22 @@ def suite_roots() -> list[CheckResult]:
     worst = 0.0
     for c in C_GRID:
         for sigma in SIGMA_GRID:
-            a = winsor.solve_a_c_sigma(c, sigma)
+            a = winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a_c_sigma
             residual = abs(
                 math.expm1(math.log(a) + winsor.log_b_star(a, c) - 2.0 * math.log(sigma))
             )
             worst = max(worst, residual)
     results.append(_bounded_check("roots.winsor_fixed_c_residual", worst, 1e-10))
 
-    a_universal = {sigma: winsor.solve_a_sigma(sigma) for sigma in SIGMA_GRID}
-    worst = max(abs(winsor.ell1(a, sigma)) for sigma, a in a_universal.items())
+    a_universal = {sigma: winsor.lower_bound_universal(sigma).a_sigma for sigma in SIGMA_GRID}
+    worst = max(abs(winsor._ell1(a, sigma * sigma)) for sigma, a in a_universal.items())
     results.append(_bounded_check("roots.winsor_universal_residual", worst, 1e-10))
 
     worst = 0.0
     for c in C_GRID:
         for sigma in SIGMA_GRID:
-            a = trunc.solve_A_c_sigma(c, sigma)
+            # at every grid point: the bound solves it on the large-sigma branch only
+            a = trunc._A_c_sigma(c, winsor._row(sigma, 1.0), None)
             residual = abs(
                 math.expm1(math.log(a) + trunc.log_B_star(a, c) - 2.0 * math.log(sigma))
             )
@@ -99,7 +105,7 @@ def suite_roots() -> list[CheckResult]:
     worst = 0.0
     for sigma, a_univ in a_universal.items():
         c_opt = winsor.optimal_c_for_two_point(a_univ, sigma)
-        a_fixed = winsor.solve_a_c_sigma(c_opt, sigma)
+        a_fixed = winsor.lower_bound_fixed_c(BoundQuery(c_opt, sigma)).a_c_sigma
         worst = max(worst, _relative_gap(a_univ, a_fixed))
         b_univ = sigma * sigma / a_univ
         worst = max(worst, _relative_gap(b_univ, winsor.b_star(a_univ, c_opt)))
@@ -112,10 +118,10 @@ def suite_roots() -> list[CheckResult]:
         for fraction in (0.05, 0.4, 0.6, 0.9):
             a = fraction * sigma * sigma
             numeric = (
-                math.log(winsor.optimal_winsor_moment(a + step, sigma))
-                - math.log(winsor.optimal_winsor_moment(a - step, sigma))
+                math.log(_optimal_winsor_moment(a + step, sigma))
+                - math.log(_optimal_winsor_moment(a - step, sigma))
             ) / (2.0 * step)
-            analytic = winsor.ell1(a, sigma) / (1.0 + a) ** 2
+            analytic = winsor._ell1(a, sigma * sigma) / (1.0 + a) ** 2
             if abs(analytic) > 0.05:
                 worst = max(worst, abs(numeric - analytic) / abs(analytic))
     results.append(_bounded_check("roots.log_moment_derivative_identity", worst, 1e-4))
@@ -177,19 +183,19 @@ def suite_ordering() -> list[CheckResult]:
     worst = 0.0
     for c in (0.5, 1.0, 2.0, 5.0):
         threshold = thresholds[c]
-        small = trunc.trunc_moment(two_point(threshold, 1.0), c)
-        a_large = trunc.solve_A_c_sigma(c, math.sqrt(threshold))
-        b_large = max(threshold / a_large, 1.0)
-        large = trunc.trunc_moment(two_point(a_large, b_large), c)
+        small = trunc._trunc_moment(threshold, 1.0, c)
+        a_large = trunc._A_c_sigma(c, winsor._row(math.sqrt(threshold), 1.0), None)
+        large = trunc._trunc_moment(a_large, max(threshold / a_large, 1.0), c)
         worst = max(worst, _relative_gap(small, large))
     results.append(_bounded_check("ordering.trunc_branch_continuity", worst, 1e-10))
 
     worst = -math.inf
     for sigma in SIGMA_GRID:
         solution = universal[sigma]
-        center = winsor.winsor_moment(solution.extremal, solution.c_sigma)
+        a, b = solution.a_sigma, solution.b_sigma
+        center = winsor._winsor_moment(a, b, solution.c_sigma)
         for factor in (1.0 - 1e-3, 1.0 + 1e-3):
-            perturbed = winsor.winsor_moment(solution.extremal, solution.c_sigma * factor)
+            perturbed = winsor._winsor_moment(a, b, solution.c_sigma * factor)
             worst = max(worst, (center - perturbed) / center)
     results.append(_bounded_check("ordering.interior_tilt_optimality", worst, -1e-14,
                                   "perturbing the tilt strictly increases the moment"))
@@ -220,7 +226,9 @@ def suite_certificates() -> list[CheckResult]:
         for sigma in SIGMA_GRID:
             cases = [(
                 MomentKind.WINSOR,
-                certificates.winsor_minorant(winsor.solve_a_c_sigma(c, sigma), c),
+                certificates.winsor_minorant(
+                    winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a_c_sigma, c
+                ),
             )]
             solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
             if solution.branch is Branch.SMALL_SIGMA:
@@ -261,7 +269,7 @@ def suite_certificates() -> list[CheckResult]:
 
     # Negative control: shrinking beta = G'(0) by 10%, i.e. subtracting
     # 0.1 beta x from G, must break the certificate.
-    a = winsor.solve_a_c_sigma(1.0, 1.0)
+    a = winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0)).a_c_sigma
     good = certificates.winsor_minorant(a, 1.0)
     broken = certificates.QuadraticMinorant(
         contact_points=good.contact_points,
@@ -349,7 +357,7 @@ def suite_oracle(seed: int = 1) -> list[CheckResult]:
     moments = [p.moment for p in points]
     collapse_ok = all(m2 < m1 for m1, m2 in zip(moments, moments[1:])) and moments[-1] < 1e-2
     floor_ok = all(
-        winsor.optimal_winsor_moment(p.a, 1.0) >= floor_universal * (1.0 - 1e-12)
+        _optimal_winsor_moment(p.a, 1.0) >= floor_universal * (1.0 - 1e-12)
         for p in points
     )
     results.append(CheckResult(

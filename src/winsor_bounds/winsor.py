@@ -9,12 +9,15 @@ quantity here is a closed form or a scalar root:
   tangent certificate touch exp(c W) at both -a and b; it always exceeds 2.
   It is one instance of the support-point map (2(e^z - 1) - ac)/c shared
   with the truncated bound: z = c(1+a) here, z = ac for ``trunc.B_star``.
-* ``solve_a_c_sigma`` matches the second moment, a * b_star(a, c) = sigma^2,
-  fixing the extremal law for a given tilt c.
-* ``ell1`` is (1+a)^2 times the log-derivative of the optimal-tilt moment
+* the moment match a * b_star(a, c) = sigma^2 (``_a_c_sigma``) fixes the
+  extremal law for a given tilt c.
+* ``_ell1`` is (1+a)^2 times the log-derivative of the optimal-tilt moment
   curve; its unique - to + sign change on (0, sigma^2) locates the lower
-  support magnitude of the tilt-universal extremal law (``solve_a_sigma``),
+  support magnitude of the tilt-universal extremal law (``_a_sigma``),
   from which the optimal tilt is ln(sigma^2/a) / (1 + a).
+
+Arguments are checked once, where a public call receives them; the bodies
+behind ``lower_bound_fixed_c`` and ``lower_bound_universal`` trust them.
 
 Cut levels other than 1 reduce to level 1 through
 (c, sigma, cut) -> (c*cut, sigma/cut, 1); solutions carry their query so the
@@ -135,16 +138,10 @@ def log_b_star(a: float, c: float) -> float:
     return _log_support(a, c, c)[1]
 
 
-def solve_a_c_sigma(c: float, sigma: float) -> float:
-    """Unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form."""
-    require_positive("c", c)
-    require_positive("sigma", sigma)
-    return _a_c_sigma(_tilt(c, 1.0), _row(sigma, 1.0))
-
-
-def _a_c_sigma(tilt, row, start: float | None = None) -> float:
-    """solve_a_c_sigma on _tilt(c, 1) and _row(sigma, 1) of trusted c, sigma,
-    from start or, when None, from the smaller of both asymptotic laws:
+def _a_c_sigma(tilt, row, start: float | None) -> float:
+    """The unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form
+    from _tilt(c, 1) and _row(sigma, 1), from start or, when None, from the
+    smaller of both asymptotic laws:
     a ~ c sigma^2 / (2(e^c - 1)) as sigma -> 0 and a ~ ln(1 + sigma^2)/c as
     sigma -> infinity.  The first is formed as (c / (e^c - 1)) * 0.5 * sigma^2,
     since c * sigma^2 alone underflows at tiny tilt (the factor tends to 1/2
@@ -156,18 +153,12 @@ def _a_c_sigma(tilt, row, start: float | None = None) -> float:
     return _moment_match(c, row, c, seed if start is None else start)
 
 
-def ell1(a: float, sigma: float) -> float:
-    """ln(a/sigma^2) - 2(a+1)(a-sigma^2)/(a^2+sigma^2).
+def _ell1(a: float, sigma2: float) -> float:
+    """ln(a/sigma^2) - 2(a+1)(a-sigma^2)/(a^2+sigma^2) for sigma2 = sigma^2.
 
     Vanishes at a = sigma^2 and switches sign exactly once, - to +, on
     (0, sigma^2); that interior root is the universal extremal a.
     """
-    require_positive("a", a)
-    require_positive("sigma", sigma)
-    return _ell1(a, in_range("sigma^2", sigma * sigma, sigma))
-
-
-def _ell1(a: float, sigma2: float) -> float:
     # divided through by sigma^2, in r = a/sigma^2: no sigma^2-sized product
     # is formed, so it stays finite wherever sigma^2 is; below DBL_MIN, r
     # keeps few bits or none (a start far below the root at huge sigma), and
@@ -177,24 +168,16 @@ def _ell1(a: float, sigma2: float) -> float:
     return log_r - 2.0 * (a + 1.0) * (r - 1.0) / (a * r + 1.0)
 
 
-def solve_a_sigma(sigma: float) -> float:
-    """The sign-change root of ell1 on (0, sigma^2).
-
-    Raises ExponentOverflowError when sigma^2 overflows, and
-    NoSignChangeError when the root lies below the smallest positive double.
-    """
-    require_positive("sigma", sigma)
-    return _a_sigma(in_range("sigma^2", sigma * sigma, sigma))
-
-
-def _a_sigma(sigma2: float, start: float | None = None) -> float:
-    """solve_a_sigma on a trusted sigma2 = sigma^2, from start or, when None,
-    from 0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic regimes
-    of the root; the seed is checked whatever the start.  The upper end is
-    sigma^2/2, not the boundary zero of ell1 at sigma^2:
-    ell1(sigma^2/2) = (a + 1)/(a/2 + 1) - ln 2 > 0.3, so the root lies below
-    it and no step can settle on the boundary zero.  sigma^2/2 is positive
-    whenever the seed (at most 0.21 sigma^2) is."""
+def _a_sigma(sigma2: float, start: float | None) -> float:
+    """The sign-change root of _ell1 on (0, sigma^2) for sigma2 = sigma^2,
+    from start or, when None, from 0.5*ln(1 + 2 t_star sigma^2), which
+    tracks both asymptotic regimes of the root; the seed is checked whatever
+    the start.  The upper end is sigma^2/2, not the boundary zero of _ell1
+    at sigma^2:
+    _ell1(sigma^2/2) = (a + 1)/(a/2 + 1) - ln 2 > 0.3, so the root lies
+    below it and no step can settle on the boundary zero.  sigma^2/2 is
+    positive whenever the seed (at most 0.21 sigma^2) is.  A root below the
+    smallest positive double raises NoSignChangeError."""
     seed = 0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2)
     seed = in_range("the root's seed", seed, sigma2)
 
@@ -215,17 +198,16 @@ def optimal_c_for_two_point(a: float, sigma: float) -> float:
     sigma2 = sigma * sigma
     if not (math.isfinite(a) and 0.0 < a < sigma2):
         raise ParameterError(f"a must lie in (0, sigma^2), got {a!r}")
+    return _optimal_c(a, sigma)
+
+
+def _optimal_c(a: float, sigma: float) -> float:
+    """optimal_c_for_two_point on trusted a in (0, sigma^2)."""
     return (2.0 * math.log(sigma) - math.log(a)) / (1.0 + a)
 
 
-def winsor_moment(dist: TwoPointDistribution, c: float) -> float:
-    """E exp(c * min(1, X)) for a two-point law, in closed form."""
-    require_positive("c", c)
-    return _winsor_moment(dist.a, dist.b, c)
-
-
 def _winsor_moment(a: float, b: float, c: float) -> float:
-    """winsor_moment of the law on {-a, b}, on trusted arguments."""
+    """E exp(c * min(1, X)) for the law on {-a, b}, in closed form."""
     p_pos, p_neg = a / (a + b), b / (a + b)
     x_pos, x_neg = c * min(1.0, b), -c * a
     e_pos = in_range("e^(c*min(1, b))", exp_or_inf(x_pos), c, b)
@@ -237,14 +219,10 @@ def _winsor_moment(a: float, b: float, c: float) -> float:
     return 1.0 + (p_pos * math.expm1(x_pos) + p_neg * math.expm1(x_neg))
 
 
-def optimal_winsor_moment(a: float, sigma: float) -> float:
-    """Winsorized moment of X_{a, sigma^2/a} at its optimal tilt:
-    a(1+a)(a/sigma^2)^{-1/(1+a)} / (a^2 + sigma^2)."""
-    return _optimal_winsor_moment(a, sigma, optimal_c_for_two_point(a, sigma))
-
-
 def _optimal_winsor_moment(a: float, sigma: float, c_opt: float) -> float:
-    """optimal_winsor_moment with its optimal tilt c_opt already formed."""
+    """Winsorized moment of X_{a, sigma^2/a} at its optimal tilt
+    c_opt = optimal_c_for_two_point(a, sigma):
+    a(1+a)(a/sigma^2)^{-1/(1+a)} / (a^2 + sigma^2)."""
     if a >= 1.0:
         return a * (1.0 + a) * math.exp(c_opt) / (a * a + sigma * sigma)
     # Below a = 1 the logs in c_opt cancel as sigma -> 0, pushing the moment
@@ -262,7 +240,11 @@ class WinsorSolution:
     a_c_sigma: float
     b_c_sigma: float
     bound: float
-    extremal: TwoPointDistribution
+
+    @property
+    def extremal(self) -> TwoPointDistribution:
+        """The extremal law, on {-a_c_sigma, b_c_sigma}; built when read."""
+        return two_point(self.a_c_sigma, self.b_c_sigma)
 
 
 @dataclass(frozen=True)
@@ -280,7 +262,11 @@ class UniversalWinsorSolution:
     b_sigma: float
     c_sigma: float
     bound: float
-    extremal: TwoPointDistribution
+
+    @property
+    def extremal(self) -> TwoPointDistribution:
+        """The extremal law, on {-a_sigma, b_sigma}; built when read."""
+        return two_point(self.a_sigma, self.b_sigma)
 
     @property
     def effective_sigma(self) -> float:
@@ -291,9 +277,7 @@ def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
     """Exact attained lower bound on E exp(c * min(cut, X)) given
     E X >= 0 and E X^2 <= sigma^2."""
     a, b, bound = _fixed_lane(_tilt(query.c, query.cut), _row(query.sigma, query.cut), None)
-    return WinsorSolution(
-        query=query, a_c_sigma=a, b_c_sigma=b, bound=bound, extremal=two_point(a, b)
-    )
+    return WinsorSolution(query=query, a_c_sigma=a, b_c_sigma=b, bound=bound)
 
 
 def _fixed_lane(tilt, row, start):
@@ -312,13 +296,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolu
     require_positive("cut", cut)
     a, b, c_opt, bound = _universal_lane(None, _row(sigma, cut), None)
     return UniversalWinsorSolution(
-        sigma=sigma,
-        cut=cut,
-        a_sigma=a,
-        b_sigma=b,
-        c_sigma=c_opt,
-        bound=bound,
-        extremal=two_point(a, b),
+        sigma=sigma, cut=cut, a_sigma=a, b_sigma=b, c_sigma=c_opt, bound=bound
     )
 
 
@@ -329,5 +307,5 @@ def _universal_lane(tilt, row, start):
     sigma, sigma2, _ = row
     a = _a_sigma(sigma2, start)
     b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
-    c_opt = optimal_c_for_two_point(a, sigma)
+    c_opt = _optimal_c(a, sigma)
     return a, b, c_opt, _optimal_winsor_moment(a, sigma, c_opt)

@@ -71,3 +71,11 @@ def lanes() -> dict:
         )
 
     return {kind: call(*lane) for kind, (lane, over) in sweeps._KINDS.items() if over is None}
+
+
+@pytest.fixture(scope="session")
+def trunc_root():
+    """The truncated moment match a * B_star(a, c) = sigma^2 at cut level 1,
+    solved from its seed on either branch, (c, sigma) -> a: the truncated
+    lane solves it on the large-sigma branch only."""
+    return lambda c, sigma: trunc._A_c_sigma(c, winsor._row(sigma, 1.0), None)

@@ -4,14 +4,23 @@ Each test prints one machine-greppable pass line; run with ``pytest -s``
 (or through ``winsor-bounds verify``) to see them.
 """
 
+import dataclasses
+import hashlib
+import importlib
+import itertools
 import math
+import pkgutil
+import random
 import time
 
 import numpy as np
+import pytest
 
-from winsor_bounds import asymptotics, oracle, trunc, winsor
+import winsor_bounds
+from winsor_bounds import asymptotics, errors, oracle, trunc, winsor
 from winsor_bounds.asymptotics import Regime
-from winsor_bounds.distributions import two_point
+from winsor_bounds.distributions import BoundQuery
+from winsor_bounds.errors import WinsorBoundsError
 from winsor_bounds.sweeps import SweepKind, compute_sweep, sigma_grid
 
 
@@ -80,9 +89,9 @@ def test_criterion_05_small_sigma_slopes(verify_all):
 def test_criterion_06_universal_consistency_identities():
     worst = 0.0
     for sigma in np.geomspace(1e-3, 1e6, 40):
-        a_univ = winsor.solve_a_sigma(sigma)
+        a_univ = winsor.lower_bound_universal(sigma).a_sigma
         c_opt = winsor.optimal_c_for_two_point(a_univ, sigma)
-        a_fixed = winsor.solve_a_c_sigma(c_opt, sigma)
+        a_fixed = winsor.lower_bound_fixed_c(BoundQuery(c_opt, sigma)).a_c_sigma
         worst = max(worst, abs(a_univ - a_fixed) / a_univ)
         b_univ = sigma * sigma / a_univ
         worst = max(worst, abs(b_univ - winsor.b_star(a_univ, c_opt)) / b_univ)
@@ -111,13 +120,13 @@ def test_criterion_08_oracle_equivalence(verify_all):
                "argmins within one cell, 1e5 three-point probes above every bound")
 
 
-def test_criterion_09_trunc_branch_continuity():
+def test_criterion_09_trunc_branch_continuity(trunc_root):
     worst = 0.0
     for c in (0.5, 1.0, 2.0, 5.0):
         threshold = trunc.solve_A_c(c)
-        small = trunc.trunc_moment(two_point(threshold, 1.0), c)
-        a = trunc.solve_A_c_sigma(c, math.sqrt(threshold))
-        large = trunc.trunc_moment(two_point(a, max(threshold / a, 1.0)), c)
+        small = trunc._trunc_moment(threshold, 1.0, c)
+        a = trunc_root(c, math.sqrt(threshold))
+        large = trunc._trunc_moment(a, max(threshold / a, 1.0), c)
         worst = max(worst, abs(small - large) / small)
     assert worst <= 1e-10
     _report(9, f"branch values at sigma^2 = A_c agree to {worst:.2e} (tol 1e-10)")
@@ -138,7 +147,9 @@ def test_criterion_11_collapse_demo():
     floor = winsor.lower_bound_universal(1.0).bound
     assert 0.878 <= floor < 0.879
     assert all(
-        winsor.optimal_winsor_moment(p.a, 1.0) >= floor * (1.0 - 1e-12) for p in points
+        winsor._optimal_winsor_moment(p.a, 1.0, winsor.optimal_c_for_two_point(p.a, 1.0))
+        >= floor * (1.0 - 1e-12)
+        for p in points
     )
     _report(11, f"truncated collapse reaches {points[-1].moment:.2e} < 1e-2 by "
                 f"a=0.05 while the Winsorized floor stays at {floor:.4f}")
@@ -218,3 +229,98 @@ VERIFY_INVENTORY = [
 
 def test_verify_check_inventory(verify_all):
     assert [(r.name, r.tolerance) for r in verify_all.results] == VERIFY_INVENTORY
+
+
+QUERY_KINDS = ("universal", "fixed", "trunc")
+PUBLIC_ARGUMENTS = {"universal": 2, "fixed": 3, "trunc": 3}  # sigma, cut and c
+FINGERPRINT_QUERIES = 2_000
+# sha256 of the 2,000 answers of _queries(1) (see test_bit_fingerprint); a
+# change that moves a bit updates it and says in CHANGES.md which moved
+FINGERPRINT_SHA256 = "3e548586c445cf4d1a5f33a3744db0e5ea0da9d16c09934b858b80698f23f041"
+
+
+def _queries(seed):
+    """The benchmark's point-query stream, drawn as it draws it: the kind
+    uniform over QUERY_KINDS, then c in [0.1, 10], sigma in [1e-3, 1e6] and
+    cut in [0.5, 2], each log-uniform."""
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    while True:
+        kind = QUERY_KINDS[rng.randrange(len(QUERY_KINDS))]
+        yield kind, log_uniform(0.1, 10.0), log_uniform(1e-3, 1e6), log_uniform(0.5, 2.0)
+
+
+def _solution(kind, c, sigma, cut):
+    """One query answered through the public call of its kind."""
+    if kind == "universal":
+        return winsor.lower_bound_universal(sigma, cut)
+    query = BoundQuery(c, sigma, cut)
+    return (winsor.lower_bound_fixed_c if kind == "fixed" else trunc.lower_bound_trunc)(query)
+
+
+@pytest.mark.parametrize("kind", QUERY_KINDS)
+def test_each_argument_is_checked_once(kind, monkeypatch, solves):
+    # require_positive runs once per public argument and once per root solve,
+    # for its start: no body re-checks what the public call checked, and the
+    # extremal law is not built (and checked) unless it is read
+    asymptotics.t_star()  # solved, and cached, at the first universal query
+    check, checked = errors.require_positive, []
+
+    def counted(name, value, allow_zero=False):
+        checked.append(name)
+        return check(name, value, allow_zero)
+
+    for info in pkgutil.iter_modules(winsor_bounds.__path__):
+        module = importlib.import_module(f"{winsor_bounds.__name__}.{info.name}")
+        if getattr(module, "require_positive", None) is check:
+            monkeypatch.setattr(module, "require_positive", counted)
+    for query in itertools.islice(_queries(2), 600):
+        if query[0] != kind:
+            continue
+        del checked[:], solves.equations[:]
+        _solution(*query)
+        assert len(checked) == PUBLIC_ARGUMENTS[kind] + len(solves.equations), (query, checked)
+        assert len(checked) <= 4, (query, checked)
+
+
+def test_bit_fingerprint():
+    # every bit of 2,000 point-query answers, or the class and message of
+    # each refusal, hashed in stream order
+    digest = hashlib.sha256()
+    for kind, c, sigma, cut in itertools.islice(_queries(1), FINGERPRINT_QUERIES):
+        try:
+            outcome = repr(_solution(kind, c, sigma, cut).bound)
+        except WinsorBoundsError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{kind} {c!r} {sigma!r} {cut!r} {outcome}\n".encode())
+    assert digest.hexdigest() == FINGERPRINT_SHA256
+
+
+# where each lane's (root, ...) tuple holds the extremal support (a, b)
+LANE_SUPPORT = {
+    "universal": (SweepKind.UNIVERSAL_WINSOR, 0),
+    "fixed": (SweepKind.FIXED_C_WINSOR, 0),
+    "trunc": (SweepKind.TRUNC, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, c, sigma, cut",
+    [("universal", None, 3.0, 2.0), ("fixed", 1.5, 3.0, 2.0), ("trunc", 1.5, 3.0, 2.0),
+     ("trunc", 1.5, 0.3, 2.0)],
+    ids=["universal", "fixed", "trunc-large-sigma", "trunc-small-sigma"],
+)
+def test_extremal_law_is_built_when_read(kind, c, sigma, cut, lanes):
+    # extremal is a property, not a field: a solution stores each number
+    # once, and the law it builds holds the bits the bound was formed from
+    solution = _solution(kind, c, sigma, cut)
+    assert "extremal" not in {field.name for field in dataclasses.fields(solution)}
+    assert "extremal" not in repr(solution)
+    lane, at = LANE_SUPPORT[kind]
+    a, b = lanes[lane](c, sigma, None, cut)[at:at + 2]
+    law = solution.extremal
+    assert (law.a, law.b) == (a, b)
+    assert law == solution.extremal

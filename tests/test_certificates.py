@@ -8,7 +8,20 @@ import pytest
 
 from winsor_bounds import certificates, oracle, trunc, winsor
 from winsor_bounds.certificates import MomentKind, QuadraticMinorant
+from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import CaseViolationError, ParameterError
+
+
+def fixed_root(c, sigma):
+    """The lower support magnitude of the fixed-tilt extremal law."""
+    return winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a_c_sigma
+
+
+def large_root(c, sigma):
+    """The truncated moment-match root at a large-sigma branch point."""
+    solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
+    assert solution.A_c_sigma is not None, (c, sigma)
+    return solution.A_c_sigma
 
 
 def finite_difference(f, x, h):
@@ -105,7 +118,7 @@ class TestWinsorMinorant:
 
     def test_certificate_passes_at_solved_roots(self):
         for c, sigma in ((0.5, 0.2), (1.0, 1.0), (5.0, 30.0)):
-            a = winsor.solve_a_c_sigma(c, sigma)
+            a = fixed_root(c, sigma)
             report = certificates.check_certificate(
                 certificates.winsor_minorant(a, c), MomentKind.WINSOR, c
             )
@@ -199,7 +212,7 @@ class TestTruncLargeMinorant:
 
 class TestCheckCertificate:
     def test_negative_control_fails(self):
-        a = winsor.solve_a_c_sigma(1.0, 1.0)
+        a = fixed_root(1.0, 1.0)
         broken = beta_scaled(certificates.winsor_minorant(a, 1.0), 0.9)
         report = certificates.check_certificate(broken, MomentKind.WINSOR, 1.0)
         assert not report.passed
@@ -208,10 +221,10 @@ class TestCheckCertificate:
     def test_contact_gaps_vanish_at_solved_roots(self):
         c, sigma = 2.0, 3.0
         cases = (
-            (MomentKind.WINSOR, certificates.winsor_minorant(winsor.solve_a_c_sigma(c, sigma), c)),
+            (MomentKind.WINSOR, certificates.winsor_minorant(fixed_root(c, sigma), c)),
             (MomentKind.TRUNC, certificates.trunc_minorant_small(0.1, c)),
             (MomentKind.TRUNC,
-             certificates.trunc_minorant_large(trunc.solve_A_c_sigma(c, sigma), c)),
+             certificates.trunc_minorant_large(large_root(c, sigma), c)),
         )
         for kind, minorant in cases:
             gaps = certificates.contact_gaps(minorant, kind, c)
@@ -222,7 +235,7 @@ class TestCheckCertificate:
         # at c = 600, sigma = 1 the upper contact is ~1.26e258, where
         # (x - x_lo)^2 alone overflows; the minorant must not form it
         c = 600.0
-        minorant = certificates.winsor_minorant(winsor.solve_a_c_sigma(c, 1.0), c)
+        minorant = certificates.winsor_minorant(fixed_root(c, 1.0), c)
         assert minorant.contact_points[1] > 1e258
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -233,7 +246,7 @@ class TestCheckCertificate:
         assert report.passed
 
     def test_contact_gaps_flag_perturbed_beta(self):
-        a = winsor.solve_a_c_sigma(1.0, 1.0)
+        a = fixed_root(1.0, 1.0)
         broken = beta_scaled(certificates.winsor_minorant(a, 1.0), 0.9)
         gaps = certificates.contact_gaps(broken, MomentKind.WINSOR, 1.0)
         assert max(max(pair) for pair in gaps.values()) > 0.1
@@ -303,7 +316,7 @@ class TestCheckCertificate:
 
 
 def solved_winsor(c, sigma):
-    return certificates.winsor_minorant(winsor.solve_a_c_sigma(c, sigma), c), MomentKind.WINSOR, c
+    return certificates.winsor_minorant(fixed_root(c, sigma), c), MomentKind.WINSOR, c
 
 
 REFERENCE_CASES = {
@@ -314,7 +327,7 @@ REFERENCE_CASES = {
         certificates.trunc_minorant_small(0.25, 1.0), MomentKind.TRUNC, 1.0
     ),
     "trunc-large": lambda: (
-        certificates.trunc_minorant_large(trunc.solve_A_c_sigma(2.0, 3.0), 2.0), MomentKind.TRUNC, 2.0
+        certificates.trunc_minorant_large(large_root(2.0, 3.0), 2.0), MomentKind.TRUNC, 2.0
     ),
     "beta-times-0.9": lambda: (
         beta_scaled(solved_winsor(1.0, 1.0)[0], 0.9), MomentKind.WINSOR, 1.0
@@ -330,7 +343,7 @@ REFERENCE_CASES = {
     # large branch: a zero prefix, then a block across the subnormal band
     # -745.13 < c*x < -708, where exp is neither 0.0 nor normal
     "trunc-large-50-10-subnormal-band": lambda: (
-        certificates.trunc_minorant_large(trunc.solve_A_c_sigma(50.0, 10.0), 50.0),
+        certificates.trunc_minorant_large(large_root(50.0, 10.0), 50.0),
         MomentKind.TRUNC,
         50.0,
     ),
@@ -480,7 +493,7 @@ def test_capped_exp_out_with_broadcast_tilts(kind):
 
 
 def test_minorant_out_gives_the_allocating_bits():
-    minorant = certificates.winsor_minorant(winsor.solve_a_c_sigma(600.0, 1.0), 600.0)
+    minorant = certificates.winsor_minorant(fixed_root(600.0, 1.0), 600.0)
     x = np.linspace(-1e259, 1e259, 5_001)
     out = np.full(x.shape, np.nan)
     u = x - minorant.contact_points[0]

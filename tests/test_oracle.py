@@ -1,6 +1,8 @@
 """Brute-force search oracles versus the analytic solvers."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +76,32 @@ class TestGridMin:
         with pytest.raises(error, match=rf"^sigma\^2 {fate}"):
             search(sigma)
 
+    @pytest.mark.parametrize(
+        "search, sigma, error, quantity",
+        [
+            (lambda s: oracle.refine_grid_min(1.0, s, MomentKind.WINSOR), 1.3e154,
+             ExponentOverflowError, "the grid's upper end"),
+            (lambda s: oracle.refine_grid_min(1.0, s, MomentKind.TRUNC), 1.3e154,
+             ExponentOverflowError, "the grid's upper end"),
+            (oracle.universal_grid_min, 1e154, ExponentOverflowError, "the grid's largest term"),
+            (lambda s: oracle.refine_grid_min(1.0, s, MomentKind.WINSOR), 1e-160,
+             NoSignChangeError, "the grid's lower end"),
+            (lambda s: oracle.refine_grid_min(1.0, s, MomentKind.TRUNC), 1e-160,
+             NoSignChangeError, "the grid's lower end"),
+            (oracle.universal_grid_min, 1e-160, NoSignChangeError, "the grid's lower end"),
+        ],
+        ids=["refine-winsor-overflow", "refine-trunc-overflow", "universal-overflow",
+             "refine-winsor-underflow", "refine-trunc-underflow", "universal-underflow"],
+    )
+    def test_refuses_grid_ends_outside_the_doubles(self, search, sigma, error, quantity):
+        # sigma^2 is a double, but an end of the grid, or the universal
+        # scan's largest moment term, is not: NumPy would warn and form NaN
+        # or inf, or find no geometric sequence
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=rf"^{re.escape(quantity)} "):
+                search(sigma)
+
 
 class TestThreePointProbes:
     def test_probes_satisfy_constraints(self):
@@ -117,7 +145,8 @@ class TestCollapse:
     def test_winsor_floor_survives_collapse_path(self):
         floor = winsor.lower_bound_universal(1.0).bound
         for a in (0.5, 0.2, 0.1, 0.05, 0.01):
-            assert winsor.optimal_winsor_moment(a, 1.0) >= floor * (1.0 - 1e-12)
+            moment = winsor._optimal_winsor_moment(a, 1.0, winsor.optimal_c_for_two_point(a, 1.0))
+            assert moment >= floor * (1.0 - 1e-12)
 
     def test_matches_scalar_reference(self):
         # the same arithmetic as a scalar loop with math.exp; NumPy's exp may

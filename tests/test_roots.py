@@ -103,8 +103,15 @@ class TestFindBracket:
         assert probes == [1e-300, math.ulp(0.0)]
 
     def test_non_finite_probe_raises(self):
-        with pytest.raises(NonFiniteValueError):
-            _solve(lambda x: (math.nan, 1.0), 1.0, 2.0)
+        # at the first evaluation, whatever the slope: the refusal of -inf
+        # is tested on the bisection path, which the NaN or zero step that
+        # -inf leaves always takes
+        for value in (math.nan, -math.inf):
+            for slope in (1.0, -1.0, 0.0, math.inf, math.nan):
+                probes = []
+                with pytest.raises(NonFiniteValueError, match=r"^f\(1\.0\) returned"):
+                    _solve(recording(lambda x: (value, slope), probes), 1.0, 2.0)
+                assert probes == [1.0]
 
     def test_positive_infinity_lies_above_the_root(self):
         # an overflowed log form reads +inf, which narrows the bracket from

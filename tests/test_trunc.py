@@ -95,33 +95,33 @@ class TestSolveAc:
 
 
 class TestSolveAcSigma:
-    def test_threshold_fixed_point(self):
+    def test_threshold_fixed_point(self, trunc_root):
         # at sigma^2 = A_c the matching root is A_c itself
         threshold = trunc.solve_A_c(1.0)
-        solved = trunc.solve_A_c_sigma(1.0, math.sqrt(threshold))
+        solved = trunc_root(1.0, math.sqrt(threshold))
         assert abs(solved - threshold) < 1e-10 * threshold
 
-    def test_unit_case_against_bisection(self):
+    def test_unit_case_against_bisection(self, trunc_root):
         # oracle: bisection of a*(2(e^a - 1) - a) - 1 on (0.1, 2) to 1e-12;
         # 50-digit value 0.72000445973684125831
         oracle = bisect(lambda a: a * (2.0 * math.expm1(a) - a) - 1.0, 0.1, 2.0)
-        solved = trunc.solve_A_c_sigma(1.0, 1.0)
+        solved = trunc_root(1.0, 1.0)
         assert abs(solved - oracle) < 1e-10
         assert abs(solved - 0.7200044597368412) < 1e-10
 
-    def test_residual_contract(self):
+    def test_residual_contract(self, trunc_root):
         for c in (0.1, 1.0, 5.0):
             for sigma in (1e-3, 1.0, 1e4):
-                a = trunc.solve_A_c_sigma(c, sigma)
+                a = trunc_root(c, sigma)
                 rel = math.expm1(
                     math.log(a) + trunc.log_B_star(a, c) - 2.0 * math.log(sigma)
                 )
                 assert abs(rel) <= 1e-10
 
-    def test_large_sigma_log_growth(self):
+    def test_large_sigma_log_growth(self, trunc_root):
         ratios = []
         for sigma in (1e2, 1e4, 1e8):
-            a = trunc.solve_A_c_sigma(1.0, sigma)
+            a = trunc_root(1.0, sigma)
             ratios.append(a / (2.0 * math.log(sigma)))
         assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[-1] > 0.85
@@ -129,31 +129,28 @@ class TestSolveAcSigma:
 
 class TestTruncMoment:
     def test_cut_point_maps_to_zero(self):
-        dist = two_point(1.0, 1.0)
         for c in (0.5, 1.0, 4.0):
-            assert abs(trunc.trunc_moment(dist, c) - 0.5 * (1.0 + math.exp(-c))) < 1e-14
+            assert abs(trunc._trunc_moment(1.0, 1.0, c) - 0.5 * (1.0 + math.exp(-c))) < 1e-14
 
     def test_small_branch_closed_form(self):
         for sigma2, c in ((0.25, 1.0), (0.04, 3.0)):
-            dist = two_point(sigma2, 1.0)
             expected = (sigma2 + math.exp(-c * sigma2)) / (1.0 + sigma2)
-            assert abs(trunc.trunc_moment(dist, c) - expected) < 1e-14
+            assert abs(trunc._trunc_moment(sigma2, 1.0, c) - expected) < 1e-14
 
     def test_sub_cut_support_keeps_exponential(self):
-        dist = two_point(0.5, 0.5)
-        assert abs(trunc.trunc_moment(dist, 1.0) - math.cosh(0.5)) < 1e-14
+        assert abs(trunc._trunc_moment(0.5, 0.5, 1.0) - math.cosh(0.5)) < 1e-14
 
     def test_exponential_up_to_the_edge_of_the_doubles(self):
         # cb = 709.65 lies below ln DBL_MAX ~ 709.78, so e^(cb) is a double
-        value = trunc.trunc_moment(two_point(1.0, 0.9), 788.5)
+        value = trunc._trunc_moment(1.0, 0.9, 788.5)
         assert math.isfinite(value)
         assert value == pytest.approx(8.29e307, rel=1e-3)
         with pytest.raises(ExponentOverflowError, match=r"^e\^\(cb\) overflows"):
-            trunc.trunc_moment(two_point(1.0, 0.9), 800.0)
+            trunc._trunc_moment(1.0, 0.9, 800.0)
 
     def test_underflow_to_zero_is_reported(self):
         dist = two_point(1.0, 1e6)
-        value = trunc.trunc_moment(dist, 2000.0)
+        value = trunc._trunc_moment(1.0, 1e6, 2000.0)
         assert value == pytest.approx(dist.p_pos, rel=1e-12)
 
 
@@ -174,13 +171,13 @@ class TestLowerBoundTrunc:
         assert solution.B_c_sigma >= 1.0
         assert solution.A_c_sigma >= solution.A_c
 
-    def test_branch_continuity(self):
+    def test_branch_continuity(self, trunc_root):
         for c in (0.5, 1.0, 2.0, 5.0):
             threshold = trunc.solve_A_c(c)
             sigma = math.sqrt(threshold)
-            small = trunc.trunc_moment(two_point(threshold, 1.0), c)
-            a = trunc.solve_A_c_sigma(c, sigma)
-            large = trunc.trunc_moment(two_point(a, max(threshold / a, 1.0)), c)
+            small = trunc._trunc_moment(threshold, 1.0, c)
+            a = trunc_root(c, sigma)
+            large = trunc._trunc_moment(a, max(threshold / a, 1.0), c)
             assert abs(small - large) <= 1e-10 * small
 
     def test_branch_tie_goes_small(self):
@@ -188,7 +185,7 @@ class TestLowerBoundTrunc:
         solution = trunc.lower_bound_trunc(BoundQuery(1.0, math.sqrt(threshold)))
         # solver noise may land sigma^2 an ulp either side of the threshold,
         # but the bound itself is branch-continuous
-        small_value = trunc.trunc_moment(two_point(threshold, 1.0), 1.0)
+        small_value = trunc._trunc_moment(threshold, 1.0, 1.0)
         assert abs(solution.bound - small_value) < 1e-10
 
     def test_small_sigma_slope(self):
@@ -302,7 +299,7 @@ class TestBranchInClosedForm:
 def test_solve_A_c_sigma_where_sigma_squared_leaves_the_doubles(sigma):
     # sigma^2 underflows to 0.0 or overflows to inf; the log-form equation
     # ln a + ln B_star(a, c) = 2 ln sigma never forms it
-    a = trunc.solve_A_c_sigma(1.0, sigma)
+    a = trunc._A_c_sigma(1.0, (sigma, sigma * sigma, math.log(sigma)), None)
     assert abs(math.log(a) + trunc.log_B_star(a, 1.0) - 2.0 * math.log(sigma)) <= 1e-12
 
 

@@ -16,6 +16,7 @@ from winsor_bounds import (
     asymptotics, certificates, cli, errors, oracle, roots, trunc, verify, winsor,
 )
 from winsor_bounds.asymptotics import Regime
+from winsor_bounds.certificates import MomentKind
 from winsor_bounds.distributions import BoundQuery, TwoPointDistribution, two_point
 from winsor_bounds.errors import (
     CaseViolationError, ExponentOverflowError, NoSignChangeError, ParameterError,
@@ -24,7 +25,6 @@ from winsor_bounds.errors import (
 from winsor_bounds.sweeps import SweepKind, compute_sweep
 
 BAD = (0.0, -1.0, math.nan, math.inf)
-LAW = two_point(1.0, 2.0)
 
 # (entry point, argument name, call with the argument set to v); the
 # support maps b_star, log_b_star and B_star accept a = 0 and are listed
@@ -42,20 +42,18 @@ ENTRY_POINTS = [
     ("B_star", "c", lambda v: trunc.B_star(1.0, v)),
     ("log_B_star", "a", lambda v: trunc.log_B_star(v, 1.0)),
     ("log_B_star", "c", lambda v: trunc.log_B_star(1.0, v)),
-    ("solve_a_c_sigma", "c", lambda v: winsor.solve_a_c_sigma(v, 1.0)),
-    ("solve_a_c_sigma", "sigma", lambda v: winsor.solve_a_c_sigma(1.0, v)),
-    ("ell1", "a", lambda v: winsor.ell1(v, 1.0)),
-    ("ell1", "sigma", lambda v: winsor.ell1(0.5, v)),
-    ("solve_a_sigma", "sigma", lambda v: winsor.solve_a_sigma(v)),
+    ("lower_bound_fixed_c", "c", lambda v: winsor.lower_bound_fixed_c(BoundQuery(v, 1.0))),
+    ("lower_bound_fixed_c", "sigma", lambda v: winsor.lower_bound_fixed_c(BoundQuery(1.0, v))),
+    ("lower_bound_fixed_c", "cut",
+     lambda v: winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0, v))),
     ("optimal_c_for_two_point", "a", lambda v: winsor.optimal_c_for_two_point(v, 1.0)),
     ("optimal_c_for_two_point", "sigma", lambda v: winsor.optimal_c_for_two_point(0.5, v)),
-    ("winsor_moment", "c", lambda v: winsor.winsor_moment(LAW, v)),
     ("lower_bound_universal", "sigma", lambda v: winsor.lower_bound_universal(v)),
     ("lower_bound_universal", "cut", lambda v: winsor.lower_bound_universal(1.0, v)),
     ("solve_A_c", "c", lambda v: trunc.solve_A_c(v)),
-    ("solve_A_c_sigma", "c", lambda v: trunc.solve_A_c_sigma(v, 1.0)),
-    ("solve_A_c_sigma", "sigma", lambda v: trunc.solve_A_c_sigma(1.0, v)),
-    ("trunc_moment", "c", lambda v: trunc.trunc_moment(LAW, v)),
+    ("lower_bound_trunc", "c", lambda v: trunc.lower_bound_trunc(BoundQuery(v, 1.0))),
+    ("lower_bound_trunc", "sigma", lambda v: trunc.lower_bound_trunc(BoundQuery(1.0, v))),
+    ("lower_bound_trunc", "cut", lambda v: trunc.lower_bound_trunc(BoundQuery(1.0, 1.0, v))),
     ("f_of_t", "t", lambda v: asymptotics.f_of_t(v)),
     ("winsor_small_sigma_slope", "c", lambda v: asymptotics.winsor_small_sigma_slope(v)),
     ("winsor_large_sigma_coeff", "c", lambda v: asymptotics.winsor_large_sigma_coeff(v)),
@@ -70,6 +68,10 @@ ENTRY_POINTS = [
     ("trunc_minorant_large", "a", lambda v: certificates.trunc_minorant_large(v, 1.0)),
     ("trunc_minorant_large", "c", lambda v: certificates.trunc_minorant_large(1.0, v)),
     ("trunc_collapse_sequence", "sigma", lambda v: oracle.trunc_collapse_sequence(v, (0.5,))),
+    ("refine_grid_min", "c", lambda v: oracle.refine_grid_min(v, 1.0, MomentKind.WINSOR)),
+    ("refine_grid_min", "sigma", lambda v: oracle.refine_grid_min(1.0, v, MomentKind.TRUNC)),
+    ("universal_grid_min", "sigma", lambda v: oracle.universal_grid_min(v)),
+    ("sample_three_point", "sigma", lambda v: oracle.sample_three_point(v, 10, 1)),
     ("_solve", "start", lambda v: roots._solve(lambda x: (x - 1.0, x), v, 2.0)),
     ("compute_sweep", "c", lambda v: compute_sweep(SweepKind.FIXED_C_WINSOR, (1.0,), (v,))),
     ("compute_sweep", "sigma", lambda v: compute_sweep(SweepKind.TRUNC, (v,), (1.0,))),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from winsor_bounds import cli, trunc, verify, winsor
-from winsor_bounds.distributions import BoundQuery, two_point
+from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import (
     ExponentOverflowError, MaxIterationsError, NoSignChangeError, ParameterError,
 )
@@ -19,6 +19,21 @@ from winsor_bounds.sweeps import SweepKind, sigma_grid
 from reference import bisect
 
 mp.dps = 50
+
+
+def fixed_root(c, sigma):
+    """The lower support magnitude of the fixed-tilt extremal law."""
+    return winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a_c_sigma
+
+
+def universal_root(sigma):
+    """The lower support magnitude of the tilt-universal extremal law."""
+    return winsor.lower_bound_universal(sigma).a_sigma
+
+
+def optimal_moment(a, sigma):
+    """The Winsorized moment of X_{a, sigma^2/a} at its optimal tilt."""
+    return winsor._optimal_winsor_moment(a, sigma, winsor.optimal_c_for_two_point(a, sigma))
 
 
 def mp_b_star(a, c):
@@ -127,14 +142,14 @@ class TestSolveACSigma:
         lo = max(a for a in grid if f(a) < 0)
         hi = min(a for a in grid if f(a) > 0)
         oracle = bisect(f, lo, hi)
-        solved = winsor.solve_a_c_sigma(1.0, 1.0)
+        solved = fixed_root(1.0, 1.0)
         assert abs(solved - oracle) < 1e-10
         assert abs(solved - 0.2196629301855436) < 1e-10
 
     def test_residual_contract(self):
         for c in (0.1, 1.0, 5.0):
             for sigma in (1e-3, 1.0, 1e4):
-                a = winsor.solve_a_c_sigma(c, sigma)
+                a = fixed_root(c, sigma)
                 rel = math.expm1(
                     math.log(a) + winsor.log_b_star(a, c) - 2.0 * math.log(sigma)
                 )
@@ -143,7 +158,7 @@ class TestSolveACSigma:
     def test_small_sigma_asymptote(self):
         for c in (0.5, 2.0):
             sigma = 1e-3
-            a = winsor.solve_a_c_sigma(c, sigma)
+            a = fixed_root(c, sigma)
             prediction = c * sigma * sigma / (2.0 * math.expm1(c))
             assert abs(a / prediction - 1.0) < 1e-3
 
@@ -151,7 +166,7 @@ class TestSolveACSigma:
         # a ~ ln(sigma^2)/c holds only in the limit; the ratio climbs to 1
         ratios = []
         for sigma in (1e2, 1e4, 1e6, 1e10):
-            a = winsor.solve_a_c_sigma(1.0, sigma)
+            a = fixed_root(1.0, sigma)
             ratios.append(a / (2.0 * math.log(sigma)))
         assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[-1] > 0.85
@@ -161,64 +176,62 @@ class TestSolveACSigma:
 class TestEll1:
     def test_zero_at_sigma_squared(self):
         for sigma in (0.3, 1.0, 7.0):
-            assert winsor.ell1(sigma * sigma, sigma) == 0.0
+            assert winsor._ell1(sigma * sigma, sigma * sigma) == 0.0
 
     def test_diverges_at_zero(self):
-        assert winsor.ell1(1e-290, 1.0) < -600.0
+        assert winsor._ell1(1e-290, 1.0) < -600.0
 
     @pytest.mark.parametrize("a, sigma", [(5e-324, 1e154), (1e-300, 1e10)])
     def test_where_a_over_sigma_squared_leaves_the_normals(self, a, sigma):
         # a/sigma^2 underflows to 0.0 or keeps a subnormal's few bits: a root
         # solve that starts far below the root at huge sigma probes such a
         expected = mp_ell1(mp.log(mpf(a)), sigma)
-        assert winsor.ell1(a, sigma) == pytest.approx(float(expected), rel=1e-15, abs=0)
+        assert winsor._ell1(a, sigma * sigma) == pytest.approx(float(expected), rel=1e-15, abs=0)
 
     def test_root_against_bisection(self):
         # interior root for sigma = 1; frozen from 50-digit bisection:
         # 0.14734064676109530794
-        oracle = bisect(lambda a: winsor.ell1(a, 1.0), 1e-8, 0.999999)
+        oracle = bisect(lambda a: winsor._ell1(a, 1.0), 1e-8, 0.999999)
         assert abs(oracle - 0.14734064676109532) < 1e-10
 
 
 class TestSolveASigma:
     def test_unit_root(self):
-        assert abs(winsor.solve_a_sigma(1.0) - 0.14734064676109532) < 1e-10
+        assert abs(universal_root(1.0) - 0.14734064676109532) < 1e-10
 
     def test_residual_and_interiority(self):
         for sigma in (1e-3, 0.1, 1.0, 30.0, 1e6):
-            a = winsor.solve_a_sigma(sigma)
+            a = universal_root(sigma)
             assert 0.0 < a < sigma * sigma
-            assert abs(winsor.ell1(a, sigma)) <= 1e-10
+            assert abs(winsor._ell1(a, sigma * sigma)) <= 1e-10
 
     def test_small_sigma_proportion_is_t_star(self):
         from winsor_bounds.asymptotics import t_star
 
         sigma = 1e-3
-        assert abs(winsor.solve_a_sigma(sigma) / (sigma * sigma) - t_star()) < 1e-4
+        assert abs(universal_root(sigma) / (sigma * sigma) - t_star()) < 1e-4
 
     def test_large_sigma_log_growth(self):
         ratios = []
         for sigma in (1e2, 1e4, 1e6, 1e10):
-            ratios.append(winsor.solve_a_sigma(sigma) / math.log(sigma))
+            ratios.append(universal_root(sigma) / math.log(sigma))
         assert all(r2 > r1 for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[-1] > 0.85
 
 
 class TestWinsorMoment:
     def test_symmetric_two_point_is_cosh(self):
-        dist = two_point(1.0, 1.0)
         for c in (0.25, 1.0, 3.0):
-            assert abs(winsor.winsor_moment(dist, c) - math.cosh(c)) < 1e-14
+            assert abs(winsor._winsor_moment(1.0, 1.0, c) - math.cosh(c)) < 1e-14
 
     def test_universal_extremal_reproduces_published_value(self):
         solution = winsor.lower_bound_universal(1.0)
-        direct = winsor.winsor_moment(solution.extremal, solution.c_sigma)
+        direct = winsor._winsor_moment(solution.a_sigma, solution.b_sigma, solution.c_sigma)
         assert abs(direct - 0.8781357139504142) < 1e-10
         assert abs(direct - solution.bound) < 1e-12
 
     def test_vanishing_lower_point_gives_one(self):
-        dist = two_point(1e-14, 1.0)
-        assert abs(winsor.winsor_moment(dist, 2.0) - 1.0) < 1e-12
+        assert abs(winsor._winsor_moment(1e-14, 1.0, 2.0) - 1.0) < 1e-12
 
     def test_near_one_is_within_an_ulp(self):
         # extremal laws whose moment is within ~1e-8 of 1, where the plain
@@ -226,21 +239,20 @@ class TestWinsorMoment:
         for c in np.geomspace(1e-8, 1e-1, 15):
             for sigma in np.geomspace(1e-10, 1e-3, 15):
                 dist = winsor.lower_bound_fixed_c(BoundQuery(float(c), float(sigma))).extremal
-                moment = winsor.winsor_moment(dist, float(c))
+                moment = winsor._winsor_moment(dist.a, dist.b, float(c))
                 a, b = mpf(dist.a), mpf(dist.b)
                 exact = (a * mp.exp(c * min(1, b)) + b * mp.exp(-c * a)) / (a + b)
                 assert moment <= 1.0
                 assert abs(moment - exact) <= 2.0**-53
 
     def test_overflow_signalled_for_sub_cut_support(self):
-        dist = two_point(1.0, 0.5)
         with pytest.raises(ExponentOverflowError):
-            winsor.winsor_moment(dist, 2000.0)
+            winsor._winsor_moment(1.0, 0.5, 2000.0)
 
 
 class TestOptimalTilt:
     def test_matches_definition(self):
-        a = winsor.solve_a_sigma(1.0)
+        a = universal_root(1.0)
         expected = math.log(1.0 / a) / (1.0 + a)
         assert abs(winsor.optimal_c_for_two_point(a, 1.0) - expected) < 1e-14
         assert abs(expected - 1.6690841151322773) < 1e-10
@@ -248,7 +260,7 @@ class TestOptimalTilt:
     def test_limits_to_two_for_large_sigma(self):
         values = []
         for sigma in (1e2, 1e6, 1e10):
-            a = winsor.solve_a_sigma(sigma)
+            a = universal_root(sigma)
             values.append(winsor.optimal_c_for_two_point(a, sigma))
         assert abs(values[-1] - 2.0) < 0.01
         assert all(abs(v2 - 2.0) < abs(v1 - 2.0) for v1, v2 in zip(values, values[1:]))
@@ -261,8 +273,8 @@ class TestOptimalTilt:
         for sigma in (0.2, 1.0, 50.0):
             a = 0.3 * sigma * sigma
             c = winsor.optimal_c_for_two_point(a, sigma)
-            direct = winsor.winsor_moment(two_point(a, sigma * sigma / a), c)
-            assert abs(winsor.optimal_winsor_moment(a, sigma) - direct) < 1e-12 * direct
+            direct = winsor._winsor_moment(a, sigma * sigma / a, c)
+            assert abs(optimal_moment(a, sigma) - direct) < 1e-12 * direct
 
 
 class TestLowerBoundFixedC:
@@ -426,10 +438,10 @@ def test_derivative_identity_for_log_optimal_moment():
         for fraction in (0.05, 0.5, 0.9):
             a = fraction * sigma * sigma
             numeric = (
-                math.log(winsor.optimal_winsor_moment(a + step, sigma))
-                - math.log(winsor.optimal_winsor_moment(a - step, sigma))
+                math.log(optimal_moment(a + step, sigma))
+                - math.log(optimal_moment(a - step, sigma))
             ) / (2.0 * step)
-            analytic = winsor.ell1(a, sigma) / (1.0 + a) ** 2
+            analytic = winsor._ell1(a, sigma * sigma) / (1.0 + a) ** 2
             if abs(analytic) > 0.05:
                 assert abs(numeric - analytic) <= 1e-4 * abs(analytic)
 
@@ -461,12 +473,12 @@ def test_optimal_moment_accuracy_against_mpmath(grid):
     def worst_error(moment):
         worst = 0.0
         for sigma in grid:
-            a = winsor.solve_a_sigma(float(sigma))
+            a = universal_root(float(sigma))
             exact = mp_optimal_moment(a, float(sigma))
             worst = max(worst, float(abs(moment(a, float(sigma)) - exact) / exact))
         return worst
 
-    worst = worst_error(winsor.optimal_winsor_moment)
+    worst = worst_error(optimal_moment)
     assert worst <= worst_error(direct_optimal_moment)
     assert worst <= 1e-15
 
@@ -493,10 +505,9 @@ class TestColumnEquations:
 
     @pytest.mark.parametrize("c, sigma", COLUMN_CASES)
     @pytest.mark.parametrize("winsorized", (True, False), ids=("winsor", "trunc"))
-    def test_moment_match(self, c, sigma, winsorized, solves):
+    def test_moment_match(self, c, sigma, winsorized, solves, lanes, trunc_root):
         shift = c if winsorized else 0.0
-        solve = winsor.solve_a_c_sigma if winsorized else trunc.solve_A_c_sigma
-        root = solve(c, sigma)
+        root = lanes[SweepKind.FIXED_C_WINSOR](c, sigma)[0] if winsorized else trunc_root(c, sigma)
         ((f, start, hi),) = solves.equations
         assert hi == sigma
         assert root <= hi and f(hi)[0] >= 0.0
@@ -512,13 +523,12 @@ class TestColumnEquations:
 
     @pytest.mark.parametrize("c", (1e-320, 5e-324))
     @pytest.mark.parametrize("winsorized", (True, False), ids=("winsor", "trunc"))
-    def test_moment_match_where_z_is_subnormal(self, c, winsorized, solves):
+    def test_moment_match_where_z_is_subnormal(self, c, winsorized, solves, lanes, trunc_root):
         # z = shift + ac below DBL_MIN: the map is 2(1 + a) expm1(z)/z - a =
         # a + 2 (shift c) or a(2 expm1(z)/z - 1) = a (shift 0), where the
         # quotient (2 expm1(z) - ac)/c keeps only a subnormal's bits
         sigma, shift = 10.0, c if winsorized else 0.0
-        solve = winsor.solve_a_c_sigma if winsorized else trunc.solve_A_c_sigma
-        root = solve(c, sigma)
+        root = lanes[SweepKind.FIXED_C_WINSOR](c, sigma)[0] if winsorized else trunc_root(c, sigma)
         ((f, start, hi),) = solves.equations
         g = lambda v: mp_moment_match(v, c, sigma, shift)
         for a in (0.3, 3.0, root, hi):
@@ -542,8 +552,8 @@ class TestColumnEquations:
             assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-12)
 
     @pytest.mark.parametrize("sigma", (1e-100, 1e-4, 0.3, 1.0, 5.0, 1e5, 1e150))
-    def test_ell1(self, sigma, solves):
-        root = winsor.solve_a_sigma(sigma)
+    def test_ell1(self, sigma, solves, lanes):
+        root = lanes[SweepKind.UNIVERSAL_WINSOR](None, sigma)[0]
         ((f, start, hi),) = solves.equations
         assert hi == 0.5 * sigma * sigma
         assert root < hi and f(hi)[0] > 0.3

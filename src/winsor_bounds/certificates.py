@@ -9,16 +9,23 @@ and slope c e^{-ac} are closed forms.  This module builds them and checks
 the geometry on dense grids (G <= F, equality only near the contacts) and
 in closed form at each contact (value and slope, one-sided on the cut).
 
-capped_exp and QuadraticMinorant.__call__ are the only code that computes
-F and G; both take ``out=`` and give the same bits with or without it.
-The grid check walks sorted linspace pieces in blocks held in buffers
-allocated once per check, and skips work whose result is known: a block
-with every x >= 1 has F = F(1), and a block with every x < 0 has F <= 1
-(no division by max(1, F)) and F = 0.0, without exp, where c*x < -746.
+capped_exp (with its body _capped_exp) and QuadraticMinorant.__call__ are
+the only code that computes F and G; both take ``out=`` and give the same
+bits with or without it.  The grid check holds four buffers of _BLOCK points
+per check and walks two kinds of block in them:
+- the wide span, sorted, in blocks rebuilt in place as np.linspace's points,
+  skipping work whose result is known: with every x >= 1, F = F(1), divided
+  by max(1, F(1)) only where that is not 1.0; with every x < 0, F <= 1 (no
+  division) and F = 0.0, without exp, where c*x < -746;
+- the windows and points at the contacts and the cut, at most 6,006 points
+  in one unsorted block, every point through F and the division.
+The report is argmin's on the sorted grid: a NaN gap first, then the least
+gap, then the least x, which the unsorted block picks explicitly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -90,13 +97,19 @@ def capped_exp(kind: MomentKind, c, x, out=None):
     x = np.asarray(x, dtype=float)
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(c), x.shape))
+    with np.errstate(under="ignore"):
+        return _capped_exp(kind, c, x, out)[()]
+
+
+def _capped_exp(kind: MomentKind, c, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """capped_exp's body, for callers that hold an array x, an ``out`` and
+    np.errstate(under="ignore") already."""
     if kind is MomentKind.WINSOR:
         np.multiply(c, np.minimum(x, 1.0, out=out), out=out)
     else:
         out.fill(0.0)
         np.multiply(c, x, out=out, where=x < 1.0)
-    with np.errstate(under="ignore"):
-        return np.exp(out, out=out)[()]
+    return np.exp(out, out=out)
 
 
 def _tangent_minorant(a: float, c: float, b: float) -> QuadraticMinorant:
@@ -177,71 +190,115 @@ def certificate_grid(minorant: QuadraticMinorant) -> np.ndarray:
     return np.unique(np.concatenate([np.linspace(*piece) for piece in _grid_pieces(minorant)]))
 
 
+@functools.cache
+def _index() -> np.ndarray:
+    """0.0, 1.0, ..., GRID_BASE_POINTS - 1: the factors of np.linspace's
+    step, built on the first check (800 KB) and shared, read-only, by
+    every later one."""
+    index = np.arange(GRID_BASE_POINTS, dtype=float)
+    index.flags.writeable = False
+    return index
+
+
+def _linspace_into(out: np.ndarray, start: float, stop: float, num: int, first: int = 0) -> None:
+    """Points first, ..., first + out.size - 1 of np.linspace(start, stop,
+    num), formed as np.linspace forms them unless its step is 0.0, which a
+    window at least 2e-3 wide rules out: index*step + start, the last point
+    stop (a one-point piece is its stop)."""
+    step = (stop - start) / (num - 1) if num > 1 else 0.0
+    np.multiply(_index()[first : first + out.size], step, out=out)
+    np.add(out, start, out=out)
+    if first + out.size == num:
+        out[-1] = stop
+
+
+def _fold(worst, localized, x, gap, i, contact_points):
+    """worst and localized updated with a block whose worst point is at i:
+    worst is (gap is a number, gap, x) and the least such tuple wins."""
+    gap_i = float(gap[i])
+    worst = min(worst, (gap_i == gap_i, gap_i if gap_i == gap_i else 0.0, float(x[i])))
+    if localized and not gap_i > EQUALITY_RTOL:  # otherwise no point is an equality
+        xs = x[np.abs(gap) <= EQUALITY_RTOL]
+        near_contact = np.zeros_like(xs, dtype=bool)
+        for x0 in contact_points:
+            near_contact |= np.abs(xs - x0) <= CONTACT_WINDOW * (1.0 + abs(x0))
+        localized = bool(np.all(near_contact))
+    return worst, localized
+
+
 def check_certificate(
     minorant: QuadraticMinorant, kind: MomentKind, c: float
 ) -> CertificateReport:
     """Verify G <= F on certificate_grid with equality only near the contacts.
 
-    Walks the grid piece by piece in blocks of _BLOCK points, without sorting,
-    in buffers allocated once per check; the worst point is argmin's on the
-    sorted grid (NaN, least gap, least x).  Each block is rebuilt in place as
-    np.linspace's points, index*step + start with the last one stop, and its
-    first and last x say which work has a known result:
-    - every x >= 1: F is the constant F(1);
-    - every x < 0 (c >= 0): F <= 1, so the gap is not divided by max(1, F),
-      and F is 0.0 without exp on the prefix where c*x < _EXP_ZERO_BELOW;
-    - otherwise every point goes through capped_exp."""
-    pieces = _grid_pieces(minorant)
-    index = np.arange(_BLOCK, dtype=float)
+    Walks the grid without sorting it, in buffers of _BLOCK points allocated
+    once per check, under one np.errstate; the worst point is argmin's on
+    the sorted grid: a NaN gap first, then the least gap, then the least x.
+    - The wide span goes in blocks rebuilt in place as np.linspace's points.
+      A block is sorted, so argmin's first index is its least x among ties,
+      and its first and last x say which work has a known result: every
+      x >= 1 has F = F(1), divided by max(1, F(1)) only where that is not
+      1.0; every x < 0 (c >= 0) has F <= 1, so no division, and F = 0.0
+      without exp where c*x < _EXP_ZERO_BELOW, so a block that is zero
+      throughout has gap 0.0 - G.  Every other block goes through F.
+    - The windows and points at the contacts and the cut, in _grid_pieces
+      order, make one block of at most 6,006 points, all through F and the
+      division; that gives the shortcuts' bits (exp(c) is F(1), F <= 1 is
+      divided by 1.0, exp is 0.0 below the cutoff).  It is not sorted, so
+      the least x among its worst gaps is picked explicitly."""
+    (start, stop, num), *fine = _grid_pieces(minorant)
+    contacts = minorant.contact_points
     x, f, g, gap = (np.empty(_BLOCK) for _ in range(4))
     f_at_cut = capped_exp(kind, c, 1.0)
     scale_at_cut = np.maximum(1.0, f_at_cut)
     zero_below = _EXP_ZERO_BELOW / c if c > 0.0 else -math.inf
-    worst, localized = (True, math.inf, math.inf), True  # worst: (gap is a number, gap, x)
-    for start, stop, num in pieces:
-        # np.linspace takes this form unless step is 0.0, which a window at
-        # least 2e-3 wide rules out; reading a block's x range from its ends
-        # needs sorted points, which finite ones are
-        step = (stop - start) / (num - 1) if num > 1 else 0.0
-        ordered = math.isfinite(start) and math.isfinite(step)
+    # reading a block's x range from its ends needs sorted points, which
+    # finite ones are
+    ordered = math.isfinite(start) and math.isfinite((stop - start) / (num - 1))
+    worst, localized = (True, math.inf, math.inf), True
+    with np.errstate(under="ignore"):
         for first in range(0, num, _BLOCK):
             n = min(_BLOCK, num - first)
             xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
-            np.add(index[:n], first, out=xb)
-            np.multiply(xb, step, out=xb)
-            np.add(xb, start, out=xb)
-            if first + n == num:
-                xb[-1] = stop
+            _linspace_into(xb, start, stop, num, first)
             minorant(xb, out=gb)
             if ordered and xb[0] >= 1.0:
                 np.subtract(f_at_cut, gb, out=gapb)
-                np.divide(gapb, scale_at_cut, out=gapb)
+                if scale_at_cut != 1.0:
+                    np.divide(gapb, scale_at_cut, out=gapb)
             elif ordered and xb[-1] < 0.0 and c >= 0.0:
                 zeros = int(xb.searchsorted(zero_below))
-                fb[:zeros] = 0.0
-                if zeros < n:
-                    capped_exp(kind, c, xb[zeros:], out=fb[zeros:])
-                np.subtract(fb, gb, out=gapb)
+                if zeros == n:
+                    np.subtract(0.0, gb, out=gapb)
+                else:
+                    fb[:zeros] = 0.0
+                    _capped_exp(kind, c, xb[zeros:], fb[zeros:])
+                    np.subtract(fb, gb, out=gapb)
             else:
-                capped_exp(kind, c, xb, out=fb)
+                _capped_exp(kind, c, xb, fb)
                 np.subtract(fb, gb, out=gapb)
                 np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
-            i = int(gapb.argmin())
-            gap_i = float(gapb[i])
-            worst = min(worst, (gap_i == gap_i, gap_i if gap_i == gap_i else 0.0, float(xb[i])))
-            if not gap_i > EQUALITY_RTOL:  # otherwise no point of the block is an equality
-                xs = xb[np.abs(gapb) <= EQUALITY_RTOL]
-                near_contact = np.zeros_like(xs, dtype=bool)
-                for x0 in minorant.contact_points:
-                    near_contact |= np.abs(xs - x0) <= CONTACT_WINDOW * (1.0 + abs(x0))
-                localized = localized and bool(np.all(near_contact))
+            worst, localized = _fold(worst, localized, xb, gapb, int(gapb.argmin()), contacts)
+
+        n = 0  # the fine block, in x[:n]
+        for piece in fine:
+            _linspace_into(x[n : n + piece[2]], *piece)
+            n += piece[2]
+        xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
+        minorant(xb, out=gb)
+        _capped_exp(kind, c, xb, fb)
+        np.subtract(fb, gb, out=gapb)
+        np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
+    i = int(gapb.argmin())
+    ties = np.flatnonzero(gapb == gapb[i] if gapb[i] == gapb[i] else np.isnan(gapb))
+    worst, localized = _fold(worst, localized, xb, gapb, int(ties[xb[ties].argmin()]), contacts)
     is_number, worst_gap, worst_x = worst
     return CertificateReport(
         passed=is_number and worst_gap >= -GAP_RTOL and localized,
         worst_gap=worst_gap if is_number else math.nan,
         worst_x=worst_x,
         equality_localized=localized,
-        n_points=sum(num for _, _, num in pieces),
+        n_points=num + n,
     )
 
 
@@ -258,13 +315,14 @@ def contact_gaps(
     """
     out: dict[float, tuple[float, float]] = {}
     x_lo = minorant.contact_points[0]
-    for x0 in minorant.contact_points:
-        f_value = float(capped_exp(kind, c, x0))
+    points = np.array(minorant.contact_points)
+    f_values, g_values = capped_exp(kind, c, points).tolist(), minorant(points).tolist()
+    for x0, f_value, g_value in zip(minorant.contact_points, f_values, g_values):
         g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - x_lo)
         if x0 == 1.0:
             slope_gap = max(g_slope, 0.0)
         else:
             slope_gap = abs((c * f_value if x0 < 1.0 else 0.0) - g_slope)
         scale = max(1.0, f_value)
-        out[x0] = (abs(f_value - float(minorant(x0))) / scale, slope_gap / scale)
+        out[x0] = (abs(f_value - g_value) / scale, slope_gap / scale)
     return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import MomentKind, capped_exp
+from .certificates import _BLOCK, MomentKind, capped_exp
 from .errors import ParameterError, in_range, require_positive
 
 REFINE_POINTS = (10_000, 1_000)    # a points of the coarse and the fine sweep
@@ -46,14 +46,25 @@ class GridMinResult:
 
 
 def two_point_moment_grid(
-    kind: MomentKind, c, sigma: float, a: np.ndarray
+    kind: MomentKind, c, sigma: float, a: np.ndarray, out=None, scratch=None
 ) -> np.ndarray:
     """Closed-form moment of X_{a, sigma^2/a} for each a (and tilt c,
-    broadcastable)."""
+    broadcastable).  Written into ``out`` when given, with ``scratch`` as
+    the one temporary; both must have the broadcast shape."""
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     b = sigma * sigma / a
-    return (a * capped_exp(kind, c, b) + b * np.exp(-c * a)) / (a + b)
+    shape = np.broadcast_shapes(c.shape, a.shape)
+    out = np.empty(shape) if out is None else out
+    scratch = np.empty(shape) if scratch is None else scratch
+    # (a * F(b) + b * exp(-c * a)) / (a + b), one operation at a time
+    capped_exp(kind, c, b, out=out)
+    np.multiply(a, out, out=out)
+    np.multiply(-c, a, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.multiply(b, scratch, out=scratch)
+    np.add(out, scratch, out=out)
+    return np.divide(out, a + b, out=out)[()]
 
 
 def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
@@ -90,26 +101,49 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     A broad log-log scan followed by repeated window refinements.  The
     objective has a curved shallow valley in the (a, c) plane, so the
     refinement window must span many coarse cells to keep the true minimum
-    inside.  Flat argmin resolves row-major, i.e. to the smaller a first,
-    then the smaller c.  in_range refuses a sigma for which the lower end of
-    the coarse a grid underflows, or the largest moment term, a * e^c at the
-    grid's upper corner, overflows.
+    inside.  The coarse a grid spans min(sigma^2 * 1e-5, ln(1 + sigma)/2)
+    to sigma^2, which holds the extremal a at every sigma.  Each scan runs
+    in blocks of whole rows, about _BLOCK cells, in two buffers allocated
+    once per call, and its argmin is np.argmin's over the whole grid: the
+    first NaN, else the first least value in row-major order, i.e. the
+    smaller a first, then the smaller c.  in_range refuses a sigma for
+    which sigma^2 * 1e-5 underflows, or the largest moment term, a * e^c at
+    the grid's upper corner, overflows.
     """
     require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     c_lo, c_hi = UNIVERSAL_TILTS
-    a_lo = in_range("the grid's lower end sigma^2 * 1e-5", sigma2 * 1e-5, sigma)
+    # the extremal a grows like ln sigma, not sigma^2 (0.74 ln sigma at 1e3,
+    # 0.98 ln sigma at 1e100): from sigma ~ 550 on, ln(1 + sigma)/2 starts
+    # the grid below it
+    a_lo = min(
+        in_range("the grid's lower end sigma^2 * 1e-5", sigma2 * 1e-5, sigma),
+        0.5 * math.log1p(sigma),
+    )
     a_hi = sigma2 * (1.0 - 1e-9)
     in_range("the grid's largest term a * e^c", a_hi * math.exp(c_hi), sigma)
 
+    out, scratch = np.empty(_BLOCK), np.empty(_BLOCK)
+
     def scan(a_lo, a_hi, c_lo, c_hi, shape):
         na, nc = shape
-        a = np.geomspace(a_lo, a_hi, na)[:, None]
-        c = np.geomspace(c_lo, c_hi, nc)[None, :]
-        values = two_point_moment_grid(MomentKind.WINSOR, c, sigma, a)
-        flat = int(np.argmin(values))
-        i, j = divmod(flat, nc)
-        return a[:, 0], c[0, :], i, j, float(values[i, j])
+        a = np.geomspace(a_lo, a_hi, na)
+        c = np.geomspace(c_lo, c_hi, nc)
+        rows = _BLOCK // nc
+        best, at = math.inf, 0
+        for first in range(0, na, rows):
+            cells = min(rows, na - first) * nc
+            block = two_point_moment_grid(
+                MomentKind.WINSOR, c, sigma, a[first : first + rows, None],
+                out=out[:cells].reshape(-1, nc), scratch=scratch[:cells].reshape(-1, nc),
+            ).ravel()
+            k = int(block.argmin())
+            if not block[k] >= best:  # a NaN, or less than every earlier value
+                best, at = float(block[k]), first * nc + k
+                if best != best:
+                    break
+        i, j = divmod(at, nc)
+        return a, c, i, j, best
 
     a_grid, c_grid, i, j, value = scan(a_lo, a_hi, c_lo, c_hi, UNIVERSAL_COARSE)
     w = UNIVERSAL_WINDOW_CELLS
@@ -146,24 +180,47 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
     """
     require_positive("sigma", sigma)
     rng = np.random.default_rng(seed)
-    points = rng.normal(0.0, 2.0 * sigma, size=(n_samples, 3))
+    support = rng.normal(0.0, 2.0 * sigma, size=(n_samples, 3))
     masses = rng.dirichlet((1.0, 1.0, 1.0), size=n_samples)
-    mean = np.sum(points * masses, axis=1, keepdims=True)
-    centered = points - mean
-    raw_second = np.sum(centered * centered * masses, axis=1, keepdims=True)
-    raw_second = np.maximum(raw_second, 1e-300)
-    target = (sigma * rng.uniform(0.05, 1.0, size=(n_samples, 1))) ** 2
-    support = centered * np.sqrt(target / raw_second)
+    fraction = rng.uniform(0.05, 1.0, size=(n_samples, 1))
     tilts = rng.uniform(0.05, 10.0, size=n_samples)
+    # then in place, in blocks of rows: x - E x, times
+    # sqrt((sigma * fraction)^2 / max(E (x - E x)^2, 1e-300))
+    buffer = np.empty(_BLOCK)
+    rows = _BLOCK // 3
+    for first in range(0, n_samples, rows):
+        block = slice(first, first + rows)
+        x, p, u = support[block], masses[block], fraction[block]
+        work = buffer[: x.size].reshape(x.shape)
+        np.multiply(x, p, out=work)
+        np.subtract(x, np.sum(work, axis=1, keepdims=True), out=x)
+        np.multiply(x, x, out=work)
+        np.multiply(work, p, out=work)
+        second = np.maximum(np.sum(work, axis=1, keepdims=True), 1e-300)
+        np.multiply(sigma, u, out=u)
+        np.multiply(u, u, out=u)
+        np.divide(u, second, out=u)
+        np.multiply(x, np.sqrt(u, out=u), out=x)
     return ThreePointProbe(support=support, masses=masses, tilts=tilts)
 
 
 def probe_moments(probe: ThreePointProbe, kind: MomentKind, c) -> np.ndarray:
-    """E exp(c * capped(X)) for each sampled law; c may be scalar or (n,)."""
+    """E exp(c * capped(X)) for each sampled law; c may be scalar or (n,).
+    Formed in blocks of rows, about _BLOCK cells, in one buffer."""
     c = np.asarray(c, dtype=float)
     if c.ndim == 1:
         c = c[:, None]
-    return np.sum(probe.masses * capped_exp(kind, c, probe.support), axis=1)
+    n, width = probe.support.shape
+    moments = np.empty(n)
+    buffer = np.empty(_BLOCK)
+    rows = _BLOCK // width
+    for first in range(0, n, rows):
+        block = slice(first, first + rows)
+        values = buffer[: probe.support[block].size].reshape(-1, width)
+        capped_exp(kind, c[block] if c.ndim else c, probe.support[block], out=values)
+        np.multiply(probe.masses[block], values, out=values)
+        np.sum(values, axis=1, out=moments[block])
+    return moments
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Tangent-minorant certificates: construction, geometry, negative control."""
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from winsor_bounds import certificates, oracle, trunc, winsor
+from winsor_bounds import certificates, oracle, trunc, verify, winsor
 from winsor_bounds.certificates import MomentKind, QuadraticMinorant
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import CaseViolationError, ParameterError
@@ -360,6 +361,11 @@ REFERENCE_CASES = {
     "zero-minorant": lambda: (
         from_coefficients(0.0, 1.0, -1.0, (-1.0, 200.0), cls=Zero), MomentKind.WINSOR, 10.0
     ),
+    # the verify grid's first pair: the gap is 0.0 both at the contact
+    # -a = -4.7541646718261803e-07 and at a window point just right of it,
+    # which comes first in the fine block; argmin over that unsorted block
+    # would report -4.7541646718256975e-07, the sorted grid the contact
+    "winsor-0.1-1e-3-tie-in-the-fine-block": lambda: solved_winsor(0.1, 1e-3),
     # c = 0: no zero prefix, and F = 1 everywhere
     "winsor-1-1-at-c-0": lambda: (solved_winsor(1.0, 1.0)[0], MomentKind.WINSOR, 0.0),
     # c < 0: F > 1 on x < 0, so neither shortcut for x < 0 holds; G = 1
@@ -370,38 +376,45 @@ REFERENCE_CASES = {
 }
 
 
-def block_kinds(minorant, c):
-    """The kinds of block check_certificate walks for this minorant, read
-    from np.linspace's pieces as the check reads them."""
+def block_kinds(minorant, kind, c):
+    """The kinds of span block check_certificate walks for this minorant,
+    read from np.linspace's points as the check reads them, and "fine-block
+    tie" where the worst gap of the fine block, the windows and points in
+    piece order, comes first at an x that is not the least of its ties."""
     kinds = set()
-    for start, stop, num in certificates._grid_pieces(minorant):
-        points = np.linspace(start, stop, num)
-        for first in range(0, num, certificates._BLOCK):
-            x = points[first : first + certificates._BLOCK]
-            if x[0] >= 1.0:
-                kinds.add("x >= 1")
-                continue
-            zero = c * x < certificates._EXP_ZERO_BELOW
-            if zero.all():
-                kinds.add("exact zero")
-            elif zero.any():
-                kinds.add("split by the cutoff")
-            if np.any((c * x > -745.13) & (c * x < -708.0)):
-                kinds.add("subnormal band")
-            if x[0] < 0.0 <= x[-1]:
-                kinds.add("across 0")
-            if x[0] < 1.0 <= x[-1]:
-                kinds.add("across 1")
+    (start, stop, num), *fine = certificates._grid_pieces(minorant)
+    points = np.linspace(start, stop, num)
+    for first in range(0, num, certificates._BLOCK):
+        x = points[first : first + certificates._BLOCK]
+        if x[0] >= 1.0:
+            kinds.add("x >= 1")
+            continue
+        zero = c * x < certificates._EXP_ZERO_BELOW
+        if zero.all():
+            kinds.add("exact zero")
+        elif zero.any():
+            kinds.add("split by the cutoff")
+        if np.any((c * x > -745.13) & (c * x < -708.0)):
+            kinds.add("subnormal band")
+        if x[0] < 0.0 <= x[-1]:
+            kinds.add("across 0")
+        if x[0] < 1.0 <= x[-1]:
+            kinds.add("across 1")
+    x = np.concatenate([np.linspace(*piece) for piece in fine])
+    f_values = certificates.capped_exp(kind, c, x)
+    gap = (f_values - minorant(x)) / np.maximum(1.0, f_values)
+    if x[np.argmin(gap)] != x[gap == np.min(gap)].min():
+        kinds.add("fine-block tie")
     return kinds
 
 
 def test_reference_cases_reach_every_kind_of_block():
     reached = set()
     for make in REFERENCE_CASES.values():
-        minorant, _, c = make()
-        reached |= block_kinds(minorant, c)
+        reached |= block_kinds(*make())
     assert reached == {
-        "x >= 1", "exact zero", "split by the cutoff", "subnormal band", "across 0", "across 1"
+        "x >= 1", "exact zero", "split by the cutoff", "subnormal band", "across 0", "across 1",
+        "fine-block tie",
     }
 
 
@@ -417,6 +430,34 @@ def test_blockwise_check_matches_sorted_grid_reference(case):
     assert report.passed is passed
     assert report.equality_localized is localized
     assert report.n_points >= certificates.certificate_grid(minorant).size
+
+
+def verify_grid_case(c, sigma, kind):
+    """(minorant, kind, c) as verify's certificate suite builds it, and the
+    truncated branch (None for the Winsorized kind)."""
+    if kind is MomentKind.WINSOR:
+        return solved_winsor(c, sigma), None
+    solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
+    if solution.branch is trunc.Branch.SMALL_SIGMA:
+        minorant = certificates.trunc_minorant_small(sigma * sigma, c)
+    else:
+        minorant = certificates.trunc_minorant_large(solution.A_c_sigma, c)
+    return (minorant, kind, c), solution.branch
+
+
+@pytest.mark.parametrize("kind", list(MomentKind))
+def test_walk_matches_sorted_grid_reference_on_the_verify_grid(kind):
+    # every 7th (c, sigma) pair of verify's grid, row by row, so that each
+    # tilt meets a different part of the sigma range
+    pairs = list(itertools.product(verify.C_GRID, verify.SIGMA_GRID))[::7]
+    branches = set()
+    for c, sigma in pairs:
+        case, branch = verify_grid_case(c, sigma, kind)
+        branches.add(branch)
+        report = certificates.check_certificate(*case)
+        walked = (report.passed, report.worst_gap, report.worst_x, report.equality_localized)
+        assert repr(walked) == repr(reference_check(*case)), (c, sigma)
+    assert branches == ({None} if kind is MomentKind.WINSOR else set(trunc.Branch))
 
 
 # at winsor-0.5-0.2 the span's last point index*step + start is not stop
@@ -449,6 +490,29 @@ def test_exp_is_exactly_zero_below_the_cutoff():
         assert np.exp(cutoff) == 0.0
         # the margin: the least subnormal is still returned just above -745.13
         assert np.exp(-745.13) > 0.0
+
+
+def test_exp_gives_the_same_bits_alone_and_at_any_offset_of_a_block():
+    # the check evaluates the windows and points in one block, contact_gaps
+    # both contacts in one array, and F(1) alone: each must get the bits a
+    # value gets wherever it sits; a numpy whose vector and scalar exp differ
+    # fails here, not in a certificate
+    values = np.concatenate((
+        np.linspace(-745.2, -708.0, 24),  # 0.0, then the subnormal band
+        np.linspace(-700.0, 700.0, 24),   # normal results
+        np.linspace(709.5, 710.5, 16),    # the last normals, then inf
+    ))
+    block = certificates._BLOCK
+    with np.errstate(under="ignore", over="ignore"):
+        alone = [bits(np.exp(np.float64(v))) for v in values]
+        assert alone == [bits(np.exp(values[i : i + 1])) for i in range(values.size)]
+        assert [bits(np.exp(values[i : i + 2])) for i in range(0, values.size, 2)] == [
+            a + b for a, b in zip(alone[::2], alone[1::2])
+        ]
+        for shift in range(values.size):
+            # the value at each offset takes every value once over the shifts
+            at = (np.arange(block) + shift) % values.size
+            assert bits(np.exp(values[at])) == b"".join(alone[i] for i in at), shift
 
 
 def bits(values):

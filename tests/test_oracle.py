@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from winsor_bounds import oracle, trunc, winsor
-from winsor_bounds.certificates import MomentKind
+from winsor_bounds.certificates import MomentKind, capped_exp
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError
 from winsor_bounds.trunc import Branch
@@ -51,6 +51,18 @@ class TestGridMin:
         assert abs(math.log(found.argmin_c / analytic.c_sigma)) <= math.log(
             found.cell_ratio_c
         )
+
+    @pytest.mark.parametrize("sigma", [1e3, 1e4])
+    def test_universal_joint_search_at_large_sigma(self, sigma):
+        # the extremal a is ~ln sigma there, far below sigma^2 * 1e-5
+        analytic = winsor.lower_bound_universal(sigma)
+        found = oracle.universal_grid_min(sigma)
+        assert abs(found.min_value - analytic.bound) <= 1e-6 * analytic.bound
+
+    def test_universal_grid_starts_below_the_extremal_a(self):
+        for sigma in np.geomspace(1e-3, 1e150, 154):
+            lower_end = min(sigma * sigma * 1e-5, 0.5 * math.log1p(sigma))
+            assert lower_end < winsor.lower_bound_universal(sigma).a_sigma, sigma
 
     def test_argmin_ties_resolve_to_smaller_a(self):
         values = oracle.two_point_moment_grid(
@@ -103,6 +115,56 @@ class TestGridMin:
                 search(sigma)
 
 
+def unblocked_universal_grid_min(sigma):
+    """universal_grid_min with one np.argmin over each whole (a, c) grid,
+    through oracle.two_point_moment_grid as the module holds it."""
+    c_lo, c_hi = oracle.UNIVERSAL_TILTS
+    bounds = (min(sigma * sigma * 1e-5, 0.5 * math.log1p(sigma)), sigma * sigma * (1.0 - 1e-9))
+    w, shape = oracle.UNIVERSAL_WINDOW_CELLS, oracle.UNIVERSAL_COARSE
+    for _ in range(1 + oracle.UNIVERSAL_ROUNDS):
+        a = np.geomspace(*bounds, shape[0])
+        c = np.geomspace(c_lo, c_hi, shape[1])
+        values = oracle.two_point_moment_grid(MomentKind.WINSOR, c[None, :], sigma, a[:, None])
+        i, j = divmod(int(np.argmin(values)), shape[1])
+        bounds = (a[max(i - w, 0)], a[min(i + w, a.size - 1)])
+        c_lo, c_hi = c[max(j - w, 0)], c[min(j + w, c.size - 1)]
+        shape = oracle.UNIVERSAL_FINE
+    return oracle.GridMinResult(
+        argmin_a=float(a[i]), argmin_c=float(c[j]), min_value=float(values[i, j]),
+        cell_ratio=float(a[1] / a[0]), cell_ratio_c=float(c[1] / c[0]),
+    )
+
+
+def tied_moments(kind, c, sigma, a, out=None, scratch=None):
+    """1.0 on every cell: each scan's first cell is its argmin."""
+    out = np.empty(np.broadcast_shapes(np.shape(c), np.shape(a))) if out is None else out
+    out[...] = 1.0
+    return out
+
+
+def nan_moments(kind, c, sigma, a, out=None, scratch=None):
+    """-1.0 for a > 1e-2 and c <= 1, NaN for a > 1e-2 and c > 1, else 0.0:
+    the first NaN in row-major order beats every -1.0 before it."""
+    out = np.empty(np.broadcast_shapes(np.shape(c), np.shape(a))) if out is None else out
+    out[...] = np.where(a > 1e-2, np.where(c > 1.0, np.nan, -1.0), 0.0)
+    return out
+
+
+class TestUniversalScanInBlocks:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 10.0, 1e3])
+    def test_matches_one_argmin_over_each_grid(self, sigma):
+        expected = unblocked_universal_grid_min(sigma)
+        assert repr(oracle.universal_grid_min(sigma)) == repr(expected)
+
+    @pytest.mark.parametrize("moments", [tied_moments, nan_moments], ids=["ties", "nan"])
+    def test_ties_resolve_row_major_and_nan_first(self, monkeypatch, moments):
+        monkeypatch.setattr(oracle, "two_point_moment_grid", moments)
+        found = oracle.universal_grid_min(1.0)
+        assert repr(found) == repr(unblocked_universal_grid_min(1.0))
+        if moments is nan_moments:
+            assert math.isnan(found.min_value) and found.argmin_a > 1e-2 and found.argmin_c > 1.0
+
+
 class TestThreePointProbes:
     def test_probes_satisfy_constraints(self):
         probe = oracle.sample_three_point(1.0, 2_000, seed=7)
@@ -122,6 +184,28 @@ class TestThreePointProbes:
             >= floor_universal
         )
         assert float(np.min(oracle.probe_moments(probe, MomentKind.TRUNC, 1.0))) >= floor_trunc
+
+    def test_blocks_give_the_bits_of_one_pass(self):
+        # the draws in the same order, then the arithmetic as whole-array
+        # expressions: sample_three_point and probe_moments form it in row
+        # blocks, 10,000 rows being three whole blocks and a partial one
+        n, sigma, seed = 10_000, 2.0, 5
+        rng = np.random.default_rng(seed)
+        points = rng.normal(0.0, 2.0 * sigma, size=(n, 3))
+        masses = rng.dirichlet((1.0, 1.0, 1.0), size=n)
+        centered = points - np.sum(points * masses, axis=1, keepdims=True)
+        second = np.maximum(np.sum(centered * centered * masses, axis=1, keepdims=True), 1e-300)
+        target = (sigma * rng.uniform(0.05, 1.0, size=(n, 1))) ** 2
+        support = centered * np.sqrt(target / second)
+        tilts = rng.uniform(0.05, 10.0, size=n)
+        probe = oracle.sample_three_point(sigma, n, seed)
+        for got, expected in ((probe.support, support), (probe.masses, masses), (probe.tilts, tilts)):
+            assert got.tobytes() == expected.tobytes()
+        for kind in MomentKind:
+            for c in (np.float64(1.5), tilts):
+                f_values = capped_exp(kind, c[:, None] if c.ndim else c, support)
+                expected = np.sum(masses * f_values, axis=1)
+                assert oracle.probe_moments(probe, kind, c).tobytes() == expected.tobytes()
 
     def test_seed_reproducibility(self):
         first = oracle.sample_three_point(2.0, 500, seed=42)

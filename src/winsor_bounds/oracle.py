@@ -68,17 +68,20 @@ def two_point_moment_grid(
 
 
 def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
-    """Two-stage minimization: coarse sweep over a in [sigma^2 * 1e-8,
-    sigma^2 * 1e2], then a fine sweep across a +/- 2-cell window around the
-    coarse argmin.  Ties resolve to the smaller a, so the result is
-    deterministic.  in_range refuses a sigma for which an end of the coarse
-    grid is no positive double."""
+    """Two-stage minimization: coarse sweep over a in [min(sigma^2 * 1e-8,
+    1/c, c e^(-c-1) sigma^2 / 2), sigma^2 * 1e2], then a fine sweep across
+    a +/- 2-cell window around the coarse argmin.  Ties resolve to the
+    smaller a, so the result is deterministic.  in_range refuses a sigma for
+    which an end of the coarse grid is no positive double."""
     require_positive("c", c)
     require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     n_coarse, n_fine = REFINE_POINTS
+    # below the extremal a of both kinds: at a <= 1/c, a b_star(a, c) < 2a e^(c+1) / c,
+    # at most sigma^2 at the last term, and the truncated root lies above it
+    a_lo = min(sigma2 * 1e-8, 1.0 / c, 0.5 * c * math.exp(-c - 1.0) * sigma2)
     coarse_grid = np.geomspace(
-        in_range("the grid's lower end sigma^2 * 1e-8", sigma2 * 1e-8, sigma),
+        in_range("the grid's lower end", a_lo, c, sigma),
         in_range("the grid's upper end sigma^2 * 1e2", sigma2 * 1e2, sigma),
         n_coarse,
     )

@@ -3,12 +3,19 @@
 Each suite re-derives a family of mathematical guarantees numerically over
 fixed test grids and reports the worst observed violation.  The suites back
 both the CLI ``verify`` command and the acceptance tests.
+
+Every suite is called as ``suite(grid, seed)``.  ``run_suite`` builds one
+``Grid`` per call and hands it to each suite it runs: the bounds over
+C_GRID x SIGMA_GRID are solved when a suite first reads them, once per
+run, and are not kept past it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +28,7 @@ from .trunc import Branch
 
 C_GRID = (0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 SIGMA_GRID = tuple(np.geomspace(1e-3, 1e6, 40))
+_PAIRS = tuple(itertools.product(C_GRID, SIGMA_GRID))  # c-major, as the suites walk them
 
 # Representative (c, sigma) pairs for the oracle-equivalence checks; they
 # cover both truncated branches and three orders of magnitude in sigma.
@@ -61,54 +69,68 @@ def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def _match_residual(a: float, log_support: float, sigma: float) -> float:
+    """|a S / sigma^2 - 1| for the support point S = e^log_support."""
+    return abs(math.expm1(math.log(a) + log_support - 2.0 * math.log(sigma)))
+
+
 def _optimal_winsor_moment(a: float, sigma: float) -> float:
     """The Winsorized moment of X_{a, sigma^2/a} at its optimal tilt."""
     return winsor._optimal_winsor_moment(a, sigma, winsor.optimal_c_for_two_point(a, sigma))
 
 
-def suite_roots() -> list[CheckResult]:
+class Grid:
+    """One run's bounds over C_GRID x SIGMA_GRID, keyed by (c, sigma), sigma
+    or c; each table is solved when a suite first reads it."""
+
+    @cached_property
+    def fixed(self):
+        return {(c, s): winsor.lower_bound_fixed_c(BoundQuery(c, s)) for c, s in _PAIRS}
+
+    @cached_property
+    def truncated(self):
+        return {(c, s): trunc.lower_bound_trunc(BoundQuery(c, s)) for c, s in _PAIRS}
+
+    @cached_property
+    def universal(self):
+        return {s: winsor.lower_bound_universal(s) for s in SIGMA_GRID}
+
+    @cached_property
+    def thresholds(self):  # A_c
+        return {c: trunc.solve_A_c(c) for c in C_GRID}
+
+    @cached_property
+    def at_optimal_tilt(self):  # the fixed-tilt bound at each universal c_sigma
+        return {s: winsor.lower_bound_fixed_c(BoundQuery(u.c_sigma, s))
+                for s, u in self.universal.items()}
+
+
+def suite_roots(grid: Grid, seed: int) -> list[CheckResult]:
     """Residuals of every solved root plus the analytic identities tying the
     universal quantities together."""
     results = []
 
-    worst = 0.0
-    for c in C_GRID:
-        for sigma in SIGMA_GRID:
-            a = winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a_c_sigma
-            residual = abs(
-                math.expm1(math.log(a) + winsor.log_b_star(a, c) - 2.0 * math.log(sigma))
-            )
-            worst = max(worst, residual)
+    worst = max(_match_residual(f.a_c_sigma, winsor.log_b_star(f.a_c_sigma, c), sigma)
+                for (c, sigma), f in grid.fixed.items())
     results.append(_bounded_check("roots.winsor_fixed_c_residual", worst, 1e-10))
 
-    a_universal = {sigma: winsor.lower_bound_universal(sigma).a_sigma for sigma in SIGMA_GRID}
-    worst = max(abs(winsor._ell1(a, sigma * sigma)) for sigma, a in a_universal.items())
+    worst = max(abs(winsor._ell1(u.a_sigma, s * s)) for s, u in grid.universal.items())
     results.append(_bounded_check("roots.winsor_universal_residual", worst, 1e-10))
 
     worst = 0.0
-    for c in C_GRID:
-        for sigma in SIGMA_GRID:
-            # at every grid point: the bound solves it on the large-sigma branch only
-            a = trunc._A_c_sigma(c, winsor._row(sigma, 1.0), None)
-            residual = abs(
-                math.expm1(math.log(a) + trunc.log_B_star(a, c) - 2.0 * math.log(sigma))
-            )
-            worst = max(worst, residual)
+    for c, sigma in _PAIRS:
+        # at every grid point: the bound solves it on the large-sigma branch only
+        a = trunc._A_c_sigma(c, winsor._row(sigma, 1.0), None)
+        worst = max(worst, _match_residual(a, trunc.log_B_star(a, c), sigma))
     results.append(_bounded_check("roots.trunc_moment_match_residual", worst, 1e-10))
 
-    worst = 0.0
-    for c in C_GRID:
-        threshold = trunc.solve_A_c(c)
-        worst = max(worst, abs(trunc.B_star(threshold, c) - 1.0))
+    worst = max(abs(trunc.B_star(a, c) - 1.0) for c, a in grid.thresholds.items())
     results.append(_bounded_check("roots.trunc_threshold_identity", worst, 1e-10))
 
     worst = 0.0
-    for sigma, a_univ in a_universal.items():
-        c_opt = winsor.optimal_c_for_two_point(a_univ, sigma)
-        a_fixed = winsor.lower_bound_fixed_c(BoundQuery(c_opt, sigma)).a_c_sigma
-        worst = max(worst, _relative_gap(a_univ, a_fixed))
-        b_univ = sigma * sigma / a_univ
-        worst = max(worst, _relative_gap(b_univ, winsor.b_star(a_univ, c_opt)))
+    for sigma, u in grid.universal.items():
+        worst = max(worst, _relative_gap(u.a_sigma, grid.at_optimal_tilt[sigma].a_c_sigma),
+                    _relative_gap(sigma * sigma / u.a_sigma, winsor.b_star(u.a_sigma, u.c_sigma)))
     results.append(_bounded_check("roots.universal_consistency", worst, 1e-8))
 
     # d/da ln(optimal moment) must equal ell1(a) / (1+a)^2.
@@ -129,22 +151,11 @@ def suite_roots() -> list[CheckResult]:
     return results
 
 
-def suite_ordering() -> list[CheckResult]:
+def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
     """Bound comparisons and monotonicity across the (c, sigma) grid."""
     results = []
-
-    fixed = {
-        (c, sigma): winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).bound
-        for c in C_GRID
-        for sigma in SIGMA_GRID
-    }
-    truncated = {
-        (c, sigma): trunc.lower_bound_trunc(BoundQuery(c, sigma))
-        for c in C_GRID
-        for sigma in SIGMA_GRID
-    }
-    universal = {sigma: winsor.lower_bound_universal(sigma) for sigma in SIGMA_GRID}
-    thresholds = {c: trunc.solve_A_c(c) for c in C_GRID}  # A_c, solved once per tilt
+    fixed = {q: solution.bound for q, solution in grid.fixed.items()}
+    truncated, universal, thresholds = grid.truncated, grid.universal, grid.thresholds
 
     worst = 0.0
     for (c, sigma), bound in fixed.items():
@@ -156,11 +167,8 @@ def suite_ordering() -> list[CheckResult]:
     results.append(_bounded_check("ordering.bound_chain", worst, 1e-12,
                                   "L_T <= L_W <= 1 and L_universal <= L_W"))
 
-    worst = 0.0
-    for sigma in SIGMA_GRID:
-        solution = universal[sigma]
-        at_optimum = winsor.lower_bound_fixed_c(BoundQuery(solution.c_sigma, sigma)).bound
-        worst = max(worst, _relative_gap(at_optimum, solution.bound))
+    worst = max(_relative_gap(grid.at_optimal_tilt[s].bound, u.bound)
+                for s, u in universal.items())
     results.append(_bounded_check("ordering.equality_at_optimal_tilt", worst, 1e-10))
 
     worst = 0.0
@@ -212,7 +220,7 @@ def suite_ordering() -> list[CheckResult]:
     return results
 
 
-def suite_certificates() -> list[CheckResult]:
+def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
     """Tangent-minorant geometry over the full grid: G <= F, localized
     equality, tangency at contacts, and the claimed coefficient signs."""
     results = []
@@ -222,37 +230,26 @@ def suite_certificates() -> list[CheckResult]:
     all_passed = True
     detail = ""
 
-    for c in C_GRID:
-        for sigma in SIGMA_GRID:
-            cases = [(
-                MomentKind.WINSOR,
-                certificates.winsor_minorant(
-                    winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a_c_sigma, c
-                ),
-            )]
-            solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
-            if solution.branch is Branch.SMALL_SIGMA:
-                minorant = certificates.trunc_minorant_small(sigma * sigma, c)
-                beta_floor = (
-                    math.exp(-sigma * sigma * c)
-                    * c
-                    * (1.0 + sigma**4)
-                    / (1.0 + sigma * sigma) ** 2
-                )
-                worst_beta_margin = max(
-                    worst_beta_margin, (beta_floor - minorant.beta) / beta_floor
-                )
-            else:
-                minorant = certificates.trunc_minorant_large(solution.A_c_sigma, c)
-            cases.append((MomentKind.TRUNC, minorant))
-            for kind, minorant in cases:
-                report = certificates.check_certificate(minorant, kind, c)
-                all_passed &= report.passed
-                worst_gap = min(worst_gap, report.worst_gap)
-                if not report.passed and not detail:
-                    detail = f"{kind.value} c={c} sigma={sigma:.3g} x={report.worst_x:.3g}"
-                for gaps in certificates.contact_gaps(minorant, kind, c).values():
-                    worst_tangency = max(worst_tangency, *gaps)
+    for (c, sigma), fixed in grid.fixed.items():
+        solution, sigma2 = grid.truncated[(c, sigma)], sigma * sigma
+        if solution.branch is Branch.SMALL_SIGMA:
+            trunc_minorant = certificates.trunc_minorant_small(sigma2, c)
+            beta_floor = math.exp(-sigma2 * c) * c * (1.0 + sigma**4) / (1.0 + sigma2) ** 2
+            margin = (beta_floor - trunc_minorant.beta) / beta_floor
+            worst_beta_margin = max(worst_beta_margin, margin)
+        else:
+            trunc_minorant = certificates.trunc_minorant_large(solution.A_c_sigma, c)
+        for kind, minorant in (
+            (MomentKind.WINSOR, certificates.winsor_minorant(fixed.a_c_sigma, c)),
+            (MomentKind.TRUNC, trunc_minorant),
+        ):
+            report = certificates.check_certificate(minorant, kind, c)
+            all_passed &= report.passed
+            worst_gap = min(worst_gap, report.worst_gap)
+            if not report.passed and not detail:
+                detail = f"{kind.value} c={c} sigma={sigma:.3g} x={report.worst_x:.3g}"
+            for gaps in certificates.contact_gaps(minorant, kind, c).values():
+                worst_tangency = max(worst_tangency, *gaps)
 
     results.append(CheckResult(
         name="certificates.minorant_below_moment",
@@ -288,21 +285,22 @@ def suite_certificates() -> list[CheckResult]:
     return results
 
 
-def suite_oracle(seed: int = 1) -> list[CheckResult]:
+def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:
     """Grid minimization agrees with the analytic roots; random three-point
     laws never undercut any bound; the truncated collapse reaches zero."""
     results = []
 
     worst_value = 0.0
     worst_cell = 0.0
-    solved = {}  # each bound is solved once; the probes and the collapse read them again
+    # each bound and refinement is made once; the checks below read them again
+    solved, refined = {}, {}
     for c, sigma in ORACLE_PAIRS:
         for kind, lower_bound in (
             (MomentKind.WINSOR, winsor.lower_bound_fixed_c),
             (MomentKind.TRUNC, trunc.lower_bound_trunc),
         ):
             analytic = solved[(kind, c, sigma)] = lower_bound(BoundQuery(c, sigma))
-            found = oracle.refine_grid_min(c, sigma, kind)
+            found = refined[(kind, c, sigma)] = oracle.refine_grid_min(c, sigma, kind)
             worst_value = max(worst_value, _relative_gap(found.min_value, analytic.bound))
             worst_cell = max(
                 worst_cell,
@@ -331,7 +329,8 @@ def suite_oracle(seed: int = 1) -> list[CheckResult]:
     # the minimum by a strictly positive margin.
     worst = -math.inf
     for c, sigma in ((1.0, 1.0), (2.0, 10.0)):
-        found = oracle.refine_grid_min(c, sigma, MomentKind.WINSOR)
+        key = (MomentKind.WINSOR, c, sigma)  # (2, 10) is no ORACLE_PAIRS point
+        found = refined[key] if key in refined else oracle.refine_grid_min(c, sigma, key[0])
         for factor in (found.cell_ratio**3, found.cell_ratio**-3):
             nearby = float(oracle.two_point_moment_grid(
                 MomentKind.WINSOR, c, sigma, np.array([found.argmin_a * factor])
@@ -370,7 +369,7 @@ def suite_oracle(seed: int = 1) -> list[CheckResult]:
     return results
 
 
-def suite_asymptotics() -> list[CheckResult]:
+def suite_asymptotics(grid: Grid, seed: int) -> list[CheckResult]:
     """Convergence to the leading-order laws and the constants they pin."""
     results = []
     constants = asymptotics.solve_t_star()
@@ -489,12 +488,9 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 1) -> list[CheckResult]:
-    """Run one named suite, or all of them in order."""
-    if name == "all":
-        out: list[CheckResult] = []
-        for suite_name in SUITES:
-            out.extend(run_suite(suite_name, seed))
-        return out
-    if name not in SUITES:
+    """Run one named suite, or all of them in SUITES order, over one Grid."""
+    if name != "all" and name not in SUITES:
         raise errors.ParameterError(f"suite must be one of {', '.join(SUITES)}, all; got {name!r}")
-    return SUITES[name](seed) if name == "oracle" else SUITES[name]()
+    grid = Grid()
+    return [check for each in (SUITES if name == "all" else (name,))
+            for check in SUITES[each](grid, seed)]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import asymptotics, errors, oracle, trunc, winsor
+from winsor_bounds import asymptotics, errors, oracle, trunc, verify, winsor
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import WinsorBoundsError
@@ -284,6 +284,20 @@ def test_each_argument_is_checked_once(kind, monkeypatch, solves):
         _solution(*query)
         assert len(checked) == PUBLIC_ARGUMENTS[kind] + len(solves.equations), (query, checked)
         assert len(checked) <= 4, (query, checked)
+
+
+def test_all_suites_solve_the_grid_once(solves, verify_all):
+    # one run of every suite solves each bound over C_GRID x SIGMA_GRID once
+    # (run one by one, the suites solve 1,962 equations) and changes no check;
+    # a suite that reads no grid solves none of it
+    del solves.equations[:]
+    results = verify.run_suite("all", 1)
+    assert len(solves.equations) == 1016
+    assert [repr(check) for check in results] == [repr(check) for check in verify_all.results]
+    for name, count in (("asymptotics", 40), ("oracle", 19)):
+        del solves.equations[:]
+        verify.run_suite(name, 1)
+        assert len(solves.equations) == count, name
 
 
 def test_bit_fingerprint():

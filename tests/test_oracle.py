@@ -59,6 +59,30 @@ class TestGridMin:
         found = oracle.universal_grid_min(sigma)
         assert abs(found.min_value - analytic.bound) <= 1e-6 * analytic.bound
 
+    @pytest.mark.parametrize(
+        "kind, lower_bound",
+        [(MomentKind.WINSOR, winsor.lower_bound_fixed_c),
+         (MomentKind.TRUNC, trunc.lower_bound_trunc)],
+        ids=["winsor", "trunc"],
+    )
+    @pytest.mark.parametrize("c", [0.1, 1.0, 5.0, 50.0])
+    @pytest.mark.parametrize("sigma", [1.0, 1e5, 1e6, 1e8])
+    def test_refine_matches_analytic_at_large_sigma_and_tilt(self, kind, lower_bound, c, sigma):
+        # sigma^2 * 1e-8 alone starts the coarse grid above the extremal a
+        # at most of these points
+        analytic = lower_bound(BoundQuery(c, sigma))
+        found = oracle.refine_grid_min(c, sigma, kind)
+        assert abs(found.min_value - analytic.bound) <= 1e-6 * analytic.bound
+
+    def test_refine_grid_starts_below_the_extremal_a(self):
+        # of both kinds: the truncated root lies above the Winsorized one
+        for c in np.geomspace(1e-2, 1e2, 9):
+            for sigma in np.geomspace(1e-3, 1e150, 154):
+                query, sigma2 = BoundQuery(float(c), float(sigma)), float(sigma) ** 2
+                lower_end = min(sigma2 * 1e-8, 1.0 / c, 0.5 * c * math.exp(-c - 1.0) * sigma2)
+                for lower_bound in (winsor.lower_bound_fixed_c, trunc.lower_bound_trunc):
+                    assert lower_end < lower_bound(query).extremal.a, (c, sigma)
+
     def test_universal_grid_starts_below_the_extremal_a(self):
         for sigma in np.geomspace(1e-3, 1e150, 154):
             lower_end = min(sigma * sigma * 1e-5, 0.5 * math.log1p(sigma))

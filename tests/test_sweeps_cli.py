@@ -763,8 +763,8 @@ class TestCli:
         calls = []
 
         def stub(name):
-            def suite(*seed):
-                calls.append((name, *seed))
+            def suite(grid, seed):
+                calls.append((name, grid, seed))
                 return [name]
 
             return suite
@@ -772,12 +772,18 @@ class TestCli:
         for name in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, name, stub(name))
         assert verify.run_suite("all", seed=7) == list(verify.SUITES)
-        assert calls == [(name, 7) if name == "oracle" else (name,) for name in verify.SUITES]
+        assert [(name, seed) for name, _, seed in calls] == [(name, 7) for name in verify.SUITES]
+        # one table per call, shared by its suites: nothing crosses calls
+        grid = calls[0][1]
+        assert isinstance(grid, verify.Grid)
+        assert all(shared is grid for _, shared, _ in calls)
+        assert verify.run_suite("roots", seed=7) == ["roots"]
+        assert calls[-1][1] is not grid
 
     def test_failed_verification_exit_code(self, verify_all, capsys, monkeypatch):
         checks = list(verify_all.by_suite["roots"])
         checks[2] = dataclasses.replace(checks[2], passed=False, detail="forced failure")
-        monkeypatch.setitem(verify.SUITES, "roots", lambda: checks)
+        monkeypatch.setitem(verify.SUITES, "roots", lambda grid, seed: checks)
         assert cli.main(["verify", "--suite", "roots"]) == cli.EXIT_VERIFY_FAILED
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [checks[2].line()]

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import _BLOCK, MomentKind, capped_exp
-from .errors import ParameterError, in_range, require_positive
+from .errors import ParameterError, exp_or_inf, in_range, require_positive
 
-REFINE_POINTS = (10_000, 1_000)    # a points of the coarse and the fine sweep
-UNIVERSAL_COARSE = (2_000, 200)    # (a, c) points of the joint scan
+# (a, c) points of each stage of the searches: the first spans the whole grid,
+# each later one a window of cells on either side of the previous argmin
+REFINE_STAGES = ((10_000, 1), (1_000, 1))
+UNIVERSAL_STAGES = ((2_000, 200), (300, 300), (300, 300))
 UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
-UNIVERSAL_FINE = (300, 300)        # (a, c) points of each refinement round
-UNIVERSAL_ROUNDS = 2
 UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
 
 
@@ -67,55 +67,79 @@ def two_point_moment_grid(
     return np.divide(out, a + b, out=out)[()]
 
 
+def _search(kind: MomentKind, sigma: float, a_ends, c_ends, stages, window: int):
+    """Least two-point moment over one geometric (a, c) grid per stage of
+    (a points, c points): the first spans a_ends x c_ends, each later one
+    ``window`` cells of the last on either side of its argmin.  Each grid
+    runs in row blocks of about _BLOCK cells in two buffers; its argmin is
+    np.argmin's: the first NaN, else the first least value in row-major
+    order (the smaller a, then the smaller c).  Overflowing cells read as
+    inf.  Returns the last grids, the argmin's indices and its value."""
+    out, scratch = np.empty(_BLOCK), np.empty(_BLOCK)
+    for na, nc in stages:
+        a, c = np.geomspace(*a_ends, na), np.geomspace(*c_ends, nc)
+        rows = _BLOCK // nc
+        best, at = math.inf, 0
+        for first in range(0, na, rows):
+            cells = min(rows, na - first) * nc
+            with np.errstate(over="ignore"):
+                block = two_point_moment_grid(
+                    kind, c, sigma, a[first : first + rows, None],
+                    out=out[:cells].reshape(-1, nc), scratch=scratch[:cells].reshape(-1, nc),
+                ).ravel()
+            k = int(block.argmin())
+            if not block[k] >= best:  # a NaN, or less than every earlier value
+                best, at = float(block[k]), first * nc + k
+                if best != best:
+                    break
+        i, j = divmod(at, nc)
+        a_ends = a[max(i - window, 0)], a[min(i + window, na - 1)]
+        c_ends = c[max(j - window, 0)], c[min(j + window, nc - 1)]
+    return a, c, i, j, best
+
+
 def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
-    """Two-stage minimization: coarse sweep over a in [min(sigma^2 * 1e-8,
-    1/c, c e^(-c-1) sigma^2 / 2), sigma^2 * 1e2], then a fine sweep across
-    a +/- 2-cell window around the coarse argmin.  Ties resolve to the
-    smaller a, so the result is deterministic.  in_range refuses a sigma for
-    which an end of the coarse grid is no positive double."""
+    """Minimization over a in [a_lo, sigma^2 * 1e2] at the tilt c: a coarse
+    sweep, then a fine one over 2 of its cells on either side of its argmin
+    (REFINE_STAGES); ties go to the smaller a.  in_range refuses a sigma
+    for which an end of the grid, or b = sigma^2/a at its lower end, is no
+    positive double, and, for the Winsorized kind, where e^c overflows:
+    every b >= 1 reads e^c."""
     require_positive("c", c)
     require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
-    n_coarse, n_fine = REFINE_POINTS
-    # below the extremal a of both kinds: at a <= 1/c, a b_star(a, c) < 2a e^(c+1) / c,
-    # at most sigma^2 at the last term, and the truncated root lies above it
-    a_lo = min(sigma2 * 1e-8, 1.0 / c, 0.5 * c * math.exp(-c - 1.0) * sigma2)
-    coarse_grid = np.geomspace(
-        in_range("the grid's lower end", a_lo, c, sigma),
-        in_range("the grid's upper end sigma^2 * 1e2", sigma2 * 1e2, sigma),
-        n_coarse,
-    )
-    idx = int(np.argmin(two_point_moment_grid(kind, c, sigma, coarse_grid)))
-    lo, hi = coarse_grid[max(idx - 2, 0)], coarse_grid[min(idx + 2, n_coarse - 1)]
-    grid = np.geomspace(lo, hi, n_fine)
-    values = two_point_moment_grid(kind, c, sigma, grid)
-    idx = int(np.argmin(values))
+    if kind is MomentKind.WINSOR:
+        in_range("e^c", exp_or_inf(c), c)
+        # at a <= 1/c, a b_star(a, c) < 2a e^(c+1) / c, at most sigma^2 at the last term
+        a_lo = min(sigma2 * 1e-8, 1.0 / c, 0.5 * c * math.exp(-c - 1.0) * sigma2)
+    else:
+        # at a <= 1/c, B_star(a, c) <= (2e - 3) a, so the root is at least
+        # min(1/c, sigma / sqrt(2e - 3)), which the last two terms do not exceed
+        a_lo = min(sigma2 * 1e-8, 1.0 / c, 0.5 * sigma)
+    a_lo = in_range("the grid's lower end", a_lo, c, sigma)
+    a_hi = in_range("the grid's upper end sigma^2 * 1e2", sigma2 * 1e2, sigma)
+    in_range("b = sigma^2/a at the grid's lower end", sigma2 / a_lo, sigma, a_lo)
+    a, _, i, _, value = _search(kind, sigma, (a_lo, a_hi), (c, c), REFINE_STAGES, 2)
     return GridMinResult(
-        argmin_a=float(grid[idx]),
-        argmin_c=c,
-        min_value=float(values[idx]),
-        cell_ratio=(hi / lo) ** (1.0 / (n_fine - 1)),
+        argmin_a=float(a[i]), argmin_c=c, min_value=value,
+        cell_ratio=(a[-1] / a[0]) ** (1.0 / (a.size - 1)),
     )
 
 
 def universal_grid_min(sigma: float) -> GridMinResult:
     """Joint minimization of the Winsorized moment over (a, c).
 
-    A broad log-log scan followed by repeated window refinements.  The
-    objective has a curved shallow valley in the (a, c) plane, so the
-    refinement window must span many coarse cells to keep the true minimum
-    inside.  The coarse a grid spans min(sigma^2 * 1e-5, ln(1 + sigma)/2)
-    to sigma^2, which holds the extremal a at every sigma.  Each scan runs
-    in blocks of whole rows, about _BLOCK cells, in two buffers allocated
-    once per call, and its argmin is np.argmin's over the whole grid: the
-    first NaN, else the first least value in row-major order, i.e. the
-    smaller a first, then the smaller c.  in_range refuses a sigma for
-    which sigma^2 * 1e-5 underflows, or the largest moment term, a * e^c at
-    the grid's upper corner, overflows.
+    A broad log-log scan followed by repeated window refinements
+    (UNIVERSAL_STAGES).  The objective has a curved shallow valley in the
+    (a, c) plane, so the refinement window must span many coarse cells to
+    keep the true minimum inside.  The coarse a grid spans
+    min(sigma^2 * 1e-5, ln(1 + sigma)/2) to sigma^2, which holds the
+    extremal a at every sigma.  in_range refuses a sigma for which
+    sigma^2 * 1e-5 underflows, or the largest moment term, a * e^c at the
+    grid's upper corner, overflows.
     """
     require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
-    c_lo, c_hi = UNIVERSAL_TILTS
     # the extremal a grows like ln sigma, not sigma^2 (0.74 ln sigma at 1e3,
     # 0.98 ln sigma at 1e100): from sigma ~ 550 on, ln(1 + sigma)/2 starts
     # the grid below it
@@ -124,44 +148,14 @@ def universal_grid_min(sigma: float) -> GridMinResult:
         0.5 * math.log1p(sigma),
     )
     a_hi = sigma2 * (1.0 - 1e-9)
-    in_range("the grid's largest term a * e^c", a_hi * math.exp(c_hi), sigma)
-
-    out, scratch = np.empty(_BLOCK), np.empty(_BLOCK)
-
-    def scan(a_lo, a_hi, c_lo, c_hi, shape):
-        na, nc = shape
-        a = np.geomspace(a_lo, a_hi, na)
-        c = np.geomspace(c_lo, c_hi, nc)
-        rows = _BLOCK // nc
-        best, at = math.inf, 0
-        for first in range(0, na, rows):
-            cells = min(rows, na - first) * nc
-            block = two_point_moment_grid(
-                MomentKind.WINSOR, c, sigma, a[first : first + rows, None],
-                out=out[:cells].reshape(-1, nc), scratch=scratch[:cells].reshape(-1, nc),
-            ).ravel()
-            k = int(block.argmin())
-            if not block[k] >= best:  # a NaN, or less than every earlier value
-                best, at = float(block[k]), first * nc + k
-                if best != best:
-                    break
-        i, j = divmod(at, nc)
-        return a, c, i, j, best
-
-    a_grid, c_grid, i, j, value = scan(a_lo, a_hi, c_lo, c_hi, UNIVERSAL_COARSE)
-    w = UNIVERSAL_WINDOW_CELLS
-    for _ in range(UNIVERSAL_ROUNDS):
-        a_grid, c_grid, i, j, value = scan(
-            a_grid[max(i - w, 0)], a_grid[min(i + w, a_grid.size - 1)],
-            c_grid[max(j - w, 0)], c_grid[min(j + w, c_grid.size - 1)],
-            UNIVERSAL_FINE,
-        )
+    in_range("the grid's largest term a * e^c", a_hi * math.exp(UNIVERSAL_TILTS[1]), sigma)
+    a, c, i, j, value = _search(
+        MomentKind.WINSOR, sigma, (a_lo, a_hi), UNIVERSAL_TILTS, UNIVERSAL_STAGES,
+        UNIVERSAL_WINDOW_CELLS,
+    )
     return GridMinResult(
-        argmin_a=float(a_grid[i]),
-        argmin_c=float(c_grid[j]),
-        min_value=value,
-        cell_ratio=float(a_grid[1] / a_grid[0]),
-        cell_ratio_c=float(c_grid[1] / c_grid[0]),
+        argmin_a=float(a[i]), argmin_c=float(c[j]), min_value=value,
+        cell_ratio=float(a[1] / a[0]), cell_ratio_c=float(c[1] / c[0]),
     )
 
 

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from winsor_bounds import oracle, trunc, winsor
+from winsor_bounds import oracle, trunc, verify, winsor
 from winsor_bounds.certificates import MomentKind, capped_exp
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError
@@ -75,13 +75,15 @@ class TestGridMin:
         assert abs(found.min_value - analytic.bound) <= 1e-6 * analytic.bound
 
     def test_refine_grid_starts_below_the_extremal_a(self):
-        # of both kinds: the truncated root lies above the Winsorized one
         for c in np.geomspace(1e-2, 1e2, 9):
             for sigma in np.geomspace(1e-3, 1e150, 154):
-                query, sigma2 = BoundQuery(float(c), float(sigma)), float(sigma) ** 2
-                lower_end = min(sigma2 * 1e-8, 1.0 / c, 0.5 * c * math.exp(-c - 1.0) * sigma2)
-                for lower_bound in (winsor.lower_bound_fixed_c, trunc.lower_bound_trunc):
-                    assert lower_end < lower_bound(query).extremal.a, (c, sigma)
+                query = BoundQuery(float(c), float(sigma))
+                for kind, lower_bound in (
+                    (MomentKind.WINSOR, winsor.lower_bound_fixed_c),
+                    (MomentKind.TRUNC, trunc.lower_bound_trunc),
+                ):
+                    lower_end = refine_ends(float(c), float(sigma), kind)[0]
+                    assert lower_end < lower_bound(query).extremal.a, (c, sigma, kind)
 
     def test_universal_grid_starts_below_the_extremal_a(self):
         for sigma in np.geomspace(1e-3, 1e150, 154):
@@ -125,9 +127,14 @@ class TestGridMin:
             (lambda s: oracle.refine_grid_min(1.0, s, MomentKind.TRUNC), 1e-160,
              NoSignChangeError, "the grid's lower end"),
             (oracle.universal_grid_min, 1e-160, NoSignChangeError, "the grid's lower end"),
+            (lambda s: oracle.refine_grid_min(500.0, s, MomentKind.WINSOR), 1e153,
+             ExponentOverflowError, "b = sigma^2/a at the grid's lower end"),
+            (lambda s: oracle.refine_grid_min(1e3, s, MomentKind.TRUNC), 1e153,
+             ExponentOverflowError, "b = sigma^2/a at the grid's lower end"),
         ],
         ids=["refine-winsor-overflow", "refine-trunc-overflow", "universal-overflow",
-             "refine-winsor-underflow", "refine-trunc-underflow", "universal-underflow"],
+             "refine-winsor-underflow", "refine-trunc-underflow", "universal-underflow",
+             "refine-winsor-support-overflow", "refine-trunc-support-overflow"],
     )
     def test_refuses_grid_ends_outside_the_doubles(self, search, sigma, error, quantity):
         # sigma^2 is a double, but an end of the grid, or the universal
@@ -138,23 +145,69 @@ class TestGridMin:
             with pytest.raises(error, match=rf"^{re.escape(quantity)} "):
                 search(sigma)
 
+    @pytest.mark.parametrize("c", [720.0, 1e4])
+    def test_winsor_refuses_a_tilt_past_ln_dbl_max(self, c):
+        # every b >= 1 reads e^c there, the extremal b included
+        with pytest.raises(ExponentOverflowError, match=rf"^e\^c overflows to inf \(operands {c!r}\)$"):
+            oracle.refine_grid_min(c, 1.0, MomentKind.WINSOR)
+
+    @pytest.mark.parametrize("c", [720.0, 745.0, 800.0, 2000.0, 1e4])
+    def test_trunc_answers_past_ln_dbl_max(self, c):
+        # the grid starts at min(sigma^2 * 1e-8, 1/c, sigma/2), which keeps
+        # clear of e^-c, and cells whose e^(cb) overflows read as inf
+        for sigma in np.geomspace(1e-3, 1e2, 6):
+            analytic = trunc.lower_bound_trunc(BoundQuery(c, float(sigma)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                found = oracle.refine_grid_min(c, float(sigma), MomentKind.TRUNC)
+            assert (
+                abs(math.log(found.argmin_a / analytic.extremal.a)) <= math.log(found.cell_ratio)
+            ), sigma
+            # the small-sigma minimum sits on the kink at b = 1, where the
+            # value is only as close as the cell: 9e-6 at (300, 0.1)
+            if analytic.branch is Branch.LARGE_SIGMA:
+                assert abs(found.min_value - analytic.bound) <= 1e-9 * analytic.bound, sigma
+
+
+def refine_ends(c, sigma, kind):
+    """refine_grid_min's a span for the kind."""
+    sigma2 = sigma * sigma
+    if kind is MomentKind.WINSOR:
+        return min(sigma2 * 1e-8, 1.0 / c, 0.5 * c * math.exp(-c - 1.0) * sigma2), sigma2 * 1e2
+    return min(sigma2 * 1e-8, 1.0 / c, 0.5 * sigma), sigma2 * 1e2
+
+
+def unblocked_search(kind, sigma, a_ends, c_ends, stages, window):
+    """oracle's search with one np.argmin over each whole (a, c) grid, through
+    oracle.two_point_moment_grid as the module holds it."""
+    for na, nc in stages:
+        a, c = np.geomspace(*a_ends, na), np.geomspace(*c_ends, nc)
+        with np.errstate(over="ignore"):
+            values = oracle.two_point_moment_grid(kind, c[None, :], sigma, a[:, None])
+        i, j = divmod(int(np.argmin(values)), nc)
+        a_ends = a[max(i - window, 0)], a[min(i + window, na - 1)]
+        c_ends = c[max(j - window, 0)], c[min(j + window, nc - 1)]
+    return a, c, i, j, float(values[i, j])
+
+
+def unblocked_refine_grid_min(c, sigma, kind):
+    a, _, i, _, value = unblocked_search(
+        kind, sigma, refine_ends(c, sigma, kind), (c, c), oracle.REFINE_STAGES, 2
+    )
+    return oracle.GridMinResult(
+        argmin_a=float(a[i]), argmin_c=c, min_value=value,
+        cell_ratio=(a[-1] / a[0]) ** (1.0 / (a.size - 1)),
+    )
+
 
 def unblocked_universal_grid_min(sigma):
-    """universal_grid_min with one np.argmin over each whole (a, c) grid,
-    through oracle.two_point_moment_grid as the module holds it."""
-    c_lo, c_hi = oracle.UNIVERSAL_TILTS
-    bounds = (min(sigma * sigma * 1e-5, 0.5 * math.log1p(sigma)), sigma * sigma * (1.0 - 1e-9))
-    w, shape = oracle.UNIVERSAL_WINDOW_CELLS, oracle.UNIVERSAL_COARSE
-    for _ in range(1 + oracle.UNIVERSAL_ROUNDS):
-        a = np.geomspace(*bounds, shape[0])
-        c = np.geomspace(c_lo, c_hi, shape[1])
-        values = oracle.two_point_moment_grid(MomentKind.WINSOR, c[None, :], sigma, a[:, None])
-        i, j = divmod(int(np.argmin(values)), shape[1])
-        bounds = (a[max(i - w, 0)], a[min(i + w, a.size - 1)])
-        c_lo, c_hi = c[max(j - w, 0)], c[min(j + w, c.size - 1)]
-        shape = oracle.UNIVERSAL_FINE
+    a_ends = (min(sigma * sigma * 1e-5, 0.5 * math.log1p(sigma)), sigma * sigma * (1.0 - 1e-9))
+    a, c, i, j, value = unblocked_search(
+        MomentKind.WINSOR, sigma, a_ends, oracle.UNIVERSAL_TILTS, oracle.UNIVERSAL_STAGES,
+        oracle.UNIVERSAL_WINDOW_CELLS,
+    )
     return oracle.GridMinResult(
-        argmin_a=float(a[i]), argmin_c=float(c[j]), min_value=float(values[i, j]),
+        argmin_a=float(a[i]), argmin_c=float(c[j]), min_value=value,
         cell_ratio=float(a[1] / a[0]), cell_ratio_c=float(c[1] / c[0]),
     )
 
@@ -174,19 +227,49 @@ def nan_moments(kind, c, sigma, a, out=None, scratch=None):
     return out
 
 
-class TestUniversalScanInBlocks:
+SEARCHES = {
+    "universal": (oracle.universal_grid_min, unblocked_universal_grid_min),
+    "refine-winsor": (
+        lambda s: oracle.refine_grid_min(2.0, s, MomentKind.WINSOR),
+        lambda s: unblocked_refine_grid_min(2.0, s, MomentKind.WINSOR),
+    ),
+    "refine-trunc": (
+        lambda s: oracle.refine_grid_min(0.5, s, MomentKind.TRUNC),
+        lambda s: unblocked_refine_grid_min(0.5, s, MomentKind.TRUNC),
+    ),
+}
+
+
+class TestSearchInBlocks:
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 10.0, 1e3])
-    def test_matches_one_argmin_over_each_grid(self, sigma):
+    def test_universal_matches_one_argmin_over_each_grid(self, sigma):
         expected = unblocked_universal_grid_min(sigma)
         assert repr(oracle.universal_grid_min(sigma)) == repr(expected)
 
+    @pytest.mark.parametrize("kind", list(MomentKind), ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("c, sigma", [*verify.ORACLE_PAIRS, (50.0, 1e3), (0.1, 1e8)])
+    def test_refine_matches_one_argmin_over_each_grid(self, kind, c, sigma):
+        expected = unblocked_refine_grid_min(c, sigma, kind)
+        assert repr(oracle.refine_grid_min(c, sigma, kind)) == repr(expected)
+
+    @pytest.mark.parametrize("c", [745.0, 1e4])
+    def test_refine_matches_one_argmin_where_cells_overflow(self, c):
+        expected = unblocked_refine_grid_min(c, 1.0, MomentKind.TRUNC)
+        assert repr(oracle.refine_grid_min(c, 1.0, MomentKind.TRUNC)) == repr(expected)
+
     @pytest.mark.parametrize("moments", [tied_moments, nan_moments], ids=["ties", "nan"])
-    def test_ties_resolve_row_major_and_nan_first(self, monkeypatch, moments):
+    @pytest.mark.parametrize("search", list(SEARCHES))
+    def test_ties_resolve_row_major_and_nan_first(self, monkeypatch, moments, search):
+        blocked, unblocked = SEARCHES[search]
         monkeypatch.setattr(oracle, "two_point_moment_grid", moments)
-        found = oracle.universal_grid_min(1.0)
-        assert repr(found) == repr(unblocked_universal_grid_min(1.0))
+        found = blocked(1.0)
+        assert repr(found) == repr(unblocked(1.0))
         if moments is nan_moments:
-            assert math.isnan(found.min_value) and found.argmin_a > 1e-2 and found.argmin_c > 1.0
+            # the refined truncated search runs at c = 0.5: -1.0, no NaN
+            assert math.isnan(found.min_value) == (found.argmin_c > 1.0)
+            assert found.argmin_a > 1e-2
+        else:
+            assert found.min_value == 1.0
 
 
 class TestThreePointProbes:

@@ -1,8 +1,10 @@
 """Sweep tables, CSV round-trips, and the command-line surface."""
 
 import dataclasses
+import functools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import cli, verify
+from winsor_bounds import certificates, cli, verify
 from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import LN_DBL_MAX, ParameterError, WinsorBoundsError
 from winsor_bounds.sweeps import (
@@ -788,6 +790,75 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [checks[2].line()]
         assert lines[-1] == f"{len(checks) - 1}/{len(checks)} checks passed"
+
+    def test_failing_checks_print_their_worst_and_detail(self, capsys, monkeypatch):
+        # a zero grid bound, a rescaled bound one ulp off and one minorant
+        # whose beta = G'(0) is cut by 10%, as the negative control cuts it
+        zeroed = (verify.C_GRID[0], verify.SIGMA_GRID[-1])
+        sigma = verify.SIGMA_GRID[10]
+        a_shrunk = lower_bound_fixed_c(BoundQuery(2.0, sigma)).a_c_sigma
+        winsor_minorant = certificates.winsor_minorant
+
+        class Grid(verify.Grid):
+            @functools.cached_property
+            def fixed(self):
+                table = dict(super().fixed)
+                table[zeroed] = dataclasses.replace(table[zeroed], bound=0.0)
+                return table
+
+        def rescaled_off(query):
+            solution = lower_bound_fixed_c(query)
+            if query == BoundQuery(0.7 * 3.0, 30.0 / 3.0):  # the third rescaled query
+                return dataclasses.replace(solution, bound=math.nextafter(solution.bound, 0.0))
+            return solution
+
+        def shrunk(a, c):
+            good = winsor_minorant(a, c)
+            if (a, c) != (a_shrunk, 2.0):
+                return good
+            return certificates.QuadraticMinorant(
+                contact_points=good.contact_points,
+                lower_value=good.lower_value + 0.1 * good.beta * a,
+                lower_slope=good.lower_slope - 0.1 * good.beta,
+                gamma=good.gamma,
+            )
+
+        monkeypatch.setattr(verify, "Grid", Grid)
+        monkeypatch.setattr(verify.winsor, "lower_bound_fixed_c", rescaled_off)
+        monkeypatch.setattr(verify.certificates, "winsor_minorant", shrunk)
+        failed = {}
+        for suite in ("ordering", "certificates"):
+            assert cli.main(["verify", "--suite", suite]) == cli.EXIT_VERIFY_FAILED
+            for line in capsys.readouterr().out.splitlines():
+                if line.startswith("FAIL "):
+                    failed[line.split(":")[0][5:]] = line
+        assert sorted(failed) == [
+            "certificates.contact_tangency",  # the shrunk minorant leaves F's slope
+            "certificates.minorant_below_moment",
+            "ordering.bound_chain",
+            "ordering.cut_rescaling_identity",
+        ]
+        assert failed["ordering.bound_chain"].startswith(
+            "FAIL ordering.bound_chain: worst=inf tol=1.0e-12 ("
+        )
+        assert failed["ordering.cut_rescaling_identity"].startswith(
+            "FAIL ordering.cut_rescaling_identity: worst=inf tol=0.0e+00 ("
+        )
+        detail = re.fullmatch(
+            r"FAIL certificates\.minorant_below_moment: worst=\S+ tol=\S+ \((.*)\)",
+            failed["certificates.minorant_below_moment"],
+        ).group(1)
+        assert re.fullmatch(rf"winsor c=2\.0 sigma={sigma:.3g} x=\S+", detail), detail
+
+
+def test_asymptotic_convergence_script(tmp_path):
+    # the last line is the ratio that asymptotics.slow_convergence_regression pins
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "asymptotic_convergence.py"), "--c", "2"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split()[-1] == "1.201178"
 
 
 def test_figures_match_the_reference(tmp_path):

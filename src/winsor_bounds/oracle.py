@@ -25,6 +25,7 @@ from .errors import ParameterError, exp_or_inf, in_range, require_positive
 # (a, c) points of each stage of the searches: the first spans the whole grid,
 # each later one a window of cells on either side of the previous argmin
 REFINE_STAGES = ((10_000, 1), (1_000, 1))
+REFINE_WINDOW_CELLS = 2            # previous-grid cells kept on each side of the argmin
 UNIVERSAL_STAGES = ((2_000, 200), (300, 300), (300, 300))
 UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
 UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
@@ -73,8 +74,8 @@ def _search(kind: MomentKind, sigma: float, a_ends, c_ends, stages, window: int)
     ``window`` cells of the last on either side of its argmin.  Each grid
     runs in row blocks of about _BLOCK cells in two buffers; its argmin is
     np.argmin's: the first NaN, else the first least value in row-major
-    order (the smaller a, then the smaller c).  Overflowing cells read as
-    inf.  Returns the last grids, the argmin's indices and its value."""
+    order (the smaller a, then the smaller c).  Returns the last grids, the
+    argmin's indices and its value."""
     out, scratch = np.empty(_BLOCK), np.empty(_BLOCK)
     for na, nc in stages:
         a, c = np.geomspace(*a_ends, na), np.geomspace(*c_ends, nc)
@@ -82,11 +83,10 @@ def _search(kind: MomentKind, sigma: float, a_ends, c_ends, stages, window: int)
         best, at = math.inf, 0
         for first in range(0, na, rows):
             cells = min(rows, na - first) * nc
-            with np.errstate(over="ignore"):
-                block = two_point_moment_grid(
-                    kind, c, sigma, a[first : first + rows, None],
-                    out=out[:cells].reshape(-1, nc), scratch=scratch[:cells].reshape(-1, nc),
-                ).ravel()
+            block = two_point_moment_grid(
+                kind, c, sigma, a[first : first + rows, None],
+                out=out[:cells].reshape(-1, nc), scratch=scratch[:cells].reshape(-1, nc),
+            ).ravel()
             k = int(block.argmin())
             if not block[k] >= best:  # a NaN, or less than every earlier value
                 best, at = float(block[k]), first * nc + k
@@ -100,16 +100,18 @@ def _search(kind: MomentKind, sigma: float, a_ends, c_ends, stages, window: int)
 
 def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
     """Minimization over a in [a_lo, sigma^2 * 1e2] at the tilt c: a coarse
-    sweep, then a fine one over 2 of its cells on either side of its argmin
-    (REFINE_STAGES); ties go to the smaller a.  in_range refuses a sigma
-    for which an end of the grid, or b = sigma^2/a at its lower end, is no
-    positive double, and, for the Winsorized kind, where e^c overflows:
-    every b >= 1 reads e^c."""
+    sweep, then a fine one over REFINE_WINDOW_CELLS of its cells on either
+    side of its argmin (REFINE_STAGES); ties go to the smaller a.  in_range
+    refuses a sigma for which an end of the grid, or b = sigma^2/a at its
+    lower end, is no positive double, and, for the Winsorized kind, where
+    the grid's largest term a * e^c overflows: every b >= 1 reads e^c.
+    Truncated cells whose e^(cb) overflows read as inf."""
     require_positive("c", c)
     require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
+    a_hi = in_range("the grid's upper end sigma^2 * 1e2", sigma2 * 1e2, sigma)
     if kind is MomentKind.WINSOR:
-        in_range("e^c", exp_or_inf(c), c)
+        in_range("the grid's largest term a * e^c", a_hi * exp_or_inf(c), c, sigma)
         # at a <= 1/c, a b_star(a, c) < 2a e^(c+1) / c, at most sigma^2 at the last term
         a_lo = min(sigma2 * 1e-8, 1.0 / c, 0.5 * c * math.exp(-c - 1.0) * sigma2)
     else:
@@ -117,9 +119,11 @@ def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
         # min(1/c, sigma / sqrt(2e - 3)), which the last two terms do not exceed
         a_lo = min(sigma2 * 1e-8, 1.0 / c, 0.5 * sigma)
     a_lo = in_range("the grid's lower end", a_lo, c, sigma)
-    a_hi = in_range("the grid's upper end sigma^2 * 1e2", sigma2 * 1e2, sigma)
     in_range("b = sigma^2/a at the grid's lower end", sigma2 / a_lo, sigma, a_lo)
-    a, _, i, _, value = _search(kind, sigma, (a_lo, a_hi), (c, c), REFINE_STAGES, 2)
+    with np.errstate(over="ignore" if kind is MomentKind.TRUNC else None):
+        a, _, i, _, value = _search(
+            kind, sigma, (a_lo, a_hi), (c, c), REFINE_STAGES, REFINE_WINDOW_CELLS
+        )
     return GridMinResult(
         argmin_a=float(a[i]), argmin_c=c, min_value=value,
         cell_ratio=(a[-1] / a[0]) ** (1.0 / (a.size - 1)),

@@ -128,13 +128,13 @@ class TestGridMin:
              NoSignChangeError, "the grid's lower end"),
             (oracle.universal_grid_min, 1e-160, NoSignChangeError, "the grid's lower end"),
             (lambda s: oracle.refine_grid_min(500.0, s, MomentKind.WINSOR), 1e153,
-             ExponentOverflowError, "b = sigma^2/a at the grid's lower end"),
+             ExponentOverflowError, "the grid's largest term a * e^c"),
             (lambda s: oracle.refine_grid_min(1e3, s, MomentKind.TRUNC), 1e153,
              ExponentOverflowError, "b = sigma^2/a at the grid's lower end"),
         ],
         ids=["refine-winsor-overflow", "refine-trunc-overflow", "universal-overflow",
              "refine-winsor-underflow", "refine-trunc-underflow", "universal-underflow",
-             "refine-winsor-support-overflow", "refine-trunc-support-overflow"],
+             "refine-winsor-term-overflow", "refine-trunc-support-overflow"],
     )
     def test_refuses_grid_ends_outside_the_doubles(self, search, sigma, error, quantity):
         # sigma^2 is a double, but an end of the grid, or the universal
@@ -145,11 +145,17 @@ class TestGridMin:
             with pytest.raises(error, match=rf"^{re.escape(quantity)} "):
                 search(sigma)
 
-    @pytest.mark.parametrize("c", [720.0, 1e4])
-    def test_winsor_refuses_a_tilt_past_ln_dbl_max(self, c):
-        # every b >= 1 reads e^c there, the extremal b included
-        with pytest.raises(ExponentOverflowError, match=rf"^e\^c overflows to inf \(operands {c!r}\)$"):
-            oracle.refine_grid_min(c, 1.0, MomentKind.WINSOR)
+    @pytest.mark.parametrize("c, sigma", [(709.0, 1.0), (720.0, 1.0), (1e4, 1.0), (700.0, 1e3)])
+    def test_winsor_refuses_where_a_e_c_overflows(self, c, sigma):
+        # every b >= 1 reads e^c, so the grid's upper end a times e^c is its
+        # largest term; at (709, 1) only that product overflows, not e^c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ExponentOverflowError,
+                match=rf"^the grid's largest term a \* e\^c overflows to inf \(operands {c!r}, {sigma!r}\)$",
+            ):
+                oracle.refine_grid_min(c, sigma, MomentKind.WINSOR)
 
     @pytest.mark.parametrize("c", [720.0, 745.0, 800.0, 2000.0, 1e4])
     def test_trunc_answers_past_ln_dbl_max(self, c):
@@ -182,7 +188,7 @@ def unblocked_search(kind, sigma, a_ends, c_ends, stages, window):
     oracle.two_point_moment_grid as the module holds it."""
     for na, nc in stages:
         a, c = np.geomspace(*a_ends, na), np.geomspace(*c_ends, nc)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore" if kind is MomentKind.TRUNC else None):
             values = oracle.two_point_moment_grid(kind, c[None, :], sigma, a[:, None])
         i, j = divmod(int(np.argmin(values)), nc)
         a_ends = a[max(i - window, 0)], a[min(i + window, na - 1)]
@@ -192,7 +198,8 @@ def unblocked_search(kind, sigma, a_ends, c_ends, stages, window):
 
 def unblocked_refine_grid_min(c, sigma, kind):
     a, _, i, _, value = unblocked_search(
-        kind, sigma, refine_ends(c, sigma, kind), (c, c), oracle.REFINE_STAGES, 2
+        kind, sigma, refine_ends(c, sigma, kind), (c, c), oracle.REFINE_STAGES,
+        oracle.REFINE_WINDOW_CELLS,
     )
     return oracle.GridMinResult(
         argmin_a=float(a[i]), argmin_c=c, min_value=value,
@@ -265,8 +272,13 @@ class TestSearchInBlocks:
         found = blocked(1.0)
         assert repr(found) == repr(unblocked(1.0))
         if moments is nan_moments:
-            # the refined truncated search runs at c = 0.5: -1.0, no NaN
-            assert math.isnan(found.min_value) == (found.argmin_c > 1.0)
+            # the refined truncated search runs at c = 0.5, where no cell is NaN
+            nan_expected = search != "refine-trunc"
+            assert math.isnan(found.min_value) is nan_expected
+            if nan_expected:
+                assert found.argmin_c > 1.0
+            else:
+                assert found.min_value == -1.0
             assert found.argmin_a > 1e-2
         else:
             assert found.min_value == 1.0

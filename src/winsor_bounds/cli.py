@@ -93,7 +93,10 @@ def cmd_sweep(args) -> int:
     c_values = _parse_c_list(args.c) if args.c is not None else ()
     grid = sigma_grid(args.sigma_min, args.sigma_max, args.points, args.scale)
     table = compute_sweep(kind, grid, c_values, cut=args.cut)
-    write_csv(table, args.out)
+    try:
+        write_csv(table, args.out)
+    except OSError as exc:  # a missing directory, a directory or no permission
+        raise ParameterError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
     print(f"wrote {len(table.rows)} rows to {args.out}")
     return EXIT_OK
 

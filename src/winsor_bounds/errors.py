@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package, plus the one argument
-validator every public entry point uses and the one range guard every
+"""Exception hierarchy shared across the package, plus the argument
+validators every public entry point uses and the one range guard every
 result that can leave the doubles passes through."""
 
 import math
+import numbers
 
 LN_DBL_MAX = 709.782712893384  # ln(DBL_MAX): e^z is a double up to here, and no further
 
@@ -49,6 +50,12 @@ def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
     if allow_zero:
         raise ParameterError(f"{name} must be a nonnegative real, got {value!r}")
     raise ParameterError(f"{name} must be a positive real, got {value!r}")
+
+
+def require_integer(name: str, value, least: int) -> None:
+    """Raise ParameterError naming ``name`` unless value is an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _choice(enum, name: str, value):

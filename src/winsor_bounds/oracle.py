@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import _BLOCK, MomentKind, capped_exp
-from .errors import ParameterError, exp_or_inf, in_range, require_positive
+from .errors import ParameterError, exp_or_inf, in_range, require_integer, require_positive
 
 # (a, c) points of each stage of the searches: the first spans the whole grid,
 # each later one a window of cells on either side of the previous argmin
@@ -177,9 +177,12 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
 
     Support points are centered to zero mean, then scaled so the second
     moment is a uniform fraction of sigma^2; tilts are sampled uniformly for
-    probing bounds that optimize over the tilt.
+    probing bounds that optimize over the tilt.  n_samples must be an
+    integer >= 1 and seed an integer >= 0.
     """
     require_positive("sigma", sigma)
+    require_integer("n_samples", n_samples, 1)
+    require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     support = rng.normal(0.0, 2.0 * sigma, size=(n_samples, 3))
     masses = rng.dirichlet((1.0, 1.0, 1.0), size=n_samples)

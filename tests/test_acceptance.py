@@ -4,6 +4,7 @@ Each test prints one machine-greppable pass line; run with ``pytest -s``
 (or through ``winsor-bounds verify``) to see them.
 """
 
+import collections
 import dataclasses
 import hashlib
 import importlib
@@ -231,6 +232,14 @@ def test_verify_check_inventory(verify_all):
     assert [(r.name, r.tolerance) for r in verify_all.results] == VERIFY_INVENTORY
 
 
+def test_verify_reports_hold_python_scalars(verify_all):
+    # a bound solved at a NumPy sigma would carry np.float64 fields into the
+    # checks, which then report np.True_ and np.float64(...)
+    assert [(r.name, type(r.passed), type(r.worst)) for r in verify_all.results] == [
+        (r.name, bool, float) for r in verify_all.results
+    ]
+
+
 QUERY_KINDS = ("universal", "fixed", "trunc")
 PUBLIC_ARGUMENTS = {"universal": 2, "fixed": 3, "trunc": 3}  # sigma, cut and c
 FINGERPRINT_QUERIES = 2_000
@@ -287,17 +296,45 @@ def test_each_argument_is_checked_once(kind, monkeypatch, solves):
 
 
 def test_all_suites_solve_the_grid_once(solves, verify_all):
-    # one run of every suite solves each bound over C_GRID x SIGMA_GRID once
-    # (run one by one, the suites solve 1,962 equations) and changes no check;
-    # a suite that reads no grid solves none of it
+    # one run of every suite solves each bound it reads once (run one by
+    # one, the suites solve 1,960 equations) and changes no check; a suite
+    # that reads no grid solves none of it
     del solves.equations[:]
     results = verify.run_suite("all", 1)
-    assert len(solves.equations) == 1016
+    assert len(solves.equations) == 776
     assert [repr(check) for check in results] == [repr(check) for check in verify_all.results]
     for name, count in (("asymptotics", 40), ("oracle", 19)):
         del solves.equations[:]
         verify.run_suite(name, 1)
         assert len(solves.equations) == count, name
+
+
+VERIFY_SOLVES = (
+    (winsor, "lower_bound_fixed_c"),
+    (trunc, "lower_bound_trunc"),
+    (winsor, "lower_bound_universal"),
+    (trunc, "solve_A_c"),
+    (oracle, "refine_grid_min"),
+)
+
+
+def test_all_suites_solve_each_argument_tuple_once(monkeypatch):
+    # every suite reads its bounds, thresholds A_c and refined oracle
+    # searches through the run's Grid, which solves each argument tuple once
+    calls = collections.Counter()
+
+    def counting(name, solve):
+        def counted(*args):
+            calls[(name, *args)] += 1
+            return solve(*args)
+
+        return counted
+
+    for module, name in VERIFY_SOLVES:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    verify.run_suite("all", 1)
+    assert {call[0] for call in calls} == {name for _, name in VERIFY_SOLVES}
+    assert [call for call, count in calls.items() if count > 1] == []
 
 
 def test_bit_fingerprint():

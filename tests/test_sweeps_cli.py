@@ -1,7 +1,6 @@
 """Sweep tables, CSV round-trips, and the command-line surface."""
 
 import dataclasses
-import functools
 import math
 import os
 import re
@@ -397,7 +396,7 @@ class TestCsvRoundTrip:
         path = str(tmp_path / "cells.csv")
         write_csv(table, path)
         expected = "sigma,c=1.0\n" + "".join(f"{value!r},{value!r}\n" for value in values)
-        assert open(path, "rb").read() == expected.encode("utf-8")
+        assert Path(path).read_bytes() == expected.encode("utf-8")
         _, rows = read_csv(path)
         assert [tuple(map(float.hex, row)) for row in rows] == [
             tuple(map(float.hex, row)) for row in table.rows
@@ -408,7 +407,7 @@ class TestCsvRoundTrip:
         table = compute_sweep(SweepKind.UNIVERSAL_WINSOR, grid)
         path = str(tmp_path / "fmt.csv")
         write_csv(table, path)
-        raw = open(path, "rb").read().decode("utf-8")
+        raw = Path(path).read_bytes().decode("utf-8")
         assert "\r" not in raw
         assert raw.startswith("sigma,bound\n")
         assert raw.endswith("\n") and not raw.endswith("\n\n")
@@ -418,7 +417,7 @@ class TestCsvRoundTrip:
         table = compute_sweep(SweepKind.UNIVERSAL_WINSOR, grid)
         path = tmp_path / "target.csv"
         write_csv(table, str(path))
-        before = open(path).read()
+        before = path.read_text()
 
         # a failing write must leave the existing file untouched
         class Boom:
@@ -433,7 +432,7 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(RuntimeError):
             write_csv(broken, str(path))
-        assert open(path).read() == before
+        assert path.read_text() == before
         assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
 
@@ -560,6 +559,20 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: --c expects")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("out", ("missing/x.csv", "directory"))
+    def test_sweep_refuses_an_unwritable_out(self, out, tmp_path, capsys):
+        # a missing directory or a directory: exit 2, and no file is left behind
+        (tmp_path / "directory").mkdir()
+        out = str(tmp_path / out)
+        code = cli.main([
+            "sweep", "--kind", "universal-winsor",
+            "--sigma-min", "0.5", "--sigma-max", "2", "--points", "3", "--out", out,
+        ])
+        assert code == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: cannot write --out {out!r}: ")
+        assert sorted(os.listdir(tmp_path)) == ["directory"]
+        assert os.listdir(tmp_path / "directory") == []
+
     def test_sweep_bad_range_exit_code(self, tmp_path):
         out = str(tmp_path / "x.csv")
         code = cli.main([
@@ -578,6 +591,14 @@ class TestCli:
         # run_suite, not argparse, refuses it and names the valid suites
         assert cli.main(["verify", "--suite", "bogus"]) == 2
         assert "suite must be one of roots, " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ("-1", "-5"))
+    def test_verify_refuses_a_negative_seed(self, seed, capsys, monkeypatch):
+        # refused before run_suite builds its Grid, so no suite solves: exit 2
+        # with the error line alone, no traceback
+        monkeypatch.setattr(verify, "Grid", None)
+        assert cli.main(["verify", "--seed", seed]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: seed must be an integer >= 0, got {seed}\n"
 
     def test_collapse_demo(self, capsys):
         assert cli.main(["collapse-demo", "--sigma", "1", "--steps", "6"]) == 0
@@ -799,15 +820,10 @@ class TestCli:
         a_shrunk = lower_bound_fixed_c(BoundQuery(2.0, sigma)).a_c_sigma
         winsor_minorant = certificates.winsor_minorant
 
-        class Grid(verify.Grid):
-            @functools.cached_property
-            def fixed(self):
-                table = dict(super().fixed)
-                table[zeroed] = dataclasses.replace(table[zeroed], bound=0.0)
-                return table
-
-        def rescaled_off(query):
+        def solved_off(query):
             solution = lower_bound_fixed_c(query)
+            if query == BoundQuery(*zeroed):
+                return dataclasses.replace(solution, bound=0.0)
             if query == BoundQuery(0.7 * 3.0, 30.0 / 3.0):  # the third rescaled query
                 return dataclasses.replace(solution, bound=math.nextafter(solution.bound, 0.0))
             return solution
@@ -823,8 +839,7 @@ class TestCli:
                 gamma=good.gamma,
             )
 
-        monkeypatch.setattr(verify, "Grid", Grid)
-        monkeypatch.setattr(verify.winsor, "lower_bound_fixed_c", rescaled_off)
+        monkeypatch.setattr(verify.winsor, "lower_bound_fixed_c", solved_off)
         monkeypatch.setattr(verify.certificates, "winsor_minorant", shrunk)
         failed = {}
         for suite in ("ordering", "certificates"):

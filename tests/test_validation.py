@@ -78,6 +78,17 @@ ENTRY_POINTS = [
     ("compute_sweep", "cut", lambda v: compute_sweep(SweepKind.UNIVERSAL_WINSOR, (1.0,), (), v)),
 ]
 
+# (entry point, argument name, call with the argument set to v, v): the
+# integer arguments, each refused below its least value or when not an integer
+INTEGER_ARGUMENTS = [
+    *(("sample_three_point", "n_samples", lambda v: oracle.sample_three_point(1.0, v, 1), v)
+      for v in (0, -1, 1.5, math.nan)),
+    *(("sample_three_point", "seed", lambda v: oracle.sample_three_point(1.0, 10, v), v)
+      for v in (-1, -5, 1.5, math.nan)),
+    *(("run_suite", "seed", lambda v: verify.run_suite("all", v), v)
+      for v in (-1, 1.5, math.nan)),
+]
+
 SUPPORT_MAPS = [
     ("b_star", winsor.b_star),
     ("log_b_star", winsor.log_b_star),
@@ -92,6 +103,21 @@ SUPPORT_MAPS = [
 def test_rejects_bad_argument_by_name(entry, name, call, value):
     with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must"):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "entry, name, call, value", INTEGER_ARGUMENTS,
+    ids=[f"{e}-{n}-{v!r}" for e, n, _, v in INTEGER_ARGUMENTS],
+)
+def test_rejects_bad_integer_argument_by_name(entry, name, call, value):
+    with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must be an integer >= "):
+        call(value)
+
+
+@pytest.mark.parametrize("seed", (0, np.int64(3)), ids=repr)
+def test_sample_three_point_accepts_integer_seeds(seed):
+    probe = oracle.sample_three_point(1.0, 1, seed)
+    assert probe.support.shape == (1, 3)
 
 
 @pytest.mark.parametrize("value", BAD[1:], ids=repr)

@@ -14,7 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from winsor_bounds import asymptotics, trunc, winsor
 from winsor_bounds.asymptotics import Regime
-from winsor_bounds.distributions import BoundQuery
+from winsor_bounds.winsor import BoundQuery
 
 
 def main() -> None:

@@ -7,7 +7,6 @@ The package namespace holds the bound API; the solvers, certificates,
 oracles and asymptotics live in their submodules (``winsor_bounds.winsor``,
 ``winsor_bounds.trunc``, ...)."""
 
-from .distributions import BoundQuery, TwoPointDistribution, two_point
 from .errors import (
     CaseViolationError,
     ExponentOverflowError,
@@ -17,17 +16,13 @@ from .errors import (
     ParameterError,
     WinsorBoundsError,
 )
-from .trunc import Branch, TruncSolution, lower_bound_trunc
-from .winsor import (
-    UniversalWinsorSolution,
-    WinsorSolution,
-    lower_bound_fixed_c,
-    lower_bound_universal,
-)
+from .trunc import Branch, lower_bound_trunc
+from .winsor import Bound, BoundQuery, lower_bound_fixed_c, lower_bound_universal
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Bound",
     "BoundQuery",
     "Branch",
     "CaseViolationError",
@@ -36,14 +31,9 @@ __all__ = [
     "NonFiniteValueError",
     "NoSignChangeError",
     "ParameterError",
-    "TruncSolution",
-    "TwoPointDistribution",
-    "UniversalWinsorSolution",
     "WinsorBoundsError",
-    "WinsorSolution",
     "__version__",
     "lower_bound_fixed_c",
     "lower_bound_trunc",
     "lower_bound_universal",
-    "two_point",
 ]

@@ -8,7 +8,7 @@ cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from functools import lru_cache
 
@@ -21,12 +21,10 @@ class Regime(str, Enum):
     LARGE_SIGMA = "large-sigma"
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
-    t_star: float
-    minus_ln_t_star: float
-    small_sigma_universal_slope: float  # -(1 - t_star) * t_star
-    large_sigma_universal_coeff: float  # e**2
+AsymptoticConstants = namedtuple(
+    "AsymptoticConstants",
+    "t_star minus_ln_t_star small_sigma_universal_slope large_sigma_universal_coeff",
+)
 
 
 def f_of_t(t: float) -> float:

@@ -16,7 +16,6 @@ import math
 import sys
 
 from . import asymptotics
-from .distributions import BoundQuery
 from .errors import (
     CaseViolationError,
     ParameterError,
@@ -25,8 +24,8 @@ from .errors import (
     require_positive,
 )
 from .sweeps import SweepKind, compute_sweep, sigma_grid, write_csv
-from .trunc import lower_bound_trunc
-from .winsor import lower_bound_fixed_c, lower_bound_universal
+from .trunc import lower_bound_trunc, solve_A_c
+from .winsor import BoundQuery, lower_bound_fixed_c, lower_bound_universal
 
 _BOUND_KINDS = ("universal-winsor", "fixed-winsor", "trunc")
 
@@ -47,44 +46,31 @@ def _parse_c_list(raw: str) -> tuple[float, ...]:
 
 
 def _emit(pairs) -> None:
-    print(" ".join(f"{key}={value}" for key, value in pairs))
+    """Print (key, value) pairs as one key=value line: a str as it is, a
+    number by its repr, and no pair whose value is None."""
+    print(" ".join(f"{key}={value if isinstance(value, str) else repr(value)}"
+                   for key, value in pairs if value is not None))
 
 
 def cmd_bound(args) -> int:
-    if args.kind == "universal-winsor":
-        if args.c is not None:
-            raise ParameterError("universal-winsor takes no --c")
-        solution = lower_bound_universal(args.sigma, args.cut)
-        _emit((
-            ("kind", args.kind),
-            ("sigma", repr(solution.sigma)),
-            ("cut", repr(solution.cut)),
-            ("bound", repr(solution.bound)),
-            ("a", repr(solution.a_sigma)),
-            ("b", repr(solution.b_sigma)),
-            ("c_sigma", repr(solution.c_sigma)),
-        ))
-        return EXIT_OK
-
-    if args.c is None:
+    universal = args.kind == "universal-winsor"
+    if universal and args.c is not None:
+        raise ParameterError("universal-winsor takes no --c")
+    if not universal and args.c is None:
         raise ParameterError(f"{args.kind} requires --c")
-    query = BoundQuery(c=args.c, sigma=args.sigma, cut=args.cut)
-    pairs = [
-        ("kind", args.kind),
-        ("c", repr(query.c)),
-        ("sigma", repr(query.sigma)),
-        ("cut", repr(query.cut)),
-    ]
-    if args.kind == "fixed-winsor":
-        solution = lower_bound_fixed_c(query)
-        pairs.append(("bound", repr(solution.bound)))
+    if universal:
+        r = lower_bound_universal(args.sigma, args.cut)
+    elif args.kind == "fixed-winsor":
+        r = lower_bound_fixed_c(BoundQuery(args.c, args.sigma, args.cut))
     else:
-        solution = lower_bound_trunc(query)
-        pairs.append(("branch", solution.branch.value))
-        pairs.append(("bound", repr(solution.bound)))
-        pairs.append(("A_c", repr(solution.A_c)))
-    # the extremal law carries the solved support points for both kinds
-    _emit((*pairs, ("a", repr(solution.extremal.a)), ("b", repr(solution.extremal.b))))
+        r = lower_bound_trunc(BoundQuery(args.c, args.sigma, args.cut))
+    truncated = r.branch is not None
+    _emit((
+        ("kind", r.kind), ("c", r.c), ("sigma", r.sigma), ("cut", r.cut),
+        ("branch", r.branch.value if truncated else None), ("bound", r.bound),
+        ("A_c", solve_A_c(r.tilt) if truncated else None), ("a", r.a), ("b", r.b),
+        ("c_sigma", r.tilt if universal else None),
+    ))
     return EXIT_OK
 
 
@@ -143,13 +129,7 @@ def cmd_collapse_demo(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    constants = asymptotics.solve_t_star()
-    _emit((
-        ("t_star", repr(constants.t_star)),
-        ("minus_ln_t_star", repr(constants.minus_ln_t_star)),
-        ("small_sigma_universal_slope", repr(constants.small_sigma_universal_slope)),
-        ("large_sigma_universal_coeff", repr(constants.large_sigma_universal_coeff)),
-    ))
+    _emit(asymptotics.solve_t_star()._asdict().items())
     return EXIT_OK
 
 

@@ -44,9 +44,13 @@ class CaseViolationError(WinsorBoundsError, ValueError):
 
 def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
     """Raise ParameterError naming ``name`` unless value is a finite real
-    > 0 (>= 0 with ``allow_zero``)."""
-    if math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0)):
-        return
+    > 0 (>= 0 with ``allow_zero``).  A value that is no real (a str, None,
+    a complex) or an int past the doubles is refused the same way."""
+    try:
+        if math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0)):
+            return
+    except (TypeError, OverflowError):
+        pass
     if allow_zero:
         raise ParameterError(f"{name} must be a nonnegative real, got {value!r}")
     raise ParameterError(f"{name} must be a positive real, got {value!r}")

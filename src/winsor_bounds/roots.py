@@ -13,7 +13,7 @@ identical inputs produce bitwise-identical results.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import MaxIterationsError, NonFiniteValueError, NoSignChangeError, require_positive
 

@@ -22,14 +22,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-import tempfile
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
-from .distributions import _effective_c
 from .errors import ParameterError, WinsorBoundsError, _choice, exp_or_inf, require_positive
 from .trunc import _trunc_lane
-from .winsor import _fixed_lane, _row, _tilt, _universal_lane
+from .winsor import _effective_c, _fixed_lane, _row, _tilt, _universal_lane
 
 
 class SweepKind(str, Enum):
@@ -40,15 +38,12 @@ class SweepKind(str, Enum):
     RATIO_TRUNC_OVER_WINSOR = "ratio-trunc-over-winsor"
 
 
-@dataclass(frozen=True)
-class SweepTable:
+class SweepTable(namedtuple("SweepTable", "kind c_values sigma_values rows")):
     """Grid of bound (or ratio) values: one row per sigma, one value column
-    per tilt (a single column for the universal kind)."""
+    per tilt (a single column for the universal kind); each of ``rows`` is
+    (sigma, value per column)."""
 
-    kind: SweepKind
-    c_values: tuple[float, ...]
-    sigma_values: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]  # (sigma, value per column)
+    __slots__ = ()
 
     @property
     def column_labels(self) -> tuple[str, ...]:
@@ -126,8 +121,11 @@ _KINDS = {
 def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) -> SweepTable:
     """Evaluate the requested bound or ratio over the sigma grid."""
     kind = _choice(SweepKind, "kind", kind)
-    c_values = tuple(float(c) for c in c_values)
-    sigma_values = tuple(float(s) for s in sigma_values)
+    c_values, sigma_values = tuple(c_values), tuple(sigma_values)
+    for name, values in (("c", c_values), ("sigma", sigma_values), ("cut", (cut,))):
+        for value in values:
+            require_positive(name, value)
+    c_values, sigma_values = tuple(map(float, c_values)), tuple(map(float, sigma_values))
     if any(right <= left for left, right in zip(sigma_values, sigma_values[1:])):
         raise ParameterError("sigma_values must be strictly increasing")
     tilted = set(_KINDS[kind]) - {_UNIVERSAL, None}
@@ -135,9 +133,6 @@ def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) 
         raise ParameterError(f"sweep kind {kind.value!r} requires a tilt list")
     if c_values and not tilted:
         raise ParameterError(f"{kind.value} sweeps take no tilt list")
-    for name, values in (("c", c_values), ("sigma", sigma_values), ("cut", (cut,))):
-        for value in values:
-            require_positive(name, value)
 
     # the distinct bound columns, keyed (lane, c) with c None for the universal
     # lane, in first-use order, and each value as (numerator, denominator or
@@ -183,6 +178,8 @@ def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) 
 def write_csv(table: SweepTable, path: str) -> None:
     """Write the sweep atomically: UTF-8, header row, LF line endings,
     shortest round-tripping decimal for every value."""
+    import tempfile  # only a write needs it, and it loads random
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
     try:

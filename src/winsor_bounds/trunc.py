@@ -20,13 +20,13 @@ Unlike the Winsorized case there is no positive tilt-universal floor: along
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import BoundQuery, TwoPointDistribution, _effective_c, two_point
 from .errors import LN_DBL_MAX, exp_or_inf, in_range, require_positive
 from .roots import _solve
-from .winsor import _log_support, _moment_match, _row, _support_point
+from .winsor import (
+    Bound, BoundQuery, _effective_c, _log_support, _moment_match, _row, _support_point,
+)
 
 
 class Branch(str, Enum):
@@ -92,35 +92,6 @@ def _trunc_moment(a: float, b: float, c: float) -> float:
     return a / (a + b) * pos + b / (a + b) * math.exp(-c * a)
 
 
-@dataclass(frozen=True)
-class TruncSolution:
-    """Piecewise truncated-bound solution; solved fields are in the rescaled
-    (cut level 1) parameterization carried by ``query``.
-
-    On the small-sigma branch the extremal law is X_{sigma^2, 1} and the
-    moment-matching fields are absent (None).  Neither the bound nor the
-    extremal law needs the threshold ``A_c``, so each is formed when read.
-    """
-
-    query: BoundQuery
-    branch: Branch
-    A_c_sigma: float | None
-    B_c_sigma: float | None
-    bound: float
-
-    @property
-    def extremal(self) -> TwoPointDistribution:
-        """The extremal law: on {-sigma^2, 1} at cut level 1 on the small-sigma
-        branch, else on {-A_c_sigma, B_c_sigma}."""
-        if self.branch is Branch.SMALL_SIGMA:
-            return two_point(_row(self.query.sigma, self.query.cut)[1], 1.0)
-        return two_point(self.A_c_sigma, self.B_c_sigma)
-
-    @property
-    def A_c(self) -> float:
-        return solve_A_c(self.query.effective_c)
-
-
 def _below_threshold(a: float, c: float) -> bool:
     """a <= A_c, decided as B_star(a, c) <= 1 (B_star increases in a)
     multiplied through by c > 0; past LN_DBL_MAX, 2(e^z - 1) alone exceeds
@@ -129,7 +100,7 @@ def _below_threshold(a: float, c: float) -> bool:
     return z <= LN_DBL_MAX and 2.0 * math.expm1(z) - z <= c
 
 
-def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
+def lower_bound_trunc(query: BoundQuery) -> Bound:
     """Exact attained lower bound on E exp(c * X * 1{X < cut}) given
     E X >= 0 and E X^2 <= sigma^2.
 
@@ -138,13 +109,10 @@ def lower_bound_trunc(query: BoundQuery) -> TruncSolution:
     agree there numerically; a fixed rule keeps sweeps deterministic).  A
     bound below the smallest positive double raises NoSignChangeError.
     """
-    root, branch, a, b, bound = _trunc_lane(
-        _effective_c(query.c, query.cut), _row(query.sigma, query.cut), None
-    )
-    return TruncSolution(
-        query=query, branch=branch, A_c_sigma=root,
-        B_c_sigma=None if root is None else b, bound=bound,
-    )
+    c, sigma, cut = query.c, query.sigma, query.cut
+    tilt = _effective_c(c, cut)
+    _, branch, a, b, bound = _trunc_lane(tilt, _row(sigma, cut), None)
+    return Bound("trunc", c, sigma, cut, a, b, tilt, bound, branch)
 
 
 def _trunc_lane(c: float, row, start):

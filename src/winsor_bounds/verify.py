@@ -22,9 +22,9 @@ import numpy as np
 from . import asymptotics, certificates, errors, oracle, trunc, winsor
 from .asymptotics import Regime
 from .certificates import MomentKind
-from .distributions import BoundQuery
 from .roots import _solve
 from .trunc import Branch
+from .winsor import BoundQuery
 
 C_GRID = (0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
 SIGMA_GRID = tuple(float(s) for s in np.geomspace(1e-3, 1e6, 40))
@@ -104,18 +104,19 @@ def suite_roots(grid: Grid, seed: int) -> list[CheckResult]:
 
     worst = 0.0
     for c, sigma in _PAIRS:
-        a = grid.fixed(c, sigma).a_c_sigma
+        a = grid.fixed(c, sigma).a
         worst = max(worst, _match_residual(a, winsor.log_b_star(a, c), sigma))
     results.append(_bounded_check("roots.winsor_fixed_c_residual", worst, 1e-10))
 
-    worst = max(abs(winsor._ell1(grid.universal(s).a_sigma, s * s)) for s in SIGMA_GRID)
+    worst = max(abs(winsor._ell1(grid.universal(s).a, s * s)) for s in SIGMA_GRID)
     results.append(_bounded_check("roots.winsor_universal_residual", worst, 1e-10))
 
     worst = 0.0
     for c, sigma in _PAIRS:
         # the truncated bound solves its moment match on the large-sigma branch only
-        a = grid.truncated(c, sigma).A_c_sigma
-        if a is None:
+        solution = grid.truncated(c, sigma)
+        a = solution.a
+        if solution.branch is Branch.SMALL_SIGMA:
             a = trunc._A_c_sigma(c, winsor._row(sigma, 1.0), None)
         worst = max(worst, _match_residual(a, trunc.log_B_star(a, c), sigma))
     results.append(_bounded_check("roots.trunc_moment_match_residual", worst, 1e-10))
@@ -126,8 +127,8 @@ def suite_roots(grid: Grid, seed: int) -> list[CheckResult]:
     worst = 0.0
     for sigma in SIGMA_GRID:
         u = grid.universal(sigma)
-        worst = max(worst, _relative_gap(u.a_sigma, grid.fixed(u.c_sigma, sigma).a_c_sigma),
-                    _relative_gap(sigma * sigma / u.a_sigma, winsor.b_star(u.a_sigma, u.c_sigma)))
+        worst = max(worst, _relative_gap(u.a, grid.fixed(u.tilt, sigma).a),
+                    _relative_gap(sigma * sigma / u.a, winsor.b_star(u.a, u.tilt)))
     results.append(_bounded_check("roots.universal_consistency", worst, 1e-8))
 
     # d/da ln(optimal moment) must equal ell1(a) / (1+a)^2.
@@ -161,7 +162,7 @@ def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
     results.append(_bounded_check("ordering.bound_chain", worst, 1e-12,
                                   "L_T <= L_W <= 1 and L_universal <= L_W"))
 
-    worst = max(_relative_gap(grid.fixed(u.c_sigma, s).bound, u.bound)
+    worst = max(_relative_gap(grid.fixed(u.tilt, s).bound, u.bound)
                 for s in SIGMA_GRID for u in (grid.universal(s),))
     results.append(_bounded_check("ordering.equality_at_optimal_tilt", worst, 1e-10))
 
@@ -179,8 +180,7 @@ def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
         solution = grid.truncated(c, sigma)
         if solution.branch is Branch.LARGE_SIGMA:
             threshold = grid.threshold(c)
-            worst = max(worst, (threshold - solution.A_c_sigma) / threshold,
-                        1.0 - solution.B_c_sigma)
+            worst = max(worst, (threshold - solution.a) / threshold, 1.0 - solution.b)
     results.append(_bounded_check("ordering.trunc_branch_inequalities", worst, 1e-12,
                                   "A_c_sigma >= A_c and B_c_sigma >= 1"))
 
@@ -196,10 +196,10 @@ def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
     worst = -math.inf
     for sigma in SIGMA_GRID:
         solution = grid.universal(sigma)
-        a, b = solution.a_sigma, solution.b_sigma
-        center = winsor._winsor_moment(a, b, solution.c_sigma)
+        a, b = solution.a, solution.b
+        center = winsor._winsor_moment(a, b, solution.tilt)
         for factor in (1.0 - 1e-3, 1.0 + 1e-3):
-            perturbed = winsor._winsor_moment(a, b, solution.c_sigma * factor)
+            perturbed = winsor._winsor_moment(a, b, solution.tilt * factor)
             worst = max(worst, (center - perturbed) / center)
     results.append(_bounded_check("ordering.interior_tilt_optimality", worst, -1e-14,
                                   "perturbing the tilt strictly increases the moment"))
@@ -207,7 +207,7 @@ def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
     worst = 0.0
     for c, sigma, cut in ((1.0, 2.0, 2.0), (2.0, 1.0, 0.5), (0.7, 30.0, 3.0)):
         direct, rescaled = grid.fixed(c, sigma, cut), grid.fixed(c * cut, sigma / cut)
-        if direct.bound != rescaled.bound or direct.a_c_sigma != rescaled.a_c_sigma:
+        if direct.bound != rescaled.bound or direct.a != rescaled.a:
             worst = math.inf
     results.append(_bounded_check("ordering.cut_rescaling_identity", worst, 0.0,
                                   "bitwise equality through the shared code path"))
@@ -233,9 +233,9 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
             margin = (beta_floor - trunc_minorant.beta) / beta_floor
             worst_beta_margin = max(worst_beta_margin, margin)
         else:
-            trunc_minorant = certificates.trunc_minorant_large(solution.A_c_sigma, c)
+            trunc_minorant = certificates.trunc_minorant_large(solution.a, c)
         for kind, minorant in (
-            (MomentKind.WINSOR, certificates.winsor_minorant(fixed.a_c_sigma, c)),
+            (MomentKind.WINSOR, certificates.winsor_minorant(fixed.a, c)),
             (MomentKind.TRUNC, trunc_minorant),
         ):
             report = certificates.check_certificate(minorant, kind, c)
@@ -261,7 +261,7 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
 
     # Negative control: shrinking beta = G'(0) by 10%, i.e. subtracting
     # 0.1 beta x from G, must break the certificate.
-    a = grid.fixed(1.0, 1.0).a_c_sigma
+    a = grid.fixed(1.0, 1.0).a
     good = certificates.winsor_minorant(a, 1.0)
     broken = certificates.QuadraticMinorant(
         contact_points=good.contact_points,
@@ -296,7 +296,7 @@ def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:
             worst_value = max(worst_value, _relative_gap(found.min_value, analytic.bound))
             worst_cell = max(
                 worst_cell,
-                abs(math.log(found.argmin_a / analytic.extremal.a)) / math.log(found.cell_ratio),
+                abs(math.log(found.argmin_a / analytic.a)) / math.log(found.cell_ratio),
             )
     results.append(_bounded_check("oracle.two_point_grid_min_value", worst_value, 1e-6))
     results.append(_bounded_check("oracle.two_point_grid_min_argmin", worst_cell, 1.0,
@@ -310,8 +310,8 @@ def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:
         worst_value = max(worst_value, _relative_gap(found.min_value, analytic.bound))
         worst_cell = max(
             worst_cell,
-            abs(math.log(found.argmin_a / analytic.a_sigma)) / math.log(found.cell_ratio),
-            abs(math.log(found.argmin_c / analytic.c_sigma)) / math.log(found.cell_ratio_c),
+            abs(math.log(found.argmin_a / analytic.a)) / math.log(found.cell_ratio),
+            abs(math.log(found.argmin_c / analytic.tilt)) / math.log(found.cell_ratio_c),
         )
     results.append(_bounded_check("oracle.universal_grid_min_value", worst_value, 1e-6))
     results.append(_bounded_check("oracle.universal_grid_min_argmin", worst_cell, 1.0))

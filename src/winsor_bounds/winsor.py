@@ -20,8 +20,9 @@ Arguments are checked once, where a public call receives them; the bodies
 behind ``lower_bound_fixed_c`` and ``lower_bound_universal`` trust them.
 
 Cut levels other than 1 reduce to level 1 through
-(c, sigma, cut) -> (c*cut, sigma/cut, 1); solutions carry their query so the
-rescaled quantities can be mapped back (support scales by cut, tilt by 1/cut).
+(c, sigma, cut) -> (c*cut, sigma/cut, 1); a ``Bound`` carries the caller's
+c, sigma and cut beside the solved quantities at level 1, which map back
+as the support scales by cut and the tilt by 1/cut.
 
 Large sigma is handled by solving the moment-matching equations in log form,
 so budgets up to sigma ~ 1e10 and beyond never overflow.
@@ -31,17 +32,50 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import asymptotics
-from .distributions import (
-    BoundQuery, TwoPointDistribution, _effective_c, _effective_sigma, two_point,
-)
 from .errors import LN_DBL_MAX, ParameterError, exp_or_inf, in_range, require_positive
 from .roots import _solve
 
 LOG_FORM_CUTOVER = 30.0
 DBL_MIN = sys.float_info.min  # the smallest normal double
+
+
+class BoundQuery(namedtuple("BoundQuery", "c sigma cut", defaults=(1.0,))):
+    """A fixed-tilt bound request: tilt c, second-moment budget sigma and
+    cut level, each checked when the query is made, by ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, c: float, sigma: float, cut: float = 1.0):
+        require_positive("c", c)
+        require_positive("sigma", sigma)
+        require_positive("cut", cut)
+        return super().__new__(cls, c, sigma, cut)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Bound(namedtuple("Bound", "kind c sigma cut a b tilt bound branch")):
+    """One attained bound, immutable.  ``kind`` is "universal-winsor",
+    "fixed-winsor" or "trunc"; c (None for the universal kind), sigma and cut
+    are the caller's.  The extremal law is the zero-mean law on {-a, b} at
+    cut level 1 (a*b = (sigma/cut)^2), attained at ``tilt``: c*cut, or the
+    optimal tilt for the universal kind.  ``branch`` is the truncated kind's
+    ``trunc.Branch`` and None for the others."""
+
+    __slots__ = ()
+
+
+def _effective_c(c: float, cut: float) -> float:
+    return in_range("c*cut", c * cut, c, cut)
+
+
+def _effective_sigma(sigma: float, cut: float) -> float:
+    return in_range("sigma/cut", sigma / cut, sigma, cut)
 
 
 def _support_point(a: float, c: float, shift: float) -> float:
@@ -195,8 +229,8 @@ def optimal_c_for_two_point(a: float, sigma: float) -> float:
     """Tilt minimizing the Winsorized moment of X_{a, sigma^2/a}:
     ln(sigma^2/a) / (1 + a)."""
     require_positive("sigma", sigma)
-    sigma2 = sigma * sigma
-    if not (math.isfinite(a) and 0.0 < a < sigma2):
+    require_positive("a", a)
+    if not a < sigma * sigma:
         raise ParameterError(f"a must lie in (0, sigma^2), got {a!r}")
     return _optimal_c(a, sigma)
 
@@ -231,53 +265,13 @@ def _optimal_winsor_moment(a: float, sigma: float, c_opt: float) -> float:
     return math.exp(math.log1p(a) + a / (1.0 + a) * math.log(r) - math.log1p(a * r))
 
 
-@dataclass(frozen=True)
-class WinsorSolution:
-    """Fixed-tilt solution; solved fields are in the rescaled (cut level 1)
-    parameterization carried by ``query``."""
-
-    query: BoundQuery
-    a_c_sigma: float
-    b_c_sigma: float
-    bound: float
-
-    @property
-    def extremal(self) -> TwoPointDistribution:
-        """The extremal law, on {-a_c_sigma, b_c_sigma}; built when read."""
-        return two_point(self.a_c_sigma, self.b_c_sigma)
-
-
-@dataclass(frozen=True)
-class UniversalWinsorSolution:
-    """Tilt-universal solution at ``sigma`` with cut level ``cut``.
-
-    a_sigma, b_sigma, c_sigma and the extremal law are in the rescaled
-    (cut level 1) parameterization: at cut level y the extremal support is
-    (-y*a_sigma, y*b_sigma) and the optimizing tilt is c_sigma/y.
-    """
-
-    sigma: float
-    cut: float
-    a_sigma: float
-    b_sigma: float
-    c_sigma: float
-    bound: float
-
-    @property
-    def extremal(self) -> TwoPointDistribution:
-        """The extremal law, on {-a_sigma, b_sigma}; built when read."""
-        return two_point(self.a_sigma, self.b_sigma)
-
-    @property
-    def effective_sigma(self) -> float:
-        return self.sigma / self.cut
-
-
-def lower_bound_fixed_c(query: BoundQuery) -> WinsorSolution:
+def lower_bound_fixed_c(query: BoundQuery) -> Bound:
     """Exact attained lower bound on E exp(c * min(cut, X)) given
     E X >= 0 and E X^2 <= sigma^2."""
-    a, b, bound = _fixed_lane(_tilt(query.c, query.cut), _row(query.sigma, query.cut), None)
-    return WinsorSolution(query=query, a_c_sigma=a, b_c_sigma=b, bound=bound)
+    c, sigma, cut = query.c, query.sigma, query.cut
+    tilt = _tilt(c, cut)
+    a, b, bound = _fixed_lane(tilt, _row(sigma, cut), None)
+    return Bound("fixed-winsor", c, sigma, cut, a, b, tilt[0], bound, None)
 
 
 def _fixed_lane(tilt, row, start):
@@ -289,15 +283,13 @@ def _fixed_lane(tilt, row, start):
     return a, b, _winsor_moment(a, b, tilt[0])
 
 
-def lower_bound_universal(sigma: float, cut: float = 1.0) -> UniversalWinsorSolution:
+def lower_bound_universal(sigma: float, cut: float = 1.0) -> Bound:
     """Exact attained lower bound on E exp(c * min(cut, X)) over all tilts
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
     require_positive("sigma", sigma)
     require_positive("cut", cut)
     a, b, c_opt, bound = _universal_lane(None, _row(sigma, cut), None)
-    return UniversalWinsorSolution(
-        sigma=sigma, cut=cut, a_sigma=a, b_sigma=b, c_sigma=c_opt, bound=bound
-    )
+    return Bound("universal-winsor", None, sigma, cut, a, b, c_opt, bound, None)
 
 
 def _universal_lane(tilt, row, start):

@@ -5,7 +5,6 @@ Each test prints one machine-greppable pass line; run with ``pytest -s``
 """
 
 import collections
-import dataclasses
 import hashlib
 import importlib
 import itertools
@@ -20,9 +19,9 @@ import pytest
 import winsor_bounds
 from winsor_bounds import asymptotics, errors, oracle, trunc, verify, winsor
 from winsor_bounds.asymptotics import Regime
-from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import WinsorBoundsError
 from winsor_bounds.sweeps import SweepKind, compute_sweep, sigma_grid
+from winsor_bounds.winsor import BoundQuery
 
 
 def _timed(fn, repeats=5):
@@ -90,9 +89,9 @@ def test_criterion_05_small_sigma_slopes(verify_all):
 def test_criterion_06_universal_consistency_identities():
     worst = 0.0
     for sigma in np.geomspace(1e-3, 1e6, 40):
-        a_univ = winsor.lower_bound_universal(sigma).a_sigma
+        a_univ = winsor.lower_bound_universal(sigma).a
         c_opt = winsor.optimal_c_for_two_point(a_univ, sigma)
-        a_fixed = winsor.lower_bound_fixed_c(BoundQuery(c_opt, sigma)).a_c_sigma
+        a_fixed = winsor.lower_bound_fixed_c(BoundQuery(c_opt, sigma)).a
         worst = max(worst, abs(a_univ - a_fixed) / a_univ)
         b_univ = sigma * sigma / a_univ
         worst = max(worst, abs(b_univ - winsor.b_star(a_univ, c_opt)) / b_univ)
@@ -273,8 +272,7 @@ def _solution(kind, c, sigma, cut):
 @pytest.mark.parametrize("kind", QUERY_KINDS)
 def test_each_argument_is_checked_once(kind, monkeypatch, solves):
     # require_positive runs once per public argument and once per root solve,
-    # for its start: no body re-checks what the public call checked, and the
-    # extremal law is not built (and checked) unless it is read
+    # for its start: no body re-checks what the public call checked
     asymptotics.t_star()  # solved, and cached, at the first universal query
     check, checked = errors.require_positive, []
 
@@ -364,14 +362,10 @@ LANE_SUPPORT = {
      ("trunc", 1.5, 0.3, 2.0)],
     ids=["universal", "fixed", "trunc-large-sigma", "trunc-small-sigma"],
 )
-def test_extremal_law_is_built_when_read(kind, c, sigma, cut, lanes):
-    # extremal is a property, not a field: a solution stores each number
-    # once, and the law it builds holds the bits the bound was formed from
+def test_bound_holds_the_lanes_support(kind, c, sigma, cut, lanes):
+    # a Bound's extremal support (a, b) holds the bits its lane formed the
+    # bound from, on both truncated branches
     solution = _solution(kind, c, sigma, cut)
-    assert "extremal" not in {field.name for field in dataclasses.fields(solution)}
-    assert "extremal" not in repr(solution)
     lane, at = LANE_SUPPORT[kind]
     a, b = lanes[lane](c, sigma, None, cut)[at:at + 2]
-    law = solution.extremal
-    assert (law.a, law.b) == (a, b)
-    assert law == solution.extremal
+    assert (solution.a, solution.b) == (a, b)

@@ -9,20 +9,20 @@ import pytest
 
 from winsor_bounds import certificates, oracle, trunc, verify, winsor
 from winsor_bounds.certificates import MomentKind, QuadraticMinorant
-from winsor_bounds.distributions import BoundQuery
+from winsor_bounds.winsor import BoundQuery
 from winsor_bounds.errors import CaseViolationError, ParameterError
 
 
 def fixed_root(c, sigma):
     """The lower support magnitude of the fixed-tilt extremal law."""
-    return winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a_c_sigma
+    return winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a
 
 
 def large_root(c, sigma):
     """The truncated moment-match root at a large-sigma branch point."""
     solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
-    assert solution.A_c_sigma is not None, (c, sigma)
-    return solution.A_c_sigma
+    assert solution.branch is trunc.Branch.LARGE_SIGMA, (c, sigma)
+    return solution.a
 
 
 def finite_difference(f, x, h):
@@ -441,7 +441,7 @@ def verify_grid_case(c, sigma, kind):
     if solution.branch is trunc.Branch.SMALL_SIGMA:
         minorant = certificates.trunc_minorant_small(sigma * sigma, c)
     else:
-        minorant = certificates.trunc_minorant_large(solution.A_c_sigma, c)
+        minorant = certificates.trunc_minorant_large(solution.a, c)
     return (minorant, kind, c), solution.branch
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from winsor_bounds import oracle, trunc, verify, winsor
 from winsor_bounds.certificates import MomentKind, capped_exp
-from winsor_bounds.distributions import BoundQuery
+from winsor_bounds.winsor import BoundQuery
 from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError
 from winsor_bounds.trunc import Branch
 
@@ -20,7 +20,7 @@ class TestGridMin:
         found = oracle.refine_grid_min(1.0, 1.0, MomentKind.WINSOR)
         assert abs(found.min_value - analytic.bound) <= 1e-6 * analytic.bound
         assert (
-            abs(math.log(found.argmin_a / analytic.a_c_sigma))
+            abs(math.log(found.argmin_a / analytic.a))
             <= math.log(found.cell_ratio)
         )
 
@@ -30,7 +30,7 @@ class TestGridMin:
         found = oracle.refine_grid_min(1.0, 1.0, MomentKind.TRUNC)
         assert abs(found.min_value - analytic.bound) <= 1e-6 * analytic.bound
         assert (
-            abs(math.log(found.argmin_a / analytic.A_c_sigma))
+            abs(math.log(found.argmin_a / analytic.a))
             <= math.log(found.cell_ratio)
         )
 
@@ -45,10 +45,10 @@ class TestGridMin:
         analytic = winsor.lower_bound_universal(1.0)
         found = oracle.universal_grid_min(1.0)
         assert abs(found.min_value - analytic.bound) <= 1e-6 * analytic.bound
-        assert abs(math.log(found.argmin_a / analytic.a_sigma)) <= math.log(
+        assert abs(math.log(found.argmin_a / analytic.a)) <= math.log(
             found.cell_ratio
         )
-        assert abs(math.log(found.argmin_c / analytic.c_sigma)) <= math.log(
+        assert abs(math.log(found.argmin_c / analytic.tilt)) <= math.log(
             found.cell_ratio_c
         )
 
@@ -83,12 +83,12 @@ class TestGridMin:
                     (MomentKind.TRUNC, trunc.lower_bound_trunc),
                 ):
                     lower_end = refine_ends(float(c), float(sigma), kind)[0]
-                    assert lower_end < lower_bound(query).extremal.a, (c, sigma, kind)
+                    assert lower_end < lower_bound(query).a, (c, sigma, kind)
 
     def test_universal_grid_starts_below_the_extremal_a(self):
         for sigma in np.geomspace(1e-3, 1e150, 154):
             lower_end = min(sigma * sigma * 1e-5, 0.5 * math.log1p(sigma))
-            assert lower_end < winsor.lower_bound_universal(sigma).a_sigma, sigma
+            assert lower_end < winsor.lower_bound_universal(sigma).a, sigma
 
     def test_argmin_ties_resolve_to_smaller_a(self):
         values = oracle.two_point_moment_grid(
@@ -167,7 +167,7 @@ class TestGridMin:
                 warnings.simplefilter("error")
                 found = oracle.refine_grid_min(c, float(sigma), MomentKind.TRUNC)
             assert (
-                abs(math.log(found.argmin_a / analytic.extremal.a)) <= math.log(found.cell_ratio)
+                abs(math.log(found.argmin_a / analytic.a)) <= math.log(found.cell_ratio)
             ), sigma
             # the small-sigma minimum sits on the kink at b = 1, where the
             # value is only as close as the cell: 9e-6 at (300, 0.1)

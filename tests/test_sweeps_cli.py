@@ -13,13 +13,12 @@ import pytest
 
 import winsor_bounds
 from winsor_bounds import certificates, cli, verify
-from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import LN_DBL_MAX, ParameterError, WinsorBoundsError
 from winsor_bounds.sweeps import (
     SweepKind, SweepTable, compute_sweep, read_csv, sigma_grid, write_csv,
 )
 from winsor_bounds.trunc import Branch, lower_bound_trunc
-from winsor_bounds.winsor import lower_bound_fixed_c, lower_bound_universal
+from winsor_bounds.winsor import BoundQuery, lower_bound_fixed_c, lower_bound_universal
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -437,27 +436,69 @@ class TestCsvRoundTrip:
 
 
 # Every outcome of `bound` through cli.main, above all at the edges of the
-# doubles: (arguments, exit code, stderr prefix).  Exit 0 prints a bound in
-# (0, 1] and nothing on stderr; any other exit prints nothing on stdout and an
-# error line that starts with the prefix, never a traceback.
+# doubles: (arguments, exit code, stdout line or stderr prefix).  Exit 0
+# prints that line, with a bound in (0, 1], and nothing on stderr; any other
+# exit prints nothing on stdout and an error line that starts with the
+# prefix, never a traceback.
 BOUND_OUTCOMES = [
-    ("--kind trunc --c 1 --sigma 0.5", 0, ""),
+    # each kind, both truncated branches and cut != 1
+    ("--kind universal-winsor --sigma 0.5", 0,
+     "kind=universal-winsor sigma=0.5 cut=1.0 bound=0.9628089920021728 "
+     "a=0.046005187551483015 b=5.434169781836723 c_sigma=1.6182584704341085"),
+    ("--kind universal-winsor --sigma 3 --cut 2", 0,
+     "kind=universal-winsor sigma=3.0 cut=2.0 bound=0.783648067108316 "
+     "a=0.25855487873494276 b=8.702214442863346 c_sigma=1.7190966905706568"),
+    ("--kind fixed-winsor --c 1 --sigma 0.5", 0,
+     "kind=fixed-winsor c=1.0 sigma=0.5 cut=1.0 bound=0.9666471012757268 "
+     "a=0.0667537518834264 b=3.7451078470702397"),
+    ("--kind fixed-winsor --c 2 --sigma 3 --cut 0.5", 0,
+     "kind=fixed-winsor c=2.0 sigma=3.0 cut=0.5 bound=0.3688921294709884 "
+     "a=1.579259867212637 b=22.79548841036485"),
+    ("--kind trunc --c 1 --sigma 3", 0,
+     "kind=trunc c=1.0 sigma=3.0 cut=1.0 branch=large-sigma bound=0.3782227133508496 "
+     "A_c=0.583073876036691 a=1.5445306374946615 b=5.827012932937763"),
+    ("--kind trunc --c 2 --sigma 3 --cut 2", 0,
+     "kind=trunc c=2.0 sigma=3.0 cut=2.0 branch=large-sigma bound=0.21553204934348869 "
+     "A_c=0.3234724509862722 a=0.5750369738734217 b=3.9127918763972813"),
+    ("--kind trunc --c 1e-320 --sigma 1", 0,
+     "kind=trunc c=1e-320 sigma=1.0 cut=1.0 branch=small-sigma bound=1.0 "
+     "A_c=1.0 a=1.0 b=1.0"),
+    ("--kind trunc --c 1 --sigma 0.5", 0,
+     "kind=trunc c=1.0 sigma=0.5 cut=1.0 branch=small-sigma bound=0.823040626457124 "
+     "A_c=0.583073876036691 a=0.25 b=1.0"),
     # a threshold A_c near 7e-298, and a subnormal truncated bound whose
     # root lies near 7e-298
-    ("--kind trunc --c 1e300 --sigma 1e-150", 0, ""),
-    ("--kind trunc --c 1e300 --sigma 1e-140", 0, ""),
+    ("--kind trunc --c 1e300 --sigma 1e-150", 0,
+     "kind=trunc c=1e+300 sigma=1e-150 cut=1.0 branch=small-sigma "
+     "bound=0.36787944117144233 A_c=6.9008238071765375e-298 a=1e-300 b=1.0"),
+    ("--kind trunc --c 1e300 --sigma 1e-140", 0,
+     "kind=trunc c=1e+300 sigma=1e-140 cut=1.0 branch=large-sigma "
+     "bound=5.33690126e-315 A_c=6.9008238071765375e-298 a=7.295416660952395e-298 "
+     "b=1.37072362892218e+17"),
     # ell1 once overflowed in sigma^2-sized products
-    ("--kind universal-winsor --sigma 1e153", 0, ""),
+    ("--kind universal-winsor --sigma 1e153", 0,
+     "kind=universal-winsor sigma=1e+153 cut=1.0 bound=8.99316484829178e-301 "
+     "a=348.3688882570524 b=2.8705203986589235e+303 c_sigma=2.0"),
     # a root near 5e-305, whose seed once underflowed in c*sigma^2
-    ("--kind fixed-winsor --c 1e-300 --sigma 1e-152", 0, ""),
+    ("--kind fixed-winsor --c 1e-300 --sigma 1e-152", 0,
+     "kind=fixed-winsor c=1e-300 sigma=1e-152 cut=1.0 bound=1.0 "
+     "a=5.000000000000001e-305 b=2.0"),
     # a seed ln(1 + sigma^2)/c that once overflowed at a tiny tilt
-    ("--kind trunc --c 1e-310 --sigma 1e5", 0, ""),
+    ("--kind trunc --c 1e-310 --sigma 1e5", 0,
+     "kind=trunc c=1e-310 sigma=100000.0 cut=1.0 branch=large-sigma bound=1.0 A_c=1.0 "
+     "a=100000.0 b=100000.0"),
     # e^709.5 is a double just below ln(DBL_MAX) ~ 709.78 (once refused at 709)
-    ("--kind fixed-winsor --c 709.5 --sigma 1", 0, ""),
+    ("--kind fixed-winsor --c 709.5 --sigma 1", 0,
+     "kind=fixed-winsor c=709.5 sigma=1.0 cut=1.0 bound=1.0 a=2.618107614395963e-306 "
+     "b=3.81955269715189e+305"),
     # a subnormal tilt, where the support map is a + 2
-    ("--kind fixed-winsor --c 1e-320 --sigma 1", 0, ""),
+    ("--kind fixed-winsor --c 1e-320 --sigma 1", 0,
+     "kind=fixed-winsor c=1e-320 sigma=1.0 cut=1.0 bound=1.0 a=0.41421356237309503 "
+     "b=2.414213562373095"),
     # the extremal mass a/(a+b) underflows to zero; the law is still valid
-    ("--kind fixed-winsor --c 500 --sigma 1", 0, ""),
+    ("--kind fixed-winsor --c 500 --sigma 1", 0,
+     "kind=fixed-winsor c=500.0 sigma=1.0 cut=1.0 bound=1.0 a=1.7811441016853215e-215 "
+     "b=5.61436887141135e+214"),
     ("--kind universal-winsor --sigma -1", 2, "error: sigma must be a positive real, got -1.0\n"),
     ("--kind trunc --sigma 1", 2, "error: trunc requires --c\n"),
     ("--kind universal-winsor --c 1 --sigma 1", 2, "error: universal-winsor takes no --c\n"),
@@ -515,18 +556,19 @@ class TestCli:
         assert abs(float(fields["a"]) - 0.2196629301855436) < 1e-9
 
     @pytest.mark.parametrize(
-        "argv, code, prefix", BOUND_OUTCOMES, ids=[_row_id(row[0]) for row in BOUND_OUTCOMES]
+        "argv, code, expected", BOUND_OUTCOMES, ids=[_row_id(row[0]) for row in BOUND_OUTCOMES]
     )
-    def test_bound_outcome(self, argv, code, prefix, capsys):
+    def test_bound_outcome(self, argv, code, expected, capsys):
         assert cli.main(["bound", *argv.split()]) == code
         captured = capsys.readouterr()
         if code == cli.EXIT_OK:
             assert captured.err == ""
+            assert captured.out == expected + "\n"
             fields = dict(pair.split("=", 1) for pair in captured.out.split())
             assert 0.0 < float(fields["bound"]) <= 1.0
         else:
             assert captured.out == ""
-            assert captured.err.startswith(prefix)
+            assert captured.err.startswith(expected)
             assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("raw", ["1,2", "abc"])
@@ -733,6 +775,10 @@ class TestCli:
         assert done.returncode == 0, done.stderr
 
     def test_bound_and_sweep_never_import_numpy(self, tmp_path):
+        # run without site (python -S), so only the interpreter's own start-up
+        # modules precede the package's: bound and constants load none of the
+        # five below, and sweep none of the first three (its write_csv loads
+        # tempfile, which loads random).  argparse loads shutil itself.
         out = str(tmp_path / "ratio.csv")
         script = (
             "import sys\n"
@@ -740,18 +786,27 @@ class TestCli:
             "codes = [cli.main(['bound', '--kind', kind, '--c', '1', '--sigma', '2'])\n"
             "         for kind in ('fixed-winsor', 'trunc')]\n"
             "codes.append(cli.main(['bound', '--kind', 'universal-winsor', '--sigma', '2']))\n"
+            "codes.append(cli.main(['constants']))\n"
+            "names = ('dataclasses', 'inspect', 'typing', 'tempfile', 'random')\n"
+            "print('loaded:', *(name for name in names if name in sys.modules))\n"
             "codes.append(cli.main(['sweep', '--kind', 'ratio-trunc-over-winsor', '--c', '1,2',\n"
             f"    '--sigma-min', '0.1', '--sigma-max', '10', '--points', '5', '--out', {out!r}]))\n"
+            "print('loaded:', *(name for name in names if name in sys.modules))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
             "sys.exit(max(codes))\n"
         )
         src = str(Path(winsor_bounds.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env,
+            timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[]"
+        lines = done.stdout.splitlines()
+        after_bound, after_sweep = (line.split()[1:] for line in lines if line.startswith("loaded:"))
+        assert after_bound == []
+        assert not {"dataclasses", "inspect", "typing"} & set(after_sweep)
+        assert lines[-1] == "[]"
         assert len(read_csv(out)[1]) == 5
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
@@ -817,15 +872,15 @@ class TestCli:
         # whose beta = G'(0) is cut by 10%, as the negative control cuts it
         zeroed = (verify.C_GRID[0], verify.SIGMA_GRID[-1])
         sigma = verify.SIGMA_GRID[10]
-        a_shrunk = lower_bound_fixed_c(BoundQuery(2.0, sigma)).a_c_sigma
+        a_shrunk = lower_bound_fixed_c(BoundQuery(2.0, sigma)).a
         winsor_minorant = certificates.winsor_minorant
 
         def solved_off(query):
             solution = lower_bound_fixed_c(query)
             if query == BoundQuery(*zeroed):
-                return dataclasses.replace(solution, bound=0.0)
+                return solution._replace(bound=0.0)
             if query == BoundQuery(0.7 * 3.0, 30.0 / 3.0):  # the third rescaled query
-                return dataclasses.replace(solution, bound=math.nextafter(solution.bound, 0.0))
+                return solution._replace(bound=math.nextafter(solution.bound, 0.0))
             return solution
 
         def shrunk(a, c):

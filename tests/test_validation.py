@@ -1,6 +1,6 @@
 """Every public entry point rejects a non-positive or non-finite argument,
-or an unknown name, with a ParameterError that names the argument; valid
-input is never answered with one."""
+a value that is no real, or an unknown name, with a ParameterError that
+names the argument; valid input is never answered with one."""
 
 import math
 import random
@@ -17,14 +17,21 @@ from winsor_bounds import (
 )
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.certificates import MomentKind
-from winsor_bounds.distributions import BoundQuery, TwoPointDistribution, two_point
 from winsor_bounds.errors import (
     CaseViolationError, ExponentOverflowError, NoSignChangeError, ParameterError,
     WinsorBoundsError,
 )
 from winsor_bounds.sweeps import SweepKind, compute_sweep
+from winsor_bounds.winsor import BoundQuery
 
-BAD = (0.0, -1.0, math.nan, math.inf)
+# non-positive or non-finite reals, then values that are no real (a str,
+# None, a complex) and an int past the doubles
+BAD = (0.0, -1.0, math.nan, math.inf, "1", None, 1j, 10**400)
+
+
+def bad_id(value):
+    return "int-past-the-doubles" if isinstance(value, int) else repr(value)
+
 
 # (entry point, argument name, call with the argument set to v); the
 # support maps b_star, log_b_star and B_star accept a = 0 and are listed
@@ -33,10 +40,6 @@ ENTRY_POINTS = [
     ("BoundQuery", "c", lambda v: BoundQuery(v, 1.0)),
     ("BoundQuery", "sigma", lambda v: BoundQuery(1.0, v)),
     ("BoundQuery", "cut", lambda v: BoundQuery(1.0, 1.0, v)),
-    ("two_point", "a", lambda v: two_point(v, 1.0)),
-    ("two_point", "b", lambda v: two_point(1.0, v)),
-    ("TwoPointDistribution", "a", lambda v: TwoPointDistribution(v, 1.0)),
-    ("TwoPointDistribution", "b", lambda v: TwoPointDistribution(1.0, v)),
     ("b_star", "c", lambda v: winsor.b_star(1.0, v)),
     ("log_b_star", "c", lambda v: winsor.log_b_star(1.0, v)),
     ("B_star", "c", lambda v: trunc.B_star(1.0, v)),
@@ -96,13 +99,21 @@ SUPPORT_MAPS = [
 ]
 
 
-@pytest.mark.parametrize("value", BAD, ids=repr)
+@pytest.mark.parametrize("value", BAD, ids=bad_id)
 @pytest.mark.parametrize(
     "entry, name, call", ENTRY_POINTS, ids=[f"{e}-{n}" for e, n, _ in ENTRY_POINTS]
 )
 def test_rejects_bad_argument_by_name(entry, name, call, value):
     with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must"):
         call(value)
+
+
+@pytest.mark.parametrize("value", BAD, ids=bad_id)
+@pytest.mark.parametrize("name", ("c", "sigma", "cut"))
+def test_query_validation(name, value):
+    # _replace checks the field it replaces as the constructor does
+    with pytest.raises(ParameterError, match=rf"^{name} must be a positive real"):
+        BoundQuery(1.0, 1.0)._replace(**{name: value})
 
 
 @pytest.mark.parametrize(
@@ -120,7 +131,7 @@ def test_sample_three_point_accepts_integer_seeds(seed):
     assert probe.support.shape == (1, 3)
 
 
-@pytest.mark.parametrize("value", BAD[1:], ids=repr)
+@pytest.mark.parametrize("value", BAD[1:], ids=bad_id)
 @pytest.mark.parametrize("entry, fn", SUPPORT_MAPS, ids=[e for e, _ in SUPPORT_MAPS])
 def test_support_maps_reject_bad_a_but_accept_zero(entry, fn, value):
     with pytest.raises(ParameterError, match=r"^a must"):

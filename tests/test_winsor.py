@@ -5,16 +5,16 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from winsor_bounds import cli, trunc, verify, winsor
-from winsor_bounds.distributions import BoundQuery
 from winsor_bounds.errors import (
     ExponentOverflowError, MaxIterationsError, NoSignChangeError, ParameterError,
 )
 from winsor_bounds.sweeps import SweepKind, sigma_grid
+from winsor_bounds.winsor import BoundQuery
 
 from reference import bisect
 
@@ -23,12 +23,12 @@ mp.dps = 50
 
 def fixed_root(c, sigma):
     """The lower support magnitude of the fixed-tilt extremal law."""
-    return winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a_c_sigma
+    return winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a
 
 
 def universal_root(sigma):
     """The lower support magnitude of the tilt-universal extremal law."""
-    return winsor.lower_bound_universal(sigma).a_sigma
+    return winsor.lower_bound_universal(sigma).a
 
 
 def optimal_moment(a, sigma):
@@ -226,7 +226,7 @@ class TestWinsorMoment:
 
     def test_universal_extremal_reproduces_published_value(self):
         solution = winsor.lower_bound_universal(1.0)
-        direct = winsor._winsor_moment(solution.a_sigma, solution.b_sigma, solution.c_sigma)
+        direct = winsor._winsor_moment(solution.a, solution.b, solution.tilt)
         assert abs(direct - 0.8781357139504142) < 1e-10
         assert abs(direct - solution.bound) < 1e-12
 
@@ -238,9 +238,9 @@ class TestWinsorMoment:
         # sum of the two atoms misses it by up to 1.7 * 2^-53
         for c in np.geomspace(1e-8, 1e-1, 15):
             for sigma in np.geomspace(1e-10, 1e-3, 15):
-                dist = winsor.lower_bound_fixed_c(BoundQuery(float(c), float(sigma))).extremal
-                moment = winsor._winsor_moment(dist.a, dist.b, float(c))
-                a, b = mpf(dist.a), mpf(dist.b)
+                law = winsor.lower_bound_fixed_c(BoundQuery(float(c), float(sigma)))
+                moment = winsor._winsor_moment(law.a, law.b, float(c))
+                a, b = mpf(law.a), mpf(law.b)
                 exact = (a * mp.exp(c * min(1, b)) + b * mp.exp(-c * a)) / (a + b)
                 assert moment <= 1.0
                 assert abs(moment - exact) <= 2.0**-53
@@ -286,15 +286,15 @@ class TestLowerBoundFixedC:
 
     def test_equals_universal_at_optimal_tilt(self):
         universal = winsor.lower_bound_universal(1.0)
-        fixed = winsor.lower_bound_fixed_c(BoundQuery(universal.c_sigma, 1.0))
+        fixed = winsor.lower_bound_fixed_c(BoundQuery(universal.tilt, 1.0))
         assert abs(fixed.bound - universal.bound) < 1e-10
 
     def test_solution_record(self):
         solution = winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))
-        assert abs(solution.a_c_sigma * winsor.b_star(solution.a_c_sigma, 1.0) - 1.0) < 1e-10
-        assert solution.b_c_sigma > 2.0
+        assert abs(solution.a * winsor.b_star(solution.a, 1.0) - 1.0) < 1e-10
+        assert solution.b > 2.0
         assert 0.0 < solution.bound <= 1.0
-        assert solution.extremal.a == solution.a_c_sigma
+        assert (solution.kind, solution.tilt, solution.branch) == ("fixed-winsor", 1.0, None)
 
     def test_root_below_smallest_float_raises_no_sign_change(self):
         # the moment-matching root lies below the subnormal range, so the
@@ -306,13 +306,13 @@ class TestLowerBoundFixedC:
         # e^709.5 is a double (the edge is ln DBL_MAX ~ 709.78); the bound is 1
         solution = winsor.lower_bound_fixed_c(BoundQuery(709.5, 1.0))
         assert solution.bound == 1.0
-        assert solution.a_c_sigma == pytest.approx(2.618e-306, rel=1e-3, abs=0.0)
+        assert solution.a == pytest.approx(2.618e-306, rel=1e-3, abs=0.0)
         assert cli.main(["bound", "--kind", "fixed-winsor", "--c", "709.5", "--sigma", "1"]) == 0
 
     def test_subnormal_tilt(self):
         # b_star is a + 2 there, so a(a + 2) = 1 puts the root at sqrt(2) - 1
         solution = winsor.lower_bound_fixed_c(BoundQuery(1e-320, 1.0))
-        assert abs(solution.a_c_sigma - (math.sqrt(2.0) - 1.0)) <= 1e-15
+        assert abs(solution.a - (math.sqrt(2.0) - 1.0)) <= 1e-15
         assert solution.bound == 1.0
 
     def test_tiny_tilt_seed_does_not_underflow(self):
@@ -320,7 +320,7 @@ class TestLowerBoundFixedC:
         # normal double: the seed must be formed without that product
         solution = winsor.lower_bound_fixed_c(BoundQuery(1e-300, 1e-152))
         assert solution.bound == 1.0
-        assert solution.a_c_sigma == pytest.approx(5e-305, rel=1e-15)
+        assert solution.a == pytest.approx(5e-305, rel=1e-15)
 
     @pytest.mark.parametrize("c, sigma", [(1e10, 1e22), (1e50, 1e10)])
     def test_root_below_the_doubles_costs_one_probe(self, c, sigma, solves):
@@ -340,8 +340,8 @@ class TestLowerBoundFixedC:
         direct = winsor.lower_bound_fixed_c(BoundQuery(c, sigma, cut))
         rescaled = winsor.lower_bound_fixed_c(BoundQuery(c * cut, sigma / cut, 1.0))
         assert direct.bound == rescaled.bound
-        assert direct.a_c_sigma == rescaled.a_c_sigma
-        assert direct.b_c_sigma == rescaled.b_c_sigma
+        assert direct.a == rescaled.a
+        assert direct.b == rescaled.b
 
     @given(
         c=st.floats(min_value=0.05, max_value=8.0),
@@ -407,10 +407,8 @@ class TestLowerBoundUniversal:
         scaled = winsor.lower_bound_universal(2.0, cut=2.0)
         base = winsor.lower_bound_universal(1.0)
         assert scaled.bound == base.bound
-        assert scaled.a_sigma == base.a_sigma
-        assert scaled.c_sigma == base.c_sigma
-        assert scaled.cut == 2.0 and scaled.sigma == 2.0
-        assert scaled.effective_sigma == 1.0
+        assert (scaled.a, scaled.b, scaled.tilt) == (base.a, base.b, base.tilt)
+        assert scaled.cut == 2.0 and scaled.sigma == 2.0 and scaled.c is None
 
     def test_bound_never_exceeds_one_at_tiny_sigma(self):
         # the bound is 1 - (1 - t_star) t_star sigma^2 as sigma -> 0, within
@@ -563,3 +561,49 @@ class TestColumnEquations:
             u = mpf(math.log(a))
             assert value == pytest.approx(float(g(u)), rel=1e-12, abs=1e-12)
             assert slope == pytest.approx(float(mp.diff(g, u)), rel=1e-9, abs=1e-12)
+
+
+def test_query_rescaling_fields():
+    # a Bound keeps the caller's inputs and reports the tilt and the
+    # support at cut level 1
+    query = BoundQuery(c=1.5, sigma=4.0, cut=2.0)
+    solution = winsor.lower_bound_fixed_c(query)
+    assert (solution.c, solution.sigma, solution.cut, solution.tilt) == (1.5, 4.0, 2.0, 3.0)
+    rescaled = winsor.lower_bound_fixed_c(BoundQuery(3.0, 2.0))
+    assert (solution.a, solution.b) == (rescaled.a, rescaled.b)
+
+
+BOUND_KINDS = ("universal-winsor", "fixed-winsor", "trunc")
+
+
+def bound_of(kind, c, sigma, cut):
+    """One Bound through the public call of its kind."""
+    if kind == "universal-winsor":
+        return winsor.lower_bound_universal(sigma, cut)
+    query = BoundQuery(c, sigma, cut)
+    return (winsor.lower_bound_fixed_c if kind == "fixed-winsor" else trunc.lower_bound_trunc)(query)
+
+
+@given(
+    kind=st.sampled_from(BOUND_KINDS),
+    c=st.floats(min_value=0.1, max_value=10.0),
+    sigma=st.floats(min_value=1e-3, max_value=1e6),
+    cut=st.floats(min_value=0.5, max_value=2.0),
+)
+@example(kind="trunc", c=1.0, sigma=0.5, cut=1.0)  # the small-sigma branch
+@example(kind="trunc", c=1.0, sigma=3.0, cut=1.0)  # the large-sigma branch
+@settings(max_examples=200, deadline=None)
+def test_bound_is_a_zero_mean_two_point_law(kind, c, sigma, cut):
+    # the extremal law on {-a, b} with masses b/(a+b) and a/(a+b): finite
+    # positive support, masses summing to 1, mean zero and second moment
+    # a*b = (sigma/cut)^2, at cut level 1
+    r = bound_of(kind, c, sigma, cut)
+    assert r.kind == kind and (r.c is None) == (kind == "universal-winsor")
+    assert (r.branch is None) == (kind != "trunc")
+    a, b = r.a, r.b
+    assert 0.0 < a < math.inf and 0.0 < b < math.inf
+    p_neg, p_pos = b / (a + b), a / (a + b)
+    assert abs(p_neg + p_pos - 1.0) <= 1e-14
+    assert abs(b * p_pos - a * p_neg) <= 1e-14 * (a * p_neg + b * p_pos)
+    s = sigma / cut
+    assert abs(a * b - s * s) <= 4.0 * math.ulp(s * s)

@@ -29,7 +29,7 @@ AsymptoticConstants = namedtuple(
 
 def f_of_t(t: float) -> float:
     """ln t + 2(1 - t); switches sign once, - to +, on (0, 1)."""
-    require_positive("t", t)
+    t = require_positive("t", t)
     return math.log(t) + 2.0 * (1.0 - t)
 
 
@@ -56,7 +56,7 @@ def t_star() -> float:
 def winsor_small_sigma_slope(c: float) -> float:
     """Coefficient of sigma^2 in the fixed-tilt Winsorized bound near sigma=0:
     -c^2 / (4(e^c - 1))."""
-    require_positive("c", c)
+    c = require_positive("c", c)
     denominator = 4.0 * math.expm1(min(c, LN_DBL_MAX))
     if denominator == math.inf:  # there e^c - 1 is e^c to double precision
         return -0.25 * math.exp(2.0 * math.log(c) - c)
@@ -69,7 +69,7 @@ def winsor_large_sigma_coeff(c: float) -> float:
     below c ~ 1.5e-162, where the quotient has overflowed.  Past c ~ 708.4,
     4 e^c overflows before the divisions, so there it is formed as w * w
     with w = 2 e^{c/2} / c, a double up to c ~ 721.5 (w ** 2 would raise)."""
-    require_positive("c", c)
+    c = require_positive("c", c)
     coeff = 4.0 * exp_or_inf(c) / c / c
     if coeff == math.inf:
         w = 2.0 * exp_or_inf(0.5 * c) / c
@@ -80,8 +80,7 @@ def winsor_large_sigma_coeff(c: float) -> float:
 def trunc_asymptote(c: float, sigma: float, regime: Regime) -> float:
     """Leading truncated-bound approximation: 1 - c*sigma^2 near zero, 4q^2
     at infinity with q = ln(sigma)/sigma/c, which forms no c^2 or sigma^2."""
-    require_positive("c", c)
-    require_positive("sigma", sigma)
+    c, sigma = require_positive("c", c), require_positive("sigma", sigma)
     if _choice(Regime, "regime", regime) is Regime.SMALL_SIGMA:
         return 1.0 - c * sigma * sigma
     q = math.log(sigma) / sigma / c
@@ -92,7 +91,7 @@ def trunc_asymptote(c: float, sigma: float, regime: Regime) -> float:
 def universal_asymptote(sigma: float, regime: Regime) -> float:
     """Leading universal Winsorized approximation: 1 - (1-t*)t* sigma^2 near
     zero, e^2 q^2 at infinity with q = ln(sigma)/sigma, which forms no sigma^2."""
-    require_positive("sigma", sigma)
+    sigma = require_positive("sigma", sigma)
     if _choice(Regime, "regime", regime) is Regime.SMALL_SIGMA:
         return 1.0 + solve_t_star().small_sigma_universal_slope * sigma * sigma
     q = math.log(sigma) / sigma

@@ -124,16 +124,14 @@ def _tangent_minorant(a: float, c: float, b: float) -> QuadraticMinorant:
 
 def winsor_minorant(a: float, c: float) -> QuadraticMinorant:
     """Certificate for the Winsorized moment: contacts at -a and b_star(a, c)."""
-    require_positive("a", a)
-    require_positive("c", c)
+    a, c = require_positive("a", a), require_positive("c", c)
     return _tangent_minorant(a, c, _support_point(a, c, c))
 
 
 def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
     """Certificate for the truncated moment when sigma^2 = a <= A_c:
     contacts at -a and the cut point 1."""
-    require_positive("a", a)
-    require_positive("c", c)
+    a, c = require_positive("a", a), require_positive("c", c)
     if not _below_threshold(a / (1.0 + 1e-9), c):
         raise CaseViolationError(
             f"trunc_minorant_small requires a <= A_c(c), got a={a!r}, c={c!r}"
@@ -150,8 +148,7 @@ def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
 def trunc_minorant_large(a: float, c: float) -> QuadraticMinorant:
     """Certificate for the truncated moment when B_star(a, c) >= 1:
     contacts at -a and b = B_star(a, c)."""
-    require_positive("a", a)
-    require_positive("c", c)
+    a, c = require_positive("a", a), require_positive("c", c)
     b = _support_point(a, c, 0.0)
     if b < 1.0 - 1e-12:
         raise CaseViolationError(

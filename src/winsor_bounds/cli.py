@@ -88,7 +88,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify  # loads NumPy, which bound and sweep never need
+    from . import verify  # its certificates and oracle suites load NumPy when they run
 
     results = verify.run_suite(args.suite, seed=args.seed)
     for result in results:
@@ -103,8 +103,8 @@ def cmd_collapse_demo(args) -> int:
 
     if args.steps < 1:
         raise ParameterError(f"--steps must be >= 1, got {args.steps}")
-    require_positive("sigma", args.sigma)
-    sigma2 = in_range("sigma^2", args.sigma * args.sigma, args.sigma)
+    sigma = require_positive("sigma", args.sigma)
+    sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     # start inside the collapse regime a < min(1, sigma^2), where the
     # positive support point sigma^2/a clears the cut; halve a while the tilt
     # 1/a^2 and sigma^2/a stay doubles (the oracle refuses a start past them)
@@ -115,13 +115,13 @@ def cmd_collapse_demo(args) -> int:
         if not (a * a and 1.0 / (a * a) < math.inf and sigma2 / a < math.inf):
             break
         a_values.append(a)
-    points = oracle.trunc_collapse_sequence(args.sigma, a_values)
+    points = oracle.trunc_collapse_sequence(sigma, a_values)
     if len(points) < args.steps:
         raise ParameterError(
-            f"--steps must be <= {len(points)} at sigma={args.sigma!r}, where the tilt "
+            f"--steps must be <= {len(points)} at sigma={sigma!r}, where the tilt "
             f"1/a^2 and b = sigma^2/a of a = {start!r} * 0.5^k stay doubles, got {args.steps}"
         )
-    floor = lower_bound_universal(args.sigma).bound
+    floor = lower_bound_universal(sigma).bound
     print(f"{'a':>12} {'c':>12} {'trunc_moment':>22} {'winsor_floor':>22}")
     for point in points:
         print(f"{point.a:>12.6g} {point.c:>12.6g} {point.moment:>22.15e} {floor:>22.15e}")

@@ -42,13 +42,18 @@ class CaseViolationError(WinsorBoundsError, ValueError):
     """A certificate was requested outside its case condition."""
 
 
-def require_positive(name: str, value: float, allow_zero: bool = False) -> None:
-    """Raise ParameterError naming ``name`` unless value is a finite real
-    > 0 (>= 0 with ``allow_zero``).  A value that is no real (a str, None,
-    a complex) or an int past the doubles is refused the same way."""
+def require_positive(name: str, value: float, allow_zero: bool = False) -> float:
+    """value as a Python float, or a ParameterError naming ``name`` unless
+    that float is finite and > 0 (>= 0 with ``allow_zero``).  A value that is
+    no real (a str, None, a complex) or an int past the doubles is refused
+    the same way.  Callers compute with what it returns: a Decimal or
+    Fraction would not mix with floats, and a NumPy float32 would carry its
+    single precision through the arithmetic."""
     try:
-        if math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0)):
-            return
+        if math.isfinite(value):  # a str, None or a complex raises TypeError
+            real = float(value)
+            if real > 0.0 or (allow_zero and real == 0.0):
+                return real
     except (TypeError, OverflowError):
         pass
     if allow_zero:

@@ -106,8 +106,7 @@ def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
     lower end, is no positive double, and, for the Winsorized kind, where
     the grid's largest term a * e^c overflows: every b >= 1 reads e^c.
     Truncated cells whose e^(cb) overflows read as inf."""
-    require_positive("c", c)
-    require_positive("sigma", sigma)
+    c, sigma = require_positive("c", c), require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     a_hi = in_range("the grid's upper end sigma^2 * 1e2", sigma2 * 1e2, sigma)
     if kind is MomentKind.WINSOR:
@@ -142,7 +141,7 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     sigma^2 * 1e-5 underflows, or the largest moment term, a * e^c at the
     grid's upper corner, overflows.
     """
-    require_positive("sigma", sigma)
+    sigma = require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     # the extremal a grows like ln sigma, not sigma^2 (0.74 ln sigma at 1e3,
     # 0.98 ln sigma at 1e100): from sigma ~ 550 on, ln(1 + sigma)/2 starts
@@ -180,7 +179,7 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
     probing bounds that optimize over the tilt.  n_samples must be an
     integer >= 1 and seed an integer >= 0.
     """
-    require_positive("sigma", sigma)
+    sigma = require_positive("sigma", sigma)
     require_integer("n_samples", n_samples, 1)
     require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -243,7 +242,7 @@ def trunc_collapse_sequence(sigma: float, a_values) -> list[CollapsePoint]:
     sit outside the collapse regime and may evaluate to huge values or
     infinity, reported as data.  in_range refuses an a whose c or b is no double.
     """
-    require_positive("sigma", sigma)
+    sigma = require_positive("sigma", sigma)
     a_values = list(a_values)
     if not a_values or any(a <= 0.0 or not math.isfinite(a) for a in a_values):
         raise ParameterError("a_values must be a non-empty list of positive reals")

@@ -42,7 +42,7 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     |f| > TOL at both (f is too steep at this scale for TOL) or after
     MAX_SOLVE_ITERATIONS evaluations.
     """
-    require_positive("start", start)
+    start = require_positive("start", start)
     # an open bracket (lo, hi) whose hi starts one ulp above the given end:
     # a step may land on that end once, but never on a point already probed
     lo, a, end, hi = 0.0, min(start, hi), hi, math.nextafter(hi, math.inf)

@@ -25,7 +25,9 @@ import os
 from collections import namedtuple
 from enum import Enum
 
-from .errors import ParameterError, WinsorBoundsError, _choice, exp_or_inf, require_positive
+from .errors import (
+    ParameterError, WinsorBoundsError, _choice, exp_or_inf, require_integer, require_positive,
+)
 from .trunc import _trunc_lane
 from .winsor import _effective_c, _fixed_lane, _row, _tilt, _universal_lane
 
@@ -52,13 +54,20 @@ class SweepTable(namedtuple("SweepTable", "kind c_values sigma_values rows")):
 
 def sigma_grid(sigma_min: float, sigma_max: float, points: int, scale: str = "log") -> tuple[float, ...]:
     """Sweep grid over sigma; log spacing by default since the bounds are
-    governed by ln(sigma)."""
-    if not (math.isfinite(sigma_min) and math.isfinite(sigma_max) and 0.0 < sigma_min < sigma_max):
+    governed by ln(sigma).  Ends that are reals but out of order, or not
+    positive and finite, are refused together; an end that is no real
+    (a str, None), or an int past the doubles, is refused by name."""
+    try:
+        ordered = 0.0 < sigma_min < sigma_max < math.inf
+    except TypeError:  # no real: require_positive names it below
+        ordered = True
+    if not ordered:
         raise ParameterError(
             f"need 0 < sigma_min < sigma_max, got [{sigma_min!r}, {sigma_max!r}]"
         )
-    if points < 2:
-        raise ParameterError(f"points must be >= 2, got {points!r}")
+    sigma_min = require_positive("sigma_min", sigma_min)
+    sigma_max = require_positive("sigma_max", sigma_max)
+    require_integer("points", points, 2)
     if scale == "log":
         lo, hi = math.log(sigma_min), math.log(sigma_max)
         return tuple(math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points))
@@ -121,11 +130,9 @@ _KINDS = {
 def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) -> SweepTable:
     """Evaluate the requested bound or ratio over the sigma grid."""
     kind = _choice(SweepKind, "kind", kind)
-    c_values, sigma_values = tuple(c_values), tuple(sigma_values)
-    for name, values in (("c", c_values), ("sigma", sigma_values), ("cut", (cut,))):
-        for value in values:
-            require_positive(name, value)
-    c_values, sigma_values = tuple(map(float, c_values)), tuple(map(float, sigma_values))
+    c_values = tuple(require_positive("c", value) for value in c_values)
+    sigma_values = tuple(require_positive("sigma", value) for value in sigma_values)
+    cut = require_positive("cut", cut)
     if any(right <= left for left, right in zip(sigma_values, sigma_values[1:])):
         raise ParameterError("sigma_values must be strictly increasing")
     tilted = set(_KINDS[kind]) - {_UNIVERSAL, None}

@@ -37,15 +37,13 @@ class Branch(str, Enum):
 def B_star(a: float, c: float) -> float:
     """(2(e^{ac} - 1) - ac) / c; strictly increasing in a from 0 to infinity.
     Raises ExponentOverflowError where it overflows; use log_B_star there."""
-    require_positive("a", a, allow_zero=True)
-    require_positive("c", c)
+    a, c = require_positive("a", a, allow_zero=True), require_positive("c", c)
     return _support_point(a, c, 0.0)
 
 
 def log_B_star(a: float, c: float) -> float:
     """ln B_star(a, c), stable for arbitrarily large a*c."""
-    require_positive("a", a)
-    require_positive("c", c)
+    a, c = require_positive("a", a), require_positive("c", c)
     return _log_support(a, c, 0.0)[1]
 
 
@@ -57,7 +55,7 @@ def solve_A_c(c: float) -> float:
     to (2/c)e^{ac} for large c (threshold near ln(c/2)/c).  B_star(a, c) >= a
     puts the root at or below 1.
     """
-    require_positive("c", c)
+    c = require_positive("c", c)
     return _solve(lambda a: _log_support(a, c, 0.0)[1:], math.log1p(0.5 * c) / c, 1.0)
 
 

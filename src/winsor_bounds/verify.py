@@ -8,6 +8,10 @@ Every suite is called as ``suite(grid, seed)``.  ``run_suite`` builds one
 ``Grid`` per call and hands it to each suite it runs: every bound, branch
 threshold and refined oracle search a suite reads goes through it, so each
 is solved once per run, when first read, and is not kept past the run.
+
+The roots, ordering and asymptotics suites are scalar and run on the
+standard library; only the certificates and oracle suites evaluate arrays,
+and they import NumPy, ``certificates`` and ``oracle`` when they run.
 """
 
 from __future__ import annotations
@@ -15,19 +19,31 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-import numpy as np
-
-from . import asymptotics, certificates, errors, oracle, trunc, winsor
+from . import asymptotics, errors, trunc, winsor
 from .asymptotics import Regime
-from .certificates import MomentKind
 from .roots import _solve
 from .trunc import Branch
 from .winsor import BoundQuery
 
 C_GRID = (0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0)
-SIGMA_GRID = tuple(float(s) for s in np.geomspace(1e-3, 1e6, 40))
+# np.geomspace(1e-3, 1e6, 40), written out: the grid needs no NumPy and is
+# the same on every platform.  NumPy's own formula in pure Python,
+# 10.0 ** (-3 + i * (9 / 39)), is one ulp off at i = 22 and i = 32, where
+# NumPy's vectorized power rounds differently.
+SIGMA_GRID = (
+    0.001, 0.0017012542798525892, 0.0028942661247167516, 0.004923882631706742,
+    0.008376776400682925, 0.014251026703029985, 0.024244620170823284, 0.04124626382901352,
+    0.07017038286703829, 0.1193776641714437, 0.2030917620904737, 0.3455107294592222,
+    0.5878016072274912, 1.0, 1.7012542798525891, 2.8942661247167516, 4.923882631706742,
+    8.376776400682925, 14.251026703029993, 24.244620170823307, 41.246263829013564,
+    70.17038286703837, 119.37766417144381, 203.09176209047388, 345.5107294592218,
+    587.8016072274912, 1000.0, 1701.2542798525892, 2894.2661247167516, 4923.882631706741,
+    8376.776400682924, 14251.026703029993, 24244.620170823306, 41246.263829013566,
+    70170.38286703837, 119377.66417144357, 203091.7620904739, 345510.7294592218,
+    587801.6072274924, 1000000.0,
+)
 _PAIRS = tuple(itertools.product(C_GRID, SIGMA_GRID))  # c-major, as the suites walk them
 
 # Representative (c, sigma) pairs for the oracle-equivalence checks; they
@@ -45,13 +61,11 @@ ORACLE_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    worst: float
-    tolerance: float
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name passed worst tolerance detail", defaults=("",))):
+    """One check's outcome: its name, whether it passed, the worst value
+    seen, the tolerance that value is held to and an optional detail."""
+
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -79,6 +93,13 @@ def _optimal_winsor_moment(a: float, sigma: float) -> float:
     return winsor._optimal_winsor_moment(a, sigma, winsor.optimal_c_for_two_point(a, sigma))
 
 
+def _refine_grid_min(c, sigma, kind):
+    """oracle.refine_grid_min, looked up when called: the oracle loads NumPy."""
+    from . import oracle
+
+    return oracle.refine_grid_min(c, sigma, kind)
+
+
 class Grid:
     """One run's memo: fixed(c, sigma, cut=1.0), truncated(c, sigma),
     universal(sigma), threshold(c) (A_c) and refined(c, sigma, kind) each
@@ -94,7 +115,7 @@ class Grid:
         )
         self.universal = functools.cache(winsor.lower_bound_universal)
         self.threshold = functools.cache(trunc.solve_A_c)
-        self.refined = functools.cache(oracle.refine_grid_min)
+        self.refined = functools.cache(_refine_grid_min)
 
 
 def suite_roots(grid: Grid, seed: int) -> list[CheckResult]:
@@ -218,6 +239,9 @@ def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
 def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
     """Tangent-minorant geometry over the full grid: G <= F, localized
     equality, tangency at contacts, and the claimed coefficient signs."""
+    from . import certificates
+    from .certificates import MomentKind
+
     results = []
     worst_gap = 0.0
     worst_tangency = 0.0
@@ -283,6 +307,11 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
 def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:
     """Grid minimization agrees with the analytic roots; random three-point
     laws never undercut any bound; the truncated collapse reaches zero."""
+    import numpy as np
+
+    from . import oracle
+    from .certificates import MomentKind
+
     results = []
 
     worst_value = 0.0

@@ -49,10 +49,8 @@ class BoundQuery(namedtuple("BoundQuery", "c sigma cut", defaults=(1.0,))):
     __slots__ = ()
 
     def __new__(cls, c: float, sigma: float, cut: float = 1.0):
-        require_positive("c", c)
-        require_positive("sigma", sigma)
-        require_positive("cut", cut)
-        return super().__new__(cls, c, sigma, cut)
+        return super().__new__(cls, require_positive("c", c), require_positive("sigma", sigma),
+                               require_positive("cut", cut))
 
     @classmethod
     def _make(cls, iterable):
@@ -160,15 +158,13 @@ def b_star(a: float, c: float) -> float:
     Strictly increasing in a, always > 2.  Raises ExponentOverflowError where
     it overflows (c + a*c past ~709.09, or a tiny c); use log_b_star there.
     """
-    require_positive("a", a, allow_zero=True)
-    require_positive("c", c)
+    a, c = require_positive("a", a, allow_zero=True), require_positive("c", c)
     return _support_point(a, c, c)
 
 
 def log_b_star(a: float, c: float) -> float:
     """ln b_star(a, c), stable for arbitrarily large c + a*c."""
-    require_positive("a", a, allow_zero=True)
-    require_positive("c", c)
+    a, c = require_positive("a", a, allow_zero=True), require_positive("c", c)
     return _log_support(a, c, c)[1]
 
 
@@ -228,8 +224,7 @@ def _a_sigma(sigma2: float, start: float | None) -> float:
 def optimal_c_for_two_point(a: float, sigma: float) -> float:
     """Tilt minimizing the Winsorized moment of X_{a, sigma^2/a}:
     ln(sigma^2/a) / (1 + a)."""
-    require_positive("sigma", sigma)
-    require_positive("a", a)
+    sigma, a = require_positive("sigma", sigma), require_positive("a", a)
     if not a < sigma * sigma:
         raise ParameterError(f"a must lie in (0, sigma^2), got {a!r}")
     return _optimal_c(a, sigma)
@@ -286,8 +281,7 @@ def _fixed_lane(tilt, row, start):
 def lower_bound_universal(sigma: float, cut: float = 1.0) -> Bound:
     """Exact attained lower bound on E exp(c * min(cut, X)) over all tilts
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
-    require_positive("sigma", sigma)
-    require_positive("cut", cut)
+    sigma, cut = require_positive("sigma", sigma), require_positive("cut", cut)
     a, b, c_opt, bound = _universal_lane(None, _row(sigma, cut), None)
     return Bound("universal-winsor", None, sigma, cut, a, b, c_opt, bound, None)
 

@@ -239,6 +239,17 @@ def test_verify_reports_hold_python_scalars(verify_all):
     ]
 
 
+def test_sigma_grid_is_numpys_geomspace():
+    # written out as literals, so the scalar suites need no NumPy; NumPy's
+    # own power may round an interior point differently on other hardware
+    grid = verify.SIGMA_GRID
+    assert len(grid) == 40 and all(type(sigma) is float for sigma in grid)
+    assert (grid[0], grid[-1]) == (1e-3, 1e6)
+    assert all(s1 < s2 for s1, s2 in zip(grid, grid[1:]))
+    for sigma, expected in zip(grid, np.geomspace(1e-3, 1e6, 40).tolist()):
+        assert abs(sigma - expected) <= math.ulp(sigma), (sigma, expected)
+
+
 QUERY_KINDS = ("universal", "fixed", "trunc")
 PUBLIC_ARGUMENTS = {"universal": 2, "fixed": 3, "trunc": 3}  # sigma, cut and c
 FINGERPRINT_QUERIES = 2_000

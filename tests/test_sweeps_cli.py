@@ -1,6 +1,5 @@
 """Sweep tables, CSV round-trips, and the command-line surface."""
 
-import dataclasses
 import math
 import os
 import re
@@ -809,6 +808,36 @@ class TestCli:
         assert lines[-1] == "[]"
         assert len(read_csv(out)[1]) == 5
 
+    def test_scalar_verify_suites_never_import_numpy(self):
+        # run without site, as above: the roots, ordering and asymptotics
+        # suites load none of the four below.  Then site adds the installed
+        # packages, and certificates loads NumPy
+        script = (
+            "import sys\n"
+            "from winsor_bounds import cli\n"
+            "names = ('numpy', 'dataclasses', 'winsor_bounds.certificates',\n"
+            "         'winsor_bounds.oracle')\n"
+            "for suite in ('roots', 'ordering', 'asymptotics', 'certificates'):\n"
+            "    if suite == 'certificates':\n"
+            "        import site\n"
+            "        site.main()\n"
+            "    code = cli.main(['verify', '--suite', suite])\n"
+            "    print('loaded:', suite, code, *(name for name in names if name in sys.modules))\n"
+        )
+        src = str(Path(winsor_bounds.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        loaded = {line.split()[1]: line.split()[2:] for line in done.stdout.splitlines()
+                  if line.startswith("loaded:")}
+        assert loaded == {
+            "roots": ["0"], "ordering": ["0"], "asymptotics": ["0"],
+            "certificates": ["0", "numpy", "dataclasses", "winsor_bounds.certificates"],
+        }
+
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         from winsor_bounds.errors import MaxIterationsError
 
@@ -860,7 +889,7 @@ class TestCli:
 
     def test_failed_verification_exit_code(self, verify_all, capsys, monkeypatch):
         checks = list(verify_all.by_suite["roots"])
-        checks[2] = dataclasses.replace(checks[2], passed=False, detail="forced failure")
+        checks[2] = checks[2]._replace(passed=False, detail="forced failure")
         monkeypatch.setitem(verify.SUITES, "roots", lambda grid, seed: checks)
         assert cli.main(["verify", "--suite", "roots"]) == cli.EXIT_VERIFY_FAILED
         lines = capsys.readouterr().out.splitlines()
@@ -895,7 +924,7 @@ class TestCli:
             )
 
         monkeypatch.setattr(verify.winsor, "lower_bound_fixed_c", solved_off)
-        monkeypatch.setattr(verify.certificates, "winsor_minorant", shrunk)
+        monkeypatch.setattr(certificates, "winsor_minorant", shrunk)
         failed = {}
         for suite in ("ordering", "certificates"):
             assert cli.main(["verify", "--suite", suite]) == cli.EXIT_VERIFY_FAILED

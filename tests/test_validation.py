@@ -6,6 +6,8 @@ import math
 import random
 import re
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from winsor_bounds.errors import (
     CaseViolationError, ExponentOverflowError, NoSignChangeError, ParameterError,
     WinsorBoundsError,
 )
-from winsor_bounds.sweeps import SweepKind, compute_sweep
+from winsor_bounds.sweeps import SweepKind, compute_sweep, sigma_grid
 from winsor_bounds.winsor import BoundQuery
 
 # non-positive or non-finite reals, then values that are no real (a str,
@@ -90,6 +92,20 @@ INTEGER_ARGUMENTS = [
       for v in (-1, -5, 1.5, math.nan)),
     *(("run_suite", "seed", lambda v: verify.run_suite("all", v), v)
       for v in (-1, 1.5, math.nan)),
+    *(("sigma_grid", "points", lambda v: sigma_grid(0.1, 10.0, v), v)
+      for v in (1, -1, 3.0, math.nan, "3")),
+]
+
+# sigma_grid's ends: (argument name, call with it set to v).  Reals out of
+# order, or not positive and finite, are refused together; an end that is
+# no real is refused by name, and so is a largest end past the doubles.
+SIGMA_GRID_ENDS = [
+    ("sigma_min", lambda v: sigma_grid(v, 10.0, 5)),
+    ("sigma_max", lambda v: sigma_grid(0.1, v, 5)),
+]
+SIGMA_GRID_REFUSED_BY_NAME = [
+    *((name, call, value) for name, call in SIGMA_GRID_ENDS for value in BAD[4:7]),
+    ("sigma_max", SIGMA_GRID_ENDS[1][1], 10**400),
 ]
 
 SUPPORT_MAPS = [
@@ -123,6 +139,60 @@ def test_query_validation(name, value):
 def test_rejects_bad_integer_argument_by_name(entry, name, call, value):
     with pytest.raises(ParameterError, match=rf"^{re.escape(name)} must be an integer >= "):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "name, call, value", SIGMA_GRID_REFUSED_BY_NAME,
+    ids=[f"{n}-{bad_id(v)}" for n, _, v in SIGMA_GRID_REFUSED_BY_NAME],
+)
+def test_sigma_grid_rejects_an_end_that_is_no_real_by_name(name, call, value):
+    with pytest.raises(ParameterError, match=rf"^{name} must be a positive real"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", BAD[:4], ids=bad_id)
+@pytest.mark.parametrize("name, call", SIGMA_GRID_ENDS, ids=[n for n, _ in SIGMA_GRID_ENDS])
+def test_sigma_grid_rejects_real_ends_out_of_range_together(name, call, value):
+    with pytest.raises(ParameterError, match=r"^need 0 < sigma_min < sigma_max, got \["):
+        call(value)
+
+
+# Reals of other types, each exactly the float it is listed with
+SAME_REALS = [
+    (2.0, (2, Fraction(2), Decimal("2"), np.float32(2.0))),
+    (0.5, (Fraction(1, 2), Decimal("0.5"), np.float32(0.5))),
+]
+
+
+def outcome(call, value):
+    """The repr of what call(value) answers, or the class and message it raises."""
+    try:
+        return repr(call(value))
+    except WinsorBoundsError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize(
+    "entry, name, call", ENTRY_POINTS, ids=[f"{e}-{n}" for e, n, _ in ENTRY_POINTS]
+)
+def test_reals_of_other_types_answer_as_their_float(entry, name, call):
+    # every entry computes with the Python float require_positive returns:
+    # a Decimal or Fraction would raise a bare TypeError in the arithmetic,
+    # and a float32 would compute in single precision.  The repr holds every
+    # bit of a float and names a NumPy scalar's type.
+    for exact, values in SAME_REALS:
+        expected = outcome(call, exact)
+        for value in values:
+            assert outcome(call, value) == expected, value
+
+
+def test_float32_queries_answer_in_double_precision():
+    # computed in single precision, the truncated bound came back as a
+    # float32, and the fixed-tilt bound came out 6.6e-10 off or did not converge
+    for query in (BoundQuery(1.5, np.float32(2.0)), BoundQuery(np.float32(1.5), 2.0)):
+        assert all(type(field) is float for field in query)
+        for solve in (winsor.lower_bound_fixed_c, trunc.lower_bound_trunc):
+            assert repr(solve(query)) == repr(solve(BoundQuery(1.5, 2.0)))
 
 
 @pytest.mark.parametrize("seed", (0, np.int64(3)), ids=repr)

@@ -133,9 +133,7 @@ def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
     contacts at -a and the cut point 1."""
     a, c = require_positive("a", a), require_positive("c", c)
     if not _below_threshold(a / (1.0 + 1e-9), c):
-        raise CaseViolationError(
-            f"trunc_minorant_small requires a <= A_c(c), got a={a!r}, c={c!r}"
-        )
+        raise CaseViolationError(f"trunc_minorant_small requires a <= A_c(c), got a={a!r}, c={c!r}")
     w = math.exp(-a * c)
     return QuadraticMinorant(
         contact_points=(-a, 1.0),
@@ -151,9 +149,7 @@ def trunc_minorant_large(a: float, c: float) -> QuadraticMinorant:
     a, c = require_positive("a", a), require_positive("c", c)
     b = _support_point(a, c, 0.0)
     if b < 1.0 - 1e-12:
-        raise CaseViolationError(
-            f"trunc_minorant_large requires B_star(a, c) >= 1, got {b!r}"
-        )
+        raise CaseViolationError(f"trunc_minorant_large requires B_star(a, c) >= 1, got {b!r}")
     # Roundoff at the case boundary may put b an ulp below the cut, where
     # the truncation indicator flips; the case condition pins b >= 1.
     return _tangent_minorant(a, c, max(b, 1.0))

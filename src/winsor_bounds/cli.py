@@ -17,11 +17,7 @@ import sys
 
 from . import asymptotics
 from .errors import (
-    CaseViolationError,
-    ParameterError,
-    WinsorBoundsError,
-    in_range,
-    require_positive,
+    CaseViolationError, ParameterError, WinsorBoundsError, in_range, require_positive,
 )
 from .sweeps import SweepKind, compute_sweep, sigma_grid, write_csv
 from .trunc import lower_bound_trunc, solve_A_c
@@ -167,9 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=1, help="oracle probe seed")
     p_verify.set_defaults(run=cmd_verify)
 
-    p_collapse = sub.add_parser(
-        "collapse-demo", help="truncated collapse vs the Winsorized floor"
-    )
+    p_collapse = sub.add_parser("collapse-demo", help="truncated collapse vs the Winsorized floor")
     p_collapse.add_argument("--sigma", type=float, required=True)
     p_collapse.add_argument("--steps", type=int, default=6)
     p_collapse.set_defaults(run=cmd_collapse_demo)

@@ -243,12 +243,11 @@ def trunc_collapse_sequence(sigma: float, a_values) -> list[CollapsePoint]:
     infinity, reported as data.  in_range refuses an a whose c or b is no double.
     """
     sigma = require_positive("sigma", sigma)
-    a_values = list(a_values)
-    if not a_values or any(a <= 0.0 or not math.isfinite(a) for a in a_values):
+    a_values = [require_positive("each of a_values", a) for a in a_values]
+    if not a_values:
         raise ParameterError("a_values must be a non-empty list of positive reals")
     if any(later >= earlier for earlier, later in zip(a_values, a_values[1:])):
         raise ParameterError("a_values must be strictly decreasing")
-
     a = np.array(a_values, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
         c = 1.0 / (a * a)

@@ -25,7 +25,8 @@ from enum import Enum
 from .errors import LN_DBL_MAX, exp_or_inf, in_range, require_positive
 from .roots import _solve
 from .winsor import (
-    Bound, BoundQuery, _effective_c, _log_support, _moment_match, _row, _support_point,
+    LN_2, Bound, BoundQuery, _effective_c, _log_support, _moment_match, _row, _support_point,
+    _w_exp,
 )
 
 
@@ -62,20 +63,17 @@ def solve_A_c(c: float) -> float:
 def _A_c_sigma(c: float, row, start: float | None) -> float:
     """The unique a > 0 with a * B_star(a, c) = sigma^2, solved in log form
     on trusted c and row = (sigma, sigma^2, ln sigma), from start or, when
-    None, from a seed that follows a*B_star ~ a^2 for small a and
-    ~ (2a/c) e^{ac} for large a, capped at sigma, which a*B_star >= a^2 puts
-    above the root.  sigma^2 may have left the doubles: the seed reads
-    it only through ln(1 + sigma^2)/c, and the cap keeps that seed a
-    positive double wherever the quotient overflows."""
+    None, from W(e^t)/c where ca e^{ca} = c^2 sigma^2/2 = e^t, the law of
+    large ac, has t > 2, and else from a seed that follows a*B_star ~ a^2
+    for small a and ~ (2a/c) e^{ac} for large a, capped at sigma, which
+    a*B_star >= a^2 puts above the root.  sigma^2 may have left the
+    doubles: the seeds read it only through ln sigma and ln(1 + sigma^2)/c,
+    and the cap keeps the second a positive double wherever the quotient
+    overflows."""
     sigma, sigma2, log_sigma = row
-    if start is None and c * min(sigma, 1.0) > LN_DBL_MAX:
-        # Then ac is large: ac e^{ac} = c^2 sigma^2 / 2 = e^t, t >= 12.4,
-        # so ac ~ t - ln t.  The other seed ignores c and would start
-        # hundreds of halvings above the root.
-        t = 2.0 * (math.log(c) + log_sigma) - math.log(2.0)
-        start = (t - math.log(t)) / c
-    elif start is None:
-        start = min(max(math.log1p(sigma2) / c, min(sigma, 1.0)), sigma)
+    if start is None:
+        t = 2.0 * (math.log(c) + log_sigma) - LN_2
+        start = _w_exp(t) / c if t > 2.0 else min(max(math.log1p(sigma2) / c, 1.0), sigma)
     return _moment_match(c, row, 0.0, start)
 
 

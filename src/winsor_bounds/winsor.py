@@ -39,6 +39,7 @@ from .errors import LN_DBL_MAX, ParameterError, exp_or_inf, in_range, require_po
 from .roots import _solve
 
 LOG_FORM_CUTOVER = 30.0
+LN_2 = math.log(2.0)
 DBL_MIN = sys.float_info.min  # the smallest normal double
 
 
@@ -49,8 +50,8 @@ class BoundQuery(namedtuple("BoundQuery", "c sigma cut", defaults=(1.0,))):
     __slots__ = ()
 
     def __new__(cls, c: float, sigma: float, cut: float = 1.0):
-        return super().__new__(cls, require_positive("c", c), require_positive("sigma", sigma),
-                               require_positive("cut", cut))
+        return tuple.__new__(cls, (require_positive("c", c), require_positive("sigma", sigma),
+                                   require_positive("cut", cut)))
 
     @classmethod
     def _make(cls, iterable):
@@ -70,10 +71,6 @@ class Bound(namedtuple("Bound", "kind c sigma cut a b tilt bound branch")):
 
 def _effective_c(c: float, cut: float) -> float:
     return in_range("c*cut", c * cut, c, cut)
-
-
-def _effective_sigma(sigma: float, cut: float) -> float:
-    return in_range("sigma/cut", sigma / cut, sigma, cut)
 
 
 def _support_point(a: float, c: float, shift: float) -> float:
@@ -141,7 +138,7 @@ def _moment_match(c: float, row, shift: float, start: float) -> float:
 def _row(sigma: float, cut: float) -> tuple[float, float, float]:
     """What a bound reads of sigma at cut level 1: (s, s^2, ln s) for
     s = sigma/cut, with s and s^2 range-checked."""
-    s = _effective_sigma(sigma, cut)
+    s = in_range("sigma/cut", sigma / cut, sigma, cut)
     return s, in_range("sigma^2", s * s, s), math.log(s)
 
 
@@ -168,19 +165,33 @@ def log_b_star(a: float, c: float) -> float:
     return _log_support(a, c, c)[1]
 
 
+def _w_exp(t: float) -> float:
+    """W(e^t), the w with w + ln w = t, for t > 2, within 7.1e-4 relative:
+    one Newton step from t - ln t + ln t / t (Corless et al., Adv. Comput.
+    Math. 5 (1996), series 4.19).  Each moment match tends to w e^w = e^t
+    at large sigma, so W(e^t) seeds its cold solve there."""
+    log_t = math.log(t)
+    w = t - log_t + log_t / t
+    return w * (1.0 + t - math.log(w)) / (1.0 + w)
+
+
 def _a_c_sigma(tilt, row, start: float | None) -> float:
     """The unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form
-    from _tilt(c, 1) and _row(sigma, 1), from start or, when None, from the
-    smaller of both asymptotic laws:
+    from _tilt(c, 1) and _row(sigma, 1), from start or, when None, from
+    W(e^t)/c where ca e^{ca} = c^2 sigma^2/(2e^c) = e^t, the large-sigma law,
+    has t > 2, and else from the smaller of both asymptotic laws:
     a ~ c sigma^2 / (2(e^c - 1)) as sigma -> 0 and a ~ ln(1 + sigma^2)/c as
     sigma -> infinity.  The first is formed as (c / (e^c - 1)) * 0.5 * sigma^2,
     since c * sigma^2 alone underflows at tiny tilt (the factor tends to 1/2
     as c -> 0) and 2(e^c - 1) overflows past c ~ 709.09; past LN_DBL_MAX it
-    is formed at e^LN_DBL_MAX, an overestimate.  The seed is checked
+    is formed at e^LN_DBL_MAX, an overestimate.  The smaller one is checked
     whatever the start, so a warm start fails where a cold one does."""
-    (c, factor), (sigma, sigma2, _) = tilt, row
+    (c, factor), (sigma, sigma2, log_sigma) = tilt, row
     seed = in_range("the root's seed", min(factor * sigma2, math.log1p(sigma2) / c), c, sigma)
-    return _moment_match(c, row, c, seed if start is None else start)
+    if start is None:
+        t = 2.0 * (math.log(c) + log_sigma) - LN_2 - c
+        start = _w_exp(t) / c if t > 2.0 else seed
+    return _moment_match(c, row, c, start)
 
 
 def _ell1(a: float, sigma2: float) -> float:
@@ -200,10 +211,11 @@ def _ell1(a: float, sigma2: float) -> float:
 
 def _a_sigma(sigma2: float, start: float | None) -> float:
     """The sign-change root of _ell1 on (0, sigma^2) for sigma2 = sigma^2,
-    from start or, when None, from 0.5*ln(1 + 2 t_star sigma^2), which
-    tracks both asymptotic regimes of the root; the seed is checked whatever
-    the start.  The upper end is sigma^2/2, not the boundary zero of _ell1
-    at sigma^2:
+    from start or, when None, from W(e^t)/2 where 2a e^{2a} = 2 sigma^2/e^2
+    = e^t, _ell1's law as a/sigma^2 -> 0, has t > 2, and else from
+    0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic regimes of
+    the root; that seed is checked whatever the start.  The upper end is
+    sigma^2/2, not the boundary zero of _ell1 at sigma^2:
     _ell1(sigma^2/2) = (a + 1)/(a/2 + 1) - ln 2 > 0.3, so the root lies
     below it and no step can settle on the boundary zero.  sigma^2/2 is
     positive whenever the seed (at most 0.21 sigma^2) is.  A root below the
@@ -218,7 +230,10 @@ def _a_sigma(sigma2: float, start: float | None) -> float:
         slope = 1.0 - 2.0 * (w * (r - 1.0) + s * r - 2.0 * w * r * s * (r - 1.0))
         return _ell1(a, sigma2), slope
 
-    return _solve(f, seed if start is None else start, 0.5 * sigma2)
+    if start is None:
+        t = math.log(sigma2) + LN_2 - 2.0
+        start = 0.5 * _w_exp(t) if t > 2.0 else seed
+    return _solve(f, start, 0.5 * sigma2)
 
 
 def optimal_c_for_two_point(a: float, sigma: float) -> float:

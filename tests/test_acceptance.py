@@ -255,7 +255,7 @@ PUBLIC_ARGUMENTS = {"universal": 2, "fixed": 3, "trunc": 3}  # sigma, cut and c
 FINGERPRINT_QUERIES = 2_000
 # sha256 of the 2,000 answers of _queries(1) (see test_bit_fingerprint); a
 # change that moves a bit updates it and says in CHANGES.md which moved
-FINGERPRINT_SHA256 = "3e548586c445cf4d1a5f33a3744db0e5ea0da9d16c09934b858b80698f23f041"
+FINGERPRINT_SHA256 = "1338442ebb8d2597bd7f77942492eb708f498512fff7e972064b4c893e940145"
 
 
 def _queries(seed):
@@ -357,6 +357,28 @@ def test_bit_fingerprint():
             outcome = f"{type(exc).__name__}: {exc}"
         digest.update(f"{kind} {c!r} {sigma!r} {cut!r} {outcome}\n".encode())
     assert digest.hexdigest() == FINGERPRINT_SHA256
+
+
+# evaluations of the equations handed to roots._solve by the answers of
+# test_bit_fingerprint, per kind, when the cold seeds became W(e^t) at large
+# sigma: 2,082, 1,981 and 1,417 (5,480; 8,257 before, from the leading-order
+# seeds).  Each ceiling is that count plus 5%; a change that needs more
+# evaluations is a regression, not a new ceiling.
+COLD_EVALUATION_CEILINGS = {"universal": 2_186, "fixed": 2_080, "trunc": 1_488}
+
+
+def test_cold_solve_evaluation_budget(solves):
+    evaluations = collections.Counter()
+    for kind, c, sigma, cut in itertools.islice(_queries(1), FINGERPRINT_QUERIES):
+        before = len(solves.points)
+        try:
+            _solution(kind, c, sigma, cut)
+        except WinsorBoundsError:
+            pass
+        evaluations[kind] += len(solves.points) - before
+    for kind, ceiling in COLD_EVALUATION_CEILINGS.items():
+        assert evaluations[kind] <= ceiling, (kind, evaluations)
+    assert len(solves.points) <= 5_754, (evaluations, len(solves.equations))
 
 
 # where each lane's (root, ...) tuple holds the extremal support (a, b)

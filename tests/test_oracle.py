@@ -389,3 +389,12 @@ class TestCollapse:
             oracle.trunc_collapse_sequence(1.0, ())
         with pytest.raises(ParameterError):
             oracle.trunc_collapse_sequence(-1.0, (0.1,))
+
+    @pytest.mark.parametrize("a", ("0.5", None, 1j, 0.0, -0.1, math.inf, math.nan))
+    def test_refuses_an_a_that_is_no_positive_real(self, a):
+        # each element is checked as a public argument is, so a str, None or
+        # a complex is refused as a ParameterError, not a bare TypeError
+        from winsor_bounds.errors import ParameterError
+
+        with pytest.raises(ParameterError, match=r"^each of a_values must be a positive real"):
+            oracle.trunc_collapse_sequence(1.0, (0.5, a))

@@ -607,3 +607,54 @@ def test_bound_is_a_zero_mean_two_point_law(kind, c, sigma, cut):
     assert abs(b * p_pos - a * p_neg) <= 1e-14 * (a * p_neg + b * p_pos)
     s = sigma / cut
     assert abs(a * b - s * s) <= 4.0 * math.ulp(s * s)
+
+
+# t in (2, 1500]: the helper's first double past 2, and a geometric grid
+W_EXP_ARGUMENTS = [math.nextafter(2.0, 3.0), *np.geomspace(2.001, 1500.0, 60).tolist()]
+# the helper's worst relative error measured on that grid, per range of t,
+# was 7.06e-4 below 10, 4.75e-9 below 100 and 1.9e-13 above; each bound is
+# that worst case plus about half of it again
+W_EXP_TOLERANCES = ((10.0, 1e-3), (100.0, 1e-8), (math.inf, 3e-13))
+# (c, sigma/cut, cut): cut a power of 2, so sigma/cut is formed exactly;
+# at every one the cold solve starts from W(e^t) (t > 2)
+LARGE_SIGMA_CASES = [
+    (c, s, cut) for c, cut in zip((0.1, 1.0, 3.0, 10.0), (0.5, 1.0, 2.0, 1.0))
+    for s in (1e2, 1e4, 1e6)
+]
+
+
+def mp_bound(kind, tilt, s, a):
+    """The bound of kind at cut level 1, tilt and sigma = s, from the
+    50-digit root found from the library's a."""
+    if kind == "universal-winsor":
+        a = mp.e ** mp.findroot(lambda u: mp_ell1(u, s), mp.log(a))
+        return a, mp_optimal_moment(a, s)
+    shift = tilt if kind == "fixed-winsor" else 0.0
+    a = mp.e ** mp.findroot(lambda u: mp_moment_match(u, tilt, s, shift), mp.log(a))
+    c, b = mpf(tilt), mpf(s) ** 2 / a
+    if kind == "fixed-winsor":
+        pos = mp.exp(c * min(1, b))
+    else:
+        pos = mp.exp(c * b) if b < 1 else 1
+    return a, (a * pos + b * mp.exp(-c * a)) / (a + b)
+
+
+class TestLambertWSeeds:
+    """The cold seeds W(e^t) of the three moment matches at large sigma."""
+
+    def test_w_exp_against_mpmath(self):
+        for t in W_EXP_ARGUMENTS:
+            exact = mp.lambertw(mp.exp(t)).real
+            error = float(abs(winsor._w_exp(t) - exact) / exact)
+            assert error <= next(tol for below, tol in W_EXP_TOLERANCES if t < below), t
+
+    @pytest.mark.parametrize("kind", BOUND_KINDS)
+    def test_large_sigma_bounds_against_mpmath(self, kind):
+        # the worst error measured was 0.99 eps in a and 1.88 eps in the
+        # bound (universal); the bound is about twice that
+        eps = sys.float_info.epsilon
+        for c, s, cut in LARGE_SIGMA_CASES:
+            r = bound_of(kind, c / cut, s * cut, cut)
+            a, bound = mp_bound(kind, r.tilt, s, r.a)
+            assert abs(r.a - a) <= 4.0 * eps * a, (c, s, cut)
+            assert abs(r.bound - bound) <= 4.0 * eps * bound, (c, s, cut)

@@ -11,23 +11,15 @@ in closed form at each contact (value and slope, one-sided on the cut).
 
 capped_exp (with its body _capped_exp) and QuadraticMinorant.__call__ are
 the only code that computes F and G; both take ``out=`` and give the same
-bits with or without it.  The grid check holds four buffers of _BLOCK points
-per check and walks two kinds of block in them:
-- the wide span, sorted, in blocks rebuilt in place as np.linspace's points,
-  skipping work whose result is known: with every x >= 1, F = F(1), divided
-  by max(1, F(1)) only where that is not 1.0; with every x < 0, F <= 1 (no
-  division) and F = 0.0, without exp, where c*x < -746;
-- the windows and points at the contacts and the cut, at most 6,006 points
-  in one unsorted block, every point through F and the division.
-The report is argmin's on the sorted grid: a NaN gap first, then the least
-gap, then the least x, which the unsorted block picks explicitly.
+bits with or without it.  check_certificate says how the grid check walks
+its points.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -52,26 +44,31 @@ class MomentKind(str, Enum):
     TRUNC = "trunc"
 
 
-@dataclass(frozen=True)
-class QuadraticMinorant:
+class QuadraticMinorant(
+    namedtuple("QuadraticMinorant", "contact_points lower_value lower_slope gamma")
+):
     """G(x) = lower_value + lower_slope*u + gamma*u^2 with u = x - x_lo,
-    touching F at ``contact_points`` = (x_lo, x_hi); beta = G'(0) > 0 > gamma.
+    touching F at ``contact_points`` = (x_lo, x_hi); beta = G'(0) > 0 > gamma,
+    checked when the minorant is made, by ``_replace`` too.
 
     About the origin the coefficients reach e^c and cancel catastrophically
     near x_lo for large c; anchored at x_lo, roundoff stays proportional to F.
     """
 
-    contact_points: tuple[float, float]
-    lower_value: float
-    lower_slope: float
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, contact_points, lower_value, lower_slope, gamma):
+        self = tuple.__new__(cls, (contact_points, lower_value, lower_slope, gamma))
         if not (self.beta > 0.0 > self.gamma):
             raise ParameterError(
                 f"minorant requires beta > 0 > gamma, got beta={self.beta!r}, "
                 f"gamma={self.gamma!r}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def beta(self) -> float:
@@ -155,15 +152,15 @@ def trunc_minorant_large(a: float, c: float) -> QuadraticMinorant:
     return _tangent_minorant(a, c, max(b, 1.0))
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of a grid check; violations are reported as data, not raised."""
+class CertificateReport(
+    namedtuple("CertificateReport", "passed worst_gap worst_x equality_localized n_points")
+):
+    """Outcome of a grid check; violations are reported as data, not raised.
+    worst_gap is the min of (F - G)/max(1, F), >= -GAP_RTOL to pass, at
+    worst_x; equality_localized says the near-contact points are the only
+    equalities; n_points counts the points checked."""
 
-    passed: bool
-    worst_gap: float          # min of (F - G)/max(1, F); >= -GAP_RTOL to pass
-    worst_x: float
-    equality_localized: bool  # near-contact points are the only equalities
-    n_points: int
+    __slots__ = ()
 
 
 def _grid_pieces(minorant: QuadraticMinorant) -> list[tuple[float, float, int]]:

@@ -15,7 +15,7 @@ Three verification routes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -31,19 +31,17 @@ UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
 UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
 
 
-@dataclass(frozen=True)
-class GridMinResult:
+class GridMinResult(namedtuple(
+    "GridMinResult", "argmin_a argmin_c min_value cell_ratio cell_ratio_c", defaults=(None,)
+)):
     """Minimum of a two-point moment over a search grid.
 
+    ``argmin_c`` is the fixed tilt, or the grid argmin for joint searches.
     ``cell_ratio`` is the ratio between adjacent points of the (finest) a
     grid; ``cell_ratio_c`` likewise for joint searches over the tilt.
     """
 
-    argmin_a: float
-    argmin_c: float  # the fixed tilt, or the grid argmin for joint searches
-    min_value: float
-    cell_ratio: float
-    cell_ratio_c: float | None = None
+    __slots__ = ()
 
 
 def two_point_moment_grid(
@@ -162,13 +160,11 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     )
 
 
-@dataclass(frozen=True)
-class ThreePointProbe:
-    """Randomized zero-mean three-point laws with second moment <= sigma^2."""
+class ThreePointProbe(namedtuple("ThreePointProbe", "support masses tilts")):
+    """Randomized zero-mean three-point laws with second moment <= sigma^2:
+    ``support`` and ``masses`` are (n, 3) arrays, ``tilts`` is (n,)."""
 
-    support: np.ndarray  # (n, 3)
-    masses: np.ndarray   # (n, 3)
-    tilts: np.ndarray    # (n,)
+    __slots__ = ()
 
 
 def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointProbe:
@@ -226,11 +222,7 @@ def probe_moments(probe: ThreePointProbe, kind: MomentKind, c) -> np.ndarray:
     return moments
 
 
-@dataclass(frozen=True)
-class CollapsePoint:
-    a: float
-    c: float
-    moment: float
+CollapsePoint = namedtuple("CollapsePoint", "a c moment")
 
 
 def trunc_collapse_sequence(sigma: float, a_values) -> list[CollapsePoint]:

@@ -202,9 +202,15 @@ def write_csv(table: SweepTable, path: str) -> None:
 
 
 def read_csv(path: str) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
-    """Parse an emitted sweep back into (column names, numeric rows)."""
+    """Parse an emitted sweep back into (column names, numeric rows).  A file
+    with no header row, or with a cell that is no number, is refused."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
-        rows = tuple(tuple(float(cell) for cell in row) for row in reader if row)
+        try:
+            header = tuple(next(reader, ()))
+            rows = tuple(tuple(float(cell) for cell in row) for row in reader if row)
+        except ValueError as exc:  # a cell that is no number, or bytes that are no UTF-8
+            raise ParameterError(f"{path!r} is no sweep CSV: {exc}") from None
+    if not header:
+        raise ParameterError(f"{path!r} is no sweep CSV: it has no header row")
     return header, rows

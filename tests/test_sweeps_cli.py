@@ -400,6 +400,25 @@ class TestCsvRoundTrip:
             tuple(map(float.hex, row)) for row in table.rows
         ]
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("", "it has no header row"),
+         ("sigma,bound\n0.5,0.9\n1.0,x\n", "could not convert string to float: 'x'")],
+        ids=["empty", "non-numeric-cell"],
+    )
+    def test_read_csv_refuses_a_file_that_is_no_sweep(self, tmp_path, text, reason):
+        # refused as invalid input, not with a bare StopIteration or ValueError
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParameterError) as raised:
+            read_csv(str(path))
+        assert str(raised.value) == f"{str(path)!r} is no sweep CSV: {reason}"
+
+    def test_read_csv_reads_a_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("sigma,c=1.0\n", encoding="utf-8")
+        assert read_csv(str(path)) == (("sigma", "c=1.0"), ())
+
     def test_file_format(self, tmp_path):
         grid = sigma_grid(0.5, 2.0, 3)
         table = compute_sweep(SweepKind.UNIVERSAL_WINSOR, grid)
@@ -811,18 +830,22 @@ class TestCli:
     def test_scalar_verify_suites_never_import_numpy(self):
         # run without site, as above: the roots, ordering and asymptotics
         # suites load none of the four below.  Then site adds the installed
-        # packages, and certificates loads NumPy
+        # packages, and certificates loads NumPy; no suite and no
+        # collapse-demo loads dataclasses
         script = (
             "import sys\n"
             "from winsor_bounds import cli\n"
             "names = ('numpy', 'dataclasses', 'winsor_bounds.certificates',\n"
             "         'winsor_bounds.oracle')\n"
-            "for suite in ('roots', 'ordering', 'asymptotics', 'certificates'):\n"
-            "    if suite == 'certificates':\n"
+            "runs = {suite: ['verify', '--suite', suite]\n"
+            "        for suite in ('roots', 'ordering', 'asymptotics', 'certificates', 'oracle')}\n"
+            "runs['collapse-demo'] = ['collapse-demo', '--sigma', '1', '--steps', '3']\n"
+            "for label, argv in runs.items():\n"
+            "    if label == 'certificates':\n"
             "        import site\n"
             "        site.main()\n"
-            "    code = cli.main(['verify', '--suite', suite])\n"
-            "    print('loaded:', suite, code, *(name for name in names if name in sys.modules))\n"
+            "    code = cli.main(argv)\n"
+            "    print('loaded:', label, code, *(name for name in names if name in sys.modules))\n"
         )
         src = str(Path(winsor_bounds.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
@@ -835,7 +858,9 @@ class TestCli:
                   if line.startswith("loaded:")}
         assert loaded == {
             "roots": ["0"], "ordering": ["0"], "asymptotics": ["0"],
-            "certificates": ["0", "numpy", "dataclasses", "winsor_bounds.certificates"],
+            "certificates": ["0", "numpy", "winsor_bounds.certificates"],
+            "oracle": ["0", "numpy", "winsor_bounds.certificates", "winsor_bounds.oracle"],
+            "collapse-demo": ["0", "numpy", "winsor_bounds.certificates", "winsor_bounds.oracle"],
         }
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):

@@ -132,6 +132,65 @@ def test_query_validation(name, value):
         BoundQuery(1.0, 1.0)._replace(**{name: value})
 
 
+# The NumPy layer's records, each a named tuple: (record, a keyword
+# construction in field order, its defaults)
+RECORDS = [
+    (certificates.QuadraticMinorant,
+     dict(contact_points=(-1.0, 2.0), lower_value=1.0, lower_slope=2.0, gamma=-0.5), {}),
+    (certificates.CertificateReport,
+     dict(passed=True, worst_gap=0.0, worst_x=2.0, equality_localized=True, n_points=106_008), {}),
+    (oracle.GridMinResult,
+     dict(argmin_a=0.5, argmin_c=1.0, min_value=0.9, cell_ratio=1.001, cell_ratio_c=1.02),
+     {"cell_ratio_c": None}),
+    (oracle.ThreePointProbe,
+     dict(support=np.zeros((2, 3)), masses=np.full((2, 3), 1 / 3), tilts=np.ones(2)), {}),
+    (oracle.CollapsePoint, dict(a=0.5, c=4.0, moment=0.3), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "record, fields, defaults", RECORDS, ids=[record.__name__ for record, _, _ in RECORDS]
+)
+def test_records_keep_their_fields_in_order(record, fields, defaults):
+    assert issubclass(record, tuple) and record._fields == tuple(fields)
+    assert all(got is value for got, value in zip(record(**fields), fields.values()))
+    assert record._field_defaults == defaults
+    short = record(**{name: value for name, value in fields.items() if name not in defaults})
+    assert all(getattr(short, name) is value for name, value in defaults.items())
+
+
+# A minorant needs beta = G'(0) > 0 > gamma however it is made: (lower_slope,
+# gamma, beta) at the lower contact x_lo = -1, where beta = lower_slope + 2 gamma
+BAD_MINORANT_COEFFICIENTS = [
+    (1.0, -0.5, 0.0), (0.0, -0.5, -1.0), (1.0, 0.0, 1.0), (1.0, 0.5, 2.0),
+    (1.0, math.nan, math.nan), (math.nan, -0.5, math.nan),
+]
+MINORANT_BUILDS = {
+    "direct": lambda slope, gamma: certificates.QuadraticMinorant(
+        contact_points=(-1.0, 2.0), lower_value=1.0, lower_slope=slope, gamma=gamma
+    ),
+    "_make": lambda slope, gamma: certificates.QuadraticMinorant._make(
+        ((-1.0, 2.0), 1.0, slope, gamma)
+    ),
+    "_replace": lambda slope, gamma: certificates.QuadraticMinorant(
+        (-1.0, 2.0), 1.0, 2.0, -0.5
+    )._replace(lower_slope=slope, gamma=gamma),
+}
+
+
+@pytest.mark.parametrize("build", MINORANT_BUILDS.values(), ids=list(MINORANT_BUILDS))
+@pytest.mark.parametrize(
+    "slope, gamma, beta", BAD_MINORANT_COEFFICIENTS,
+    ids=[f"slope={s!r}-gamma={g!r}" for s, g, _ in BAD_MINORANT_COEFFICIENTS],
+)
+def test_minorant_needs_beta_above_zero_above_gamma(build, slope, gamma, beta):
+    with pytest.raises(ParameterError) as raised:
+        build(slope, gamma)
+    assert str(raised.value) == (
+        f"minorant requires beta > 0 > gamma, got beta={beta!r}, gamma={gamma!r}"
+    )
+
+
 @pytest.mark.parametrize(
     "entry, name, call, value", INTEGER_ARGUMENTS,
     ids=[f"{e}-{n}-{v!r}" for e, n, _, v in INTEGER_ARGUMENTS],

@@ -19,7 +19,6 @@ double precision, so emitted CSVs diff cleanly and round-trip bitwise.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from collections import namedtuple
@@ -184,16 +183,17 @@ def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) 
 
 def write_csv(table: SweepTable, path: str) -> None:
     """Write the sweep atomically: UTF-8, header row, LF line endings,
-    shortest round-tripping decimal for every value."""
+    shortest round-tripping decimal for every value.  Each line is its cells
+    joined by commas, the bytes csv.writer writes: no float repr and no
+    column label holds a character that it would quote."""
     import tempfile  # only a write needs it, and it loads random
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".csv.tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("sigma", *table.column_labels))
-            writer.writerows(table.rows)  # str(float) is repr(float)
+            handle.write(",".join(("sigma", *table.column_labels)) + "\n")
+            handle.writelines(",".join(map(repr, row)) + "\n" for row in table.rows)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -203,14 +203,22 @@ def write_csv(table: SweepTable, path: str) -> None:
 
 def read_csv(path: str) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
     """Parse an emitted sweep back into (column names, numeric rows).  A file
-    with no header row, or with a cell that is no number, is refused."""
+    with no header row, a row whose width is not the header's, a cell that
+    is no number or a quote left open is refused."""
+    import csv  # only a read needs it
+
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+        reader = csv.reader(handle, strict=True)
         try:
-            header = tuple(next(reader, ()))
-            rows = tuple(tuple(float(cell) for cell in row) for row in reader if row)
-        except ValueError as exc:  # a cell that is no number, or bytes that are no UTF-8
+            header, rows = tuple(next(reader, ())), []
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"line {reader.line_num} has {len(row)} cells, the header {len(header)}"
+                    )
+                rows.append(tuple(map(float, row)))
+        except (ValueError, csv.Error) as exc:  # no number, no UTF-8 or no closing quote
             raise ParameterError(f"{path!r} is no sweep CSV: {exc}") from None
     if not header:
         raise ParameterError(f"{path!r} is no sweep CSV: it has no header row")
-    return header, rows
+    return header, tuple(rows)

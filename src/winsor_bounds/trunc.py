@@ -108,7 +108,7 @@ def lower_bound_trunc(query: BoundQuery) -> Bound:
     c, sigma, cut = query.c, query.sigma, query.cut
     tilt = _effective_c(c, cut)
     _, branch, a, b, bound = _trunc_lane(tilt, _row(sigma, cut), None)
-    return Bound("trunc", c, sigma, cut, a, b, tilt, bound, branch)
+    return tuple.__new__(Bound, ("trunc", c, sigma, cut, a, b, tilt, bound, branch))
 
 
 def _trunc_lane(c: float, row, start):

@@ -93,10 +93,12 @@ def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]
     """(ln a, ln S, d ln S / d ln a) for S = _support_point(a, c, shift),
     stable for arbitrarily large z = shift + ac; ln a is -inf at a = 0, where
     the slope is 0 for shift c and NaN for shift 0 (log_B_star refuses a = 0).
-    The slope a(2e^z - 1)/S is (2 - e^-z) e^(ln a + z - ln S).  Past the
-    cutover z cancels from the exponent exactly, which leaves ln(ac/2) less
-    the correction, not an ulp of z of roundoff; so it is below LN_DBL_MAX
-    there, and at most z <= 30 elsewhere, as S >= a.  Where z overflows, ln S
+    The slope a(2e^z - 1)/S is (a/S)(2(e^z - 1) + 1) up to the cutover,
+    from the e^z - 1 that forms S, with a/S <= 1 as S >= a, so nothing
+    overflows; where a tiny c overflows S, a/S is ac / (cS).  Past the
+    cutover it is (2 - e^-z) e^(ln a + z - ln S), where z cancels from the
+    exponent exactly, which leaves ln(ac/2) less the correction, not an ulp
+    of z of roundoff, so it is below LN_DBL_MAX.  Where z overflows, ln S
     and the slope, about ac/2, are inf."""
     log_a = math.log(a) if a else -math.inf
     z = shift + a * c
@@ -104,21 +106,22 @@ def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]
         return log_a, math.inf, math.inf
     if z < DBL_MIN:  # the map is a + 2 or a, as in _support_point
         log_support = math.log(a + 2.0) if shift else log_a
-    elif z <= LOG_FORM_CUTOVER:
-        support = (2.0 * math.expm1(z) - a * c) / c
-        if support == math.inf:  # a tiny c overflows the quotient, not its log
-            log_support = math.log(2.0 * math.expm1(z) - a * c) - math.log(c)
-        else:
-            log_support = math.log(support)
-    else:
-        # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction
-        # term is below 1e-11 past the cutover and underflows harmlessly to 0.
-        correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
-        log_2_over_c = math.log(2.0 / c)
-        log_support = z + log_2_over_c + correction
-        exponent = log_a - log_2_over_c - correction  # ln a + z - ln S, z cancelled
-        return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(exponent)
-    return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(log_a + z - log_support)
+        return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(log_a + z - log_support)
+    if z <= LOG_FORM_CUTOVER:
+        growth = math.expm1(z)
+        scaled = 2.0 * growth - a * c  # cS
+        support = scaled / c
+        if support != math.inf:
+            return log_a, math.log(support), (a / support) * (2.0 * growth + 1.0)
+        # a tiny c overflows the quotient, not its log
+        return log_a, math.log(scaled) - math.log(c), (a * c / scaled) * (2.0 * growth + 1.0)
+    # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction
+    # term is below 1e-11 past the cutover and underflows harmlessly to 0.
+    correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
+    log_2_over_c = math.log(2.0 / c)
+    log_support = z + log_2_over_c + correction
+    exponent = log_a - log_2_over_c - correction  # ln a + z - ln S, z cancelled
+    return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(exponent)
 
 
 def _moment_match(c: float, row, shift: float, start: float) -> float:
@@ -166,10 +169,11 @@ def log_b_star(a: float, c: float) -> float:
 
 
 def _w_exp(t: float) -> float:
-    """W(e^t), the w with w + ln w = t, for t > 2, within 7.1e-4 relative:
-    one Newton step from t - ln t + ln t / t (Corless et al., Adv. Comput.
-    Math. 5 (1996), series 4.19).  Each moment match tends to w e^w = e^t
-    at large sigma, so W(e^t) seeds its cold solve there."""
+    """W(e^t), the w with w + ln w = t, for t > 1, within 1.3e-3 relative
+    (7.1e-4 for t > 2; exact at t = 1, where W(e) = 1): one Newton step
+    from t - ln t + ln t / t (Corless et al., Adv. Comput. Math. 5 (1996),
+    series 4.19).  Each moment match tends to w e^w = e^t at large sigma, so
+    W(e^t) seeds its cold solve there."""
     log_t = math.log(t)
     w = t - log_t + log_t / t
     return w * (1.0 + t - math.log(w)) / (1.0 + w)
@@ -212,7 +216,7 @@ def _ell1(a: float, sigma2: float) -> float:
 def _a_sigma(sigma2: float, start: float | None) -> float:
     """The sign-change root of _ell1 on (0, sigma^2) for sigma2 = sigma^2,
     from start or, when None, from W(e^t)/2 where 2a e^{2a} = 2 sigma^2/e^2
-    = e^t, _ell1's law as a/sigma^2 -> 0, has t > 2, and else from
+    = e^t, _ell1's law as a/sigma^2 -> 0, has t > 1, and else from
     0.5*ln(1 + 2 t_star sigma^2), which tracks both asymptotic regimes of
     the root; that seed is checked whatever the start.  The upper end is
     sigma^2/2, not the boundary zero of _ell1 at sigma^2:
@@ -232,7 +236,7 @@ def _a_sigma(sigma2: float, start: float | None) -> float:
 
     if start is None:
         t = math.log(sigma2) + LN_2 - 2.0
-        start = 0.5 * _w_exp(t) if t > 2.0 else seed
+        start = 0.5 * _w_exp(t) if t > 1.0 else seed
     return _solve(f, start, 0.5 * sigma2)
 
 
@@ -281,7 +285,7 @@ def lower_bound_fixed_c(query: BoundQuery) -> Bound:
     c, sigma, cut = query.c, query.sigma, query.cut
     tilt = _tilt(c, cut)
     a, b, bound = _fixed_lane(tilt, _row(sigma, cut), None)
-    return Bound("fixed-winsor", c, sigma, cut, a, b, tilt[0], bound, None)
+    return tuple.__new__(Bound, ("fixed-winsor", c, sigma, cut, a, b, tilt[0], bound, None))
 
 
 def _fixed_lane(tilt, row, start):
@@ -298,7 +302,7 @@ def lower_bound_universal(sigma: float, cut: float = 1.0) -> Bound:
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
     sigma, cut = require_positive("sigma", sigma), require_positive("cut", cut)
     a, b, c_opt, bound = _universal_lane(None, _row(sigma, cut), None)
-    return Bound("universal-winsor", None, sigma, cut, a, b, c_opt, bound, None)
+    return tuple.__new__(Bound, ("universal-winsor", None, sigma, cut, a, b, c_opt, bound, None))
 
 
 def _universal_lane(tilt, row, start):

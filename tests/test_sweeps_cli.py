@@ -1,5 +1,7 @@
 """Sweep tables, CSV round-trips, and the command-line surface."""
 
+import csv
+import io
 import math
 import os
 import re
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import certificates, cli, verify
+from winsor_bounds import asymptotics, certificates, cli, verify
 from winsor_bounds.errors import LN_DBL_MAX, ParameterError, WinsorBoundsError
 from winsor_bounds.sweeps import (
     SweepKind, SweepTable, compute_sweep, read_csv, sigma_grid, write_csv,
@@ -338,6 +340,29 @@ class TestColumnSolverAgainstScalar:
         evaluations = len(solves.points)
         assert evaluations <= 6_500, f"{evaluations} evaluations in {len(solves.equations)} solves"
 
+    def test_figure_sweeps_exp_budget(self):
+        # A count, not a timing: the three figure sweeps called math.exp
+        # 14,624 times when the support map's slope came to reuse the
+        # e^z - 1 that forms the map, up to the cutover (25,368 before: two
+        # more per evaluation of a fixed-tilt or truncated moment match).
+        # The ceiling is that count plus 5%; a change that needs more calls
+        # is a regression, not a new ceiling.
+        asymptotics.t_star()  # solved, and cached, at the first universal seed
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "c_call" and arg is math.exp:
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            compute_sweep(SweepKind.UNIVERSAL_WINSOR, FIGURE_GRID)
+            compute_sweep(SweepKind.RATIO_UNIVERSAL_OVER_FIXED, FIGURE_GRID, FIGURE_TILTS)
+            compute_sweep(SweepKind.RATIO_TRUNC_OVER_WINSOR, FIGURE_GRID, FIGURE_TILTS)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] <= 15_355
+
     def test_ratio_kinds_divide_the_scalar_bounds(self):
         grid = FIGURE_GRID[::10]
         fixed = compute_sweep(SweepKind.FIXED_C_WINSOR, grid, FIGURE_TILTS).rows
@@ -386,7 +411,7 @@ class TestCsvRoundTrip:
                 assert value == pytest.approx(scalar, rel=SWEEP_RTOL, abs=0)
 
     def test_cells_are_written_as_repr(self, tmp_path):
-        # csv formats each float cell with str, which is repr: the shortest
+        # each float cell is written as its repr: the shortest
         # decimal that reads back to the same double
         values = (5e-324, 1e-05, 0.1 + 0.2, 1e16, 1.0, 1.7976931348623157e308)
         table = SweepTable(SweepKind.FIXED_C_WINSOR, (1.0,), values,
@@ -400,11 +425,27 @@ class TestCsvRoundTrip:
             tuple(map(float.hex, row)) for row in table.rows
         ]
 
+    def test_rows_are_the_bytes_csv_writer_writes(self, tmp_path):
+        # each line is its cells' reprs joined by commas: csv.writer, which
+        # formats a float with str (its repr), quotes none of them
+        values = (5e-324, 1e-05, 1e16, 1.7976931348623157e308, math.inf, -0.0)
+        table = SweepTable(SweepKind.FIXED_C_WINSOR, (1e-05, 1.7976931348623157e308), values,
+                           tuple((value, value, -value) for value in values))
+        path = tmp_path / "cells.csv"
+        write_csv(table, str(path))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("sigma", *table.column_labels))
+        writer.writerows(table.rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
     @pytest.mark.parametrize(
         "text, reason",
         [("", "it has no header row"),
-         ("sigma,bound\n0.5,0.9\n1.0,x\n", "could not convert string to float: 'x'")],
-        ids=["empty", "non-numeric-cell"],
+         ("sigma,bound\n0.5,0.9\n1.0,x\n", "could not convert string to float: 'x'"),
+         ("sigma,bound\n0.5,0.9,0.8\n1.0\n", "line 2 has 3 cells, the header 2"),
+         ('sigma,"bound\n0.5,0.9\n', "unexpected end of data")],
+        ids=["empty", "non-numeric-cell", "row-wider-than-header", "unclosed-quote"],
     )
     def test_read_csv_refuses_a_file_that_is_no_sweep(self, tmp_path, text, reason):
         # refused as invalid input, not with a bare StopIteration or ValueError
@@ -795,8 +836,8 @@ class TestCli:
     def test_bound_and_sweep_never_import_numpy(self, tmp_path):
         # run without site (python -S), so only the interpreter's own start-up
         # modules precede the package's: bound and constants load none of the
-        # five below, and sweep none of the first three (its write_csv loads
-        # tempfile, which loads random).  argparse loads shutil itself.
+        # six below, and sweep none but tempfile and random (its write_csv
+        # loads tempfile, which loads random).  argparse loads shutil itself.
         out = str(tmp_path / "ratio.csv")
         script = (
             "import sys\n"
@@ -805,7 +846,7 @@ class TestCli:
             "         for kind in ('fixed-winsor', 'trunc')]\n"
             "codes.append(cli.main(['bound', '--kind', 'universal-winsor', '--sigma', '2']))\n"
             "codes.append(cli.main(['constants']))\n"
-            "names = ('dataclasses', 'inspect', 'typing', 'tempfile', 'random')\n"
+            "names = ('dataclasses', 'inspect', 'typing', 'tempfile', 'random', 'csv')\n"
             "print('loaded:', *(name for name in names if name in sys.modules))\n"
             "codes.append(cli.main(['sweep', '--kind', 'ratio-trunc-over-winsor', '--c', '1,2',\n"
             f"    '--sigma-min', '0.1', '--sigma-max', '10', '--points', '5', '--out', {out!r}]))\n"
@@ -823,7 +864,7 @@ class TestCli:
         lines = done.stdout.splitlines()
         after_bound, after_sweep = (line.split()[1:] for line in lines if line.startswith("loaded:"))
         assert after_bound == []
-        assert not {"dataclasses", "inspect", "typing"} & set(after_sweep)
+        assert not {"dataclasses", "inspect", "typing", "csv"} & set(after_sweep)
         assert lines[-1] == "[]"
         assert len(read_csv(out)[1]) == 5
 

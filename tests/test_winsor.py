@@ -115,6 +115,27 @@ class TestBStar:
         slope = winsor._log_support(a, c, shift)[2]
         assert slope == pytest.approx(float(expected), rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "a, c, winsorized",
+        [
+            (14.0, 2.0, True), (math.nextafter(14.0, 15.0), 2.0, True),  # z = 30, and past it
+            (15.0, 2.0, False), (math.nextafter(15.0, 16.0), 2.0, False),
+            (0.0, 1.5, True),  # the slope is 0
+            (2.9e301, 1e-300, True), (2.9e301, 1e-300, False),  # z = 29, S overflows
+            (0.5, 1.0, True), (0.5, 1.0, False), (1e-10, 1e-3, True), (1e5, 1e-5, False),
+        ],
+    )
+    def test_slope_against_mpmath(self, a, c, winsorized):
+        # a(2e^z - 1)/S, formed up to the cutover from the e^z - 1 that forms
+        # S and past it in log form; the worst error measured was 3 ulps, one
+        # ulp of z past the cutover
+        shift = c if winsorized else 0.0
+        z = mpf(shift) + mpf(a) * c
+        support = (2 * mp.expm1(z) - mpf(a) * c) / c
+        expected = float(mpf(a) * (2 * mp.exp(z) - 1) / support)
+        slope = winsor._log_support(a, c, shift)[2]
+        assert abs(slope - expected) <= 4.0 * math.ulp(expected), (slope, expected)
+
     def test_log_form_beyond_overflow(self):
         # 50-digit reference for ln b_star at a huge exponent
         a, c = 2000.0, 1.0
@@ -611,10 +632,14 @@ def test_bound_is_a_zero_mean_two_point_law(kind, c, sigma, cut):
 
 # t in (2, 1500]: the helper's first double past 2, and a geometric grid
 W_EXP_ARGUMENTS = [math.nextafter(2.0, 3.0), *np.geomspace(2.001, 1500.0, 60).tolist()]
+# t in (1, 2], where the universal seed reads it too: the first double past
+# 1 and a linear grid up to 2
+W_EXP_ARGUMENTS += [math.nextafter(1.0, 2.0), *np.linspace(1.0, 2.0, 41)[1:].tolist()]
 # the helper's worst relative error measured on that grid, per range of t,
-# was 7.06e-4 below 10, 4.75e-9 below 100 and 1.9e-13 above; each bound is
-# that worst case plus about half of it again
-W_EXP_TOLERANCES = ((10.0, 1e-3), (100.0, 1e-8), (math.inf, 3e-13))
+# was 1.30e-3 below 2 (at t = 1.45), 7.06e-4 below 10, 4.75e-9 below 100
+# and 1.9e-13 above; each bound is that worst case plus about half of it
+# again
+W_EXP_TOLERANCES = ((2.0, 2e-3), (10.0, 1e-3), (100.0, 1e-8), (math.inf, 3e-13))
 # (c, sigma/cut, cut): cut a power of 2, so sigma/cut is formed exactly;
 # at every one the cold solve starts from W(e^t) (t > 2)
 LARGE_SIGMA_CASES = [

@@ -17,6 +17,9 @@ from .roots import _solve
 
 
 class Regime(str, Enum):
+    """The two sides of sigma: an asymptotic law's regime, and the truncated
+    bound's branch, which ``trunc`` binds to the name ``Branch``."""
+
     SMALL_SIGMA = "small-sigma"
     LARGE_SIGMA = "large-sigma"
 

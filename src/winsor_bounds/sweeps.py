@@ -4,15 +4,16 @@ These reproduce the package's reference figures: the universal Winsorized
 bound against sigma, and the ratio panels universal/fixed-tilt and
 truncated/Winsorized across a tilt list.  Each sweep kind is one entry of
 ``_KINDS``, a bound lane over another or over nothing.  A sweep checks its
-arguments, then loops row by row over the bodies of the scalar
+arguments, then loops row by row over the lanes, the bodies of the scalar
 ``lower_bound_*`` calls, solving each distinct bound column (lane, tilt)
-once per row, and divides; what the bodies read of sigma is formed once per
-row, and of the tilt once per column.  Each lane (one sigma of one column)
-starts its root solve from the column's extrapolated path: the cubic in
-(ln sigma, ln a) through the column's last four roots, the predictor of
-numerical continuation.  A lane that fails from there is solved again from
-its seed, so a sweep answers, and raises, what the loop over the scalar
-calls would.
+once per row, and divides; what the lanes read of sigma is formed once per
+row, and c*cut once per column.  Each lane returns ``Bound``'s fields from
+a on, and the sweep reads a, bound and branch of them by position.  Each
+lane (one sigma of one column) starts its root solve from the column's
+extrapolated path: the cubic in (ln sigma, ln a) through the column's last
+four roots, the predictor of numerical continuation.  A lane that fails
+from there is solved again from its seed, so a sweep answers, and raises,
+what the loop over the scalar calls would.
 Files are written atomically (temp file + rename) with every value at full
 double precision, so emitted CSVs diff cleanly and round-trip bitwise.
 """
@@ -27,8 +28,8 @@ from enum import Enum
 from .errors import (
     ParameterError, WinsorBoundsError, _choice, exp_or_inf, require_integer, require_positive,
 )
-from .trunc import _trunc_lane
-from .winsor import _effective_c, _fixed_lane, _row, _tilt, _universal_lane
+from .trunc import Branch, _trunc_lane
+from .winsor import _effective_c, _fixed_lane, _row, _universal_lane
 
 
 class SweepKind(str, Enum):
@@ -55,7 +56,8 @@ def sigma_grid(sigma_min: float, sigma_max: float, points: int, scale: str = "lo
     """Sweep grid over sigma; log spacing by default since the bounds are
     governed by ln(sigma).  Ends that are reals but out of order, or not
     positive and finite, are refused together; an end that is no real
-    (a str, None), or an int past the doubles, is refused by name."""
+    (a str, None), or an int past the doubles, is refused by name.  Ends so
+    close that the points do not strictly increase are refused too."""
     try:
         ordered = 0.0 < sigma_min < sigma_max < math.inf
     except TypeError:  # no real: require_positive names it below
@@ -69,12 +71,17 @@ def sigma_grid(sigma_min: float, sigma_max: float, points: int, scale: str = "lo
     require_integer("points", points, 2)
     if scale == "log":
         lo, hi = math.log(sigma_min), math.log(sigma_max)
-        return tuple(math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points))
-    if scale == "linear":
-        return tuple(
-            sigma_min + (sigma_max - sigma_min) * i / (points - 1) for i in range(points)
+        grid = tuple(math.exp(lo + (hi - lo) * i / (points - 1)) for i in range(points))
+    elif scale == "linear":
+        grid = tuple(sigma_min + (sigma_max - sigma_min) * i / (points - 1) for i in range(points))
+    else:
+        raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
+    if any(right <= left for left, right in zip(grid, grid[1:])):
+        raise ParameterError(
+            f"points={points} over [{sigma_min!r}, {sigma_max!r}] give a {scale} grid that"
+            " does not strictly increase: give fewer points or ends further apart"
         )
-    raise ParameterError(f"scale must be 'log' or 'linear', got {scale!r}")
+    return grid
 
 
 def _start(path, x: float) -> float | None:
@@ -108,21 +115,16 @@ def _extend(path, x: float, a: float):
     return a, x, s0, s1, u, e1, e2, (e2 - d2) / (x - s2)
 
 
-# Each bound as a lane, (its tilt's inputs from (c, cut), its body): the body
-# of its lower_bound_* call at cut level 1, (tilt inputs, _row(sigma, cut),
-# start) -> (root, ..., bound), the root None where none was solved.
-_UNIVERSAL = (lambda c, cut: None, _universal_lane)
-_FIXED = (_tilt, _fixed_lane)
-_TRUNC = (_effective_c, _trunc_lane)
-
 # Each kind as a quotient of bound lanes, (numerator, denominator or None):
 # the figures' ratio panels divide one bound column by another at each tilt.
+# A lane is the body of a lower_bound_* call at cut level 1,
+# (c*cut or None, _row(sigma, cut), start) -> Bound's fields from a on.
 _KINDS = {
-    SweepKind.UNIVERSAL_WINSOR: (_UNIVERSAL, None),
-    SweepKind.FIXED_C_WINSOR: (_FIXED, None),
-    SweepKind.TRUNC: (_TRUNC, None),
-    SweepKind.RATIO_UNIVERSAL_OVER_FIXED: (_UNIVERSAL, _FIXED),
-    SweepKind.RATIO_TRUNC_OVER_WINSOR: (_TRUNC, _FIXED),
+    SweepKind.UNIVERSAL_WINSOR: (_universal_lane, None),
+    SweepKind.FIXED_C_WINSOR: (_fixed_lane, None),
+    SweepKind.TRUNC: (_trunc_lane, None),
+    SweepKind.RATIO_UNIVERSAL_OVER_FIXED: (_universal_lane, _fixed_lane),
+    SweepKind.RATIO_TRUNC_OVER_WINSOR: (_trunc_lane, _fixed_lane),
 }
 
 
@@ -134,7 +136,7 @@ def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) 
     cut = require_positive("cut", cut)
     if any(right <= left for left, right in zip(sigma_values, sigma_values[1:])):
         raise ParameterError("sigma_values must be strictly increasing")
-    tilted = set(_KINDS[kind]) - {_UNIVERSAL, None}
+    tilted = set(_KINDS[kind]) - {_universal_lane, None}
     if tilted and not c_values:
         raise ParameterError(f"sweep kind {kind.value!r} requires a tilt list")
     if c_values and not tilted:
@@ -145,38 +147,38 @@ def compute_sweep(kind: SweepKind, sigma_values, c_values=(), cut: float = 1.0) 
     # None) column indices
     keys = {}
     cells = [
-        [lane and keys.setdefault((lane, None if lane is _UNIVERSAL else c), len(keys))
+        [lane and keys.setdefault((lane, None if lane is _universal_lane else c), len(keys))
          for lane in _KINDS[kind]]
         for c in c_values or (None,)
     ]
-    # each column as (body, its tilt's inputs), formed once; where one leaves
+    # each column as (lane, c*cut or None), c*cut formed once; where one leaves
     # the doubles, the first row runs as its scalar calls, raising where they do
     columns = tuple(keys)
     try:
-        lanes = [(body, form(c, cut)) for (form, body), c in columns]
+        lanes = [(lane, c and _effective_c(c, cut)) for lane, c in columns]
     except WinsorBoundsError:
         lanes = None
 
     # each column's path (see _extend), None before its first root and after
-    # a lane that solves none
+    # a lane on the small-sigma branch, which solves none
     paths = [None] * len(columns)
+    small = Branch.SMALL_SIGMA
     rows = []
     for sigma in sigma_values:
         if lanes is None:
-            for (form, body), c in columns:
-                body(form(c, cut), _row(sigma, cut), None)
+            for lane, c in columns:
+                lane(c and _effective_c(c, cut), _row(sigma, cut), None)
         row = _row(sigma, cut)  # raises where the row's first scalar call does
         log_sigma = row[2]
         bounds = []
-        for j, (body, tilt) in enumerate(lanes):
+        for j, (lane, c) in enumerate(lanes):
             path = paths[j]
             try:
-                solved = body(tilt, row, _start(path, log_sigma))
+                fields = lane(c, row, _start(path, log_sigma))
             except WinsorBoundsError:  # answer, or raise, as the scalar call does
-                solved = body(tilt, row, None)
-            root = solved[0]
-            paths[j] = None if root is None else _extend(path, log_sigma, root)
-            bounds.append(solved[-1])
+                fields = lane(c, row, None)
+            paths[j] = None if fields[4] is small else _extend(path, log_sigma, fields[0])
+            bounds.append(fields[3])
         rows.append((sigma, *(bounds[n] if d is None else bounds[n] / bounds[d] for n, d in cells)))
     return SweepTable(kind, c_values, sigma_values, tuple(rows))
 

@@ -20,19 +20,14 @@ Unlike the Winsorized case there is no positive tilt-universal floor: along
 from __future__ import annotations
 
 import math
-from enum import Enum
 
+from .asymptotics import Regime as Branch
 from .errors import LN_DBL_MAX, exp_or_inf, in_range, require_positive
 from .roots import _solve
 from .winsor import (
     LN_2, Bound, BoundQuery, _effective_c, _log_support, _moment_match, _row, _support_point,
     _w_exp,
 )
-
-
-class Branch(str, Enum):
-    SMALL_SIGMA = "small-sigma"
-    LARGE_SIGMA = "large-sigma"
 
 
 def B_star(a: float, c: float) -> float:
@@ -106,26 +101,24 @@ def lower_bound_trunc(query: BoundQuery) -> Bound:
     bound below the smallest positive double raises NoSignChangeError.
     """
     c, sigma, cut = query.c, query.sigma, query.cut
-    tilt = _effective_c(c, cut)
-    _, branch, a, b, bound = _trunc_lane(tilt, _row(sigma, cut), None)
-    return tuple.__new__(Bound, ("trunc", c, sigma, cut, a, b, tilt, bound, branch))
+    fields = _trunc_lane(_effective_c(c, cut), _row(sigma, cut), None)
+    return tuple.__new__(Bound, ("trunc", c, sigma, cut, *fields))
 
 
 def _trunc_lane(c: float, row, start):
-    """(A_c_sigma, branch, a, b, bound) of lower_bound_trunc at cut level 1,
-    the extremal law on {-a, b}, from c*cut, _row(sigma, cut) and the start
-    of the root A_c_sigma (its seed when None): the scalar call's body and a
-    sweep's lane.  The root is None on the small-sigma branch, which solves
-    none and takes (a, b) = (sigma^2, 1)."""
+    """Bound's fields from a on, (a, b, tilt, bound, branch), of
+    lower_bound_trunc at cut level 1, the extremal law on {-a, b}, from
+    c*cut, _row(sigma, cut) and the start of the root A_c_sigma (its seed
+    when None): the scalar call's body and a sweep's lane.  The small-sigma
+    branch solves no root and takes (a, b) = (sigma^2, 1)."""
     sigma, sigma2, _ = row
     if _below_threshold(sigma2, c):
-        root, branch, a, b = None, Branch.SMALL_SIGMA, sigma2, 1.0
+        branch, a, b = Branch.SMALL_SIGMA, sigma2, 1.0
     else:
-        root = a = _A_c_sigma(c, row, start)
-        branch = Branch.LARGE_SIGMA
+        branch, a = Branch.LARGE_SIGMA, _A_c_sigma(c, row, start)
         # On this branch b >= 1 holds exactly; root-solver roundoff at the
         # branch boundary can land an ulp below the cut, where the truncation
         # indicator would flip, so snap such b back onto the cut.
         b = max(in_range("b = sigma^2/a", sigma2 / a, sigma2, a), 1.0)
     bound = in_range("the truncated bound", _trunc_moment(a, b, c), c, sigma)
-    return root, branch, a, b, bound
+    return a, b, c, bound, branch

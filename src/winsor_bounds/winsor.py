@@ -145,13 +145,6 @@ def _row(sigma: float, cut: float) -> tuple[float, float, float]:
     return s, in_range("sigma^2", s * s, s), math.log(s)
 
 
-def _tilt(c: float, cut: float) -> tuple[float, float]:
-    """What a fixed-tilt bound reads of c at cut level 1: c*cut, range-checked,
-    and the factor (c / (e^c - 1)) / 2 of its small-sigma seed at it."""
-    c = _effective_c(c, cut)
-    return c, c / math.expm1(min(c, LN_DBL_MAX)) * 0.5
-
-
 def b_star(a: float, c: float) -> float:
     """Saturated positive support point (2(e^{c+ac} - 1) - ac) / c.
 
@@ -179,9 +172,9 @@ def _w_exp(t: float) -> float:
     return w * (1.0 + t - math.log(w)) / (1.0 + w)
 
 
-def _a_c_sigma(tilt, row, start: float | None) -> float:
+def _a_c_sigma(c: float, row, start: float | None) -> float:
     """The unique a > 0 with a * b_star(a, c) = sigma^2, solved in log form
-    from _tilt(c, 1) and _row(sigma, 1), from start or, when None, from
+    on trusted c and row = _row(sigma, 1), from start or, when None, from
     W(e^t)/c where ca e^{ca} = c^2 sigma^2/(2e^c) = e^t, the large-sigma law,
     has t > 2, and else from the smaller of both asymptotic laws:
     a ~ c sigma^2 / (2(e^c - 1)) as sigma -> 0 and a ~ ln(1 + sigma^2)/c as
@@ -190,7 +183,8 @@ def _a_c_sigma(tilt, row, start: float | None) -> float:
     as c -> 0) and 2(e^c - 1) overflows past c ~ 709.09; past LN_DBL_MAX it
     is formed at e^LN_DBL_MAX, an overestimate.  The smaller one is checked
     whatever the start, so a warm start fails where a cold one does."""
-    (c, factor), (sigma, sigma2, log_sigma) = tilt, row
+    sigma, sigma2, log_sigma = row
+    factor = c / math.expm1(min(c, LN_DBL_MAX)) * 0.5
     seed = in_range("the root's seed", min(factor * sigma2, math.log1p(sigma2) / c), c, sigma)
     if start is None:
         t = 2.0 * (math.log(c) + log_sigma) - LN_2 - c
@@ -283,34 +277,35 @@ def lower_bound_fixed_c(query: BoundQuery) -> Bound:
     """Exact attained lower bound on E exp(c * min(cut, X)) given
     E X >= 0 and E X^2 <= sigma^2."""
     c, sigma, cut = query.c, query.sigma, query.cut
-    tilt = _tilt(c, cut)
-    a, b, bound = _fixed_lane(tilt, _row(sigma, cut), None)
-    return tuple.__new__(Bound, ("fixed-winsor", c, sigma, cut, a, b, tilt[0], bound, None))
+    fields = _fixed_lane(_effective_c(c, cut), _row(sigma, cut), None)
+    return tuple.__new__(Bound, ("fixed-winsor", c, sigma, cut, *fields))
 
 
-def _fixed_lane(tilt, row, start):
-    """(a, b, bound) of lower_bound_fixed_c at cut level 1, the extremal law
-    on {-a, b}, from _tilt(c, cut), _row(sigma, cut) and the root's start
-    (its seed when None): the scalar call's body and a sweep's lane."""
-    a, sigma2 = _a_c_sigma(tilt, row, start), row[1]
+def _fixed_lane(c: float, row, start):
+    """Bound's fields from a on, (a, b, tilt, bound, None), of
+    lower_bound_fixed_c at cut level 1, the extremal law on {-a, b}, from
+    c*cut, _row(sigma, cut) and the root's start (its seed when None): the
+    scalar call's body and a sweep's lane."""
+    a, sigma2 = _a_c_sigma(c, row, start), row[1]
     b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
-    return a, b, _winsor_moment(a, b, tilt[0])
+    return a, b, c, _winsor_moment(a, b, c), None
 
 
 def lower_bound_universal(sigma: float, cut: float = 1.0) -> Bound:
     """Exact attained lower bound on E exp(c * min(cut, X)) over all tilts
     c > 0 and all X with E X >= 0, E X^2 <= sigma^2."""
     sigma, cut = require_positive("sigma", sigma), require_positive("cut", cut)
-    a, b, c_opt, bound = _universal_lane(None, _row(sigma, cut), None)
-    return tuple.__new__(Bound, ("universal-winsor", None, sigma, cut, a, b, c_opt, bound, None))
+    fields = _universal_lane(None, _row(sigma, cut), None)
+    return tuple.__new__(Bound, ("universal-winsor", None, sigma, cut, *fields))
 
 
-def _universal_lane(tilt, row, start):
-    """(a, b, optimal tilt, bound) of lower_bound_universal at cut level 1,
-    from no tilt (None), _row(sigma, cut) and the root's start (its seed when
-    None): the scalar call's body and a sweep's lane."""
+def _universal_lane(c: None, row, start):
+    """Bound's fields from a on, (a, b, optimal tilt, bound, None), of
+    lower_bound_universal at cut level 1, from no tilt (None),
+    _row(sigma, cut) and the root's start (its seed when None): the scalar
+    call's body and a sweep's lane."""
     sigma, sigma2, _ = row
     a = _a_sigma(sigma2, start)
     b = in_range("b = sigma^2/a", sigma2 / a, sigma2, a)
     c_opt = _optimal_c(a, sigma)
-    return a, b, c_opt, _optimal_winsor_moment(a, sigma, c_opt)
+    return a, b, c_opt, _optimal_winsor_moment(a, sigma, c_opt), None

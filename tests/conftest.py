@@ -58,19 +58,21 @@ def solves(monkeypatch) -> Solves:
 
 @pytest.fixture(scope="session")
 def lanes() -> dict:
-    """Each bound's lane body as a call on floats, keyed by its single-bound
-    sweep kind: (c, sigma, start=None, cut=1.0) -> (root, ..., bound), the
-    root solved from start (from its seed when None) and None where none is
-    solved; the universal lane reads no c.  Built from the (form, body) pairs
-    of sweeps._KINDS, so a test reaches the body that the sweeps and the
-    scalar lower_bound_* calls run, with its inputs formed as they form them."""
+    """Each bound's lane as a call on floats, keyed by its single-bound sweep
+    kind: (c, sigma, start=None, cut=1.0) -> Bound's fields from a on,
+    (a, b, tilt, bound, branch), the root solved from start (from its seed
+    when None); the universal lane reads no c.  Built from the lanes of
+    sweeps._KINDS, so a test reaches the body that the sweeps and the scalar
+    lower_bound_* calls run, with its inputs formed as they form them:
+    c*cut, None for the universal lane, and _row(sigma, cut)."""
 
-    def call(form, body):
-        return lambda c, sigma, start=None, cut=1.0: body(
-            form(c, cut), winsor._row(sigma, cut), start
+    def call(lane):
+        universal = lane is winsor._universal_lane
+        return lambda c, sigma, start=None, cut=1.0: lane(
+            None if universal else winsor._effective_c(c, cut), winsor._row(sigma, cut), start
         )
 
-    return {kind: call(*lane) for kind, (lane, over) in sweeps._KINDS.items() if over is None}
+    return {kind: call(lane) for kind, (lane, over) in sweeps._KINDS.items() if over is None}
 
 
 @pytest.fixture(scope="session")

@@ -382,24 +382,28 @@ def test_cold_solve_evaluation_budget(solves):
     assert len(solves.points) <= 5_736, (evaluations, len(solves.equations))
 
 
-# where each lane's (root, ...) tuple holds the extremal support (a, b)
-LANE_SUPPORT = {
-    "universal": (SweepKind.UNIVERSAL_WINSOR, 0),
-    "fixed": (SweepKind.FIXED_C_WINSOR, 0),
-    "trunc": (SweepKind.TRUNC, 2),
+# each query kind's single-bound sweep kind, whose lane is its scalar call's body
+LANE_KINDS = {
+    "universal": SweepKind.UNIVERSAL_WINSOR,
+    "fixed": SweepKind.FIXED_C_WINSOR,
+    "trunc": SweepKind.TRUNC,
 }
 
 
 @pytest.mark.parametrize(
-    "kind, c, sigma, cut",
-    [("universal", None, 3.0, 2.0), ("fixed", 1.5, 3.0, 2.0), ("trunc", 1.5, 3.0, 2.0),
-     ("trunc", 1.5, 0.3, 2.0)],
+    "kind, c, sigma, cut, branch",
+    [("universal", None, 3.0, 2.0, None), ("fixed", 1.5, 3.0, 2.0, None),
+     ("trunc", 1.5, 3.0, 2.0, trunc.Branch.LARGE_SIGMA),
+     ("trunc", 1.5, 0.3, 2.0, trunc.Branch.SMALL_SIGMA)],
     ids=["universal", "fixed", "trunc-large-sigma", "trunc-small-sigma"],
 )
-def test_bound_holds_the_lanes_support(kind, c, sigma, cut, lanes):
-    # a Bound's extremal support (a, b) holds the bits its lane formed the
-    # bound from, on both truncated branches
+def test_bound_holds_the_lanes_support(kind, c, sigma, cut, branch, lanes):
+    # a Bound's fields from a on are its lane's tuple, bit for bit, on both
+    # truncated branches and off cut level 1: the scalar call only puts the
+    # caller's (kind, c, sigma, cut) before them
     solution = _solution(kind, c, sigma, cut)
-    lane, at = LANE_SUPPORT[kind]
-    a, b = lanes[lane](c, sigma, None, cut)[at:at + 2]
-    assert (solution.a, solution.b) == (a, b)
+    assert solution._fields[4:] == ("a", "b", "tilt", "bound", "branch")
+    fields = lanes[LANE_KINDS[kind]](c, sigma, None, cut)
+    assert solution.branch is branch
+    assert tuple(map(float.hex, solution[4:8])) == tuple(map(float.hex, fields[:4]))
+    assert tuple(solution[4:]) == fields

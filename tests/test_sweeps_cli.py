@@ -44,6 +44,16 @@ class TestSigmaGrid:
         with pytest.raises(ParameterError):
             sigma_grid(1.0, 2.0, 10, "cubic")
 
+    @pytest.mark.parametrize("scale", ("log", "linear"))
+    def test_refuses_points_that_do_not_increase(self, scale):
+        # ends two ulps apart hold three doubles: five points repeat one,
+        # and the refusal names points and both ends, not compute_sweep's
+        # sigma_values
+        top = 1.0000000000000004
+        assert sigma_grid(1.0, top, 3, scale) == (1.0, 1.0000000000000002, top)
+        with pytest.raises(ParameterError, match=r"^points=5 over \[1\.0, 1\.0000000000000004\] "):
+            sigma_grid(1.0, top, 5, scale)
+
 
 # Sweeps start each lane's root solve from its column's extrapolated path,
 # the scalar lower_bound_* calls from their seeds; both run roots._solve to
@@ -284,8 +294,8 @@ class TestColumnSolverAgainstScalar:
         for sigma in sigmas:
             del solves.equations[:]
             x = math.log(sigma / cut)
-            root = lanes[kind](tilt and tilt * cut, sigma / cut)[0]
-            if root is None:  # a truncated lane on the small-sigma branch
+            root, *_, branch = lanes[kind](tilt and tilt * cut, sigma / cut)
+            if branch is Branch.SMALL_SIGMA:  # a truncated lane that solves no root
                 path = []
                 continue
             expected.append(math.exp(through(path[-4:], x)) if path else solves.equations[0][1])
@@ -681,6 +691,18 @@ class TestCli:
             "--sigma-min", "5", "--sigma-max", "0.5", "--points", "4", "--out", out,
         ])
         assert code == 2
+        assert not os.path.exists(out)
+
+    def test_sweep_refuses_a_grid_that_does_not_increase(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        code = cli.main([
+            "sweep", "--kind", "fixed-winsor", "--c", "1", "--sigma-min", "1",
+            "--sigma-max", "1.0000000000000004", "--points", "5", "--out", out,
+        ])
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: points=5 over [1.0, 1.0000000000000004] ")
+        assert "sigma_values" not in err
         assert not os.path.exists(out)
 
     def test_verify_roots_suite(self, capsys):

@@ -478,15 +478,15 @@ def test_random_starts_answer_as_the_seed(kind, solves, lanes):
     for c, sigma in grid:
         del solves.equations[:], solves.points[:]
         try:
-            root, *_, seeded = lane(c, sigma, None)
+            _, _, _, seeded, branch = lane(c, sigma, None)
         except WinsorBoundsError:
             continue
-        if root is None:  # a truncated bound on the branch that solves no root
+        if branch is trunc.Branch.SMALL_SIGMA:  # a truncated bound that solves no root
             continue
         hi = solves.equations[-1][2]
         start = math.exp(rng.uniform(math.log(roots._TINY), math.log(hi)))
         del solves.points[:]
-        bound = lane(c, sigma, start)[-1]
+        bound = lane(c, sigma, start)[3]
         assert len(solves.points) <= RANDOM_START_EVALUATIONS, (c, sigma, start)
         if seeded >= sys.float_info.min:
             assert bound == pytest.approx(seeded, rel=RANDOM_START_RTOL, abs=0), (c, sigma, start)

@@ -43,7 +43,7 @@ def solve_t_star() -> AsymptoticConstants:
     f_of_t increases on (0, 1/2), with slope 1 - 2t in ln t, and is positive
     at 1/2, so the root lies below it.
     """
-    t = _solve(lambda t: (f_of_t(t), 1.0 - 2.0 * t), 0.25, 0.5)
+    t = _solve(lambda t: (f_of_t(t), 1.0 - 2.0 * t, None), 0.25, 0.5)
     return AsymptoticConstants(
         t_star=t,
         minus_ln_t_star=-math.log(t),

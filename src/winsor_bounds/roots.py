@@ -5,9 +5,15 @@ its only root in (0, hi], for a closed-form upper end hi.  ``_solve`` takes
 Newton steps in u = ln a but keeps its iterate on the doubles of a: a step
 is a * exp(-f/f'), f' the slope in ln a.  (Iterating on the doubles of u
 would lose the root at large |u|: near |u| = 684 one ulp of u moves f by
-~8e-11, above the 1e-12 target.)  The stopping rule is fixed: a root is
-accepted once |f| <= TOL.  Everything here is pure and deterministic:
-identical inputs produce bitwise-identical results.
+~8e-11, above the 1e-12 target.)  The acceptance rule is fixed: a point
+with |f| <= TOL is accepted, polished by one Newton step; from a point with
+TOL < |f| <= sqrt(TOL) whose equation supplies f'', Chebyshev's
+second-order step is returned without evaluating f there when a certified
+bound on |f| at the double it rounds to is <= TOL.  The bound is the sum
+of the Newton remainder, the second-order shift and the step's rounding,
+each scaled by the largest f' over the step (``_second_order_step``).
+Everything here is pure and deterministic: identical inputs produce
+bitwise-identical results.
 """
 
 from __future__ import annotations
@@ -17,16 +23,43 @@ from collections.abc import Callable
 
 from .errors import MaxIterationsError, NonFiniteValueError, NoSignChangeError, require_positive
 
-TOL = 1e-12  # a root is accepted once |f| <= TOL
+TOL = 1e-12  # a root is accepted once |f| <= TOL, or certified to be
 MAX_SOLVE_ITERATIONS = 200  # evaluations of f per solve
 _TINY = math.ulp(0.0)  # the smallest positive double
 
 
-def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -> float:
+def _second_order_step(a: float, move: float, slope: float, curvature: float):
+    """Chebyshev's step from a and a certified bound on |f| at the double it
+    rounds to, (step, bound) (Traub, Iterative Methods for the Solution of
+    Equations, 1964).  move is the Newton move f/f' in u = ln a, slope f'
+    and curvature f'' at a, and the step is u - move - f'' move^2/(2f').
+    With |f''| <= f' over the step, f' changes by a factor of at most
+    e^|v - u| from u to v, so M = f' e^|total move| bounds both f' and
+    |f''| there.  The bound is M times the sum of the Newton remainder
+    move^2/2, the second-order shift and the step's rounding in ln a,
+    2 ulp(step)/step for the roundings of exp and of the product.  Like the
+    |f| <= TOL test, it trusts f, f' and f'' as evaluated."""
+    remainder = 0.5 * move * move
+    shift = curvature * remainder / slope
+    factor = math.exp(-move - shift)
+    step = a * factor
+    reach = slope / factor if factor < 1.0 else slope * factor  # f' e^|total move|
+    return step, reach * (remainder + abs(shift) + 2.0 * math.ulp(step) / step)
+
+
+def _solve(
+    f: Callable[[float], tuple[float, float, float | None]], start: float, hi: float
+) -> float:
     """Root of f in (0, hi], solved from start clamped to hi.
 
-    f(a) returns f's value and its slope in ln a, a f'(a).  f must increase
-    through its only root in (0, hi] and must not be negative at hi.  Each
+    f(a) returns f's value, its slope in ln a, a f'(a), and its second
+    derivative in ln a or None.  f must increase through its only root in
+    (0, hi] and must not be negative at hi.  An equation may supply f'' only
+    where f^2 <= TOL and must have |f''| <= f' over any step from there;
+    the moment matches and _ell1 do, the others pass None.  (With
+    |f''| <= f' and f' >= 1, as for a moment match, the step's remainder
+    and shift sum to about f^2/f' <= f^2, so the certificate can pass only
+    about that close to a root.)  Each
     evaluation narrows the bracket, which starts as (0, hi]; a Newton step
     too small to move a moves it one ulp toward the root.  A geometric
     bisection replaces a step that leaves the bracket, and, by rtsafe's
@@ -34,7 +67,10 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     half the move before last, a bisection's move counting as infinite.  It
     probes the smallest positive double while no point below the root is
     known, and the upper end for a step past it while that end is unprobed.
-    The root is accepted once |f| <= TOL and polished by one Newton step.
+    A point with |f| <= TOL is accepted and polished by one Newton step.
+    From a point with TOL < |f| whose f'' is supplied, the second-order step
+    is returned unevaluated when _second_order_step certifies |f| <= TOL
+    there; otherwise the Newton step is taken as before.
 
     Raises NonFiniteValueError where f is NaN or -inf, NoSignChangeError where
     f > TOL at the smallest positive double (the root lies below it), and
@@ -48,7 +84,11 @@ def _solve(f: Callable[[float], tuple[float, float]], start: float, hi: float) -
     lo, a, end, hi = 0.0, min(start, hi), hi, math.nextafter(hi, math.inf)
     last = older = math.inf  # half the sizes of the last two moves in ln a
     for _ in range(MAX_SOLVE_ITERATIONS):
-        value, slope = f(a)
+        value, slope, curvature = f(a)
+        if curvature is not None and abs(value) > TOL:  # TOL < |f| <= sqrt(TOL)
+            step, bound = _second_order_step(a, value / slope, slope, curvature)
+            if bound <= TOL and lo < step < hi:
+                return step
         try:
             move = value / slope  # the Newton move in ln a
             step = a * math.exp(-move)

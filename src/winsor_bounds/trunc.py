@@ -46,13 +46,20 @@ def log_B_star(a: float, c: float) -> float:
 def solve_A_c(c: float) -> float:
     """Unique a > 0 with B_star(a, c) = 1; the branch threshold for sigma^2.
 
-    Solved as ln B_star(a, c) = 0 from ln(1 + c/2)/c, within a factor 2 of
-    the root for every c: B_star tends to a as c -> 0 (threshold near 1) and
-    to (2/c)e^{ac} for large c (threshold near ln(c/2)/c).  B_star(a, c) >= a
-    puts the root at or below 1.
+    Solved as ln B_star(a, c) = 0 from ln(1 + c)/c, clamped to 1, within
+    a factor 1.25 of the root for every c: B_star tends to a as c -> 0
+    (threshold near 1) and to (2/c)e^{ac} for large c (threshold near
+    ln(c/2)/c).  ln(1 + c) is c itself at a subnormal c, so the seed is 1
+    there, not an underflow to 0.  B_star(a, c) >= a puts the root at or
+    below 1.
     """
     c = require_positive("c", c)
-    return _solve(lambda a: _log_support(a, c, 0.0)[1:], math.log1p(0.5 * c) / c, 1.0)
+
+    def f(a: float):
+        _, log_support, slope, _ = _log_support(a, c, 0.0)
+        return log_support, slope, None
+
+    return _solve(f, math.log1p(c) / c, 1.0)
 
 
 def _A_c_sigma(c: float, row, start: float | None) -> float:

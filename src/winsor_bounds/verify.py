@@ -456,11 +456,13 @@ def suite_asymptotics(grid: Grid, seed: int) -> list[CheckResult]:
     # and the coefficient's where 4 e^c (c - 2) / c^3 = 0, i.e. at c = 2.
     # Both are solved as equations rising through their root, with slopes in ln c.
     slope_c = _solve(
-        lambda c: (c + 2.0 * math.expm1(-c), c * (1.0 - 2.0 * math.exp(-c))), 1.0, 10.0
+        lambda c: (c + 2.0 * math.expm1(-c), c * (1.0 - 2.0 * math.exp(-c)), None),
+        1.0,
+        10.0,
     )
     coeff_c = _solve(
         lambda c: (4.0 * math.exp(c) * (c - 2.0) / c**3,
-                   4.0 * math.exp(c) * (c * c - 4.0 * c + 6.0) / c**3),
+                   4.0 * math.exp(c) * (c * c - 4.0 * c + 6.0) / c**3, None),
         1.0,
         10.0,
     )

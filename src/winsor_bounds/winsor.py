@@ -36,7 +36,7 @@ from collections import namedtuple
 
 from . import asymptotics
 from .errors import LN_DBL_MAX, ParameterError, exp_or_inf, in_range, require_positive
-from .roots import _solve
+from .roots import TOL, _solve
 
 LOG_FORM_CUTOVER = 30.0
 LN_2 = math.log(2.0)
@@ -89,8 +89,8 @@ def _support_point(a: float, c: float, shift: float) -> float:
     return in_range("the support point", support, a, c) if support else support
 
 
-def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]:
-    """(ln a, ln S, d ln S / d ln a) for S = _support_point(a, c, shift),
+def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float, float]:
+    """(ln a, ln S, d ln S / d ln a, a/S) for S = _support_point(a, c, shift),
     stable for arbitrarily large z = shift + ac; ln a is -inf at a = 0, where
     the slope is 0 for shift c and NaN for shift 0 (log_B_star refuses a = 0).
     The slope a(2e^z - 1)/S is (a/S)(2(e^z - 1) + 1) up to the cutover,
@@ -99,41 +99,56 @@ def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float]
     cutover it is (2 - e^-z) e^(ln a + z - ln S), where z cancels from the
     exponent exactly, which leaves ln(ac/2) less the correction, not an ulp
     of z of roundoff, so it is below LN_DBL_MAX.  Where z overflows, ln S
-    and the slope, about ac/2, are inf."""
+    and the slope, about ac/2, are inf.  a/S, which a moment match's second
+    derivative reads, is a by-product: the quotient that forms the slope up
+    to the cutover, s e^-z / (2 - e^-z) past it from the e^-z already
+    formed, the slope itself where z is subnormal (e^-z is 1) and 0 where z
+    overflows."""
     log_a = math.log(a) if a else -math.inf
     z = shift + a * c
     if z == math.inf:
-        return log_a, math.inf, math.inf
-    if z < DBL_MIN:  # the map is a + 2 or a, as in _support_point
+        return log_a, math.inf, math.inf, 0.0
+    if z < DBL_MIN:  # the map is a + 2 or a, as in _support_point; e^-z is 1
         log_support = math.log(a + 2.0) if shift else log_a
-        return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(log_a + z - log_support)
+        slope = math.exp(log_a + z - log_support)
+        return log_a, log_support, slope, slope
     if z <= LOG_FORM_CUTOVER:
         growth = math.expm1(z)
         scaled = 2.0 * growth - a * c  # cS
         support = scaled / c
         if support != math.inf:
-            return log_a, math.log(support), (a / support) * (2.0 * growth + 1.0)
+            ratio = a / support
+            return log_a, math.log(support), ratio * (2.0 * growth + 1.0), ratio
         # a tiny c overflows the quotient, not its log
-        return log_a, math.log(scaled) - math.log(c), (a * c / scaled) * (2.0 * growth + 1.0)
+        ratio = a * c / scaled
+        return log_a, math.log(scaled) - math.log(c), ratio * (2.0 * growth + 1.0), ratio
     # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction
     # term is below 1e-11 past the cutover and underflows harmlessly to 0.
-    correction = math.log1p(-0.5 * (2.0 + a * c) * math.exp(-z))
+    decay = math.exp(-z)
+    correction = math.log1p(-0.5 * (2.0 + a * c) * decay)
     log_2_over_c = math.log(2.0 / c)
     log_support = z + log_2_over_c + correction
     exponent = log_a - log_2_over_c - correction  # ln a + z - ln S, z cancelled
-    return log_a, log_support, (2.0 - math.exp(-z)) * math.exp(exponent)
+    slope = (2.0 - decay) * math.exp(exponent)
+    return log_a, log_support, slope, slope * decay / (2.0 - decay)
 
 
 def _moment_match(c: float, row, shift: float, start: float) -> float:
     """Unique a > 0 with a * _support_point(a, c, shift) = sigma^2, row being
     (sigma, sigma^2, ln sigma), solved from start as ln a + ln S(a) =
     2 ln sigma, which stays O(1)-scaled for any sigma.  Both maps have
-    S(a) >= a, so the root lies at or below sigma."""
+    S(a) >= a, so the root lies at or below sigma.  With s the slope of
+    ln S in u = ln a, f' = 1 + s and f'' = s(1 - s) + ca(s + a/S), formed
+    only where f^2 <= TOL; f''/f' lies in (0, 1), as the certified step
+    needs."""
     target = 2.0 * row[2]
 
-    def f(a: float) -> tuple[float, float]:
-        log_a, log_support, slope = _log_support(a, c, shift)
-        return log_a + log_support - target, 1.0 + slope
+    def f(a: float):
+        log_a, log_support, slope, ratio = _log_support(a, c, shift)
+        value = log_a + log_support - target
+        if value * value > TOL:
+            return value, 1.0 + slope, None
+        return value, 1.0 + slope, slope * (1.0 - slope) + c * a * (slope + ratio)
 
     return _solve(f, start, row[0])
 
@@ -221,12 +236,21 @@ def _a_sigma(sigma2: float, start: float | None) -> float:
     seed = 0.5 * math.log1p(2.0 * asymptotics.t_star() * sigma2)
     seed = in_range("the root's seed", seed, sigma2)
 
-    def f(a: float) -> tuple[float, float]:
+    def f(a: float):
         r = a / sigma2
         d = a * r + 1.0
         w, s = a / d, (a + 1.0) / d  # the slope's terms, each divided by d so none overflows
         slope = 1.0 - 2.0 * (w * (r - 1.0) + s * r - 2.0 * w * r * s * (r - 1.0))
-        return _ell1(a, sigma2), slope
+        value = _ell1(a, sigma2)
+        if value * value > TOL:
+            return value, slope, None
+        # f'' in u, |f''| < f' within 5% of the root in a, the only place
+        # where _ell1^2 <= TOL: the slope is 1 - 2N/d^2 with
+        # N = 4ar - a + r + a^2 r - ar^2, whose slope in u is
+        # N' = 8ar - a + r + 3a^2 r - 3ar^2, and d's slope in u is 2ar
+        q = w * r  # ar/d
+        n = (8.0 * q - w + r / d - 3.0 * q * r) / d + 3.0 * w * q  # N'/d^2
+        return value, slope, 4.0 * q * (1.0 - slope) - 2.0 * n
 
     if start is None:
         t = math.log(sigma2) + LN_2 - 2.0

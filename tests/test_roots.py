@@ -20,7 +20,7 @@ from reference import bisect
 
 def with_slope(f, df):
     """The solver's form of f: its value and its slope in ln a, a f'(a)."""
-    return lambda a: (f(a), a * df(a))
+    return lambda a: (f(a), a * df(a), None)
 
 
 def moment_match_c1(a):
@@ -39,7 +39,7 @@ def log_plus_linear(t):
 
 
 # increasing on (0, 1/2), so solved with hi = 1/2
-LOG_PLUS_LINEAR = lambda t: (log_plus_linear(t), 1.0 - 2.0 * t)
+LOG_PLUS_LINEAR = lambda t: (log_plus_linear(t), 1.0 - 2.0 * t, None)
 
 
 def recording(f, points):
@@ -54,10 +54,10 @@ class TestBracket:
     def test_requires_strict_sign_change(self):
         # positive on all of (0, hi]: the root lies below the doubles
         with pytest.raises(NoSignChangeError):
-            _solve(lambda x: (1.0, 0.0), 1.0, 2.0)
+            _solve(lambda x: (1.0, 0.0, None), 1.0, 2.0)
         # negative on all of (0, hi]: the bracket closes on hi without a root
         with pytest.raises(MaxIterationsError):
-            _solve(lambda x: (-1.0, 0.0), 1.0, 2.0)
+            _solve(lambda x: (-1.0, 0.0, None), 1.0, 2.0)
 
 
 class TestFindBracket:
@@ -72,25 +72,25 @@ class TestFindBracket:
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoSignChangeError):
-            _solve(lambda x: (1.0 + x, x), 1.0, 2.0)
+            _solve(lambda x: (1.0 + x, x, None), 1.0, 2.0)
 
     def test_expansion_has_no_step_budget(self):
         # the root sits about 266 doublings above the start
-        root = _solve(lambda x: (x / 1e80 - 1.0, x / 1e80), 1.0, 1e81)
+        root = _solve(lambda x: (x / 1e80 - 1.0, x / 1e80, None), 1.0, 1e81)
         assert root == pytest.approx(1e80, rel=1e-15)
 
     def test_evaluation_cap(self, monkeypatch):
         # the root sits ~266 doublings above the start: more than 3 evaluations
         monkeypatch.setattr(roots_module, "MAX_SOLVE_ITERATIONS", 3)
         with pytest.raises(MaxIterationsError, match="no convergence in 3 evaluations"):
-            _solve(lambda x: (x / 1e80 - 1.0, x / 1e80), 1.0, 1e81)
+            _solve(lambda x: (x / 1e80 - 1.0, x / 1e80, None), 1.0, 1e81)
 
     def test_expansion_stops_before_inf(self):
         # negative on every float, so steps run past hi; f must never be
         # called above hi
         probes = []
         with pytest.raises(MaxIterationsError):
-            _solve(recording(lambda x: (-1.0, 1.0), probes), 1.0, 1e300)
+            _solve(recording(lambda x: (-1.0, 1.0, None), probes), 1.0, 1e300)
         assert max(probes) <= 1e300
 
     def test_contraction_stops_before_zero(self):
@@ -99,7 +99,7 @@ class TestFindBracket:
         # called at 0
         probes = []
         with pytest.raises(NoSignChangeError):
-            _solve(recording(lambda x: (math.log(x) + 1000.0, 1.0), probes), 1e-300, 1.0)
+            _solve(recording(lambda x: (math.log(x) + 1000.0, 1.0, None), probes), 1e-300, 1.0)
         assert probes == [1e-300, math.ulp(0.0)]
 
     def test_non_finite_probe_raises(self):
@@ -110,22 +110,22 @@ class TestFindBracket:
             for slope in (1.0, -1.0, 0.0, math.inf, math.nan):
                 probes = []
                 with pytest.raises(NonFiniteValueError, match=r"^f\(1\.0\) returned"):
-                    _solve(recording(lambda x: (value, slope), probes), 1.0, 2.0)
+                    _solve(recording(lambda x: (value, slope, None), probes), 1.0, 2.0)
                 assert probes == [1.0]
 
     def test_positive_infinity_lies_above_the_root(self):
         # an overflowed log form reads +inf, which narrows the bracket from
         # above; -inf raises, as NaN does
         def f(x):
-            return (math.inf, math.inf) if x > 1e10 else (math.log(x), 1.0)
+            return (math.inf, math.inf, None) if x > 1e10 else (math.log(x), 1.0, None)
 
         assert _solve(f, 1e20, 1e30) == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(NonFiniteValueError):
-            _solve(lambda x: (-math.inf, 1.0), 1.0, 2.0)
+            _solve(lambda x: (-math.inf, 1.0, None), 1.0, 2.0)
 
     def test_exact_zero_at_the_start_is_the_root(self):
         probes = []
-        assert _solve(recording(lambda x: (x - 1.0, x), probes), 1.0, 2.0) == 1.0
+        assert _solve(recording(lambda x: (x - 1.0, x, None), probes), 1.0, 2.0) == 1.0
         assert probes == [1.0]
 
     def test_seed_must_be_positive(self):
@@ -141,7 +141,7 @@ class TestSolveRoot:
         assert 0.0 < root <= 0.5
 
     def test_linear_function_is_exact(self):
-        assert abs(_solve(lambda x: (x - 1.0, x), 0.5, 2.0) - 1.0) < 1e-12
+        assert abs(_solve(lambda x: (x - 1.0, x, None), 0.5, 2.0) - 1.0) < 1e-12
 
     def test_exp_growth_threshold_matches_bisection(self):
         # root of 2(e^a - 1) - a - 1; oracle value frozen from 50-digit
@@ -157,7 +157,7 @@ class TestSolveRoot:
         assert first == second
 
     def test_max_iterations_on_discontinuous_sign_flip(self):
-        f = lambda x: (1.0 if x >= 0.7 else -1.0, 0.0)
+        f = lambda x: (1.0 if x >= 0.7 else -1.0, 0.0, None)
         with pytest.raises(MaxIterationsError):
             _solve(f, 0.5, 1.0)
 
@@ -211,7 +211,7 @@ def exp_plus_linear(t, counter=None):
     def f(a):
         if counter is not None:
             counter.append(a)
-        return math.log(a) + a - t, 1.0 + a
+        return math.log(a) + a - t, 1.0 + a, None
 
     return f
 
@@ -243,5 +243,5 @@ class TestNewtonColumns:
 
     def test_bisects_where_newton_cannot_step(self):
         # a zero slope everywhere: every step is a geometric bisection
-        f = lambda a: (math.atan(math.log(a) - 1.0), 0.0)
+        f = lambda a: (math.atan(math.log(a) - 1.0), 0.0, None)
         assert abs(math.log(_solve(f, 1.0, math.exp(20.0))) - 1.0) <= 1e-12

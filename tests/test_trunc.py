@@ -82,6 +82,13 @@ class TestSolveAc:
     def test_tiny_tilt_limit_is_one(self):
         assert abs(trunc.solve_A_c(1e-8) - 1.0) < 1e-6
 
+    @pytest.mark.parametrize("c", (5e-324, 1e-323, 1e-310))
+    def test_subnormal_tilt_threshold_is_one(self, c):
+        # ac is subnormal, so B_star(a, c) is a and the threshold is 1; the
+        # seed ln(1 + c)/c is c/c = 1 there, where ln(1 + c/2)/c underflowed
+        # to 0.0 and was refused as a start
+        assert trunc.solve_A_c(c) == 1.0
+
     def test_defining_identity_across_tilts(self):
         for c in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
             threshold = trunc.solve_A_c(c)

@@ -77,7 +77,7 @@ ENTRY_POINTS = [
     ("refine_grid_min", "sigma", lambda v: oracle.refine_grid_min(1.0, v, MomentKind.TRUNC)),
     ("universal_grid_min", "sigma", lambda v: oracle.universal_grid_min(v)),
     ("sample_three_point", "sigma", lambda v: oracle.sample_three_point(v, 10, 1)),
-    ("_solve", "start", lambda v: roots._solve(lambda x: (x - 1.0, x), v, 2.0)),
+    ("_solve", "start", lambda v: roots._solve(lambda x: (x - 1.0, x, None), v, 2.0)),
     ("compute_sweep", "c", lambda v: compute_sweep(SweepKind.FIXED_C_WINSOR, (1.0,), (v,))),
     ("compute_sweep", "sigma", lambda v: compute_sweep(SweepKind.TRUNC, (v,), (1.0,))),
     ("compute_sweep", "cut", lambda v: compute_sweep(SweepKind.UNIVERSAL_WINSOR, (1.0,), (), v)),

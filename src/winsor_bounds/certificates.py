@@ -12,7 +12,10 @@ in closed form at each contact (value and slope, one-sided on the cut).
 capped_exp (with its body _capped_exp) and QuadraticMinorant.__call__ are
 the only code that computes F and G; both take ``out=`` and give the same
 bits with or without it.  check_certificate says how the grid check walks
-its points.
+its points: the blocks of its wide span that lie on x >= 1, or on x < 0
+with c >= 0, are bounded from their ends (the parabola's top plus a
+rounding slack, _sup_bound) and skipped where that bound proves every gap
+clear of the tolerance and of the worst gap already found.
 """
 
 from __future__ import annotations
@@ -216,6 +219,36 @@ def _fold(worst, localized, x, gap, i, contact_points):
     return worst, localized
 
 
+def _sup_bound(minorant: QuadraticMinorant, x0: float, x1: float) -> float:
+    """An upper bound on every G that QuadraticMinorant.__call__ computes at
+    a point whose u = x - x_lo lies between x0's and x1's: the parabola's
+    supremum there, at its vertex clamped to [u0, u1], plus a slack of
+    1e-13 (|lower_value| + |lower_slope| U + |gamma| U^2) + 1e-300 with
+    U = max |u|.  The Horner evaluation errs by at most gamma_3 = 3.3e-16
+    times that sum, plus a few subnormals where it underflows (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3 and 5); the slack
+    is about 100 times gamma_4, and inf where |gamma| U^2 passes the doubles."""
+    x_lo, value, slope, gamma = map(float, (minorant.contact_points[0], *minorant[1:]))
+    u0, u1 = x0 - x_lo, x1 - x_lo
+    u = min(max(-slope / (2.0 * gamma), u0), u1)
+    extent = max(abs(u0), abs(u1))
+    top = value + u * (slope + gamma * u)
+    return top + (1e-13 * (abs(value) + abs(slope) * extent - gamma * extent * extent) + 1e-300)
+
+
+def _gap_floor(minorant: QuadraticMinorant, c: float, f_at_cut: float, x0: float, x1: float) -> float:
+    """A lower bound on every gap check_certificate forms over a sorted span
+    block from x0 to x1, formed with the block's own operations from
+    _sup_bound: F(1) - G, over F(1) where that passes 1, on x >= 1 and
+    0.0 - G on x < 0 (c >= 0), where 0.0 <= F <= 1.  NaN on any other block."""
+    if x0 >= 1.0:
+        floor = f_at_cut - _sup_bound(minorant, x0, x1)
+        return floor / f_at_cut if f_at_cut > 1.0 else floor
+    if x1 < 0.0 and c >= 0.0:
+        return 0.0 - _sup_bound(minorant, x0, x1)
+    return math.nan
+
+
 def check_certificate(
     minorant: QuadraticMinorant, kind: MomentKind, c: float
 ) -> CertificateReport:
@@ -224,6 +257,11 @@ def check_certificate(
     Walks the grid without sorting it, in buffers of _BLOCK points allocated
     once per check, under one np.errstate; the worst point is argmin's on
     the sorted grid: a NaN gap first, then the least gap, then the least x.
+    - The windows and points at the contacts and the cut, in _grid_pieces
+      order, make one block of at most 6,006 points, walked first, all
+      through F and the division; that gives the shortcuts' bits (exp(c) is
+      F(1), F <= 1 is divided by 1.0, exp is 0.0 below the cutoff).  It is
+      not sorted, so the least x among its worst gaps is picked explicitly.
     - The wide span goes in blocks rebuilt in place as np.linspace's points.
       A block is sorted, so argmin's first index is its least x among ties,
       and its first and last x say which work has a known result: every
@@ -231,24 +269,50 @@ def check_certificate(
       1.0; every x < 0 (c >= 0) has F <= 1, so no division, and F = 0.0
       without exp where c*x < _EXP_ZERO_BELOW, so a block that is zero
       throughout has gap 0.0 - G.  Every other block goes through F.
-    - The windows and points at the contacts and the cut, in _grid_pieces
-      order, make one block of at most 6,006 points, all through F and the
-      division; that gives the shortcuts' bits (exp(c) is F(1), F <= 1 is
-      divided by 1.0, exp is 0.0 below the cutoff).  It is not sorted, so
-      the least x among its worst gaps is picked explicitly."""
+    - Before it is built, a span block gets _gap_floor from its two ends,
+      first*step + start and its last point (stop at the end): rounding is
+      monotone, so every x and u = x - x_lo of the block lies between
+      theirs.  Where the floor is finite, above EQUALITY_RTOL and above the
+      worst gap so far, which is a number, the block holds no NaN, no
+      equality and no gap that ties the worst, so argmin's tie rule never
+      has to choose it and skipping it leaves the report's bits as they
+      are.  The floor speaks of QuadraticMinorant.__call__ alone: a
+      subclass that overrides it is walked in full, as is a grid whose
+      points are not ordered."""
     (start, stop, num), *fine = _grid_pieces(minorant)
     contacts = minorant.contact_points
     x, f, g, gap = (np.empty(_BLOCK) for _ in range(4))
-    f_at_cut = capped_exp(kind, c, 1.0)
+    f_at_cut = float(capped_exp(kind, c, 1.0))
     scale_at_cut = np.maximum(1.0, f_at_cut)
     zero_below = _EXP_ZERO_BELOW / c if c > 0.0 else -math.inf
     # reading a block's x range from its ends needs sorted points, which
     # finite ones are
-    ordered = math.isfinite(start) and math.isfinite((stop - start) / (num - 1))
-    worst, localized = (True, math.inf, math.inf), True
+    step = (stop - start) / (num - 1)
+    ordered = math.isfinite(start) and math.isfinite(step)
+    bounded = ordered and type(minorant).__call__ is QuadraticMinorant.__call__
     with np.errstate(under="ignore"):
+        fine_points = 0  # the fine block, in x[:fine_points]
+        for piece in fine:
+            _linspace_into(x[fine_points : fine_points + piece[2]], *piece)
+            fine_points += piece[2]
+        xb, fb, gb, gapb = x[:fine_points], f[:fine_points], g[:fine_points], gap[:fine_points]
+        minorant(xb, out=gb)
+        _capped_exp(kind, c, xb, fb)
+        np.subtract(fb, gb, out=gapb)
+        np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
+        i = int(gapb.argmin())
+        ties = np.flatnonzero(gapb == gapb[i] if gapb[i] == gapb[i] else np.isnan(gapb))
+        worst, localized = _fold(
+            (True, math.inf, math.inf), True, xb, gapb, int(ties[xb[ties].argmin()]), contacts
+        )
+
         for first in range(0, num, _BLOCK):
             n = min(_BLOCK, num - first)
+            if bounded and worst[0]:
+                x1 = stop if first + n == num else (first + n - 1) * step + start
+                floor = _gap_floor(minorant, c, f_at_cut, first * step + start, x1)
+                if math.isfinite(floor) and floor > max(EQUALITY_RTOL, worst[1]):
+                    continue
             xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
             _linspace_into(xb, start, stop, num, first)
             minorant(xb, out=gb)
@@ -269,26 +333,13 @@ def check_certificate(
                 np.subtract(fb, gb, out=gapb)
                 np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
             worst, localized = _fold(worst, localized, xb, gapb, int(gapb.argmin()), contacts)
-
-        n = 0  # the fine block, in x[:n]
-        for piece in fine:
-            _linspace_into(x[n : n + piece[2]], *piece)
-            n += piece[2]
-        xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
-        minorant(xb, out=gb)
-        _capped_exp(kind, c, xb, fb)
-        np.subtract(fb, gb, out=gapb)
-        np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
-    i = int(gapb.argmin())
-    ties = np.flatnonzero(gapb == gapb[i] if gapb[i] == gapb[i] else np.isnan(gapb))
-    worst, localized = _fold(worst, localized, xb, gapb, int(ties[xb[ties].argmin()]), contacts)
     is_number, worst_gap, worst_x = worst
     return CertificateReport(
         passed=is_number and worst_gap >= -GAP_RTOL and localized,
         worst_gap=worst_gap if is_number else math.nan,
         worst_x=worst_x,
         equality_localized=localized,
-        n_points=num + n,
+        n_points=num + fine_points,
     )
 
 

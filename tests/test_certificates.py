@@ -366,6 +366,9 @@ REFERENCE_CASES = {
     # which comes first in the fine block; argmin over that unsorted block
     # would report -4.7541646718256975e-07, the sorted grid the contact
     "winsor-0.1-1e-3-tie-in-the-fine-block": lambda: solved_winsor(0.1, 1e-3),
+    # contacts at -7.95e-259 and 1.26e258: |gamma| U^2 in the skip's slack
+    # is 3.8e262, formed without U^2, which overflows
+    "winsor-600-1-span-1e259": lambda: solved_winsor(600.0, 1.0),
     # c = 0: no zero prefix, and F = 1 everywhere
     "winsor-1-1-at-c-0": lambda: (solved_winsor(1.0, 1.0)[0], MomentKind.WINSOR, 0.0),
     # c < 0: F > 1 on x < 0, so neither shortcut for x < 0 holds; G = 1
@@ -463,15 +466,161 @@ def test_walk_matches_sorted_grid_reference_on_the_verify_grid(kind):
 # at winsor-0.5-0.2 the span's last point index*step + start is not stop
 @pytest.mark.parametrize("case", ["winsor-0.5-0.2", "winsor-5-30", "trunc-large"])
 def test_walked_points_are_the_linspace_points(case):
-    # each block is rebuilt in place as index*step + start with the last
-    # point set to stop: bit for bit the points of np.linspace
+    # the fine pieces go first, then the span; each span block is rebuilt in
+    # place as index*step + start with the last point set to stop: bit for
+    # bit the points of np.linspace.  Recording overrides __call__, so no
+    # block is skipped.
     minorant, kind, c = REFERENCE_CASES[case]()
     recording = from_coefficients(0.0, 1.0, -1.0, minorant.contact_points, cls=Recording)
     Recording.seen = []
     certificates.check_certificate(recording, kind, c)
     walked = np.concatenate(Recording.seen)
-    linspace = np.concatenate([np.linspace(*piece) for piece in certificates._grid_pieces(minorant)])
+    span, *fine = certificates._grid_pieces(minorant)
+    linspace = np.concatenate([np.linspace(*piece) for piece in (*fine, span)])
     assert bits(walked) == bits(linspace)
+
+
+def record_span_blocks(monkeypatch):
+    """A list that gets the first index of every span block a check builds."""
+    firsts = []
+    build = certificates._linspace_into
+
+    def recorded(out, start, stop, num, first=0):
+        if num == certificates.GRID_BASE_POINTS:
+            firsts.append(first)
+        build(out, start, stop, num, first)
+
+    monkeypatch.setattr(certificates, "_linspace_into", recorded)
+    return firsts
+
+
+def walked_span_blocks(monkeypatch, minorant, kind, c):
+    """The check's report and the first index of every span block it builds."""
+    firsts = record_span_blocks(monkeypatch)
+    report = certificates.check_certificate(minorant, kind, c)
+    monkeypatch.undo()
+    return report, firsts
+
+
+def span_blocks(minorant, kind, c):
+    """Each span block as (first, its np.linspace points, its gap floor)."""
+    start, stop, num = certificates._grid_pieces(minorant)[0]
+    points = np.linspace(start, stop, num)
+    f_at_cut = float(certificates.capped_exp(kind, c, 1.0))
+    for first in range(0, num, certificates._BLOCK):
+        x = points[first : first + certificates._BLOCK]
+        yield first, x, certificates._gap_floor(minorant, c, f_at_cut, float(x[0]), float(x[-1]))
+
+
+def assert_skips_are_sound(monkeypatch, minorant, kind, c):
+    """Every span block the check skips, evaluated in full, computes no G
+    above its bound and no gap below its floor, and that floor is finite and
+    above both the equality tolerance and the worst gap; every block whose
+    floor is not finite is walked.  Returns the number skipped."""
+    report, walked = walked_span_blocks(monkeypatch, minorant, kind, c)
+    skipped = 0
+    for first, x, floor in span_blocks(minorant, kind, c):
+        if first in walked:
+            continue
+        skipped += 1
+        assert math.isfinite(floor)
+        assert floor > max(certificates.EQUALITY_RTOL, report.worst_gap)
+        assert minorant(x).max() <= certificates._sup_bound(minorant, float(x[0]), float(x[-1]))
+        f_values = certificates.capped_exp(kind, c, x)
+        gap = (f_values - minorant(x)) / np.maximum(1.0, f_values)
+        assert gap.min() >= floor, first
+    return skipped
+
+
+def test_skipped_blocks_are_bounded_on_the_reference_cases(monkeypatch):
+    skipped = 0
+    for make in REFERENCE_CASES.values():
+        minorant, kind, c = make()
+        with np.errstate(under="ignore"):
+            skipped += assert_skips_are_sound(monkeypatch, minorant, kind, c)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("kind", list(MomentKind))
+def test_skipped_blocks_are_bounded_on_the_verify_grid(kind, monkeypatch):
+    pairs = list(itertools.product(verify.C_GRID, verify.SIGMA_GRID))[::7]
+    skipped = 0
+    for c, sigma in pairs:
+        (minorant, kind, c), _ = verify_grid_case(c, sigma, kind)
+        with np.errstate(under="ignore"):
+            skipped += assert_skips_are_sound(monkeypatch, minorant, kind, c)
+    assert skipped > len(pairs)
+
+
+@pytest.mark.parametrize(
+    "c, sigma, kind",
+    [(10.0, 1e6, MomentKind.WINSOR), (10.0, 1e6, MomentKind.TRUNC),
+     (5.0, 1e6, MomentKind.WINSOR), (10.0, 587801.6072274924, MomentKind.WINSOR)],
+)
+def test_near_overflow_spans_of_the_verify_grid(c, sigma, kind, monkeypatch):
+    # spans of 2e12 to 5.4e12, where U^2 in the slack reaches 3e25
+    (minorant, kind, c), _ = verify_grid_case(c, sigma, kind)
+    assert certificates._grid_pieces(minorant)[0][1] > 1.9e12
+    with np.errstate(under="ignore"):
+        assert assert_skips_are_sound(monkeypatch, minorant, kind, c) > 0
+
+
+OVERFLOW_CASES = {
+    # a span of 1e201: |gamma| U^2 overflows, so every floor is -inf or NaN
+    "u-squared-overflows": lambda: (
+        from_coefficients(0.0, 1.0, -1e-6, (-1.0, 1e200)), MomentKind.WINSOR, 1.0
+    ),
+    # F(1) = e^c overflows: the x >= 1 floors are not finite, and the fine
+    # block's gaps are NaN
+    "exp-c-overflows": lambda: (solved_winsor(1.0, 1.0)[0], MomentKind.WINSOR, 710.0),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOW_CASES)
+def test_blocks_without_a_finite_floor_are_walked(case, monkeypatch):
+    minorant, kind, c = OVERFLOW_CASES[case]()
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        assert not all(math.isfinite(floor) for *_, floor in span_blocks(minorant, kind, c))
+        assert_skips_are_sound(monkeypatch, minorant, kind, c)
+        report = certificates.check_certificate(minorant, kind, c)
+        expected = reference_check(minorant, kind, c)
+    walked = (report.passed, report.worst_gap, report.worst_x, report.equality_localized)
+    assert repr(walked) == repr(expected)
+
+
+def test_negative_controls_fail_with_their_bits(monkeypatch):
+    # verify's negative control (beta shrunk by 10% about the lower contact)
+    # and beta-times-0.9 (about 0) fail at the gaps and points they failed
+    # at before any block was skipped, while most of their blocks are
+    a = fixed_root(1.0, 1.0)
+    good = certificates.winsor_minorant(a, 1.0)
+    control = QuadraticMinorant(
+        contact_points=good.contact_points,
+        lower_value=good.lower_value + 0.1 * good.beta * a,
+        lower_slope=good.lower_slope - 0.1 * good.beta,
+        gamma=good.gamma,
+    )
+    cases = [
+        (control, "-0x1.4635abc2de9c0p-6"),
+        (REFERENCE_CASES["beta-times-0.9"]()[0], "-0x1.4635abc2de9a0p-6"),
+    ]
+    for minorant, worst_gap in cases:
+        report, walked = walked_span_blocks(monkeypatch, minorant, MomentKind.WINSOR, 1.0)
+        assert not report.passed and report.equality_localized
+        assert report.worst_gap.hex() == worst_gap
+        assert report.worst_x.hex() == "-0x1.349a8e2b51f80p-2"
+        assert report.n_points == 106_007
+        assert len(walked) < 13
+
+
+def test_certificate_suite_span_block_budget(monkeypatch):
+    # A count, not a timing: one certificate suite built 855 of its 8,333
+    # span blocks when blocks whose gap floor clears the tolerance came to be
+    # skipped (all of them before).  The ceiling is that count plus 5%; a
+    # change that needs more blocks is a regression, not a new ceiling.
+    built = record_span_blocks(monkeypatch)
+    assert all(result.passed for result in verify.run_suite("certificates"))
+    assert len(built) <= 897, f"{len(built)} span blocks"
 
 
 def test_exp_is_exactly_zero_below_the_cutoff():

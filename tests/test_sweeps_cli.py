@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import asymptotics, certificates, cli, verify
+from winsor_bounds import asymptotics, certificates, cli, sweeps, verify
 from winsor_bounds.errors import LN_DBL_MAX, ParameterError, WinsorBoundsError
 from winsor_bounds.sweeps import (
     SweepKind, SweepTable, compute_sweep, read_csv, sigma_grid, write_csv,
@@ -242,30 +242,28 @@ class TestColumnSolverAgainstScalar:
         )
 
     @pytest.mark.parametrize(
-        "kind, sigma",
-        [(SweepKind.UNIVERSAL_WINSOR, 0.515), (SweepKind.UNIVERSAL_WINSOR, 0.592),
-         (SweepKind.FIXED_C_WINSOR, 0.54)],
+        "kind, slope",
+        [(SweepKind.UNIVERSAL_WINSOR, 4.0), (SweepKind.UNIVERSAL_WINSOR, -4.0),
+         (SweepKind.FIXED_C_WINSOR, 4.0)],
         ids=["universal-overflow", "universal-underflow", "fixed-overflow"],
     )
-    def test_extrapolation_leaving_the_doubles(self, kind, sigma, lanes):
-        # Over one ulp of sigma the roots move by a rounding of an ulp or
-        # two, so the line through them has a slope of several decades per
-        # decade of sigma; at sigma = 1e150 it leaves the doubles.  The lane
-        # starts from the last root there and answers as the scalar call does.
-        # Which sigmas do so depends on the solver's last rounding: the first
-        # assertion checks that each case still leaves the doubles.
-        tilts = () if kind is SweepKind.UNIVERSAL_WINSOR else (1.0,)
-        sigmas = (sigma, math.nextafter(sigma, 1.0), 1e150)
-        a1 = lanes[kind](1.0, sigmas[0])[0]  # the universal lane reads no c
-        a2 = lanes[kind](1.0, sigmas[1], a1)[0]  # as the sweep solves it, from a1
-        s1, s2, s3 = (math.log(s) for s in sigmas)
-        line = math.log(a2) + (math.log(a2) - math.log(a1)) / (s2 - s1) * (s3 - s2)
+    def test_extrapolation_leaving_the_doubles(self, kind, slope, lanes):
+        # In a sweep, two roots an ulp of sigma apart that a rounding moves
+        # by an ulp or two make a line of several decades per decade of
+        # sigma.  Here the path is built directly: the root at sigma = 0.5,
+        # then one on a line of four decades per decade, which leaves the
+        # doubles at sigma = 1e150.  The lane there starts from the last root
+        # and answers as the scalar call does.
+        x1, x2, x3 = (math.log(sigma) for sigma in (0.5, 0.6, 1e150))
+        a1 = lanes[kind](1.0, 0.5)[0]  # the universal lane reads no c
+        a2 = a1 * math.exp(slope * (x2 - x1))
+        path = sweeps._extend(sweeps._extend(None, x1, a1), x2, a2)
+        line = math.log(a2) + (math.log(a2) - math.log(a1)) / (x2 - x1) * (x3 - x2)
         assert not math.log(math.ulp(0.0)) < line < LN_DBL_MAX
-        got = outcome(lambda: compute_sweep(kind, sigmas, tilts).rows)
-        expected = outcome(lambda: scalar_rows(kind, sigmas, tilts, 1.0))
-        assert [row[1:] for row in got] == [
-            pytest.approx(row[1:], rel=SWEEP_RTOL, abs=0) for row in expected
-        ]
+        assert sweeps._start(path, x3) == a2
+        got = lanes[kind](1.0, 1e150, a2)
+        expected = SCALAR[kind](1.0, 1e150, 1.0)
+        assert got[:4] == pytest.approx(expected[4:8], rel=SWEEP_RTOL, abs=0)
 
     @pytest.mark.parametrize(
         "kind, sigmas, tilt, cut",
@@ -356,11 +354,11 @@ class TestColumnSolverAgainstScalar:
 
     def test_figure_sweeps_exp_budget(self):
         # A count, not a timing: the three figure sweeps called math.exp
-        # 14,624 times when the support map's slope came to reuse the
-        # e^z - 1 that forms the map, up to the cutover (25,368 before: two
-        # more per evaluation of a fixed-tilt or truncated moment match).
-        # The ceiling is that count plus 5%; a change that needs more calls
-        # is a regression, not a new ceiling.
+        # 11,895 times once a certified second-order step came to replace
+        # the evaluation that only confirmed |f| <= TOL (14,624 before, when
+        # the support map's slope came to reuse the e^z - 1 that forms the
+        # map; 25,368 before that).  The ceiling is that count plus 5%; a
+        # change that needs more calls is a regression, not a new ceiling.
         asymptotics.t_star()  # solved, and cached, at the first universal seed
         calls = [0]
 
@@ -375,7 +373,7 @@ class TestColumnSolverAgainstScalar:
             compute_sweep(SweepKind.RATIO_TRUNC_OVER_WINSOR, FIGURE_GRID, FIGURE_TILTS)
         finally:
             sys.setprofile(None)
-        assert calls[0] <= 15_355
+        assert calls[0] <= 12_490, f"{calls[0]} calls"
 
     def test_ratio_kinds_divide_the_scalar_bounds(self):
         grid = FIGURE_GRID[::10]

@@ -12,10 +12,13 @@ in closed form at each contact (value and slope, one-sided on the cut).
 capped_exp (with its body _capped_exp) and QuadraticMinorant.__call__ are
 the only code that computes F and G; both take ``out=`` and give the same
 bits with or without it.  check_certificate says how the grid check walks
-its points: the blocks of its wide span that lie on x >= 1, or on x < 0
-with c >= 0, are bounded from their ends (the parabola's top plus a
-rounding slack, _sup_bound) and skipped where that bound proves every gap
-clear of the tolerance and of the worst gap already found.
+its points: each block of its wide span is split at x = 0 and x = 1, so
+that F = F(1) from 1 on, read once from the fine block, and the division
+by max(1, F) is formed on [0, 1) alone (with c >= 0).  Blocks on x < 0
+(c >= 0) are bounded from their ends (the parabola's top plus a rounding
+slack, _sup_bound), and so is the span's whole tail on x >= 1, at once;
+what such a bound proves clear of the tolerance and of the worst gap
+already found is skipped.
 """
 
 from __future__ import annotations
@@ -205,17 +208,18 @@ def _linspace_into(out: np.ndarray, start: float, stop: float, num: int, first: 
         out[-1] = stop
 
 
-def _fold(worst, localized, x, gap, i, contact_points):
+def _fold(worst, localized, x, gap, i, contacts, windows):
     """worst and localized updated with a block whose worst point is at i:
-    worst is (gap is a number, gap, x) and the least such tuple wins."""
+    worst is (gap is a number, gap, x) and the least such tuple wins; an
+    equality is localized within windows[k] of contacts[k], k = 0 or 1."""
     gap_i = float(gap[i])
     worst = min(worst, (gap_i == gap_i, gap_i if gap_i == gap_i else 0.0, float(x[i])))
     if localized and not gap_i > EQUALITY_RTOL:  # otherwise no point is an equality
-        xs = x[np.abs(gap) <= EQUALITY_RTOL]
-        near_contact = np.zeros_like(xs, dtype=bool)
-        for x0 in contact_points:
-            near_contact |= np.abs(xs - x0) <= CONTACT_WINDOW * (1.0 + abs(x0))
-        localized = bool(np.all(near_contact))
+        # no gap is below gap_i: where that is >= -EQUALITY_RTOL, so is every gap
+        equal = gap <= EQUALITY_RTOL if gap_i >= -EQUALITY_RTOL else np.abs(gap) <= EQUALITY_RTOL
+        xs = x[equal]
+        near = np.abs(xs - contacts[0]) <= windows[0]
+        localized = bool(np.all(near | (np.abs(xs - contacts[1]) <= windows[1])))
     return worst, localized
 
 
@@ -237,10 +241,11 @@ def _sup_bound(minorant: QuadraticMinorant, x0: float, x1: float) -> float:
 
 
 def _gap_floor(minorant: QuadraticMinorant, c: float, f_at_cut: float, x0: float, x1: float) -> float:
-    """A lower bound on every gap check_certificate forms over a sorted span
-    block from x0 to x1, formed with the block's own operations from
-    _sup_bound: F(1) - G, over F(1) where that passes 1, on x >= 1 and
-    0.0 - G on x < 0 (c >= 0), where 0.0 <= F <= 1.  NaN on any other block."""
+    """A lower bound on every gap check_certificate forms over the sorted
+    span points from x0 to x1 (a block, or the whole tail up to stop),
+    formed with the blocks' own operations from _sup_bound: F(1) - G, over
+    F(1) where that passes 1, on x >= 1 and 0.0 - G on x < 0 (c >= 0),
+    where 0.0 <= F <= 1.  NaN on any other range."""
     if x0 >= 1.0:
         floor = f_at_cut - _sup_bound(minorant, x0, x1)
         return floor / f_at_cut if f_at_cut > 1.0 else floor
@@ -255,84 +260,103 @@ def check_certificate(
     """Verify G <= F on certificate_grid with equality only near the contacts.
 
     Walks the grid without sorting it, in buffers of _BLOCK points allocated
-    once per check, under one np.errstate; the worst point is argmin's on
-    the sorted grid: a NaN gap first, then the least gap, then the least x.
+    once per check, under one np.errstate that ignores underflow and
+    overflow; the worst point is argmin's on the sorted grid: a NaN gap
+    first, then the least gap, then the least x.  A G of -inf, or an F - G
+    past the doubles, is a gap of +inf; an F of +inf still makes a NaN gap
+    (inf/inf), which fails the report and warns as an invalid value.
     - The windows and points at the contacts and the cut, in _grid_pieces
       order, make one block of at most 6,006 points, walked first, all
       through F and the division; that gives the shortcuts' bits (exp(c) is
-      F(1), F <= 1 is divided by 1.0, exp is 0.0 below the cutoff).  It is
-      not sorted, so the least x among its worst gaps is picked explicitly.
+      F(1), F <= 1 is divided by 1.0, exp is 0.0 below the cutoff), and its
+      point x = 1.0 gives F(1).  It is not sorted, so the least x among its
+      worst gaps is picked explicitly.
     - The wide span goes in blocks rebuilt in place as np.linspace's points.
       A block is sorted, so argmin's first index is its least x among ties,
-      and its first and last x say which work has a known result: every
-      x >= 1 has F = F(1), divided by max(1, F(1)) only where that is not
-      1.0; every x < 0 (c >= 0) has F <= 1, so no division, and F = 0.0
-      without exp where c*x < _EXP_ZERO_BELOW, so a block that is zero
-      throughout has gap 0.0 - G.  Every other block goes through F.
+      and searchsorted splits it at x = 0 and x = 1 into parts whose work
+      has a known result: on x >= 1, F = F(1), and the gap is divided by
+      F(1) only where that passes 1; on x < 0 (c >= 0), F <= 1, so no
+      division, and F = 0.0 without exp where c*x < _EXP_ZERO_BELOW.  Only
+      [0, 1) (all of x < 1 where c < 0) goes through F and the division.
     - Before it is built, a span block gets _gap_floor from its two ends,
       first*step + start and its last point (stop at the end): rounding is
       monotone, so every x and u = x - x_lo of the block lies between
-      theirs.  Where the floor is finite, above EQUALITY_RTOL and above the
-      worst gap so far, which is a number, the block holds no NaN, no
-      equality and no gap that ties the worst, so argmin's tie rule never
-      has to choose it and skipping it leaves the report's bits as they
-      are.  The floor speaks of QuadraticMinorant.__call__ alone: a
-      subclass that overrides it is walked in full, as is a grid whose
-      points are not ordered."""
+      theirs.  The first block on x >= 1 is bounded together with the rest
+      of the span, up to stop.  Where the floor is finite, above
+      EQUALITY_RTOL and above the worst gap so far, which is a number, the
+      points it covers hold no NaN, no equality and no gap that ties the
+      worst, so argmin's tie rule never has to choose them and skipping
+      them leaves the report's bits as they are.  The floor speaks of
+      QuadraticMinorant.__call__ alone: a subclass that overrides it is
+      walked in full, as is a grid whose points are not ordered, which also
+      goes whole through F and the division."""
     (start, stop, num), *fine = _grid_pieces(minorant)
     contacts = minorant.contact_points
+    windows = [CONTACT_WINDOW * (1.0 + abs(x0)) for x0 in contacts]
     x, f, g, gap = (np.empty(_BLOCK) for _ in range(4))
-    f_at_cut = float(capped_exp(kind, c, 1.0))
-    scale_at_cut = np.maximum(1.0, f_at_cut)
-    zero_below = _EXP_ZERO_BELOW / c if c > 0.0 else -math.inf
+    # a span block's parts: F = 0.0 below the first split, no division below
+    # the second and F = F(1) from the third on
+    splits = np.array((
+        _EXP_ZERO_BELOW / c if c > 0.0 else -math.inf, 0.0 if c >= 0.0 else -math.inf, 1.0
+    ))
     # reading a block's x range from its ends needs sorted points, which
     # finite ones are
     step = (stop - start) / (num - 1)
     ordered = math.isfinite(start) and math.isfinite(step)
     bounded = ordered and type(minorant).__call__ is QuadraticMinorant.__call__
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):
         fine_points = 0  # the fine block, in x[:fine_points]
         for piece in fine:
+            if piece == (1.0, 1.0, 1):
+                at_cut = fine_points
             _linspace_into(x[fine_points : fine_points + piece[2]], *piece)
             fine_points += piece[2]
         xb, fb, gb, gapb = x[:fine_points], f[:fine_points], g[:fine_points], gap[:fine_points]
         minorant(xb, out=gb)
         _capped_exp(kind, c, xb, fb)
+        f_at_cut = float(fb[at_cut])
         np.subtract(fb, gb, out=gapb)
         np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
         i = int(gapb.argmin())
         ties = np.flatnonzero(gapb == gapb[i] if gapb[i] == gapb[i] else np.isnan(gapb))
         worst, localized = _fold(
-            (True, math.inf, math.inf), True, xb, gapb, int(ties[xb[ties].argmin()]), contacts
+            (True, math.inf, math.inf), True, xb, gapb, int(ties[xb[ties].argmin()]),
+            contacts, windows,
         )
 
+        in_tail = False
         for first in range(0, num, _BLOCK):
             n = min(_BLOCK, num - first)
             if bounded and worst[0]:
-                x1 = stop if first + n == num else (first + n - 1) * step + start
-                floor = _gap_floor(minorant, c, f_at_cut, first * step + start, x1)
+                x0 = first * step + start
+                # the first block on x >= 1 is bounded with the whole tail
+                last = num if x0 >= 1.0 and not in_tail else first + n
+                in_tail = x0 >= 1.0
+                floor = _gap_floor(
+                    minorant, c, f_at_cut, x0, stop if last == num else (last - 1) * step + start
+                )
                 if math.isfinite(floor) and floor > max(EQUALITY_RTOL, worst[1]):
+                    if last == num:
+                        break
                     continue
             xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
             _linspace_into(xb, start, stop, num, first)
             minorant(xb, out=gb)
-            if ordered and xb[0] >= 1.0:
-                np.subtract(f_at_cut, gb, out=gapb)
-                if scale_at_cut != 1.0:
-                    np.divide(gapb, scale_at_cut, out=gapb)
-            elif ordered and xb[-1] < 0.0 and c >= 0.0:
-                zeros = int(xb.searchsorted(zero_below))
-                if zeros == n:
-                    np.subtract(0.0, gb, out=gapb)
-                else:
-                    fb[:zeros] = 0.0
-                    _capped_exp(kind, c, xb[zeros:], fb[zeros:])
-                    np.subtract(fb, gb, out=gapb)
-            else:
-                _capped_exp(kind, c, xb, fb)
-                np.subtract(fb, gb, out=gapb)
-                np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
-            worst, localized = _fold(worst, localized, xb, gapb, int(gapb.argmin()), contacts)
+            zeros, neg, tail = xb.searchsorted(splits).tolist() if ordered else (0, 0, n)
+            fb[:zeros] = 0.0
+            if zeros < tail:
+                _capped_exp(kind, c, xb[zeros:tail], fb[zeros:tail])
+            np.subtract(fb[:tail], gb[:tail], out=gapb[:tail])
+            if neg < tail:
+                part = slice(neg, tail)
+                np.divide(gapb[part], np.maximum(1.0, fb[part], out=fb[part]), out=gapb[part])
+            if tail < n:
+                np.subtract(f_at_cut, gb[tail:], out=gapb[tail:])
+                if f_at_cut > 1.0:
+                    np.divide(gapb[tail:], f_at_cut, out=gapb[tail:])
+            worst, localized = _fold(
+                worst, localized, xb, gapb, int(gapb.argmin()), contacts, windows
+            )
     is_number, worst_gap, worst_x = worst
     return CertificateReport(
         passed=is_number and worst_gap >= -GAP_RTOL and localized,

@@ -400,9 +400,11 @@ def block_kinds(minorant, kind, c):
         if np.any((c * x > -745.13) & (c * x < -708.0)):
             kinds.add("subnormal band")
         if x[0] < 0.0 <= x[-1]:
-            kinds.add("across 0")
+            kinds.add("across 0" if c >= 0.0 else "across 0 at c < 0")
         if x[0] < 1.0 <= x[-1]:
             kinds.add("across 1")
+        if x[0] < 0.0 and 1.0 <= x[-1]:
+            kinds.add("across 0 and 1")
     x = np.concatenate([np.linspace(*piece) for piece in fine])
     f_values = certificates.capped_exp(kind, c, x)
     gap = (f_values - minorant(x)) / np.maximum(1.0, f_values)
@@ -417,7 +419,7 @@ def test_reference_cases_reach_every_kind_of_block():
         reached |= block_kinds(*make())
     assert reached == {
         "x >= 1", "exact zero", "split by the cutoff", "subnormal band", "across 0", "across 1",
-        "fine-block tie",
+        "across 0 and 1", "across 0 at c < 0", "fine-block tie",
     }
 
 
@@ -621,6 +623,37 @@ def test_certificate_suite_span_block_budget(monkeypatch):
     built = record_span_blocks(monkeypatch)
     assert all(result.passed for result in verify.run_suite("certificates"))
     assert len(built) <= 897, f"{len(built)} span blocks"
+
+
+def test_certificate_suite_gap_floor_budget(monkeypatch):
+    # A count, not a timing: one certificate suite formed 5,128 gap floors
+    # when the first span block on x >= 1 came to be bounded together with
+    # the rest of the span (8,333, one per span block, before).  The
+    # ceiling is that count plus 5%.
+    calls = []
+    floor = certificates._gap_floor
+
+    def counted(*args):
+        calls.append(args)
+        return floor(*args)
+
+    monkeypatch.setattr(certificates, "_gap_floor", counted)
+    assert all(result.passed for result in verify.run_suite("certificates"))
+    assert len(calls) <= 5_384, f"{len(calls)} gap floors"
+
+
+def test_span_overflowing_g_passes_under_warnings_as_errors():
+    # at c = 709, sigma = 1 the bound is 1.0 and b = 2.3e305: the span
+    # reaches 2.3e306, where G's Horner step overflows to -inf, whose gap is
+    # +inf; the check ignores that overflow and reports the lower contact
+    a = fixed_root(709.0, 1.0)
+    minorant = certificates.winsor_minorant(a, 709.0)
+    assert certificates._grid_pieces(minorant)[0][1] > 2e306
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = certificates.check_certificate(minorant, MomentKind.WINSOR, 709.0)
+    assert report.passed and report.equality_localized
+    assert (report.worst_gap, report.worst_x) == (0.0, -a)
 
 
 def test_exp_is_exactly_zero_below_the_cutoff():

@@ -284,6 +284,62 @@ class TestSearchInBlocks:
             assert found.min_value == 1.0
 
 
+def one_pass_probe(sigma, n, seed):
+    """(support, masses, tilts) of sample_three_point: the draws in the same
+    order, then the arithmetic as whole-array expressions with np.sum."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(0.0, 2.0 * sigma, size=(n, 3))
+    masses = rng.dirichlet((1.0, 1.0, 1.0), size=n)
+    centered = points - np.sum(points * masses, axis=1, keepdims=True)
+    second = np.maximum(np.sum(centered * centered * masses, axis=1, keepdims=True), 1e-300)
+    target = (sigma * rng.uniform(0.05, 1.0, size=(n, 1))) ** 2
+    support = centered * np.sqrt(target / second)
+    return support, masses, rng.uniform(0.05, 10.0, size=n)
+
+
+def moment_by_formula(kind, c, sigma, a):
+    """The two-point moment (a F(b) + b e^{-ca}) / (a + b), b = sigma^2/a,
+    with F formed at every b: the form two_point_moment_grid must give."""
+    b = sigma * sigma / a
+    f_values = np.exp(c * np.minimum(b, 1.0) if kind is MomentKind.WINSOR
+                      else np.where(b < 1.0, c * b, 0.0))
+    return (a * f_values + b * np.exp(-c * a)) / (a + b)
+
+
+class TestTwoPointMomentGrid:
+    TILTS = np.geomspace(0.05, 20.0, 7)[None, :]
+    CASES = {
+        # (tilt, a, every b >= 1): a column of a against a scalar tilt and
+        # against a row of tilts
+        "b above 1, scalar c": (1.5, np.geomspace(1e-3, 0.9, 50)[:, None], True),
+        "b above 1, row of tilts": (TILTS, np.geomspace(1e-3, 0.9, 50)[:, None], True),
+        # sigma = 1, a = 1: b is exactly 1.0, the least b of the block
+        "a row at b = 1": (TILTS, np.array([[0.25], [0.5], [1.0]]), True),
+        "b on both sides of 1": (TILTS, np.geomspace(1e-2, 1e2, 41)[:, None], False),
+        "b on both sides of 1, scalar c": (1.5, np.geomspace(1e-2, 1e2, 41)[:, None], False),
+        "a NaN b": (TILTS, np.array([[0.5], [math.nan], [0.25]]), False),
+    }
+
+    @pytest.mark.parametrize("kind", list(MomentKind))
+    @pytest.mark.parametrize("case", CASES)
+    def test_gives_the_bits_of_the_formula(self, kind, case, monkeypatch):
+        c, a, shortcut = self.CASES[case]
+        expected = moment_by_formula(kind, c, 1.0, a)
+        seen = []
+
+        def recording(kind, c, x, out=None):
+            seen.append(np.ndim(x))
+            return capped_exp(kind, c, x, out=out)
+
+        monkeypatch.setattr(oracle, "capped_exp", recording)
+        got = oracle.two_point_moment_grid(kind, c, 1.0, a)
+        out, scratch = np.full(expected.shape, 7.0), np.full(expected.shape, 7.0)
+        oracle.two_point_moment_grid(kind, c, 1.0, a, out=out, scratch=scratch)
+        assert got.tobytes() == out.tobytes() == expected.tobytes()
+        # F at the scalar 1.0 where every b >= 1, at each b otherwise
+        assert seen == ([0, 0] if shortcut else [2, 2])
+
+
 class TestThreePointProbes:
     def test_probes_satisfy_constraints(self):
         probe = oracle.sample_three_point(1.0, 2_000, seed=7)
@@ -305,18 +361,10 @@ class TestThreePointProbes:
         assert float(np.min(oracle.probe_moments(probe, MomentKind.TRUNC, 1.0))) >= floor_trunc
 
     def test_blocks_give_the_bits_of_one_pass(self):
-        # the draws in the same order, then the arithmetic as whole-array
-        # expressions: sample_three_point and probe_moments form it in row
+        # sample_three_point and probe_moments form the arithmetic in row
         # blocks, 10,000 rows being three whole blocks and a partial one
         n, sigma, seed = 10_000, 2.0, 5
-        rng = np.random.default_rng(seed)
-        points = rng.normal(0.0, 2.0 * sigma, size=(n, 3))
-        masses = rng.dirichlet((1.0, 1.0, 1.0), size=n)
-        centered = points - np.sum(points * masses, axis=1, keepdims=True)
-        second = np.maximum(np.sum(centered * centered * masses, axis=1, keepdims=True), 1e-300)
-        target = (sigma * rng.uniform(0.05, 1.0, size=(n, 1))) ** 2
-        support = centered * np.sqrt(target / second)
-        tilts = rng.uniform(0.05, 10.0, size=n)
+        support, masses, tilts = one_pass_probe(sigma, n, seed)
         probe = oracle.sample_three_point(sigma, n, seed)
         for got, expected in ((probe.support, support), (probe.masses, masses), (probe.tilts, tilts)):
             assert got.tobytes() == expected.tobytes()
@@ -325,6 +373,24 @@ class TestThreePointProbes:
                 f_values = capped_exp(kind, c[:, None] if c.ndim else c, support)
                 expected = np.sum(masses * f_values, axis=1)
                 assert oracle.probe_moments(probe, kind, c).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_row_sums_give_the_bits_of_np_sum_on_the_suite_calls(self, seed):
+        # the row sums are two column adds; np.sum(axis=1) adds three
+        # columns left to right too.  The three probe_moments calls of
+        # verify's oracle suite, at its sigma, over 12,345 rows: four whole
+        # row blocks of 2,730 and a partial one
+        n = 12_345
+        assert n % (oracle._BLOCK // 3) != 0
+        support, masses, tilts = one_pass_probe(1.0, n, seed)
+        probe = oracle.sample_three_point(1.0, n, seed)
+        assert probe.support.tobytes() == support.tobytes()
+        for kind, c in ((MomentKind.WINSOR, 1.0), (MomentKind.WINSOR, tilts),
+                        (MomentKind.TRUNC, 1.0)):
+            f_values = capped_exp(kind, c[:, None] if np.ndim(c) else c, support)
+            expected = np.sum(masses * f_values, axis=1)
+            got = oracle.probe_moments(probe, kind, probe.tilts if np.ndim(c) else c)
+            assert got.tobytes() == expected.tobytes(), kind
 
     def test_seed_reproducibility(self):
         first = oracle.sample_three_point(2.0, 500, seed=42)

@@ -8,8 +8,8 @@ oracles and asymptotics live in their submodules (``winsor_bounds.winsor``,
 ``winsor_bounds.trunc``, ...)."""
 
 from .errors import (
-    CaseViolationError, ExponentOverflowError, MaxIterationsError, NonFiniteValueError,
-    NoSignChangeError, ParameterError, WinsorBoundsError,
+    ExponentOverflowError, MaxIterationsError, NonFiniteValueError, NoSignChangeError,
+    ParameterError, WinsorBoundsError,
 )
 from .trunc import Branch, lower_bound_trunc
 from .winsor import Bound, BoundQuery, lower_bound_fixed_c, lower_bound_universal
@@ -20,7 +20,6 @@ __all__ = [
     "Bound",
     "BoundQuery",
     "Branch",
-    "CaseViolationError",
     "ExponentOverflowError",
     "MaxIterationsError",
     "NonFiniteValueError",

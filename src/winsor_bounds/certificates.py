@@ -5,9 +5,10 @@ exponential F and touching it exactly at the extremal support points.
 beta = G'(0) > 0 > gamma makes E G(X) monotone in the constraint moments, so
 E F(X) >= E G(X) >= E G(X_{a,b}) = E F(X_{a,b}) for every admissible X.
 Each G is stored anchored at its lower contact -a, where its value e^{-ac}
-and slope c e^{-ac} are closed forms.  This module builds them and checks
-the geometry on dense grids (G <= F, equality only near the contacts) and
-in closed form at each contact (value and slope, one-sided on the cut).
+and slope c e^{-ac} are closed forms.  This module builds one from each
+Bound (minorant) and checks the geometry on dense grids (G <= F, equality
+only near the contacts), reading the value and slope gaps at each contact
+(one-sided on the cut) from the grid's own F and G there.
 
 capped_exp (with its body _capped_exp) and QuadraticMinorant.__call__ are
 the only code that computes F and G; both take ``out=`` and give the same
@@ -30,9 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CaseViolationError, ParameterError, require_positive
-from .trunc import _below_threshold
-from .winsor import _support_point
+from .errors import ParameterError, require_positive
+from .trunc import Branch
+from .winsor import Bound, _support_point
 
 GAP_RTOL = 1e-12       # allowed negative gap, relative to max(1, F)
 EQUALITY_RTOL = 1e-10  # |F - G| below this counts as contact
@@ -115,56 +116,36 @@ def _capped_exp(kind: MomentKind, c, x: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.exp(out, out=out)
 
 
-def _tangent_minorant(a: float, c: float, b: float) -> QuadraticMinorant:
-    """The parabola tangent to e^{cx} at -a with G'(b) = 0, which
-    gamma = -c e^{-ac} / (2(a+b)) gives: F is flat at b, and the support
-    maps b_star and B_star are what put G(b) on F."""
+def minorant(result: Bound) -> QuadraticMinorant:
+    """The parabola that proves ``result``: tangent to e^{cx} at -a, with
+    c = result.tilt, and touching F at b.  On the truncated small-sigma
+    branch b is the cut 1 and G(1) = 1 fixes gamma; otherwise G'(b) = 0,
+    which gamma = -c e^{-ac} / (2(a+b)) gives: F is flat at b, and the
+    support maps b_star and B_star, recomputed here from a, put G(b) on F.
+    Roundoff at the truncated branch boundary may put B_star an ulp below
+    the cut, where the truncation indicator flips; the branch pins b >= 1."""
+    if not isinstance(result, Bound):
+        raise ParameterError(f"result must be a Bound, got {result!r}")
+    a, c = require_positive("a", result.a), require_positive("tilt", result.tilt)
     w = math.exp(-a * c)
-    return QuadraticMinorant(
-        contact_points=(-a, b), lower_value=w, lower_slope=c * w, gamma=-c * w / (2.0 * (a + b))
-    )
-
-
-def winsor_minorant(a: float, c: float) -> QuadraticMinorant:
-    """Certificate for the Winsorized moment: contacts at -a and b_star(a, c)."""
-    a, c = require_positive("a", a), require_positive("c", c)
-    return _tangent_minorant(a, c, _support_point(a, c, c))
-
-
-def trunc_minorant_small(a: float, c: float) -> QuadraticMinorant:
-    """Certificate for the truncated moment when sigma^2 = a <= A_c:
-    contacts at -a and the cut point 1."""
-    a, c = require_positive("a", a), require_positive("c", c)
-    if not _below_threshold(a / (1.0 + 1e-9), c):
-        raise CaseViolationError(f"trunc_minorant_small requires a <= A_c(c), got a={a!r}, c={c!r}")
-    w = math.exp(-a * c)
-    return QuadraticMinorant(
-        contact_points=(-a, 1.0),
-        lower_value=w,
-        lower_slope=c * w,
-        gamma=w * (math.exp(a * c) - a * c - c - 1.0) / (a + 1.0) ** 2,
-    )
-
-
-def trunc_minorant_large(a: float, c: float) -> QuadraticMinorant:
-    """Certificate for the truncated moment when B_star(a, c) >= 1:
-    contacts at -a and b = B_star(a, c)."""
-    a, c = require_positive("a", a), require_positive("c", c)
-    b = _support_point(a, c, 0.0)
-    if b < 1.0 - 1e-12:
-        raise CaseViolationError(f"trunc_minorant_large requires B_star(a, c) >= 1, got {b!r}")
-    # Roundoff at the case boundary may put b an ulp below the cut, where
-    # the truncation indicator flips; the case condition pins b >= 1.
-    return _tangent_minorant(a, c, max(b, 1.0))
+    if result.branch is Branch.SMALL_SIGMA:
+        b, gamma = 1.0, w * (math.exp(a * c) - a * c - c - 1.0) / (a + 1.0) ** 2
+    else:
+        b = max(_support_point(a, c, 0.0 if result.branch else c), 1.0)
+        gamma = -c * w / (2.0 * (a + b))
+    return QuadraticMinorant(contact_points=(-a, b), lower_value=w, lower_slope=c * w, gamma=gamma)
 
 
 class CertificateReport(
-    namedtuple("CertificateReport", "passed worst_gap worst_x equality_localized n_points")
+    namedtuple(
+        "CertificateReport", "passed worst_gap worst_x equality_localized n_points contact_gaps"
+    )
 ):
     """Outcome of a grid check; violations are reported as data, not raised.
     worst_gap is the min of (F - G)/max(1, F), >= -GAP_RTOL to pass, at
     worst_x; equality_localized says the near-contact points are the only
-    equalities; n_points counts the points checked."""
+    equalities; n_points counts the points checked; contact_gaps maps each
+    contact x0 to its (value gap, slope gap), see check_certificate."""
 
     __slots__ = ()
 
@@ -259,6 +240,13 @@ def check_certificate(
 ) -> CertificateReport:
     """Verify G <= F on certificate_grid with equality only near the contacts.
 
+    contact_gaps holds, for each contact x0, the value and slope gaps
+    relative to max(1, F(x0)), from the fine block's F and G at x0.  Inside
+    a piece of F they are |F - G| and |F' - G'|, with G'(x) = lower_slope +
+    2 gamma (x - x_lo).  On the cut (x0 = 1) the slope gap is max(G'(1), 0):
+    with gamma < 0, F - G is convex on x < 1 and on x >= 1, so a zero value
+    there plus G'(1) <= 0 is what proves G <= F on the right of the cut.
+
     Walks the grid without sorting it, in buffers of _BLOCK points allocated
     once per check, under one np.errstate that ignores underflow and
     overflow; the worst point is argmin's on the sorted grid: a NaN gap
@@ -268,9 +256,10 @@ def check_certificate(
     - The windows and points at the contacts and the cut, in _grid_pieces
       order, make one block of at most 6,006 points, walked first, all
       through F and the division; that gives the shortcuts' bits (exp(c) is
-      F(1), F <= 1 is divided by 1.0, exp is 0.0 below the cutoff), and its
-      point x = 1.0 gives F(1).  It is not sorted, so the least x among its
-      worst gaps is picked explicitly.
+      F(1), F <= 1 is divided by 1.0, exp is 0.0 below the cutoff), its
+      point x = 1.0 gives F(1) and its contact points the contact gaps.  It
+      is not sorted, so the least x among its worst gaps is picked
+      explicitly.
     - The wide span goes in blocks rebuilt in place as np.linspace's points.
       A block is sorted, so argmin's first index is its least x among ties,
       and searchsorted splits it at x = 0 and x = 1 into parts whose work
@@ -305,16 +294,26 @@ def check_certificate(
     ordered = math.isfinite(start) and math.isfinite(step)
     bounded = ordered and type(minorant).__call__ is QuadraticMinorant.__call__
     with np.errstate(under="ignore", over="ignore"):
-        fine_points = 0  # the fine block, in x[:fine_points]
+        fine_points, at = 0, {}  # the fine block, in x[:fine_points]; at[x0]: x0's index
         for piece in fine:
-            if piece == (1.0, 1.0, 1):
-                at_cut = fine_points
+            if piece[2] == 1:
+                at[piece[0]] = fine_points
             _linspace_into(x[fine_points : fine_points + piece[2]], *piece)
             fine_points += piece[2]
         xb, fb, gb, gapb = x[:fine_points], f[:fine_points], g[:fine_points], gap[:fine_points]
         minorant(xb, out=gb)
         _capped_exp(kind, c, xb, fb)
-        f_at_cut = float(fb[at_cut])
+        f_at_cut = float(fb[at[1.0]])
+        contact_gaps = {}
+        for x0 in contacts:
+            f0, g0 = float(fb[at[x0]]), float(gb[at[x0]])
+            g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - contacts[0])
+            if x0 == 1.0:
+                slope_gap = max(g_slope, 0.0)
+            else:
+                slope_gap = abs((c * f0 if x0 < 1.0 else 0.0) - g_slope)
+            scale = max(1.0, f0)
+            contact_gaps[x0] = (abs(f0 - g0) / scale, slope_gap / scale)
         np.subtract(fb, gb, out=gapb)
         np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
         i = int(gapb.argmin())
@@ -364,30 +363,6 @@ def check_certificate(
         worst_x=worst_x,
         equality_localized=localized,
         n_points=num + fine_points,
+        contact_gaps=contact_gaps,
     )
 
-
-def contact_gaps(
-    minorant: QuadraticMinorant, kind: MomentKind, c: float
-) -> dict[float, tuple[float, float]]:
-    """Value and slope gaps at each contact point, in closed form.
-
-    Both are relative to max(1, F(x0)).  Inside a piece of F the gaps are
-    |F - G| and |F' - G'|, with G'(x) = lower_slope + 2 gamma (x - x_lo).
-    At a contact on the cut (x0 = 1) the slope gap is max(G'(1), 0): with
-    gamma < 0, F - G is convex on x < 1 and on x >= 1, so a zero value there
-    plus G'(1) <= 0 is what proves G <= F on the right of the cut.
-    """
-    out: dict[float, tuple[float, float]] = {}
-    x_lo = minorant.contact_points[0]
-    points = np.array(minorant.contact_points)
-    f_values, g_values = capped_exp(kind, c, points).tolist(), minorant(points).tolist()
-    for x0, f_value, g_value in zip(minorant.contact_points, f_values, g_values):
-        g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - x_lo)
-        if x0 == 1.0:
-            slope_gap = max(g_slope, 0.0)
-        else:
-            slope_gap = abs((c * f_value if x0 < 1.0 else 0.0) - g_slope)
-        scale = max(1.0, f_value)
-        out[x0] = (abs(f_value - g_value) / scale, slope_gap / scale)
-    return out

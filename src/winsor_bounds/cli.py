@@ -16,9 +16,7 @@ import math
 import sys
 
 from . import asymptotics
-from .errors import (
-    CaseViolationError, ParameterError, WinsorBoundsError, in_range, require_positive,
-)
+from .errors import ParameterError, WinsorBoundsError, in_range, require_positive
 from .sweeps import SweepKind, compute_sweep, sigma_grid, write_csv
 from .trunc import lower_bound_trunc, solve_A_c
 from .winsor import BoundQuery, lower_bound_fixed_c, lower_bound_universal
@@ -179,7 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (ParameterError, CaseViolationError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except WinsorBoundsError as exc:  # every other error is a solver failure

@@ -38,10 +38,6 @@ class MaxIterationsError(WinsorBoundsError):
     function is too steep at this scale for double precision."""
 
 
-class CaseViolationError(WinsorBoundsError, ValueError):
-    """A certificate was requested outside its case condition."""
-
-
 def require_positive(name: str, value: float, allow_zero: bool = False) -> float:
     """value as a Python float, or a ParameterError naming ``name`` unless
     that float is finite and > 0 (>= 0 with ``allow_zero``).  A value that is

@@ -250,24 +250,21 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
     detail = ""
 
     for c, sigma in _PAIRS:
-        fixed, solution, sigma2 = grid.fixed(c, sigma), grid.truncated(c, sigma), sigma * sigma
-        if solution.branch is Branch.SMALL_SIGMA:
-            trunc_minorant = certificates.trunc_minorant_small(sigma2, c)
-            beta_floor = math.exp(-sigma2 * c) * c * (1.0 + sigma**4) / (1.0 + sigma2) ** 2
-            margin = (beta_floor - trunc_minorant.beta) / beta_floor
-            worst_beta_margin = max(worst_beta_margin, margin)
-        else:
-            trunc_minorant = certificates.trunc_minorant_large(solution.a, c)
-        for kind, minorant in (
-            (MomentKind.WINSOR, certificates.winsor_minorant(fixed.a, c)),
-            (MomentKind.TRUNC, trunc_minorant),
+        for kind, result in (
+            (MomentKind.WINSOR, grid.fixed(c, sigma)), (MomentKind.TRUNC, grid.truncated(c, sigma))
         ):
+            minorant = certificates.minorant(result)
+            if result.branch is Branch.SMALL_SIGMA:
+                sigma2 = sigma * sigma
+                beta_floor = math.exp(-sigma2 * c) * c * (1.0 + sigma**4) / (1.0 + sigma2) ** 2
+                margin = (beta_floor - minorant.beta) / beta_floor
+                worst_beta_margin = max(worst_beta_margin, margin)
             report = certificates.check_certificate(minorant, kind, c)
             all_passed &= report.passed
             worst_gap = min(worst_gap, report.worst_gap)
             if not report.passed and not detail:
                 detail = f"{kind.value} c={c} sigma={sigma:.3g} x={report.worst_x:.3g}"
-            for gaps in certificates.contact_gaps(minorant, kind, c).values():
+            for gaps in report.contact_gaps.values():
                 worst_tangency = max(worst_tangency, *gaps)
 
     results.append(CheckResult(
@@ -285,8 +282,8 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
 
     # Negative control: shrinking beta = G'(0) by 10%, i.e. subtracting
     # 0.1 beta x from G, must break the certificate.
-    a = grid.fixed(1.0, 1.0).a
-    good = certificates.winsor_minorant(a, 1.0)
+    fixed = grid.fixed(1.0, 1.0)
+    a, good = fixed.a, certificates.minorant(fixed)
     broken = certificates.QuadraticMinorant(
         contact_points=good.contact_points,
         lower_value=good.lower_value + 0.1 * good.beta * a,

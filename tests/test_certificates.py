@@ -10,7 +10,7 @@ import pytest
 from winsor_bounds import certificates, oracle, trunc, verify, winsor
 from winsor_bounds.certificates import MomentKind, QuadraticMinorant
 from winsor_bounds.winsor import BoundQuery
-from winsor_bounds.errors import CaseViolationError, ParameterError
+from winsor_bounds.errors import ParameterError
 
 
 def fixed_root(c, sigma):
@@ -18,11 +18,35 @@ def fixed_root(c, sigma):
     return winsor.lower_bound_fixed_c(BoundQuery(c, sigma)).a
 
 
-def large_root(c, sigma):
-    """The truncated moment-match root at a large-sigma branch point."""
+def solved_winsor(c, sigma):
+    """The fixed-tilt bound's (minorant, kind, c)."""
+    return (
+        certificates.minorant(winsor.lower_bound_fixed_c(BoundQuery(c, sigma))),
+        MomentKind.WINSOR,
+        c,
+    )
+
+
+def solved_trunc(c, sigma, branch):
+    """The truncated bound's (minorant, kind, c), at a point on ``branch``."""
     solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
-    assert solution.branch is trunc.Branch.LARGE_SIGMA, (c, sigma)
-    return solution.a
+    assert solution.branch is branch, (c, sigma)
+    return certificates.minorant(solution), MomentKind.TRUNC, c
+
+
+def at_root(a, c, branch=None):
+    """A Bound with lower atom a at tilt c on ``branch`` (None for the
+    Winsorized kind): the fields minorant reads, for an a picked by hand
+    rather than solved from a query."""
+    kind = "fixed-winsor" if branch is None else "trunc"
+    return winsor.Bound(kind, c, None, 1.0, a, None, c, None, branch)
+
+
+def rising_on_the_cut():
+    """A parabola through F(1) = 1 whose slope there is +0.5."""
+    gamma = -0.25
+    beta = 0.5 - 2.0 * gamma
+    return from_coefficients(1.0 - beta - gamma, beta, gamma, (-1.0, 1.0))
 
 
 def finite_difference(f, x, h):
@@ -43,6 +67,28 @@ def reference_check(minorant, kind, c):
     localized = bool(np.all(near_contact))
     passed = bool(normalized[i] >= -certificates.GAP_RTOL) and localized
     return passed, float(normalized[i]), float(grid[i]), localized
+
+
+def reference_contact_gaps(minorant, kind, c):
+    """The contact gaps in closed form, F and G evaluated afresh at both
+    contacts: the formulas check_certificate applies to its fine block."""
+    out = {}
+    x_lo = minorant.contact_points[0]
+    points = np.array(minorant.contact_points)
+    f_values = certificates.capped_exp(kind, c, points).tolist()
+    for x0, f_value, g_value in zip(minorant.contact_points, f_values, minorant(points).tolist()):
+        g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - x_lo)
+        if x0 == 1.0:
+            slope_gap = max(g_slope, 0.0)
+        else:
+            slope_gap = abs((c * f_value if x0 < 1.0 else 0.0) - g_slope)
+        scale = max(1.0, f_value)
+        out[x0] = (abs(f_value - g_value) / scale, slope_gap / scale)
+    return out
+
+
+def hex_gaps(gaps):
+    return {x0.hex(): tuple(gap.hex() for gap in pair) for x0, pair in gaps.items()}
 
 
 def from_coefficients(alpha, beta, gamma, contact_points, cls=QuadraticMinorant):
@@ -85,7 +131,7 @@ class Zero(QuadraticMinorant):
 class TestWinsorMinorant:
     def test_tangency_at_both_contacts(self):
         for a, c in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.4)):
-            minorant = certificates.winsor_minorant(a, c)
+            minorant = certificates.minorant(at_root(a, c))
             b = winsor.b_star(a, c)
             assert minorant.contact_points == (-a, b)
             d = lambda x: float(
@@ -100,16 +146,16 @@ class TestWinsorMinorant:
     def test_sign_structure(self):
         for a in (0.01, 1.0, 10.0):
             for c in (0.1, 1.0, 5.0):
-                minorant = certificates.winsor_minorant(a, c)
+                minorant = certificates.minorant(at_root(a, c))
                 assert minorant.beta > 0.0 > minorant.gamma
 
     def test_strict_gap_away_from_contacts(self):
-        minorant = certificates.winsor_minorant(1.0, 1.0)
+        minorant = certificates.minorant(at_root(1.0, 1.0))
         # F(0) - G(0) > 0
         assert minorant(0.0) < 1.0
 
     def test_unit_coefficients(self):
-        minorant = certificates.winsor_minorant(1.0, 1.0)
+        minorant = certificates.minorant(at_root(1.0, 1.0))
         b = 2.0 * math.e**2 - 3.0
         w = math.exp(-1.0)
         denom = 2.0 * (1.0 + b)
@@ -119,10 +165,7 @@ class TestWinsorMinorant:
 
     def test_certificate_passes_at_solved_roots(self):
         for c, sigma in ((0.5, 0.2), (1.0, 1.0), (5.0, 30.0)):
-            a = fixed_root(c, sigma)
-            report = certificates.check_certificate(
-                certificates.winsor_minorant(a, c), MomentKind.WINSOR, c
-            )
+            report = certificates.check_certificate(*solved_winsor(c, sigma))
             assert report.passed, report
             assert report.equality_localized
             assert report.n_points >= 100_000
@@ -131,7 +174,7 @@ class TestWinsorMinorant:
 class TestTruncSmallMinorant:
     def test_tangency_and_value_pinning(self):
         for sigma2, c in ((0.25, 1.0), (0.1, 2.0)):
-            minorant = certificates.trunc_minorant_small(sigma2, c)
+            minorant = certificates.minorant(at_root(sigma2, c, trunc.Branch.SMALL_SIGMA))
             d = lambda x: float(
                 certificates.capped_exp(MomentKind.TRUNC, c, x) - minorant(x)
             )
@@ -142,29 +185,17 @@ class TestTruncSmallMinorant:
 
     def test_beta_floor_and_gamma_sign(self):
         for sigma2, c in ((0.25, 1.0), (0.5, 0.5), (0.05, 4.0)):
-            minorant = certificates.trunc_minorant_small(sigma2, c)
+            minorant = certificates.minorant(at_root(sigma2, c, trunc.Branch.SMALL_SIGMA))
             floor = (
                 math.exp(-sigma2 * c) * c * (1.0 + sigma2**2) / (1.0 + sigma2) ** 2
             )
             assert minorant.beta >= floor * (1.0 - 1e-12)
             assert minorant.gamma < 0.0
 
-    def test_case_violation(self):
-        threshold = trunc.solve_A_c(1.0)
-        with pytest.raises(CaseViolationError):
-            certificates.trunc_minorant_small(threshold * 1.5, 1.0)
-
-    def test_case_slack_is_one_part_in_a_billion(self):
-        for c in (0.5, 1.0, 5.0):
-            threshold = trunc.solve_A_c(c)
-            certificates.trunc_minorant_small(threshold * (1.0 + 0.5e-9), c)
-            with pytest.raises(CaseViolationError):
-                certificates.trunc_minorant_small(threshold * (1.0 + 2e-9), c)
-
     def test_certificate_passes(self):
-        for sigma2, c in ((0.25, 1.0), (0.3, 2.0)):
+        for c, sigma in ((1.0, 0.5), (2.0, 0.3**0.5)):
             report = certificates.check_certificate(
-                certificates.trunc_minorant_small(sigma2, c), MomentKind.TRUNC, c
+                *solved_trunc(c, sigma, trunc.Branch.SMALL_SIGMA)
             )
             assert report.passed, report
 
@@ -172,7 +203,7 @@ class TestTruncSmallMinorant:
 class TestTruncLargeMinorant:
     def test_tangency(self):
         for a, c in ((1.0, 1.0), (2.5, 0.8)):
-            minorant = certificates.trunc_minorant_large(a, c)
+            minorant = certificates.minorant(at_root(a, c, trunc.Branch.LARGE_SIGMA))
             b = minorant.contact_points[1]
             assert b >= 1.0
             d = lambda x: float(
@@ -187,7 +218,7 @@ class TestTruncLargeMinorant:
     def test_boundary_case_has_unit_contact_and_right_derivative(self):
         c = 1.0
         threshold = trunc.solve_A_c(c)
-        minorant = certificates.trunc_minorant_large(threshold, c)
+        minorant = certificates.minorant(at_root(threshold, c, trunc.Branch.LARGE_SIGMA))
         assert minorant.contact_points[1] == 1.0
         d = lambda x: float(
             certificates.capped_exp(MomentKind.TRUNC, c, x) - minorant(x)
@@ -198,23 +229,18 @@ class TestTruncLargeMinorant:
         assert abs(right) < 1e-6
         # at the boundary both truncated certificates exist and agree on the
         # small-branch bound value through their shared contact set
-        small = certificates.trunc_minorant_small(threshold, c)
+        small = certificates.minorant(at_root(threshold, c, trunc.Branch.SMALL_SIGMA))
         assert abs(small.contact_points[0] - minorant.contact_points[0]) < 1e-9
         assert small.contact_points[1] == minorant.contact_points[1] == 1.0
 
-    def test_case_violation_below_unit_support(self):
-        with pytest.raises(CaseViolationError):
-            certificates.trunc_minorant_large(0.05, 1.0)
-
     def test_sign_structure(self):
-        minorant = certificates.trunc_minorant_large(2.0, 1.0)
+        minorant = certificates.minorant(at_root(2.0, 1.0, trunc.Branch.LARGE_SIGMA))
         assert minorant.beta > 0.0 > minorant.gamma
 
 
 class TestCheckCertificate:
     def test_negative_control_fails(self):
-        a = fixed_root(1.0, 1.0)
-        broken = beta_scaled(certificates.winsor_minorant(a, 1.0), 0.9)
+        broken = beta_scaled(solved_winsor(1.0, 1.0)[0], 0.9)
         report = certificates.check_certificate(broken, MomentKind.WINSOR, 1.0)
         assert not report.passed
         assert report.worst_gap < -1e-3
@@ -222,13 +248,12 @@ class TestCheckCertificate:
     def test_contact_gaps_vanish_at_solved_roots(self):
         c, sigma = 2.0, 3.0
         cases = (
-            (MomentKind.WINSOR, certificates.winsor_minorant(fixed_root(c, sigma), c)),
-            (MomentKind.TRUNC, certificates.trunc_minorant_small(0.1, c)),
-            (MomentKind.TRUNC,
-             certificates.trunc_minorant_large(large_root(c, sigma), c)),
+            (MomentKind.WINSOR, solved_winsor(c, sigma)[0]),
+            (MomentKind.TRUNC, certificates.minorant(at_root(0.1, c, trunc.Branch.SMALL_SIGMA))),
+            (MomentKind.TRUNC, solved_trunc(c, sigma, trunc.Branch.LARGE_SIGMA)[0]),
         )
         for kind, minorant in cases:
-            gaps = certificates.contact_gaps(minorant, kind, c)
+            gaps = certificates.check_certificate(minorant, kind, c).contact_gaps
             assert set(gaps) == set(minorant.contact_points)
             assert max(max(pair) for pair in gaps.values()) <= 1e-12
 
@@ -236,33 +261,30 @@ class TestCheckCertificate:
         # at c = 600, sigma = 1 the upper contact is ~1.26e258, where
         # (x - x_lo)^2 alone overflows; the minorant must not form it
         c = 600.0
-        minorant = certificates.winsor_minorant(fixed_root(c, 1.0), c)
+        minorant = solved_winsor(c, 1.0)[0]
         assert minorant.contact_points[1] > 1e258
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            gaps = certificates.contact_gaps(minorant, MomentKind.WINSOR, c)
             report = certificates.check_certificate(minorant, MomentKind.WINSOR, c)
+        gaps = report.contact_gaps
         assert all(math.isfinite(gap) for pair in gaps.values() for gap in pair)
         assert max(max(pair) for pair in gaps.values()) <= 1e-12
         assert report.passed
 
     def test_contact_gaps_flag_perturbed_beta(self):
-        a = fixed_root(1.0, 1.0)
-        broken = beta_scaled(certificates.winsor_minorant(a, 1.0), 0.9)
-        gaps = certificates.contact_gaps(broken, MomentKind.WINSOR, 1.0)
+        broken = beta_scaled(solved_winsor(1.0, 1.0)[0], 0.9)
+        gaps = certificates.check_certificate(broken, MomentKind.WINSOR, 1.0).contact_gaps
         assert max(max(pair) for pair in gaps.values()) > 0.1
 
     def test_contact_gaps_flag_rising_slope_on_the_cut(self):
         # on the cut only the value and G'(1) <= 0 are required; a parabola
         # touching F(1) = 1 with slope +0.5 there crosses F just right of 1
-        gamma = -0.25
-        beta = 0.5 - 2.0 * gamma
-        rising = from_coefficients(1.0 - beta - gamma, beta, gamma, (-1.0, 1.0))
-        value_gap, slope_gap = certificates.contact_gaps(rising, MomentKind.TRUNC, 1.0)[1.0]
+        report = certificates.check_certificate(rising_on_the_cut(), MomentKind.TRUNC, 1.0)
+        value_gap, slope_gap = report.contact_gaps[1.0]
         assert value_gap <= 1e-15
         assert slope_gap == pytest.approx(0.5)
-        small = certificates.trunc_minorant_small(0.25, 1.0)
-        assert certificates.contact_gaps(small, MomentKind.TRUNC, 1.0)[1.0][1] == 0.0
+        small = solved_trunc(1.0, 0.5, trunc.Branch.SMALL_SIGMA)
+        assert certificates.check_certificate(*small).contact_gaps[1.0][1] == 0.0
 
     def test_equality_localization_flags_stray_contact(self):
         # a parabola secant to exp(c min(1, x)) crosses it, creating
@@ -278,7 +300,7 @@ class TestCheckCertificate:
             from_coefficients(1.0, 1.0, 0.0, (0.0, 1.0))
 
     def test_nan_minorant_fails(self):
-        good = certificates.winsor_minorant(1.0, 1.0)
+        good = certificates.minorant(at_root(1.0, 1.0))
         nan = from_coefficients(math.nan, good.beta, good.gamma, good.contact_points)
         report = certificates.check_certificate(nan, MomentKind.WINSOR, 1.0)
         assert not report.passed
@@ -307,7 +329,7 @@ class TestCheckCertificate:
         assert x0 not in np.linspace(-20.0, 20.0, certificates.GRID_BASE_POINTS)
 
     def test_grid_spans_ten_times_contacts(self):
-        minorant = certificates.winsor_minorant(1.0, 1.0)
+        minorant = certificates.minorant(at_root(1.0, 1.0))
         grid = certificates.certificate_grid(minorant)
         b = minorant.contact_points[1]
         assert grid[0] <= -10.0 * b and grid[-1] >= 10.0 * b
@@ -316,20 +338,60 @@ class TestCheckCertificate:
         assert np.any(grid == -1.0) and np.any(grid == b)
 
 
-def solved_winsor(c, sigma):
-    return certificates.winsor_minorant(fixed_root(c, sigma), c), MomentKind.WINSOR, c
+def contact_gap_cases():
+    """(c, sigma, kind) at every pair of verify's grid for both kinds, then
+    at tilts of 30, 600 and 709, where F(1) passes 1e13, the upper contact
+    1e258 and G's span overflows."""
+    for c, sigma in (*verify._PAIRS, (30.0, 1.0), (600.0, 1.0), (709.0, 1.0)):
+        for kind in MomentKind:
+            yield c, sigma, kind
+
+
+def test_contact_gaps_give_the_bits_of_the_closed_form():
+    cases = [verify_grid_case(*case)[0] for case in contact_gap_cases()]
+    cases.append((rising_on_the_cut(), MomentKind.TRUNC, 1.0))
+    for minorant, kind, c in cases:
+        gaps = certificates.check_certificate(minorant, kind, c).contact_gaps
+        with np.errstate(under="ignore"):
+            expected = reference_contact_gaps(minorant, kind, c)
+        assert list(gaps) == list(minorant.contact_points)
+        assert hex_gaps(gaps) == hex_gaps(expected), (c, kind)
+
+
+# verify's cut-rescaling triples, then a cut below 1 on the large branch
+CUT_CASES = ((1.0, 2.0, 2.0), (2.0, 1.0, 0.5), (0.7, 30.0, 3.0), (5.0, 0.3, 0.25))
+
+
+def unverified_results():
+    """(result, kind) for results verify never certifies: the universal bound
+    at every sigma of its grid, and fixed-tilt and truncated bounds at cut
+    levels other than 1."""
+    for sigma in verify.SIGMA_GRID:
+        yield winsor.lower_bound_universal(sigma), MomentKind.WINSOR
+    for c, sigma, cut in CUT_CASES:
+        query = BoundQuery(c, sigma, cut)
+        yield winsor.lower_bound_fixed_c(query), MomentKind.WINSOR
+        yield trunc.lower_bound_trunc(query), MomentKind.TRUNC
+
+
+def test_results_verify_never_certifies_have_passing_certificates():
+    results = list(unverified_results())
+    assert {result.kind for result, _ in results} == {"universal-winsor", "fixed-winsor", "trunc"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for result, kind in results:
+            minorant = certificates.minorant(result)
+            report = certificates.check_certificate(minorant, kind, result.tilt)
+            assert report.passed, (result, report)
+            assert max(max(pair) for pair in report.contact_gaps.values()) <= 1e-12, result
 
 
 REFERENCE_CASES = {
     "winsor-0.5-0.2": lambda: solved_winsor(0.5, 0.2),
     "winsor-1-1": lambda: solved_winsor(1.0, 1.0),
     "winsor-5-30": lambda: solved_winsor(5.0, 30.0),
-    "trunc-small-contact-on-cut": lambda: (
-        certificates.trunc_minorant_small(0.25, 1.0), MomentKind.TRUNC, 1.0
-    ),
-    "trunc-large": lambda: (
-        certificates.trunc_minorant_large(large_root(2.0, 3.0), 2.0), MomentKind.TRUNC, 2.0
-    ),
+    "trunc-small-contact-on-cut": lambda: solved_trunc(1.0, 0.5, trunc.Branch.SMALL_SIGMA),
+    "trunc-large": lambda: solved_trunc(2.0, 3.0, trunc.Branch.LARGE_SIGMA),
     "beta-times-0.9": lambda: (
         beta_scaled(solved_winsor(1.0, 1.0)[0], 0.9), MomentKind.WINSOR, 1.0
     ),
@@ -343,10 +405,8 @@ REFERENCE_CASES = {
     "winsor-10-1e6-zero-prefix": lambda: solved_winsor(10.0, 1e6),
     # large branch: a zero prefix, then a block across the subnormal band
     # -745.13 < c*x < -708, where exp is neither 0.0 nor normal
-    "trunc-large-50-10-subnormal-band": lambda: (
-        certificates.trunc_minorant_large(large_root(50.0, 10.0), 50.0),
-        MomentKind.TRUNC,
-        50.0,
+    "trunc-large-50-10-subnormal-band": lambda: solved_trunc(
+        50.0, 10.0, trunc.Branch.LARGE_SIGMA
     ),
     # the window around the lower contact -1.9e-42 is a block across 0, and
     # the window around the cut one across 1 where F climbs to e^100
@@ -440,14 +500,9 @@ def test_blockwise_check_matches_sorted_grid_reference(case):
 def verify_grid_case(c, sigma, kind):
     """(minorant, kind, c) as verify's certificate suite builds it, and the
     truncated branch (None for the Winsorized kind)."""
-    if kind is MomentKind.WINSOR:
-        return solved_winsor(c, sigma), None
-    solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
-    if solution.branch is trunc.Branch.SMALL_SIGMA:
-        minorant = certificates.trunc_minorant_small(sigma * sigma, c)
-    else:
-        minorant = certificates.trunc_minorant_large(solution.a, c)
-    return (minorant, kind, c), solution.branch
+    solve = winsor.lower_bound_fixed_c if kind is MomentKind.WINSOR else trunc.lower_bound_trunc
+    result = solve(BoundQuery(c, sigma))
+    return (certificates.minorant(result), kind, c), result.branch
 
 
 @pytest.mark.parametrize("kind", list(MomentKind))
@@ -595,7 +650,7 @@ def test_negative_controls_fail_with_their_bits(monkeypatch):
     # and beta-times-0.9 (about 0) fail at the gaps and points they failed
     # at before any block was skipped, while most of their blocks are
     a = fixed_root(1.0, 1.0)
-    good = certificates.winsor_minorant(a, 1.0)
+    good = solved_winsor(1.0, 1.0)[0]
     control = QuadraticMinorant(
         contact_points=good.contact_points,
         lower_value=good.lower_value + 0.1 * good.beta * a,
@@ -647,7 +702,7 @@ def test_span_overflowing_g_passes_under_warnings_as_errors():
     # reaches 2.3e306, where G's Horner step overflows to -inf, whose gap is
     # +inf; the check ignores that overflow and reports the lower contact
     a = fixed_root(709.0, 1.0)
-    minorant = certificates.winsor_minorant(a, 709.0)
+    minorant = solved_winsor(709.0, 1.0)[0]
     assert certificates._grid_pieces(minorant)[0][1] > 2e306
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -675,10 +730,10 @@ def test_exp_is_exactly_zero_below_the_cutoff():
 
 
 def test_exp_gives_the_same_bits_alone_and_at_any_offset_of_a_block():
-    # the check evaluates the windows and points in one block, contact_gaps
-    # both contacts in one array, and F(1) alone: each must get the bits a
-    # value gets wherever it sits; a numpy whose vector and scalar exp differ
-    # fails here, not in a certificate
+    # the check evaluates the windows and points in one block, and the
+    # references here both contacts in one array and F(1) alone: each must
+    # get the bits a value gets wherever it sits; a numpy whose vector and
+    # scalar exp differ fails here, not in a certificate
     values = np.concatenate((
         np.linspace(-745.2, -708.0, 24),  # 0.0, then the subnormal band
         np.linspace(-700.0, 700.0, 24),   # normal results
@@ -739,7 +794,7 @@ def test_capped_exp_out_with_broadcast_tilts(kind):
 
 
 def test_minorant_out_gives_the_allocating_bits():
-    minorant = certificates.winsor_minorant(fixed_root(600.0, 1.0), 600.0)
+    minorant = solved_winsor(600.0, 1.0)[0]
     x = np.linspace(-1e259, 1e259, 5_001)
     out = np.full(x.shape, np.nan)
     u = x - minorant.contact_points[0]

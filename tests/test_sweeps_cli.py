@@ -1,5 +1,6 @@
 """Sweep tables, CSV round-trips, and the command-line surface."""
 
+import ast
 import csv
 import io
 import math
@@ -998,7 +999,7 @@ class TestCli:
         zeroed = (verify.C_GRID[0], verify.SIGMA_GRID[-1])
         sigma = verify.SIGMA_GRID[10]
         a_shrunk = lower_bound_fixed_c(BoundQuery(2.0, sigma)).a
-        winsor_minorant = certificates.winsor_minorant
+        minorant = certificates.minorant
 
         def solved_off(query):
             solution = lower_bound_fixed_c(query)
@@ -1008,9 +1009,9 @@ class TestCli:
                 return solution._replace(bound=math.nextafter(solution.bound, 0.0))
             return solution
 
-        def shrunk(a, c):
-            good = winsor_minorant(a, c)
-            if (a, c) != (a_shrunk, 2.0):
+        def shrunk(result):
+            good, a = minorant(result), result.a
+            if (result.kind, a, result.tilt) != ("fixed-winsor", a_shrunk, 2.0):
                 return good
             return certificates.QuadraticMinorant(
                 contact_points=good.contact_points,
@@ -1020,7 +1021,7 @@ class TestCli:
             )
 
         monkeypatch.setattr(verify.winsor, "lower_bound_fixed_c", solved_off)
-        monkeypatch.setattr(certificates, "winsor_minorant", shrunk)
+        monkeypatch.setattr(certificates, "minorant", shrunk)
         failed = {}
         for suite in ("ordering", "certificates"):
             assert cli.main(["verify", "--suite", suite]) == cli.EXIT_VERIFY_FAILED
@@ -1075,3 +1076,17 @@ def test_figures_match_the_reference(tmp_path):
         for got_row, want_row in zip(got, want):
             for g, w in zip(got_row, want_row):
                 assert g == w or abs(g - w) <= 1e-12 * max(abs(g), abs(w)), (ref.name, g, w)
+
+
+def test_sources_parse_with_the_least_supported_grammar():
+    # pyproject.toml declares requires-python >= 3.10: every Python file of
+    # the package, its tests, scripts and benchmark must parse with 3.10's
+    # grammar, whichever interpreter runs the tests (files are only read)
+    assert 'requires-python = ">=3.10"' in (REPO_ROOT / "pyproject.toml").read_text()
+    paths = sorted(
+        path for top in ("src", "tests", "scripts", "perfbench")
+        for path in (REPO_ROOT / top).rglob("*.py")
+    )
+    assert len(paths) >= 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

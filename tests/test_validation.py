@@ -20,8 +20,7 @@ from winsor_bounds import (
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.certificates import MomentKind
 from winsor_bounds.errors import (
-    CaseViolationError, ExponentOverflowError, NoSignChangeError, ParameterError,
-    WinsorBoundsError,
+    ExponentOverflowError, NoSignChangeError, ParameterError, WinsorBoundsError,
 )
 from winsor_bounds.sweeps import SweepKind, compute_sweep, sigma_grid
 from winsor_bounds.winsor import BoundQuery
@@ -66,12 +65,7 @@ ENTRY_POINTS = [
     ("trunc_asymptote", "sigma", lambda v: asymptotics.trunc_asymptote(1.0, v, Regime.SMALL_SIGMA)),
     ("universal_asymptote", "sigma",
      lambda v: asymptotics.universal_asymptote(v, Regime.LARGE_SIGMA)),
-    ("winsor_minorant", "a", lambda v: certificates.winsor_minorant(v, 1.0)),
-    ("winsor_minorant", "c", lambda v: certificates.winsor_minorant(1.0, v)),
-    ("trunc_minorant_small", "a", lambda v: certificates.trunc_minorant_small(v, 1.0)),
-    ("trunc_minorant_small", "c", lambda v: certificates.trunc_minorant_small(0.1, v)),
-    ("trunc_minorant_large", "a", lambda v: certificates.trunc_minorant_large(v, 1.0)),
-    ("trunc_minorant_large", "c", lambda v: certificates.trunc_minorant_large(1.0, v)),
+    ("minorant", "result", lambda v: certificates.minorant(v)),
     ("trunc_collapse_sequence", "sigma", lambda v: oracle.trunc_collapse_sequence(v, (0.5,))),
     ("refine_grid_min", "c", lambda v: oracle.refine_grid_min(v, 1.0, MomentKind.WINSOR)),
     ("refine_grid_min", "sigma", lambda v: oracle.refine_grid_min(1.0, v, MomentKind.TRUNC)),
@@ -124,6 +118,22 @@ def test_rejects_bad_argument_by_name(entry, name, call, value):
         call(value)
 
 
+def test_minorant_refuses_the_fields_of_a_bound_without_its_type():
+    fields = tuple(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0)))
+    with pytest.raises(ParameterError, match=r"^result must be a Bound, got \("):
+        certificates.minorant(fields)
+
+
+@pytest.mark.parametrize("value", BAD, ids=bad_id)
+@pytest.mark.parametrize("name", ("a", "tilt"))
+def test_minorant_refuses_a_bound_made_by_hand_with_a_bad_field(name, value):
+    # a Bound the package returns always has a > 0 and tilt > 0; one made
+    # by hand is checked, so a = -1.0 does not divide by a + b = 0.0
+    bound = winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))._replace(**{name: value})
+    with pytest.raises(ParameterError, match=rf"^{name} must be a positive real"):
+        certificates.minorant(bound)
+
+
 @pytest.mark.parametrize("value", BAD, ids=bad_id)
 @pytest.mark.parametrize("name", ("c", "sigma", "cut"))
 def test_query_validation(name, value):
@@ -138,7 +148,8 @@ RECORDS = [
     (certificates.QuadraticMinorant,
      dict(contact_points=(-1.0, 2.0), lower_value=1.0, lower_slope=2.0, gamma=-0.5), {}),
     (certificates.CertificateReport,
-     dict(passed=True, worst_gap=0.0, worst_x=2.0, equality_localized=True, n_points=106_008), {}),
+     dict(passed=True, worst_gap=0.0, worst_x=2.0, equality_localized=True, n_points=106_008,
+          contact_gaps={-1.0: (0.0, 0.0), 2.0: (0.0, 0.0)}), {}),
     (oracle.GridMinResult,
      dict(argmin_a=0.5, argmin_c=1.0, min_value=0.9, cell_ratio=1.001, cell_ratio_c=1.02),
      {"cell_ratio_c": None}),
@@ -231,8 +242,12 @@ def outcome(call, value):
         return f"{type(exc).__name__}: {exc}"
 
 
+# the entries whose argument is a real: minorant takes a Bound
+REAL_ENTRY_POINTS = [entry for entry in ENTRY_POINTS if entry[0] != "minorant"]
+
+
 @pytest.mark.parametrize(
-    "entry, name, call", ENTRY_POINTS, ids=[f"{e}-{n}" for e, n, _ in ENTRY_POINTS]
+    "entry, name, call", REAL_ENTRY_POINTS, ids=[f"{e}-{n}" for e, n, _ in REAL_ENTRY_POINTS]
 )
 def test_reals_of_other_types_answer_as_their_float(entry, name, call):
     # every entry computes with the Python float require_positive returns:
@@ -389,7 +404,7 @@ def test_valid_domain_is_answered_or_fails_in_the_solver(c, sigma):
     for solve in solves:
         try:
             bound = solve().bound
-        except (ParameterError, CaseViolationError):
+        except ParameterError:
             raise
         except WinsorBoundsError:
             continue  # a solver-class failure, not "invalid parameters"
@@ -446,7 +461,7 @@ def test_outcome_map(kind):
     for c, sigma in grid:
         try:
             bound = solve(c, sigma).bound
-        except (ParameterError, CaseViolationError):
+        except ParameterError:
             raise
         except WinsorBoundsError as exc:
             failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1

@@ -34,9 +34,25 @@ def bad_id(value):
     return "int-past-the-doubles" if isinstance(value, int) else repr(value)
 
 
+# A Bound of each minorant's kind: fixed-tilt Winsorized, and truncated on
+# the small-sigma and on the large-sigma branch.  A Bound the package
+# returns always has a > 0 and tilt > 0; one made by hand is checked, so
+# a = -1.0 does not divide by a + b = 0.0.
+WINSOR_BOUND = winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))
+TRUNC_SMALL_SIGMA, TRUNC_LARGE_SIGMA = 0.3, 2.0
+TRUNC_SMALL_BOUND = trunc.lower_bound_trunc(BoundQuery(1.0, TRUNC_SMALL_SIGMA))
+TRUNC_LARGE_BOUND = trunc.lower_bound_trunc(BoundQuery(1.0, TRUNC_LARGE_SIGMA))
+
+
+def minorant_of(solve, sigma):
+    """A minorant of solve's kind at tilt v, built from the Bound solve gives."""
+    return lambda v: certificates.minorant(solve(BoundQuery(v, sigma)))
+
+
 # (entry point, argument name, call with the argument set to v); the
 # support maps b_star, log_b_star and B_star accept a = 0 and are listed
-# for a separately below.
+# for a separately below.  The minorant of each kind is refused a bad a in
+# a Bound made by hand, and a bad tilt c in the query that makes its Bound.
 ENTRY_POINTS = [
     ("BoundQuery", "c", lambda v: BoundQuery(v, 1.0)),
     ("BoundQuery", "sigma", lambda v: BoundQuery(1.0, v)),
@@ -65,7 +81,16 @@ ENTRY_POINTS = [
     ("trunc_asymptote", "sigma", lambda v: asymptotics.trunc_asymptote(1.0, v, Regime.SMALL_SIGMA)),
     ("universal_asymptote", "sigma",
      lambda v: asymptotics.universal_asymptote(v, Regime.LARGE_SIGMA)),
+    ("winsor_minorant", "a", lambda v: certificates.minorant(WINSOR_BOUND._replace(a=v))),
+    ("winsor_minorant", "c", minorant_of(winsor.lower_bound_fixed_c, 1.0)),
+    ("trunc_minorant_small", "a",
+     lambda v: certificates.minorant(TRUNC_SMALL_BOUND._replace(a=v))),
+    ("trunc_minorant_small", "c", minorant_of(trunc.lower_bound_trunc, TRUNC_SMALL_SIGMA)),
+    ("trunc_minorant_large", "a",
+     lambda v: certificates.minorant(TRUNC_LARGE_BOUND._replace(a=v))),
+    ("trunc_minorant_large", "c", minorant_of(trunc.lower_bound_trunc, TRUNC_LARGE_SIGMA)),
     ("minorant", "result", lambda v: certificates.minorant(v)),
+    ("minorant", "tilt", lambda v: certificates.minorant(WINSOR_BOUND._replace(tilt=v))),
     ("trunc_collapse_sequence", "sigma", lambda v: oracle.trunc_collapse_sequence(v, (0.5,))),
     ("refine_grid_min", "c", lambda v: oracle.refine_grid_min(v, 1.0, MomentKind.WINSOR)),
     ("refine_grid_min", "sigma", lambda v: oracle.refine_grid_min(1.0, v, MomentKind.TRUNC)),
@@ -118,20 +143,15 @@ def test_rejects_bad_argument_by_name(entry, name, call, value):
         call(value)
 
 
+def test_minorant_rows_reach_each_truncated_branch():
+    assert TRUNC_SMALL_BOUND.branch is trunc.Branch.SMALL_SIGMA
+    assert TRUNC_LARGE_BOUND.branch is trunc.Branch.LARGE_SIGMA
+
+
 def test_minorant_refuses_the_fields_of_a_bound_without_its_type():
     fields = tuple(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0)))
     with pytest.raises(ParameterError, match=r"^result must be a Bound, got \("):
         certificates.minorant(fields)
-
-
-@pytest.mark.parametrize("value", BAD, ids=bad_id)
-@pytest.mark.parametrize("name", ("a", "tilt"))
-def test_minorant_refuses_a_bound_made_by_hand_with_a_bad_field(name, value):
-    # a Bound the package returns always has a > 0 and tilt > 0; one made
-    # by hand is checked, so a = -1.0 does not divide by a + b = 0.0
-    bound = winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))._replace(**{name: value})
-    with pytest.raises(ParameterError, match=rf"^{name} must be a positive real"):
-        certificates.minorant(bound)
 
 
 @pytest.mark.parametrize("value", BAD, ids=bad_id)
@@ -242,7 +262,8 @@ def outcome(call, value):
         return f"{type(exc).__name__}: {exc}"
 
 
-# the entries whose argument is a real: minorant takes a Bound
+# the entries whose argument is a real: minorant's own rows set a Bound or
+# a field of one
 REAL_ENTRY_POINTS = [entry for entry in ENTRY_POINTS if entry[0] != "minorant"]
 
 

@@ -11,15 +11,12 @@ only near the contacts), reading the value and slope gaps at each contact
 (one-sided on the cut) from the grid's own F and G there.
 
 capped_exp (with its body _capped_exp) and QuadraticMinorant.__call__ are
-the only code that computes F and G; both take ``out=`` and give the same
-bits with or without it.  check_certificate says how the grid check walks
-its points: each block of its wide span is split at x = 0 and x = 1, so
-that F = F(1) from 1 on, read once from the fine block, and the division
-by max(1, F) is formed on [0, 1) alone (with c >= 0).  Blocks on x < 0
-(c >= 0) are bounded from their ends (the parabola's top plus a rounding
-slack, _sup_bound), and so is the span's whole tail on x >= 1, at once;
-what such a bound proves clear of the tolerance and of the worst gap
-already found is skipped.
+the only code that computes F and G on arrays; both take ``out=`` and give
+the same bits with or without it.  F - G is convex on each piece of F, so
+its gap nears equality only near a contact: the grid check evaluates only
+the points that a convexity witness (_kept, from _psi) does not prove clear
+of the equality tolerance, all on one path, and reports what the whole
+grid would.
 """
 
 from __future__ import annotations
@@ -41,9 +38,7 @@ CONTACT_WINDOW = 1e-2  # equality must sit within this relative distance
 GRID_BASE_POINTS = 100_001  # uniform points across the span of the grid
 GRID_WINDOW_POINTS = 2_001  # points in the window around each contact and the kink
 _BLOCK = 8_192  # points per evaluation block: a 64 KB temporary stays in L2
-# exp is exactly 0.0 below about -745.13 (half the least subnormal); c*x
-# below this cutoff needs no exp call
-_EXP_ZERO_BELOW = -746.0
+_Q = 1.0001 * EQUALITY_RTOL  # psi's margin over the equality tolerance
 
 
 class MomentKind(str, Enum):
@@ -144,7 +139,7 @@ class CertificateReport(
     """Outcome of a grid check; violations are reported as data, not raised.
     worst_gap is the min of (F - G)/max(1, F), >= -GAP_RTOL to pass, at
     worst_x; equality_localized says the near-contact points are the only
-    equalities; n_points counts the points checked; contact_gaps maps each
+    equalities; n_points counts the grid's points; contact_gaps maps each
     contact x0 to its (value gap, slope gap), see check_certificate."""
 
     __slots__ = ()
@@ -169,9 +164,8 @@ def certificate_grid(minorant: QuadraticMinorant) -> np.ndarray:
 
 @functools.cache
 def _index() -> np.ndarray:
-    """0.0, 1.0, ..., GRID_BASE_POINTS - 1: the factors of np.linspace's
-    step, built on the first check (800 KB) and shared, read-only, by
-    every later one."""
+    """0.0, 1.0, ..., GRID_BASE_POINTS - 1: the factors of np.linspace's step,
+    built on the first check (800 KB) and shared, read-only, by later ones."""
     index = np.arange(GRID_BASE_POINTS, dtype=float)
     index.flags.writeable = False
     return index
@@ -179,9 +173,8 @@ def _index() -> np.ndarray:
 
 def _linspace_into(out: np.ndarray, start: float, stop: float, num: int, first: int = 0) -> None:
     """Points first, ..., first + out.size - 1 of np.linspace(start, stop,
-    num), formed as np.linspace forms them unless its step is 0.0, which a
-    window at least 2e-3 wide rules out: index*step + start, the last point
-    stop (a one-point piece is its stop)."""
+    num), formed as np.linspace forms them unless its step is 0.0 (no window
+    is that narrow): index*step + start, the last point stop."""
     step = (stop - start) / (num - 1) if num > 1 else 0.0
     np.multiply(_index()[first : first + out.size], step, out=out)
     np.add(out, start, out=out)
@@ -204,35 +197,105 @@ def _fold(worst, localized, x, gap, i, contacts, windows):
     return worst, localized
 
 
-def _sup_bound(minorant: QuadraticMinorant, x0: float, x1: float) -> float:
-    """An upper bound on every G that QuadraticMinorant.__call__ computes at
-    a point whose u = x - x_lo lies between x0's and x1's: the parabola's
-    supremum there, at its vertex clamped to [u0, u1], plus a slack of
-    1e-13 (|lower_value| + |lower_slope| U + |gamma| U^2) + 1e-300 with
-    U = max |u|.  The Horner evaluation errs by at most gamma_3 = 3.3e-16
-    times that sum, plus a few subnormals where it underflows (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3 and 5); the slack
-    is about 100 times gamma_4, and inf where |gamma| U^2 passes the doubles."""
-    x_lo, value, slope, gamma = map(float, (minorant.contact_points[0], *minorant[1:]))
-    u0, u1 = x0 - x_lo, x1 - x_lo
-    u = min(max(-slope / (2.0 * gamma), u0), u1)
-    extent = max(abs(u0), abs(u1))
-    top = value + u * (slope + gamma * u)
-    return top + (1e-13 * (abs(value) + abs(slope) * extent - gamma * extent * extent) + 1e-300)
+def _psi(k, x: float, below: bool) -> tuple[float, float, float]:
+    """psi(x) = (1 - 1e-12 - q) F - G - 1e-13 (|v| + |s||u| + |gamma| u^2) - q
+    - 1e-299 (q = _Q, u = x - x_lo), a bound on its float error, and F(x):
+    e^{cx} where ``below`` (inf from cx = 709 on), else f_flat, for k = (x_lo,
+    v, s, gamma, c, f_flat).  psi(x) > 0 puts check_certificate's gap at x
+    above EQUALITY_RTOL: 1e-12 F covers the rounding of c*x and exp's error,
+    the 1e-13 term is about 100 times the Horner error gamma_3 (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3), 1e-299 covers
+    subnormals and q (F + 1) clears EQUALITY_RTOL max(1, F)."""
+    x_lo, value, slope, gamma, c, f = k
+    if below:
+        f = math.exp(c * x) if c * x < 709.0 else math.inf
+    u = x - x_lo
+    g = value + u * (slope + gamma * u)
+    spread = abs(value) + abs(slope * u) - gamma * u * u
+    psi = (1.0 - 1e-12 - _Q) * f - g - 1e-13 * spread - _Q - 1e-299
+    return psi, 1e-12 * (f + abs(g) + _Q) + 1e-15 * spread + 1e-300, f
 
 
-def _gap_floor(minorant: QuadraticMinorant, c: float, f_at_cut: float, x0: float, x1: float) -> float:
-    """A lower bound on every gap check_certificate forms over the sorted
-    span points from x0 to x1 (a block, or the whole tail up to stop),
-    formed with the blocks' own operations from _sup_bound: F(1) - G, over
-    F(1) where that passes 1, on x >= 1 and 0.0 - G on x < 0 (c >= 0),
-    where 0.0 <= F <= 1.  NaN on any other range."""
-    if x0 >= 1.0:
-        floor = f_at_cut - _sup_bound(minorant, x0, x1)
-        return floor / f_at_cut if f_at_cut > 1.0 else floor
-    if x1 < 0.0 and c >= 0.0:
-        return 0.0 - _sup_bound(minorant, x0, x1)
-    return math.nan
+def _witness(k, p: float, end: float, below: bool) -> float:
+    """A point w from p toward end with psi(w) > max(0, psi(p)) beyond both
+    errors, or end if none: steps outward from p, the first 2 sqrt(-psi(p) /
+    psi''(p)), doubling.  On a region where F keeps one formula and u one
+    sign, psi is convex, so psi > 0 from w to end; F and |u| are monotone
+    there, so finite at w and at end, they are finite between."""
+    value, margin, f = _psi(k, p, below)
+    if not math.isfinite(value):
+        return end
+    target, curvature = max(0.0, value + margin), (k[4] * k[4] * f if below else 0.0) - 2.0 * k[3]
+    h = max(2.0 * math.sqrt(max(-value, margin) / curvature), 1e-6 * (1.0 + abs(p)))
+    sign = 1.0 if end > p else -1.0
+    while (p + sign * h - end) * sign < 0.0:
+        value, margin, _ = _psi(k, p + sign * h, below)
+        if value - margin > target:
+            return p + sign * h if math.isfinite(_psi(k, end, below)[0]) else end
+        h *= 2.0
+    return end
+
+
+def _kept(minorant: QuadraticMinorant, kind: MomentKind, c: float, start: float, stop: float):
+    """Sorted closed intervals of x outside which psi > 0 at every point
+    from start to stop.  x is split at x_lo and at the cut 1 into regions;
+    in each, the contacts it holds (else its end nearest x_lo) are kept,
+    and every point up to the witness from the outermost toward each end."""
+    contacts = minorant.contact_points
+    x_lo = contacts[0]
+    f_flat = (math.exp(c) if c < 709.0 else math.inf) if kind is MomentKind.WINSOR else 1.0
+    k = (x_lo, minorant.lower_value, minorant.lower_slope, minorant.gamma, c, f_flat)
+    cuts = (x_lo, 1.0) if x_lo < 1.0 else (1.0, x_lo)
+    kept = []
+    for lo, hi in zip((start, *cuts), (*cuts, stop)):
+        below = lo < 1.0  # the region's points are below 1, where F = e^{cx}
+        inside = [x0 for x0 in contacts if lo <= x0 <= hi and not (below and x0 >= 1.0)]
+        p, q = (min(inside), max(inside)) if inside else (min(max(x_lo, lo), hi),) * 2
+        left = _witness(k, p, lo, below) if p > lo else lo
+        right = _witness(k, q, hi, below) if q < hi else hi
+        if kept and left <= kept[-1][1]:
+            kept[-1][1] = max(kept[-1][1], right)
+        else:
+            kept.append([left, right])
+    return kept
+
+
+def _first_at(start: float, stop: float, num: int, bound: float) -> int:
+    """The index of the first of np.linspace(start, stop, num)'s points, as
+    _linspace_into forms them, at or above bound; num if none."""
+    if num == 1:
+        return int(stop < bound)
+    step = (stop - start) / (num - 1)
+    i = math.ceil(min(max((bound - start) / step, 0.0), num))
+    while i > 0 and (stop if i == num else (i - 1) * step + start) >= bound:
+        i -= 1
+    while i < num and (stop if i == num - 1 else i * step + start) < bound:
+        i += 1
+    return i
+
+
+def _packed(pieces, kept, x: np.ndarray):
+    """Fills x, in order, with the pieces' points in kept's intervals (all
+    where kept is None), yielding (n, ones) when it is full and at the end:
+    x[:n] holds points, ones the (offset, point) of its one-point pieces."""
+    n, ones = 0, []
+    for start, stop, num in pieces:
+        runs = [(0, num)] if kept is None else [
+            tuple(_first_at(start, stop, num, b) for b in (lo, math.nextafter(hi, math.inf)))
+            for lo, hi in kept if lo <= stop and start <= hi
+        ]
+        for first, end in runs:
+            while first < end:
+                take = min(end - first, x.size - n)
+                if num == 1:
+                    ones.append((n, stop))
+                _linspace_into(x[n : n + take], start, stop, num, first)
+                n, first = n + take, first + take
+                if n == x.size:
+                    yield n, ones
+                    n, ones = 0, []
+    if n:
+        yield n, ones
 
 
 def check_certificate(
@@ -241,128 +304,65 @@ def check_certificate(
     """Verify G <= F on certificate_grid with equality only near the contacts.
 
     contact_gaps holds, for each contact x0, the value and slope gaps
-    relative to max(1, F(x0)), from the fine block's F and G at x0.  Inside
-    a piece of F they are |F - G| and |F' - G'|, with G'(x) = lower_slope +
-    2 gamma (x - x_lo).  On the cut (x0 = 1) the slope gap is max(G'(1), 0):
-    with gamma < 0, F - G is convex on x < 1 and on x >= 1, so a zero value
-    there plus G'(1) <= 0 is what proves G <= F on the right of the cut.
+    relative to max(1, F(x0)), from the F and G computed at x0's own grid
+    point.  Inside a piece of F they are |F - G| and |F' - G'|, with G'(x) =
+    lower_slope + 2 gamma (x - x_lo).  On the cut (x0 = 1) the slope gap is
+    max(G'(1), 0): with gamma < 0, F - G is convex on x < 1 and on x >= 1,
+    so a zero value there plus G'(1) <= 0 is what proves G <= F on the right
+    of the cut.
 
-    Walks the grid without sorting it, in buffers of _BLOCK points allocated
-    once per check, under one np.errstate that ignores underflow and
-    overflow; the worst point is argmin's on the sorted grid: a NaN gap
-    first, then the least gap, then the least x.  A G of -inf, or an F - G
-    past the doubles, is a gap of +inf; an F of +inf still makes a NaN gap
-    (inf/inf), which fails the report and warns as an invalid value.
-    - The windows and points at the contacts and the cut, in _grid_pieces
-      order, make one block of at most 6,006 points, walked first, all
-      through F and the division; that gives the shortcuts' bits (exp(c) is
-      F(1), F <= 1 is divided by 1.0, exp is 0.0 below the cutoff), its
-      point x = 1.0 gives F(1) and its contact points the contact gaps.  It
-      is not sorted, so the least x among its worst gaps is picked
-      explicitly.
-    - The wide span goes in blocks rebuilt in place as np.linspace's points.
-      A block is sorted, so argmin's first index is its least x among ties,
-      and searchsorted splits it at x = 0 and x = 1 into parts whose work
-      has a known result: on x >= 1, F = F(1), and the gap is divided by
-      F(1) only where that passes 1; on x < 0 (c >= 0), F <= 1, so no
-      division, and F = 0.0 without exp where c*x < _EXP_ZERO_BELOW.  Only
-      [0, 1) (all of x < 1 where c < 0) goes through F and the division.
-    - Before it is built, a span block gets _gap_floor from its two ends,
-      first*step + start and its last point (stop at the end): rounding is
-      monotone, so every x and u = x - x_lo of the block lies between
-      theirs.  The first block on x >= 1 is bounded together with the rest
-      of the span, up to stop.  Where the floor is finite, above
-      EQUALITY_RTOL and above the worst gap so far, which is a number, the
-      points it covers hold no NaN, no equality and no gap that ties the
-      worst, so argmin's tie rule never has to choose them and skipping
-      them leaves the report's bits as they are.  The floor speaks of
-      QuadraticMinorant.__call__ alone: a subclass that overrides it is
-      walked in full, as is a grid whose points are not ordered, which also
-      goes whole through F and the division."""
-    (start, stop, num), *fine = _grid_pieces(minorant)
+    The report is argmin's on the sorted grid: a NaN gap first, then the
+    least gap, then the least x.  One np.errstate ignores underflow,
+    overflow and invalid values: a G of -inf, or an F - G past the doubles,
+    is a gap of +inf, and an F of +inf a NaN gap (inf/inf), which fails it.
+    - Only the points in _kept's intervals are evaluated: every other one
+      has psi > 0, so a gap above EQUALITY_RTOL, which is no equality and,
+      while the evaluated worst is NaN or at most EQUALITY_RTOL, no worst
+      gap or tie of it.  Otherwise, and for a minorant whose __call__ is
+      overridden or a grid whose points are not ordered, the whole grid is.
+    - The runs of the windows and points at the contacts and the cut, in
+      _grid_pieces order, then of the span are packed into buffers of
+      _BLOCK points allocated once per check, formed by _linspace_into.
+      Each buffer takes F, G and the division by max(1, F), and is folded
+      at its least x among its worst gaps."""
+    pieces = _grid_pieces(minorant)
+    start, stop, num = pieces[0]
     contacts = minorant.contact_points
     windows = [CONTACT_WINDOW * (1.0 + abs(x0)) for x0 in contacts]
     x, f, g, gap = (np.empty(_BLOCK) for _ in range(4))
-    # a span block's parts: F = 0.0 below the first split, no division below
-    # the second and F = F(1) from the third on
-    splits = np.array((
-        _EXP_ZERO_BELOW / c if c > 0.0 else -math.inf, 0.0 if c >= 0.0 else -math.inf, 1.0
-    ))
-    # reading a block's x range from its ends needs sorted points, which
-    # finite ones are
-    step = (stop - start) / (num - 1)
-    ordered = math.isfinite(start) and math.isfinite(step)
-    bounded = ordered and type(minorant).__call__ is QuadraticMinorant.__call__
-    with np.errstate(under="ignore", over="ignore"):
-        fine_points, at = 0, {}  # the fine block, in x[:fine_points]; at[x0]: x0's index
-        for piece in fine:
-            if piece[2] == 1:
-                at[piece[0]] = fine_points
-            _linspace_into(x[fine_points : fine_points + piece[2]], *piece)
-            fine_points += piece[2]
-        xb, fb, gb, gapb = x[:fine_points], f[:fine_points], g[:fine_points], gap[:fine_points]
-        minorant(xb, out=gb)
-        _capped_exp(kind, c, xb, fb)
-        f_at_cut = float(fb[at[1.0]])
-        contact_gaps = {}
-        for x0 in contacts:
-            f0, g0 = float(fb[at[x0]]), float(gb[at[x0]])
-            g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - contacts[0])
-            if x0 == 1.0:
-                slope_gap = max(g_slope, 0.0)
-            else:
-                slope_gap = abs((c * f0 if x0 < 1.0 else 0.0) - g_slope)
-            scale = max(1.0, f0)
-            contact_gaps[x0] = (abs(f0 - g0) / scale, slope_gap / scale)
-        np.subtract(fb, gb, out=gapb)
-        np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
-        i = int(gapb.argmin())
-        ties = np.flatnonzero(gapb == gapb[i] if gapb[i] == gapb[i] else np.isnan(gapb))
-        worst, localized = _fold(
-            (True, math.inf, math.inf), True, xb, gapb, int(ties[xb[ties].argmin()]),
-            contacts, windows,
-        )
-
-        in_tail = False
-        for first in range(0, num, _BLOCK):
-            n = min(_BLOCK, num - first)
-            if bounded and worst[0]:
-                x0 = first * step + start
-                # the first block on x >= 1 is bounded with the whole tail
-                last = num if x0 >= 1.0 and not in_tail else first + n
-                in_tail = x0 >= 1.0
-                floor = _gap_floor(
-                    minorant, c, f_at_cut, x0, stop if last == num else (last - 1) * step + start
-                )
-                if math.isfinite(floor) and floor > max(EQUALITY_RTOL, worst[1]):
-                    if last == num:
-                        break
-                    continue
-            xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
-            _linspace_into(xb, start, stop, num, first)
-            minorant(xb, out=gb)
-            zeros, neg, tail = xb.searchsorted(splits).tolist() if ordered else (0, 0, n)
-            fb[:zeros] = 0.0
-            if zeros < tail:
-                _capped_exp(kind, c, xb[zeros:tail], fb[zeros:tail])
-            np.subtract(fb[:tail], gb[:tail], out=gapb[:tail])
-            if neg < tail:
-                part = slice(neg, tail)
-                np.divide(gapb[part], np.maximum(1.0, fb[part], out=fb[part]), out=gapb[part])
-            if tail < n:
-                np.subtract(f_at_cut, gb[tail:], out=gapb[tail:])
-                if f_at_cut > 1.0:
-                    np.divide(gapb[tail:], f_at_cut, out=gapb[tail:])
-            worst, localized = _fold(
-                worst, localized, xb, gapb, int(gapb.argmin()), contacts, windows
-            )
+    bounded = math.isfinite(start) and math.isfinite((stop - start) / (num - 1))
+    bounded &= type(minorant).__call__ is QuadraticMinorant.__call__
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        for kept in (_kept(minorant, kind, c, start, stop) if bounded else None, None):
+            worst, localized, at = (True, math.inf, math.inf), True, {}
+            for n, ones in _packed((*pieces[1:], pieces[0]), kept, x):
+                xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
+                minorant(xb, out=gb)
+                _capped_exp(kind, c, xb, fb)
+                for k, x0 in ones:
+                    at[x0] = float(fb[k]), float(gb[k])
+                np.subtract(fb, gb, out=gapb)
+                np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
+                i = int(gapb.argmin())
+                ties = np.flatnonzero(gapb == gapb[i] if gapb[i] == gapb[i] else np.isnan(gapb))
+                i = int(ties[xb[ties].argmin()])  # the least x among the worst gaps
+                worst, localized = _fold(worst, localized, xb, gapb, i, contacts, windows)
+            if kept is None or not (worst[0] and worst[1] > EQUALITY_RTOL):
+                break
+    contact_gaps = {}
+    for x0 in contacts:
+        f0, g0 = at[x0]
+        g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - contacts[0])
+        f_slope = c * f0 if x0 < 1.0 else 0.0
+        slope_gap = max(g_slope, 0.0) if x0 == 1.0 else abs(f_slope - g_slope)
+        scale = max(1.0, f0)
+        contact_gaps[x0] = (abs(f0 - g0) / scale, slope_gap / scale)
     is_number, worst_gap, worst_x = worst
     return CertificateReport(
         passed=is_number and worst_gap >= -GAP_RTOL and localized,
         worst_gap=worst_gap if is_number else math.nan,
         worst_x=worst_x,
         equality_localized=localized,
-        n_points=num + fine_points,
+        n_points=sum(piece[2] for piece in pieces),
         contact_gaps=contact_gaps,
     )
-

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -71,7 +72,7 @@ def reference_check(minorant, kind, c):
 
 def reference_contact_gaps(minorant, kind, c):
     """The contact gaps in closed form, F and G evaluated afresh at both
-    contacts: the formulas check_certificate applies to its fine block."""
+    contacts: the formulas check_certificate applies to its own F and G there."""
     out = {}
     x_lo = minorant.contact_points[0]
     points = np.array(minorant.contact_points)
@@ -309,9 +310,9 @@ class TestCheckCertificate:
 
     def test_tie_reports_the_smaller_x(self):
         # F = 1 at c = 0, and G = 2 only at x = 20, the last point of the wide
-        # span (walked first), and at the contact x0 = -1.23456789, which is
-        # off the span and walked later: the gaps tie at -1 and the smaller
-        # x is reported, as argmin on the sorted grid does
+        # span (evaluated last), and at the contact x0 = -1.23456789, which
+        # is off the span and evaluated first: the gaps tie at -1 and the
+        # smaller x is reported, as argmin on the sorted grid does
         x0 = -1.23456789
 
         class TwoSpikes(QuadraticMinorant):
@@ -400,8 +401,8 @@ REFERENCE_CASES = {
         MomentKind.WINSOR,
         1.0,
     ),
-    # six span blocks where c*x < _EXP_ZERO_BELOW throughout, so F is 0.0
-    # with no exp call, then one that the cutoff splits
+    # six span blocks where c*x < EXP_ZERO_BELOW throughout, so F is 0.0,
+    # then one that the cutoff splits
     "winsor-10-1e6-zero-prefix": lambda: solved_winsor(10.0, 1e6),
     # large branch: a zero prefix, then a block across the subnormal band
     # -745.13 < c*x < -708, where exp is neither 0.0 nor normal
@@ -423,27 +424,37 @@ REFERENCE_CASES = {
     ),
     # the verify grid's first pair: the gap is 0.0 both at the contact
     # -a = -4.7541646718261803e-07 and at a window point just right of it,
-    # which comes first in the fine block; argmin over that unsorted block
+    # which comes first in its buffer; argmin over that unsorted buffer
     # would report -4.7541646718256975e-07, the sorted grid the contact
     "winsor-0.1-1e-3-tie-in-the-fine-block": lambda: solved_winsor(0.1, 1e-3),
-    # contacts at -7.95e-259 and 1.26e258: |gamma| U^2 in the skip's slack
-    # is 3.8e262, formed without U^2, which overflows
+    # contacts at -7.95e-259 and 1.26e258: |gamma| u^2 in psi's slack
+    # reaches 3.8e262, formed without u^2, which overflows
     "winsor-600-1-span-1e259": lambda: solved_winsor(600.0, 1.0),
     # c = 0: no zero prefix, and F = 1 everywhere
     "winsor-1-1-at-c-0": lambda: (solved_winsor(1.0, 1.0)[0], MomentKind.WINSOR, 0.0),
-    # c < 0: F > 1 on x < 0, so neither shortcut for x < 0 holds; G = 1
-    # + x/100 - 100x^2 rises above F = e^{-2x} only near x = 0.01
+    # every gap is above EQUALITY_RTOL, the least (1.0047) at x = 0.5508,
+    # where F = e^{3x} is large and psi far above its value at the declared
+    # contacts: the points that psi's witnesses skipped are evaluated too
+    "worst-above-tolerance": lambda: (
+        from_coefficients(-0.5, 1.8, -1.7, (-1.5, 0.42)), MomentKind.TRUNC, 3.0
+    ),
+    # c < 0: F > 1 and falling on x < 0; G = 1 + x/100 - 100x^2 rises
+    # above F = e^{-2x} only near x = 0.01
     "c-minus-2": lambda: (
         from_coefficients(1.0, 0.01, -100.0, (-1.0, 1.0)), MomentKind.WINSOR, -2.0
     ),
 }
 
 
+# exp is exactly 0.0 below about -745.13 (half the least subnormal)
+EXP_ZERO_BELOW = -746.0
+
+
 def block_kinds(minorant, kind, c):
-    """The kinds of span block check_certificate walks for this minorant,
-    read from np.linspace's points as the check reads them, and "fine-block
-    tie" where the worst gap of the fine block, the windows and points in
-    piece order, comes first at an x that is not the least of its ties."""
+    """The kinds of _BLOCK-point span block this minorant's grid holds, read
+    from np.linspace's points, and "fine-block tie" where the worst gap of
+    the windows and points, in piece order, comes first at an x that is not
+    the least of its ties."""
     kinds = set()
     (start, stop, num), *fine = certificates._grid_pieces(minorant)
     points = np.linspace(start, stop, num)
@@ -452,7 +463,7 @@ def block_kinds(minorant, kind, c):
         if x[0] >= 1.0:
             kinds.add("x >= 1")
             continue
-        zero = c * x < certificates._EXP_ZERO_BELOW
+        zero = c * x < EXP_ZERO_BELOW
         if zero.all():
             kinds.add("exact zero")
         elif zero.any():
@@ -523,10 +534,10 @@ def test_walk_matches_sorted_grid_reference_on_the_verify_grid(kind):
 # at winsor-0.5-0.2 the span's last point index*step + start is not stop
 @pytest.mark.parametrize("case", ["winsor-0.5-0.2", "winsor-5-30", "trunc-large"])
 def test_walked_points_are_the_linspace_points(case):
-    # the fine pieces go first, then the span; each span block is rebuilt in
-    # place as index*step + start with the last point set to stop: bit for
-    # bit the points of np.linspace.  Recording overrides __call__, so no
-    # block is skipped.
+    # the fine pieces go first, then the span; each run is rebuilt in place
+    # as index*step + start with the last point set to stop: bit for bit
+    # the points of np.linspace.  Recording overrides __call__, so no point
+    # is skipped.
     minorant, kind, c = REFERENCE_CASES[case]()
     recording = from_coefficients(0.0, 1.0, -1.0, minorant.contact_points, cls=Recording)
     Recording.seen = []
@@ -537,76 +548,66 @@ def test_walked_points_are_the_linspace_points(case):
     assert bits(walked) == bits(linspace)
 
 
-def record_span_blocks(monkeypatch):
-    """A list that gets the first index of every span block a check builds."""
-    firsts = []
+def record_runs(monkeypatch):
+    """A list that gets (start, stop, num, first, points) for every run of
+    a piece's points that check_certificate forms with _linspace_into."""
+    runs = []
     build = certificates._linspace_into
 
     def recorded(out, start, stop, num, first=0):
-        if num == certificates.GRID_BASE_POINTS:
-            firsts.append(first)
         build(out, start, stop, num, first)
+        runs.append((start, stop, num, first, out.copy()))
 
     monkeypatch.setattr(certificates, "_linspace_into", recorded)
-    return firsts
+    return runs
 
 
-def walked_span_blocks(monkeypatch, minorant, kind, c):
-    """The check's report and the first index of every span block it builds."""
-    firsts = record_span_blocks(monkeypatch)
+def evaluated_points(monkeypatch, minorant, kind, c):
+    """The check's report and, for each piece of _grid_pieces, the mask of
+    the points it evaluated; each run's points are np.linspace's bits."""
+    runs = record_runs(monkeypatch)
     report = certificates.check_certificate(minorant, kind, c)
     monkeypatch.undo()
-    return report, firsts
-
-
-def span_blocks(minorant, kind, c):
-    """Each span block as (first, its np.linspace points, its gap floor)."""
-    start, stop, num = certificates._grid_pieces(minorant)[0]
-    points = np.linspace(start, stop, num)
-    f_at_cut = float(certificates.capped_exp(kind, c, 1.0))
-    for first in range(0, num, certificates._BLOCK):
-        x = points[first : first + certificates._BLOCK]
-        yield first, x, certificates._gap_floor(minorant, c, f_at_cut, float(x[0]), float(x[-1]))
+    masks = {piece: np.zeros(piece[2], dtype=bool) for piece in certificates._grid_pieces(minorant)}
+    for start, stop, num, first, points in runs:
+        assert bits(points) == bits(np.linspace(start, stop, num)[first : first + points.size])
+        masks[start, stop, num][first : first + points.size] = True
+    return report, masks
 
 
 def assert_skips_are_sound(monkeypatch, minorant, kind, c):
-    """Every span block the check skips, evaluated in full, computes no G
-    above its bound and no gap below its floor, and that floor is finite and
-    above both the equality tolerance and the worst gap; every block whose
-    floor is not finite is walked.  Returns the number skipped."""
-    report, walked = walked_span_blocks(monkeypatch, minorant, kind, c)
-    skipped = 0
-    for first, x, floor in span_blocks(minorant, kind, c):
-        if first in walked:
-            continue
-        skipped += 1
-        assert math.isfinite(floor)
-        assert floor > max(certificates.EQUALITY_RTOL, report.worst_gap)
-        assert minorant(x).max() <= certificates._sup_bound(minorant, float(x[0]), float(x[-1]))
-        f_values = certificates.capped_exp(kind, c, x)
-        gap = (f_values - minorant(x)) / np.maximum(1.0, f_values)
-        assert gap.min() >= floor, first
-    return skipped
+    """Every grid point the check did not evaluate, evaluated here over the
+    full np.linspace pieces, has a gap above EQUALITY_RTOL and above the
+    report's worst gap (a NaN gap is neither).  Returns (skipped, total)."""
+    report, masks = evaluated_points(monkeypatch, minorant, kind, c)
+    floor = max(certificates.EQUALITY_RTOL, report.worst_gap)  # EQUALITY_RTOL where NaN
+    skipped = total = 0
+    for piece, mask in masks.items():
+        x = np.linspace(*piece)[~mask]
+        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+            f_values = certificates.capped_exp(kind, c, x)
+            gap = (f_values - minorant(x)) / np.maximum(1.0, f_values)
+        assert np.all(gap > floor), (piece, x[np.argmin(gap)], gap.min())
+        skipped, total = skipped + x.size, total + piece[2]
+    return skipped, total
 
 
 def test_skipped_blocks_are_bounded_on_the_reference_cases(monkeypatch):
     skipped = 0
     for make in REFERENCE_CASES.values():
-        minorant, kind, c = make()
-        with np.errstate(under="ignore"):
-            skipped += assert_skips_are_sound(monkeypatch, minorant, kind, c)
+        skipped += assert_skips_are_sound(monkeypatch, *make())[0]
     assert skipped > 0
 
 
 @pytest.mark.parametrize("kind", list(MomentKind))
 def test_skipped_blocks_are_bounded_on_the_verify_grid(kind, monkeypatch):
     pairs = list(itertools.product(verify.C_GRID, verify.SIGMA_GRID))[::7]
-    skipped = 0
+    skipped = total = 0
     for c, sigma in pairs:
-        (minorant, kind, c), _ = verify_grid_case(c, sigma, kind)
-        with np.errstate(under="ignore"):
-            skipped += assert_skips_are_sound(monkeypatch, minorant, kind, c)
-    assert skipped > len(pairs)
+        counts = assert_skips_are_sound(monkeypatch, *verify_grid_case(c, sigma, kind)[0])
+        skipped, total = skipped + counts[0], total + counts[1]
+    # the witnesses leave a few hundred points per check of about 106,000
+    assert skipped > 0.98 * total
 
 
 @pytest.mark.parametrize(
@@ -615,40 +616,84 @@ def test_skipped_blocks_are_bounded_on_the_verify_grid(kind, monkeypatch):
      (5.0, 1e6, MomentKind.WINSOR), (10.0, 587801.6072274924, MomentKind.WINSOR)],
 )
 def test_near_overflow_spans_of_the_verify_grid(c, sigma, kind, monkeypatch):
-    # spans of 2e12 to 5.4e12, where U^2 in the slack reaches 3e25
+    # spans of 2e12 to 5.4e12, where |gamma| u^2 in psi's slack reaches 3e25
     (minorant, kind, c), _ = verify_grid_case(c, sigma, kind)
     assert certificates._grid_pieces(minorant)[0][1] > 1.9e12
-    with np.errstate(under="ignore"):
-        assert assert_skips_are_sound(monkeypatch, minorant, kind, c) > 0
+    assert assert_skips_are_sound(monkeypatch, minorant, kind, c)[0] > 0
 
 
 OVERFLOW_CASES = {
-    # a span of 1e201: |gamma| U^2 overflows, so every floor is -inf or NaN
+    # a span of 1e201: |gamma| u^2 overflows, so psi is -inf on most of it
     "u-squared-overflows": lambda: (
         from_coefficients(0.0, 1.0, -1e-6, (-1.0, 1e200)), MomentKind.WINSOR, 1.0
     ),
-    # F(1) = e^c overflows: the x >= 1 floors are not finite, and the fine
-    # block's gaps are NaN
+    # F(1) = e^c overflows: psi is inf from x = 709/c on, and the gaps
+    # there are NaN
     "exp-c-overflows": lambda: (solved_winsor(1.0, 1.0)[0], MomentKind.WINSOR, 710.0),
+    # c < 0 over a span of 1e4: F = e^{-2x} overflows from x = -354.9 down
+    "f-overflows-at-c-minus-2": lambda: (
+        from_coefficients(1.0, 0.01, -100.0, (-1.0, 1000.0)), MomentKind.WINSOR, -2.0
+    ),
 }
 
 
 @pytest.mark.parametrize("case", OVERFLOW_CASES)
 def test_blocks_without_a_finite_floor_are_walked(case, monkeypatch):
+    # where psi or F is not finite no witness is found, so those points are
+    # evaluated, and the report is the sorted grid's
     minorant, kind, c = OVERFLOW_CASES[case]()
+    assert_skips_are_sound(monkeypatch, minorant, kind, c)
+    report = certificates.check_certificate(minorant, kind, c)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        assert not all(math.isfinite(floor) for *_, floor in span_blocks(minorant, kind, c))
-        assert_skips_are_sound(monkeypatch, minorant, kind, c)
-        report = certificates.check_certificate(minorant, kind, c)
         expected = reference_check(minorant, kind, c)
     walked = (report.passed, report.worst_gap, report.worst_x, report.equality_localized)
     assert repr(walked) == repr(expected)
 
 
+@pytest.mark.parametrize("case", ["exp-c-overflows", "f-overflows-at-c-minus-2"])
+def test_overflowing_f_gets_a_report_under_warnings_as_errors(case):
+    # an F of inf makes the gap inf/inf = NaN: that is reported as data (a
+    # failed report with a NaN worst gap at the least such x), not raised
+    minorant, kind, c = OVERFLOW_CASES[case]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = certificates.check_certificate(minorant, kind, c)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        expected = reference_check(minorant, kind, c)
+    assert not report.passed and math.isnan(report.worst_gap)
+    walked = (report.passed, report.worst_gap, report.worst_x, report.equality_localized)
+    assert repr(walked) == repr(expected)
+
+
+def seeded_bounds(n, seed=37):
+    """n seeded (result, kind) pairs, alternating kinds, log-uniform over
+    c in [0.05, 30] and sigma in [1e-3, 1e6]: past verify's tilts."""
+    rng = random.Random(seed)
+    for i in range(n):
+        c = math.exp(rng.uniform(math.log(0.05), math.log(30.0)))
+        sigma = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
+        if i % 2:
+            yield trunc.lower_bound_trunc(BoundQuery(c, sigma)), MomentKind.TRUNC
+        else:
+            yield winsor.lower_bound_fixed_c(BoundQuery(c, sigma)), MomentKind.WINSOR
+
+
+def test_check_matches_sorted_grid_reference_past_the_verify_box():
+    outside = 0
+    for result, kind in seeded_bounds(40):
+        case = certificates.minorant(result), kind, result.tilt
+        outside += not 0.1 <= result.tilt <= 10.0
+        report = certificates.check_certificate(*case)
+        walked = (report.passed, report.worst_gap, report.worst_x, report.equality_localized)
+        with np.errstate(under="ignore"):
+            assert repr(walked) == repr(reference_check(*case)), result
+    assert outside >= 10
+
+
 def test_negative_controls_fail_with_their_bits(monkeypatch):
     # verify's negative control (beta shrunk by 10% about the lower contact)
     # and beta-times-0.9 (about 0) fail at the gaps and points they failed
-    # at before any block was skipped, while most of their blocks are
+    # at when every point was evaluated, while most points are skipped
     a = fixed_root(1.0, 1.0)
     good = solved_winsor(1.0, 1.0)[0]
     control = QuadraticMinorant(
@@ -662,39 +707,40 @@ def test_negative_controls_fail_with_their_bits(monkeypatch):
         (REFERENCE_CASES["beta-times-0.9"]()[0], "-0x1.4635abc2de9a0p-6"),
     ]
     for minorant, worst_gap in cases:
-        report, walked = walked_span_blocks(monkeypatch, minorant, MomentKind.WINSOR, 1.0)
+        report, masks = evaluated_points(monkeypatch, minorant, MomentKind.WINSOR, 1.0)
         assert not report.passed and report.equality_localized
         assert report.worst_gap.hex() == worst_gap
         assert report.worst_x.hex() == "-0x1.349a8e2b51f80p-2"
         assert report.n_points == 106_007
-        assert len(walked) < 13
+        # 5,457 evaluated points each when the witnesses came in
+        assert sum(int(mask.sum()) for mask in masks.values()) < 5_730
 
 
-def test_certificate_suite_span_block_budget(monkeypatch):
-    # A count, not a timing: one certificate suite built 855 of its 8,333
-    # span blocks when blocks whose gap floor clears the tolerance came to be
-    # skipped (all of them before).  The ceiling is that count plus 5%; a
-    # change that needs more blocks is a regression, not a new ceiling.
-    built = record_span_blocks(monkeypatch)
+def test_certificate_suite_point_budget(monkeypatch):
+    # A count, not a timing: one certificate suite evaluated 446,630 grid
+    # points when psi's witnesses came to skip the points they prove clear
+    # (10,649,802 before, when whole span blocks were bounded and skipped).
+    # The ceiling is that count plus 5%; a change that needs more points is
+    # a regression, not a new ceiling.
+    runs = record_runs(monkeypatch)
     assert all(result.passed for result in verify.run_suite("certificates"))
-    assert len(built) <= 897, f"{len(built)} span blocks"
+    evaluated = sum(run[-1].size for run in runs)
+    assert evaluated <= 468_961, f"{evaluated} points"
 
 
-def test_certificate_suite_gap_floor_budget(monkeypatch):
-    # A count, not a timing: one certificate suite formed 5,128 gap floors
-    # when the first span block on x >= 1 came to be bounded together with
-    # the rest of the span (8,333, one per span block, before).  The
-    # ceiling is that count plus 5%.
+def test_certificate_suite_psi_budget(monkeypatch):
+    # A count, not a timing: one certificate suite evaluated psi 7,429
+    # times when its witnesses came in.  The ceiling is that count plus 5%.
     calls = []
-    floor = certificates._gap_floor
+    psi = certificates._psi
 
     def counted(*args):
         calls.append(args)
-        return floor(*args)
+        return psi(*args)
 
-    monkeypatch.setattr(certificates, "_gap_floor", counted)
+    monkeypatch.setattr(certificates, "_psi", counted)
     assert all(result.passed for result in verify.run_suite("certificates"))
-    assert len(calls) <= 5_384, f"{len(calls)} gap floors"
+    assert len(calls) <= 7_800, f"{len(calls)} evaluations of psi"
 
 
 def test_span_overflowing_g_passes_under_warnings_as_errors():
@@ -712,10 +758,10 @@ def test_span_overflowing_g_passes_under_warnings_as_errors():
 
 
 def test_exp_is_exactly_zero_below_the_cutoff():
-    # the check sets F to 0.0 without calling exp where c*x < _EXP_ZERO_BELOW;
-    # a numpy whose exp stops returning exactly 0.0 there fails here, not in
-    # a certificate
-    cutoff = certificates._EXP_ZERO_BELOW
+    # F's absolute error where exp underflows is covered by psi's 1e-299
+    # term: a numpy whose exp stops returning exactly 0.0 below the cutoff
+    # fails here, not in a certificate
+    cutoff = EXP_ZERO_BELOW
     below = np.concatenate((
         [cutoff, np.nextafter(cutoff, -np.inf)],
         np.linspace(2.0 * cutoff, cutoff, 100_001),

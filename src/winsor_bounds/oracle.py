@@ -19,8 +19,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .certificates import _BLOCK, MomentKind, capped_exp
-from .errors import ParameterError, exp_or_inf, in_range, require_integer, require_positive
+from .certificates import MomentKind, capped_exp
+from .errors import ParameterError, _choice, exp_or_inf, in_range, require_integer, require_positive
 
 # (a, c) points of each stage of the searches: the first spans the whole grid,
 # each later one a window of cells on either side of the previous argmin
@@ -29,6 +29,7 @@ REFINE_WINDOW_CELLS = 2            # previous-grid cells kept on each side of th
 UNIVERSAL_STAGES = ((2_000, 200), (300, 300), (300, 300))
 UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
 UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
+_BLOCK = 8_192  # cells per evaluation block: a 64 KB temporary stays in L2
 
 
 class GridMinResult(namedtuple(
@@ -50,6 +51,7 @@ def two_point_moment_grid(
     """Closed-form moment of X_{a, sigma^2/a} for each a (and tilt c,
     broadcastable).  Written into ``out`` when given, with ``scratch`` as
     the one temporary; both must have the broadcast shape."""
+    kind = _choice(MomentKind, "kind", kind)
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     b = sigma * sigma / a
@@ -109,6 +111,7 @@ def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
     the grid's largest term a * e^c overflows: every b >= 1 reads e^c.
     Truncated cells whose e^(cb) overflows read as inf."""
     c, sigma = require_positive("c", c), require_positive("sigma", sigma)
+    kind = _choice(MomentKind, "kind", kind)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
     a_hi = in_range("the grid's upper end sigma^2 * 1e2", sigma2 * 1e2, sigma)
     if kind is MomentKind.WINSOR:
@@ -210,6 +213,7 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
 def probe_moments(probe: ThreePointProbe, kind: MomentKind, c) -> np.ndarray:
     """E exp(c * capped(X)) for each sampled law; c may be scalar or (n,).
     Formed in blocks of rows, about _BLOCK cells, in one buffer."""
+    kind = _choice(MomentKind, "kind", kind)
     c = np.asarray(c, dtype=float)
     if c.ndim == 1:
         c = c[:, None]

@@ -487,7 +487,7 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 1) -> list[CheckResult]:
     """Run one named suite, or all of them in SUITES order, over one Grid."""
-    if name != "all" and name not in SUITES:
+    if name not in (*SUITES, "all"):  # a tuple: an unhashable name is refused too
         raise errors.ParameterError(f"suite must be one of {', '.join(SUITES)}, all; got {name!r}")
     errors.require_integer("seed", seed, 0)  # refused before any suite solves, not at the probe
     grid = Grid()

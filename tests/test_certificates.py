@@ -114,19 +114,16 @@ class Recording(QuadraticMinorant):
 
     seen: list = []
 
-    def __call__(self, x, out=None):
+    def __call__(self, x):
         Recording.seen.append(np.array(x, dtype=float))
-        return super().__call__(x, out=out)
+        return super().__call__(x)
 
 
 class Zero(QuadraticMinorant):
     """G = 0.0 everywhere, so the gap is 0.0 exactly where F underflows."""
 
-    def __call__(self, x, out=None):
-        if out is None:
-            out = np.empty(np.shape(x))
-        out[...] = 0.0
-        return out
+    def __call__(self, x):
+        return np.zeros(np.shape(x))
 
 
 class TestWinsorMinorant:
@@ -316,11 +313,8 @@ class TestCheckCertificate:
         x0 = -1.23456789
 
         class TwoSpikes(QuadraticMinorant):
-            def __call__(self, x, out=None):
-                if out is None:
-                    out = np.empty(np.shape(x))
-                out[...] = np.where(np.isin(x, (x0, 20.0)), 2.0, 0.0)
-                return out
+            def __call__(self, x):
+                return np.where(np.isin(x, (x0, 20.0)), 2.0, 0.0)
 
         spikes = from_coefficients(0.0, 1.0, -1.0, (x0, 2.0), cls=TwoSpikes)
         report = certificates.check_certificate(spikes, MomentKind.WINSOR, 0.0)
@@ -401,20 +395,20 @@ REFERENCE_CASES = {
         MomentKind.WINSOR,
         1.0,
     ),
-    # six span blocks where c*x < EXP_ZERO_BELOW throughout, so F is 0.0,
-    # then one that the cutoff splits
+    # six 8,192-point stretches of the span where c*x < EXP_ZERO_BELOW
+    # throughout, so F is 0.0, then one that the cutoff splits
     "winsor-10-1e6-zero-prefix": lambda: solved_winsor(10.0, 1e6),
-    # large branch: a zero prefix, then a block across the subnormal band
+    # large branch: a zero prefix, then a stretch across the subnormal band
     # -745.13 < c*x < -708, where exp is neither 0.0 nor normal
     "trunc-large-50-10-subnormal-band": lambda: solved_trunc(
         50.0, 10.0, trunc.Branch.LARGE_SIGMA
     ),
-    # the window around the lower contact -1.9e-42 is a block across 0, and
+    # the window around the lower contact -1.9e-42 is a stretch across 0, and
     # the window around the cut one across 1 where F climbs to e^100
     "winsor-100-1-window-across-0": lambda: solved_winsor(100.0, 1.0),
     # G = 0.5 + 10x - 10x^2 lies above F = e^{2x} most, relative to F > 1,
     # at x = 1 - sqrt(0.55) = 0.25838..., inside the window of a contact
-    # declared there, a block inside (0, 1)
+    # declared there, a stretch inside (0, 1)
     "worst-inside-0-1": lambda: (
         from_coefficients(0.5, 10.0, -10.0, (-1.0, 0.25838)), MomentKind.WINSOR, 2.0
     ),
@@ -424,7 +418,7 @@ REFERENCE_CASES = {
     ),
     # the verify grid's first pair: the gap is 0.0 both at the contact
     # -a = -4.7541646718261803e-07 and at a window point just right of it,
-    # which comes first in its buffer; argmin over that unsorted buffer
+    # which comes first in the pass array; argmin over that unsorted array
     # would report -4.7541646718256975e-07, the sorted grid the contact
     "winsor-0.1-1e-3-tie-in-the-fine-block": lambda: solved_winsor(0.1, 1e-3),
     # contacts at -7.95e-259 and 1.26e258: |gamma| u^2 in psi's slack
@@ -451,15 +445,16 @@ EXP_ZERO_BELOW = -746.0
 
 
 def block_kinds(minorant, kind, c):
-    """The kinds of _BLOCK-point span block this minorant's grid holds, read
-    from np.linspace's points, and "fine-block tie" where the worst gap of
-    the windows and points, in piece order, comes first at an x that is not
-    the least of its ties."""
+    """The kinds of stretch of oracle._BLOCK points that this minorant's span
+    holds (a partition that only classifies the grid; the check forms one
+    array per pass), read from np.linspace's points, and "fine-block tie"
+    where the worst gap of the windows and points, in piece order, comes
+    first at an x that is not the least of its ties."""
     kinds = set()
     (start, stop, num), *fine = certificates._grid_pieces(minorant)
     points = np.linspace(start, stop, num)
-    for first in range(0, num, certificates._BLOCK):
-        x = points[first : first + certificates._BLOCK]
+    for first in range(0, num, oracle._BLOCK):
+        x = points[first : first + oracle._BLOCK]
         if x[0] >= 1.0:
             kinds.add("x >= 1")
             continue
@@ -496,7 +491,7 @@ def test_reference_cases_reach_every_kind_of_block():
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_blockwise_check_matches_sorted_grid_reference(case):
-    # walking the unsorted pieces in blocks reports, bit for bit, what argmin
+    # evaluating the unsorted pieces as one array reports, bit for bit, what argmin
     # over the sorted, unique grid reports
     minorant, kind, c = REFERENCE_CASES[case]()
     report = certificates.check_certificate(minorant, kind, c)
@@ -534,8 +529,8 @@ def test_walk_matches_sorted_grid_reference_on_the_verify_grid(kind):
 # at winsor-0.5-0.2 the span's last point index*step + start is not stop
 @pytest.mark.parametrize("case", ["winsor-0.5-0.2", "winsor-5-30", "trunc-large"])
 def test_walked_points_are_the_linspace_points(case):
-    # the fine pieces go first, then the span; each run is rebuilt in place
-    # as index*step + start with the last point set to stop: bit for bit
+    # the fine pieces go first, then the span; each run is built as
+    # index*step + start with the last point set to stop: bit for bit
     # the points of np.linspace.  Recording overrides __call__, so no point
     # is skipped.
     minorant, kind, c = REFERENCE_CASES[case]()
@@ -550,15 +545,16 @@ def test_walked_points_are_the_linspace_points(case):
 
 def record_runs(monkeypatch):
     """A list that gets (start, stop, num, first, points) for every run of
-    a piece's points that check_certificate forms with _linspace_into."""
+    a piece's points that check_certificate forms with _linspace_run."""
     runs = []
-    build = certificates._linspace_into
+    build = certificates._linspace_run
 
-    def recorded(out, start, stop, num, first=0):
-        build(out, start, stop, num, first)
-        runs.append((start, stop, num, first, out.copy()))
+    def recorded(start, stop, num, first, end):
+        points = build(start, stop, num, first, end)
+        runs.append((start, stop, num, first, points.copy()))
+        return points
 
-    monkeypatch.setattr(certificates, "_linspace_into", recorded)
+    monkeypatch.setattr(certificates, "_linspace_run", recorded)
     return runs
 
 
@@ -743,6 +739,51 @@ def test_certificate_suite_psi_budget(monkeypatch):
     assert len(calls) <= 7_800, f"{len(calls)} evaluations of psi"
 
 
+def pass_sizes(monkeypatch, run):
+    """The points of each pass array that check_certificate forms while
+    run() runs, summed from the runs that _linspace_run builds, and the
+    number of checks.  A pass takes _grid_pieces with the span last, each
+    piece's runs in increasing index, so a run that does not come after the
+    one before it in that order starts a new pass."""
+    runs = record_runs(monkeypatch)
+    check = certificates.check_certificate
+
+    def marked(minorant, kind, c):
+        span, *fine = certificates._grid_pieces(minorant)
+        runs.append({piece: rank for rank, piece in enumerate((*fine, span))})
+        return check(minorant, kind, c)
+
+    monkeypatch.setattr(certificates, "check_certificate", marked)
+    run()
+    monkeypatch.undo()
+    sizes, checks, last = [], 0, None
+    for entry in runs:
+        if isinstance(entry, dict):
+            ranks, checks, last = entry, checks + 1, None
+            continue
+        start, stop, num, first, points = entry
+        at = ranks[start, stop, num], first
+        if last is None or at <= last:
+            sizes.append(0)
+        sizes[-1] += points.size
+        last = at
+    return sizes, checks
+
+
+def test_certificate_suite_never_takes_the_whole_grid_pass(monkeypatch):
+    # the whole-grid pass forms 106,007 points at once; in one certificate
+    # suite every check ends after its witness pass, the largest of which
+    # (the negative control) held 5,457 points when the check came to form
+    # one array per pass.  A witness pass above one 8,192-point block is a
+    # regression in the witnesses.
+    worst = REFERENCE_CASES["worst-above-tolerance"]()
+    sizes, checks = pass_sizes(monkeypatch, lambda: certificates.check_certificate(*worst))
+    assert (len(sizes), sizes[-1], checks) == (2, 106_007, 1)  # the seam sees a second pass
+    sizes, checks = pass_sizes(monkeypatch, lambda: verify.run_suite("certificates"))
+    assert len(sizes) == checks == 641
+    assert max(sizes) <= oracle._BLOCK, f"{max(sizes)} points"
+
+
 def test_span_overflowing_g_passes_under_warnings_as_errors():
     # at c = 709, sigma = 1 the bound is 1.0 and b = 2.3e305: the span
     # reaches 2.3e306, where G's Horner step overflows to -inf, whose gap is
@@ -776,7 +817,7 @@ def test_exp_is_exactly_zero_below_the_cutoff():
 
 
 def test_exp_gives_the_same_bits_alone_and_at_any_offset_of_a_block():
-    # the check evaluates the windows and points in one block, and the
+    # the check evaluates the windows and points in one array, and the
     # references here both contacts in one array and F(1) alone: each must
     # get the bits a value gets wherever it sits; a numpy whose vector and
     # scalar exp differ fails here, not in a certificate
@@ -785,7 +826,7 @@ def test_exp_gives_the_same_bits_alone_and_at_any_offset_of_a_block():
         np.linspace(-700.0, 700.0, 24),   # normal results
         np.linspace(709.5, 710.5, 16),    # the last normals, then inf
     ))
-    block = certificates._BLOCK
+    block = oracle._BLOCK
     with np.errstate(under="ignore", over="ignore"):
         alone = [bits(np.exp(np.float64(v))) for v in values]
         assert alone == [bits(np.exp(values[i : i + 1])) for i in range(values.size)]
@@ -842,10 +883,7 @@ def test_capped_exp_out_with_broadcast_tilts(kind):
 def test_minorant_out_gives_the_allocating_bits():
     minorant = solved_winsor(600.0, 1.0)[0]
     x = np.linspace(-1e259, 1e259, 5_001)
-    out = np.full(x.shape, np.nan)
     u = x - minorant.contact_points[0]
     expected = bits(minorant.lower_value + u * (minorant.lower_slope + minorant.gamma * u))
     assert bits(minorant(x)) == expected
-    assert bits(minorant(x, out=out)) == expected
-    assert bits(out) == expected
     assert type(minorant(0.5)) is np.float64

@@ -313,6 +313,9 @@ def test_cli_collapse_demo_rejects_bad_sigma(value, capsys):
 def test_unknown_verify_suite_names_the_valid_ones():
     with pytest.raises(ParameterError, match=r"^suite must be one of roots, .*, all; got 'bogus'"):
         verify.run_suite("bogus")
+    # an unhashable name is refused the same way, not with a TypeError
+    with pytest.raises(ParameterError, match=r"^suite must be one of roots, .*; got \['roots'\]"):
+        verify.run_suite(["roots"])
 
 
 @pytest.mark.parametrize("regime", list(Regime), ids=lambda regime: regime.value)
@@ -326,12 +329,41 @@ def test_regime_given_by_its_value(regime):
     )
 
 
+# every public entry that takes a MomentKind, called with kind k
+MOMENT_KIND_ENTRIES = {
+    "capped_exp": lambda k: certificates.capped_exp(k, 1.0, np.linspace(-2.0, 3.0, 11)),
+    "check_certificate": lambda k: certificates.check_certificate(
+        certificates.minorant(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))), k, 1.0
+    ),
+    "two_point_moment_grid": lambda k: oracle.two_point_moment_grid(
+        k, 1.0, 1.0, np.array([0.25, 0.5, 2.0])
+    ),
+    "probe_moments": lambda k: oracle.probe_moments(
+        oracle.sample_three_point(1.0, 50, seed=3), k, 1.0
+    ),
+    "refine_grid_min": lambda k: oracle.refine_grid_min(1.0, 1.0, k),
+}
+
+
+@pytest.mark.parametrize("entry", MOMENT_KIND_ENTRIES)
+@pytest.mark.parametrize("kind", list(MomentKind), ids=lambda kind: kind.value)
+def test_moment_kind_given_by_its_value(entry, kind):
+    # MomentKind is a str Enum: "winsor" == MomentKind.WINSOR, but only a
+    # normalized kind selects the Winsorized moment rather than the truncated one
+    call = MOMENT_KIND_ENTRIES[entry]
+    by_value, by_member = call(kind.value), call(kind)
+    if isinstance(by_member, np.ndarray):
+        by_value, by_member = by_value.tobytes(), by_member.tobytes()
+    assert repr(by_value) == repr(by_member)
+
+
 @pytest.mark.parametrize(
     "name, choices, call",
     [("regime", Regime, lambda v: asymptotics.trunc_asymptote(1.0, 0.1, v)),
      ("regime", Regime, lambda v: asymptotics.universal_asymptote(1.0, v)),
-     ("kind", SweepKind, lambda v: compute_sweep(v, (1.0,)))],
-    ids=["trunc_asymptote", "universal_asymptote", "compute_sweep"],
+     ("kind", SweepKind, lambda v: compute_sweep(v, (1.0,))),
+     *(("kind", MomentKind, call) for call in MOMENT_KIND_ENTRIES.values())],
+    ids=["trunc_asymptote", "universal_asymptote", "compute_sweep", *MOMENT_KIND_ENTRIES],
 )
 @pytest.mark.parametrize("value", ("bogus", None, 1.0), ids=repr)
 def test_unknown_choice_names_the_valid_ones(name, choices, call, value):

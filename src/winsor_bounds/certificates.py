@@ -10,12 +10,13 @@ Bound (minorant) and checks the geometry on dense grids (G <= F, equality
 only near the contacts), reading the value and slope gaps at each contact
 (one-sided on the cut) from the grid's own F and G there.
 
-capped_exp (with its body _capped_exp) and QuadraticMinorant.__call__ are
-the only code that computes F and G on arrays.  F - G is convex on each
-piece of F, so its gap nears equality only near a contact: the grid check
-evaluates, as one array, only the points that a convexity witness (_kept,
-from _psi) does not prove clear of the equality tolerance, and reports
-what the whole grid would.
+_capped_exp and _horner (G's body) are the only code that computes F and G
+on arrays.  F - G is convex on each piece of F, so its gap nears equality
+only near a contact: the grid check evaluates only the points that a
+convexity witness (_kept, from _psi) does not prove clear of the equality
+tolerance, and reports what the whole grid would.  check_certificates
+evaluates those points of many checks together, in arrays of at most
+_CHUNK points.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import chain
 
 import numpy as np
 
@@ -35,6 +37,7 @@ EQUALITY_RTOL = 1e-10  # |F - G| below this counts as contact
 CONTACT_WINDOW = 1e-2  # equality must sit within this relative distance
 GRID_BASE_POINTS = 100_001  # uniform points across the span of the grid
 GRID_WINDOW_POINTS = 2_001  # points in the window around each contact and the kink
+_CHUNK = 1 << 14  # the most points check_certificates evaluates at once; a whole grid is more
 _Q = 1.0001 * EQUALITY_RTOL  # psi's margin over the equality tolerance
 
 
@@ -75,14 +78,21 @@ class QuadraticMinorant(
         return self.lower_slope - 2.0 * self.gamma * self.contact_points[0]
 
     def __call__(self, x):
-        """G(x), formed in u's array with one temporary."""
-        # in Horner form: (x - x_lo)^2 alone overflows once x_hi passes ~1.3e154
-        u = np.subtract(x, self.contact_points[0], dtype=float)
-        slope = u * self.gamma
-        slope += self.lower_slope
-        u *= slope
-        u += self.lower_value
-        return u[()]
+        """G(x)."""
+        x_lo = self.contact_points[0]
+        return _horner(x, x_lo, self.lower_value, self.lower_slope, self.gamma)[()]
+
+
+def _horner(x, x_lo, value, slope, gamma) -> np.ndarray:
+    """value + slope*u + gamma*u^2 with u = x - x_lo, formed in u's array
+    with one temporary; the coefficients broadcast against x."""
+    # in Horner form: (x - x_lo)^2 alone overflows once x_hi passes ~1.3e154
+    u = np.subtract(x, x_lo, dtype=float)
+    u_slope = u * gamma
+    u_slope += slope
+    u *= u_slope
+    u += value
+    return u
 
 
 def capped_exp(kind: MomentKind, c, x, out=None):
@@ -143,15 +153,15 @@ class CertificateReport(
 
 
 def _grid_pieces(minorant: QuadraticMinorant) -> list[tuple[float, float, int]]:
-    """Sorted pieces as np.linspace's (start, stop, num): a wide span, then a
-    window and the point at each contact and x = 1."""
+    """The grid's pieces as np.linspace's (start, stop, num): a window and
+    the point at each contact and x = 1, then a wide span."""
     lo_c, hi_c = minorant.contact_points
-    span = 10.0 * max(abs(lo_c), abs(hi_c), 1.0)
-    pieces = [(-span, span, GRID_BASE_POINTS)]
+    pieces = []
     for x0 in dict.fromkeys((lo_c, hi_c, 1.0)):
         window = 1e-3 * (1.0 + abs(x0))
         pieces += [(x0 - window, x0 + window, GRID_WINDOW_POINTS), (x0, x0, 1)]
-    return pieces
+    span = 10.0 * max(abs(lo_c), abs(hi_c), 1.0)
+    return [*pieces, (-span, span, GRID_BASE_POINTS)]
 
 
 def certificate_grid(minorant: QuadraticMinorant) -> np.ndarray:
@@ -199,8 +209,8 @@ def _witness(k, p: float, end: float, below: bool) -> float:
 
 
 def _kept(minorant: QuadraticMinorant, kind: MomentKind, c: float, start: float, stop: float):
-    """Sorted closed intervals of x outside which psi > 0 at every point
-    from start to stop.  x is split at x_lo and at the cut 1 into regions;
+    """Sorted intervals [left, right) of x outside which psi > 0 at every
+    point from start to stop.  x is split at x_lo and at the cut 1 into regions;
     in each, the contacts it holds (else its end nearest x_lo) are kept,
     and every point up to the witness from the outermost toward each end."""
     contacts = minorant.contact_points
@@ -219,34 +229,144 @@ def _kept(minorant: QuadraticMinorant, kind: MomentKind, c: float, start: float,
             kept[-1][1] = max(kept[-1][1], right)
         else:
             kept.append([left, right])
-    return kept
+    return [(left, math.nextafter(right, math.inf)) for left, right in kept]
 
 
-def _linspace_run(start: float, stop: float, num: int, first: int, end: int) -> np.ndarray:
-    """Points first, ..., end - 1 of np.linspace(start, stop, num), formed
-    as np.linspace forms them unless its step is 0.0 (no window is that
-    narrow): index*step + start, the last point stop."""
-    step = (stop - start) / (num - 1) if num > 1 else 0.0
-    x = np.arange(first, end, dtype=float)
-    x *= step
-    x += start
-    if end == num:
-        x[-1] = stop
+def _first_at(start, stop, num, bound):
+    """For each piece np.linspace(start, stop, num) (arrays), the index of
+    its first point, as _points forms them, at or above bound; num if none."""
+    step = (stop - start) / np.maximum(num - 1.0, 1.0)
+    point = lambda i: np.where(i == num - 1.0, stop, i * step + start)
+    i = np.ceil(np.fmin(np.fmax((bound - start) / step, 0.0), num))  # fmax: 0/0 where num = 1
+    while (down := (i > 0.0) & (point(i - 1.0) >= bound)).any():
+        i -= down
+    while (up := (i < num) & (point(i) < bound)).any():
+        i += up
+    return i.astype(np.intp)
+
+
+def _runs(checks):
+    """The run table of one pass over ``checks``: for each run of grid
+    points to evaluate, its check (an index into checks), its piece as
+    np.linspace's (start, stop, num) and its index range [first, end); by
+    check, then piece, then x.  A check's runs hold the points of each piece
+    in each of its kept intervals (_kept returns at most three), or every
+    point where kept is None."""
+    start, stop, num = np.fromiter(chain.from_iterable(chain.from_iterable(
+        _grid_pieces(check.minorant) for check in checks
+    )), float).reshape(-1, 3).T
+    span = num == GRID_BASE_POINTS  # each check's last piece
+    owner = np.cumsum(span) - span
+    pad = ((math.inf, -math.inf),) * 3  # meets no piece
+    kept = np.fromiter(chain.from_iterable(chain.from_iterable(
+        (*(check.kept or [(-math.inf, math.inf)]), *pad)[:3] for check in checks
+    )), float, 6 * len(checks)).reshape(-1, 3, 2)
+    left, right = kept[owner, :, 0], kept[owner, :, 1]  # each piece's check's, by slot
+    meets = (left <= stop[:, None]) & (start[:, None] < right)
+    whole = np.array([check.kept is None for check in checks], dtype=bool)[owner]
+    meets[:, 0] |= whole
+    piece, slot = np.nonzero(meets)
+    owner, start, stop, num, whole = (
+        owner[piece], start[piece], stop[piece], num[piece], whole[piece]
+    )
+    left, right = left[piece, slot], right[piece, slot]
+    first = _first_at(start, stop, num, left)
+    end = _first_at(start, stop, num, right)
+    first[whole], end[whole] = 0, num[whole]
+    keep = first < end
+    return owner[keep], start[keep], stop[keep], num[keep], first[keep], end[keep]
+
+
+def _points(runs) -> np.ndarray:
+    """The points of a run table's runs as one array, each formed as
+    np.linspace forms its piece: index*step + start, the last point stop."""
+    start, stop, num, first, end = runs[1:]
+    size = end - first
+    ends = np.cumsum(size)
+    x = np.subtract(np.arange(ends[-1]), np.repeat(ends - size - first, size), dtype=float)
+    x *= np.repeat((stop - start) / np.maximum(num - 1.0, 1.0), size)
+    x += np.repeat(start, size)
+    last = end == num
+    x[ends[last] - 1] = stop[last]
     return x
 
 
-def _first_at(start: float, stop: float, num: int, bound: float) -> int:
-    """The index of the first of np.linspace(start, stop, num)'s points, as
-    _linspace_run forms them, at or above bound; num if none."""
-    if num == 1:
-        return int(stop < bound)
-    step = (stop - start) / (num - 1)
-    i = math.ceil(min(max((bound - start) / step, 0.0), num))
-    while i > 0 and (stop if i == num else (i - 1) * step + start) >= bound:
-        i -= 1
-    while i < num and (stop if i == num - 1 else i * step + start) < bound:
-        i += 1
-    return i
+def _evaluate(checks) -> list[CertificateReport]:
+    """One pass over each of ``checks``, as its report.  The checks go by
+    kind, and in chunks of whole checks of at most _CHUNK points to _fold;
+    a larger check, such as one whose whole grid is evaluated, goes alone."""
+    order = sorted(range(len(checks)), key=lambda j: checks[j].kind is MomentKind.TRUNC)
+    checks = [checks[j] for j in order]
+    runs = _runs(checks)
+    bounds = [0, *np.cumsum(np.bincount(runs[0], minlength=len(checks))).tolist()]
+    counts = np.add.reduceat(runs[5] - runs[4], bounds[:-1]).tolist()
+    reports, a = [], 0
+    while a < len(checks):
+        b, n = a + 1, counts[a]
+        while b < len(checks) and n + counts[b] <= _CHUNK:
+            n, b = n + counts[b], b + 1
+        chunk = [column[bounds[a]:bounds[b]] for column in runs]
+        chunk[0] = chunk[0] - a
+        reports += _fold(checks[a:b], chunk, counts[a:b])
+        a = b
+    found = [None] * len(checks)
+    for j, report in zip(order, reports):
+        found[j] = report
+    return found
+
+
+def _fold(checks, runs, counts) -> list[CertificateReport]:
+    """The reports of one chunk of checks, Winsorized first: F, G and the
+    gap at all their points as one array, each check's coefficients repeated
+    over its points; each check's worst point by argmin's rule (a NaN first,
+    then the least gap, then the least x) and its equalities by segmented
+    reductions; each contact's F and G read at its one-point piece.  A lone
+    check calls its own minorant, whose __call__ may be overridden: its
+    whole grid is more than _CHUNK points."""
+    x = _points(runs)
+    size = runs[5] - runs[4]
+    ends = np.cumsum(size)
+    starts = np.cumsum(counts) - counts
+    each = lambda values: np.repeat(np.array(values, dtype=float), counts)
+    minorants = [check.minorant for check in checks]
+    contacts = np.array([m.contact_points for m in minorants], dtype=float).T
+    point = runs[3] == 1.0  # the one-point pieces: each contact and the cut
+    owner, x0, offset = runs[0][point], runs[2][point], (ends - 1)[point]
+    at = np.zeros(contacts.shape, dtype=np.intp)  # each contact's offset in x
+    for slot, contact in zip(at, contacts):
+        mine = x0 == contact[owner]
+        slot[owner[mine]] = offset[mine]
+    if len(checks) == 1:
+        g = minorants[0](x)
+    else:
+        _, *coefficients = zip(*minorants)  # lower_value, lower_slope, gamma
+        g = _horner(x, each(contacts[0]), *map(each, coefficients))
+    f, c = np.empty_like(x), each([check.c for check in checks])
+    split = [*starts.tolist(), x.size][sum(check.kind is MomentKind.WINSOR for check in checks)]
+    for kind, part in ((MomentKind.WINSOR, slice(split)), (MomentKind.TRUNC, slice(split, None))):
+        _capped_exp(kind, c[part], x[part], f[part])
+    del c
+    at_contacts = zip(f[at].T.tolist(), g[at].T.tolist())
+    gap = f - g
+    del g
+    gap /= np.maximum(f, 1.0, out=f)
+    del f
+    worst = np.minimum.reduceat(gap, starts)
+    ties = gap == np.repeat(worst, counts)
+    ties |= np.isnan(gap)
+    worst_x = np.minimum.reduceat(np.where(ties, x, math.inf), starts)
+    stray = np.abs(gap, out=gap) <= EQUALITY_RTOL  # equalities, then those near no contact
+    del gap
+    for contact in contacts:
+        window = CONTACT_WINDOW * (1.0 + np.abs(contact))
+        stray &= ~(np.abs(np.subtract(x, each(contact))) <= each(window))
+    localized = (~np.logical_or.reduceat(stray, starts)).tolist()
+    return [_report(*args) for args in zip(
+        checks, worst.tolist(), worst_x.tolist(), localized, at_contacts
+    )]
+
+
+_Check = namedtuple("_Check", "minorant kind c n_points kept")  # kept: _kept's, or None
 
 
 def check_certificate(
@@ -263,56 +383,49 @@ def check_certificate(
     of the cut.
 
     The report is argmin's on the sorted grid: a NaN gap first, then the
-    least gap, then the least x.  One np.errstate ignores underflow,
-    overflow and invalid values: a G of -inf, or an F - G past the doubles,
-    is a gap of +inf, and an F of +inf a NaN gap (inf/inf), which fails it.
+    least gap, then the least x.  One np.errstate ignores every
+    floating-point error: a G of -inf, or an F - G past the doubles, is a
+    gap of +inf, and an F of +inf a NaN gap (inf/inf), which fails it.
     - Only the points in _kept's intervals are evaluated: every other one
       has psi > 0, so a gap above EQUALITY_RTOL, which is no equality and,
       while the evaluated worst is NaN or at most EQUALITY_RTOL, no worst
       gap or tie of it.  Otherwise, and for a minorant whose __call__ is
       overridden or a grid whose points are not ordered, a second pass
       evaluates the whole grid (106,007 points at three distinct centres).
-    - Each pass forms its points as one array: the runs that _linspace_run
-      builds of the windows and points at the contacts and the cut, in
-      _grid_pieces order, then of the span.  F, G and the division by
-      max(1, F) each run once on that array."""
-    kind = _choice(MomentKind, "kind", kind)
-    span, *pieces = _grid_pieces(minorant)
-    pieces.append(span)
-    start, stop, num = span
+    This is check_certificates on one case."""
+    return check_certificates([(minorant, kind, c)])[0]
+
+
+def check_certificates(cases) -> list[CertificateReport]:
+    """check_certificate's report for each (minorant, kind, c) of ``cases``:
+    bit for bit the one a call of its own gives.  _kept walks each check's
+    witnesses in Python; then the first passes of all checks form one run
+    table and are evaluated in chunks (_evaluate).  A second, whole-grid
+    pass runs per check."""
+    checks = []
+    for minorant, kind, c in cases:
+        kind = _choice(MomentKind, "kind", kind)
+        pieces = _grid_pieces(minorant)
+        start, stop, num = pieces[-1]
+        bounded = math.isfinite(start) and math.isfinite((stop - start) / (num - 1))
+        bounded &= type(minorant).__call__ is QuadraticMinorant.__call__
+        kept = _kept(minorant, kind, c, start, stop) if bounded else None
+        checks.append(_Check(minorant, kind, c, sum(piece[2] for piece in pieces), kept))
+    with np.errstate(all="ignore"):
+        reports = _evaluate(checks)
+        for j, check in enumerate(checks):
+            if check.kept is not None and reports[j].worst_gap > EQUALITY_RTOL:  # not NaN
+                reports[j] = _evaluate([check._replace(kept=None)])[0]
+    return reports
+
+
+def _report(check, worst_gap, worst_x, localized, at_contacts) -> CertificateReport:
+    """A check's report from its pass's worst point and localization and
+    from F and G at each contact."""
+    minorant, c = check.minorant, check.c
     contacts = minorant.contact_points
-    windows = [CONTACT_WINDOW * (1.0 + abs(x0)) for x0 in contacts]
-    bounded = math.isfinite(start) and math.isfinite((stop - start) / (num - 1))
-    bounded &= type(minorant).__call__ is QuadraticMinorant.__call__
-    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-        for kept in (_kept(minorant, kind, c, start, stop) if bounded else None, None):
-            runs, at, n = [], {}, 0  # at: the offset in x of each one-point piece
-            for lo, hi, count in pieces:
-                for first, end in [(0, count)] if kept is None else [
-                    [_first_at(lo, hi, count, b) for b in (left, math.nextafter(right, math.inf))]
-                    for left, right in kept if left <= hi and lo <= right
-                ]:
-                    if first < end:
-                        if count == 1:
-                            at[hi] = n
-                        runs.append(_linspace_run(lo, hi, count, first, end))
-                        n += end - first
-            x = np.concatenate(runs)
-            f = _capped_exp(kind, c, x, np.empty(n))
-            g = minorant(x)
-            gap = (f - g) / np.maximum(1.0, f)
-            i = int(gap.argmin())
-            ties = np.flatnonzero(gap == gap[i] if gap[i] == gap[i] else np.isnan(gap))
-            i = int(ties[x[ties].argmin()])  # the least x among the worst gaps
-            worst_gap, worst_x = float(gap[i]), float(x[i])
-            if kept is None or not worst_gap > EQUALITY_RTOL:  # NaN or near an equality
-                break
-    xs = x[np.abs(gap) <= EQUALITY_RTOL]
-    near = np.abs(xs - contacts[0]) <= windows[0]
-    localized = bool(np.all(near | (np.abs(xs - contacts[1]) <= windows[1])))
     contact_gaps = {}
-    for x0 in contacts:
-        f0, g0 = float(f[at[x0]]), float(g[at[x0]])
+    for x0, f0, g0 in zip(contacts, *at_contacts):
         g_slope = minorant.lower_slope + 2.0 * minorant.gamma * (x0 - contacts[0])
         f_slope = c * f0 if x0 < 1.0 else 0.0
         slope_gap = max(g_slope, 0.0) if x0 == 1.0 else abs(f_slope - g_slope)
@@ -323,6 +436,6 @@ def check_certificate(
         worst_gap=worst_gap if worst_gap == worst_gap else math.nan,
         worst_x=worst_x,
         equality_localized=localized,
-        n_points=sum(piece[2] for piece in pieces),
+        n_points=check.n_points,
         contact_gaps=contact_gaps,
     )

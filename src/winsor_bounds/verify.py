@@ -242,43 +242,18 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
     from . import certificates
     from .certificates import MomentKind
 
-    results = []
-    worst_gap = 0.0
-    worst_tangency = 0.0
+    cases = []
     worst_beta_margin = 0.0
-    all_passed = True
-    detail = ""
-
-    for c, sigma in _PAIRS:
-        for kind, result in (
-            (MomentKind.WINSOR, grid.fixed(c, sigma)), (MomentKind.TRUNC, grid.truncated(c, sigma))
-        ):
-            minorant = certificates.minorant(result)
-            if result.branch is Branch.SMALL_SIGMA:
-                sigma2 = sigma * sigma
-                beta_floor = math.exp(-sigma2 * c) * c * (1.0 + sigma**4) / (1.0 + sigma2) ** 2
-                margin = (beta_floor - minorant.beta) / beta_floor
-                worst_beta_margin = max(worst_beta_margin, margin)
-            report = certificates.check_certificate(minorant, kind, c)
-            all_passed &= report.passed
-            worst_gap = min(worst_gap, report.worst_gap)
-            if not report.passed and not detail:
-                detail = f"{kind.value} c={c} sigma={sigma:.3g} x={report.worst_x:.3g}"
-            for gaps in report.contact_gaps.values():
-                worst_tangency = max(worst_tangency, *gaps)
-
-    results.append(CheckResult(
-        name="certificates.minorant_below_moment",
-        passed=all_passed,
-        worst=-worst_gap,
-        tolerance=certificates.GAP_RTOL,
-        detail=detail or "all families, full grid",
-    ))
-    results.append(_bounded_check("certificates.contact_tangency", worst_tangency, 1e-12))
-    results.append(_bounded_check(
-        "certificates.trunc_small_beta_floor", worst_beta_margin, 1e-12,
-        "beta > e^{-ac} c (1+a^2)/(1+a)^2 up to roundoff"
-    ))
+    solve = {MomentKind.WINSOR: grid.fixed, MomentKind.TRUNC: grid.truncated}
+    for (c, sigma), kind in itertools.product(_PAIRS, MomentKind):
+        result = solve[kind](c, sigma)
+        minorant = certificates.minorant(result)
+        if result.branch is Branch.SMALL_SIGMA:
+            sigma2 = sigma * sigma
+            beta_floor = math.exp(-sigma2 * c) * c * (1.0 + sigma**4) / (1.0 + sigma2) ** 2
+            margin = (beta_floor - minorant.beta) / beta_floor
+            worst_beta_margin = max(worst_beta_margin, margin)
+        cases.append((minorant, kind, c))
 
     # Negative control: shrinking beta = G'(0) by 10%, i.e. subtracting
     # 0.1 beta x from G, must break the certificate.
@@ -290,15 +265,36 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
         lower_slope=good.lower_slope - 0.1 * good.beta,
         gamma=good.gamma,
     )
-    report = certificates.check_certificate(broken, MomentKind.WINSOR, 1.0)
-    results.append(CheckResult(
-        name="certificates.negative_control",
-        passed=not report.passed,
-        worst=report.worst_gap,
-        tolerance=certificates.GAP_RTOL,
-        detail="perturbed minorant must fail",
-    ))
-    return results
+    *reports, control = certificates.check_certificates([*cases, (broken, MomentKind.WINSOR, 1.0)])
+
+    worst_gap = min(0.0, *(report.worst_gap for report in reports))
+    worst_tangency = max(0.0, *(gap for report in reports
+                                for gaps in report.contact_gaps.values() for gap in gaps))
+    failed = [(kind.value, c, sigma, report.worst_x)
+              for ((c, sigma), kind), report in zip(itertools.product(_PAIRS, MomentKind), reports)
+              if not report.passed]
+    return [
+        CheckResult(
+            name="certificates.minorant_below_moment",
+            passed=not failed,
+            worst=-worst_gap,
+            tolerance=certificates.GAP_RTOL,
+            detail="{} c={} sigma={:.3g} x={:.3g}".format(*failed[0]) if failed
+            else "all families, full grid",
+        ),
+        _bounded_check("certificates.contact_tangency", worst_tangency, 1e-12),
+        _bounded_check(
+            "certificates.trunc_small_beta_floor", worst_beta_margin, 1e-12,
+            "beta > e^{-ac} c (1+a^2)/(1+a)^2 up to roundoff"
+        ),
+        CheckResult(
+            name="certificates.negative_control",
+            passed=not control.passed,
+            worst=control.worst_gap,
+            tolerance=certificates.GAP_RTOL,
+            detail="perturbed minorant must fail",
+        ),
+    ]
 
 
 def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:

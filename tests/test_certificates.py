@@ -1,5 +1,6 @@
 """Tangent-minorant certificates: construction, geometry, negative control."""
 
+import collections
 import itertools
 import math
 import random
@@ -124,6 +125,37 @@ class Zero(QuadraticMinorant):
 
     def __call__(self, x):
         return np.zeros(np.shape(x))
+
+
+TWO_SPIKES_AT = -1.23456789
+
+
+class TwoSpikes(QuadraticMinorant):
+    """G = 2 at TWO_SPIKES_AT and at x = 20, else 0."""
+
+    def __call__(self, x):
+        return np.where(np.isin(x, (TWO_SPIKES_AT, 20.0)), 2.0, 0.0)
+
+
+def two_spikes():
+    """(minorant, kind, c) where F = 1 (c = 0) and G = 2 only at x = 20, the
+    last point of the wide span (evaluated last), and at the contact
+    TWO_SPIKES_AT, which is off the span and evaluated first."""
+    spikes = from_coefficients(0.0, 1.0, -1.0, (TWO_SPIKES_AT, 2.0), cls=TwoSpikes)
+    return spikes, MomentKind.WINSOR, 0.0
+
+
+def verify_negative_control():
+    """verify's negative control: the minorant at c = sigma = 1 with beta
+    shrunk by 10% about the lower contact."""
+    a = fixed_root(1.0, 1.0)
+    good = solved_winsor(1.0, 1.0)[0]
+    return QuadraticMinorant(
+        contact_points=good.contact_points,
+        lower_value=good.lower_value + 0.1 * good.beta * a,
+        lower_slope=good.lower_slope - 0.1 * good.beta,
+        gamma=good.gamma,
+    )
 
 
 class TestWinsorMinorant:
@@ -306,22 +338,14 @@ class TestCheckCertificate:
         assert report.worst_x == reference_check(nan, MomentKind.WINSOR, 1.0)[2]
 
     def test_tie_reports_the_smaller_x(self):
-        # F = 1 at c = 0, and G = 2 only at x = 20, the last point of the wide
-        # span (evaluated last), and at the contact x0 = -1.23456789, which
-        # is off the span and evaluated first: the gaps tie at -1 and the
-        # smaller x is reported, as argmin on the sorted grid does
-        x0 = -1.23456789
-
-        class TwoSpikes(QuadraticMinorant):
-            def __call__(self, x):
-                return np.where(np.isin(x, (x0, 20.0)), 2.0, 0.0)
-
-        spikes = from_coefficients(0.0, 1.0, -1.0, (x0, 2.0), cls=TwoSpikes)
-        report = certificates.check_certificate(spikes, MomentKind.WINSOR, 0.0)
-        assert (report.worst_gap, report.worst_x) == (-1.0, x0)
+        # the gaps tie at -1 at the contact and at x = 20, and the smaller x
+        # is reported, as argmin on the sorted grid does
+        spikes, kind, c = two_spikes()
+        report = certificates.check_certificate(spikes, kind, c)
+        assert (report.worst_gap, report.worst_x) == (-1.0, TWO_SPIKES_AT)
         assert not report.passed
-        assert reference_check(spikes, MomentKind.WINSOR, 0.0)[1:3] == (-1.0, x0)
-        assert x0 not in np.linspace(-20.0, 20.0, certificates.GRID_BASE_POINTS)
+        assert reference_check(spikes, kind, c)[1:3] == (-1.0, TWO_SPIKES_AT)
+        assert TWO_SPIKES_AT not in np.linspace(-20.0, 20.0, certificates.GRID_BASE_POINTS)
 
     def test_grid_spans_ten_times_contacts(self):
         minorant = certificates.minorant(at_root(1.0, 1.0))
@@ -451,7 +475,7 @@ def block_kinds(minorant, kind, c):
     where the worst gap of the windows and points, in piece order, comes
     first at an x that is not the least of its ties."""
     kinds = set()
-    (start, stop, num), *fine = certificates._grid_pieces(minorant)
+    *fine, (start, stop, num) = certificates._grid_pieces(minorant)
     points = np.linspace(start, stop, num)
     for first in range(0, num, oracle._BLOCK):
         x = points[first : first + oracle._BLOCK]
@@ -529,32 +553,39 @@ def test_walk_matches_sorted_grid_reference_on_the_verify_grid(kind):
 # at winsor-0.5-0.2 the span's last point index*step + start is not stop
 @pytest.mark.parametrize("case", ["winsor-0.5-0.2", "winsor-5-30", "trunc-large"])
 def test_walked_points_are_the_linspace_points(case):
-    # the fine pieces go first, then the span; each run is built as
-    # index*step + start with the last point set to stop: bit for bit
-    # the points of np.linspace.  Recording overrides __call__, so no point
-    # is skipped.
+    # in _grid_pieces order, the windows and points, then the span; each run
+    # is built as index*step + start with the last point set to stop: bit
+    # for bit the points of np.linspace.  Recording overrides __call__, so
+    # no point is skipped.
     minorant, kind, c = REFERENCE_CASES[case]()
     recording = from_coefficients(0.0, 1.0, -1.0, minorant.contact_points, cls=Recording)
     Recording.seen = []
     certificates.check_certificate(recording, kind, c)
     walked = np.concatenate(Recording.seen)
-    span, *fine = certificates._grid_pieces(minorant)
-    linspace = np.concatenate([np.linspace(*piece) for piece in (*fine, span)])
+    pieces = certificates._grid_pieces(minorant)
+    linspace = np.concatenate([np.linspace(*piece) for piece in pieces])
     assert bits(walked) == bits(linspace)
 
 
 def record_runs(monkeypatch):
-    """A list that gets (start, stop, num, first, points) for every run of
-    a piece's points that check_certificate forms with _linspace_run."""
+    """A list that gets (chunk, check, start, stop, num, first, points) for
+    every run of the run tables (_runs) whose points check_certificates
+    forms as one array per chunk (_points): the chunk's number, the run's
+    check in the chunk, its piece as np.linspace's (start, stop, num), and
+    its points, from index first on."""
     runs = []
-    build = certificates._linspace_run
+    build, chunks = certificates._points, itertools.count()
 
-    def recorded(start, stop, num, first, end):
-        points = build(start, stop, num, first, end)
-        runs.append((start, stop, num, first, points.copy()))
+    def recorded(table):
+        points, chunk, offset = build(table), next(chunks), 0
+        for check, start, stop, num, first, end in zip(*(column.tolist() for column in table)):
+            run = points[offset : offset + end - first].copy()
+            runs.append((chunk, check, start, stop, int(num), first, run))
+            offset += end - first
+        assert offset == points.size
         return points
 
-    monkeypatch.setattr(certificates, "_linspace_run", recorded)
+    monkeypatch.setattr(certificates, "_points", recorded)
     return runs
 
 
@@ -565,7 +596,7 @@ def evaluated_points(monkeypatch, minorant, kind, c):
     report = certificates.check_certificate(minorant, kind, c)
     monkeypatch.undo()
     masks = {piece: np.zeros(piece[2], dtype=bool) for piece in certificates._grid_pieces(minorant)}
-    for start, stop, num, first, points in runs:
+    for _, _, start, stop, num, first, points in runs:
         assert bits(points) == bits(np.linspace(start, stop, num)[first : first + points.size])
         masks[start, stop, num][first : first + points.size] = True
     return report, masks
@@ -614,7 +645,7 @@ def test_skipped_blocks_are_bounded_on_the_verify_grid(kind, monkeypatch):
 def test_near_overflow_spans_of_the_verify_grid(c, sigma, kind, monkeypatch):
     # spans of 2e12 to 5.4e12, where |gamma| u^2 in psi's slack reaches 3e25
     (minorant, kind, c), _ = verify_grid_case(c, sigma, kind)
-    assert certificates._grid_pieces(minorant)[0][1] > 1.9e12
+    assert certificates._grid_pieces(minorant)[-1][1] > 1.9e12
     assert assert_skips_are_sound(monkeypatch, minorant, kind, c)[0] > 0
 
 
@@ -690,16 +721,8 @@ def test_negative_controls_fail_with_their_bits(monkeypatch):
     # verify's negative control (beta shrunk by 10% about the lower contact)
     # and beta-times-0.9 (about 0) fail at the gaps and points they failed
     # at when every point was evaluated, while most points are skipped
-    a = fixed_root(1.0, 1.0)
-    good = solved_winsor(1.0, 1.0)[0]
-    control = QuadraticMinorant(
-        contact_points=good.contact_points,
-        lower_value=good.lower_value + 0.1 * good.beta * a,
-        lower_slope=good.lower_slope - 0.1 * good.beta,
-        gamma=good.gamma,
-    )
     cases = [
-        (control, "-0x1.4635abc2de9c0p-6"),
+        (verify_negative_control(), "-0x1.4635abc2de9c0p-6"),
         (REFERENCE_CASES["beta-times-0.9"]()[0], "-0x1.4635abc2de9a0p-6"),
     ]
     for minorant, worst_gap in cases:
@@ -740,34 +763,25 @@ def test_certificate_suite_psi_budget(monkeypatch):
 
 
 def pass_sizes(monkeypatch, run):
-    """The points of each pass array that check_certificate forms while
-    run() runs, summed from the runs that _linspace_run builds, and the
-    number of checks.  A pass takes _grid_pieces with the span last, each
-    piece's runs in increasing index, so a run that does not come after the
-    one before it in that order starts a new pass."""
+    """The points of each pass that check_certificates forms while run()
+    runs, in order, and the number of checks it is given.  A pass is one
+    check's runs in one chunk: a witness pass shares its chunk with other
+    checks, and a whole-grid pass has a chunk of its own."""
     runs = record_runs(monkeypatch)
-    check = certificates.check_certificate
+    checks = []
+    batch = certificates.check_certificates
 
-    def marked(minorant, kind, c):
-        span, *fine = certificates._grid_pieces(minorant)
-        runs.append({piece: rank for rank, piece in enumerate((*fine, span))})
-        return check(minorant, kind, c)
+    def counted(cases):
+        checks.append(len(cases))
+        return batch(cases)
 
-    monkeypatch.setattr(certificates, "check_certificate", marked)
+    monkeypatch.setattr(certificates, "check_certificates", counted)
     run()
     monkeypatch.undo()
-    sizes, checks, last = [], 0, None
-    for entry in runs:
-        if isinstance(entry, dict):
-            ranks, checks, last = entry, checks + 1, None
-            continue
-        start, stop, num, first, points = entry
-        at = ranks[start, stop, num], first
-        if last is None or at <= last:
-            sizes.append(0)
-        sizes[-1] += points.size
-        last = at
-    return sizes, checks
+    sizes = collections.Counter()
+    for chunk, check, *_, points in runs:
+        sizes[chunk, check] += points.size
+    return list(sizes.values()), sum(checks)
 
 
 def test_certificate_suite_never_takes_the_whole_grid_pass(monkeypatch):
@@ -784,13 +798,86 @@ def test_certificate_suite_never_takes_the_whole_grid_pass(monkeypatch):
     assert max(sizes) <= oracle._BLOCK, f"{max(sizes)} points"
 
 
+def report_bits(report):
+    """A report with every float as its hex, so that == compares bits."""
+    return report._replace(
+        worst_gap=report.worst_gap.hex(), worst_x=report.worst_x.hex(),
+        contact_gaps=hex_gaps(report.contact_gaps),
+    )
+
+
+# the cases whose worst point, tie or NaN a batch must keep to their own
+# check; REFERENCE_CASES hold beta-times-0.9, worst-above-tolerance (a
+# second pass), the zero minorant (__call__ overridden) and the tie in the
+# fine block
+BATCH_EDGE_CASES = {
+    **REFERENCE_CASES,
+    "negative-control": lambda: (verify_negative_control(), MomentKind.WINSOR, 1.0),
+    "nan-gaps-where-f-overflows": OVERFLOW_CASES["exp-c-overflows"],
+    # F = e^{710x} overflows on (0.99970, 1): a NaN worst gap in a witness
+    # pass of 9,507 points, small enough to share its chunk
+    "nan-gaps-below-the-cut": lambda: (
+        from_coefficients(0.0, 1.0, -1.0, (-0.5, 1.0)), MomentKind.TRUNC, 710.0
+    ),
+    "two-spikes-tie": two_spikes,
+}
+
+
+def test_one_batch_gives_each_case_the_bits_of_its_own_call(monkeypatch):
+    # the edge cases, each between two ordinary checks of verify's grid, in
+    # one call: its chunks hold several checks each, and every report is
+    # the one-case call's, bit for bit
+    ordinary = [verify_grid_case(c, sigma, kind)[0]
+                for (c, sigma), kind in itertools.product(verify._PAIRS[::9], MomentKind)]
+    edges = [make() for make in BATCH_EDGE_CASES.values()]
+    assert len(ordinary) > len(edges)
+    cases = [ordinary[0]]
+    for edge, case in zip(edges, ordinary[1:]):
+        cases += [edge, case]
+    runs = record_runs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = certificates.check_certificates(cases)
+    monkeypatch.undo()
+    checks = collections.Counter(chunk for chunk, _ in {run[:2] for run in runs})
+    assert len(checks) > 2 and max(checks.values()) > 10, checks
+    assert len(reports) == len(cases)
+    for case, report in zip(cases, reports):
+        assert report_bits(report) == report_bits(certificates.check_certificate(*case)), case
+    assert certificates.check_certificates([]) == []
+
+
+def test_certificate_suite_forms_no_array_above_a_chunk(monkeypatch):
+    # A count, not a timing: in one certificate suite the points evaluated
+    # as one array (a chunk, which F, G and the gap are formed over) never
+    # pass _CHUNK, and neither do the (piece, kept interval) pairs that the
+    # run table is formed from (three interval slots per piece): the suite's
+    # transient arrays stay a few chunks of doubles
+    runs = record_runs(monkeypatch)
+    pairs = []
+    table = certificates._runs
+
+    def counted(checks):
+        pairs.append(3 * sum(len(certificates._grid_pieces(check.minorant)) for check in checks))
+        return table(checks)
+
+    monkeypatch.setattr(certificates, "_runs", counted)
+    assert all(result.passed for result in verify.run_suite("certificates"))
+    points = collections.Counter()
+    for chunk, *_, run in runs:
+        points[chunk] += run.size
+    assert max(points.values()) <= certificates._CHUNK, max(points.values())
+    assert len(points) >= sum(points.values()) / certificates._CHUNK
+    assert max(pairs) <= certificates._CHUNK, max(pairs)
+
+
 def test_span_overflowing_g_passes_under_warnings_as_errors():
     # at c = 709, sigma = 1 the bound is 1.0 and b = 2.3e305: the span
     # reaches 2.3e306, where G's Horner step overflows to -inf, whose gap is
     # +inf; the check ignores that overflow and reports the lower contact
     a = fixed_root(709.0, 1.0)
     minorant = solved_winsor(709.0, 1.0)[0]
-    assert certificates._grid_pieces(minorant)[0][1] > 2e306
+    assert certificates._grid_pieces(minorant)[-1][1] > 2e306
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = certificates.check_certificate(minorant, MomentKind.WINSOR, 709.0)
@@ -880,7 +967,7 @@ def test_capped_exp_out_with_broadcast_tilts(kind):
     assert bits(out) == expected
 
 
-def test_minorant_out_gives_the_allocating_bits():
+def test_minorant_gives_the_horner_bits_and_a_0d_float64():
     minorant = solved_winsor(600.0, 1.0)[0]
     x = np.linspace(-1e259, 1e259, 5_001)
     u = x - minorant.contact_points[0]

@@ -335,6 +335,9 @@ MOMENT_KIND_ENTRIES = {
     "check_certificate": lambda k: certificates.check_certificate(
         certificates.minorant(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))), k, 1.0
     ),
+    "check_certificates": lambda k: certificates.check_certificates(
+        [(certificates.minorant(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))), k, 1.0)]
+    ),
     "two_point_moment_grid": lambda k: oracle.two_point_moment_grid(
         k, 1.0, 1.0, np.array([0.25, 0.5, 2.0])
     ),

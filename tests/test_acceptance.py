@@ -239,6 +239,20 @@ def test_verify_reports_hold_python_scalars(verify_all):
     ]
 
 
+# sha256 of the 32 reports of verify_all (seed 1) as (name, passed,
+# worst.hex(), tolerance, detail): verify's own negative control and its
+# probe counts reach these bits, which the checks above do not pin
+VERIFY_REPORTS_SHA256 = "0106fea77bed77a90dd1fc1c6cab7880234b73f5ce79d86ed115b5aef75d3088"
+
+
+def test_verify_report_fingerprint(verify_all):
+    digest = hashlib.sha256()
+    for r in verify_all.results:
+        digest.update(f"{(r.name, r.passed, r.worst.hex(), r.tolerance, r.detail)!r}\n".encode())
+    assert len(verify_all.results) == 32
+    assert digest.hexdigest() == VERIFY_REPORTS_SHA256
+
+
 def test_sigma_grid_is_numpys_geomspace():
     # written out as literals, so the scalar suites need no NumPy; NumPy's
     # own power may round an interior point differently on other hardware

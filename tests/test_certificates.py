@@ -1,6 +1,7 @@
 """Tangent-minorant certificates: construction, geometry, negative control."""
 
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -87,6 +88,13 @@ def reference_contact_gaps(minorant, kind, c):
         scale = max(1.0, f_value)
         out[x0] = (abs(f_value - g_value) / scale, slope_gap / scale)
     return out
+
+
+def grid_pieces(minorant):
+    """The minorant's grid pieces as np.linspace's (start, stop, num), from
+    the batch's array of them: the windows and points, then the span."""
+    pieces = certificates._grid_pieces(np.array([minorant.contact_points], dtype=float))
+    return [(start, stop, int(num)) for start, stop, num in pieces.tolist()]
 
 
 def hex_gaps(gaps):
@@ -475,7 +483,7 @@ def block_kinds(minorant, kind, c):
     where the worst gap of the windows and points, in piece order, comes
     first at an x that is not the least of its ties."""
     kinds = set()
-    *fine, (start, stop, num) = certificates._grid_pieces(minorant)
+    *fine, (start, stop, num) = grid_pieces(minorant)
     points = np.linspace(start, stop, num)
     for first in range(0, num, oracle._BLOCK):
         x = points[first : first + oracle._BLOCK]
@@ -553,7 +561,7 @@ def test_walk_matches_sorted_grid_reference_on_the_verify_grid(kind):
 # at winsor-0.5-0.2 the span's last point index*step + start is not stop
 @pytest.mark.parametrize("case", ["winsor-0.5-0.2", "winsor-5-30", "trunc-large"])
 def test_walked_points_are_the_linspace_points(case):
-    # in _grid_pieces order, the windows and points, then the span; each run
+    # in grid_pieces order, the windows and points, then the span; each run
     # is built as index*step + start with the last point set to stop: bit
     # for bit the points of np.linspace.  Recording overrides __call__, so
     # no point is skipped.
@@ -562,7 +570,7 @@ def test_walked_points_are_the_linspace_points(case):
     Recording.seen = []
     certificates.check_certificate(recording, kind, c)
     walked = np.concatenate(Recording.seen)
-    pieces = certificates._grid_pieces(minorant)
+    pieces = grid_pieces(minorant)
     linspace = np.concatenate([np.linspace(*piece) for piece in pieces])
     assert bits(walked) == bits(linspace)
 
@@ -590,12 +598,12 @@ def record_runs(monkeypatch):
 
 
 def evaluated_points(monkeypatch, minorant, kind, c):
-    """The check's report and, for each piece of _grid_pieces, the mask of
+    """The check's report and, for each piece of grid_pieces, the mask of
     the points it evaluated; each run's points are np.linspace's bits."""
     runs = record_runs(monkeypatch)
     report = certificates.check_certificate(minorant, kind, c)
     monkeypatch.undo()
-    masks = {piece: np.zeros(piece[2], dtype=bool) for piece in certificates._grid_pieces(minorant)}
+    masks = {piece: np.zeros(piece[2], dtype=bool) for piece in grid_pieces(minorant)}
     for _, _, start, stop, num, first, points in runs:
         assert bits(points) == bits(np.linspace(start, stop, num)[first : first + points.size])
         masks[start, stop, num][first : first + points.size] = True
@@ -645,7 +653,7 @@ def test_skipped_blocks_are_bounded_on_the_verify_grid(kind, monkeypatch):
 def test_near_overflow_spans_of_the_verify_grid(c, sigma, kind, monkeypatch):
     # spans of 2e12 to 5.4e12, where |gamma| u^2 in psi's slack reaches 3e25
     (minorant, kind, c), _ = verify_grid_case(c, sigma, kind)
-    assert certificates._grid_pieces(minorant)[-1][1] > 1.9e12
+    assert grid_pieces(minorant)[-1][1] > 1.9e12
     assert assert_skips_are_sound(monkeypatch, minorant, kind, c)[0] > 0
 
 
@@ -748,18 +756,21 @@ def test_certificate_suite_point_budget(monkeypatch):
 
 
 def test_certificate_suite_psi_budget(monkeypatch):
-    # A count, not a timing: one certificate suite evaluated psi 7,429
-    # times when its witnesses came in.  The ceiling is that count plus 5%.
-    calls = []
+    # A count, not a timing: one certificate suite evaluated psi at 7,429
+    # points when its witnesses came in, one call per point, and at the same
+    # 7,429 in 20 calls once all walks stepped together, a call per round of
+    # the deepest walk.  Each ceiling is its count plus 5% or more.
+    points = []
     psi = certificates._psi
 
-    def counted(*args):
-        calls.append(args)
-        return psi(*args)
+    def counted(k, x, below):
+        points.append(x.size)
+        return psi(k, x, below)
 
     monkeypatch.setattr(certificates, "_psi", counted)
     assert all(result.passed for result in verify.run_suite("certificates"))
-    assert len(calls) <= 7_800, f"{len(calls)} evaluations of psi"
+    assert sum(points) <= 7_800, f"psi at {sum(points)} points"
+    assert len(points) <= 25, f"{len(points)} calls of psi"
 
 
 def pass_sizes(monkeypatch, run):
@@ -847,6 +858,77 @@ def test_one_batch_gives_each_case_the_bits_of_its_own_call(monkeypatch):
     assert certificates.check_certificates([]) == []
 
 
+# sha256 of report_bits of the 641 reports of one certificate suite, in order
+CERTIFICATE_REPORTS_SHA256 = "0bd4476c9a2426063659353401b7a6f935a6aa52e576c65d4bbe762de12bbaf1"
+
+
+def test_certificate_suite_report_fingerprint(monkeypatch):
+    reports = []
+    batch = certificates.check_certificates
+
+    def recorded(cases):
+        reports.extend(found := batch(cases))
+        return found
+
+    monkeypatch.setattr(certificates, "check_certificates", recorded)
+    verify.run_suite("certificates")
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(f"{report_bits(report)!r}\n".encode())
+    assert len(reports) == 641
+    assert digest.hexdigest() == CERTIFICATE_REPORTS_SHA256
+
+
+def test_walk_skips_only_points_clear_of_equality(monkeypatch):
+    # one lockstep walk over all cases; on each check's whole sorted grid,
+    # every point outside its kept intervals has a gap above EQUALITY_RTOL,
+    # except in the checks that keep every point (no walk)
+    walks = []
+    walk = certificates._kept
+
+    def recorded(checks, *args):
+        walks.append((checks, walk(checks, *args)))
+        return walks[-1][1]
+
+    monkeypatch.setattr(certificates, "_kept", recorded)
+    cases = [(certificates.minorant(result), kind, result.tilt) for result, kind in seeded_bounds(40)]
+    cases += [make() for make in BATCH_EDGE_CASES.values()]
+    certificates.check_certificates(cases)
+    [(checks, kept)] = walks
+    skipped, whole = 0, 0
+    for check, intervals in zip(checks, kept):
+        if intervals[0, 0] == -math.inf:
+            whole += 1
+            continue
+        grid = certificates.certificate_grid(check.minorant)
+        outside = np.ones(grid.size, dtype=bool)
+        for left, right in intervals:
+            outside &= ~((left <= grid) & (grid < right))
+        x = grid[outside]
+        with np.errstate(all="ignore"):
+            f_values = certificates.capped_exp(check.kind, check.c, x)
+            gap = (f_values - check.minorant(x)) / np.maximum(1.0, f_values)
+        assert np.all(gap > certificates.EQUALITY_RTOL), (check, x[np.argmin(gap)], gap.min())
+        skipped += x.size
+    assert len(checks) == len(cases) and 0 < whole < len(checks)
+    assert skipped > 0.9 * sum(check.n_points for check in checks)
+
+
+def test_equality_one_to_two_windows_from_a_contact_is_not_localized():
+    # F = 1 (c = 0) and G = 1 - 1e-6 (x - 9.835)^2 touch at 9.835, with
+    # |F - G| <= 1e-10 within 0.01 of it: 1.41 to 1.59 CONTACT_WINDOWs from
+    # the declared contact 10 and far from -1
+    touch, gamma = 9.835, -1e-6
+    minorant = from_coefficients(1.0 + gamma * touch**2, -2.0 * gamma * touch, gamma, (-1.0, 10.0))
+    report = certificates.check_certificate(minorant, MomentKind.WINSOR, 0.0)
+    assert not report.equality_localized and not report.passed
+    assert reference_check(minorant, MomentKind.WINSOR, 0.0)[3] is False
+    grid = certificates.certificate_grid(minorant)
+    equal = grid[np.abs(1.0 - minorant(grid)) <= certificates.EQUALITY_RTOL]
+    windows = np.abs(equal - 10.0) / (certificates.CONTACT_WINDOW * 11.0)
+    assert equal.size > 0 and 1.0 < windows.min() and windows.max() < 2.0
+
+
 def test_certificate_suite_forms_no_array_above_a_chunk(monkeypatch):
     # A count, not a timing: in one certificate suite the points evaluated
     # as one array (a chunk, which F, G and the gap are formed over) never
@@ -857,9 +939,10 @@ def test_certificate_suite_forms_no_array_above_a_chunk(monkeypatch):
     pairs = []
     table = certificates._runs
 
-    def counted(checks):
-        pairs.append(3 * sum(len(certificates._grid_pieces(check.minorant)) for check in checks))
-        return table(checks)
+    def counted(pieces, kept):
+        assert kept.shape[1:] == (3, 2)
+        pairs.append(3 * len(pieces))
+        return table(pieces, kept)
 
     monkeypatch.setattr(certificates, "_runs", counted)
     assert all(result.passed for result in verify.run_suite("certificates"))
@@ -877,7 +960,7 @@ def test_span_overflowing_g_passes_under_warnings_as_errors():
     # +inf; the check ignores that overflow and reports the lower contact
     a = fixed_root(709.0, 1.0)
     minorant = solved_winsor(709.0, 1.0)[0]
-    assert certificates._grid_pieces(minorant)[-1][1] > 2e306
+    assert grid_pieces(minorant)[-1][1] > 2e306
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = certificates.check_certificate(minorant, MomentKind.WINSOR, 709.0)

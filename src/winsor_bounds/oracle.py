@@ -3,8 +3,8 @@
 Three verification routes:
 
 * grid minimization of the closed-form two-point moments over the lower
-  support magnitude (and jointly over the tilt for the universal bound),
-  with staged window refinement around the coarse argmin;
+  support magnitude (and jointly over the tilt, skipping rows a closed-form
+  floor rules out), with staged window refinement around the coarse argmin;
 * randomized three-point laws satisfying the same moment constraints, which
   must never undercut any bound;
 * the collapse construction (a, sigma^2/a) with tilt 1/a^2 showing that the
@@ -30,6 +30,11 @@ UNIVERSAL_STAGES = ((2_000, 200), (300, 300), (300, 300))
 UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
 UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
 _BLOCK = 8_192  # cells per evaluation block: a 64 KB temporary stays in L2
+# A joint scan skips a row whose floor exceeds U (1 + _FLOOR_MARGIN), U the least
+# cell of the least floor's row.  A cell errs by (c a + 8) 2^-53 relative at most
+# where its b e^(-ca) term matters, c a < ln(b/a) + 37 < 750 (-c*a rounds by 2^-53,
+# all else by an ulp); a floor by 2e-13 (ln b/(1 + a) < 710 magnifies its exponent's).
+_FLOOR_MARGIN = 1e-9
 
 
 class GridMinResult(namedtuple(
@@ -78,17 +83,24 @@ def _search(kind: MomentKind, sigma: float, a_ends, c_ends, stages, window: int)
     ``window`` cells of the last on either side of its argmin.  Each grid
     runs in row blocks of about _BLOCK cells in two buffers; its argmin is
     np.argmin's: the first NaN, else the first least value in row-major
-    order (the smaller a, then the smaller c).  Returns the last grids, the
-    argmin's indices and its value."""
+    order (the smaller a, then the smaller c).  A Winsorized stage over many
+    tilts skips the rows that _row_floors rules out: none holds that argmin.
+    Returns the last grids, the argmin's indices and its value."""
     out, scratch = np.empty(_BLOCK), np.empty(_BLOCK)
     for na, nc in stages:
         a, c = np.geomspace(*a_ends, na), np.geomspace(*c_ends, nc)
+        kept, a_kept = range(na), a
+        if nc > 1 and kind is MomentKind.WINSOR:  # a skipped row's cells all exceed upper
+            floors = _row_floors(sigma, a)
+            upper = two_point_moment_grid(kind, c, sigma, a[floors.argmin()]).min()
+            kept = np.flatnonzero(~(floors > upper * (1.0 + _FLOOR_MARGIN)))  # NaN keeps rows
+            a_kept = a[kept]
         rows = _BLOCK // nc
         best, at = math.inf, 0
-        for first in range(0, na, rows):
-            cells = min(rows, na - first) * nc
+        for first in range(0, a_kept.size, rows):
+            cells = min(rows, a_kept.size - first) * nc
             block = two_point_moment_grid(
-                kind, c, sigma, a[first : first + rows, None],
+                kind, c, sigma, a_kept[first : first + rows, None],
                 out=out[:cells].reshape(-1, nc), scratch=scratch[:cells].reshape(-1, nc),
             ).ravel()
             k = int(block.argmin())
@@ -96,10 +108,17 @@ def _search(kind: MomentKind, sigma: float, a_ends, c_ends, stages, window: int)
                 best, at = float(block[k]), first * nc + k
                 if best != best:
                     break
-        i, j = divmod(at, nc)
+        i, j = int(kept[at // nc]), at % nc
         a_ends = a[max(i - window, 0)], a[min(i + window, na - 1)]
         c_ends = c[max(j - window, 0)], c[min(j + window, nc - 1)]
     return a, c, i, j, best
+
+
+def _row_floors(sigma: float, a: np.ndarray) -> np.ndarray:
+    """Per a, with b = sigma^2/a: the least Winsorized moment over every tilt,
+    (1 + a) b^(1/(1+a)) / (a + b) at c* = ln b/(1 + a), where b >= 1; else -inf."""
+    b = sigma * sigma / a
+    return np.where(b >= 1.0, (1.0 + a) * b ** (1.0 / (1.0 + a)) / (a + b), -np.inf)
 
 
 def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
@@ -130,7 +149,7 @@ def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
         )
     return GridMinResult(
         argmin_a=float(a[i]), argmin_c=c, min_value=value,
-        cell_ratio=(a[-1] / a[0]) ** (1.0 / (a.size - 1)),
+        cell_ratio=float((a[-1] / a[0]) ** (1.0 / (a.size - 1))),
     )
 
 
@@ -142,9 +161,10 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     (a, c) plane, so the refinement window must span many coarse cells to
     keep the true minimum inside.  The coarse a grid spans
     min(sigma^2 * 1e-5, ln(1 + sigma)/2) to sigma^2, which holds the
-    extremal a at every sigma.  in_range refuses a sigma for which
-    sigma^2 * 1e-5 underflows, or the largest moment term, a * e^c at the
-    grid's upper corner, overflows.
+    extremal a at every sigma.  Each stage skips the rows whose floor, the
+    least moment over every tilt, rules them out (7 in 8 cells at verify's
+    sigmas).  in_range refuses a sigma for which sigma^2 * 1e-5 underflows,
+    or the largest moment term, a * e^c at the grid's upper corner, overflows.
     """
     sigma = require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
@@ -180,9 +200,13 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
     Support points are centered to zero mean, then scaled so the second
     moment is a uniform fraction of sigma^2; tilts are sampled uniformly for
     probing bounds that optimize over the tilt.  n_samples must be an
-    integer >= 1 and seed an integer >= 0.
+    integer >= 1 and seed an integer >= 0.  in_range refuses a sigma where
+    a centred point, below 64 sigma as NumPy draws normals |z| < 14, has no
+    double square, or the least target second moment underflows.
     """
     sigma = require_positive("sigma", sigma)
+    in_range("the squared spread bound (64 sigma)^2", (64.0 * sigma) * (64.0 * sigma), sigma)
+    in_range("the least target second moment (0.05 sigma)^2", (0.05 * sigma) * (0.05 * sigma), sigma)
     require_integer("n_samples", n_samples, 1)
     require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -215,12 +239,12 @@ def probe_moments(probe: ThreePointProbe, kind: MomentKind, c) -> np.ndarray:
     Formed in blocks of rows, about _BLOCK cells, in one buffer."""
     kind = _choice(MomentKind, "kind", kind)
     c = np.asarray(c, dtype=float)
+    n = probe.support.shape[0]
+    if c.shape not in ((), (n,)):
+        raise ParameterError(f"c must be a scalar or one tilt per law, shape ({n},); got {c.shape}")
     if c.ndim == 1:
         c = c[:, None]
-    n = probe.support.shape[0]
-    moments = np.empty(n)
-    buffer = np.empty(_BLOCK)
-    rows = _BLOCK // 3
+    moments, buffer, rows = np.empty(n), np.empty(_BLOCK), _BLOCK // 3
     for first in range(0, n, rows):
         block = slice(first, first + rows)
         values = buffer[: probe.support[block].size].reshape(-1, 3)

@@ -929,6 +929,19 @@ def test_equality_one_to_two_windows_from_a_contact_is_not_localized():
     assert equal.size > 0 and 1.0 < windows.min() and windows.max() < 2.0
 
 
+def test_a_stray_equality_fails_only_its_own_check_in_a_batch(monkeypatch):
+    # the stray equality above, batched with two passing Winsorized checks
+    # in one chunk: only its own check loses equality_localized
+    touch, gamma = 9.835, -1e-6
+    stray = from_coefficients(1.0 + gamma * touch**2, -2.0 * gamma * touch, gamma, (-1.0, 10.0))
+    cases = [solved_winsor(1.0, 1.0), (stray, MomentKind.WINSOR, 0.0), solved_winsor(2.0, 10.0)]
+    runs = record_runs(monkeypatch)
+    reports = certificates.check_certificates(cases)
+    assert len({chunk for chunk, *_ in runs}) == 1
+    assert [report.equality_localized for report in reports] == [True, False, True]
+    assert repr(reports) == repr([certificates.check_certificate(*case) for case in cases])
+
+
 def test_certificate_suite_forms_no_array_above_a_chunk(monkeypatch):
     # A count, not a timing: in one certificate suite the points evaluated
     # as one array (a chunk, which F, G and the gap are formed over) never

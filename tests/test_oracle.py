@@ -183,16 +183,22 @@ def refine_ends(c, sigma, kind):
     return min(sigma2 * 1e-8, 1.0 / c, 0.5 * sigma), sigma2 * 1e2
 
 
-def unblocked_search(kind, sigma, a_ends, c_ends, stages, window):
+def unblocked_stages(kind, sigma, a_ends, c_ends, stages, window):
     """oracle's search with one np.argmin over each whole (a, c) grid, through
-    oracle.two_point_moment_grid as the module holds it."""
+    oracle.two_point_moment_grid as the module holds it: (a, c, values, i, j)
+    of each stage in turn."""
     for na, nc in stages:
         a, c = np.geomspace(*a_ends, na), np.geomspace(*c_ends, nc)
         with np.errstate(over="ignore" if kind is MomentKind.TRUNC else None):
             values = oracle.two_point_moment_grid(kind, c[None, :], sigma, a[:, None])
         i, j = divmod(int(np.argmin(values)), nc)
+        yield a, c, values, i, j
         a_ends = a[max(i - window, 0)], a[min(i + window, na - 1)]
         c_ends = c[max(j - window, 0)], c[min(j + window, nc - 1)]
+
+
+def unblocked_search(kind, sigma, a_ends, c_ends, stages, window):
+    *_, (a, c, values, i, j) = unblocked_stages(kind, sigma, a_ends, c_ends, stages, window)
     return a, c, i, j, float(values[i, j])
 
 
@@ -203,18 +209,23 @@ def unblocked_refine_grid_min(c, sigma, kind):
     )
     return oracle.GridMinResult(
         argmin_a=float(a[i]), argmin_c=c, min_value=value,
-        cell_ratio=(a[-1] / a[0]) ** (1.0 / (a.size - 1)),
+        cell_ratio=float((a[-1] / a[0]) ** (1.0 / (a.size - 1))),
+    )
+
+
+def universal_stages(sigma):
+    """unblocked_stages over universal_grid_min's grids."""
+    a_ends = (min(sigma * sigma * 1e-5, 0.5 * math.log1p(sigma)), sigma * sigma * (1.0 - 1e-9))
+    return unblocked_stages(
+        MomentKind.WINSOR, sigma, a_ends, oracle.UNIVERSAL_TILTS, oracle.UNIVERSAL_STAGES,
+        oracle.UNIVERSAL_WINDOW_CELLS,
     )
 
 
 def unblocked_universal_grid_min(sigma):
-    a_ends = (min(sigma * sigma * 1e-5, 0.5 * math.log1p(sigma)), sigma * sigma * (1.0 - 1e-9))
-    a, c, i, j, value = unblocked_search(
-        MomentKind.WINSOR, sigma, a_ends, oracle.UNIVERSAL_TILTS, oracle.UNIVERSAL_STAGES,
-        oracle.UNIVERSAL_WINDOW_CELLS,
-    )
+    *_, (a, c, values, i, j) = universal_stages(sigma)
     return oracle.GridMinResult(
-        argmin_a=float(a[i]), argmin_c=float(c[j]), min_value=value,
+        argmin_a=float(a[i]), argmin_c=float(c[j]), min_value=float(values[i, j]),
         cell_ratio=float(a[1] / a[0]), cell_ratio_c=float(c[1] / c[0]),
     )
 
@@ -247,17 +258,68 @@ SEARCHES = {
 }
 
 
+# verify's universal sigmas and 20 from near the least sigma the joint scan
+# answers to near the largest
+SIGMA_LADDER = [0.5, 1.0, 10.0, 1e3, *map(float, np.geomspace(1e-150, 1e149, 20))]
+
+
 class TestSearchInBlocks:
-    @pytest.mark.parametrize("sigma", [0.5, 1.0, 10.0, 1e3])
+    @pytest.mark.parametrize("sigma", SIGMA_LADDER)
     def test_universal_matches_one_argmin_over_each_grid(self, sigma):
+        # the joint scan skips the rows whose floor rules them out, and
+        # still gives the one argmin's result, bit for bit
         expected = unblocked_universal_grid_min(sigma)
-        assert repr(oracle.universal_grid_min(sigma)) == repr(expected)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = oracle.universal_grid_min(sigma)
+        assert repr(found) == repr(expected)
+        assert all(type(field) is float for field in found)
+
+    @pytest.mark.parametrize("sigma", SIGMA_LADDER)
+    def test_row_floors_hold_on_every_stage_grid(self, sigma):
+        # each row's least computed cell is at least its closed-form floor,
+        # the least moment over every tilt, up to the margin
+        for a, _, values, _, _ in universal_stages(sigma):
+            floors = oracle._row_floors(sigma, a)
+            assert np.all(values.min(axis=1) >= floors * (1.0 - oracle._FLOOR_MARGIN)), sigma
+
+    def test_rows_a_rounding_error_below_their_floor_are_scanned(self):
+        # at the optimal tilt c* = ln b/(1 + a) a computed cell can fall an
+        # ulp below the computed floor: the margin keeps such a row, here
+        # a grid's one row, two tilts wide
+        below = 0
+        for a in np.geomspace(0.01, 0.9, 200):
+            tilt = math.log(1.0 / a) / (1.0 + a)
+            cell = oracle.two_point_moment_grid(MomentKind.WINSOR, np.array([tilt, 2.0 * tilt]), 1.0, a)
+            below += cell[0] < oracle._row_floors(1.0, np.array([a]))[0]
+            _, _, i, j, value = oracle._search(
+                MomentKind.WINSOR, 1.0, (a, a), (tilt, 2.0 * tilt), ((1, 2),), 0
+            )
+            assert (i, j) == (0, 0) and abs(value / cell[0] - 1.0) <= 1e-15, a
+        assert below > 0
+
+    def test_suite_cell_budget(self, monkeypatch):
+        # A count, not a timing: one oracle suite sent 1,949,008 cells
+        # through two_point_moment_grid when the joint scans evaluated
+        # every row, and 235,108 once each skips the rows its floors rule
+        # out.  The ceiling is that count plus about 6%.
+        cells, moments = [], oracle.two_point_moment_grid
+
+        def counted(kind, c, sigma, a, out=None, scratch=None):
+            cells.append(np.broadcast(np.asarray(c), np.asarray(a)).size)
+            return moments(kind, c, sigma, a, out=out, scratch=scratch)
+
+        monkeypatch.setattr(oracle, "two_point_moment_grid", counted)
+        assert all(result.passed for result in verify.run_suite("oracle", 1))
+        assert sum(cells) <= 250_000, f"{sum(cells)} cells"
 
     @pytest.mark.parametrize("kind", list(MomentKind), ids=lambda kind: kind.value)
     @pytest.mark.parametrize("c, sigma", [*verify.ORACLE_PAIRS, (50.0, 1e3), (0.1, 1e8)])
     def test_refine_matches_one_argmin_over_each_grid(self, kind, c, sigma):
         expected = unblocked_refine_grid_min(c, sigma, kind)
-        assert repr(oracle.refine_grid_min(c, sigma, kind)) == repr(expected)
+        found = oracle.refine_grid_min(c, sigma, kind)
+        assert repr(found) == repr(expected)
+        assert all(type(field) is float for field in found[:4])
 
     @pytest.mark.parametrize("c", [745.0, 1e4])
     def test_refine_matches_one_argmin_where_cells_overflow(self, c):
@@ -391,6 +453,33 @@ class TestThreePointProbes:
             expected = np.sum(masses * f_values, axis=1)
             got = oracle.probe_moments(probe, kind, probe.tilts if np.ndim(c) else c)
             assert got.tobytes() == expected.tobytes(), kind
+
+    @pytest.mark.parametrize(
+        "sigma, error, quantity",
+        [(1.4e154, ExponentOverflowError, "the squared spread bound (64 sigma)^2 overflows"),
+         (2.1e152, ExponentOverflowError, "the squared spread bound (64 sigma)^2 overflows"),
+         (1e-162, NoSignChangeError, "the least target second moment (0.05 sigma)^2 underflows"),
+         (3.1e-161, NoSignChangeError, "the least target second moment (0.05 sigma)^2 underflows")],
+    )
+    def test_refuses_sigma_where_a_law_leaves_the_doubles(self, sigma, error, quantity):
+        # at 1.4e154 the squared spreads overflowed to non-finite supports;
+        # at 1e-162 (sigma u)^2 underflowed and every law was the point mass at 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=rf"^{re.escape(quantity)} .*\(operands {re.escape(repr(sigma))}\)$"):
+                oracle.sample_three_point(sigma, 1_000, seed=1)
+
+    @pytest.mark.parametrize("sigma", [2.09e152, 3.2e-161])
+    def test_laws_at_the_edges_are_finite_and_not_point_masses(self, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = oracle.sample_three_point(sigma, 1_000, seed=1)
+            moments = [oracle.probe_moments(probe, kind, c) for kind, c in
+                       ((MomentKind.WINSOR, 1.0), (MomentKind.WINSOR, probe.tilts),
+                        (MomentKind.TRUNC, 1.0))]
+        assert np.all(np.isfinite(probe.support))
+        assert np.all(np.ptp(probe.support, axis=1) > 0.0)
+        assert all(np.all(np.isfinite(m)) for m in moments)
 
     def test_seed_reproducibility(self):
         first = oracle.sample_three_point(2.0, 500, seed=42)

@@ -296,6 +296,16 @@ def test_sample_three_point_accepts_integer_seeds(seed):
     assert probe.support.shape == (1, 3)
 
 
+@pytest.mark.parametrize("c", [np.ones(49), np.ones(51), np.ones((50, 1))],
+                         ids=["short", "long", "column"])
+def test_probe_moments_refuses_tilts_that_are_not_one_per_law(c):
+    # a tilt array of another length than the probe's let NumPy's bare
+    # "operands could not be broadcast together" escape
+    probe = oracle.sample_three_point(1.0, 50, seed=3)
+    with pytest.raises(ParameterError, match=r"^c must be a scalar or one tilt per law, shape \(50,\)"):
+        oracle.probe_moments(probe, MomentKind.WINSOR, c)
+
+
 @pytest.mark.parametrize("value", BAD[1:], ids=bad_id)
 @pytest.mark.parametrize("entry, fn", SUPPORT_MAPS, ids=[e for e, _ in SUPPORT_MAPS])
 def test_support_maps_reject_bad_a_but_accept_zero(entry, fn, value):

@@ -1,17 +1,19 @@
 """Run each mutant of MUTANTS against the tier-1 tests and report whether
 the tests kill it.
 
-    python scripts/mutants.py             # every mutant
-    python scripts/mutants.py floor q     # those whose name holds "floor" or "q"
-    python scripts/mutants.py --list      # the table, without running it
+    python scripts/mutants.py
 
 A mutant replaces one exact text, found exactly once, in one file under
-src/.  For each mutant the tree is copied to a temporary directory (without
-.git and caches), the mutant is applied there, and tier-1 runs in the copy
+src/.  Tier-1 runs first in an unmutated copy of the tree (without .git and
+caches) and must pass, so a copy that cannot pass on its own is not taken
+for killed mutants.  Then for each mutant the tree is copied to a temporary
+directory, the mutant is applied there, and tier-1 runs in the copy
 (``python -m pytest -x -q``, stopping at the first failure, with no bytecode
 written, so no stale .pyc can hide the change).  A mutant is killed when
-the tests fail.  The exit code is 1 when a mutant survives or its text is
-not found exactly once, which means the table has gone stale.
+pytest exits 1, some test failed; any other exit code (collection, usage or
+internal errors, no tests) is an error.  The exit code is 1 when the
+unmutated copy fails, a mutant survives or errs, or its text is not found
+exactly once, which means the table has gone stale.
 
 EQUIVALENT lists mutants that no test can kill, each with the reason; they
 are listed but not run.  A later change that runs a mutation check adds its
@@ -21,7 +23,6 @@ and pytest; a mutant takes 1-12 s on a 2-vCPU machine.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -117,14 +118,15 @@ MUTANTS = [
            "cell_ratio=float((a[-1] / a[0]) ** (1.0 / (a.size - 1))),",
            "cell_ratio=(a[-1] / a[0]) ** (1.0 / (a.size - 1)),",
            "refine_grid_min's cell_ratio is an np.float64"),
-    Mutant("probe-spread-unguarded", ORACLE,
-           '    in_range("the squared spread bound (64 sigma)^2", (64.0 * sigma) * (64.0 * sigma), sigma)',
-           "    sigma",
-           "sample_three_point forms laws past the doubles"),
-    Mutant("probe-target-unguarded", ORACLE,
-           '    in_range("the least target second moment (0.05 sigma)^2", (0.05 * sigma) * (0.05 * sigma), sigma)',
-           "    sigma",
-           "sample_three_point collapses laws to the point mass at 0"),
+    Mutant("probe-sigma-squared-unguarded", ORACLE,
+           '    in_range("sigma^2", sigma * sigma, sigma)\n    in_range("0.05 sigma',
+           '    in_range("0.05 sigma',
+           "sample_three_point forms laws whose second moment is past the doubles"),
+    Mutant("probe-least-moment-unguarded", ORACLE,
+           '    in_range("0.05 sigma in units of 2^-511, the root of the least normal double",\n'
+           "             0.05 * sigma // 2.0**-511, sigma)\n",
+           "",
+           "sample_three_point forms laws whose second moment is no normal double"),
     Mutant("probe-tilts-unchecked", ORACLE,
            "    if c.shape not in ((), (n,)):", "    if False:",
            "probe_moments lets a tilt array of another length reach NumPy"),
@@ -143,39 +145,40 @@ EQUIVALENT = [
 ]
 
 
-def run(mutant: Mutant) -> str:
-    """'killed' or 'survived', after tier-1 in a copy of the tree with the mutant."""
+def run(mutant: Mutant | None) -> str:
+    """'killed', 'survived' or 'error', after tier-1 in a copy of the tree
+    with the mutant applied (none for the unmutated copy)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         tree = Path(scratch) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_out"))
-        target = tree / mutant.path
-        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        if mutant is not None:
+            target = tree / mutant.path
+            target.write_text(target.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-    return "survived" if result.returncode == 0 else "killed"
+    return {0: "survived", 1: "killed"}.get(result.returncode, "error")
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only mutants whose name holds one of these")
-    parser.add_argument("--list", action="store_true", help="list the table without running it")
-    args = parser.parse_args()
-    chosen = [m for m in MUTANTS if not args.names or any(n in m.name for n in args.names)]
     stale = [m.name for m in MUTANTS + EQUIVALENT if (ROOT / m.path).read_text().count(m.old) != 1]
     for name in stale:
         print(f"stale    {name}: its text is not found exactly once")
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name:34} {m.path}: {m.why}")
-    failed = bool(stale)
-    for m in [] if args.list or stale else chosen:
+    if stale:
+        return 1
+    start = time.perf_counter()
+    if run(None) != "survived":
+        print("the unmutated tree fails tier-1 in a copy: no mutant can be judged")
+        return 1
+    print(f"passed   {'unmutated tree':34} {time.perf_counter() - start:5.1f} s", flush=True)
+    failed = False
+    for m in MUTANTS:
         start = time.perf_counter()
         fate = run(m)
-        failed |= fate == "survived"
+        failed |= fate != "killed"
         print(f"{fate:8} {m.name:34} {time.perf_counter() - start:5.1f} s  {m.why}", flush=True)
     for m in EQUIVALENT:
         print(f"equivalent {m.name}: {m.why}")

@@ -30,10 +30,9 @@ UNIVERSAL_STAGES = ((2_000, 200), (300, 300), (300, 300))
 UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
 UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
 _BLOCK = 8_192  # cells per evaluation block: a 64 KB temporary stays in L2
-# A joint scan skips a row whose floor exceeds U (1 + _FLOOR_MARGIN), U the least
-# cell of the least floor's row.  A cell errs by (c a + 8) 2^-53 relative at most
-# where its b e^(-ca) term matters, c a < ln(b/a) + 37 < 750 (-c*a rounds by 2^-53,
-# all else by an ulp); a floor by 2e-13 (ln b/(1 + a) < 710 magnifies its exponent's).
+# A joint scan skips a row whose floor exceeds U (1 + _FLOOR_MARGIN), U the least cell of the
+# least floor's row.  A cell errs by (c a + 8) 2^-53 (-c*a's rounding, then an ulp a step) where
+# b e^(-ca) matters, c a < ln(b/a) + 37 < 750; a floor by 2e-13 (its exponent is below 710).
 _FLOOR_MARGIN = 1e-9
 
 
@@ -197,25 +196,25 @@ class ThreePointProbe(namedtuple("ThreePointProbe", "support masses tilts")):
 def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointProbe:
     """Deterministic (seeded) sample of admissible three-point laws.
 
-    Support points are centered to zero mean, then scaled so the second
-    moment is a uniform fraction of sigma^2; tilts are sampled uniformly for
-    probing bounds that optimize over the tilt.  n_samples must be an
-    integer >= 1 and seed an integer >= 0.  in_range refuses a sigma where
-    a centred point, below 64 sigma as NumPy draws normals |z| < 14, has no
-    double square, or the least target second moment underflows.
+    Support points, drawn in units of sigma, are centered to zero mean, then
+    scaled so the second moment is a uniform fraction of sigma^2; tilts are
+    sampled uniformly for probing bounds that optimize over the tilt.
+    n_samples must be an integer >= 1, seed an integer >= 0, sigma^2 a double
+    and the least target second moment (0.05 sigma)^2 a normal one (in_range).
     """
     sigma = require_positive("sigma", sigma)
-    in_range("the squared spread bound (64 sigma)^2", (64.0 * sigma) * (64.0 * sigma), sigma)
-    in_range("the least target second moment (0.05 sigma)^2", (0.05 * sigma) * (0.05 * sigma), sigma)
+    in_range("sigma^2", sigma * sigma, sigma)
+    in_range("0.05 sigma in units of 2^-511, the root of the least normal double",
+             0.05 * sigma // 2.0**-511, sigma)
     require_integer("n_samples", n_samples, 1)
     require_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    support = rng.normal(0.0, 2.0 * sigma, size=(n_samples, 3))
+    support = rng.normal(0.0, 2.0, size=(n_samples, 3))
     masses = rng.dirichlet((1.0, 1.0, 1.0), size=n_samples)
     fraction = rng.uniform(0.05, 1.0, size=(n_samples, 1))
     tilts = rng.uniform(0.05, 10.0, size=n_samples)
     # then in place, in blocks of rows: x - E x, times
-    # sqrt((sigma * fraction)^2 / max(E (x - E x)^2, 1e-300))
+    # sqrt(fraction^2 / max(E (x - E x)^2, 1e-300)) * sigma
     rows = _BLOCK // 3
     buffer, sums = np.empty(_BLOCK), np.empty((rows, 1))
     for first in range(0, n_samples, rows):
@@ -227,10 +226,10 @@ def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointPro
         np.multiply(x, x, out=work)
         np.multiply(work, p, out=work)
         second = np.maximum(_row_sums(work, total), 1e-300, out=total)
-        np.multiply(sigma, u, out=u)
         np.multiply(u, u, out=u)
         np.divide(u, second, out=u)
-        np.multiply(x, np.sqrt(u, out=u), out=x)
+        np.multiply(np.sqrt(u, out=u), sigma, out=u)
+        np.multiply(x, u, out=x)
     return ThreePointProbe(support=support, masses=masses, tilts=tilts)
 
 
@@ -244,7 +243,9 @@ def probe_moments(probe: ThreePointProbe, kind: MomentKind, c) -> np.ndarray:
         raise ParameterError(f"c must be a scalar or one tilt per law, shape ({n},); got {c.shape}")
     if c.ndim == 1:
         c = c[:, None]
-    moments, buffer, rows = np.empty(n), np.empty(_BLOCK), _BLOCK // 3
+    moments = np.empty(n)
+    buffer = np.empty(_BLOCK)
+    rows = _BLOCK // 3
     for first in range(0, n, rows):
         block = slice(first, first + rows)
         values = buffer[: probe.support[block].size].reshape(-1, 3)

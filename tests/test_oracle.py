@@ -350,12 +350,12 @@ def one_pass_probe(sigma, n, seed):
     """(support, masses, tilts) of sample_three_point: the draws in the same
     order, then the arithmetic as whole-array expressions with np.sum."""
     rng = np.random.default_rng(seed)
-    points = rng.normal(0.0, 2.0 * sigma, size=(n, 3))
+    points = rng.normal(0.0, 2.0, size=(n, 3))
     masses = rng.dirichlet((1.0, 1.0, 1.0), size=n)
     centered = points - np.sum(points * masses, axis=1, keepdims=True)
     second = np.maximum(np.sum(centered * centered * masses, axis=1, keepdims=True), 1e-300)
-    target = (sigma * rng.uniform(0.05, 1.0, size=(n, 1))) ** 2
-    support = centered * np.sqrt(target / second)
+    target = rng.uniform(0.05, 1.0, size=(n, 1)) ** 2
+    support = centered * (np.sqrt(target / second) * sigma)
     return support, masses, rng.uniform(0.05, 10.0, size=n)
 
 
@@ -456,21 +456,23 @@ class TestThreePointProbes:
 
     @pytest.mark.parametrize(
         "sigma, error, quantity",
-        [(1.4e154, ExponentOverflowError, "the squared spread bound (64 sigma)^2 overflows"),
-         (2.1e152, ExponentOverflowError, "the squared spread bound (64 sigma)^2 overflows"),
-         (1e-162, NoSignChangeError, "the least target second moment (0.05 sigma)^2 underflows"),
-         (3.1e-161, NoSignChangeError, "the least target second moment (0.05 sigma)^2 underflows")],
+        [(1.4e154, ExponentOverflowError, "sigma^2 overflows"),
+         (1.35e154, ExponentOverflowError, "sigma^2 overflows"),
+         (1e-162, NoSignChangeError, "sigma^2 underflows"),
+         (2.98e-153, NoSignChangeError, "0.05 sigma in units of 2^-511, the root of the least "
+                                        "normal double underflows")],
     )
     def test_refuses_sigma_where_a_law_leaves_the_doubles(self, sigma, error, quantity):
         # at 1.4e154 the squared spreads overflowed to non-finite supports;
-        # at 1e-162 (sigma u)^2 underflowed and every law was the point mass at 0
+        # at 1e-162 (sigma u)^2 underflowed and every law was the point mass at 0;
+        # below 2.9833e-153 a law's second moment had fewer than 53 bits
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(error, match=rf"^{re.escape(quantity)} .*\(operands {re.escape(repr(sigma))}\)$"):
                 oracle.sample_three_point(sigma, 1_000, seed=1)
 
-    @pytest.mark.parametrize("sigma", [2.09e152, 3.2e-161])
-    def test_laws_at_the_edges_are_finite_and_not_point_masses(self, sigma):
+    @pytest.mark.parametrize("sigma", [1.34e154, 2.99e-153])
+    def test_laws_at_the_edges_hold_their_fraction_of_sigma_squared(self, sigma):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             probe = oracle.sample_three_point(sigma, 1_000, seed=1)
@@ -478,8 +480,18 @@ class TestThreePointProbes:
                        ((MomentKind.WINSOR, 1.0), (MomentKind.WINSOR, probe.tilts),
                         (MomentKind.TRUNC, 1.0))]
         assert np.all(np.isfinite(probe.support))
-        assert np.all(np.ptp(probe.support, axis=1) > 0.0)
         assert all(np.all(np.isfinite(m)) for m in moments)
+        # the fractions, drawn third, as sample_three_point draws them
+        rng = np.random.default_rng(1)
+        rng.normal(size=(1_000, 3))
+        rng.dirichlet((1.0, 1.0, 1.0), size=1_000)
+        fraction = rng.uniform(0.05, 1.0, size=1_000)
+        units = probe.support / sigma
+        assert np.all(np.abs(np.sum(units * probe.masses, axis=1)) <= 1e-12)
+        assert np.allclose(np.sum(units * units * probe.masses, axis=1), fraction**2, rtol=1e-12, atol=0.0)
+        if sigma < 1.0:  # E X^2 itself is a normal double, to the same bits
+            second = np.sum(probe.support * probe.support * probe.masses, axis=1)
+            assert np.allclose(second, (sigma * fraction) ** 2, rtol=1e-12, atol=0.0)
 
     def test_seed_reproducibility(self):
         first = oracle.sample_three_point(2.0, 500, seed=42)

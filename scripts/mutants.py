@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 Mutant = namedtuple("Mutant", "name path old new why")
 
 CERT = "src/winsor_bounds/certificates.py"
+LAW = "src/winsor_bounds/law.py"
 ORACLE = "src/winsor_bounds/oracle.py"
 VERIFY = "src/winsor_bounds/verify.py"
 
@@ -130,6 +131,23 @@ MUTANTS = [
     Mutant("probe-tilts-unchecked", ORACLE,
            "    if c.shape not in ((), (n,)):", "    if False:",
            "probe_moments lets a tilt array of another length reach NumPy"),
+    # the two-point law's scalar algebra
+    Mutant("trunc-moment-cut-included", LAW,
+           "exp_or_inf(c * b), c, b) if b < 1.0 else 1.0",
+           "exp_or_inf(c * b), c, b) if b <= 1.0 else 1.0",
+           "a truncated law's atom on the cut contributes e^c, not 1"),
+    Mutant("minorant-contact-unpinned", LAW,
+           "        b = max(_support_point(a, c, 0.0 if branch else c), 1.0)",
+           "        b = _support_point(a, c, 0.0 if branch else c)",
+           "a support point an ulp below the cut is not pinned back onto it"),
+    Mutant("small-branch-gamma-shifted", LAW,
+           "w * (math.exp(a * c) - a * c - c - 1.0) / (a + 1.0) ** 2",
+           "w * (math.exp(a * c) - a * c - c) / (a + 1.0) ** 2",
+           "the small-sigma parabola misses F(1) = 1 at the cut"),
+    Mutant("optimal-moment-cutover-halved", LAW,
+           "    if a >= 1.0:\n        return a * (1.0 + a) * math.exp(c_opt)",
+           "    if a >= 0.5:\n        return a * (1.0 + a) * math.exp(c_opt)",
+           "the optimal-tilt moment takes its direct form from a = 0.5, not 1"),
 ]
 
 EQUIVALENT = [

@@ -12,7 +12,8 @@ from .errors import (
     ParameterError, WinsorBoundsError,
 )
 from .trunc import Branch, lower_bound_trunc
-from .winsor import Bound, BoundQuery, lower_bound_fixed_c, lower_bound_universal
+from .law import Bound
+from .winsor import BoundQuery, lower_bound_fixed_c, lower_bound_universal
 
 __version__ = "0.1.0"
 

@@ -1,23 +1,18 @@
-"""Quadratic tangent-minorant certificates.
+"""Grid checks of the quadratic tangent-minorant certificates.
 
-Each bound in this package is proved by a parabola G lying below the capped
-exponential F and touching it exactly at the extremal support points.
-beta = G'(0) > 0 > gamma makes E G(X) monotone in the constraint moments, so
-E F(X) >= E G(X) >= E G(X_{a,b}) = E F(X_{a,b}) for every admissible X.
-Each G is stored anchored at its lower contact -a, where its value e^{-ac}
-and slope c e^{-ac} are closed forms.  This module builds one from each
-Bound (minorant) and checks the geometry on dense grids (G <= F, equality
-only near the contacts), reading the value and slope gaps at each contact
+``law.minorant`` builds the parabola G that proves a Bound (see ``law``).
+This module checks its geometry on dense grids (G <= F, equality only near
+the contacts) and reads the value and slope gaps at each contact
 (one-sided on the cut) from the grid's own F and G there.
 
-_capped_exp and _horner (G's body) compute every F and G a report reads.
+_capped_exp and _horner (QuadraticMinorant.__call__ for a chunk of checks)
+compute every F and G a report reads.
 F - G is convex on each piece of F, so its gap nears equality only near a
 contact: the grid check evaluates only the points that convexity witnesses
 (_kept, walked in lockstep arrays of _psi) do not prove clear of the
 equality tolerance, and reports what the whole grid would.
 check_certificates evaluates many checks together, _CHUNK points at a time.
 """
-
 from __future__ import annotations
 
 import math
@@ -26,9 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, _choice, require_positive
-from .trunc import Branch
-from .winsor import Bound, _support_point
+from .errors import _choice
+from .law import QuadraticMinorant
 
 GAP_RTOL = 1e-12       # allowed negative gap, relative to max(1, F)
 EQUALITY_RTOL = 1e-10  # |F - G| below this counts as contact
@@ -44,54 +38,15 @@ class MomentKind(str, Enum):
     TRUNC = "trunc"
 
 
-class QuadraticMinorant(
-    namedtuple("QuadraticMinorant", "contact_points lower_value lower_slope gamma")
-):
-    """G(x) = lower_value + lower_slope*u + gamma*u^2 with u = x - x_lo,
-    touching F at ``contact_points`` = (x_lo, x_hi); beta = G'(0) > 0 > gamma,
-    checked when the minorant is made, by ``_replace`` too.
-
-    About the origin the coefficients reach e^c and cancel catastrophically
-    near x_lo for large c; anchored at x_lo, roundoff stays proportional to F.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, contact_points, lower_value, lower_slope, gamma):
-        self = tuple.__new__(cls, (contact_points, lower_value, lower_slope, gamma))
-        if not (self.beta > 0.0 > self.gamma):
-            raise ParameterError(
-                f"minorant requires beta > 0 > gamma, got beta={self.beta!r}, "
-                f"gamma={self.gamma!r}"
-            )
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    @property
-    def beta(self) -> float:
-        """G'(0) = lower_slope - 2 gamma x_lo."""
-        return self.lower_slope - 2.0 * self.gamma * self.contact_points[0]
-
-    def __call__(self, x):
-        """G(x)."""
-        x_lo = self.contact_points[0]
-        return _horner(x, x_lo, self.lower_value, self.lower_slope, self.gamma)[()]
-
-
-def _horner(x, x_lo, value, slope, gamma, counts=None) -> np.ndarray:
-    """value + slope*u + gamma*u^2 with u = x - x_lo, formed in u's array
-    with one temporary; the coefficients broadcast against x or, given
-    ``counts``, are repeated that many times each, one at a time."""
-    each = (lambda v: v) if counts is None else (lambda v: np.repeat(v, counts))
-    # in Horner form: (x - x_lo)^2 alone overflows once x_hi passes ~1.3e154
-    u = np.subtract(x, each(x_lo), dtype=float)
-    u_slope = u * each(gamma)
-    u_slope += each(slope)
+def _horner(x, x_lo, value, slope, gamma, counts) -> np.ndarray:
+    """value + slope*u + gamma*u^2 with u = x - x_lo in Horner form, as
+    QuadraticMinorant.__call__ forms it, in u's array with one temporary;
+    each coefficient is repeated ``counts`` times, one at a time."""
+    u = x - np.repeat(x_lo, counts)
+    u_slope = u * np.repeat(gamma, counts)
+    u_slope += np.repeat(slope, counts)
     u *= u_slope
-    u += each(value)
+    u += np.repeat(value, counts)
     return u
 
 
@@ -116,26 +71,6 @@ def _capped_exp(kind: MomentKind, c, x: np.ndarray, out: np.ndarray) -> np.ndarr
         out.fill(0.0)
         np.multiply(c, x, out=out, where=x < 1.0)
     return np.exp(out, out=out)
-
-
-def minorant(result: Bound) -> QuadraticMinorant:
-    """The parabola that proves ``result``: tangent to e^{cx} at -a, with
-    c = result.tilt, and touching F at b.  On the truncated small-sigma
-    branch b is the cut 1 and G(1) = 1 fixes gamma; otherwise G'(b) = 0,
-    which gamma = -c e^{-ac} / (2(a+b)) gives: F is flat at b, and the
-    support maps b_star and B_star, recomputed here from a, put G(b) on F.
-    Roundoff at the truncated branch boundary may put B_star an ulp below
-    the cut, where the truncation indicator flips; the branch pins b >= 1."""
-    if not isinstance(result, Bound):
-        raise ParameterError(f"result must be a Bound, got {result!r}")
-    a, c = require_positive("a", result.a), require_positive("tilt", result.tilt)
-    w = math.exp(-a * c)
-    if result.branch is Branch.SMALL_SIGMA:
-        b, gamma = 1.0, w * (math.exp(a * c) - a * c - c - 1.0) / (a + 1.0) ** 2
-    else:
-        b = max(_support_point(a, c, 0.0 if result.branch else c), 1.0)
-        gamma = -c * w / (2.0 * (a + b))
-    return QuadraticMinorant(contact_points=(-a, b), lower_value=w, lower_slope=c * w, gamma=gamma)
 
 
 class CertificateReport(

@@ -9,8 +9,8 @@ sigma^2 relative to the threshold A_c:
 * sigma^2 >= A_c: attained by X_{A_cs, B_cs} where A_cs solves
   a * B_star(a, c) = sigma^2 and B_cs = sigma^2 / A_cs >= 1.
 
-B_star(a, c) = (2(e^{ac} - 1) - ac)/c is the Winsorized support-point map
-evaluated at z = ac instead of z = c(1+a); A_c is its unique preimage of 1.
+B_star(a, c) = (2(e^{ac} - 1) - ac)/c is ``law``'s support-point map at
+z = ac, and the law's moment is ``law``'s too; A_c is B_star's preimage of 1.
 B_star increases in a, so sigma^2 <= A_c exactly when B_star(sigma^2, c) <= 1:
 the branch is decided in closed form, without solving for A_c.
 Unlike the Winsorized case there is no positive tilt-universal floor: along
@@ -22,12 +22,10 @@ from __future__ import annotations
 import math
 
 from .asymptotics import Regime as Branch
-from .errors import LN_DBL_MAX, exp_or_inf, in_range, require_positive
+from .errors import LN_DBL_MAX, in_range, require_positive
+from .law import Bound, _log_support, _support_point, _trunc_moment
 from .roots import _solve
-from .winsor import (
-    LN_2, Bound, BoundQuery, _effective_c, _log_support, _moment_match, _row, _support_point,
-    _w_exp,
-)
+from .winsor import LN_2, BoundQuery, _effective_c, _moment_match, _row, _w_exp
 
 
 def B_star(a: float, c: float) -> float:
@@ -77,17 +75,6 @@ def _A_c_sigma(c: float, row, start: float | None) -> float:
         t = 2.0 * (math.log(c) + log_sigma) - LN_2
         start = _w_exp(t) / c if t > 2.0 else min(max(math.log1p(sigma2) / c, 1.0), sigma)
     return _moment_match(c, row, 0.0, start)
-
-
-def _trunc_moment(a: float, b: float, c: float) -> float:
-    """E exp(c * X * 1{X < 1}) for the law on {-a, b}, in closed form.
-
-    The positive support point contributes e^{cb} only when b < 1; at or
-    above the cut it contributes 1 exactly.  Underflow of e^{-ca} to 0 is
-    legitimate and kept.
-    """
-    pos = in_range("e^(cb)", exp_or_inf(c * b), c, b) if b < 1.0 else 1.0
-    return a / (a + b) * pos + b / (a + b) * math.exp(-c * a)
 
 
 def _below_threshold(a: float, c: float) -> bool:

@@ -21,7 +21,7 @@ import itertools
 import math
 from collections import namedtuple
 
-from . import asymptotics, errors, trunc, winsor
+from . import asymptotics, errors, law, trunc, winsor
 from .asymptotics import Regime
 from .roots import _solve
 from .trunc import Branch
@@ -86,11 +86,6 @@ def _relative_gap(x: float, y: float) -> float:
 def _match_residual(a: float, log_support: float, sigma: float) -> float:
     """|a S / sigma^2 - 1| for the support point S = e^log_support."""
     return abs(math.expm1(math.log(a) + log_support - 2.0 * math.log(sigma)))
-
-
-def _optimal_winsor_moment(a: float, sigma: float) -> float:
-    """The Winsorized moment of X_{a, sigma^2/a} at its optimal tilt."""
-    return winsor._optimal_winsor_moment(a, sigma, winsor.optimal_c_for_two_point(a, sigma))
 
 
 def _refine_grid_min(c, sigma, kind):
@@ -158,9 +153,10 @@ def suite_roots(grid: Grid, seed: int) -> list[CheckResult]:
     for sigma in (0.7, 1.0, 2.0, 5.0):
         for fraction in (0.05, 0.4, 0.6, 0.9):
             a = fraction * sigma * sigma
+            up, down = a + step, a - step
             numeric = (
-                math.log(_optimal_winsor_moment(a + step, sigma))
-                - math.log(_optimal_winsor_moment(a - step, sigma))
+                math.log(law._optimal_winsor_moment(up, sigma, law._optimal_c(up, sigma)))
+                - math.log(law._optimal_winsor_moment(down, sigma, law._optimal_c(down, sigma)))
             ) / (2.0 * step)
             analytic = winsor._ell1(a, sigma * sigma) / (1.0 + a) ** 2
             if abs(analytic) > 0.05:
@@ -208,9 +204,9 @@ def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
     worst = 0.0
     for c in (0.5, 1.0, 2.0, 5.0):
         threshold = grid.threshold(c)
-        small = trunc._trunc_moment(threshold, 1.0, c)
+        small = law._trunc_moment(threshold, 1.0, c)
         a_large = trunc._A_c_sigma(c, winsor._row(math.sqrt(threshold), 1.0), None)
-        large = trunc._trunc_moment(a_large, max(threshold / a_large, 1.0), c)
+        large = law._trunc_moment(a_large, max(threshold / a_large, 1.0), c)
         worst = max(worst, _relative_gap(small, large))
     results.append(_bounded_check("ordering.trunc_branch_continuity", worst, 1e-10))
 
@@ -218,9 +214,9 @@ def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
     for sigma in SIGMA_GRID:
         solution = grid.universal(sigma)
         a, b = solution.a, solution.b
-        center = winsor._winsor_moment(a, b, solution.tilt)
+        center = law._winsor_moment(a, b, solution.tilt)
         for factor in (1.0 - 1e-3, 1.0 + 1e-3):
-            perturbed = winsor._winsor_moment(a, b, solution.tilt * factor)
+            perturbed = law._winsor_moment(a, b, solution.tilt * factor)
             worst = max(worst, (center - perturbed) / center)
     results.append(_bounded_check("ordering.interior_tilt_optimality", worst, -1e-14,
                                   "perturbing the tilt strictly increases the moment"))
@@ -247,7 +243,7 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
     solve = {MomentKind.WINSOR: grid.fixed, MomentKind.TRUNC: grid.truncated}
     for (c, sigma), kind in itertools.product(_PAIRS, MomentKind):
         result = solve[kind](c, sigma)
-        minorant = certificates.minorant(result)
+        minorant = law.minorant(result)
         if result.branch is Branch.SMALL_SIGMA:
             sigma2 = sigma * sigma
             beta_floor = math.exp(-sigma2 * c) * c * (1.0 + sigma**4) / (1.0 + sigma2) ** 2
@@ -258,8 +254,8 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
     # Negative control: shrinking beta = G'(0) by 10%, i.e. subtracting
     # 0.1 beta x from G, must break the certificate.
     fixed = grid.fixed(1.0, 1.0)
-    a, good = fixed.a, certificates.minorant(fixed)
-    broken = certificates.QuadraticMinorant(
+    a, good = fixed.a, law.minorant(fixed)
+    broken = law.QuadraticMinorant(
         contact_points=good.contact_points,
         lower_value=good.lower_value + 0.1 * good.beta * a,
         lower_slope=good.lower_slope - 0.1 * good.beta,
@@ -368,8 +364,8 @@ def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:
     moments = [p.moment for p in points]
     collapse_ok = all(m2 < m1 for m1, m2 in zip(moments, moments[1:])) and moments[-1] < 1e-2
     floor_ok = all(
-        _optimal_winsor_moment(p.a, 1.0) >= floor_universal * (1.0 - 1e-12)
-        for p in points
+        law._optimal_winsor_moment(p.a, 1.0, law._optimal_c(p.a, 1.0))
+        >= floor_universal * (1.0 - 1e-12) for p in points
     )
     results.append(CheckResult(
         name="oracle.trunc_collapse",

@@ -2,13 +2,13 @@
 
 Setting: X ranges over all laws with E X >= 0 and E X^2 <= sigma^2, and the
 Winsorization at level 1 caps the right tail, W(x) = min(1, x).  The infimum
-of E exp(c W(X)) is attained by a zero-mean two-point law X_{a,b}, and every
-quantity here is a closed form or a scalar root:
+of E exp(c W(X)) is attained by a zero-mean two-point law X_{a,b}, whose
+support map and moments are ``law``'s, and every quantity here is a closed
+form or a scalar root:
 
 * ``b_star(a, c)`` is the positive support point making the quadratic
   tangent certificate touch exp(c W) at both -a and b; it always exceeds 2.
-  It is one instance of the support-point map (2(e^z - 1) - ac)/c shared
-  with the truncated bound: z = c(1+a) here, z = ac for ``trunc.B_star``.
+  It is ``law``'s support-point map at z = c(1+a).
 * the moment match a * b_star(a, c) = sigma^2 (``_a_c_sigma``) fixes the
   extremal law for a given tilt c.
 * ``_ell1`` is (1+a)^2 times the log-derivative of the optimal-tilt moment
@@ -31,16 +31,17 @@ so budgets up to sigma ~ 1e10 and beyond never overflow.
 from __future__ import annotations
 
 import math
-import sys
 from collections import namedtuple
 
 from . import asymptotics
-from .errors import LN_DBL_MAX, ParameterError, exp_or_inf, in_range, require_positive
+from .errors import LN_DBL_MAX, ParameterError, in_range, require_positive
+from .law import (
+    DBL_MIN, Bound, _log_support, _optimal_c, _optimal_winsor_moment, _support_point,
+    _winsor_moment,
+)
 from .roots import TOL, _solve
 
-LOG_FORM_CUTOVER = 30.0
 LN_2 = math.log(2.0)
-DBL_MIN = sys.float_info.min  # the smallest normal double
 
 
 class BoundQuery(namedtuple("BoundQuery", "c sigma cut", defaults=(1.0,))):
@@ -58,79 +59,8 @@ class BoundQuery(namedtuple("BoundQuery", "c sigma cut", defaults=(1.0,))):
         return cls(*iterable)
 
 
-class Bound(namedtuple("Bound", "kind c sigma cut a b tilt bound branch")):
-    """One attained bound, immutable.  ``kind`` is "universal-winsor",
-    "fixed-winsor" or "trunc"; c (None for the universal kind), sigma and cut
-    are the caller's.  The extremal law is the zero-mean law on {-a, b} at
-    cut level 1 (a*b = (sigma/cut)^2), attained at ``tilt``: c*cut, or the
-    optimal tilt for the universal kind.  ``branch`` is the truncated kind's
-    ``trunc.Branch`` and None for the others."""
-
-    __slots__ = ()
-
-
 def _effective_c(c: float, cut: float) -> float:
     return in_range("c*cut", c * cut, c, cut)
-
-
-def _support_point(a: float, c: float, shift: float) -> float:
-    """(2(e^z - 1) - ac) / c with z = shift + ac: the upper atom of the
-    extremal law, shift = c for the Winsorized map and 0 for the truncated
-    one.  Arguments are trusted; the public wrappers validate them.  z is
-    clamped at LN_DBL_MAX, where 2(e^z - 1) already overflows; only an
-    overflow is refused, as B_star(0, c) = 0 is an answer.  With z below
-    DBL_MIN the map is 2(1 + a)(e^z - 1)/z - a for shift c and
-    a(2(e^z - 1)/z - 1) for shift 0, which are a + 2 and a: the quotient by
-    c would keep only the bits of a subnormal z, or none."""
-    z = shift + a * c
-    if z < DBL_MIN:
-        return a + 2.0 if shift else a
-    support = (2.0 * math.expm1(min(z, LN_DBL_MAX)) - a * c) / c
-    return in_range("the support point", support, a, c) if support else support
-
-
-def _log_support(a: float, c: float, shift: float) -> tuple[float, float, float, float]:
-    """(ln a, ln S, d ln S / d ln a, a/S) for S = _support_point(a, c, shift),
-    stable for arbitrarily large z = shift + ac; ln a is -inf at a = 0, where
-    the slope is 0 for shift c and NaN for shift 0 (log_B_star refuses a = 0).
-    The slope a(2e^z - 1)/S is (a/S)(2(e^z - 1) + 1) up to the cutover,
-    from the e^z - 1 that forms S, with a/S <= 1 as S >= a, so nothing
-    overflows; where a tiny c overflows S, a/S is ac / (cS).  Past the
-    cutover it is (2 - e^-z) e^(ln a + z - ln S), where z cancels from the
-    exponent exactly, which leaves ln(ac/2) less the correction, not an ulp
-    of z of roundoff, so it is below LN_DBL_MAX.  Where z overflows, ln S
-    and the slope, about ac/2, are inf.  a/S, which a moment match's second
-    derivative reads, is a by-product: the quotient that forms the slope up
-    to the cutover, s e^-z / (2 - e^-z) past it from the e^-z already
-    formed, the slope itself where z is subnormal (e^-z is 1) and 0 where z
-    overflows."""
-    log_a = math.log(a) if a else -math.inf
-    z = shift + a * c
-    if z == math.inf:
-        return log_a, math.inf, math.inf, 0.0
-    if z < DBL_MIN:  # the map is a + 2 or a, as in _support_point; e^-z is 1
-        log_support = math.log(a + 2.0) if shift else log_a
-        slope = math.exp(log_a + z - log_support)
-        return log_a, log_support, slope, slope
-    if z <= LOG_FORM_CUTOVER:
-        growth = math.expm1(z)
-        scaled = 2.0 * growth - a * c  # cS
-        support = scaled / c
-        if support != math.inf:
-            ratio = a / support
-            return log_a, math.log(support), ratio * (2.0 * growth + 1.0), ratio
-        # a tiny c overflows the quotient, not its log
-        ratio = a * c / scaled
-        return log_a, math.log(scaled) - math.log(c), ratio * (2.0 * growth + 1.0), ratio
-    # the map is (2 e^z / c) * (1 - (2 + ac) e^{-z} / 2); the correction
-    # term is below 1e-11 past the cutover and underflows harmlessly to 0.
-    decay = math.exp(-z)
-    correction = math.log1p(-0.5 * (2.0 + a * c) * decay)
-    log_2_over_c = math.log(2.0 / c)
-    log_support = z + log_2_over_c + correction
-    exponent = log_a - log_2_over_c - correction  # ln a + z - ln S, z cancelled
-    slope = (2.0 - decay) * math.exp(exponent)
-    return log_a, log_support, slope, slope * decay / (2.0 - decay)
 
 
 def _moment_match(c: float, row, shift: float, start: float) -> float:
@@ -265,36 +195,6 @@ def optimal_c_for_two_point(a: float, sigma: float) -> float:
     if not a < sigma * sigma:
         raise ParameterError(f"a must lie in (0, sigma^2), got {a!r}")
     return _optimal_c(a, sigma)
-
-
-def _optimal_c(a: float, sigma: float) -> float:
-    """optimal_c_for_two_point on trusted a in (0, sigma^2)."""
-    return (2.0 * math.log(sigma) - math.log(a)) / (1.0 + a)
-
-
-def _winsor_moment(a: float, b: float, c: float) -> float:
-    """E exp(c * min(1, X)) for the law on {-a, b}, in closed form."""
-    p_pos, p_neg = a / (a + b), b / (a + b)
-    x_pos, x_neg = c * min(1.0, b), -c * a
-    e_pos = in_range("e^(c*min(1, b))", exp_or_inf(x_pos), c, b)
-    moment = p_pos * e_pos + p_neg * math.exp(x_neg)
-    if abs(moment - 1.0) > 2.0**-26:
-        return moment
-    # This close to 1 the sum keeps fewer than 26 bits of moment - 1 and can
-    # round above 1; the deviation from 1, summed directly, keeps them.
-    return 1.0 + (p_pos * math.expm1(x_pos) + p_neg * math.expm1(x_neg))
-
-
-def _optimal_winsor_moment(a: float, sigma: float, c_opt: float) -> float:
-    """Winsorized moment of X_{a, sigma^2/a} at its optimal tilt
-    c_opt = optimal_c_for_two_point(a, sigma):
-    a(1+a)(a/sigma^2)^{-1/(1+a)} / (a^2 + sigma^2)."""
-    if a >= 1.0:
-        return a * (1.0 + a) * math.exp(c_opt) / (a * a + sigma * sigma)
-    # Below a = 1 the logs in c_opt cancel as sigma -> 0, pushing the moment
-    # above 1; in r = a/sigma^2 it is (1+a) r^{a/(1+a)} / (1 + ar), cancel-free.
-    r = (a / sigma) / sigma
-    return math.exp(math.log1p(a) + a / (1.0 + a) * math.log(r) - math.log1p(a * r))
 
 
 def lower_bound_fixed_c(query: BoundQuery) -> Bound:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import asymptotics, errors, oracle, trunc, verify, winsor
+from winsor_bounds import asymptotics, errors, law, oracle, trunc, verify, winsor
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.errors import WinsorBoundsError
 from winsor_bounds.sweeps import SweepKind, compute_sweep, sigma_grid
@@ -124,9 +124,9 @@ def test_criterion_09_trunc_branch_continuity(trunc_root):
     worst = 0.0
     for c in (0.5, 1.0, 2.0, 5.0):
         threshold = trunc.solve_A_c(c)
-        small = trunc._trunc_moment(threshold, 1.0, c)
+        small = law._trunc_moment(threshold, 1.0, c)
         a = trunc_root(c, math.sqrt(threshold))
-        large = trunc._trunc_moment(a, max(threshold / a, 1.0), c)
+        large = law._trunc_moment(a, max(threshold / a, 1.0), c)
         worst = max(worst, abs(small - large) / small)
     assert worst <= 1e-10
     _report(9, f"branch values at sigma^2 = A_c agree to {worst:.2e} (tol 1e-10)")
@@ -147,7 +147,7 @@ def test_criterion_11_collapse_demo():
     floor = winsor.lower_bound_universal(1.0).bound
     assert 0.878 <= floor < 0.879
     assert all(
-        winsor._optimal_winsor_moment(p.a, 1.0, winsor.optimal_c_for_two_point(p.a, 1.0))
+        law._optimal_winsor_moment(p.a, 1.0, winsor.optimal_c_for_two_point(p.a, 1.0))
         >= floor * (1.0 - 1e-12)
         for p in points
     )

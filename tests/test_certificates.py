@@ -10,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from winsor_bounds import certificates, oracle, trunc, verify, winsor
-from winsor_bounds.certificates import MomentKind, QuadraticMinorant
+from winsor_bounds import certificates, law, oracle, trunc, verify, winsor
+from winsor_bounds.certificates import MomentKind
+from winsor_bounds.law import QuadraticMinorant
 from winsor_bounds.winsor import BoundQuery
 from winsor_bounds.errors import ParameterError
 
@@ -24,7 +25,7 @@ def fixed_root(c, sigma):
 def solved_winsor(c, sigma):
     """The fixed-tilt bound's (minorant, kind, c)."""
     return (
-        certificates.minorant(winsor.lower_bound_fixed_c(BoundQuery(c, sigma))),
+        law.minorant(winsor.lower_bound_fixed_c(BoundQuery(c, sigma))),
         MomentKind.WINSOR,
         c,
     )
@@ -34,7 +35,7 @@ def solved_trunc(c, sigma, branch):
     """The truncated bound's (minorant, kind, c), at a point on ``branch``."""
     solution = trunc.lower_bound_trunc(BoundQuery(c, sigma))
     assert solution.branch is branch, (c, sigma)
-    return certificates.minorant(solution), MomentKind.TRUNC, c
+    return law.minorant(solution), MomentKind.TRUNC, c
 
 
 def at_root(a, c, branch=None):
@@ -42,7 +43,7 @@ def at_root(a, c, branch=None):
     Winsorized kind): the fields minorant reads, for an a picked by hand
     rather than solved from a query."""
     kind = "fixed-winsor" if branch is None else "trunc"
-    return winsor.Bound(kind, c, None, 1.0, a, None, c, None, branch)
+    return law.Bound(kind, c, None, 1.0, a, None, c, None, branch)
 
 
 def rising_on_the_cut():
@@ -169,7 +170,7 @@ def verify_negative_control():
 class TestWinsorMinorant:
     def test_tangency_at_both_contacts(self):
         for a, c in ((1.0, 1.0), (0.3, 2.5), (4.0, 0.4)):
-            minorant = certificates.minorant(at_root(a, c))
+            minorant = law.minorant(at_root(a, c))
             b = winsor.b_star(a, c)
             assert minorant.contact_points == (-a, b)
             d = lambda x: float(
@@ -184,16 +185,16 @@ class TestWinsorMinorant:
     def test_sign_structure(self):
         for a in (0.01, 1.0, 10.0):
             for c in (0.1, 1.0, 5.0):
-                minorant = certificates.minorant(at_root(a, c))
+                minorant = law.minorant(at_root(a, c))
                 assert minorant.beta > 0.0 > minorant.gamma
 
     def test_strict_gap_away_from_contacts(self):
-        minorant = certificates.minorant(at_root(1.0, 1.0))
+        minorant = law.minorant(at_root(1.0, 1.0))
         # F(0) - G(0) > 0
         assert minorant(0.0) < 1.0
 
     def test_unit_coefficients(self):
-        minorant = certificates.minorant(at_root(1.0, 1.0))
+        minorant = law.minorant(at_root(1.0, 1.0))
         b = 2.0 * math.e**2 - 3.0
         w = math.exp(-1.0)
         denom = 2.0 * (1.0 + b)
@@ -212,7 +213,7 @@ class TestWinsorMinorant:
 class TestTruncSmallMinorant:
     def test_tangency_and_value_pinning(self):
         for sigma2, c in ((0.25, 1.0), (0.1, 2.0)):
-            minorant = certificates.minorant(at_root(sigma2, c, trunc.Branch.SMALL_SIGMA))
+            minorant = law.minorant(at_root(sigma2, c, trunc.Branch.SMALL_SIGMA))
             d = lambda x: float(
                 certificates.capped_exp(MomentKind.TRUNC, c, x) - minorant(x)
             )
@@ -223,7 +224,7 @@ class TestTruncSmallMinorant:
 
     def test_beta_floor_and_gamma_sign(self):
         for sigma2, c in ((0.25, 1.0), (0.5, 0.5), (0.05, 4.0)):
-            minorant = certificates.minorant(at_root(sigma2, c, trunc.Branch.SMALL_SIGMA))
+            minorant = law.minorant(at_root(sigma2, c, trunc.Branch.SMALL_SIGMA))
             floor = (
                 math.exp(-sigma2 * c) * c * (1.0 + sigma2**2) / (1.0 + sigma2) ** 2
             )
@@ -241,7 +242,7 @@ class TestTruncSmallMinorant:
 class TestTruncLargeMinorant:
     def test_tangency(self):
         for a, c in ((1.0, 1.0), (2.5, 0.8)):
-            minorant = certificates.minorant(at_root(a, c, trunc.Branch.LARGE_SIGMA))
+            minorant = law.minorant(at_root(a, c, trunc.Branch.LARGE_SIGMA))
             b = minorant.contact_points[1]
             assert b >= 1.0
             d = lambda x: float(
@@ -256,7 +257,7 @@ class TestTruncLargeMinorant:
     def test_boundary_case_has_unit_contact_and_right_derivative(self):
         c = 1.0
         threshold = trunc.solve_A_c(c)
-        minorant = certificates.minorant(at_root(threshold, c, trunc.Branch.LARGE_SIGMA))
+        minorant = law.minorant(at_root(threshold, c, trunc.Branch.LARGE_SIGMA))
         assert minorant.contact_points[1] == 1.0
         d = lambda x: float(
             certificates.capped_exp(MomentKind.TRUNC, c, x) - minorant(x)
@@ -267,12 +268,17 @@ class TestTruncLargeMinorant:
         assert abs(right) < 1e-6
         # at the boundary both truncated certificates exist and agree on the
         # small-branch bound value through their shared contact set
-        small = certificates.minorant(at_root(threshold, c, trunc.Branch.SMALL_SIGMA))
+        small = law.minorant(at_root(threshold, c, trunc.Branch.SMALL_SIGMA))
         assert abs(small.contact_points[0] - minorant.contact_points[0]) < 1e-9
         assert small.contact_points[1] == minorant.contact_points[1] == 1.0
+        # at c = 0.1 the support point of A_c rounds an ulp below the cut,
+        # and the large-sigma minorant pins its contact back onto it
+        low = trunc.solve_A_c(0.1)
+        assert law._support_point(low, 0.1, 0.0) < 1.0
+        assert law.minorant(at_root(low, 0.1, trunc.Branch.LARGE_SIGMA)).contact_points[1] == 1.0
 
     def test_sign_structure(self):
-        minorant = certificates.minorant(at_root(2.0, 1.0, trunc.Branch.LARGE_SIGMA))
+        minorant = law.minorant(at_root(2.0, 1.0, trunc.Branch.LARGE_SIGMA))
         assert minorant.beta > 0.0 > minorant.gamma
 
 
@@ -287,7 +293,7 @@ class TestCheckCertificate:
         c, sigma = 2.0, 3.0
         cases = (
             (MomentKind.WINSOR, solved_winsor(c, sigma)[0]),
-            (MomentKind.TRUNC, certificates.minorant(at_root(0.1, c, trunc.Branch.SMALL_SIGMA))),
+            (MomentKind.TRUNC, law.minorant(at_root(0.1, c, trunc.Branch.SMALL_SIGMA))),
             (MomentKind.TRUNC, solved_trunc(c, sigma, trunc.Branch.LARGE_SIGMA)[0]),
         )
         for kind, minorant in cases:
@@ -338,7 +344,7 @@ class TestCheckCertificate:
             from_coefficients(1.0, 1.0, 0.0, (0.0, 1.0))
 
     def test_nan_minorant_fails(self):
-        good = certificates.minorant(at_root(1.0, 1.0))
+        good = law.minorant(at_root(1.0, 1.0))
         nan = from_coefficients(math.nan, good.beta, good.gamma, good.contact_points)
         report = certificates.check_certificate(nan, MomentKind.WINSOR, 1.0)
         assert not report.passed
@@ -356,7 +362,7 @@ class TestCheckCertificate:
         assert TWO_SPIKES_AT not in np.linspace(-20.0, 20.0, certificates.GRID_BASE_POINTS)
 
     def test_grid_spans_ten_times_contacts(self):
-        minorant = certificates.minorant(at_root(1.0, 1.0))
+        minorant = law.minorant(at_root(1.0, 1.0))
         grid = certificates.certificate_grid(minorant)
         b = minorant.contact_points[1]
         assert grid[0] <= -10.0 * b and grid[-1] >= 10.0 * b
@@ -407,7 +413,7 @@ def test_results_verify_never_certifies_have_passing_certificates():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for result, kind in results:
-            minorant = certificates.minorant(result)
+            minorant = law.minorant(result)
             report = certificates.check_certificate(minorant, kind, result.tilt)
             assert report.passed, (result, report)
             assert max(max(pair) for pair in report.contact_gaps.values()) <= 1e-12, result
@@ -540,7 +546,7 @@ def verify_grid_case(c, sigma, kind):
     truncated branch (None for the Winsorized kind)."""
     solve = winsor.lower_bound_fixed_c if kind is MomentKind.WINSOR else trunc.lower_bound_trunc
     result = solve(BoundQuery(c, sigma))
-    return (certificates.minorant(result), kind, c), result.branch
+    return (law.minorant(result), kind, c), result.branch
 
 
 @pytest.mark.parametrize("kind", list(MomentKind))
@@ -716,7 +722,7 @@ def seeded_bounds(n, seed=37):
 def test_check_matches_sorted_grid_reference_past_the_verify_box():
     outside = 0
     for result, kind in seeded_bounds(40):
-        case = certificates.minorant(result), kind, result.tilt
+        case = law.minorant(result), kind, result.tilt
         outside += not 0.1 <= result.tilt <= 10.0
         report = certificates.check_certificate(*case)
         walked = (report.passed, report.worst_gap, report.worst_x, report.equality_localized)
@@ -891,7 +897,7 @@ def test_walk_skips_only_points_clear_of_equality(monkeypatch):
         return walks[-1][1]
 
     monkeypatch.setattr(certificates, "_kept", recorded)
-    cases = [(certificates.minorant(result), kind, result.tilt) for result, kind in seeded_bounds(40)]
+    cases = [(law.minorant(result), kind, result.tilt) for result, kind in seeded_bounds(40)]
     cases += [make() for make in BATCH_EDGE_CASES.values()]
     certificates.check_certificates(cases)
     [(checks, kept)] = walks
@@ -1063,10 +1069,14 @@ def test_capped_exp_out_with_broadcast_tilts(kind):
     assert bits(out) == expected
 
 
-def test_minorant_gives_the_horner_bits_and_a_0d_float64():
+def test_minorant_gives_the_horner_bits_and_a_float():
+    # the arrays of a check chunk (_horner) and a lone check (__call__) form
+    # the same bits; a float argument gives a float, formed without NumPy
     minorant = solved_winsor(600.0, 1.0)[0]
     x = np.linspace(-1e259, 1e259, 5_001)
-    u = x - minorant.contact_points[0]
-    expected = bits(minorant.lower_value + u * (minorant.lower_slope + minorant.gamma * u))
+    x_lo, value, slope, gamma = minorant.contact_points[0], *minorant[1:]
+    u = x - x_lo
+    expected = bits(value + u * (slope + gamma * u))
     assert bits(minorant(x)) == expected
-    assert type(minorant(0.5)) is np.float64
+    assert bits(certificates._horner(x, [x_lo], [value], [slope], [gamma], [x.size])) == expected
+    assert type(minorant(0.5)) is float

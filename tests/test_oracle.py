@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from winsor_bounds import oracle, trunc, verify, winsor
+from winsor_bounds import law, oracle, trunc, verify, winsor
 from winsor_bounds.certificates import MomentKind, capped_exp
 from winsor_bounds.winsor import BoundQuery
 from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError
@@ -515,7 +515,7 @@ class TestCollapse:
     def test_winsor_floor_survives_collapse_path(self):
         floor = winsor.lower_bound_universal(1.0).bound
         for a in (0.5, 0.2, 0.1, 0.05, 0.01):
-            moment = winsor._optimal_winsor_moment(a, 1.0, winsor.optimal_c_for_two_point(a, 1.0))
+            moment = law._optimal_winsor_moment(a, 1.0, winsor.optimal_c_for_two_point(a, 1.0))
             assert moment >= floor * (1.0 - 1e-12)
 
     def test_matches_scalar_reference(self):

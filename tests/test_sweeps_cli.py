@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import winsor_bounds
-from winsor_bounds import asymptotics, certificates, cli, sweeps, verify
+from winsor_bounds import asymptotics, cli, law, sweeps, verify
 from winsor_bounds.errors import LN_DBL_MAX, ParameterError, WinsorBoundsError
 from winsor_bounds.sweeps import (
     SweepKind, SweepTable, compute_sweep, read_csv, sigma_grid, write_csv,
@@ -869,6 +869,8 @@ class TestCli:
         # modules precede the package's: bound and constants load none of the
         # six below, and sweep none but tempfile and random (its write_csv
         # loads tempfile, which loads random).  argparse loads shutil itself.
+        # law.minorant, built for a bound of each kind (the truncated one on
+        # both branches) and evaluated at a float, loads no NumPy either
         out = str(tmp_path / "ratio.csv")
         script = (
             "import sys\n"
@@ -882,6 +884,11 @@ class TestCli:
             "codes.append(cli.main(['sweep', '--kind', 'ratio-trunc-over-winsor', '--c', '1,2',\n"
             f"    '--sigma-min', '0.1', '--sigma-max', '10', '--points', '5', '--out', {out!r}]))\n"
             "print('loaded:', *(name for name in names if name in sys.modules))\n"
+            "from winsor_bounds import BoundQuery, law, lower_bound_fixed_c, lower_bound_trunc\n"
+            "from winsor_bounds import lower_bound_universal\n"
+            "bounds = (lower_bound_universal(2.0), lower_bound_fixed_c(BoundQuery(1.0, 2.0)),\n"
+            "          lower_bound_trunc(BoundQuery(1.0, 0.5)), lower_bound_trunc(BoundQuery(1.0, 2.0)))\n"
+            "print('G:', *(type(law.minorant(bound)(0.5)).__name__ for bound in bounds))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
             "sys.exit(max(codes))\n"
         )
@@ -896,7 +903,7 @@ class TestCli:
         after_bound, after_sweep = (line.split()[1:] for line in lines if line.startswith("loaded:"))
         assert after_bound == []
         assert not {"dataclasses", "inspect", "typing", "csv"} & set(after_sweep)
-        assert lines[-1] == "[]"
+        assert lines[-2:] == ["G: float float float float", "[]"]
         assert len(read_csv(out)[1]) == 5
 
     def test_scalar_verify_suites_never_import_numpy(self):
@@ -999,7 +1006,7 @@ class TestCli:
         zeroed = (verify.C_GRID[0], verify.SIGMA_GRID[-1])
         sigma = verify.SIGMA_GRID[10]
         a_shrunk = lower_bound_fixed_c(BoundQuery(2.0, sigma)).a
-        minorant = certificates.minorant
+        minorant = law.minorant
 
         def solved_off(query):
             solution = lower_bound_fixed_c(query)
@@ -1013,7 +1020,7 @@ class TestCli:
             good, a = minorant(result), result.a
             if (result.kind, a, result.tilt) != ("fixed-winsor", a_shrunk, 2.0):
                 return good
-            return certificates.QuadraticMinorant(
+            return law.QuadraticMinorant(
                 contact_points=good.contact_points,
                 lower_value=good.lower_value + 0.1 * good.beta * a,
                 lower_slope=good.lower_slope - 0.1 * good.beta,
@@ -1021,7 +1028,7 @@ class TestCli:
             )
 
         monkeypatch.setattr(verify.winsor, "lower_bound_fixed_c", solved_off)
-        monkeypatch.setattr(certificates, "minorant", shrunk)
+        monkeypatch.setattr(law, "minorant", shrunk)
         failed = {}
         for suite in ("ordering", "certificates"):
             assert cli.main(["verify", "--suite", suite]) == cli.EXIT_VERIFY_FAILED

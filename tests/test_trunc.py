@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from winsor_bounds import trunc, winsor
+from winsor_bounds import law, trunc, winsor
 from winsor_bounds.errors import ExponentOverflowError, ParameterError
 from winsor_bounds.trunc import Branch
 from winsor_bounds.winsor import BoundQuery
@@ -137,27 +137,27 @@ class TestSolveAcSigma:
 class TestTruncMoment:
     def test_cut_point_maps_to_zero(self):
         for c in (0.5, 1.0, 4.0):
-            assert abs(trunc._trunc_moment(1.0, 1.0, c) - 0.5 * (1.0 + math.exp(-c))) < 1e-14
+            assert abs(law._trunc_moment(1.0, 1.0, c) - 0.5 * (1.0 + math.exp(-c))) < 1e-14
 
     def test_small_branch_closed_form(self):
         for sigma2, c in ((0.25, 1.0), (0.04, 3.0)):
             expected = (sigma2 + math.exp(-c * sigma2)) / (1.0 + sigma2)
-            assert abs(trunc._trunc_moment(sigma2, 1.0, c) - expected) < 1e-14
+            assert abs(law._trunc_moment(sigma2, 1.0, c) - expected) < 1e-14
 
     def test_sub_cut_support_keeps_exponential(self):
-        assert abs(trunc._trunc_moment(0.5, 0.5, 1.0) - math.cosh(0.5)) < 1e-14
+        assert abs(law._trunc_moment(0.5, 0.5, 1.0) - math.cosh(0.5)) < 1e-14
 
     def test_exponential_up_to_the_edge_of_the_doubles(self):
         # cb = 709.65 lies below ln DBL_MAX ~ 709.78, so e^(cb) is a double
-        value = trunc._trunc_moment(1.0, 0.9, 788.5)
+        value = law._trunc_moment(1.0, 0.9, 788.5)
         assert math.isfinite(value)
         assert value == pytest.approx(8.29e307, rel=1e-3)
         with pytest.raises(ExponentOverflowError, match=r"^e\^\(cb\) overflows"):
-            trunc._trunc_moment(1.0, 0.9, 800.0)
+            law._trunc_moment(1.0, 0.9, 800.0)
 
     def test_underflow_to_zero_is_reported(self):
         # e^(-ca) underflows, leaving the upper mass a/(a+b)
-        value = trunc._trunc_moment(1.0, 1e6, 2000.0)
+        value = law._trunc_moment(1.0, 1e6, 2000.0)
         assert value == pytest.approx(1.0 / (1.0 + 1e6), rel=1e-12)
 
 
@@ -181,9 +181,9 @@ class TestLowerBoundTrunc:
         for c in (0.5, 1.0, 2.0, 5.0):
             threshold = trunc.solve_A_c(c)
             sigma = math.sqrt(threshold)
-            small = trunc._trunc_moment(threshold, 1.0, c)
+            small = law._trunc_moment(threshold, 1.0, c)
             a = trunc_root(c, sigma)
-            large = trunc._trunc_moment(a, max(threshold / a, 1.0), c)
+            large = law._trunc_moment(a, max(threshold / a, 1.0), c)
             assert abs(small - large) <= 1e-10 * small
 
     def test_branch_tie_goes_small(self):
@@ -191,7 +191,7 @@ class TestLowerBoundTrunc:
         solution = trunc.lower_bound_trunc(BoundQuery(1.0, math.sqrt(threshold)))
         # solver noise may land sigma^2 an ulp either side of the threshold,
         # but the bound itself is branch-continuous
-        small_value = trunc._trunc_moment(threshold, 1.0, 1.0)
+        small_value = law._trunc_moment(threshold, 1.0, 1.0)
         assert abs(solution.bound - small_value) < 1e-10
 
     def test_small_sigma_slope(self):

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from winsor_bounds import (
-    asymptotics, certificates, cli, errors, oracle, roots, trunc, verify, winsor,
+    asymptotics, certificates, cli, errors, law, oracle, roots, trunc, verify, winsor,
 )
 from winsor_bounds.asymptotics import Regime
 from winsor_bounds.certificates import MomentKind
@@ -46,7 +46,7 @@ TRUNC_LARGE_BOUND = trunc.lower_bound_trunc(BoundQuery(1.0, TRUNC_LARGE_SIGMA))
 
 def minorant_of(solve, sigma):
     """A minorant of solve's kind at tilt v, built from the Bound solve gives."""
-    return lambda v: certificates.minorant(solve(BoundQuery(v, sigma)))
+    return lambda v: law.minorant(solve(BoundQuery(v, sigma)))
 
 
 # (entry point, argument name, call with the argument set to v); the
@@ -81,16 +81,16 @@ ENTRY_POINTS = [
     ("trunc_asymptote", "sigma", lambda v: asymptotics.trunc_asymptote(1.0, v, Regime.SMALL_SIGMA)),
     ("universal_asymptote", "sigma",
      lambda v: asymptotics.universal_asymptote(v, Regime.LARGE_SIGMA)),
-    ("winsor_minorant", "a", lambda v: certificates.minorant(WINSOR_BOUND._replace(a=v))),
+    ("winsor_minorant", "a", lambda v: law.minorant(WINSOR_BOUND._replace(a=v))),
     ("winsor_minorant", "c", minorant_of(winsor.lower_bound_fixed_c, 1.0)),
     ("trunc_minorant_small", "a",
-     lambda v: certificates.minorant(TRUNC_SMALL_BOUND._replace(a=v))),
+     lambda v: law.minorant(TRUNC_SMALL_BOUND._replace(a=v))),
     ("trunc_minorant_small", "c", minorant_of(trunc.lower_bound_trunc, TRUNC_SMALL_SIGMA)),
     ("trunc_minorant_large", "a",
-     lambda v: certificates.minorant(TRUNC_LARGE_BOUND._replace(a=v))),
+     lambda v: law.minorant(TRUNC_LARGE_BOUND._replace(a=v))),
     ("trunc_minorant_large", "c", minorant_of(trunc.lower_bound_trunc, TRUNC_LARGE_SIGMA)),
-    ("minorant", "result", lambda v: certificates.minorant(v)),
-    ("minorant", "tilt", lambda v: certificates.minorant(WINSOR_BOUND._replace(tilt=v))),
+    ("minorant", "result", lambda v: law.minorant(v)),
+    ("minorant", "tilt", lambda v: law.minorant(WINSOR_BOUND._replace(tilt=v))),
     ("trunc_collapse_sequence", "sigma", lambda v: oracle.trunc_collapse_sequence(v, (0.5,))),
     ("refine_grid_min", "c", lambda v: oracle.refine_grid_min(v, 1.0, MomentKind.WINSOR)),
     ("refine_grid_min", "sigma", lambda v: oracle.refine_grid_min(1.0, v, MomentKind.TRUNC)),
@@ -148,10 +148,24 @@ def test_minorant_rows_reach_each_truncated_branch():
     assert TRUNC_LARGE_BOUND.branch is trunc.Branch.LARGE_SIGMA
 
 
+@pytest.mark.parametrize("bound", (TRUNC_SMALL_BOUND, TRUNC_LARGE_BOUND), ids=("small", "large"))
+def test_minorant_reads_a_branch_given_by_its_value_and_refuses_others(bound):
+    # Branch is a str Enum: "small-sigma" == Branch.SMALL_SIGMA, but only a
+    # normalized branch selects the cut contact rather than the tangent at B_star
+    assert repr(law.minorant(bound._replace(branch=bound.branch.value))) == repr(
+        law.minorant(bound)
+    )
+    for value in ("bogus", "", 1.0):
+        with pytest.raises(
+            ParameterError, match=rf"^branch must be one of small-sigma, large-sigma; got {value!r}"
+        ):
+            law.minorant(bound._replace(branch=value))
+
+
 def test_minorant_refuses_the_fields_of_a_bound_without_its_type():
     fields = tuple(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0)))
     with pytest.raises(ParameterError, match=r"^result must be a Bound, got \("):
-        certificates.minorant(fields)
+        law.minorant(fields)
 
 
 @pytest.mark.parametrize("value", BAD, ids=bad_id)
@@ -165,7 +179,7 @@ def test_query_validation(name, value):
 # The NumPy layer's records, each a named tuple: (record, a keyword
 # construction in field order, its defaults)
 RECORDS = [
-    (certificates.QuadraticMinorant,
+    (law.QuadraticMinorant,
      dict(contact_points=(-1.0, 2.0), lower_value=1.0, lower_slope=2.0, gamma=-0.5), {}),
     (certificates.CertificateReport,
      dict(passed=True, worst_gap=0.0, worst_x=2.0, equality_localized=True, n_points=106_008,
@@ -197,13 +211,13 @@ BAD_MINORANT_COEFFICIENTS = [
     (1.0, math.nan, math.nan), (math.nan, -0.5, math.nan),
 ]
 MINORANT_BUILDS = {
-    "direct": lambda slope, gamma: certificates.QuadraticMinorant(
+    "direct": lambda slope, gamma: law.QuadraticMinorant(
         contact_points=(-1.0, 2.0), lower_value=1.0, lower_slope=slope, gamma=gamma
     ),
-    "_make": lambda slope, gamma: certificates.QuadraticMinorant._make(
+    "_make": lambda slope, gamma: law.QuadraticMinorant._make(
         ((-1.0, 2.0), 1.0, slope, gamma)
     ),
-    "_replace": lambda slope, gamma: certificates.QuadraticMinorant(
+    "_replace": lambda slope, gamma: law.QuadraticMinorant(
         (-1.0, 2.0), 1.0, 2.0, -0.5
     )._replace(lower_slope=slope, gamma=gamma),
 }
@@ -343,10 +357,10 @@ def test_regime_given_by_its_value(regime):
 MOMENT_KIND_ENTRIES = {
     "capped_exp": lambda k: certificates.capped_exp(k, 1.0, np.linspace(-2.0, 3.0, 11)),
     "check_certificate": lambda k: certificates.check_certificate(
-        certificates.minorant(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))), k, 1.0
+        law.minorant(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))), k, 1.0
     ),
     "check_certificates": lambda k: certificates.check_certificates(
-        [(certificates.minorant(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))), k, 1.0)]
+        [(law.minorant(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))), k, 1.0)]
     ),
     "two_point_moment_grid": lambda k: oracle.two_point_moment_grid(
         k, 1.0, 1.0, np.array([0.25, 0.5, 2.0])

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from winsor_bounds import cli, roots, trunc, verify, winsor
+from winsor_bounds import cli, law, roots, trunc, verify, winsor
 from winsor_bounds.errors import (
     ExponentOverflowError, MaxIterationsError, NoSignChangeError, ParameterError,
 )
@@ -33,7 +33,7 @@ def universal_root(sigma):
 
 def optimal_moment(a, sigma):
     """The Winsorized moment of X_{a, sigma^2/a} at its optimal tilt."""
-    return winsor._optimal_winsor_moment(a, sigma, winsor.optimal_c_for_two_point(a, sigma))
+    return law._optimal_winsor_moment(a, sigma, winsor.optimal_c_for_two_point(a, sigma))
 
 
 def mp_b_star(a, c):
@@ -112,7 +112,7 @@ class TestBStar:
         z = mpf(shift) + mpf(a) * c
         support = (2 * mp.expm1(z) - mpf(a) * c) / c
         expected = mpf(a) * (2 * mp.exp(z) - 1) / support
-        slope = winsor._log_support(a, c, shift)[2]
+        slope = law._log_support(a, c, shift)[2]
         assert slope == pytest.approx(float(expected), rel=1e-13)
 
     @pytest.mark.parametrize(
@@ -133,7 +133,7 @@ class TestBStar:
         z = mpf(shift) + mpf(a) * c
         support = (2 * mp.expm1(z) - mpf(a) * c) / c
         expected = float(mpf(a) * (2 * mp.exp(z) - 1) / support)
-        slope = winsor._log_support(a, c, shift)[2]
+        slope = law._log_support(a, c, shift)[2]
         assert abs(slope - expected) <= 4.0 * math.ulp(expected), (slope, expected)
 
     def test_log_form_beyond_overflow(self):
@@ -243,32 +243,32 @@ class TestSolveASigma:
 class TestWinsorMoment:
     def test_symmetric_two_point_is_cosh(self):
         for c in (0.25, 1.0, 3.0):
-            assert abs(winsor._winsor_moment(1.0, 1.0, c) - math.cosh(c)) < 1e-14
+            assert abs(law._winsor_moment(1.0, 1.0, c) - math.cosh(c)) < 1e-14
 
     def test_universal_extremal_reproduces_published_value(self):
         solution = winsor.lower_bound_universal(1.0)
-        direct = winsor._winsor_moment(solution.a, solution.b, solution.tilt)
+        direct = law._winsor_moment(solution.a, solution.b, solution.tilt)
         assert abs(direct - 0.8781357139504142) < 1e-10
         assert abs(direct - solution.bound) < 1e-12
 
     def test_vanishing_lower_point_gives_one(self):
-        assert abs(winsor._winsor_moment(1e-14, 1.0, 2.0) - 1.0) < 1e-12
+        assert abs(law._winsor_moment(1e-14, 1.0, 2.0) - 1.0) < 1e-12
 
     def test_near_one_is_within_an_ulp(self):
         # extremal laws whose moment is within ~1e-8 of 1, where the plain
         # sum of the two atoms misses it by up to 1.7 * 2^-53
         for c in np.geomspace(1e-8, 1e-1, 15):
             for sigma in np.geomspace(1e-10, 1e-3, 15):
-                law = winsor.lower_bound_fixed_c(BoundQuery(float(c), float(sigma)))
-                moment = winsor._winsor_moment(law.a, law.b, float(c))
-                a, b = mpf(law.a), mpf(law.b)
+                extremal = winsor.lower_bound_fixed_c(BoundQuery(float(c), float(sigma)))
+                moment = law._winsor_moment(extremal.a, extremal.b, float(c))
+                a, b = mpf(extremal.a), mpf(extremal.b)
                 exact = (a * mp.exp(c * min(1, b)) + b * mp.exp(-c * a)) / (a + b)
                 assert moment <= 1.0
                 assert abs(moment - exact) <= 2.0**-53
 
     def test_overflow_signalled_for_sub_cut_support(self):
         with pytest.raises(ExponentOverflowError):
-            winsor._winsor_moment(1.0, 0.5, 2000.0)
+            law._winsor_moment(1.0, 0.5, 2000.0)
 
 
 class TestOptimalTilt:
@@ -294,7 +294,7 @@ class TestOptimalTilt:
         for sigma in (0.2, 1.0, 50.0):
             a = 0.3 * sigma * sigma
             c = winsor.optimal_c_for_two_point(a, sigma)
-            direct = winsor._winsor_moment(a, sigma * sigma / a, c)
+            direct = law._winsor_moment(a, sigma * sigma / a, c)
             assert abs(optimal_moment(a, sigma) - direct) < 1e-12 * direct
 
 

@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run invariant suites")
     # run_suite names the valid suites when refusing one (exit 2)
     p_verify.add_argument("--suite", default="all", help="a suite name, or all")
-    p_verify.add_argument("--seed", type=int, default=1, help="oracle probe seed")
+    p_verify.add_argument("--seed", type=int, default=1, help="accepted, selects nothing")
     p_verify.set_defaults(run=cmd_verify)
 
     p_collapse = sub.add_parser("collapse-demo", help="truncated collapse vs the Winsorized floor")

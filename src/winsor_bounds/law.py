@@ -174,16 +174,19 @@ class QuadraticMinorant(
 
 def minorant(result: Bound) -> QuadraticMinorant:
     """The parabola that proves ``result``: tangent to e^{cx} at -a, with
-    c = result.tilt, and touching F at b.  On the truncated small-sigma
-    branch b is the cut 1 and G(1) = 1 fixes gamma; otherwise G'(b) = 0,
-    which gamma = -c e^{-ac} / (2(a+b)) gives: F is flat at b, and the
-    support maps b_star and B_star, recomputed here from a, put G(b) on F.
-    Roundoff at the truncated branch boundary may put B_star an ulp below
-    the cut, where the truncation indicator flips; the branch pins b >= 1."""
+    c = result.tilt, and touching F at b; only a truncated result has a
+    branch.  On the truncated small-sigma branch b is the cut 1 and G(1) = 1
+    fixes gamma; otherwise G'(b) = 0, which gamma = -c e^{-ac} / (2(a+b))
+    gives: F is flat at b, and the support maps b_star and B_star,
+    recomputed here from a, put G(b) on F.  Roundoff at the truncated branch
+    boundary may put B_star an ulp below the cut, where the truncation
+    indicator flips; the branch pins b >= 1."""
     if not isinstance(result, Bound):
         raise ParameterError(f"result must be a Bound, got {result!r}")
     a, c = require_positive("a", result.a), require_positive("tilt", result.tilt)
     branch = None if result.branch is None else _choice(Branch, "branch", result.branch)
+    if (branch is None) == (result.kind == "trunc"):
+        raise ParameterError(f"branch {result.branch!r} does not fit kind {result.kind!r}")
     w = math.exp(-a * c)
     if branch is Branch.SMALL_SIGMA:
         b, gamma = 1.0, w * (math.exp(a * c) - a * c - c - 1.0) / (a + 1.0) ** 2

@@ -5,8 +5,8 @@ Three verification routes:
 * grid minimization of the closed-form two-point moments over the lower
   support magnitude (and jointly over the tilt, skipping rows a closed-form
   floor rules out), with staged window refinement around the coarse argmin;
-* randomized three-point laws satisfying the same moment constraints, which
-  must never undercut any bound;
+* an exact linear program over every law on a support grid with the same
+  moment constraints (lp_min), which must never undercut any bound;
 * the collapse construction (a, sigma^2/a) with tilt 1/a^2 showing that the
   truncated moment has no positive tilt-universal floor while the
   Winsorized one does.
@@ -20,7 +20,9 @@ from collections import namedtuple
 import numpy as np
 
 from .certificates import MomentKind, capped_exp
-from .errors import ParameterError, _choice, exp_or_inf, in_range, require_integer, require_positive
+from .errors import (
+    MaxIterationsError, ParameterError, _choice, exp_or_inf, in_range, require_positive,
+)
 
 # (a, c) points of each stage of the searches: the first spans the whole grid,
 # each later one a window of cells on either side of the previous argmin
@@ -34,6 +36,9 @@ _BLOCK = 8_192  # cells per evaluation block: a 64 KB temporary stays in L2
 # least floor's row.  A cell errs by (c a + 8) 2^-53 (-c*a's rounding, then an ulp a step) where
 # b e^(-ca) matters, c a < ln(b/a) + 37 < 750; a floor by 2e-13 (its exponent is below 710).
 _FLOOR_MARGIN = 1e-9
+LP_GRID = np.geomspace(1e-6, 1e6, 1_000)  # lp_min's grid in units of sigma, either side of 0
+_PRICE_TOL = 1e-12  # a scaled reduced cost below -_PRICE_TOL enters the basis
+_LP_PIVOTS = 200    # verify's five cases take 10-16
 
 
 class GridMinResult(namedtuple(
@@ -186,81 +191,46 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     )
 
 
-class ThreePointProbe(namedtuple("ThreePointProbe", "support masses tilts")):
-    """Randomized zero-mean three-point laws with second moment <= sigma^2:
-    ``support`` and ``masses`` are (n, 3) arrays, ``tilts`` is (n,)."""
-
-    __slots__ = ()
+LPResult = namedtuple("LPResult", "value support weights alpha beta gamma pivots")
 
 
-def sample_three_point(sigma: float, n_samples: int, seed: int) -> ThreePointProbe:
-    """Deterministic (seeded) sample of admissible three-point laws.
-
-    Support points, drawn in units of sigma, are centered to zero mean, then
-    scaled so the second moment is a uniform fraction of sigma^2; tilts are
-    sampled uniformly for probing bounds that optimize over the tilt.
-    n_samples must be an integer >= 1, seed an integer >= 0, sigma^2 a double
-    and the least target second moment (0.05 sigma)^2 a normal one (in_range).
-    """
-    sigma = require_positive("sigma", sigma)
-    in_range("sigma^2", sigma * sigma, sigma)
-    in_range("0.05 sigma in units of 2^-511, the root of the least normal double",
-             0.05 * sigma // 2.0**-511, sigma)
-    require_integer("n_samples", n_samples, 1)
-    require_integer("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    support = rng.normal(0.0, 2.0, size=(n_samples, 3))
-    masses = rng.dirichlet((1.0, 1.0, 1.0), size=n_samples)
-    fraction = rng.uniform(0.05, 1.0, size=(n_samples, 1))
-    tilts = rng.uniform(0.05, 10.0, size=n_samples)
-    # then in place, in blocks of rows: x - E x, times
-    # sqrt(fraction^2 / max(E (x - E x)^2, 1e-300)) * sigma
-    rows = _BLOCK // 3
-    buffer, sums = np.empty(_BLOCK), np.empty((rows, 1))
-    for first in range(0, n_samples, rows):
-        block = slice(first, first + rows)
-        x, p, u = support[block], masses[block], fraction[block]
-        work, total = buffer[: x.size].reshape(x.shape), sums[: x.shape[0]]
-        np.multiply(x, p, out=work)
-        np.subtract(x, _row_sums(work, total), out=x)
-        np.multiply(x, x, out=work)
-        np.multiply(work, p, out=work)
-        second = np.maximum(_row_sums(work, total), 1e-300, out=total)
-        np.multiply(u, u, out=u)
-        np.divide(u, second, out=u)
-        np.multiply(np.sqrt(u, out=u), sigma, out=u)
-        np.multiply(x, u, out=x)
-    return ThreePointProbe(support=support, masses=masses, tilts=tilts)
-
-
-def probe_moments(probe: ThreePointProbe, kind: MomentKind, c) -> np.ndarray:
-    """E exp(c * capped(X)) for each sampled law; c may be scalar or (n,).
-    Formed in blocks of rows, about _BLOCK cells, in one buffer."""
+def lp_min(kind: MomentKind, c: float, sigma: float) -> LPResult:
+    """The least E F(X) over the laws on x in sigma * (+-LP_GRID, -1, 0, 1) and the
+    cut 1 with E X = 0, E X^2 = sigma^2 (at least the bound), by a revised simplex
+    on 3x3 bases in units of sigma: from the law on {-1, 1}, 0 basic, weights
+    clamped at 0, Dantzig pricing of costs scaled by max(F, |alpha| + |beta x| +
+    |gamma| x^2), Bland's rule after three degenerate pivots.  Returns the value,
+    the basis (one weight may be 0), its dual alpha + beta x + gamma x^2 <= F and
+    the pivots.  in_range refuses a sigma whose grid end sigma * 1e6 or cut 1/sigma
+    in units of sigma squares past the doubles, and a (c, sigma) whose F overflows."""
+    c, sigma = require_positive("c", c), require_positive("sigma", sigma)
     kind = _choice(MomentKind, "kind", kind)
-    c = np.asarray(c, dtype=float)
-    n = probe.support.shape[0]
-    if c.shape not in ((), (n,)):
-        raise ParameterError(f"c must be a scalar or one tilt per law, shape ({n},); got {c.shape}")
-    if c.ndim == 1:
-        c = c[:, None]
-    moments = np.empty(n)
-    buffer = np.empty(_BLOCK)
-    rows = _BLOCK // 3
-    for first in range(0, n, rows):
-        block = slice(first, first + rows)
-        values = buffer[: probe.support[block].size].reshape(-1, 3)
-        capped_exp(kind, c[block] if c.ndim else c, probe.support[block], out=values)
-        np.multiply(probe.masses[block], values, out=values)
-        _row_sums(values, moments[block, None])
-    return moments
-
-
-def _row_sums(values: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sums of the three columns of ``values`` into the (rows, 1) ``out``,
-    left to right: np.sum(axis=1)'s bits for three columns, in two adds
-    rather than a reduction over rows of three."""
-    np.add(values[:, :1], values[:, 1:2], out=out)
-    return np.add(out, values[:, 2:], out=out)
+    end, cut = sigma * float(LP_GRID[-1]), 1.0 / sigma
+    in_range("the square of the grid's end sigma * 1e6", end * end, sigma)
+    in_range("the square of the cut in units of sigma, 1/sigma", cut * cut, sigma)
+    x = np.unique(np.concatenate((-sigma * LP_GRID, sigma * LP_GRID, (-sigma, 0.0, sigma, 1.0))))
+    with np.errstate(over="ignore"):
+        f = capped_exp(kind, c, x)
+    in_range("the grid's largest F", float(f.max()), c, sigma)
+    y, basis, degenerate = x / sigma, np.searchsorted(x, (-sigma, 0.0, sigma)), 0
+    for pivot in range(_LP_PIVOTS + 1):
+        rows = np.array((np.ones(3), y[basis], y[basis] ** 2))
+        p = np.maximum(np.linalg.solve(rows, (1.0, 0.0, 1.0)), 0.0)
+        alpha, beta, gamma = np.linalg.solve(rows.T, f[basis])
+        scale = np.maximum(f, abs(alpha) + np.abs(y) * (abs(beta) + abs(gamma) * np.abs(y)))
+        reduced = (f - (alpha + y * (beta + gamma * y))) / scale
+        reduced[basis] = 0.0
+        entering = np.flatnonzero(reduced < -_PRICE_TOL)
+        if not entering.size:
+            return LPResult(float(p @ f[basis]), tuple(x[basis].tolist()), tuple(p.tolist()),
+                            float(alpha), float(beta / sigma), float(gamma / sigma / sigma), pivot)
+        j = entering[0] if degenerate >= 3 else reduced.argmin()
+        step, ratios = np.linalg.solve(rows, (1.0, y[j], y[j] ** 2)), np.full(3, np.inf)
+        np.divide(p, step, out=ratios, where=step > 0.0)
+        tied = np.flatnonzero(ratios == ratios.min())  # of these, the least basis index leaves
+        degenerate += ratios[tied[0]] == 0.0
+        basis[tied[basis[tied].argmin()]] = j
+    raise MaxIterationsError(f"the grid LP did not reach its optimum in {_LP_PIVOTS} pivots")
 
 
 CollapsePoint = namedtuple("CollapsePoint", "a c moment")

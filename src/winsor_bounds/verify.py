@@ -4,7 +4,7 @@ Each suite re-derives a family of mathematical guarantees numerically over
 fixed test grids and reports the worst observed violation.  The suites back
 both the CLI ``verify`` command and the acceptance tests.
 
-Every suite is called as ``suite(grid, seed)``.  ``run_suite`` builds one
+Every suite is called as ``suite(grid)``.  ``run_suite`` builds one
 ``Grid`` per call and hands it to each suite it runs: every bound, branch
 threshold and refined oracle search a suite reads goes through it, so each
 is solved once per run, when first read, and is not kept past the run.
@@ -113,7 +113,7 @@ class Grid:
         self.refined = functools.cache(_refine_grid_min)
 
 
-def suite_roots(grid: Grid, seed: int) -> list[CheckResult]:
+def suite_roots(grid: Grid) -> list[CheckResult]:
     """Residuals of every solved root plus the analytic identities tying the
     universal quantities together."""
     results = []
@@ -166,7 +166,7 @@ def suite_roots(grid: Grid, seed: int) -> list[CheckResult]:
     return results
 
 
-def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
+def suite_ordering(grid: Grid) -> list[CheckResult]:
     """Bound comparisons and monotonicity across the (c, sigma) grid."""
     results = []
 
@@ -232,7 +232,7 @@ def suite_ordering(grid: Grid, seed: int) -> list[CheckResult]:
     return results
 
 
-def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
+def suite_certificates(grid: Grid) -> list[CheckResult]:
     """Tangent-minorant geometry over the full grid: G <= F, localized
     equality, tangency at contacts, and the claimed coefficient signs."""
     from . import certificates
@@ -293,9 +293,9 @@ def suite_certificates(grid: Grid, seed: int) -> list[CheckResult]:
     ]
 
 
-def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:
-    """Grid minimization agrees with the analytic roots; random three-point
-    laws never undercut any bound; the truncated collapse reaches zero."""
+def suite_oracle(grid: Grid) -> list[CheckResult]:
+    """Grid minimization agrees with the analytic roots; no law on a support
+    grid undercuts any bound; the truncated collapse reaches zero."""
     import numpy as np
 
     from . import oracle
@@ -347,25 +347,27 @@ def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:
     results.append(_bounded_check("oracle.argmin_uniqueness_margin", worst, -1e-12,
                                   "values one refined cell away strictly exceed the minimum"))
 
-    probe = oracle.sample_three_point(1.0, 100_000, seed)
-    floor_fixed = grid.fixed(1.0, 1.0).bound
-    floor_universal = grid.universal(1.0).bound
-    floor_trunc = grid.truncated(1.0, 1.0).bound
-    margins = [
-        float(np.min(oracle.probe_moments(probe, MomentKind.WINSOR, 1.0))) - floor_fixed,
-        float(np.min(oracle.probe_moments(probe, MomentKind.WINSOR, probe.tilts)))
-        - floor_universal,
-        float(np.min(oracle.probe_moments(probe, MomentKind.TRUNC, 1.0))) - floor_trunc,
-    ]
-    results.append(_bounded_check("oracle.three_point_probes", -min(margins), 1e-12,
-                                  f"{probe.support.shape[0]} samples, seed={seed}"))
+    # The least E F(X) over every law on a support grid, an exact LP
+    worst_value, worst_cell, cell = -math.inf, 0.0, math.log(oracle.LP_GRID[1] / oracle.LP_GRID[0])
+    universal = ((MomentKind.WINSOR, u.tilt, u) for u in map(grid.universal, (0.5, 1.0, 10.0)))
+    for kind, c, bound in ((MomentKind.WINSOR, 1.0, grid.fixed(1.0, 1.0)),
+                           (MomentKind.TRUNC, 1.0, grid.truncated(1.0, 1.0)), *universal):
+        found = oracle.lp_min(kind, c, bound.sigma)
+        worst_value = max(worst_value, (bound.bound - found.value) / bound.bound)
+        cells = [abs(math.log(x / (bound.b if x > 0.0 else -bound.a))) / cell if x else math.inf
+                 for x, p in zip(found.support, found.weights) if p > 1e-12]
+        worst_cell = max(worst_cell, *cells) if found.beta > 0.0 > found.gamma else math.inf
+    results.append(_bounded_check("oracle.lp_value_above_bound", worst_value, 1e-12,
+                                  "(bound - LP)/bound over every law on the grid"))
+    results.append(_bounded_check("oracle.lp_support_at_extremal_law", worst_cell, 1.0,
+                                  "grid cells from {-a, b}; inf unless beta > 0 > gamma"))
 
     points = oracle.trunc_collapse_sequence(1.0, (0.5, 0.2, 0.1, 0.05))
     moments = [p.moment for p in points]
     collapse_ok = all(m2 < m1 for m1, m2 in zip(moments, moments[1:])) and moments[-1] < 1e-2
     floor_ok = all(
         law._optimal_winsor_moment(p.a, 1.0, law._optimal_c(p.a, 1.0))
-        >= floor_universal * (1.0 - 1e-12) for p in points
+        >= grid.universal(1.0).bound * (1.0 - 1e-12) for p in points
     )
     results.append(CheckResult(
         name="oracle.trunc_collapse",
@@ -377,7 +379,7 @@ def suite_oracle(grid: Grid, seed: int) -> list[CheckResult]:
     return results
 
 
-def suite_asymptotics(grid: Grid, seed: int) -> list[CheckResult]:
+def suite_asymptotics(grid: Grid) -> list[CheckResult]:
     """Convergence to the leading-order laws and the constants they pin."""
     results = []
     constants = asymptotics.solve_t_star()
@@ -478,10 +480,10 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 1) -> list[CheckResult]:
-    """Run one named suite, or all of them in SUITES order, over one Grid."""
+    """Run one named suite, or all of them in SUITES order, over one Grid; seed selects nothing."""
     if name not in (*SUITES, "all"):  # a tuple: an unhashable name is refused too
         raise errors.ParameterError(f"suite must be one of {', '.join(SUITES)}, all; got {name!r}")
-    errors.require_integer("seed", seed, 0)  # refused before any suite solves, not at the probe
+    errors.require_integer("seed", seed, 0)
     grid = Grid()
     return [check for each in (SUITES if name == "all" else (name,))
-            for check in SUITES[each](grid, seed)]
+            for check in SUITES[each](grid)]

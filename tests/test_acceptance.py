@@ -117,7 +117,9 @@ def test_criterion_08_oracle_equivalence(verify_all):
     by_name = {r.name: r for r in results}
     _report(8, "grid minima within 1e-6 "
                f"(worst {by_name['oracle.two_point_grid_min_value'].worst:.1e}), "
-               "argmins within one cell, 1e5 three-point probes above every bound")
+               "argmins within one cell, the exact LP over every law on a support grid "
+               f"above every bound (worst {by_name['oracle.lp_value_above_bound'].worst:.1e}) "
+               "and on the extremal law")
 
 
 def test_criterion_09_trunc_branch_continuity(trunc_root):
@@ -214,7 +216,8 @@ VERIFY_INVENTORY = [
     ("oracle.universal_grid_min_value", 1e-6),
     ("oracle.universal_grid_min_argmin", 1.0),
     ("oracle.argmin_uniqueness_margin", -1e-12),
-    ("oracle.three_point_probes", 1e-12),
+    ("oracle.lp_value_above_bound", 1e-12),
+    ("oracle.lp_support_at_extremal_law", 1.0),
     ("oracle.trunc_collapse", 1e-2),
     ("asymptotics.t_star_identity", 1e-10),
     ("asymptotics.small_sigma_slopes", 1e-2),
@@ -239,17 +242,17 @@ def test_verify_reports_hold_python_scalars(verify_all):
     ]
 
 
-# sha256 of the 32 reports of verify_all (seed 1) as (name, passed,
-# worst.hex(), tolerance, detail): verify's own negative control and its
-# probe counts reach these bits, which the checks above do not pin
-VERIFY_REPORTS_SHA256 = "0106fea77bed77a90dd1fc1c6cab7880234b73f5ce79d86ed115b5aef75d3088"
+# sha256 of the 33 reports of verify_all (seed 1) as (name, passed,
+# worst.hex(), tolerance, detail): verify's own negative control and the
+# oracle's LP pivots reach these bits, which the checks above do not pin
+VERIFY_REPORTS_SHA256 = "eb57283b96d491bbd0aee9ff2995013bc0f8c79e392f745b0c0d9c86f46a72b1"
 
 
 def test_verify_report_fingerprint(verify_all):
     digest = hashlib.sha256()
     for r in verify_all.results:
         digest.update(f"{(r.name, r.passed, r.worst.hex(), r.tolerance, r.detail)!r}\n".encode())
-    assert len(verify_all.results) == 32
+    assert len(verify_all.results) == 33
     assert digest.hexdigest() == VERIFY_REPORTS_SHA256
 
 

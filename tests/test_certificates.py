@@ -1059,13 +1059,13 @@ def test_capped_exp_out_gives_the_allocating_bits(kind, points):
 
 @pytest.mark.parametrize("kind", list(MomentKind))
 def test_capped_exp_out_with_broadcast_tilts(kind):
-    # probe_moments' shapes: tilts (n, 1) against supports (n, 3)
-    probe = oracle.sample_three_point(2.0, 500, seed=3)
-    c = probe.tilts[:, None]
-    out = np.empty(probe.support.shape)
-    certificates.capped_exp(kind, c, probe.support, out=out)
-    expected = bits(f_by_formula(kind, c, probe.support))
-    assert bits(certificates.capped_exp(kind, c, probe.support)) == expected
+    # tilts (n, 1) against supports (n, 3), on both sides of the cut
+    rng = np.random.default_rng(3)
+    c, support = rng.uniform(0.05, 10.0, size=(500, 1)), rng.normal(0.0, 2.0, size=(500, 3))
+    out = np.empty(support.shape)
+    certificates.capped_exp(kind, c, support, out=out)
+    expected = bits(f_by_formula(kind, c, support))
+    assert bits(certificates.capped_exp(kind, c, support)) == expected
     assert bits(out) == expected
 
 

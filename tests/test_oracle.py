@@ -1,5 +1,6 @@
 """Brute-force search oracles versus the analytic solvers."""
 
+import itertools
 import math
 import re
 import warnings
@@ -10,7 +11,7 @@ import pytest
 from winsor_bounds import law, oracle, trunc, verify, winsor
 from winsor_bounds.certificates import MomentKind, capped_exp
 from winsor_bounds.winsor import BoundQuery
-from winsor_bounds.errors import ExponentOverflowError, NoSignChangeError
+from winsor_bounds.errors import ExponentOverflowError, MaxIterationsError, NoSignChangeError
 from winsor_bounds.trunc import Branch
 
 
@@ -346,19 +347,6 @@ class TestSearchInBlocks:
             assert found.min_value == 1.0
 
 
-def one_pass_probe(sigma, n, seed):
-    """(support, masses, tilts) of sample_three_point: the draws in the same
-    order, then the arithmetic as whole-array expressions with np.sum."""
-    rng = np.random.default_rng(seed)
-    points = rng.normal(0.0, 2.0, size=(n, 3))
-    masses = rng.dirichlet((1.0, 1.0, 1.0), size=n)
-    centered = points - np.sum(points * masses, axis=1, keepdims=True)
-    second = np.maximum(np.sum(centered * centered * masses, axis=1, keepdims=True), 1e-300)
-    target = rng.uniform(0.05, 1.0, size=(n, 1)) ** 2
-    support = centered * (np.sqrt(target / second) * sigma)
-    return support, masses, rng.uniform(0.05, 10.0, size=n)
-
-
 def moment_by_formula(kind, c, sigma, a):
     """The two-point moment (a F(b) + b e^{-ca}) / (a + b), b = sigma^2/a,
     with F formed at every b: the form two_point_moment_grid must give."""
@@ -402,102 +390,121 @@ class TestTwoPointMomentGrid:
         assert seen == ([0, 0] if shortcut else [2, 2])
 
 
-class TestThreePointProbes:
-    def test_probes_satisfy_constraints(self):
-        probe = oracle.sample_three_point(1.0, 2_000, seed=7)
-        mean = np.sum(probe.support * probe.masses, axis=1)
-        second = np.sum(probe.support**2 * probe.masses, axis=1)
-        assert np.all(np.abs(mean) <= 1e-12)
-        assert np.all(second <= 1.0 + 1e-12)
+def brute_force_min(y, f):
+    """The least sum p F over the laws on three points of y, every triple in
+    turn: the 3x3 system sum p (1, y, y^2) = (1, 0, 1), kept where each
+    weight is >= 0."""
+    triples = np.array(list(itertools.combinations(range(y.size), 3)))
+    rows = np.stack((np.ones(triples.shape), y[triples], y[triples] ** 2), axis=1)
+    weights = np.linalg.solve(rows, np.broadcast_to([[1.0], [0.0], [1.0]], rows.shape[:2] + (1,)))
+    weights = weights[..., 0]
+    feasible = np.all(weights >= 0.0, axis=1)
+    return float(np.min(np.sum(weights * f[triples], axis=1)[feasible]))
 
-    def test_probes_never_undercut_bounds(self):
-        probe = oracle.sample_three_point(1.0, 100_000, seed=1)
-        floor_fixed = winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0)).bound
-        floor_universal = winsor.lower_bound_universal(1.0).bound
-        floor_trunc = trunc.lower_bound_trunc(BoundQuery(1.0, 1.0)).bound
-        assert float(np.min(oracle.probe_moments(probe, MomentKind.WINSOR, 1.0))) >= floor_fixed
-        assert (
-            float(np.min(oracle.probe_moments(probe, MomentKind.WINSOR, probe.tilts)))
-            >= floor_universal
-        )
-        assert float(np.min(oracle.probe_moments(probe, MomentKind.TRUNC, 1.0))) >= floor_trunc
 
-    def test_blocks_give_the_bits_of_one_pass(self):
-        # sample_three_point and probe_moments form the arithmetic in row
-        # blocks, 10,000 rows being three whole blocks and a partial one
-        n, sigma, seed = 10_000, 2.0, 5
-        support, masses, tilts = one_pass_probe(sigma, n, seed)
-        probe = oracle.sample_three_point(sigma, n, seed)
-        for got, expected in ((probe.support, support), (probe.masses, masses), (probe.tilts, tilts)):
-            assert got.tobytes() == expected.tobytes()
-        for kind in MomentKind:
-            for c in (np.float64(1.5), tilts):
-                f_values = capped_exp(kind, c[:, None] if c.ndim else c, support)
-                expected = np.sum(masses * f_values, axis=1)
-                assert oracle.probe_moments(probe, kind, c).tobytes() == expected.tobytes()
+# (kind, c, sigma) of the small-grid LPs: both truncated branches, the
+# small-sigma one at (1, 0.5) and (3, 0.3) with its optimum on the cut, and
+# a tilt so small that the last pivots gain less than 1e-6 of the value
+SMALL_GRID_CASES = [
+    (MomentKind.WINSOR, 1.0, 1.0), (MomentKind.WINSOR, 2.0, 0.5), (MomentKind.WINSOR, 0.7, 3.0),
+    (MomentKind.WINSOR, 1e-3, 0.3),
+    (MomentKind.TRUNC, 1.0, 0.5), (MomentKind.TRUNC, 3.0, 0.3), (MomentKind.TRUNC, 1.0, 2.0),
+]
+def assert_is_a_law(found, sigma):
+    """Nonnegative weights that hold the moments (1, 0, sigma^2), up to the
+    roundoff of the 3x3 solve."""
+    support, weights = np.array(found.support) / sigma, np.array(found.weights)
+    assert weights.min() >= 0.0
+    moments = [weights.sum(), weights @ support, weights @ support**2]
+    assert np.allclose(moments, [1.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [1, 7])
-    def test_row_sums_give_the_bits_of_np_sum_on_the_suite_calls(self, seed):
-        # the row sums are two column adds; np.sum(axis=1) adds three
-        # columns left to right too.  The three probe_moments calls of
-        # verify's oracle suite, at its sigma, over 12,345 rows: four whole
-        # row blocks of 2,730 and a partial one
-        n = 12_345
-        assert n % (oracle._BLOCK // 3) != 0
-        support, masses, tilts = one_pass_probe(1.0, n, seed)
-        probe = oracle.sample_three_point(1.0, n, seed)
-        assert probe.support.tobytes() == support.tobytes()
-        for kind, c in ((MomentKind.WINSOR, 1.0), (MomentKind.WINSOR, tilts),
-                        (MomentKind.TRUNC, 1.0)):
-            f_values = capped_exp(kind, c[:, None] if np.ndim(c) else c, support)
-            expected = np.sum(masses * f_values, axis=1)
-            got = oracle.probe_moments(probe, kind, probe.tilts if np.ndim(c) else c)
-            assert got.tobytes() == expected.tobytes(), kind
+
+SOLVE = {MomentKind.WINSOR: winsor.lower_bound_fixed_c, MomentKind.TRUNC: trunc.lower_bound_trunc}
+
+
+class TestLPMin:
+    @pytest.mark.parametrize("kind, c, sigma", SMALL_GRID_CASES,
+                             ids=[f"{k.value}-{c}-{s}" for k, c, s in SMALL_GRID_CASES])
+    def test_matches_brute_force_on_a_small_grid(self, monkeypatch, kind, c, sigma):
+        # 13 points a side: with -1, 0, 1 and the cut, about 30 points, whose
+        # 4,000-odd triples each solve as one 3x3 system
+        monkeypatch.setattr(oracle, "LP_GRID", np.geomspace(0.03, 30.0, 13))
+        x = np.unique(np.concatenate((-sigma * oracle.LP_GRID, sigma * oracle.LP_GRID,
+                                      (-sigma, 0.0, sigma, 1.0))))
+        assert 28 <= x.size <= 30
+        found = oracle.lp_min(kind, c, sigma)
+        expected = brute_force_min(x / sigma, capped_exp(kind, c, x))
+        assert abs(found.value - expected) <= 1e-12 * expected
+        assert found.value >= SOLVE[kind](BoundQuery(c, sigma)).bound
+        assert set(found.support) <= set(x.tolist()) and found.beta > 0.0 > found.gamma
+        if kind is MomentKind.TRUNC and sigma < 1.0:  # the small-sigma branch weighs the cut
+            assert dict(zip(found.support, found.weights)).get(1.0, 0.0) > 1e-12
+        assert_is_a_law(found, sigma)
+
+    def test_cases_of_verify(self):
+        # the five LPs of verify's oracle suite, whose support verify checks:
+        # laws, at most 1e-3 above each bound, with beta > 0 > gamma
+        cases = [(MomentKind.WINSOR, 1.0, winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))),
+                 (MomentKind.TRUNC, 1.0, trunc.lower_bound_trunc(BoundQuery(1.0, 1.0)))]
+        cases += [(MomentKind.WINSOR, u.tilt, u)
+                  for u in map(winsor.lower_bound_universal, (0.5, 1.0, 10.0))]
+        for kind, c, bound in cases:
+            found = oracle.lp_min(kind, c, bound.sigma)
+            assert bound.bound <= found.value <= bound.bound * (1.0 + 1e-3)
+            assert found.beta > 0.0 > found.gamma and found.pivots <= 25
+            assert_is_a_law(found, bound.sigma)
+
+    def test_bland_rule_after_three_degenerate_pivots(self):
+        # a count, not a timing: Bland's rule, taken after the third
+        # degenerate pivot, ends here in 4 pivots; Dantzig's rule alone in 6
+        found = oracle.lp_min(MomentKind.TRUNC, 0.01, 1.0)
+        assert found.pivots == 4 and found.support == (-1.0, -0.9862658461312831, 1.0)
+
+    def test_oracle_suite_no_longer_reads_the_seed(self):
+        assert repr(verify.run_suite("oracle", 1)) == repr(verify.run_suite("oracle", 7))
 
     @pytest.mark.parametrize(
-        "sigma, error, quantity",
-        [(1.4e154, ExponentOverflowError, "sigma^2 overflows"),
-         (1.35e154, ExponentOverflowError, "sigma^2 overflows"),
-         (1e-162, NoSignChangeError, "sigma^2 underflows"),
-         (2.98e-153, NoSignChangeError, "0.05 sigma in units of 2^-511, the root of the least "
-                                        "normal double underflows")],
+        "name, spoil",
+        [("oracle.lp_value_above_bound", lambda r: r._replace(value=r.value * (1.0 - 1e-3))),
+         ("oracle.lp_support_at_extremal_law",
+          lambda r: r._replace(support=tuple(x * (oracle.LP_GRID[1] / oracle.LP_GRID[0]) ** 2
+                                             for x in r.support))),
+         ("oracle.lp_support_at_extremal_law", lambda r: r._replace(gamma=0.0))],
+        ids=["value-below-bound", "support-two-cells-out", "gamma-zero"],
     )
-    def test_refuses_sigma_where_a_law_leaves_the_doubles(self, sigma, error, quantity):
-        # at 1.4e154 the squared spreads overflowed to non-finite supports;
-        # at 1e-162 (sigma u)^2 underflowed and every law was the point mass at 0;
-        # below 2.9833e-153 a law's second moment had fewer than 53 bits
+    def test_verify_fails_a_spoiled_lp(self, monkeypatch, name, spoil):
+        # each LP check fails, alone, when lp_min answers below the bound, off
+        # the extremal law or with a dual of the wrong sign
+        lp_min = oracle.lp_min
+        monkeypatch.setattr(oracle, "lp_min", lambda *args: spoil(lp_min(*args)))
+        failed = [check.name for check in verify.run_suite("oracle") if not check.passed]
+        assert failed == [name]
+
+    @pytest.mark.parametrize(
+        "kind, c, sigma, quantity",
+        [(MomentKind.WINSOR, 1.0, 1.4e148, "the square of the grid's end sigma * 1e6"),
+         (MomentKind.TRUNC, 1.0, 7e-155, "the square of the cut in units of sigma, 1/sigma"),
+         (MomentKind.WINSOR, 710.0, 1.0, "the grid's largest F"),
+         (MomentKind.TRUNC, 1e4, 1.0, "the grid's largest F")],
+        ids=["grid-end", "cut", "winsor-f", "trunc-f"],
+    )
+    def test_refuses_a_grid_past_the_doubles(self, kind, c, sigma, quantity):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match=rf"^{re.escape(quantity)} .*\(operands {re.escape(repr(sigma))}\)$"):
-                oracle.sample_three_point(sigma, 1_000, seed=1)
+            with pytest.raises(ExponentOverflowError, match=rf"^{re.escape(quantity)} overflows"):
+                oracle.lp_min(kind, c, sigma)
 
-    @pytest.mark.parametrize("sigma", [1.34e154, 2.99e-153])
-    def test_laws_at_the_edges_hold_their_fraction_of_sigma_squared(self, sigma):
+    @pytest.mark.parametrize("sigma", [1.3e148, 8e-155])
+    def test_answers_next_to_the_refused_sigmas(self, sigma):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            probe = oracle.sample_three_point(sigma, 1_000, seed=1)
-            moments = [oracle.probe_moments(probe, kind, c) for kind, c in
-                       ((MomentKind.WINSOR, 1.0), (MomentKind.WINSOR, probe.tilts),
-                        (MomentKind.TRUNC, 1.0))]
-        assert np.all(np.isfinite(probe.support))
-        assert all(np.all(np.isfinite(m)) for m in moments)
-        # the fractions, drawn third, as sample_three_point draws them
-        rng = np.random.default_rng(1)
-        rng.normal(size=(1_000, 3))
-        rng.dirichlet((1.0, 1.0, 1.0), size=1_000)
-        fraction = rng.uniform(0.05, 1.0, size=1_000)
-        units = probe.support / sigma
-        assert np.all(np.abs(np.sum(units * probe.masses, axis=1)) <= 1e-12)
-        assert np.allclose(np.sum(units * units * probe.masses, axis=1), fraction**2, rtol=1e-12, atol=0.0)
-        if sigma < 1.0:  # E X^2 itself is a normal double, to the same bits
-            second = np.sum(probe.support * probe.support * probe.masses, axis=1)
-            assert np.allclose(second, (sigma * fraction) ** 2, rtol=1e-12, atol=0.0)
+            found = oracle.lp_min(MomentKind.TRUNC, 1.0, sigma)
+        assert 0.0 < found.value <= 1.0
 
-    def test_seed_reproducibility(self):
-        first = oracle.sample_three_point(2.0, 500, seed=42)
-        second = oracle.sample_three_point(2.0, 500, seed=42)
-        assert np.array_equal(first.support, second.support)
-        assert np.array_equal(first.tilts, second.tilts)
+    def test_pivot_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_LP_PIVOTS", 2)
+        with pytest.raises(MaxIterationsError, match=r"^the grid LP did not reach its optimum in 2 "):
+            oracle.lp_min(MomentKind.WINSOR, 1.0, 1.0)
 
 
 class TestCollapse:

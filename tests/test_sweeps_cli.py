@@ -968,14 +968,14 @@ class TestCli:
         assert calls == [("all", 1)]
         assert sum(verify_all.seconds.values()) < 60.0
         out = capsys.readouterr().out
-        assert "32/32 checks passed" in out
+        assert "33/33 checks passed" in out
 
     def test_all_runs_each_suite_once_in_order(self, monkeypatch):
         calls = []
 
         def stub(name):
-            def suite(grid, seed):
-                calls.append((name, grid, seed))
+            def suite(grid):
+                calls.append((name, grid))
                 return [name]
 
             return suite
@@ -983,18 +983,18 @@ class TestCli:
         for name in verify.SUITES:
             monkeypatch.setitem(verify.SUITES, name, stub(name))
         assert verify.run_suite("all", seed=7) == list(verify.SUITES)
-        assert [(name, seed) for name, _, seed in calls] == [(name, 7) for name in verify.SUITES]
+        assert [name for name, _ in calls] == list(verify.SUITES)
         # one table per call, shared by its suites: nothing crosses calls
         grid = calls[0][1]
         assert isinstance(grid, verify.Grid)
-        assert all(shared is grid for _, shared, _ in calls)
+        assert all(shared is grid for _, shared in calls)
         assert verify.run_suite("roots", seed=7) == ["roots"]
         assert calls[-1][1] is not grid
 
     def test_failed_verification_exit_code(self, verify_all, capsys, monkeypatch):
         checks = list(verify_all.by_suite["roots"])
         checks[2] = checks[2]._replace(passed=False, detail="forced failure")
-        monkeypatch.setitem(verify.SUITES, "roots", lambda grid, seed: checks)
+        monkeypatch.setitem(verify.SUITES, "roots", lambda grid: checks)
         assert cli.main(["verify", "--suite", "roots"]) == cli.EXIT_VERIFY_FAILED
         lines = capsys.readouterr().out.splitlines()
         assert [line for line in lines if line.startswith("FAIL")] == [checks[2].line()]

@@ -95,7 +95,8 @@ ENTRY_POINTS = [
     ("refine_grid_min", "c", lambda v: oracle.refine_grid_min(v, 1.0, MomentKind.WINSOR)),
     ("refine_grid_min", "sigma", lambda v: oracle.refine_grid_min(1.0, v, MomentKind.TRUNC)),
     ("universal_grid_min", "sigma", lambda v: oracle.universal_grid_min(v)),
-    ("sample_three_point", "sigma", lambda v: oracle.sample_three_point(v, 10, 1)),
+    ("lp_min", "c", lambda v: oracle.lp_min(MomentKind.TRUNC, v, 1.0)),
+    ("lp_min", "sigma", lambda v: oracle.lp_min(MomentKind.WINSOR, 1.0, v)),
     ("_solve", "start", lambda v: roots._solve(lambda x: (x - 1.0, x, None), v, 2.0)),
     ("compute_sweep", "c", lambda v: compute_sweep(SweepKind.FIXED_C_WINSOR, (1.0,), (v,))),
     ("compute_sweep", "sigma", lambda v: compute_sweep(SweepKind.TRUNC, (v,), (1.0,))),
@@ -105,10 +106,6 @@ ENTRY_POINTS = [
 # (entry point, argument name, call with the argument set to v, v): the
 # integer arguments, each refused below its least value or when not an integer
 INTEGER_ARGUMENTS = [
-    *(("sample_three_point", "n_samples", lambda v: oracle.sample_three_point(1.0, v, 1), v)
-      for v in (0, -1, 1.5, math.nan)),
-    *(("sample_three_point", "seed", lambda v: oracle.sample_three_point(1.0, 10, v), v)
-      for v in (-1, -5, 1.5, math.nan)),
     *(("run_suite", "seed", lambda v: verify.run_suite("all", v), v)
       for v in (-1, 1.5, math.nan)),
     *(("sigma_grid", "points", lambda v: sigma_grid(0.1, 10.0, v), v)
@@ -162,6 +159,24 @@ def test_minorant_reads_a_branch_given_by_its_value_and_refuses_others(bound):
             law.minorant(bound._replace(branch=value))
 
 
+# A Bound whose branch does not fit its kind: a truncated one without its
+# branch took the Winsorized support map, contacts (-1.187, 14.63) for
+# (-1.187, 3.369), and a fixed-tilt one given a branch the cut as its contact
+MISMATCHED_BRANCHES = {
+    "trunc-without-branch": (TRUNC_LARGE_BOUND._replace(branch=None), None, "trunc"),
+    "winsor-with-branch": (WINSOR_BOUND._replace(branch="small-sigma"), "small-sigma",
+                           "fixed-winsor"),
+}
+
+
+@pytest.mark.parametrize("bound, branch, kind", MISMATCHED_BRANCHES.values(),
+                         ids=list(MISMATCHED_BRANCHES))
+def test_minorant_refuses_a_branch_that_does_not_fit_the_kind(bound, branch, kind):
+    with pytest.raises(ParameterError) as raised:
+        law.minorant(bound)
+    assert str(raised.value) == f"branch {branch!r} does not fit kind {kind!r}"
+
+
 def test_minorant_refuses_the_fields_of_a_bound_without_its_type():
     fields = tuple(winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0)))
     with pytest.raises(ParameterError, match=r"^result must be a Bound, got \("):
@@ -187,8 +202,9 @@ RECORDS = [
     (oracle.GridMinResult,
      dict(argmin_a=0.5, argmin_c=1.0, min_value=0.9, cell_ratio=1.001, cell_ratio_c=1.02),
      {"cell_ratio_c": None}),
-    (oracle.ThreePointProbe,
-     dict(support=np.zeros((2, 3)), masses=np.full((2, 3), 1 / 3), tilts=np.ones(2)), {}),
+    (oracle.LPResult,
+     dict(value=0.9, support=(-1.0, 0.0, 1.0), weights=(0.5, 0.0, 0.5), alpha=1.0, beta=0.5,
+          gamma=-0.1, pivots=3), {}),
     (oracle.CollapsePoint, dict(a=0.5, c=4.0, moment=0.3), {}),
 ]
 
@@ -305,19 +321,9 @@ def test_float32_queries_answer_in_double_precision():
 
 
 @pytest.mark.parametrize("seed", (0, np.int64(3)), ids=repr)
-def test_sample_three_point_accepts_integer_seeds(seed):
-    probe = oracle.sample_three_point(1.0, 1, seed)
-    assert probe.support.shape == (1, 3)
-
-
-@pytest.mark.parametrize("c", [np.ones(49), np.ones(51), np.ones((50, 1))],
-                         ids=["short", "long", "column"])
-def test_probe_moments_refuses_tilts_that_are_not_one_per_law(c):
-    # a tilt array of another length than the probe's let NumPy's bare
-    # "operands could not be broadcast together" escape
-    probe = oracle.sample_three_point(1.0, 50, seed=3)
-    with pytest.raises(ParameterError, match=r"^c must be a scalar or one tilt per law, shape \(50,\)"):
-        oracle.probe_moments(probe, MomentKind.WINSOR, c)
+def test_run_suite_accepts_integer_seeds(seed):
+    # the seed selects nothing, but an integer of any type is accepted
+    assert repr(verify.run_suite("roots", seed)) == repr(verify.run_suite("roots", 1))
 
 
 @pytest.mark.parametrize("value", BAD[1:], ids=bad_id)
@@ -365,9 +371,7 @@ MOMENT_KIND_ENTRIES = {
     "two_point_moment_grid": lambda k: oracle.two_point_moment_grid(
         k, 1.0, 1.0, np.array([0.25, 0.5, 2.0])
     ),
-    "probe_moments": lambda k: oracle.probe_moments(
-        oracle.sample_three_point(1.0, 50, seed=3), k, 1.0
-    ),
+    "lp_min": lambda k: oracle.lp_min(k, 1.0, 1.0),
     "refine_grid_min": lambda k: oracle.refine_grid_min(1.0, 1.0, k),
 }
 

@@ -99,6 +99,22 @@ MUTANTS = [
            "    order = sorted(range(len(cases)), key=lambda j: cases[j][1] is MomentKind.TRUNC)",
            "    order = list(range(len(cases)))",
            "chunks mix the two kinds, and each takes its first check's F"),
+    # the reach: window points that a Taylor bound proves above the worst gap
+    Mutant("reach-without-margins", CERT,
+           "    slack = 1e-12 * f_hi + 1e-13 * np.maximum(spread[..., :1], spread[..., 1:]) + 1e-299",
+           "    slack = 0.0 * f_hi",
+           "the reach takes F and G at the contact and at each point as exact"),
+    Mutant("reach-least-contact-gap", CERT,
+           "    q = np.maximum(((f - g) / np.maximum(f, 1.0))[:, :, :1].min(1, keepdims=True), 0.0)",
+           "    q = ((f - g) / np.maximum(f, 1.0))[:, :, :1].min(1, keepdims=True)",
+           "a negative least contact gap, scaled by the side's largest F, is taken as the floor"),
+    Mutant("reach-across-the-cut", CERT,
+           "    one_piece = (np.minimum(x0, far) > 1.0) | (np.maximum(x0, far) < 1.0)",
+           "    one_piece = (np.minimum(x0, far) > 1.0) | (x0 < 1.0)",
+           "a window below the cut that reaches past it is narrowed as if F were e^{cx} there"),
+    Mutant("reach-repeated-contact", CERT,
+           "    one_piece[:, 1] &= x_hi[:, 0] != x_lo[:, 0]\n", "",
+           "where x_hi repeats x_lo, its reach narrows the kink's window, which comes second"),
     # the joint scan's row floor
     Mutant("floor-raised", ORACLE,
            "(1.0 + a) * b ** (1.0 / (1.0 + a)) / (a + b), -np.inf)",
@@ -164,6 +180,14 @@ EQUIVALENT = [
            "the least index leaving among tied ratios is what Bland's rule needs to rule out "
            "cycling; over 1,080 (kind, c, sigma) cases, c from 1e-3 to 300 and sigma from "
            "1e-150 to 1e145, every result kept its bits, and no case cycled"),
+    Mutant("reach-without-index-margin", CERT,
+           "    near_first[window] = _first_at(*linspace, lo) - 1\n"
+           "    near_end[window] = _first_at(*linspace, np.nextafter(hi, math.inf)) + 1",
+           "    near_first[window] = _first_at(*linspace, lo)\n"
+           "    near_end[window] = _first_at(*linspace, np.nextafter(hi, math.inf))",
+           "the index margin covers the rounding of r and of x0 -+ r, a few ulps of x0, while "
+           "a window step is 1e-6 (1 + |x0|); that close to the radius the bound falls far "
+           "less than its 1e-12 F of slack over the rounding of F and G at the point"),
     Mutant("psi-without-f-rounding-term", CERT,
            "    psi = (1.0 - 1e-12 - _Q) * f - g - 1e-13 * spread - _Q - 1e-299",
            "    psi = (1.0 - _Q) * f - g - 1e-13 * spread - _Q - 1e-299",

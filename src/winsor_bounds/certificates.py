@@ -8,9 +8,12 @@ the contacts) and reads the value and slope gaps at each contact
 _capped_exp and _horner (QuadraticMinorant.__call__ for a chunk of checks)
 compute every F and G a report reads.
 F - G is convex on each piece of F, so its gap nears equality only near a
-contact: the grid check evaluates only the points that convexity witnesses
-(_kept, walked in lockstep arrays of _psi) do not prove clear of the
-equality tolerance, and reports what the whole grid would.
+contact, and the grid check skips points by two rules.  Convexity
+witnesses (_kept, walked in lockstep arrays of _psi) prove most points
+clear of the equality tolerance.  In a contact's window, where they prove
+nothing, a Taylor bound with rounding margins (_reach) proves all but the
+few points nearest the contact above every gap that could be the worst.
+The check evaluates the rest and reports what the whole grid would.
 check_certificates evaluates many checks together, _CHUNK points at a time.
 """
 from __future__ import annotations
@@ -195,6 +198,51 @@ def _kept(checks, coef, spans) -> np.ndarray:
     return kept
 
 
+def _reach(checks, coef) -> np.ndarray:
+    """Each check's reach [x0 - r, x0 + r'] around each of its contacts x0
+    (rows of ``coef`` as _kept's), as an (n, 2, 2) array: every point of
+    x0's window past it has a computed gap above q = max(0, the least gap
+    at the check's contacts), and so above its worst gap, which is at most
+    q because the fold evaluates each contact's own point.  On a side of
+    x0, to x0 -+ 1e-3 (1 + |x0|), that lies on one piece of F (below or
+    above the cut 1), Taylor gives h = F - G >= h(x0) - B d + m d^2 / 2 at
+    d = |x - x0|, with B >= |h'(x0)| and m = (c^2 (the side's least F, below
+    1) - 2 gamma) (1 - 1e-12) <= h'' > 0.  r is the larger root (0 if none)
+    of that bound = q (1 + 1e-12) max(1, F) + 2 slack, where slack = 1e-12 F
+    + 1e-13 (|v| + |s||u| + |gamma| u^2) + 1e-299, with F and |u| at their
+    largest on the side, is _psi's bound on the rounding of F and G, taken
+    once at x0 and once at x; the 1e-12 terms of B, m and max(1, F) cover
+    their rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3).  F and G at the contacts are formed as _fold forms them.  A side
+    that reaches the cut, a contact that repeats x_lo and a bound that is
+    not finite reach their whole side (-+inf)."""
+    x_lo, x_hi, value, slope, gamma, c = (column[:, None, None] for column in coef.T)
+    winsor = np.array([check.kind is MomentKind.WINSOR for check in checks], bool)[:, None, None]
+    x0 = coef[:, :2, None]
+    far = x0 + np.array((-1.0, 1.0)) * (1e-3 * (1.0 + np.abs(x0)))  # each side's window end
+    x = np.concatenate((x0, far), 2)  # (n, 2, 3): each contact, then its two sides' ends
+    f = np.exp(np.where(winsor, c * np.minimum(x, 1.0), np.where(x < 1.0, c * x, 0.0)))
+    u = x - x_lo
+    g = _horner(x.ravel(), *coef[:, [0, 2, 3, 4]].T, 6).reshape(x.shape)
+    q = np.maximum(((f - g) / np.maximum(f, 1.0))[:, :, :1].min(1, keepdims=True), 0.0)
+    spread = np.abs(value) + np.abs(slope * u) - gamma * u * u
+    f0, u0 = f[..., :1], u[..., :1]
+    f_lo, f_hi = np.minimum(f0, f[..., 1:]), np.maximum(f0, f[..., 1:])
+    slack = 1e-12 * f_hi + 1e-13 * np.maximum(spread[..., :1], spread[..., 1:]) + 1e-299
+    below = x0 < 1.0
+    f_slope, curve = np.where(below, c * f0, 0.0), 2.0 * gamma * u0  # F'(x0), G'(x0) - slope
+    b = np.abs(f_slope - (slope + curve))
+    b += 1e-12 * (np.abs(f_slope) + np.abs(slope) + np.abs(curve))
+    m = (np.where(below, c * c * f_lo, 0.0) - 2.0 * gamma) * (1.0 - 1e-12)
+    target = q * (1.0 + 1e-12) * np.maximum(f_hi, 1.0) + 2.0 * slack - (f0 - g[..., :1])
+    disc = b * b + 2.0 * m * target
+    r = np.where(disc < 0.0, 0.0, (b + np.sqrt(disc)) / m)  # no root: the bound clears q everywhere
+    one_piece = (np.minimum(x0, far) > 1.0) | (np.maximum(x0, far) < 1.0)
+    one_piece[:, 1] &= x_hi[:, 0] != x_lo[:, 0]
+    r = np.where(one_piece & (m > 0.0) & np.isfinite(r), r, math.inf)
+    return x0 + np.array((-1.0, 1.0)) * r
+
+
 def _first_at(start, stop, num, bound):
     """For each piece np.linspace(start, stop, num) (arrays), the index of
     its first point, as _points forms them, at or above bound; num if none."""
@@ -208,22 +256,34 @@ def _first_at(start, stop, num, bound):
     return i.astype(np.intp)
 
 
-def _runs(pieces, kept):
+def _runs(pieces, kept, reach):
     """The run table of checks with grid ``pieces`` (np.linspace's (start,
-    stop, num), each check's last its span) and ``kept`` intervals: for each
-    run, the points of a piece in a kept interval, its check, its piece and
-    its index range [first, end); by check, then piece, then x."""
+    stop, num), each check's last its span), ``kept`` intervals and contact
+    ``reach`` (see _reach): for each run, the points of a piece in a kept
+    interval, its check, its piece and its index range [first, end); by
+    check, then piece, then x.  A window centred on a contact keeps only
+    its points in the contact's reach and one index on either side; a check
+    that keeps _WHOLE keeps every point."""
     start, stop, num = pieces.T
     span = num == GRID_BASE_POINTS  # each check's last piece
     owner = np.cumsum(span) - span
+    # a check's windows start its pieces, a window and a point per centre:
+    # x_lo's at offset 0, then x_hi's at 2, unless x_hi repeats x_lo
+    offset = np.arange(len(pieces)) - np.flatnonzero(np.r_[True, span[:-1]])[owner]
+    near_first, near_end = np.zeros(len(pieces), dtype=np.intp), num.astype(np.intp)
+    window = np.flatnonzero((num == GRID_WINDOW_POINTS) & (offset < 4))
+    lo, hi = reach[owner[window], offset[window] // 2].T
+    linspace = start[window], stop[window], num[window]
+    near_first[window] = _first_at(*linspace, lo) - 1
+    near_end[window] = _first_at(*linspace, np.nextafter(hi, math.inf)) + 1
     left, right = kept[owner, :, 0], kept[owner, :, 1]  # each piece's check's, by slot
     meets = (left <= stop[:, None]) & (start[:, None] < right)
     whole = left[:, 0] == -math.inf
     meets[:, 0] |= whole
     piece, slot = np.nonzero(meets)
     owner, start, stop, num, whole = (column[piece] for column in (owner, start, stop, num, whole))
-    first = _first_at(start, stop, num, left[piece, slot])
-    end = _first_at(start, stop, num, right[piece, slot])
+    first = np.maximum(_first_at(start, stop, num, left[piece, slot]), near_first[piece])
+    end = np.minimum(_first_at(start, stop, num, right[piece, slot]), near_end[piece])
     first[whole], end[whole] = 0, num[whole]
     keep = first < end
     return owner[keep], start[keep], stop[keep], num[keep], first[keep], end[keep]
@@ -244,7 +304,7 @@ def _points(runs) -> np.ndarray:
     return x
 
 
-def _evaluate(checks, coef, pieces, bounds, kept) -> list[CertificateReport]:
+def _evaluate(checks, coef, pieces, bounds, kept, reach) -> list[CertificateReport]:
     """One pass over each of ``checks`` (Winsorized first, check j's pieces
     from row bounds[j] on), as its report.  Run tables are formed for slabs
     of checks of one kind with at most _CHUNK (piece, kept slot) pairs, at
@@ -254,7 +314,7 @@ def _evaluate(checks, coef, pieces, bounds, kept) -> list[CertificateReport]:
     split = sum(check.kind is MomentKind.WINSOR for check in checks)
     slabs = [*range(0, split, slab), *range(split, len(checks), slab), len(checks)]
     for first, last in zip(slabs, slabs[1:]):
-        runs = _runs(pieces[bounds[first]:bounds[last]], kept[first:last])
+        runs = _runs(pieces[bounds[first]:bounds[last]], kept[first:last], reach[first:last])
         ends = [0, *np.cumsum(np.bincount(runs[0], minlength=last - first)).tolist()]
         counts = np.add.reduceat(runs[5] - runs[4], ends[:-1]).tolist()
         a = 0
@@ -345,16 +405,23 @@ def check_certificate(
     or at most EQUALITY_RTOL, no worst gap or tie of it.  Otherwise, and for
     a minorant whose __call__ is overridden or a grid whose points are not
     ordered, a second pass evaluates the whole grid (106,007 points at three
-    distinct centres).  This is check_certificates on one case."""
+    distinct centres).  Of the window around a contact x0, the first pass
+    also skips the points outside _reach's radius, with one index of margin:
+    on a side of x0 that does not reach the cut, a Taylor bound on F - G,
+    less margins for the rounding of F, G, the slope and the curvature,
+    proves their gaps above max(0, the least contact gap), so above the
+    worst gap, and they lie within CONTACT_WINDOW of x0, where an equality
+    is allowed.  This is check_certificates on one case."""
     return check_certificates([(minorant, kind, c)])[0]
 
 
 def check_certificates(cases) -> list[CertificateReport]:
     """check_certificate's report for each (minorant, kind, c) of ``cases``,
     bit for bit.  The checks go by kind; their grid pieces and coefficients
-    are formed once, as arrays, and _kept walks all their witnesses in
-    lockstep.  Their first passes are evaluated in chunks (_evaluate); a
-    second, whole-grid pass runs per check."""
+    are formed once, as arrays; _kept walks all their witnesses in lockstep,
+    and _reach bounds all their contact windows.  Their first passes are
+    evaluated in chunks (_evaluate); a second, whole-grid pass runs per
+    check."""
     cases = [(minorant, _choice(MomentKind, "kind", kind), c) for minorant, kind, c in cases]
     if not cases:
         return []
@@ -367,9 +434,11 @@ def check_certificates(cases) -> list[CertificateReport]:
         n_points = np.add.reduceat(pieces[:, 2], bounds[:-1]).astype(int).tolist()
         checks = [_Check(*cases[j], n) for j, n in zip(order, n_points)]
         kept = _kept(checks, coef, pieces[spans])
-        reports = _evaluate(checks, coef, pieces, bounds, kept)
+        reach = _reach(checks, coef)
+        reports = _evaluate(checks, coef, pieces, bounds, kept, reach)
         for j in np.flatnonzero(kept[:, 0, 0] > -math.inf).tolist():
             if reports[j].worst_gap > EQUALITY_RTOL:  # not NaN
                 one, mine = slice(j, j + 1), pieces[bounds[j]:bounds[j + 1]]
-                [reports[j]] = _evaluate(checks[one], coef[one], mine, [0, len(mine)], _WHOLE[None])
+                every = (mine, [0, len(mine)], _WHOLE[None], reach[one])  # _WHOLE: no reach
+                [reports[j]] = _evaluate(checks[one], coef[one], *every)
     return [reports[j] for j in sorted(range(len(order)), key=order.__getitem__)]

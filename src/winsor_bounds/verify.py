@@ -79,6 +79,13 @@ def _bounded_check(name, worst, tol, detail=""):
     return CheckResult(name=name, passed=worst <= tol, worst=worst, tolerance=tol, detail=detail)
 
 
+def _extreme(pick, values) -> float:
+    """pick(0.0, *values) for min or max, or NaN if a value is NaN: both
+    keep 0.0 over a NaN that does not come first."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else pick(0.0, *values)
+
+
 def _relative_gap(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y))
 
@@ -263,16 +270,16 @@ def suite_certificates(grid: Grid) -> list[CheckResult]:
     )
     *reports, control = certificates.check_certificates([*cases, (broken, MomentKind.WINSOR, 1.0)])
 
-    worst_gap = min(0.0, *(report.worst_gap for report in reports))
-    worst_tangency = max(0.0, *(gap for report in reports
-                                for gaps in report.contact_gaps.values() for gap in gaps))
+    worst_gap = _extreme(min, (report.worst_gap for report in reports))
+    worst_tangency = _extreme(max, (gap for report in reports
+                                    for gaps in report.contact_gaps.values() for gap in gaps))
     failed = [(kind.value, c, sigma, report.worst_x)
               for ((c, sigma), kind), report in zip(itertools.product(_PAIRS, MomentKind), reports)
               if not report.passed]
     return [
         CheckResult(
             name="certificates.minorant_below_moment",
-            passed=not failed,
+            passed=not failed and worst_gap == worst_gap,
             worst=-worst_gap,
             tolerance=certificates.GAP_RTOL,
             detail="{} c={} sigma={:.3g} x={:.3g}".format(*failed[0]) if failed

@@ -475,7 +475,40 @@ REFERENCE_CASES = {
     "c-minus-2": lambda: (
         from_coefficients(1.0, 0.01, -100.0, (-1.0, 1.0)), MomentKind.WINSOR, -2.0
     ),
+    # F = 1 (c = 0) and G = 1 - 1e-6 (x - 0.5)^2 round to the same double
+    # within a few window steps of the contact 0.5: the worst gap, at or
+    # near 0, has ties there that only the reach's rounding margins keep
+    "ties-around-a-contact-at-c-0": lambda: (
+        from_coefficients(1.0 - 0.25e-6, 1e-6, -1e-6, (-1.0, 0.5)), MomentKind.WINSOR, 0.0
+    ),
+    # G = F(0.5) (1 + 1.2e-3) + F'(0.5) (x - 0.5) - 10 (x - 0.5)^2 at F =
+    # e^{2x}: the contact's gap is -1.2e-3, and the worst lies about 2e-4
+    # left of it, where F - G is above (the contact's gap) F(0.5) but the
+    # gap, relative to the smaller F there, is below the contact's
+    "negative-gap-at-a-contact-in-0-1": lambda: negative_gap_at_a_contact(),
+    # x_hi repeats x_lo = -0.5, so the grid's second window is the kink's:
+    # G, tangent to F = e^x at -0.5, peaks above F = 1 at x = 1.001 in it
+    "repeated-contact-worst-in-the-kink-window": lambda: repeated_contact(),
 }
+
+
+def parabola_at(x0, value, slope, gamma, contact_points):
+    """value + slope (x - x0) + gamma (x - x0)^2, anchored at its lower contact."""
+    alpha, beta = value - slope * x0 + gamma * x0 * x0, slope - 2.0 * gamma * x0
+    return from_coefficients(alpha, beta, gamma, contact_points)
+
+
+def repeated_contact():
+    x0, vertex = -0.5, 1.001
+    f0 = math.exp(x0)
+    gamma = -f0 / (2.0 * (vertex - x0))
+    return parabola_at(x0, f0, f0, gamma, (x0, x0)), MomentKind.TRUNC, 1.0
+
+
+def negative_gap_at_a_contact():
+    x0, c = 0.5, 2.0
+    f0 = math.exp(c * x0)
+    return parabola_at(x0, f0 * (1.0 + 1.2e-3), c * f0, -10.0, (-1.0, x0)), MomentKind.WINSOR, c
 
 
 # exp is exactly 0.0 below about -745.13 (half the least subnormal)
@@ -616,19 +649,49 @@ def evaluated_points(monkeypatch, minorant, kind, c):
     return report, masks
 
 
+def assert_skip_invariant(x, gap, report, contact_points):
+    """The points x that a check skipped, with their gaps: each gap is above
+    the report's worst gap (a number, where the worst is NaN), so it is
+    neither the worst nor a tie of it, and it is above EQUALITY_RTOL or its
+    point lies within CONTACT_WINDOW (1 + |x0|) of a contact x0, so it is
+    no stray equality."""
+    worst = report.worst_gap
+    above_worst = ~np.isnan(gap) if math.isnan(worst) else gap > worst
+    near = np.zeros(x.shape, dtype=bool)
+    for x0 in contact_points:
+        near |= np.abs(x - x0) <= certificates.CONTACT_WINDOW * (1.0 + abs(x0))
+    bad = ~(above_worst & ((gap > certificates.EQUALITY_RTOL) | near))
+    assert not bad.any(), (x[bad][:3], gap[bad][:3], worst)
+
+
+def skipped_gaps(minorant, kind, c, x):
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        f_values = certificates.capped_exp(kind, c, x)
+        return (f_values - minorant(x)) / np.maximum(1.0, f_values)
+
+
 def assert_skips_are_sound(monkeypatch, minorant, kind, c):
     """Every grid point the check did not evaluate, evaluated here over the
-    full np.linspace pieces, has a gap above EQUALITY_RTOL and above the
-    report's worst gap (a NaN gap is neither).  Returns (skipped, total)."""
+    full np.linspace pieces, keeps assert_skip_invariant, and each one
+    outside the kept intervals of psi's witnesses has a gap above
+    EQUALITY_RTOL, as psi > 0 claims.  Returns (skipped, total)."""
+    walks = []
+    walk = certificates._kept
+
+    def recorded(*args):
+        walks.append(walk(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(certificates, "_kept", recorded)
     report, masks = evaluated_points(monkeypatch, minorant, kind, c)
-    floor = max(certificates.EQUALITY_RTOL, report.worst_gap)  # EQUALITY_RTOL where NaN
+    [[kept]] = walks
     skipped = total = 0
     for piece, mask in masks.items():
         x = np.linspace(*piece)[~mask]
-        with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            f_values = certificates.capped_exp(kind, c, x)
-            gap = (f_values - minorant(x)) / np.maximum(1.0, f_values)
-        assert np.all(gap > floor), (piece, x[np.argmin(gap)], gap.min())
+        gaps = skipped_gaps(minorant, kind, c, x)
+        assert_skip_invariant(x, gaps, report, minorant.contact_points)
+        outside = ~((kept[:, :1] <= x) & (x < kept[:, 1:])).any(0)
+        assert np.all(gaps[outside] > certificates.EQUALITY_RTOL), (piece, x[outside][:3])
         skipped, total = skipped + x.size, total + piece[2]
     return skipped, total
 
@@ -745,20 +808,22 @@ def test_negative_controls_fail_with_their_bits(monkeypatch):
         assert report.worst_gap.hex() == worst_gap
         assert report.worst_x.hex() == "-0x1.349a8e2b51f80p-2"
         assert report.n_points == 106_007
-        # 5,457 evaluated points each when the witnesses came in
-        assert sum(int(mask.sum()) for mask in masks.values()) < 5_730
+        # 5,457 evaluated points each when the witnesses came in, 4,458 when
+        # the reach came to narrow the upper contact's window to a few points
+        assert sum(int(mask.sum()) for mask in masks.values()) < 4_681
 
 
 def test_certificate_suite_point_budget(monkeypatch):
-    # A count, not a timing: one certificate suite evaluated 446,630 grid
-    # points when psi's witnesses came to skip the points they prove clear
-    # (10,649,802 before, when whole span blocks were bounded and skipped).
+    # A count, not a timing: one certificate suite evaluated 13,073 grid
+    # points when the reach came to skip the window points a Taylor bound
+    # proves above the worst gap (446,630 before, with psi's witnesses
+    # alone; 10,649,802 when whole span blocks were bounded and skipped).
     # The ceiling is that count plus 5%; a change that needs more points is
     # a regression, not a new ceiling.
     runs = record_runs(monkeypatch)
     assert all(result.passed for result in verify.run_suite("certificates"))
     evaluated = sum(run[-1].size for run in runs)
-    assert evaluated <= 468_961, f"{evaluated} points"
+    assert evaluated <= 13_727, f"{evaluated} points"
 
 
 def test_certificate_suite_psi_budget(monkeypatch):
@@ -805,8 +870,8 @@ def test_certificate_suite_never_takes_the_whole_grid_pass(monkeypatch):
     # the whole-grid pass forms 106,007 points at once; in one certificate
     # suite every check ends after its witness pass, the largest of which
     # (the negative control) held 5,457 points when the check came to form
-    # one array per pass.  A witness pass above one 8,192-point block is a
-    # regression in the witnesses.
+    # one array per pass (4,458 with the reach).  A witness pass above one
+    # 8,192-point block is a regression in the witnesses.
     worst = REFERENCE_CASES["worst-above-tolerance"]()
     sizes, checks = pass_sizes(monkeypatch, lambda: certificates.check_certificate(*worst))
     assert (len(sizes), sizes[-1], checks) == (2, 106_007, 1)  # the seam sees a second pass
@@ -885,39 +950,142 @@ def test_certificate_suite_report_fingerprint(monkeypatch):
     assert digest.hexdigest() == CERTIFICATE_REPORTS_SHA256
 
 
-def test_walk_skips_only_points_clear_of_equality(monkeypatch):
-    # one lockstep walk over all cases; on each check's whole sorted grid,
-    # every point outside its kept intervals has a gap above EQUALITY_RTOL,
-    # except in the checks that keep every point (no walk)
-    walks = []
-    walk = certificates._kept
+@pytest.mark.parametrize("spoiled, check", [
+    ("contact_gaps", "certificates.contact_tangency"),
+    ("worst_gap", "certificates.minorant_below_moment"),
+])
+def test_a_nan_gap_fails_its_verify_check(spoiled, check, monkeypatch):
+    # Python's max(0.0, nan) and min(0.0, nan) are 0.0: one report's NaN
+    # gap must still fail its check, with NaN as the check's worst
+    batch = certificates.check_certificates
 
-    def recorded(checks, *args):
+    def spoiling(cases):
+        first, *rest = batch(cases)
+        if spoiled == "contact_gaps":
+            x0 = next(iter(first.contact_gaps))
+            first = first._replace(contact_gaps={**first.contact_gaps, x0: (0.0, math.nan)})
+        else:
+            first = first._replace(worst_gap=math.nan)
+        return [first, *rest]
+
+    monkeypatch.setattr(certificates, "check_certificates", spoiling)
+    results = {result.name: result for result in verify.run_suite("certificates")}
+    assert not results[check].passed and math.isnan(results[check].worst)
+    assert sum(not result.passed for result in results.values()) == 1
+
+
+def test_walk_skips_only_points_clear_of_equality(monkeypatch):
+    # one lockstep walk and one reach over all cases; on each check's grid
+    # pieces, every point outside its kept intervals (psi's rule, which
+    # also puts its gap above EQUALITY_RTOL) and every point of a contact's
+    # window outside its reach (the Taylor rule) keeps assert_skip_invariant,
+    # except in the checks that evaluate every point (no walk, or a second
+    # pass)
+    walks, reaches = [], []
+    walk, reach = certificates._kept, certificates._reach
+
+    def recorded_walk(checks, *args):
         walks.append((checks, walk(checks, *args)))
         return walks[-1][1]
 
-    monkeypatch.setattr(certificates, "_kept", recorded)
+    def recorded_reach(checks, coef):
+        reaches.append(reach(checks, coef))
+        return reaches[-1]
+
+    monkeypatch.setattr(certificates, "_kept", recorded_walk)
+    monkeypatch.setattr(certificates, "_reach", recorded_reach)
     cases = [(law.minorant(result), kind, result.tilt) for result, kind in seeded_bounds(40)]
     cases += [make() for make in BATCH_EDGE_CASES.values()]
-    certificates.check_certificates(cases)
-    [(checks, kept)] = walks
-    skipped, whole = 0, 0
-    for check, intervals in zip(checks, kept):
-        if intervals[0, 0] == -math.inf:
+    reports = certificates.check_certificates(cases)
+    report_of = {id(case[0]): report for case, report in zip(cases, reports)}
+    [(checks, kept)], [near] = walks, reaches
+    skipped = reached = whole = 0
+    for check, intervals, contact_reach in zip(checks, kept, near):
+        report = report_of[id(check.minorant)]
+        if intervals[0, 0] == -math.inf or report.worst_gap > certificates.EQUALITY_RTOL:
             whole += 1
             continue
-        grid = certificates.certificate_grid(check.minorant)
-        outside = np.ones(grid.size, dtype=bool)
+        pieces = grid_pieces(check.minorant)
+        x = np.concatenate([np.linspace(*piece) for piece in pieces])
+        outside = np.ones(x.size, dtype=bool)
         for left, right in intervals:
-            outside &= ~((left <= grid) & (grid < right))
-        x = grid[outside]
-        with np.errstate(all="ignore"):
-            f_values = certificates.capped_exp(check.kind, check.c, x)
-            gap = (f_values - check.minorant(x)) / np.maximum(1.0, f_values)
-        assert np.all(gap > certificates.EQUALITY_RTOL), (check, x[np.argmin(gap)], gap.min())
-        skipped += x.size
+            outside &= ~((left <= x) & (x < right))
+        windows = {point[0]: window for window, point in zip(pieces, pieces[1:]) if point[2] == 1}
+        beyond = []
+        for x0, (lo, hi) in zip(check.minorant.contact_points, contact_reach):
+            window = np.linspace(*windows[x0])
+            beyond.append(window[(window < lo) | (hi < window)])
+        gaps = skipped_gaps(check.minorant, check.kind, check.c, x[outside])
+        assert np.all(gaps > certificates.EQUALITY_RTOL), check  # as psi > 0 claims
+        assert_skip_invariant(x[outside], gaps, report, check.minorant.contact_points)
+        for points in beyond:
+            gaps = skipped_gaps(check.minorant, check.kind, check.c, points)
+            assert_skip_invariant(points, gaps, report, check.minorant.contact_points)
+        skipped += outside.sum()
+        reached += sum(points.size for points in beyond)
     assert len(checks) == len(cases) and 0 < whole < len(checks)
     assert skipped > 0.9 * sum(check.n_points for check in checks)
+    assert reached > 1_000 * len(checks)
+
+
+def window_across_the_cut():
+    """(minorant, kind, c): G tangent to F = e^{2x} at the upper contact
+    0.9995, whose window reaches 1.0015, past the cut; G peaks at a point of
+    that window above 1, where the truncated F is 1, so the worst gap lies
+    there, 1.5e-3 from the contact."""
+    x0, c = 0.9995, 2.0
+    pieces = grid_pieces(from_coefficients(0.0, 1.0, -1.0, (-1.0, x0)))
+    window = next(piece for piece, point in zip(pieces, pieces[1:]) if point == (x0, x0, 1))
+    vertex = float(np.linspace(*window)[1750])
+    f0 = math.exp(c * x0)
+    gamma = -c * f0 / (2.0 * (vertex - x0))
+    return parabola_at(x0, f0, c * f0, gamma, (-1.0, x0)), MomentKind.TRUNC, c
+
+
+# the cases where the reach must leave a side of a contact whole, with the
+# (contact, side) pairs it must leave whole: a side whose window reaches the
+# cut, the truncated contact on the cut, and a NaN contact gap (F = e^{800x}
+# overflows at the contact 0.8875, and the least x of a NaN gap lies in its
+# window).  In the first and the last the worst point lies in the window of
+# the upper contact, off the contact
+NO_REACH_CASES = {
+    "window-across-the-cut": (window_across_the_cut, [(1, 1)]),
+    "trunc-contact-on-the-cut": (
+        lambda: solved_trunc(1.0, 0.5, trunc.Branch.SMALL_SIGMA), [(1, 0), (1, 1)]
+    ),
+    "nan-contact-gap": (
+        lambda: (from_coefficients(0.0, 1.0, -1.0, (-0.5, 0.8875)), MomentKind.WINSOR, 800.0),
+        [(0, 0), (0, 1), (1, 0), (1, 1)],
+    ),
+}
+WORST_IN_THE_UPPER_WINDOW = {"window-across-the-cut", "nan-contact-gap"}
+
+
+@pytest.mark.parametrize("case", NO_REACH_CASES)
+def test_reach_leaves_whole_the_sides_its_bound_does_not_cover(case, monkeypatch):
+    make, sides = NO_REACH_CASES[case]
+    minorant, kind, c = make()
+    reaches = []
+    reach = certificates._reach
+
+    def recorded(checks, coef):
+        reaches.append(reach(checks, coef))
+        return reaches[-1]
+
+    monkeypatch.setattr(certificates, "_reach", recorded)
+    report = certificates.check_certificate(minorant, kind, c)
+    monkeypatch.undo()
+    [[near]] = reaches
+    for contact, side in sides:
+        assert near[contact, side] == (-math.inf, math.inf)[side], (contact, side)
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        expected = reference_check(minorant, kind, c)
+    walked = (report.passed, report.worst_gap, report.worst_x, report.equality_localized)
+    assert repr(walked) == repr(expected)
+    if case in WORST_IN_THE_UPPER_WINDOW:
+        x0 = minorant.contact_points[1]
+        assert 0.0 < abs(report.worst_x - x0) <= 1e-3 * (1.0 + abs(x0))
+    assert_skips_are_sound(monkeypatch, minorant, kind, c)
 
 
 def test_equality_one_to_two_windows_from_a_contact_is_not_localized():
@@ -958,10 +1126,10 @@ def test_certificate_suite_forms_no_array_above_a_chunk(monkeypatch):
     pairs = []
     table = certificates._runs
 
-    def counted(pieces, kept):
-        assert kept.shape[1:] == (3, 2)
+    def counted(pieces, kept, reach):
+        assert kept.shape[1:] == (3, 2) and reach.shape[1:] == (2, 2)
         pairs.append(3 * len(pieces))
-        return table(pieces, kept)
+        return table(pieces, kept, reach)
 
     monkeypatch.setattr(certificates, "_runs", counted)
     assert all(result.passed for result in verify.run_suite("certificates"))

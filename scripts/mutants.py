@@ -58,8 +58,8 @@ MUTANTS = [
            "            if False:  # not NaN",
            "a check whose evaluated worst clears EQUALITY_RTOL is not re-run on its whole grid"),
     Mutant("psi-without-q", CERT,
-           "    psi = (1.0 - 1e-12 - _Q) * f - g - 1e-13 * spread - _Q - 1e-299",
-           "    psi = (1.0 - 1e-12) * f - g - 1e-13 * spread - 1e-299",
+           "    psi = (1.0 - _Q) * f - g - _Q - _slack(f, spread)",
+           "    psi = f - g - _slack(f, spread)",
            "psi proves points clear of zero, not of the equality tolerance"),
     Mutant("q-halved", CERT,
            "_Q = 1.0001 * EQUALITY_RTOL", "_Q = 0.50005 * EQUALITY_RTOL",
@@ -101,7 +101,7 @@ MUTANTS = [
            "chunks mix the two kinds, and each takes its first check's F"),
     # the reach: window points that a Taylor bound proves above the worst gap
     Mutant("reach-without-margins", CERT,
-           "    slack = 1e-12 * f_hi + 1e-13 * np.maximum(spread[..., :1], spread[..., 1:]) + 1e-299",
+           "    slack = _slack(f_hi, np.maximum(spread[..., :1], spread[..., 1:]))",
            "    slack = 0.0 * f_hi",
            "the reach takes F and G at the contact and at each point as exact"),
     Mutant("reach-least-contact-gap", CERT,
@@ -112,9 +112,10 @@ MUTANTS = [
            "    one_piece = (np.minimum(x0, far) > 1.0) | (np.maximum(x0, far) < 1.0)",
            "    one_piece = (np.minimum(x0, far) > 1.0) | (x0 < 1.0)",
            "a window below the cut that reaches past it is narrowed as if F were e^{cx} there"),
-    Mutant("reach-repeated-contact", CERT,
-           "    one_piece[:, 1] &= x_hi[:, 0] != x_lo[:, 0]\n", "",
-           "where x_hi repeats x_lo, its reach narrows the kink's window, which comes second"),
+    Mutant("reach-on-the-next-window", CERT,
+           "        lo[:, :2, 0], hi[:, :2, 0] = reach[..., 0], reach[..., 1]",
+           "        lo[:, 1:, 0], hi[:, 1:, 0] = reach[..., 0], reach[..., 1]",
+           "each contact's reach narrows the next centre's window, x_hi's the kink's"),
     # the joint scan's row floor
     Mutant("floor-raised", ORACLE,
            "(1.0 + a) * b ** (1.0 / (1.0 + a)) / (a + b), -np.inf)",
@@ -181,16 +182,16 @@ EQUIVALENT = [
            "cycling; over 1,080 (kind, c, sigma) cases, c from 1e-3 to 300 and sigma from "
            "1e-150 to 1e145, every result kept its bits, and no case cycled"),
     Mutant("reach-without-index-margin", CERT,
-           "    near_first[window] = _first_at(*linspace, lo) - 1\n"
-           "    near_end[window] = _first_at(*linspace, np.nextafter(hi, math.inf)) + 1",
-           "    near_first[window] = _first_at(*linspace, lo)\n"
-           "    near_end[window] = _first_at(*linspace, np.nextafter(hi, math.inf))",
+           "    near_first = _first_at(start, stop, num, lo) - 1\n"
+           "    near_end = _first_at(start, stop, num, np.nextafter(hi, math.inf)) + 1",
+           "    near_first = _first_at(start, stop, num, lo)\n"
+           "    near_end = _first_at(start, stop, num, np.nextafter(hi, math.inf))",
            "the index margin covers the rounding of r and of x0 -+ r, a few ulps of x0, while "
            "a window step is 1e-6 (1 + |x0|); that close to the radius the bound falls far "
            "less than its 1e-12 F of slack over the rounding of F and G at the point"),
     Mutant("psi-without-f-rounding-term", CERT,
-           "    psi = (1.0 - 1e-12 - _Q) * f - g - 1e-13 * spread - _Q - 1e-299",
-           "    psi = (1.0 - _Q) * f - g - 1e-13 * spread - _Q - 1e-299",
+           "    psi = (1.0 - _Q) * f - g - _Q - _slack(f, spread)",
+           "    psi = (1.0 - _Q) * f - g - _Q - _slack(0.0 * f, spread)",
            "the 1e-12 F term covers c*x's rounding and exp's error at |c x| near 709; "
            "the errors met are about 1e-16 F, far inside q's 1e-14 F headroom"),
     Mutant("floor-where-b-below-1", ORACLE,

@@ -90,43 +90,68 @@ class CertificateReport(
     __slots__ = ()
 
 
-def _grid_pieces(contacts) -> np.ndarray:
+def _grid_pieces(contacts, reach=None) -> np.ndarray:
     """The pieces of the grids of the rows (x_lo, x_hi) of ``contacts``, grid
-    by grid, as rows of np.linspace's (start, stop, num): a window and the
-    point at each contact and x = 1 (each centre once), then a wide span."""
+    by grid, as rows (start, stop, num, lo, hi): a window and the point at
+    each contact and x = 1 (each centre once), then a wide span, each as
+    np.linspace's (start, stop, num).  [lo, hi] is a contact's ``reach``
+    (see _reach) on its window, and (-inf, inf) on every other piece and
+    where reach is None."""
     x0 = np.column_stack((contacts, np.ones(len(contacts))))
     window, size = 1e-3 * (1.0 + np.abs(x0)), np.abs(contacts)
     span = 10.0 * np.where(np.isnan(size[:, 0]), math.nan, np.fmax(np.fmax(*size.T), 1.0))
     num = np.broadcast_to((GRID_WINDOW_POINTS, 1.0), (*x0.shape, 2))
-    rows = np.stack((np.stack((x0 - window, x0), 2), np.stack((x0 + window, x0), 2), num), 3)
-    spans = np.stack((-span, span, np.full(len(x0), GRID_BASE_POINTS)), 1)[:, None]
+    lo, hi = np.full((*x0.shape, 2), -math.inf), np.full((*x0.shape, 2), math.inf)
+    if reach is not None:
+        lo[:, :2, 0], hi[:, :2, 0] = reach[..., 0], reach[..., 1]
+    starts, stops = np.stack((x0 - window, x0), 2), np.stack((x0 + window, x0), 2)
+    rows = np.stack((starts, stops, num, lo, hi), 3)
+    spans = np.tile((-1.0, 1.0, GRID_BASE_POINTS, -math.inf, math.inf), (len(x0), 1))
+    spans[:, :2] *= span[:, None]
     once = np.column_stack([(x0[:, :k] != x0[:, k, None]).all(1) for k in range(3)])
     keep = np.column_stack((once.repeat(2, 1), np.ones(len(x0), dtype=bool)))
-    return np.concatenate((rows.reshape(-1, 6, 3), spans), 1)[keep]
+    return np.concatenate((rows.reshape(-1, 6, 5), spans[:, None]), 1)[keep]
 
 
 def certificate_grid(minorant: QuadraticMinorant) -> np.ndarray:
     """Evaluation grid: the points check_certificate covers, sorted and unique."""
-    pieces = _grid_pieces(np.array([minorant.contact_points], dtype=float)).tolist()
+    pieces = _grid_pieces(np.array([minorant.contact_points], dtype=float))[:, :3].tolist()
     return np.unique(np.concatenate([np.linspace(a, b, int(num)) for a, b, num in pieces]))
 
 
+def _spread(u, value, slope, gamma):
+    """|v| + |s||u| + |gamma| u^2 (gamma < 0): the size of G's terms at u."""
+    return np.abs(value) + np.abs(slope * u) - gamma * u * u
+
+
+def _slack(f, spread):
+    """A bound on the rounding of F and G at a point with F <= f and _spread
+    <= spread: 1e-12 F covers c*x's rounding and exp's error, the 1e-13 term
+    is about 100 times the Horner error gamma_3 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3), 1e-299 covers subnormals."""
+    return 1e-12 * f + 1e-13 * spread + 1e-299
+
+
+def _curvature(below, c, f, gamma):
+    """(F - G)'' = c^2 F - 2 gamma where F = e^{cx} (``below`` the cut), else
+    -2 gamma; positive, as gamma < 0."""
+    return np.where(below, c * c * f, 0.0) - 2.0 * gamma
+
+
 def _psi(k, x, below):
-    """psi(x) = (1 - 1e-12 - q) F - G - 1e-13 (|v| + |s||u| + |gamma| u^2) - q
-    - 1e-299 (q = _Q, u = x - x_lo), a bound on its float error, and F(x) =
-    e^{cx} where ``below`` (inf from cx = 709 on), else f_flat, for arrays of
-    walks with rows k = (x_lo, v, s, gamma, c, f_flat).  psi(x) > 0 puts
-    check_certificate's gap at x above EQUALITY_RTOL: 1e-12 F covers c*x's
-    rounding and exp's error, the 1e-13 term is about 100 times the Horner
-    error gamma_3 (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3), 1e-299 covers subnormals, q (F + 1) clears EQUALITY_RTOL max(1, F)."""
+    """psi(x) = (1 - q) F - G - q - _slack (q = _Q, u = x - x_lo), a bound on
+    its float error, and F(x) = e^{cx} where ``below`` (inf from cx = 709
+    on), else f_flat, for arrays of walks with rows k = (x_lo, v, s, gamma,
+    c, f_flat).  psi(x) > 0 puts check_certificate's gap at x above
+    EQUALITY_RTOL: _slack covers the rounding of F and G, and q (F + 1)
+    clears EQUALITY_RTOL max(1, F)."""
     x_lo, value, slope, gamma, c, f = k
     cx = c * x
     f = np.where(below, np.where(cx < 709.0, np.exp(cx), math.inf), f)
     u = x - x_lo
     g = value + u * (slope + gamma * u)
-    spread = np.abs(value) + np.abs(slope * u) - gamma * u * u
-    psi = (1.0 - 1e-12 - _Q) * f - g - 1e-13 * spread - _Q - 1e-299
+    spread = _spread(u, value, slope, gamma)
+    psi = (1.0 - _Q) * f - g - _Q - _slack(f, spread)
     return psi, 1e-12 * (f + np.abs(g) + _Q) + 1e-15 * spread + 1e-300, f
 
 
@@ -139,7 +164,7 @@ def _witnesses(k, p, end, below) -> np.ndarray:
     end, they are finite between."""
     value, margin, f = _psi(k, p, below)
     target = np.maximum(value + margin, 0.0)
-    curvature = np.where(below, k[4] * k[4] * f, 0.0) - 2.0 * k[3]
+    curvature = _curvature(below, k[4], f, k[3])
     h = np.maximum(2.0 * np.sqrt(np.maximum(-value, margin) / curvature), 1e-6 * (1.0 + np.abs(p)))
     sign = np.where(end > p, 1.0, -1.0)
     w, found = end.copy(), np.zeros(p.shape, dtype=bool)
@@ -198,9 +223,10 @@ def _kept(checks, coef, spans) -> np.ndarray:
     return kept
 
 
-def _reach(checks, coef) -> np.ndarray:
+def _reach(winsor, coef) -> np.ndarray:
     """Each check's reach [x0 - r, x0 + r'] around each of its contacts x0
-    (rows of ``coef`` as _kept's), as an (n, 2, 2) array: every point of
+    (rows of ``coef`` as _kept's, ``winsor`` true for the checks of the
+    Winsorized kind), as an (n, 2, 2) array: every point of
     x0's window past it has a computed gap above q = max(0, the least gap
     at the check's contacts), and so above its worst gap, which is at most
     q because the fold evaluates each contact's own point.  On a side of
@@ -208,16 +234,16 @@ def _reach(checks, coef) -> np.ndarray:
     above the cut 1), Taylor gives h = F - G >= h(x0) - B d + m d^2 / 2 at
     d = |x - x0|, with B >= |h'(x0)| and m = (c^2 (the side's least F, below
     1) - 2 gamma) (1 - 1e-12) <= h'' > 0.  r is the larger root (0 if none)
-    of that bound = q (1 + 1e-12) max(1, F) + 2 slack, where slack = 1e-12 F
-    + 1e-13 (|v| + |s||u| + |gamma| u^2) + 1e-299, with F and |u| at their
-    largest on the side, is _psi's bound on the rounding of F and G, taken
-    once at x0 and once at x; the 1e-12 terms of B, m and max(1, F) cover
-    their rounding (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3).  F and G at the contacts are formed as _fold forms them.  A side
-    that reaches the cut, a contact that repeats x_lo and a bound that is
-    not finite reach their whole side (-+inf)."""
-    x_lo, x_hi, value, slope, gamma, c = (column[:, None, None] for column in coef.T)
-    winsor = np.array([check.kind is MomentKind.WINSOR for check in checks], bool)[:, None, None]
+    of that bound = q (1 + 1e-12) max(1, F) + 2 slack, where slack is
+    _slack with F and _spread at their largest on the side (_spread is
+    convex in u), _psi's bound on the rounding of F and G, taken once at x0
+    and once at x; the 1e-12 terms of B, m and max(1, F) cover their
+    rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch.
+    3).  F and G at the contacts are formed as _fold forms them.  A side
+    that reaches the cut and a bound that is not finite reach their whole
+    side (-+inf)."""
+    x_lo, _, value, slope, gamma, c = (column[:, None, None] for column in coef.T)
+    winsor = winsor[:, None, None]
     x0 = coef[:, :2, None]
     far = x0 + np.array((-1.0, 1.0)) * (1e-3 * (1.0 + np.abs(x0)))  # each side's window end
     x = np.concatenate((x0, far), 2)  # (n, 2, 3): each contact, then its two sides' ends
@@ -225,20 +251,19 @@ def _reach(checks, coef) -> np.ndarray:
     u = x - x_lo
     g = _horner(x.ravel(), *coef[:, [0, 2, 3, 4]].T, 6).reshape(x.shape)
     q = np.maximum(((f - g) / np.maximum(f, 1.0))[:, :, :1].min(1, keepdims=True), 0.0)
-    spread = np.abs(value) + np.abs(slope * u) - gamma * u * u
+    spread = _spread(u, value, slope, gamma)
     f0, u0 = f[..., :1], u[..., :1]
     f_lo, f_hi = np.minimum(f0, f[..., 1:]), np.maximum(f0, f[..., 1:])
-    slack = 1e-12 * f_hi + 1e-13 * np.maximum(spread[..., :1], spread[..., 1:]) + 1e-299
+    slack = _slack(f_hi, np.maximum(spread[..., :1], spread[..., 1:]))
     below = x0 < 1.0
     f_slope, curve = np.where(below, c * f0, 0.0), 2.0 * gamma * u0  # F'(x0), G'(x0) - slope
     b = np.abs(f_slope - (slope + curve))
     b += 1e-12 * (np.abs(f_slope) + np.abs(slope) + np.abs(curve))
-    m = (np.where(below, c * c * f_lo, 0.0) - 2.0 * gamma) * (1.0 - 1e-12)
+    m = _curvature(below, c, f_lo, gamma) * (1.0 - 1e-12)
     target = q * (1.0 + 1e-12) * np.maximum(f_hi, 1.0) + 2.0 * slack - (f0 - g[..., :1])
     disc = b * b + 2.0 * m * target
     r = np.where(disc < 0.0, 0.0, (b + np.sqrt(disc)) / m)  # no root: the bound clears q everywhere
     one_piece = (np.minimum(x0, far) > 1.0) | (np.maximum(x0, far) < 1.0)
-    one_piece[:, 1] &= x_hi[:, 0] != x_lo[:, 0]
     r = np.where(one_piece & (m > 0.0) & np.isfinite(r), r, math.inf)
     return x0 + np.array((-1.0, 1.0)) * r
 
@@ -256,26 +281,18 @@ def _first_at(start, stop, num, bound):
     return i.astype(np.intp)
 
 
-def _runs(pieces, kept, reach):
-    """The run table of checks with grid ``pieces`` (np.linspace's (start,
-    stop, num), each check's last its span), ``kept`` intervals and contact
-    ``reach`` (see _reach): for each run, the points of a piece in a kept
-    interval, its check, its piece and its index range [first, end); by
-    check, then piece, then x.  A window centred on a contact keeps only
-    its points in the contact's reach and one index on either side; a check
+def _runs(pieces, kept):
+    """The run table of checks with grid ``pieces`` (_grid_pieces' rows,
+    each check's last its span) and ``kept`` intervals: for each run, the
+    points of a piece in a kept interval, its check, its piece and its
+    index range [first, end); by check, then piece, then x.  A piece keeps
+    only its points in its [lo, hi] and one index on either side; a check
     that keeps _WHOLE keeps every point."""
-    start, stop, num = pieces.T
+    start, stop, num, lo, hi = pieces.T
     span = num == GRID_BASE_POINTS  # each check's last piece
     owner = np.cumsum(span) - span
-    # a check's windows start its pieces, a window and a point per centre:
-    # x_lo's at offset 0, then x_hi's at 2, unless x_hi repeats x_lo
-    offset = np.arange(len(pieces)) - np.flatnonzero(np.r_[True, span[:-1]])[owner]
-    near_first, near_end = np.zeros(len(pieces), dtype=np.intp), num.astype(np.intp)
-    window = np.flatnonzero((num == GRID_WINDOW_POINTS) & (offset < 4))
-    lo, hi = reach[owner[window], offset[window] // 2].T
-    linspace = start[window], stop[window], num[window]
-    near_first[window] = _first_at(*linspace, lo) - 1
-    near_end[window] = _first_at(*linspace, np.nextafter(hi, math.inf)) + 1
+    near_first = _first_at(start, stop, num, lo) - 1
+    near_end = _first_at(start, stop, num, np.nextafter(hi, math.inf)) + 1
     left, right = kept[owner, :, 0], kept[owner, :, 1]  # each piece's check's, by slot
     meets = (left <= stop[:, None]) & (start[:, None] < right)
     whole = left[:, 0] == -math.inf
@@ -304,7 +321,7 @@ def _points(runs) -> np.ndarray:
     return x
 
 
-def _evaluate(checks, coef, pieces, bounds, kept, reach) -> list[CertificateReport]:
+def _evaluate(checks, coef, pieces, bounds, kept) -> list[CertificateReport]:
     """One pass over each of ``checks`` (Winsorized first, check j's pieces
     from row bounds[j] on), as its report.  Run tables are formed for slabs
     of checks of one kind with at most _CHUNK (piece, kept slot) pairs, at
@@ -314,7 +331,7 @@ def _evaluate(checks, coef, pieces, bounds, kept, reach) -> list[CertificateRepo
     split = sum(check.kind is MomentKind.WINSOR for check in checks)
     slabs = [*range(0, split, slab), *range(split, len(checks), slab), len(checks)]
     for first, last in zip(slabs, slabs[1:]):
-        runs = _runs(pieces[bounds[first]:bounds[last]], kept[first:last], reach[first:last])
+        runs = _runs(pieces[bounds[first]:bounds[last]], kept[first:last])
         ends = [0, *np.cumsum(np.bincount(runs[0], minlength=last - first)).tolist()]
         counts = np.add.reduceat(runs[5] - runs[4], ends[:-1]).tolist()
         a = 0
@@ -427,18 +444,17 @@ def check_certificates(cases) -> list[CertificateReport]:
         return []
     order = sorted(range(len(cases)), key=lambda j: cases[j][1] is MomentKind.TRUNC)
     coef = np.array([(*cases[j][0].contact_points, *cases[j][0][1:], cases[j][2]) for j in order])
+    winsor = np.array([cases[j][1] is MomentKind.WINSOR for j in order], bool)
     with np.errstate(all="ignore"):
-        pieces = _grid_pieces(coef[:, :2])
+        pieces = _grid_pieces(coef[:, :2], _reach(winsor, coef))
         spans = np.flatnonzero(pieces[:, 2] == GRID_BASE_POINTS)  # each check's last piece
         bounds = [0, *(spans + 1).tolist()]
         n_points = np.add.reduceat(pieces[:, 2], bounds[:-1]).astype(int).tolist()
         checks = [_Check(*cases[j], n) for j, n in zip(order, n_points)]
-        kept = _kept(checks, coef, pieces[spans])
-        reach = _reach(checks, coef)
-        reports = _evaluate(checks, coef, pieces, bounds, kept, reach)
+        kept = _kept(checks, coef, pieces[spans, :3])
+        reports = _evaluate(checks, coef, pieces, bounds, kept)
         for j in np.flatnonzero(kept[:, 0, 0] > -math.inf).tolist():
             if reports[j].worst_gap > EQUALITY_RTOL:  # not NaN
                 one, mine = slice(j, j + 1), pieces[bounds[j]:bounds[j + 1]]
-                every = (mine, [0, len(mine)], _WHOLE[None], reach[one])  # _WHOLE: no reach
-                [reports[j]] = _evaluate(checks[one], coef[one], *every)
+                [reports[j]] = _evaluate(checks[one], coef[one], mine, [0, len(mine)], _WHOLE[None])
     return [reports[j] for j in sorted(range(len(order)), key=order.__getitem__)]

@@ -279,7 +279,7 @@ def suite_certificates(grid: Grid) -> list[CheckResult]:
     return [
         CheckResult(
             name="certificates.minorant_below_moment",
-            passed=not failed and worst_gap == worst_gap,
+            passed=not failed,
             worst=-worst_gap,
             tolerance=certificates.GAP_RTOL,
             detail="{} c={} sigma={:.3g} x={:.3g}".format(*failed[0]) if failed

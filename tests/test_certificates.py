@@ -95,7 +95,7 @@ def grid_pieces(minorant):
     """The minorant's grid pieces as np.linspace's (start, stop, num), from
     the batch's array of them: the windows and points, then the span."""
     pieces = certificates._grid_pieces(np.array([minorant.contact_points], dtype=float))
-    return [(start, stop, int(num)) for start, stop, num in pieces.tolist()]
+    return [(start, stop, int(num)) for start, stop, num in pieces[:, :3].tolist()]
 
 
 def hex_gaps(gaps):
@@ -950,37 +950,30 @@ def test_certificate_suite_report_fingerprint(monkeypatch):
     assert digest.hexdigest() == CERTIFICATE_REPORTS_SHA256
 
 
-@pytest.mark.parametrize("spoiled, check", [
-    ("contact_gaps", "certificates.contact_tangency"),
-    ("worst_gap", "certificates.minorant_below_moment"),
-])
-def test_a_nan_gap_fails_its_verify_check(spoiled, check, monkeypatch):
-    # Python's max(0.0, nan) and min(0.0, nan) are 0.0: one report's NaN
-    # gap must still fail its check, with NaN as the check's worst
+def test_a_nan_contact_gap_fails_its_verify_check(monkeypatch):
+    # Python's max(0.0, nan) is 0.0: one report's NaN contact gap must
+    # still fail the tangency check, with NaN as the check's worst
     batch = certificates.check_certificates
 
     def spoiling(cases):
         first, *rest = batch(cases)
-        if spoiled == "contact_gaps":
-            x0 = next(iter(first.contact_gaps))
-            first = first._replace(contact_gaps={**first.contact_gaps, x0: (0.0, math.nan)})
-        else:
-            first = first._replace(worst_gap=math.nan)
-        return [first, *rest]
+        x0 = next(iter(first.contact_gaps))
+        return [first._replace(contact_gaps={**first.contact_gaps, x0: (0.0, math.nan)}), *rest]
 
     monkeypatch.setattr(certificates, "check_certificates", spoiling)
     results = {result.name: result for result in verify.run_suite("certificates")}
-    assert not results[check].passed and math.isnan(results[check].worst)
+    tangency = results["certificates.contact_tangency"]
+    assert not tangency.passed and math.isnan(tangency.worst)
     assert sum(not result.passed for result in results.values()) == 1
 
 
 def test_walk_skips_only_points_clear_of_equality(monkeypatch):
-    # one lockstep walk and one reach over all cases; on each check's grid
-    # pieces, every point outside its kept intervals (psi's rule, which
-    # also puts its gap above EQUALITY_RTOL) and every point of a contact's
-    # window outside its reach (the Taylor rule) keeps assert_skip_invariant,
-    # except in the checks that evaluate every point (no walk, or a second
-    # pass)
+    # one lockstep walk and one reach over all cases; on each walked check's
+    # grid pieces, every point outside its kept intervals has a gap above
+    # EQUALITY_RTOL, as psi > 0 claims.  Where its first pass stands (the
+    # worst gap is NaN or at most EQUALITY_RTOL, so no second pass), those
+    # points and every point of a contact's window outside its reach (the
+    # Taylor rule) keep assert_skip_invariant
     walks, reaches = [], []
     walk, reach = certificates._kept, certificates._reach
 
@@ -988,8 +981,8 @@ def test_walk_skips_only_points_clear_of_equality(monkeypatch):
         walks.append((checks, walk(checks, *args)))
         return walks[-1][1]
 
-    def recorded_reach(checks, coef):
-        reaches.append(reach(checks, coef))
+    def recorded_reach(*args):
+        reaches.append(reach(*args))
         return reaches[-1]
 
     monkeypatch.setattr(certificates, "_kept", recorded_walk)
@@ -999,10 +992,10 @@ def test_walk_skips_only_points_clear_of_equality(monkeypatch):
     reports = certificates.check_certificates(cases)
     report_of = {id(case[0]): report for case, report in zip(cases, reports)}
     [(checks, kept)], [near] = walks, reaches
-    skipped = reached = whole = 0
+    skipped = reached = whole = second = 0
     for check, intervals, contact_reach in zip(checks, kept, near):
         report = report_of[id(check.minorant)]
-        if intervals[0, 0] == -math.inf or report.worst_gap > certificates.EQUALITY_RTOL:
+        if intervals[0, 0] == -math.inf:
             whole += 1
             continue
         pieces = grid_pieces(check.minorant)
@@ -1010,20 +1003,21 @@ def test_walk_skips_only_points_clear_of_equality(monkeypatch):
         outside = np.ones(x.size, dtype=bool)
         for left, right in intervals:
             outside &= ~((left <= x) & (x < right))
-        windows = {point[0]: window for window, point in zip(pieces, pieces[1:]) if point[2] == 1}
-        beyond = []
-        for x0, (lo, hi) in zip(check.minorant.contact_points, contact_reach):
-            window = np.linspace(*windows[x0])
-            beyond.append(window[(window < lo) | (hi < window)])
         gaps = skipped_gaps(check.minorant, check.kind, check.c, x[outside])
         assert np.all(gaps > certificates.EQUALITY_RTOL), check  # as psi > 0 claims
+        skipped += outside.sum()
+        if report.worst_gap > certificates.EQUALITY_RTOL:  # its second pass evaluated every point
+            second += 1
+            continue
         assert_skip_invariant(x[outside], gaps, report, check.minorant.contact_points)
-        for points in beyond:
+        windows = {point[0]: window for window, point in zip(pieces, pieces[1:]) if point[2] == 1}
+        for x0, (lo, hi) in zip(check.minorant.contact_points, contact_reach):
+            window = np.linspace(*windows[x0])
+            points = window[(window < lo) | (hi < window)]
             gaps = skipped_gaps(check.minorant, check.kind, check.c, points)
             assert_skip_invariant(points, gaps, report, check.minorant.contact_points)
-        skipped += outside.sum()
-        reached += sum(points.size for points in beyond)
-    assert len(checks) == len(cases) and 0 < whole < len(checks)
+            reached += points.size
+    assert len(checks) == len(cases) and 0 < whole < len(checks) and second > 0
     assert skipped > 0.9 * sum(check.n_points for check in checks)
     assert reached > 1_000 * len(checks)
 
@@ -1068,8 +1062,8 @@ def test_reach_leaves_whole_the_sides_its_bound_does_not_cover(case, monkeypatch
     reaches = []
     reach = certificates._reach
 
-    def recorded(checks, coef):
-        reaches.append(reach(checks, coef))
+    def recorded(*args):
+        reaches.append(reach(*args))
         return reaches[-1]
 
     monkeypatch.setattr(certificates, "_reach", recorded)
@@ -1126,10 +1120,10 @@ def test_certificate_suite_forms_no_array_above_a_chunk(monkeypatch):
     pairs = []
     table = certificates._runs
 
-    def counted(pieces, kept, reach):
-        assert kept.shape[1:] == (3, 2) and reach.shape[1:] == (2, 2)
+    def counted(pieces, kept):
+        assert kept.shape[1:] == (3, 2) and pieces.shape[1:] == (5,)
         pairs.append(3 * len(pieces))
-        return table(pieces, kept, reach)
+        return table(pieces, kept)
 
     monkeypatch.setattr(certificates, "_runs", counted)
     assert all(result.passed for result in verify.run_suite("certificates"))

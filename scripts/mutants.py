@@ -39,6 +39,7 @@ Mutant = namedtuple("Mutant", "name path old new why")
 CERT = "src/winsor_bounds/certificates.py"
 LAW = "src/winsor_bounds/law.py"
 ORACLE = "src/winsor_bounds/oracle.py"
+ROOTS = "src/winsor_bounds/roots.py"
 VERIFY = "src/winsor_bounds/verify.py"
 
 MUTANTS = [
@@ -127,6 +128,9 @@ MUTANTS = [
     Mutant("scan-nan-rule", ORACLE,
            "            if not block[k] >= best:", "            if block[k] < best:",
            "a NaN cell is not the scan's argmin"),
+    Mutant("refine-nan-rule", ORACLE,
+           "            i = int(values.argmin())", "            i = int(np.nanargmin(values))",
+           "a NaN cell is not the refined search's argmin"),
     # the result type
     Mutant("cell-ratio-numpy-float", ORACLE,
            "cell_ratio=float((a[-1] / a[0]) ** (1.0 / (a.size - 1))),",
@@ -140,22 +144,38 @@ MUTANTS = [
            "(bound.bound - found.value) / bound.bound", "(found.value - bound.bound) / bound.bound",
            "verify's value check holds the LP below the bound, not above it"),
     Mutant("lp-support-cells-dropped", VERIFY,
-           "worst_cell = max(worst_cell, *cells) if", "worst_cell = 0.0 if",
+           "cells += ([abs(math.log(", "cells += ([0.0 * abs(math.log(",
            "verify's support check reads only the dual's signs, not the support's cells"),
-    Mutant("lp-basic-columns-priced", ORACLE,
-           "        reduced[basis] = 0.0\n", "",
-           "a basic column's reduced cost, rounded below -1e-12, enters again"),
     Mutant("lp-costs-unscaled", ORACLE,
            "reduced = (f - (alpha + y * (beta + gamma * y))) / scale",
            "reduced = (f - (alpha + y * (beta + gamma * y)))",
            "reduced costs are priced unscaled, against an absolute 1e-12"),
-    Mutant("lp-weights-unclamped", ORACLE,
-           "p = np.maximum(np.linalg.solve(rows, (1.0, 0.0, 1.0)), 0.0)",
-           "p = np.linalg.solve(rows, (1.0, 0.0, 1.0))",
-           "a basic weight keeps a rounding below 0, so the basis is no law"),
+    Mutant("lp-no-law-accepted", ORACLE,
+           "        if any(n < -_EPS * r for n, r in zip(numerators, rounding)):",
+           "        if False:",
+           "a basis whose weights are negative beyond rounding is clamped, not refused"),
+    Mutant("lp-start-inside-lower", ORACLE,
+           'max(int(np.searchsorted(x, lower, "right")) - 1, 0)',
+           'max(int(np.searchsorted(x, lower, "right")), 0)',
+           "the first basis takes the grid point one cell inside -a"),
+    Mutant("lp-start-inside-upper", ORACLE,
+           "min(int(np.searchsorted(x, upper)), x.size - 1)",
+           "min(int(np.searchsorted(x, upper)) - 1, x.size - 1)",
+           "the first basis takes the grid point one cell inside b"),
+    Mutant("lp-lagrange-sign-flipped", ORACLE,
+           "(u - y1) * (y3 - u) / dens[1]", "(u - y1) * (u - y3) / dens[1]",
+           "the middle node's ratio-test direction has the wrong sign"),
+    Mutant("lp-leaving-tie-last", ORACLE,
+           "basis[ratios.index(least)] = j", "basis[2 - ratios[::-1].index(least)] = j",
+           "of the tied ratios the greatest grid index leaves, not the least (Bland's rule)"),
     Mutant("lp-no-bland", ORACLE,
            "if degenerate >= 3 else", "if False else",
            "Dantzig's rule throughout, never Bland's"),
+    # every verify check folds through one NaN-aware fold
+    Mutant("fold-drops-nan", VERIFY,
+           "return math.nan if any(map(math.isnan, values)) else pick(start, *values)",
+           "return pick(start, *values)",
+           "a NaN value is dropped by the fold unless it comes first"),
     # the two-point law's scalar algebra
     Mutant("trunc-moment-cut-included", LAW,
            "exp_or_inf(c * b), c, b) if b < 1.0 else 1.0",
@@ -176,11 +196,17 @@ MUTANTS = [
 ]
 
 EQUIVALENT = [
-    Mutant("lp-leaving-tie-first", ORACLE,
-           "basis[tied[basis[tied].argmin()]] = j", "basis[tied[0]] = j",
-           "the least index leaving among tied ratios is what Bland's rule needs to rule out "
-           "cycling; over 1,080 (kind, c, sigma) cases, c from 1e-3 to 300 and sigma from "
-           "1e-150 to 1e145, every result kept its bits, and no case cycled"),
+    Mutant("lp-basic-columns-priced", ORACLE,
+           "        reduced[basis] = 0.0\n", "",
+           "a basic column's reduced cost would have to round below -1e-12 to enter again; "
+           "with the closed-form dual the least one is -3.7e-16 over 1,924 LPs (both kinds, "
+           "cold and from the bound's support, c in [1, 700] x sigma in [1e-3, 1e3] and c in "
+           "[1e-3, 300] x sigma in [1e-6, 1e6]), and no result moves without the line"),
+    Mutant("solve-cap-halved", ROOTS,
+           "MAX_SOLVE_ITERATIONS = 200 ", "MAX_SOLVE_ITERATIONS = 100 ",
+           "the cap ends only a solve that has not ended otherwise; counting each _solve's "
+           "evaluations over all of tier-1, the most any solve takes, converging or raising, "
+           "is 53, so every tier-1 solve ends the same way under a cap of 100 as of 200"),
     Mutant("reach-without-index-margin", CERT,
            "    near_first = _first_at(start, stop, num, lo) - 1\n"
            "    near_end = _first_at(start, stop, num, np.nextafter(hi, math.inf)) + 1",

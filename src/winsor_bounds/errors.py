@@ -35,7 +35,8 @@ class NonFiniteValueError(WinsorBoundsError):
 class MaxIterationsError(WinsorBoundsError):
     """The root solver hit its evaluation cap, or its bracket collapsed to
     adjacent doubles with the residual still above the tolerance: the
-    function is too steep at this scale for double precision."""
+    function is too steep at this scale for double precision.  Also the grid
+    LP's: no optimum within its pivot cap, or a basis that rounding left no law."""
 
 
 def require_positive(name: str, value: float, allow_zero: bool = False) -> float:

@@ -6,7 +6,9 @@ Three verification routes:
   support magnitude (and jointly over the tilt, skipping rows a closed-form
   floor rules out), with staged window refinement around the coarse argmin;
 * an exact linear program over every law on a support grid with the same
-  moment constraints (lp_min), which must never undercut any bound;
+  moment constraints (lp_min), which must never undercut any bound: a
+  simplex whose 3-point bases are solved in closed form, started at the
+  law on {-1, 0, 1} or at a bound's support;
 * the collapse construction (a, sigma^2/a) with tilt 1/a^2 showing that the
   truncated moment has no positive tilt-universal floor while the
   Winsorized one does.
@@ -19,14 +21,14 @@ from collections import namedtuple
 
 import numpy as np
 
-from .certificates import MomentKind, capped_exp
+from .certificates import MomentKind, _capped_exp, capped_exp
 from .errors import (
     MaxIterationsError, ParameterError, _choice, exp_or_inf, in_range, require_positive,
 )
 
-# (a, c) points of each stage of the searches: the first spans the whole grid,
+# points of each stage of the searches, a or (a, c): the first spans the whole grid,
 # each later one a window of cells on either side of the previous argmin
-REFINE_STAGES = ((10_000, 1), (1_000, 1))
+REFINE_STAGES = (10_000, 1_000)
 REFINE_WINDOW_CELLS = 2            # previous-grid cells kept on each side of the argmin
 UNIVERSAL_STAGES = ((2_000, 200), (300, 300), (300, 300))
 UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
@@ -38,7 +40,8 @@ _BLOCK = 8_192  # cells per evaluation block: a 64 KB temporary stays in L2
 _FLOOR_MARGIN = 1e-9
 LP_GRID = np.geomspace(1e-6, 1e6, 1_000)  # lp_min's grid in units of sigma, either side of 0
 _PRICE_TOL = 1e-12  # a scaled reduced cost below -_PRICE_TOL enters the basis
-_LP_PIVOTS = 200    # verify's five cases take 10-16
+_LP_PIVOTS = 200    # verify's five cases take 5-8 from their bounds' supports (12-17 cold)
+_EPS = 2.0 ** -52   # a weight's numerator 1 + y_i y_j rounds by at most _EPS |y_i y_j|
 
 
 class GridMinResult(namedtuple(
@@ -63,42 +66,48 @@ def two_point_moment_grid(
     kind = _choice(MomentKind, "kind", kind)
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    b = sigma * sigma / a
     shape = np.broadcast_shapes(c.shape, a.shape)
     out = np.empty(shape) if out is None else out
     scratch = np.empty(shape) if scratch is None else scratch
+    with np.errstate(under="ignore"):
+        return _moment(kind, c, sigma, a, out, scratch)[()]
+
+
+def _moment(kind: MomentKind, c, sigma: float, a: np.ndarray, out, scratch) -> np.ndarray:
+    """two_point_moment_grid's body, for callers that hold a float array a, ``out``
+    and ``scratch`` of the broadcast shape, and np.errstate(under="ignore") already."""
+    b = sigma * sigma / a
     # (a * F(b) + b * exp(-c * a)) / (a + b), one operation at a time;
     # where every b >= 1 (so none is NaN), F(b) is F(1) down each column
     if np.all(b >= 1.0):
-        out[...] = capped_exp(kind, c, 1.0)
+        out[...] = _capped_exp(kind, c, np.ones(()), np.empty(np.shape(c)))
     else:
-        capped_exp(kind, c, b, out=out)
+        _capped_exp(kind, c, b, out)
     np.multiply(a, out, out=out)
     np.multiply(-c, a, out=scratch)
     np.exp(scratch, out=scratch)
     np.multiply(b, scratch, out=scratch)
     np.add(out, scratch, out=out)
-    return np.divide(out, a + b, out=out)[()]
+    return np.divide(out, a + b, out=out)
 
 
-def _search(kind: MomentKind, sigma: float, a_ends, c_ends, stages, window: int):
-    """Least two-point moment over one geometric (a, c) grid per stage of
-    (a points, c points): the first spans a_ends x c_ends, each later one
-    ``window`` cells of the last on either side of its argmin.  Each grid
-    runs in row blocks of about _BLOCK cells in two buffers; its argmin is
-    np.argmin's: the first NaN, else the first least value in row-major
-    order (the smaller a, then the smaller c).  A Winsorized stage over many
-    tilts skips the rows that _row_floors rules out: none holds that argmin.
-    Returns the last grids, the argmin's indices and its value."""
-    out, scratch = np.empty(_BLOCK), np.empty(_BLOCK)
+def _search(sigma: float, a_ends, c_ends, stages, window: int):
+    """Least Winsorized two-point moment over one geometric (a, c) grid per
+    stage of (a points, c points): the first spans a_ends x c_ends, each
+    later one ``window`` cells of the last on either side of its argmin.
+    Each grid skips the rows that _row_floors rules out (their cells all
+    exceed the least of the least floor's row), then runs in row blocks of
+    about _BLOCK cells in two buffers; its argmin is np.argmin's over the
+    whole grid: the first NaN, else the first least value in row-major
+    order (the smaller a, then the smaller c).  Returns the last grids, the
+    argmin's indices and its value."""
+    kind, out, scratch = MomentKind.WINSOR, np.empty(_BLOCK), np.empty(_BLOCK)
     for na, nc in stages:
         a, c = np.geomspace(*a_ends, na), np.geomspace(*c_ends, nc)
-        kept, a_kept = range(na), a
-        if nc > 1 and kind is MomentKind.WINSOR:  # a skipped row's cells all exceed upper
-            floors = _row_floors(sigma, a)
-            upper = two_point_moment_grid(kind, c, sigma, a[floors.argmin()]).min()
-            kept = np.flatnonzero(~(floors > upper * (1.0 + _FLOOR_MARGIN)))  # NaN keeps rows
-            a_kept = a[kept]
+        floors = _row_floors(sigma, a)
+        upper = two_point_moment_grid(kind, c, sigma, a[floors.argmin()]).min()
+        kept = np.flatnonzero(~(floors > upper * (1.0 + _FLOOR_MARGIN)))  # NaN keeps rows
+        a_kept = a[kept]
         rows = _BLOCK // nc
         best, at = math.inf, 0
         for first in range(0, a_kept.size, rows):
@@ -147,12 +156,15 @@ def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
         a_lo = min(sigma2 * 1e-8, 1.0 / c, 0.5 * sigma)
     a_lo = in_range("the grid's lower end", a_lo, c, sigma)
     in_range("b = sigma^2/a at the grid's lower end", sigma2 / a_lo, sigma, a_lo)
-    with np.errstate(over="ignore" if kind is MomentKind.TRUNC else None):
-        a, _, i, _, value = _search(
-            kind, sigma, (a_lo, a_hi), (c, c), REFINE_STAGES, REFINE_WINDOW_CELLS
-        )
+    out, scratch, ends = np.empty(REFINE_STAGES[0]), np.empty(REFINE_STAGES[0]), (a_lo, a_hi)
+    with np.errstate(over="ignore" if kind is MomentKind.TRUNC else None, under="ignore"):
+        for n in REFINE_STAGES:
+            a = np.geomspace(*ends, n)
+            values = _moment(kind, c, sigma, a, out[:n], scratch[:n])
+            i = int(values.argmin())  # the first NaN, else the first least value
+            ends = a[max(i - REFINE_WINDOW_CELLS, 0)], a[min(i + REFINE_WINDOW_CELLS, n - 1)]
     return GridMinResult(
-        argmin_a=float(a[i]), argmin_c=c, min_value=value,
+        argmin_a=float(a[i]), argmin_c=c, min_value=float(values[i]),
         cell_ratio=float((a[-1] / a[0]) ** (1.0 / (a.size - 1))),
     )
 
@@ -169,6 +181,10 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     least moment over every tilt, rules them out (7 in 8 cells at verify's
     sigmas).  in_range refuses a sigma for which sigma^2 * 1e-5 underflows,
     or the largest moment term, a * e^c at the grid's upper corner, overflows.
+    The argmin holds to one refined cell of the extremal (a, c) only up to
+    sigma of about 10, where verify reads it: it drifts to 2.35 cells at
+    sigma = 1e3 and 1.88 at 1e4 (the value stays within 1e-8 there), since
+    the a grid spans up to sigma^2 while the extremal a grows like ln sigma.
     """
     sigma = require_positive("sigma", sigma)
     sigma2 = in_range("sigma^2", sigma * sigma, sigma)
@@ -182,8 +198,7 @@ def universal_grid_min(sigma: float) -> GridMinResult:
     a_hi = sigma2 * (1.0 - 1e-9)
     in_range("the grid's largest term a * e^c", a_hi * math.exp(UNIVERSAL_TILTS[1]), sigma)
     a, c, i, j, value = _search(
-        MomentKind.WINSOR, sigma, (a_lo, a_hi), UNIVERSAL_TILTS, UNIVERSAL_STAGES,
-        UNIVERSAL_WINDOW_CELLS,
+        sigma, (a_lo, a_hi), UNIVERSAL_TILTS, UNIVERSAL_STAGES, UNIVERSAL_WINDOW_CELLS
     )
     return GridMinResult(
         argmin_a=float(a[i]), argmin_c=float(c[j]), min_value=value,
@@ -194,15 +209,24 @@ def universal_grid_min(sigma: float) -> GridMinResult:
 LPResult = namedtuple("LPResult", "value support weights alpha beta gamma pivots")
 
 
-def lp_min(kind: MomentKind, c: float, sigma: float) -> LPResult:
+def lp_min(kind: MomentKind, c: float, sigma: float, start=None) -> LPResult:
     """The least E F(X) over the laws on x in sigma * (+-LP_GRID, -1, 0, 1) and the
     cut 1 with E X = 0, E X^2 = sigma^2 (at least the bound), by a revised simplex
-    on 3x3 bases in units of sigma: from the law on {-1, 1}, 0 basic, weights
-    clamped at 0, Dantzig pricing of costs scaled by max(F, |alpha| + |beta x| +
-    |gamma| x^2), Bland's rule after three degenerate pivots.  Returns the value,
-    the basis (one weight may be 0), its dual alpha + beta x + gamma x^2 <= F and
-    the pivots.  in_range refuses a sigma whose grid end sigma * 1e6 or cut 1/sigma
-    in units of sigma squares past the doubles, and a (c, sigma) whose F overflows."""
+    on bases y1 < y2 < y3 in units of sigma, each in closed form from differences
+    of its nodes: the law's weights p_k = (1 + y_i y_j)/((y_k - y_i)(y_k - y_j)),
+    the dual alpha + beta y + gamma y^2 through F at the nodes by Newton's divided
+    differences, and the entering column's ratio-test direction the Lagrange basis
+    at its y.  The first basis is the grid points at or outside -a and b, with 0,
+    for start = (-a, b), by default (-sigma, sigma).  A basis whose weights are
+    negative beyond the rounding of 1 + y_i y_j is no law and is refused (a first
+    one as a ParameterError, a later one as a MaxIterationsError); within it a
+    weight reads 0.  Dantzig pricing of costs scaled by max(F, |alpha| + |beta x| +
+    |gamma| x^2) decides optimality over the whole grid whatever the start, which
+    moves only the pivot path; Bland's rule after three degenerate pivots.  Returns
+    the value, the basis in increasing x (one weight may be 0), its dual alpha +
+    beta x + gamma x^2 <= F and the pivots.  in_range refuses a sigma whose grid end
+    sigma * 1e6 or cut 1/sigma in units of sigma squares past the doubles, and a
+    (c, sigma) whose F overflows."""
     c, sigma = require_positive("c", c), require_positive("sigma", sigma)
     kind = _choice(MomentKind, "kind", kind)
     end, cut = sigma * float(LP_GRID[-1]), 1.0 / sigma
@@ -212,24 +236,45 @@ def lp_min(kind: MomentKind, c: float, sigma: float) -> LPResult:
     with np.errstate(over="ignore"):
         f = capped_exp(kind, c, x)
     in_range("the grid's largest F", float(f.max()), c, sigma)
-    y, basis, degenerate = x / sigma, np.searchsorted(x, (-sigma, 0.0, sigma)), 0
+    lower, upper = (-sigma, sigma) if start is None else start  # -sigma and sigma are grid points
+    if not lower < 0.0 < upper:
+        raise ParameterError(f"start must be (-a, b) with a, b > 0, got {start!r}")
+    basis = [max(int(np.searchsorted(x, lower, "right")) - 1, 0), int(np.searchsorted(x, 0.0)),
+             min(int(np.searchsorted(x, upper)), x.size - 1)]
+    y, degenerate = x / sigma, 0
+    y_abs = np.abs(y)
     for pivot in range(_LP_PIVOTS + 1):
-        rows = np.array((np.ones(3), y[basis], y[basis] ** 2))
-        p = np.maximum(np.linalg.solve(rows, (1.0, 0.0, 1.0)), 0.0)
-        alpha, beta, gamma = np.linalg.solve(rows.T, f[basis])
-        scale = np.maximum(f, abs(alpha) + np.abs(y) * (abs(beta) + abs(gamma) * np.abs(y)))
+        basis.sort()
+        (y1, y2, y3), (f1, f2, f3) = y[basis].tolist(), f[basis].tolist()
+        d12, d13, d23 = y2 - y1, y3 - y1, y3 - y2
+        # each weight's numerator, signed so that its denominator (dens) is positive,
+        # and the bound on its rounding
+        numerators = (1.0 + y2 * y3, -(1.0 + y1 * y3), 1.0 + y1 * y2)
+        rounding = (abs(y2 * y3), abs(y1 * y3), abs(y1 * y2))
+        if any(n < -_EPS * r for n, r in zip(numerators, rounding)):
+            error = ParameterError if pivot == 0 else MaxIterationsError
+            raise error(f"the grid LP's basis {x[basis].tolist()} is no law")
+        dens = (d12 * d13, d12 * d23, d13 * d23)
+        p = [max(0.0, n) / d for n, d in zip(numerators, dens)]
+        s12, s23 = (f2 - f1) / d12, (f3 - f2) / d23
+        gamma = (s23 - s12) / d13
+        beta, alpha = s12 - gamma * (y1 + y2), f1 - y1 * (s12 - gamma * y2)
+        scale = np.maximum(f, abs(alpha) + y_abs * (abs(beta) + abs(gamma) * y_abs))
         reduced = (f - (alpha + y * (beta + gamma * y))) / scale
         reduced[basis] = 0.0
         entering = np.flatnonzero(reduced < -_PRICE_TOL)
         if not entering.size:
-            return LPResult(float(p @ f[basis]), tuple(x[basis].tolist()), tuple(p.tolist()),
-                            float(alpha), float(beta / sigma), float(gamma / sigma / sigma), pivot)
-        j = entering[0] if degenerate >= 3 else reduced.argmin()
-        step, ratios = np.linalg.solve(rows, (1.0, y[j], y[j] ** 2)), np.full(3, np.inf)
-        np.divide(p, step, out=ratios, where=step > 0.0)
-        tied = np.flatnonzero(ratios == ratios.min())  # of these, the least basis index leaves
-        degenerate += ratios[tied[0]] == 0.0
-        basis[tied[basis[tied].argmin()]] = j
+            return LPResult(p[0] * f1 + p[1] * f2 + p[2] * f3, tuple(x[basis].tolist()),
+                            tuple(p), alpha, beta / sigma, gamma / sigma / sigma, pivot)
+        j = int(entering[0] if degenerate >= 3 else reduced.argmin())
+        u = float(y[j])
+        step = ((u - y2) * (u - y3) / dens[0], (u - y1) * (y3 - u) / dens[1],
+                (u - y1) * (u - y2) / dens[2])
+        ratios = [w / s if s > 0.0 else math.inf for w, s in zip(p, step)]
+        least = min(ratios)
+        degenerate += least == 0.0
+        # of the tied, the least grid index leaves: basis is sorted
+        basis[ratios.index(least)] = j
     raise MaxIterationsError(f"the grid LP did not reach its optimum in {_LP_PIVOTS} pivots")
 
 

@@ -79,11 +79,12 @@ def _bounded_check(name, worst, tol, detail=""):
     return CheckResult(name=name, passed=worst <= tol, worst=worst, tolerance=tol, detail=detail)
 
 
-def _extreme(pick, values) -> float:
-    """pick(0.0, *values) for min or max, or NaN if a value is NaN: both
-    keep 0.0 over a NaN that does not come first."""
+def _extreme(pick, values, start=0.0) -> float:
+    """pick(start, *values) for min or max, or NaN if a value is NaN: every
+    check folds its values here, as both keep start over a NaN that does not
+    come first."""
     values = list(values)
-    return math.nan if any(map(math.isnan, values)) else pick(0.0, *values)
+    return math.nan if any(map(math.isnan, values)) else pick(start, *values)
 
 
 def _relative_gap(x: float, y: float) -> float:
@@ -125,37 +126,38 @@ def suite_roots(grid: Grid) -> list[CheckResult]:
     universal quantities together."""
     results = []
 
-    worst = 0.0
+    values = []
     for c, sigma in _PAIRS:
         a = grid.fixed(c, sigma).a
-        worst = max(worst, _match_residual(a, winsor.log_b_star(a, c), sigma))
-    results.append(_bounded_check("roots.winsor_fixed_c_residual", worst, 1e-10))
+        values.append(_match_residual(a, winsor.log_b_star(a, c), sigma))
+    results.append(_bounded_check("roots.winsor_fixed_c_residual", _extreme(max, values), 1e-10))
 
-    worst = max(abs(winsor._ell1(grid.universal(s).a, s * s)) for s in SIGMA_GRID)
+    worst = _extreme(max, (abs(winsor._ell1(grid.universal(s).a, s * s)) for s in SIGMA_GRID))
     results.append(_bounded_check("roots.winsor_universal_residual", worst, 1e-10))
 
-    worst = 0.0
+    values = []
     for c, sigma in _PAIRS:
         # the truncated bound solves its moment match on the large-sigma branch only
         solution = grid.truncated(c, sigma)
         a = solution.a
         if solution.branch is Branch.SMALL_SIGMA:
             a = trunc._A_c_sigma(c, winsor._row(sigma, 1.0), None)
-        worst = max(worst, _match_residual(a, trunc.log_B_star(a, c), sigma))
-    results.append(_bounded_check("roots.trunc_moment_match_residual", worst, 1e-10))
+        values.append(_match_residual(a, trunc.log_B_star(a, c), sigma))
+    results.append(_bounded_check("roots.trunc_moment_match_residual", _extreme(max, values),
+                                  1e-10))
 
-    worst = max(abs(trunc.B_star(grid.threshold(c), c) - 1.0) for c in C_GRID)
+    worst = _extreme(max, (abs(trunc.B_star(grid.threshold(c), c) - 1.0) for c in C_GRID))
     results.append(_bounded_check("roots.trunc_threshold_identity", worst, 1e-10))
 
-    worst = 0.0
+    values = []
     for sigma in SIGMA_GRID:
         u = grid.universal(sigma)
-        worst = max(worst, _relative_gap(u.a, grid.fixed(u.tilt, sigma).a),
-                    _relative_gap(sigma * sigma / u.a, winsor.b_star(u.a, u.tilt)))
-    results.append(_bounded_check("roots.universal_consistency", worst, 1e-8))
+        values += (_relative_gap(u.a, grid.fixed(u.tilt, sigma).a),
+                   _relative_gap(sigma * sigma / u.a, winsor.b_star(u.a, u.tilt)))
+    results.append(_bounded_check("roots.universal_consistency", _extreme(max, values), 1e-8))
 
     # d/da ln(optimal moment) must equal ell1(a) / (1+a)^2.
-    worst = 0.0
+    values = []
     step = 1e-6
     for sigma in (0.7, 1.0, 2.0, 5.0):
         for fraction in (0.05, 0.4, 0.6, 0.9):
@@ -166,9 +168,10 @@ def suite_roots(grid: Grid) -> list[CheckResult]:
                 - math.log(law._optimal_winsor_moment(down, sigma, law._optimal_c(down, sigma)))
             ) / (2.0 * step)
             analytic = winsor._ell1(a, sigma * sigma) / (1.0 + a) ** 2
-            if abs(analytic) > 0.05:
-                worst = max(worst, abs(numeric - analytic) / abs(analytic))
-    results.append(_bounded_check("roots.log_moment_derivative_identity", worst, 1e-4))
+            if not abs(analytic) <= 0.05:  # a NaN is kept
+                values.append(abs(numeric - analytic) / abs(analytic))
+    results.append(_bounded_check("roots.log_moment_derivative_identity", _extreme(max, values),
+                                  1e-4))
 
     return results
 
@@ -177,55 +180,57 @@ def suite_ordering(grid: Grid) -> list[CheckResult]:
     """Bound comparisons and monotonicity across the (c, sigma) grid."""
     results = []
 
-    worst = 0.0
+    values = []
     for c, sigma in _PAIRS:
         bound, bound_t = grid.fixed(c, sigma).bound, grid.truncated(c, sigma).bound
-        worst = max(worst, bound - 1.0, bound_t - bound, grid.universal(sigma).bound - bound)
+        values += (bound - 1.0, bound_t - bound, grid.universal(sigma).bound - bound)
         if bound <= 0.0 or bound_t <= 0.0:
-            worst = math.inf
-    results.append(_bounded_check("ordering.bound_chain", worst, 1e-12,
+            values.append(math.inf)
+    results.append(_bounded_check("ordering.bound_chain", _extreme(max, values), 1e-12,
                                   "L_T <= L_W <= 1 and L_universal <= L_W"))
 
-    worst = max(_relative_gap(grid.fixed(u.tilt, s).bound, u.bound)
-                for s in SIGMA_GRID for u in (grid.universal(s),))
+    worst = _extreme(max, (_relative_gap(grid.fixed(u.tilt, s).bound, u.bound)
+                           for s in SIGMA_GRID for u in (grid.universal(s),)))
     results.append(_bounded_check("ordering.equality_at_optimal_tilt", worst, 1e-10))
 
-    worst = 0.0
+    values = []
     for c in C_GRID:
         for s1, s2 in zip(SIGMA_GRID, SIGMA_GRID[1:]):
-            worst = max(worst, grid.fixed(c, s2).bound - grid.fixed(c, s1).bound,
-                        grid.truncated(c, s2).bound - grid.truncated(c, s1).bound)
+            values += (grid.fixed(c, s2).bound - grid.fixed(c, s1).bound,
+                       grid.truncated(c, s2).bound - grid.truncated(c, s1).bound)
     for s1, s2 in zip(SIGMA_GRID, SIGMA_GRID[1:]):
-        worst = max(worst, grid.universal(s2).bound - grid.universal(s1).bound)
-    results.append(_bounded_check("ordering.monotone_in_sigma", worst, 1e-12))
+        values.append(grid.universal(s2).bound - grid.universal(s1).bound)
+    results.append(_bounded_check("ordering.monotone_in_sigma", _extreme(max, values), 1e-12))
 
-    worst = 0.0
+    values = []
     for c, sigma in _PAIRS:
         solution = grid.truncated(c, sigma)
         if solution.branch is Branch.LARGE_SIGMA:
             threshold = grid.threshold(c)
-            worst = max(worst, (threshold - solution.a) / threshold, 1.0 - solution.b)
-    results.append(_bounded_check("ordering.trunc_branch_inequalities", worst, 1e-12,
-                                  "A_c_sigma >= A_c and B_c_sigma >= 1"))
+            values += ((threshold - solution.a) / threshold, 1.0 - solution.b)
+    results.append(_bounded_check("ordering.trunc_branch_inequalities", _extreme(max, values),
+                                  1e-12, "A_c_sigma >= A_c and B_c_sigma >= 1"))
 
-    worst = 0.0
+    values = []
     for c in (0.5, 1.0, 2.0, 5.0):
         threshold = grid.threshold(c)
         small = law._trunc_moment(threshold, 1.0, c)
         a_large = trunc._A_c_sigma(c, winsor._row(math.sqrt(threshold), 1.0), None)
         large = law._trunc_moment(a_large, max(threshold / a_large, 1.0), c)
-        worst = max(worst, _relative_gap(small, large))
-    results.append(_bounded_check("ordering.trunc_branch_continuity", worst, 1e-10))
+        values.append(_relative_gap(small, large))
+    results.append(_bounded_check("ordering.trunc_branch_continuity", _extreme(max, values),
+                                  1e-10))
 
-    worst = -math.inf
+    values = []
     for sigma in SIGMA_GRID:
         solution = grid.universal(sigma)
         a, b = solution.a, solution.b
         center = law._winsor_moment(a, b, solution.tilt)
         for factor in (1.0 - 1e-3, 1.0 + 1e-3):
             perturbed = law._winsor_moment(a, b, solution.tilt * factor)
-            worst = max(worst, (center - perturbed) / center)
-    results.append(_bounded_check("ordering.interior_tilt_optimality", worst, -1e-14,
+            values.append((center - perturbed) / center)
+    results.append(_bounded_check("ordering.interior_tilt_optimality",
+                                  _extreme(max, values, -math.inf), -1e-14,
                                   "perturbing the tilt strictly increases the moment"))
 
     worst = 0.0
@@ -310,63 +315,57 @@ def suite_oracle(grid: Grid) -> list[CheckResult]:
 
     results = []
 
-    worst_value = 0.0
-    worst_cell = 0.0
+    values, cells = [], []
     for c, sigma in ORACLE_PAIRS:
         for kind, analytic in (
             (MomentKind.WINSOR, grid.fixed(c, sigma)),
             (MomentKind.TRUNC, grid.truncated(c, sigma)),
         ):
             found = grid.refined(c, sigma, kind)
-            worst_value = max(worst_value, _relative_gap(found.min_value, analytic.bound))
-            worst_cell = max(
-                worst_cell,
-                abs(math.log(found.argmin_a / analytic.a)) / math.log(found.cell_ratio),
-            )
-    results.append(_bounded_check("oracle.two_point_grid_min_value", worst_value, 1e-6))
-    results.append(_bounded_check("oracle.two_point_grid_min_argmin", worst_cell, 1.0,
+            values.append(_relative_gap(found.min_value, analytic.bound))
+            cells.append(abs(math.log(found.argmin_a / analytic.a)) / math.log(found.cell_ratio))
+    results.append(_bounded_check("oracle.two_point_grid_min_value", _extreme(max, values), 1e-6))
+    results.append(_bounded_check("oracle.two_point_grid_min_argmin", _extreme(max, cells), 1.0,
                                   "within one refined grid cell"))
 
-    worst_value = 0.0
-    worst_cell = 0.0
+    values, cells = [], []
     for sigma in (0.5, 1.0, 10.0):
         analytic = grid.universal(sigma)
         found = oracle.universal_grid_min(sigma)
-        worst_value = max(worst_value, _relative_gap(found.min_value, analytic.bound))
-        worst_cell = max(
-            worst_cell,
-            abs(math.log(found.argmin_a / analytic.a)) / math.log(found.cell_ratio),
-            abs(math.log(found.argmin_c / analytic.tilt)) / math.log(found.cell_ratio_c),
-        )
-    results.append(_bounded_check("oracle.universal_grid_min_value", worst_value, 1e-6))
-    results.append(_bounded_check("oracle.universal_grid_min_argmin", worst_cell, 1.0))
+        values.append(_relative_gap(found.min_value, analytic.bound))
+        cells += (abs(math.log(found.argmin_a / analytic.a)) / math.log(found.cell_ratio),
+                  abs(math.log(found.argmin_c / analytic.tilt)) / math.log(found.cell_ratio_c))
+    results.append(_bounded_check("oracle.universal_grid_min_value", _extreme(max, values), 1e-6))
+    results.append(_bounded_check("oracle.universal_grid_min_argmin", _extreme(max, cells), 1.0))
 
     # Strictness: one refined cell away from the argmin the moment exceeds
     # the minimum by a strictly positive margin.
-    worst = -math.inf
+    values = []
     for c, sigma in ((1.0, 1.0), (2.0, 10.0)):
         found = grid.refined(c, sigma, MomentKind.WINSOR)
         for factor in (found.cell_ratio**3, found.cell_ratio**-3):
             nearby = float(oracle.two_point_moment_grid(
                 MomentKind.WINSOR, c, sigma, np.array([found.argmin_a * factor])
             )[0])
-            worst = max(worst, (found.min_value - nearby) / found.min_value)
-    results.append(_bounded_check("oracle.argmin_uniqueness_margin", worst, -1e-12,
+            values.append((found.min_value - nearby) / found.min_value)
+    results.append(_bounded_check("oracle.argmin_uniqueness_margin",
+                                  _extreme(max, values, -math.inf), -1e-12,
                                   "values one refined cell away strictly exceed the minimum"))
 
-    # The least E F(X) over every law on a support grid, an exact LP
-    worst_value, worst_cell, cell = -math.inf, 0.0, math.log(oracle.LP_GRID[1] / oracle.LP_GRID[0])
+    # The least E F(X) over every law on a support grid, an exact LP, each
+    # started from the grid points at or outside the bound's support
+    values, cells, cell = [], [], math.log(oracle.LP_GRID[1] / oracle.LP_GRID[0])
     universal = ((MomentKind.WINSOR, u.tilt, u) for u in map(grid.universal, (0.5, 1.0, 10.0)))
     for kind, c, bound in ((MomentKind.WINSOR, 1.0, grid.fixed(1.0, 1.0)),
                            (MomentKind.TRUNC, 1.0, grid.truncated(1.0, 1.0)), *universal):
-        found = oracle.lp_min(kind, c, bound.sigma)
-        worst_value = max(worst_value, (bound.bound - found.value) / bound.bound)
-        cells = [abs(math.log(x / (bound.b if x > 0.0 else -bound.a))) / cell if x else math.inf
-                 for x, p in zip(found.support, found.weights) if p > 1e-12]
-        worst_cell = max(worst_cell, *cells) if found.beta > 0.0 > found.gamma else math.inf
-    results.append(_bounded_check("oracle.lp_value_above_bound", worst_value, 1e-12,
-                                  "(bound - LP)/bound over every law on the grid"))
-    results.append(_bounded_check("oracle.lp_support_at_extremal_law", worst_cell, 1.0,
+        found = oracle.lp_min(kind, c, bound.sigma, start=(-bound.a, bound.b))
+        values.append((bound.bound - found.value) / bound.bound)
+        cells += ([abs(math.log(x / (bound.b if x > 0.0 else -bound.a))) / cell if x else math.inf
+                   for x, p in zip(found.support, found.weights) if p > 1e-12]
+                  if found.beta > 0.0 > found.gamma else [math.inf])
+    results.append(_bounded_check("oracle.lp_value_above_bound", _extreme(max, values, -math.inf),
+                                  1e-12, "(bound - LP)/bound over every law on the grid"))
+    results.append(_bounded_check("oracle.lp_support_at_extremal_law", _extreme(max, cells), 1.0,
                                   "grid cells from {-a, b}; inf unless beta > 0 > gamma"))
 
     points = oracle.trunc_collapse_sequence(1.0, (0.5, 0.2, 0.1, 0.05))
@@ -399,12 +398,12 @@ def suite_asymptotics(grid: Grid) -> list[CheckResult]:
 
     sigma = 1e-3
     sigma2 = sigma * sigma
-    worst = 0.0
+    values = []
     for c in (0.5, 1.0, 2.0, 5.0):
         slope = asymptotics.winsor_small_sigma_slope(c)
-        worst = max(worst, abs((grid.fixed(c, sigma).bound - 1.0) / sigma2 / slope - 1.0),
-                    abs((grid.truncated(c, sigma).bound - 1.0) / sigma2 / (-c) - 1.0))
-    results.append(_bounded_check("asymptotics.small_sigma_slopes", worst, 1e-2))
+        values += (abs((grid.fixed(c, sigma).bound - 1.0) / sigma2 / slope - 1.0),
+                   abs((grid.truncated(c, sigma).bound - 1.0) / sigma2 / (-c) - 1.0))
+    results.append(_bounded_check("asymptotics.small_sigma_slopes", _extreme(max, values), 1e-2))
 
     # sigma -> infinity: exact/asymptote within 30% by sigma = 1e6 and
     # |ratio - 1| shrinking monotonically along the big-sigma ladder.
@@ -420,9 +419,9 @@ def suite_asymptotics(grid: Grid) -> list[CheckResult]:
         # so its distance to 1 is only monotone up to c = 2 here
         gaps.append(([abs(grid.truncated(c, s).bound / asymptotics.trunc_asymptote(c, s, large)
                           - 1.0) for s in ladder], c <= 2.0))
-    worst_at_1e6 = max(along[ladder.index(1e6)] for along, _ in gaps)
-    worst_monotone = max(0.0, *(g2 - g1 for along, shrink in gaps if shrink
-                                for g1, g2 in zip(along, along[1:])))
+    worst_at_1e6 = _extreme(max, (along[ladder.index(1e6)] for along, _ in gaps))
+    worst_monotone = _extreme(max, (g2 - g1 for along, shrink in gaps if shrink
+                                    for g1, g2 in zip(along, along[1:])))
     results.append(_bounded_check("asymptotics.large_sigma_within_30pct", worst_at_1e6, 0.30))
     results.append(_bounded_check("asymptotics.large_sigma_monotone_approach",
                                   worst_monotone, 0.0))
@@ -437,15 +436,15 @@ def suite_asymptotics(grid: Grid) -> list[CheckResult]:
 
     # Winsorized-over-truncated separation climbs toward e^c; pinned within
     # 5% at sigma=1e10 for c=1 (the approach is only logarithmic in sigma).
-    worst_monotone = 0.0
+    values = []
     for c in (1.0, 1.5, 2.0):
         ratios = [grid.fixed(c, s).bound / grid.truncated(c, s).bound / math.exp(c)
                   for s in ladder]
-        worst_monotone = max(worst_monotone, max(r1 - r2 for r1, r2 in zip(ratios, ratios[1:])))
+        values += (r1 - r2 for r1, r2 in zip(ratios, ratios[1:]))
         if c == 1.0:
             separation_gap = abs(ratios[-1] - 1.0)
     results.append(_bounded_check("asymptotics.exp_c_separation_monotone",
-                                  worst_monotone, 0.0))
+                                  _extreme(max, values), 0.0))
     results.append(_bounded_check("asymptotics.exp_c_separation_at_1e10",
                                   separation_gap, 0.05, "c=1"))
 
@@ -464,14 +463,14 @@ def suite_asymptotics(grid: Grid) -> list[CheckResult]:
         1.0,
         10.0,
     )
-    worst = max(
+    worst = _extreme(max, (
         abs(slope_c - constants.minus_ln_t_star),
         abs(asymptotics.winsor_small_sigma_slope(slope_c)
             - constants.small_sigma_universal_slope),
         abs(coeff_c - 2.0),
         abs(asymptotics.winsor_large_sigma_coeff(coeff_c)
             - constants.large_sigma_universal_coeff),
-    )
+    ))
     results.append(_bounded_check("asymptotics.infimum_identities", worst, 1e-6))
 
     return results

@@ -245,7 +245,7 @@ def test_verify_reports_hold_python_scalars(verify_all):
 # sha256 of the 33 reports of verify_all (seed 1) as (name, passed,
 # worst.hex(), tolerance, detail): verify's own negative control and the
 # oracle's LP pivots reach these bits, which the checks above do not pin
-VERIFY_REPORTS_SHA256 = "eb57283b96d491bbd0aee9ff2995013bc0f8c79e392f745b0c0d9c86f46a72b1"
+VERIFY_REPORTS_SHA256 = "9455b1586c661c8ed1e94cd5a96d3fad901c2d2ccf4e282de85b5cca290967ef"
 
 
 def test_verify_report_fingerprint(verify_all):
@@ -254,6 +254,37 @@ def test_verify_report_fingerprint(verify_all):
         digest.update(f"{(r.name, r.passed, r.worst.hex(), r.tolerance, r.detail)!r}\n".encode())
     assert len(verify_all.results) == 33
     assert digest.hexdigest() == VERIFY_REPORTS_SHA256
+
+
+def nan_lp_values(monkeypatch):
+    lp_min = oracle.lp_min
+    monkeypatch.setattr(
+        oracle, "lp_min", lambda *args, **kwargs: lp_min(*args, **kwargs)._replace(value=math.nan)
+    )
+
+
+# per suite: what is made to return NaN, and the checks that read it
+NAN_INJECTIONS = {
+    "roots": (lambda mp: mp.setattr(verify, "_match_residual", lambda *args: math.nan),
+              {"roots.winsor_fixed_c_residual", "roots.trunc_moment_match_residual"}),
+    "ordering": (lambda mp: mp.setattr(verify, "_relative_gap", lambda *args: math.nan),
+                 {"ordering.equality_at_optimal_tilt", "ordering.trunc_branch_continuity"}),
+    "oracle": (nan_lp_values, {"oracle.lp_value_above_bound"}),
+    "asymptotics": (
+        lambda mp: mp.setattr(asymptotics, "winsor_small_sigma_slope", lambda c: math.nan),
+        {"asymptotics.small_sigma_slopes", "asymptotics.infimum_identities"},
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", NAN_INJECTIONS)
+def test_a_nan_fails_its_verify_check(monkeypatch, suite):
+    # Python's max(worst, nan) keeps worst: each check that reads a NaN
+    # must fail, with NaN as its worst, and no other check may
+    inject, names = NAN_INJECTIONS[suite]
+    inject(monkeypatch)
+    failed = {r.name: r.worst for r in verify.run_suite(suite) if not r.passed}
+    assert failed.keys() == names and all(map(math.isnan, failed.values())), failed
 
 
 def test_sigma_grid_is_numpys_geomspace():

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from winsor_bounds import law, oracle, trunc, verify, winsor
-from winsor_bounds.certificates import MomentKind, capped_exp
+from winsor_bounds.certificates import MomentKind, _capped_exp, capped_exp
 from winsor_bounds.winsor import BoundQuery
-from winsor_bounds.errors import ExponentOverflowError, MaxIterationsError, NoSignChangeError
+from winsor_bounds.errors import (
+    ExponentOverflowError, MaxIterationsError, NoSignChangeError, ParameterError,
+)
 from winsor_bounds.trunc import Branch
 
 
@@ -205,7 +207,7 @@ def unblocked_search(kind, sigma, a_ends, c_ends, stages, window):
 
 def unblocked_refine_grid_min(c, sigma, kind):
     a, _, i, _, value = unblocked_search(
-        kind, sigma, refine_ends(c, sigma, kind), (c, c), oracle.REFINE_STAGES,
+        kind, sigma, refine_ends(c, sigma, kind), (c, c), [(n, 1) for n in oracle.REFINE_STAGES],
         oracle.REFINE_WINDOW_CELLS,
     )
     return oracle.GridMinResult(
@@ -293,9 +295,7 @@ class TestSearchInBlocks:
             tilt = math.log(1.0 / a) / (1.0 + a)
             cell = oracle.two_point_moment_grid(MomentKind.WINSOR, np.array([tilt, 2.0 * tilt]), 1.0, a)
             below += cell[0] < oracle._row_floors(1.0, np.array([a]))[0]
-            _, _, i, j, value = oracle._search(
-                MomentKind.WINSOR, 1.0, (a, a), (tilt, 2.0 * tilt), ((1, 2),), 0
-            )
+            _, _, i, j, value = oracle._search(1.0, (a, a), (tilt, 2.0 * tilt), ((1, 2),), 0)
             assert (i, j) == (0, 0) and abs(value / cell[0] - 1.0) <= 1e-15, a
         assert below > 0
 
@@ -303,14 +303,15 @@ class TestSearchInBlocks:
         # A count, not a timing: one oracle suite sent 1,949,008 cells
         # through two_point_moment_grid when the joint scans evaluated
         # every row, and 235,108 once each skips the rows its floors rule
-        # out.  The ceiling is that count plus about 6%.
-        cells, moments = [], oracle.two_point_moment_grid
+        # out.  The ceiling is that count plus about 6%.  Every cell, the
+        # refined searches' too, is formed by oracle._moment.
+        cells, moments = [], oracle._moment
 
-        def counted(kind, c, sigma, a, out=None, scratch=None):
+        def counted(kind, c, sigma, a, out, scratch):
             cells.append(np.broadcast(np.asarray(c), np.asarray(a)).size)
-            return moments(kind, c, sigma, a, out=out, scratch=scratch)
+            return moments(kind, c, sigma, a, out, scratch)
 
-        monkeypatch.setattr(oracle, "two_point_moment_grid", counted)
+        monkeypatch.setattr(oracle, "_moment", counted)
         assert all(result.passed for result in verify.run_suite("oracle", 1))
         assert sum(cells) <= 250_000, f"{sum(cells)} cells"
 
@@ -330,8 +331,10 @@ class TestSearchInBlocks:
     @pytest.mark.parametrize("moments", [tied_moments, nan_moments], ids=["ties", "nan"])
     @pytest.mark.parametrize("search", list(SEARCHES))
     def test_ties_resolve_row_major_and_nan_first(self, monkeypatch, moments, search):
+        # the refined searches form their cells with oracle._moment
         blocked, unblocked = SEARCHES[search]
         monkeypatch.setattr(oracle, "two_point_moment_grid", moments)
+        monkeypatch.setattr(oracle, "_moment", moments)
         found = blocked(1.0)
         assert repr(found) == repr(unblocked(1.0))
         if moments is nan_moments:
@@ -377,11 +380,11 @@ class TestTwoPointMomentGrid:
         expected = moment_by_formula(kind, c, 1.0, a)
         seen = []
 
-        def recording(kind, c, x, out=None):
+        def recording(kind, c, x, out):
             seen.append(np.ndim(x))
-            return capped_exp(kind, c, x, out=out)
+            return _capped_exp(kind, c, x, out)
 
-        monkeypatch.setattr(oracle, "capped_exp", recording)
+        monkeypatch.setattr(oracle, "_capped_exp", recording)
         got = oracle.two_point_moment_grid(kind, c, 1.0, a)
         out, scratch = np.full(expected.shape, 7.0), np.full(expected.shape, 7.0)
         oracle.two_point_moment_grid(kind, c, 1.0, a, out=out, scratch=scratch)
@@ -410,16 +413,42 @@ SMALL_GRID_CASES = [
     (MomentKind.WINSOR, 1e-3, 0.3),
     (MomentKind.TRUNC, 1.0, 0.5), (MomentKind.TRUNC, 3.0, 0.3), (MomentKind.TRUNC, 1.0, 2.0),
 ]
+SMALL_GRID = np.geomspace(0.03, 30.0, 13)  # in units of sigma, either side of 0
+
+
 def assert_is_a_law(found, sigma):
     """Nonnegative weights that hold the moments (1, 0, sigma^2), up to the
-    roundoff of the 3x3 solve."""
+    roundoff of the closed-form weights."""
     support, weights = np.array(found.support) / sigma, np.array(found.weights)
     assert weights.min() >= 0.0
     moments = [weights.sum(), weights @ support, weights @ support**2]
     assert np.allclose(moments, [1.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
 
 
+def assert_dual_meets_f_on_the_basis(found, kind, c):
+    """alpha + beta x + gamma x^2 = F(x) at each basis point, to 1e-13 of
+    the pricing's scale max(F, |alpha| + |beta x| + |gamma| x^2)."""
+    x, f = np.array(found.support), capped_exp(kind, c, np.array(found.support))
+    terms = abs(found.alpha) + np.abs(x) * (abs(found.beta) + abs(found.gamma) * np.abs(x))
+    dual = found.alpha + x * (found.beta + found.gamma * x)
+    assert np.all(np.abs(dual - f) <= 1e-13 * np.maximum(f, terms)), (dual, f)
+
+
 SOLVE = {MomentKind.WINSOR: winsor.lower_bound_fixed_c, MomentKind.TRUNC: trunc.lower_bound_trunc}
+
+
+def verify_lp_cases():
+    """(kind, c, bound) of the five LPs of verify's oracle suite."""
+    cases = [(MomentKind.WINSOR, 1.0, winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))),
+             (MomentKind.TRUNC, 1.0, trunc.lower_bound_trunc(BoundQuery(1.0, 1.0)))]
+    return cases + [(MomentKind.WINSOR, u.tilt, u)
+                    for u in map(winsor.lower_bound_universal, (0.5, 1.0, 10.0))]
+
+
+# (kind, c, bound, on SMALL_GRID): verify's five LPs and the small-grid ones
+WARM_COLD_CASES = [(*case, False) for case in verify_lp_cases()] + [
+    (kind, c, SOLVE[kind](BoundQuery(c, sigma)), True) for kind, c, sigma in SMALL_GRID_CASES
+]
 
 
 class TestLPMin:
@@ -428,7 +457,7 @@ class TestLPMin:
     def test_matches_brute_force_on_a_small_grid(self, monkeypatch, kind, c, sigma):
         # 13 points a side: with -1, 0, 1 and the cut, about 30 points, whose
         # 4,000-odd triples each solve as one 3x3 system
-        monkeypatch.setattr(oracle, "LP_GRID", np.geomspace(0.03, 30.0, 13))
+        monkeypatch.setattr(oracle, "LP_GRID", SMALL_GRID)
         x = np.unique(np.concatenate((-sigma * oracle.LP_GRID, sigma * oracle.LP_GRID,
                                       (-sigma, 0.0, sigma, 1.0))))
         assert 28 <= x.size <= 30
@@ -440,25 +469,74 @@ class TestLPMin:
         if kind is MomentKind.TRUNC and sigma < 1.0:  # the small-sigma branch weighs the cut
             assert dict(zip(found.support, found.weights)).get(1.0, 0.0) > 1e-12
         assert_is_a_law(found, sigma)
+        assert_dual_meets_f_on_the_basis(found, kind, c)
 
     def test_cases_of_verify(self):
         # the five LPs of verify's oracle suite, whose support verify checks:
         # laws, at most 1e-3 above each bound, with beta > 0 > gamma
-        cases = [(MomentKind.WINSOR, 1.0, winsor.lower_bound_fixed_c(BoundQuery(1.0, 1.0))),
-                 (MomentKind.TRUNC, 1.0, trunc.lower_bound_trunc(BoundQuery(1.0, 1.0)))]
-        cases += [(MomentKind.WINSOR, u.tilt, u)
-                  for u in map(winsor.lower_bound_universal, (0.5, 1.0, 10.0))]
-        for kind, c, bound in cases:
+        for kind, c, bound in verify_lp_cases():
             found = oracle.lp_min(kind, c, bound.sigma)
             assert bound.bound <= found.value <= bound.bound * (1.0 + 1e-3)
             assert found.beta > 0.0 > found.gamma and found.pivots <= 25
             assert_is_a_law(found, bound.sigma)
+            assert_dual_meets_f_on_the_basis(found, kind, c)
+
+    def test_cases_of_verify_from_their_bounds_support(self):
+        # a count, not a timing: started as verify starts them, at the grid
+        # points at or outside -a and b with 0, the five LPs take 6, 5, 5, 7
+        # and 8 pivots (31; 76 from {-1, 0, 1}).  Each ceiling is its count
+        # plus 2 and may only go down
+        for (kind, c, bound), pivots in zip(verify_lp_cases(), (6, 5, 5, 7, 8)):
+            found = oracle.lp_min(kind, c, bound.sigma, start=(-bound.a, bound.b))
+            assert bound.bound <= found.value <= bound.bound * (1.0 + 1e-3)
+            assert found.beta > 0.0 > found.gamma and found.pivots <= pivots + 2
+            assert_is_a_law(found, bound.sigma)
+            assert_dual_meets_f_on_the_basis(found, kind, c)
+
+    @pytest.mark.parametrize(
+        "kind, c, bound, small", WARM_COLD_CASES,
+        ids=[f"{'small-' * small}{k.value}-{c:.4g}-{b.sigma:g}" for k, c, b, small in WARM_COLD_CASES],
+    )
+    def test_warm_and_cold_starts_reach_one_optimum(self, monkeypatch, kind, c, bound, small):
+        # pricing over the whole grid decides optimality, so a start at the
+        # bound's support moves only the pivot path: the values agree to
+        # 1e-14 and the supports among weights above 1e-12 are one (no case
+        # here has a degenerate optimum that would let them differ by a cell)
+        if small:
+            monkeypatch.setattr(oracle, "LP_GRID", SMALL_GRID)
+        cold = oracle.lp_min(kind, c, bound.sigma)
+        warm = oracle.lp_min(kind, c, bound.sigma, start=(-bound.a, bound.b))
+        assert abs(warm.value - cold.value) <= 1e-14 * cold.value
+        support = [[x for x, p in zip(r.support, r.weights) if p > 1e-12] for r in (cold, warm)]
+        assert support[0] == support[1]
+
+    def test_a_start_past_the_grid_begins_at_its_ends(self):
+        cold = oracle.lp_min(MomentKind.WINSOR, 1.0, 1.0)
+        found = oracle.lp_min(MomentKind.WINSOR, 1.0, 1.0, start=(-1e9, 1e9))
+        assert abs(found.value - cold.value) <= 1e-14 * cold.value
+
+    def test_refuses_a_start_whose_first_basis_is_no_law(self):
+        # from -0.5 and 0.5 (in units of sigma) with 0, 1 + y1 y3 > 0 makes
+        # 0's weight negative: no law on them has variance sigma^2
+        with pytest.raises(ParameterError, match=r"^the grid LP's basis \[.+\] is no law$"):
+            oracle.lp_min(MomentKind.WINSOR, 1.0, 1.0, start=(-0.5, 0.5))
+        for start in ((0.5, 1.0), (-0.5, -0.1), (-0.5, math.nan)):
+            with pytest.raises(ParameterError, match=r"^start must be \(-a, b\) with a, b > 0"):
+                oracle.lp_min(MomentKind.WINSOR, 1.0, 1.0, start=start)
 
     def test_bland_rule_after_three_degenerate_pivots(self):
         # a count, not a timing: Bland's rule, taken after the third
         # degenerate pivot, ends here in 4 pivots; Dantzig's rule alone in 6
         found = oracle.lp_min(MomentKind.TRUNC, 0.01, 1.0)
         assert found.pivots == 4 and found.support == (-1.0, -0.9862658461312831, 1.0)
+
+    def test_least_grid_index_leaves_among_tied_ratios(self):
+        # a count, not a timing: degenerate pivots tie in the ratio test
+        # here; with the least grid index leaving, as Bland's rule needs,
+        # the LP ends in 13 pivots (17 when the greatest leaves)
+        found = oracle.lp_min(MomentKind.WINSOR, 3.0, 0.5)
+        assert found.pivots == 13
+        assert found.support == (-0.01834571189201247, -0.017845246728376146, 13.627162656405138)
 
     def test_oracle_suite_no_longer_reads_the_seed(self):
         assert repr(verify.run_suite("oracle", 1)) == repr(verify.run_suite("oracle", 7))
@@ -476,7 +554,7 @@ class TestLPMin:
         # each LP check fails, alone, when lp_min answers below the bound, off
         # the extremal law or with a dual of the wrong sign
         lp_min = oracle.lp_min
-        monkeypatch.setattr(oracle, "lp_min", lambda *args: spoil(lp_min(*args)))
+        monkeypatch.setattr(oracle, "lp_min", lambda *args, **kwargs: spoil(lp_min(*args, **kwargs)))
         failed = [check.name for check in verify.run_suite("oracle") if not check.passed]
         assert failed == [name]
 

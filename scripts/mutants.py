@@ -53,28 +53,7 @@ MUTANTS = [
            "lower_value=good.lower_value + 0.01 * good.beta * a,\n"
            "        lower_slope=good.lower_slope - 0.01 * good.beta,",
            "verify's own negative control shrinks beta by 1%, not 10%"),
-    # convexity witnesses skip grid points
-    Mutant("no-whole-grid-pass", CERT,
-           "            if reports[j].worst_gap > EQUALITY_RTOL:  # not NaN",
-           "            if False:  # not NaN",
-           "a check whose evaluated worst clears EQUALITY_RTOL is not re-run on its whole grid"),
-    Mutant("psi-without-q", CERT,
-           "    psi = (1.0 - _Q) * f - g - _Q - _slack(f, spread)",
-           "    psi = f - g - _slack(f, spread)",
-           "psi proves points clear of zero, not of the equality tolerance"),
-    Mutant("q-halved", CERT,
-           "_Q = 1.0001 * EQUALITY_RTOL", "_Q = 0.50005 * EQUALITY_RTOL",
-           "psi's margin is half the equality tolerance"),
-    Mutant("q-zero", CERT,
-           "_Q = 1.0001 * EQUALITY_RTOL", "_Q = 0.0",
-           "psi has no margin over the equality tolerance"),
-    Mutant("witness-without-far-end-check", CERT,
-           "    w[lost] = end[lost]", "    w[lost] = w[lost]",
-           "a witness counts though psi is not finite at the region's far end"),
     # one array per pass
-    Mutant("no-witness-pass", CERT,
-           "    kept[bounded] = ends", "    kept[bounded] = _WHOLE",
-           "every check evaluates its whole grid"),
     Mutant("greatest-x-among-ties", CERT,
            "    worst_x = np.minimum.reduceat(np.where(ties, x, math.inf), starts)",
            "    worst_x = np.maximum.reduceat(np.where(ties, x, -math.inf), starts)",
@@ -100,19 +79,34 @@ MUTANTS = [
            "    order = sorted(range(len(cases)), key=lambda j: cases[j][1] is MomentKind.TRUNC)",
            "    order = list(range(len(cases)))",
            "chunks mix the two kinds, and each takes its first check's F"),
-    # the reach: window points that a Taylor bound proves above the worst gap
-    Mutant("reach-without-margins", CERT,
-           "    slack = _slack(f_hi, np.maximum(spread[..., :1], spread[..., 1:]))",
-           "    slack = 0.0 * f_hi",
-           "the reach takes F and G at the contact and at each point as exact"),
-    Mutant("reach-least-contact-gap", CERT,
-           "    q = np.maximum(((f - g) / np.maximum(f, 1.0))[:, :, :1].min(1, keepdims=True), 0.0)",
-           "    q = ((f - g) / np.maximum(f, 1.0))[:, :, :1].min(1, keepdims=True)",
-           "a negative least contact gap, scaled by the side's largest F, is taken as the floor"),
-    Mutant("reach-across-the-cut", CERT,
-           "    one_piece = (np.minimum(x0, far) > 1.0) | (np.maximum(x0, far) < 1.0)",
-           "    one_piece = (np.minimum(x0, far) > 1.0) | (x0 < 1.0)",
-           "a window below the cut that reaches past it is narrowed as if F were e^{cx} there"),
+    # the radii: from each anchor, the points a Taylor bound proves above the worst gap
+    Mutant("span-level-without-equality", CERT,
+           "np.maximum(q, EQUALITY_RTOL)", "q",
+           "the kept intervals prove points above the least contact gap, not above EQUALITY_RTOL"),
+    Mutant("radius-without-margins", CERT,
+           "    deficit = _slack(np.abs(k) * f0 + level, spread[..., :1] + spread_hi) + 1e-299",
+           "    deficit = 0.0 * f0",
+           "the radius takes F and G at the anchor and at each point as exact"),
+    Mutant("radius-least-contact-gap", CERT,
+           "    q = np.maximum(((f - g) / np.maximum(f, 1.0)).min(1, keepdims=True), 0.0)",
+           "    q = ((f - g) / np.maximum(f, 1.0)).min(1, keepdims=True)",
+           "a negative least contact gap, not 0, is the level the radii prove points above"),
+    Mutant("radius-across-the-cut", CERT,
+           "    one_piece = (np.maximum(x0, far) < 1.0) | (np.minimum(x0, far) >= 1.0)",
+           "    one_piece = (x0 < 1.0) | (np.minimum(x0, far) >= 1.0)",
+           "a side below the cut that reaches past it is bounded as if F were e^{cx} there"),
+    Mutant("no-cut-anchor", CERT,
+           "    kept[coef[:, 1] >= 1.0, 2] = (math.inf, -math.inf)",
+           "    kept[:, 2] = (math.inf, -math.inf)",
+           "where x_hi < 1 no anchor keeps the points of x >= 1 that no radius proves"),
+    Mutant("radius-far-end-unchecked", CERT,
+           "    finite = np.isfinite(r) & (f[..., 1:] < math.inf)",
+           "    finite = np.isfinite(r)",
+           "a side on which F overflows, so that its gaps are NaN, is skipped past its radius"),
+    Mutant("kept-intervals-not-disjoint", CERT,
+           "    kept[:, 1:, 0] = np.maximum(kept[:, 1:, 0], np.nextafter(before, math.inf))",
+           "    pass",
+           "a point in two anchors' kept intervals is evaluated twice"),
     Mutant("reach-on-the-next-window", CERT,
            "        lo[:, :2, 0], hi[:, :2, 0] = reach[..., 0], reach[..., 1]",
            "        lo[:, 1:, 0], hi[:, 1:, 0] = reach[..., 0], reach[..., 1]",
@@ -176,6 +170,27 @@ MUTANTS = [
            "return math.nan if any(map(math.isnan, values)) else pick(start, *values)",
            "return pick(start, *values)",
            "a NaN value is dropped by the fold unless it comes first"),
+    # a NaN in each suite fails its check
+    Mutant("roots-residual-nan", VERIFY,
+           "    return abs(math.expm1(math.log(a) + log_support - 2.0 * math.log(sigma)))",
+           "    return math.nan",
+           "every moment-match residual of the roots suite is NaN"),
+    Mutant("ordering-chain-nan", VERIFY,
+           "values += (bound - 1.0, bound_t - bound, grid.universal(sigma).bound - bound)",
+           "values += (bound - 1.0, math.nan, grid.universal(sigma).bound - bound)",
+           "the truncated link of each ordering.bound_chain value is NaN"),
+    Mutant("certificates-beta-margin-nan", VERIFY,
+           "            margins.append((beta_floor - minorant.beta) / beta_floor)",
+           "            margins.append(math.nan)",
+           "each small-branch beta margin of the certificate suite is NaN"),
+    Mutant("oracle-lp-value-nan", VERIFY,
+           "        values.append((bound.bound - found.value) / bound.bound)",
+           "        values.append(math.nan)",
+           "each LP value gap of the oracle suite is NaN"),
+    Mutant("asymptotics-slope-nan", VERIFY,
+           "        slope = asymptotics.winsor_small_sigma_slope(c)",
+           "        slope = math.nan",
+           "each small-sigma slope of the asymptotics suite is NaN"),
     # the two-point law's scalar algebra
     Mutant("trunc-moment-cut-included", LAW,
            "exp_or_inf(c * b), c, b) if b < 1.0 else 1.0",
@@ -207,19 +222,12 @@ EQUIVALENT = [
            "the cap ends only a solve that has not ended otherwise; counting each _solve's "
            "evaluations over all of tier-1, the most any solve takes, converging or raising, "
            "is 53, so every tier-1 solve ends the same way under a cap of 100 as of 200"),
-    Mutant("reach-without-index-margin", CERT,
-           "    near_first = _first_at(start, stop, num, lo) - 1\n"
-           "    near_end = _first_at(start, stop, num, np.nextafter(hi, math.inf)) + 1",
-           "    near_first = _first_at(start, stop, num, lo)\n"
-           "    near_end = _first_at(start, stop, num, np.nextafter(hi, math.inf))",
-           "the index margin covers the rounding of r and of x0 -+ r, a few ulps of x0, while "
-           "a window step is 1e-6 (1 + |x0|); that close to the radius the bound falls far "
-           "less than its 1e-12 F of slack over the rounding of F and G at the point"),
-    Mutant("psi-without-f-rounding-term", CERT,
-           "    psi = (1.0 - _Q) * f - g - _Q - _slack(f, spread)",
-           "    psi = (1.0 - _Q) * f - g - _Q - _slack(0.0 * f, spread)",
-           "the 1e-12 F term covers c*x's rounding and exp's error at |c x| near 709; "
-           "the errors met are about 1e-16 F, far inside q's 1e-14 F headroom"),
+    Mutant("radius-without-ulp-margin", CERT,
+           "(r + 2.0**-48 * (np.abs(x0) + r))", "r",
+           "the margin covers the rounding of r and of x0 -+ r, 32 ulps of |x0| + r; over the "
+           "710 checks of one certificate suite and the test file's seeded, edge and overflow "
+           "cases it keeps 4 of 918,309 evaluated points, and each has a gap above its level, "
+           "as that close to the radius the bound falls far less than its 1e-12 F of slack"),
     Mutant("floor-where-b-below-1", ORACLE,
            "np.where(b >= 1.0, ", "np.where(b > 0.0, ",
            "where b < 1 the formula is still a floor, at most 1 by weighted AM-GM while "

@@ -7,14 +7,15 @@ the contacts) and reads the value and slope gaps at each contact
 
 _capped_exp and _horner (QuadraticMinorant.__call__ for a chunk of checks)
 compute every F and G a report reads.
-F - G is convex on each piece of F, so its gap nears equality only near a
-contact, and the grid check skips points by two rules.  Convexity
-witnesses (_kept, walked in lockstep arrays of _psi) prove most points
-clear of the equality tolerance.  In a contact's window, where they prove
-nothing, a Taylor bound with rounding margins (_reach) proves all but the
-few points nearest the contact above every gap that could be the worst.
-The check evaluates the rest and reports what the whole grid would.
-check_certificates evaluates many checks together, _CHUNK points at a time.
+F - G is convex on each piece of F (x < 1 and x >= 1), so its gap nears
+equality only near a contact, and the grid check skips points by one rule
+(_radius): from each contact, and the cut where the piece x >= 1 holds
+none, a Taylor bound with rounding margins gives in closed form a radius
+on each side past which every point's gap is above every gap that could
+be the worst, and, but in a contact's window, above the equality
+tolerance.  The check evaluates the rest in one pass and reports what the
+whole grid would.  check_certificates evaluates many checks together,
+_CHUNK points at a time.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ CONTACT_WINDOW = 1e-2  # equality must sit within this relative distance
 GRID_BASE_POINTS = 100_001  # uniform points across the span of the grid
 GRID_WINDOW_POINTS = 2_001  # points in the window around each contact and the kink
 _CHUNK = 1 << 13  # the most points check_certificates evaluates at once; a whole grid is more
-_Q = 1.0001 * EQUALITY_RTOL  # psi's margin over the equality tolerance
 
 
 class MomentKind(str, Enum):
@@ -132,140 +132,95 @@ def _slack(f, spread):
     return 1e-12 * f + 1e-13 * spread + 1e-299
 
 
-def _curvature(below, c, f, gamma):
-    """(F - G)'' = c^2 F - 2 gamma where F = e^{cx} (``below`` the cut), else
-    -2 gamma; positive, as gamma < 0."""
-    return np.where(below, c * c * f, 0.0) - 2.0 * gamma
-
-
-def _psi(k, x, below):
-    """psi(x) = (1 - q) F - G - q - _slack (q = _Q, u = x - x_lo), a bound on
-    its float error, and F(x) = e^{cx} where ``below`` (inf from cx = 709
-    on), else f_flat, for arrays of walks with rows k = (x_lo, v, s, gamma,
-    c, f_flat).  psi(x) > 0 puts check_certificate's gap at x above
-    EQUALITY_RTOL: _slack covers the rounding of F and G, and q (F + 1)
-    clears EQUALITY_RTOL max(1, F)."""
-    x_lo, value, slope, gamma, c, f = k
-    cx = c * x
-    f = np.where(below, np.where(cx < 709.0, np.exp(cx), math.inf), f)
+def _f_and_g(winsor, coef, x):
+    """F and G at points x, an (n, k, j) array, of the n checks with rows
+    (x_lo, x_hi, v, s, gamma, c) of ``coef`` (``winsor`` true for the
+    Winsorized kind), each formed as _fold forms it."""
+    x_lo, _, value, slope, gamma, c = coef.T.reshape(6, -1, 1, 1)
+    cx = np.where(winsor[:, None, None], c * np.minimum(x, 1.0), np.where(x < 1.0, c * x, 0.0))
+    f = np.exp(cx)
     u = x - x_lo
-    g = value + u * (slope + gamma * u)
-    spread = _spread(u, value, slope, gamma)
-    psi = (1.0 - _Q) * f - g - _Q - _slack(f, spread)
-    return psi, 1e-12 * (f + np.abs(g) + _Q) + 1e-15 * spread + 1e-300, f
+    return f, value + u * (gamma * u + slope)
 
 
-def _witnesses(k, p, end, below) -> np.ndarray:
-    """For each walk from p toward end (k as _psi's), a point w with psi(w)
-    > max(0, psi(p)) beyond both errors, or end if none.  All walks step out
-    together, the first step 2 sqrt(-psi(p) / psi''(p)), then doubling.  On
-    a region where F keeps one formula and u one sign, psi is convex, so psi
-    > 0 from w to end; F and |u| are monotone there, so finite at w and at
-    end, they are finite between."""
-    value, margin, f = _psi(k, p, below)
-    target = np.maximum(value + margin, 0.0)
-    curvature = _curvature(below, k[4], f, k[3])
-    h = np.maximum(2.0 * np.sqrt(np.maximum(-value, margin) / curvature), 1e-6 * (1.0 + np.abs(p)))
-    sign = np.where(end > p, 1.0, -1.0)
-    w, found = end.copy(), np.zeros(p.shape, dtype=bool)
-    walk = np.flatnonzero(np.isfinite(value))
-    while walk.size:
-        x = p[walk] + sign[walk] * h[walk]
-        short = (x - end[walk]) * sign[walk] < 0.0
-        walk, x = walk[short], x[short]
-        value, margin, _ = _psi(k[:, walk], x, below[walk])
-        hit = value - margin > target[walk]
-        w[walk[hit]], found[walk[hit]] = x[hit], True
-        walk = walk[~hit]
-        h[walk] *= 2.0
-    found = np.flatnonzero(found)
-    lost = found[~np.isfinite(_psi(k[:, found], end[found], below[found])[0])]
-    w[lost] = end[lost]
-    return w
-
-
-# kept intervals that take every point: one holds all, two meet none
-_WHOLE = np.array(((-math.inf, math.inf), (math.inf, -math.inf), (math.inf, -math.inf)))
-
-
-def _kept(checks, coef, spans) -> np.ndarray:
-    """Each check's intervals [left, right) as an (n, 3, 2) array, from its
-    rows of ``coef`` (x_lo, x_hi, v, s, gamma, c) and ``spans`` (its span's
-    piece): outside them psi > 0 at every point of the span.  x is split at
-    x_lo and at the cut 1 into three regions; in each, the contacts it holds
-    (else its point nearest x_lo) are kept, and every point up to the
-    witness from the outermost toward each end, walked for all checks at
-    once; a point that ends one region and starts the next is kept once.  A
-    check whose span or step is not finite, or whose minorant overrides
-    __call__, keeps _WHOLE."""
-    start, stop, num = spans.T
-    plain = [type(check.minorant).__call__ is QuadraticMinorant.__call__ for check in checks]
-    bounded = np.isfinite(start) & np.isfinite((stop - start) / (num - 1.0)) & np.array(plain, bool)
-    winsor = np.array([check.kind is MomentKind.WINSOR for check in checks], bool)
-    x_lo, _, value, slope, gamma, c = coef.T
-    f_flat = np.where(winsor, np.where(c < 709.0, np.exp(c), math.inf), 1.0)
-    k = np.array((x_lo, value, slope, gamma, c, f_flat))[:, bounded]
-    cuts = np.stack((start, np.minimum(x_lo, 1.0), np.maximum(x_lo, 1.0), stop), 1)[bounded]
-    lo, hi = cuts[:, :-1], cuts[:, 1:]
-    below = lo < 1.0  # the region's points are below 1, where F = e^{cx}
-    contacts = coef[bounded, None, :2]
-    inside = (lo[..., None] <= contacts) & (contacts <= hi[..., None])
-    inside &= ~(below[..., None] & (contacts >= 1.0))
-    nearest = np.minimum(np.maximum(k[0, :, None], lo), hi)
-    p = np.where(inside.any(2), np.where(inside, contacts, math.inf).min(2), nearest)
-    q = np.where(inside.any(2), np.where(inside, contacts, -math.inf).max(2), nearest)
-    ends, walk = np.stack((lo, hi), 2), np.nonzero(np.stack((p > lo, q < hi), 2))
-    ends[walk] = _witnesses(k[:, walk[0]], np.stack((p, q), 2)[walk], ends[walk], below[walk[:2]])
-    ends[..., 1] = np.nextafter(ends[..., 1], math.inf)
-    ends[:, 1:, 0] = np.maximum(ends[:, 1:, 0], ends[:, :-1, 1])
-    kept = np.tile(_WHOLE, (len(checks), 1, 1))
-    kept[bounded] = ends
-    return kept
-
-
-def _reach(winsor, coef) -> np.ndarray:
-    """Each check's reach [x0 - r, x0 + r'] around each of its contacts x0
-    (rows of ``coef`` as _kept's, ``winsor`` true for the checks of the
-    Winsorized kind), as an (n, 2, 2) array: every point of
-    x0's window past it has a computed gap above q = max(0, the least gap
-    at the check's contacts), and so above its worst gap, which is at most
-    q because the fold evaluates each contact's own point.  On a side of
-    x0, to x0 -+ 1e-3 (1 + |x0|), that lies on one piece of F (below or
-    above the cut 1), Taylor gives h = F - G >= h(x0) - B d + m d^2 / 2 at
-    d = |x - x0|, with B >= |h'(x0)| and m = (c^2 (the side's least F, below
-    1) - 2 gamma) (1 - 1e-12) <= h'' > 0.  r is the larger root (0 if none)
-    of that bound = q (1 + 1e-12) max(1, F) + 2 slack, where slack is
-    _slack with F and _spread at their largest on the side (_spread is
-    convex in u), _psi's bound on the rounding of F and G, taken once at x0
-    and once at x; the 1e-12 terms of B, m and max(1, F) cover their
-    rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch.
-    3).  F and G at the contacts are formed as _fold forms them.  A side
-    that reaches the cut and a bound that is not finite reach their whole
-    side (-+inf)."""
-    x_lo, _, value, slope, gamma, c = (column[:, None, None] for column in coef.T)
-    winsor = winsor[:, None, None]
-    x0 = coef[:, :2, None]
-    far = x0 + np.array((-1.0, 1.0)) * (1e-3 * (1.0 + np.abs(x0)))  # each side's window end
-    x = np.concatenate((x0, far), 2)  # (n, 2, 3): each contact, then its two sides' ends
-    f = np.exp(np.where(winsor, c * np.minimum(x, 1.0), np.where(x < 1.0, c * x, 0.0)))
-    u = x - x_lo
-    g = _horner(x.ravel(), *coef[:, [0, 2, 3, 4]].T, 6).reshape(x.shape)
-    q = np.maximum(((f - g) / np.maximum(f, 1.0))[:, :, :1].min(1, keepdims=True), 0.0)
-    spread = _spread(u, value, slope, gamma)
-    f0, u0 = f[..., :1], u[..., :1]
-    f_lo, f_hi = np.minimum(f0, f[..., 1:]), np.maximum(f0, f[..., 1:])
-    slack = _slack(f_hi, np.maximum(spread[..., :1], spread[..., 1:]))
+def _radius(winsor, coef, x0, far, level) -> np.ndarray:
+    """For each anchor x0, an (n, k, 1) array, and the ends ``far`` (n, k, 2)
+    of its two sides [far, x0] and [x0, far'] (args as _f_and_g's), the radii
+    (r, r') past which every point x of a side has a computed gap above
+    ``level`` (n, 1, 1).  With l = level (1 + 1e-11) + 1e-300, that holds
+    where psi = (1 - l - 1.01e-12) F - G - l - 1e-13 S - 1e-299 > 0, S the
+    largest _spread on the side (_spread is convex): then F - G less _slack,
+    the rounding of F and G at x, is above l (F + 1) >= l max(1, F).  The
+    1e-11 covers the rounding of the gap, the 1e-14 F that of psi's
+    coefficient of F.  On a side that lies on one piece of F (x < 1 or x >=
+    1), Taylor gives psi(x) >= psi(x0) - B d + m d^2 / 2 at d = |x - x0|,
+    with B at least psi's fall per unit of d at x0 and m at most psi'' =
+    c^2 (1 - l - 1.01e-12) F - 2 gamma (F is monotone on a piece), each less
+    1e-12 of its terms for their rounding, and psi(x0) less _slack at x0.  r
+    is the larger root of that bound (0 if none), and inf where it or F at
+    the side's end is not finite, m <= 0 or the side leaves its piece."""
+    x_lo, _, value, slope, gamma, c = coef.T.reshape(6, -1, 1, 1)
+    x = np.concatenate((x0, far), 2)  # each anchor, then its two sides' ends
+    f, g = _f_and_g(winsor, coef, x)
+    spread = _spread(x - x_lo, value, slope, gamma)
+    level = level * (1.0 + 1e-11) + 1e-300
+    k = 1.0 - level - 1.01e-12  # psi's coefficient of F
     below = x0 < 1.0
-    f_slope, curve = np.where(below, c * f0, 0.0), 2.0 * gamma * u0  # F'(x0), G'(x0) - slope
-    b = np.abs(f_slope - (slope + curve))
-    b += 1e-12 * (np.abs(f_slope) + np.abs(slope) + np.abs(curve))
-    m = _curvature(below, c, f_lo, gamma) * (1.0 - 1e-12)
-    target = q * (1.0 + 1e-12) * np.maximum(f_hi, 1.0) + 2.0 * slack - (f0 - g[..., :1])
-    disc = b * b + 2.0 * m * target
-    r = np.where(disc < 0.0, 0.0, (b + np.sqrt(disc)) / m)  # no root: the bound clears q everywhere
-    one_piece = (np.minimum(x0, far) > 1.0) | (np.maximum(x0, far) < 1.0)
-    r = np.where(one_piece & (m > 0.0) & np.isfinite(r), r, math.inf)
-    return x0 + np.array((-1.0, 1.0)) * r
+    f0, f_slope = f[..., :1], np.where(below, c * f[..., :1], 0.0)  # F(x0), F'(x0)
+    curve = 2.0 * gamma * (x0 - x_lo)  # G'(x0) - s
+    b = np.array((1.0, -1.0)) * (k * f_slope - (slope + curve))  # psi's fall per unit of d
+    b += 1e-12 * (np.abs(k * f_slope) + np.abs(slope) + np.abs(curve))
+    kf = np.where(below, c * c * np.minimum(k * f0, k * f[..., 1:]), 0.0)
+    m = kf - 2.0 * gamma - 1e-12 * (np.abs(kf) - 2.0 * gamma)
+    spread_hi = np.maximum(spread[..., :1], spread[..., 1:])
+    deficit = _slack(np.abs(k) * f0 + level, spread[..., :1] + spread_hi) + 1e-299
+    deficit -= k * f0 - g[..., :1] - level  # psi(x0)
+    disc = b * b + 2.0 * m * deficit
+    r = np.where(disc < 0.0, 0.0, np.maximum(b + np.sqrt(disc), 0.0) / m)  # no root: all clear
+    one_piece = (np.maximum(x0, far) < 1.0) | (np.minimum(x0, far) >= 1.0)
+    finite = np.isfinite(r) & (f[..., 1:] < math.inf)  # F is monotone on the side
+    return np.where(one_piece & (m > 0.0) & finite, r, math.inf)
+
+
+def _around(x0, r) -> np.ndarray:
+    """The intervals [x0 - r, x0 + r'] for radii (r, r') on the last axis,
+    each end moved out by 2^-48 (|x0| + r), 32 ulps, for the rounding of r
+    and of x0 -+ r."""
+    return x0 + np.array((-1.0, 1.0)) * (r + 2.0**-48 * (np.abs(x0) + r))
+
+
+def _reach(winsor, bounded, coef):
+    """The points each check must evaluate (args as _f_and_g's; ``bounded``
+    false for a check whose minorant overrides __call__): its reach on the
+    window of each of its contacts, as an (n, 2, 2) array, and its kept
+    intervals on the whole grid, as an (n, 3, 2) array, sorted and disjoint.
+    Every other point has a computed gap above q = max(0, the least gap at
+    the check's contacts), and so above its worst gap, which is at most q as
+    the fold evaluates each contact's own point; outside the kept intervals
+    it is above EQUALITY_RTOL too.  Both come from _radius: the reach from
+    each contact's window, to x0 -+ 1e-3 (1 + |x0|), at level q; the kept
+    intervals from each anchor's whole piece of F, x < 1 or x >= 1, within
+    the span, at level max(q, EQUALITY_RTOL).  The anchors are the contacts,
+    then the cut 1 where x_hi < 1 leaves the piece x >= 1 without one.  A
+    check with x_lo >= 1, contacts out of order or NaN, or not ``bounded``
+    keeps every point."""
+    contacts = coef[:, :2, None]
+    f, g = _f_and_g(winsor, coef, contacts)
+    q = np.maximum(((f - g) / np.maximum(f, 1.0)).min(1, keepdims=True), 0.0)
+    window = contacts + np.array((-1.0, 1.0)) * (1e-3 * (1.0 + np.abs(contacts)))
+    reach = _around(contacts, _radius(winsor, coef, contacts, window, q))
+    anchors = np.concatenate((contacts, np.ones_like(q)), 1)
+    piece = np.where(anchors < 1.0, (-math.inf, np.nextafter(1.0, 0.0)), (1.0, math.inf))
+    span = 10.0 * np.fmax(np.abs(contacts).max(1, keepdims=True), 1.0)  # as _grid_pieces'
+    ends = np.clip(piece, -span, span)
+    kept = _around(anchors, _radius(winsor, coef, anchors, ends, np.maximum(q, EQUALITY_RTOL)))
+    kept = np.clip(kept, piece[..., :1], piece[..., 1:])
+    kept[coef[:, 1] >= 1.0, 2] = (math.inf, -math.inf)  # the cut is no anchor
+    bounded = bounded & (coef[:, 0] <= coef[:, 1]) & (coef[:, 0] < 1.0)
+    reach[~bounded], kept[~bounded] = (-math.inf, math.inf), (-math.inf, math.inf)
+    before = np.maximum.accumulate(kept[:, :-1, 1], 1)  # the intervals' ends so far
+    kept[:, 1:, 0] = np.maximum(kept[:, 1:, 0], np.nextafter(before, math.inf))
+    return reach, kept
 
 
 def _first_at(start, stop, num, bound):
@@ -278,30 +233,24 @@ def _first_at(start, stop, num, bound):
         i -= down
     while (up := (i < num) & (point(i) < bound)).any():
         i += up
-    return i.astype(np.intp)
+    return np.where(bound < math.inf, i, num).astype(np.intp)  # where: a span that is not finite
 
 
 def _runs(pieces, kept):
     """The run table of checks with grid ``pieces`` (_grid_pieces' rows,
     each check's last its span) and ``kept`` intervals: for each run, the
-    points of a piece in a kept interval, its check, its piece and its
-    index range [first, end); by check, then piece, then x.  A piece keeps
-    only its points in its [lo, hi] and one index on either side; a check
-    that keeps _WHOLE keeps every point."""
+    points of a piece in its [lo, hi] and in one kept interval, its check,
+    its piece and its index range [first, end); by check, then piece, then
+    x."""
     start, stop, num, lo, hi = pieces.T
     span = num == GRID_BASE_POINTS  # each check's last piece
     owner = np.cumsum(span) - span
-    near_first = _first_at(start, stop, num, lo) - 1
-    near_end = _first_at(start, stop, num, np.nextafter(hi, math.inf)) + 1
-    left, right = kept[owner, :, 0], kept[owner, :, 1]  # each piece's check's, by slot
-    meets = (left <= stop[:, None]) & (start[:, None] < right)
-    whole = left[:, 0] == -math.inf
-    meets[:, 0] |= whole
-    piece, slot = np.nonzero(meets)
-    owner, start, stop, num, whole = (column[piece] for column in (owner, start, stop, num, whole))
-    first = np.maximum(_first_at(start, stop, num, left[piece, slot]), near_first[piece])
-    end = np.minimum(_first_at(start, stop, num, right[piece, slot]), near_end[piece])
-    first[whole], end[whole] = 0, num[whole]
+    left = np.maximum(kept[owner, :, 0], lo[:, None])
+    right = np.nextafter(np.minimum(kept[owner, :, 1], hi[:, None]), math.inf)
+    piece, slot = np.nonzero(~((left > stop[:, None]) | (right <= start[:, None])))  # NaN: meets
+    left, right = left[piece, slot], right[piece, slot]
+    owner, start, stop, num = (column[piece] for column in (owner, start, stop, num))
+    first, end = _first_at(start, stop, num, left), _first_at(start, stop, num, right)
     keep = first < end
     return owner[keep], start[keep], stop[keep], num[keep], first[keep], end[keep]
 
@@ -416,45 +365,39 @@ def check_certificate(
     The report is argmin's on the sorted grid: a NaN gap first, then the least
     gap, then the least x.  One np.errstate ignores every floating-point
     error: a G of -inf, or an F - G past the doubles, is a gap of +inf, and an
-    F of +inf a NaN gap (inf/inf), which fails it.  Only the points in _kept's
-    intervals are evaluated: every other one has psi > 0, so a gap above
-    EQUALITY_RTOL, which is no equality and, while the evaluated worst is NaN
-    or at most EQUALITY_RTOL, no worst gap or tie of it.  Otherwise, and for
-    a minorant whose __call__ is overridden or a grid whose points are not
-    ordered, a second pass evaluates the whole grid (106,007 points at three
-    distinct centres).  Of the window around a contact x0, the first pass
-    also skips the points outside _reach's radius, with one index of margin:
-    on a side of x0 that does not reach the cut, a Taylor bound on F - G,
-    less margins for the rounding of F, G, the slope and the curvature,
-    proves their gaps above max(0, the least contact gap), so above the
-    worst gap, and they lie within CONTACT_WINDOW of x0, where an equality
-    is allowed.  This is check_certificates on one case."""
+    F of +inf a NaN gap (inf/inf), which fails it.  Only the points that
+    _reach keeps are evaluated, in one pass.  Let q = max(0, the least contact
+    gap), at least the worst gap as each contact's own point is evaluated.
+    On each side of each contact, and right of the cut when x_hi < 1, a
+    Taylor bound on F - G, less margins for the rounding of F, G, the slope
+    and the curvature, gives a radius past which every point of the side's
+    piece of F has a gap above max(q, EQUALITY_RTOL), so is neither the worst
+    gap, a tie of it nor an equality; in a contact's window, where an equality
+    is allowed, the radius at level q alone skips the points past it.  Every
+    point is evaluated where a side's bound is not finite, and for a minorant
+    whose __call__ is overridden (106,007 points at three distinct centres).
+    This is check_certificates on one case."""
     return check_certificates([(minorant, kind, c)])[0]
 
 
 def check_certificates(cases) -> list[CertificateReport]:
     """check_certificate's report for each (minorant, kind, c) of ``cases``,
-    bit for bit.  The checks go by kind; their grid pieces and coefficients
-    are formed once, as arrays; _kept walks all their witnesses in lockstep,
-    and _reach bounds all their contact windows.  Their first passes are
-    evaluated in chunks (_evaluate); a second, whole-grid pass runs per
-    check."""
+    bit for bit.  The checks go by kind; their grid pieces, coefficients and
+    the points they skip (_reach) are formed once, as arrays, and one pass
+    evaluates the rest in chunks (_evaluate)."""
     cases = [(minorant, _choice(MomentKind, "kind", kind), c) for minorant, kind, c in cases]
     if not cases:
         return []
     order = sorted(range(len(cases)), key=lambda j: cases[j][1] is MomentKind.TRUNC)
     coef = np.array([(*cases[j][0].contact_points, *cases[j][0][1:], cases[j][2]) for j in order])
     winsor = np.array([cases[j][1] is MomentKind.WINSOR for j in order], bool)
+    plain = np.array([type(cases[j][0]).__call__ is QuadraticMinorant.__call__ for j in order])
     with np.errstate(all="ignore"):
-        pieces = _grid_pieces(coef[:, :2], _reach(winsor, coef))
+        reach, kept = _reach(winsor, plain, coef)
+        pieces = _grid_pieces(coef[:, :2], reach)
         spans = np.flatnonzero(pieces[:, 2] == GRID_BASE_POINTS)  # each check's last piece
         bounds = [0, *(spans + 1).tolist()]
         n_points = np.add.reduceat(pieces[:, 2], bounds[:-1]).astype(int).tolist()
         checks = [_Check(*cases[j], n) for j, n in zip(order, n_points)]
-        kept = _kept(checks, coef, pieces[spans, :3])
         reports = _evaluate(checks, coef, pieces, bounds, kept)
-        for j in np.flatnonzero(kept[:, 0, 0] > -math.inf).tolist():
-            if reports[j].worst_gap > EQUALITY_RTOL:  # not NaN
-                one, mine = slice(j, j + 1), pieces[bounds[j]:bounds[j + 1]]
-                [reports[j]] = _evaluate(checks[one], coef[one], mine, [0, len(mine)], _WHOLE[None])
     return [reports[j] for j in sorted(range(len(order)), key=order.__getitem__)]

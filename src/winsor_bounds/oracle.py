@@ -23,7 +23,8 @@ import numpy as np
 
 from .certificates import MomentKind, _capped_exp, capped_exp
 from .errors import (
-    MaxIterationsError, ParameterError, _choice, exp_or_inf, in_range, require_positive,
+    ExponentOverflowError, MaxIterationsError, ParameterError, _choice, exp_or_inf, in_range,
+    require_positive,
 )
 
 # points of each stage of the searches, a or (a, c): the first spans the whole grid,
@@ -226,7 +227,8 @@ def lp_min(kind: MomentKind, c: float, sigma: float, start=None) -> LPResult:
     the value, the basis in increasing x (one weight may be 0), its dual alpha +
     beta x + gamma x^2 <= F and the pivots.  in_range refuses a sigma whose grid end
     sigma * 1e6 or cut 1/sigma in units of sigma squares past the doubles, and a
-    (c, sigma) whose F overflows."""
+    (c, sigma) whose F overflows; a basis whose dual overflows on the grid, so that
+    a reduced cost is not finite, is refused as an ExponentOverflowError."""
     c, sigma = require_positive("c", c), require_positive("sigma", sigma)
     kind = _choice(MomentKind, "kind", kind)
     end, cut = sigma * float(LP_GRID[-1]), 1.0 / sigma
@@ -259,8 +261,12 @@ def lp_min(kind: MomentKind, c: float, sigma: float, start=None) -> LPResult:
         s12, s23 = (f2 - f1) / d12, (f3 - f2) / d23
         gamma = (s23 - s12) / d13
         beta, alpha = s12 - gamma * (y1 + y2), f1 - y1 * (s12 - gamma * y2)
-        scale = np.maximum(f, abs(alpha) + y_abs * (abs(beta) + abs(gamma) * y_abs))
-        reduced = (f - (alpha + y * (beta + gamma * y))) / scale
+        with np.errstate(over="ignore", invalid="ignore"):  # a dual past the doubles is refused
+            scale = np.maximum(f, abs(alpha) + y_abs * (abs(beta) + abs(gamma) * y_abs))
+            reduced = (f - (alpha + y * (beta + gamma * y))) / scale
+        if not np.isfinite(reduced).all():
+            raise ExponentOverflowError(
+                f"the grid LP's pricing overflows to inf or NaN (operands {c!r}, {sigma!r})")
         reduced[basis] = 0.0
         entering = np.flatnonzero(reduced < -_PRICE_TOL)
         if not entering.size:

@@ -250,8 +250,7 @@ def suite_certificates(grid: Grid) -> list[CheckResult]:
     from . import certificates
     from .certificates import MomentKind
 
-    cases = []
-    worst_beta_margin = 0.0
+    cases, margins = [], []
     solve = {MomentKind.WINSOR: grid.fixed, MomentKind.TRUNC: grid.truncated}
     for (c, sigma), kind in itertools.product(_PAIRS, MomentKind):
         result = solve[kind](c, sigma)
@@ -259,8 +258,7 @@ def suite_certificates(grid: Grid) -> list[CheckResult]:
         if result.branch is Branch.SMALL_SIGMA:
             sigma2 = sigma * sigma
             beta_floor = math.exp(-sigma2 * c) * c * (1.0 + sigma**4) / (1.0 + sigma2) ** 2
-            margin = (beta_floor - minorant.beta) / beta_floor
-            worst_beta_margin = max(worst_beta_margin, margin)
+            margins.append((beta_floor - minorant.beta) / beta_floor)
         cases.append((minorant, kind, c))
 
     # Negative control: shrinking beta = G'(0) by 10%, i.e. subtracting
@@ -292,7 +290,7 @@ def suite_certificates(grid: Grid) -> list[CheckResult]:
         ),
         _bounded_check("certificates.contact_tangency", worst_tangency, 1e-12),
         _bounded_check(
-            "certificates.trunc_small_beta_floor", worst_beta_margin, 1e-12,
+            "certificates.trunc_small_beta_floor", _extreme(max, margins), 1e-12,
             "beta > e^{-ac} c (1+a^2)/(1+a)^2 up to roundoff"
         ),
         CheckResult(

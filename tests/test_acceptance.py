@@ -12,6 +12,7 @@ import math
 import pkgutil
 import random
 import time
+import types
 
 import numpy as np
 import pytest
@@ -269,6 +270,12 @@ NAN_INJECTIONS = {
               {"roots.winsor_fixed_c_residual", "roots.trunc_moment_match_residual"}),
     "ordering": (lambda mp: mp.setattr(verify, "_relative_gap", lambda *args: math.nan),
                  {"ordering.equality_at_optimal_tilt", "ordering.trunc_branch_continuity"}),
+    # in the certificate suite verify's math.exp forms only the beta floors
+    "certificates": (
+        lambda mp: mp.setattr(verify, "math", types.SimpleNamespace(
+            **{**vars(math), "exp": lambda x: math.nan})),
+        {"certificates.trunc_small_beta_floor"},
+    ),
     "oracle": (nan_lp_values, {"oracle.lp_value_above_bound"}),
     "asymptotics": (
         lambda mp: mp.setattr(asymptotics, "winsor_small_sigma_slope", lambda c: math.nan),

@@ -459,14 +459,14 @@ REFERENCE_CASES = {
     # which comes first in the pass array; argmin over that unsorted array
     # would report -4.7541646718256975e-07, the sorted grid the contact
     "winsor-0.1-1e-3-tie-in-the-fine-block": lambda: solved_winsor(0.1, 1e-3),
-    # contacts at -7.95e-259 and 1.26e258: |gamma| u^2 in psi's slack
+    # contacts at -7.95e-259 and 1.26e258: |gamma| u^2 in the radii's slack
     # reaches 3.8e262, formed without u^2, which overflows
     "winsor-600-1-span-1e259": lambda: solved_winsor(600.0, 1.0),
     # c = 0: no zero prefix, and F = 1 everywhere
     "winsor-1-1-at-c-0": lambda: (solved_winsor(1.0, 1.0)[0], MomentKind.WINSOR, 0.0),
     # every gap is above EQUALITY_RTOL, the least (1.0047) at x = 0.5508,
-    # where F = e^{3x} is large and psi far above its value at the declared
-    # contacts: the points that psi's witnesses skipped are evaluated too
+    # where F = e^{3x} is large: the radii, at the least contact gap's level
+    # above 1, must keep it
     "worst-above-tolerance": lambda: (
         from_coefficients(-0.5, 1.8, -1.7, (-1.5, 0.42)), MomentKind.TRUNC, 3.0
     ),
@@ -670,28 +670,39 @@ def skipped_gaps(minorant, kind, c, x):
         return (f_values - minorant(x)) / np.maximum(1.0, f_values)
 
 
+def recorded_reach(monkeypatch):
+    """A list that gets each (reach, kept) that _reach returns."""
+    reaches = []
+    reach = certificates._reach
+
+    def recorded(*args):
+        reaches.append(reach(*args))
+        return reaches[-1]
+
+    monkeypatch.setattr(certificates, "_reach", recorded)
+    return reaches
+
+
+def outside(kept, x):
+    """The points x outside every closed interval of ``kept`` (k, 2)."""
+    return ~((kept[:, :1] <= x) & (x <= kept[:, 1:])).any(0)
+
+
 def assert_skips_are_sound(monkeypatch, minorant, kind, c):
     """Every grid point the check did not evaluate, evaluated here over the
     full np.linspace pieces, keeps assert_skip_invariant, and each one
-    outside the kept intervals of psi's witnesses has a gap above
-    EQUALITY_RTOL, as psi > 0 claims.  Returns (skipped, total)."""
-    walks = []
-    walk = certificates._kept
-
-    def recorded(*args):
-        walks.append(walk(*args))
-        return walks[-1]
-
-    monkeypatch.setattr(certificates, "_kept", recorded)
+    outside its kept intervals has a gap above EQUALITY_RTOL, as the radii
+    claim.  Returns (skipped, total)."""
+    reaches = recorded_reach(monkeypatch)
     report, masks = evaluated_points(monkeypatch, minorant, kind, c)
-    [[kept]] = walks
+    [(_, [kept])] = reaches
     skipped = total = 0
     for piece, mask in masks.items():
         x = np.linspace(*piece)[~mask]
         gaps = skipped_gaps(minorant, kind, c, x)
         assert_skip_invariant(x, gaps, report, minorant.contact_points)
-        outside = ~((kept[:, :1] <= x) & (x < kept[:, 1:])).any(0)
-        assert np.all(gaps[outside] > certificates.EQUALITY_RTOL), (piece, x[outside][:3])
+        outside_kept = outside(kept, x)
+        assert np.all(gaps[outside_kept] > certificates.EQUALITY_RTOL), (piece, x[outside_kept][:3])
         skipped, total = skipped + x.size, total + piece[2]
     return skipped, total
 
@@ -710,7 +721,7 @@ def test_skipped_blocks_are_bounded_on_the_verify_grid(kind, monkeypatch):
     for c, sigma in pairs:
         counts = assert_skips_are_sound(monkeypatch, *verify_grid_case(c, sigma, kind)[0])
         skipped, total = skipped + counts[0], total + counts[1]
-    # the witnesses leave a few hundred points per check of about 106,000
+    # the radii leave a few dozen points per check of about 106,000
     assert skipped > 0.98 * total
 
 
@@ -720,31 +731,36 @@ def test_skipped_blocks_are_bounded_on_the_verify_grid(kind, monkeypatch):
      (5.0, 1e6, MomentKind.WINSOR), (10.0, 587801.6072274924, MomentKind.WINSOR)],
 )
 def test_near_overflow_spans_of_the_verify_grid(c, sigma, kind, monkeypatch):
-    # spans of 2e12 to 5.4e12, where |gamma| u^2 in psi's slack reaches 3e25
+    # spans of 2e12 to 5.4e12, where |gamma| u^2 in the radii's slack reaches 3e25
     (minorant, kind, c), _ = verify_grid_case(c, sigma, kind)
     assert grid_pieces(minorant)[-1][1] > 1.9e12
     assert assert_skips_are_sound(monkeypatch, minorant, kind, c)[0] > 0
 
 
 OVERFLOW_CASES = {
-    # a span of 1e201: |gamma| u^2 overflows, so psi is -inf on most of it
+    # a span of 1e201: |gamma| u^2 overflows, so each side's slack is inf
     "u-squared-overflows": lambda: (
         from_coefficients(0.0, 1.0, -1e-6, (-1.0, 1e200)), MomentKind.WINSOR, 1.0
     ),
-    # F(1) = e^c overflows: psi is inf from x = 709/c on, and the gaps
-    # there are NaN
+    # F(1) = e^c overflows: the gaps are NaN from x = 709/c on
     "exp-c-overflows": lambda: (solved_winsor(1.0, 1.0)[0], MomentKind.WINSOR, 710.0),
     # c < 0 over a span of 1e4: F = e^{-2x} overflows from x = -354.9 down
     "f-overflows-at-c-minus-2": lambda: (
         from_coefficients(1.0, 0.01, -100.0, (-1.0, 1000.0)), MomentKind.WINSOR, -2.0
+    ),
+    # the same F, with G tangent at 0.5: the least contact gap is 0, yet the
+    # gaps where F overflows, left of the tangent, are NaN and the worst
+    "f-overflows-left-of-a-tangent": lambda: (
+        parabola_at(0.5, math.exp(-1.0), -2.0 * math.exp(-1.0), -1.0, (0.5, 1000.0)),
+        MomentKind.WINSOR, -2.0,
     ),
 }
 
 
 @pytest.mark.parametrize("case", OVERFLOW_CASES)
 def test_blocks_without_a_finite_floor_are_walked(case, monkeypatch):
-    # where psi or F is not finite no witness is found, so those points are
-    # evaluated, and the report is the sorted grid's
+    # a side on which F or the slack is not finite has an infinite radius,
+    # so its points are evaluated, and the report is the sorted grid's
     minorant, kind, c = OVERFLOW_CASES[case]()
     assert_skips_are_sound(monkeypatch, minorant, kind, c)
     report = certificates.check_certificate(minorant, kind, c)
@@ -754,7 +770,9 @@ def test_blocks_without_a_finite_floor_are_walked(case, monkeypatch):
     assert repr(walked) == repr(expected)
 
 
-@pytest.mark.parametrize("case", ["exp-c-overflows", "f-overflows-at-c-minus-2"])
+@pytest.mark.parametrize(
+    "case", ["exp-c-overflows", "f-overflows-at-c-minus-2", "f-overflows-left-of-a-tangent"]
+)
 def test_overflowing_f_gets_a_report_under_warnings_as_errors(case):
     # an F of inf makes the gap inf/inf = NaN: that is reported as data (a
     # failed report with a NaN worst gap at the least such x), not raised
@@ -814,41 +832,23 @@ def test_negative_controls_fail_with_their_bits(monkeypatch):
 
 
 def test_certificate_suite_point_budget(monkeypatch):
-    # A count, not a timing: one certificate suite evaluated 13,073 grid
-    # points when the reach came to skip the window points a Taylor bound
-    # proves above the worst gap (446,630 before, with psi's witnesses
-    # alone; 10,649,802 when whole span blocks were bounded and skipped).
-    # The ceiling is that count plus 5%; a change that needs more points is
-    # a regression, not a new ceiling.
+    # A count, not a timing: one certificate suite evaluated 8,465 grid
+    # points when one closed-form radius per anchor and side replaced psi's
+    # witness walk (13,073 with the walk and the reach of the contact
+    # windows, 446,630 with the walk alone, 10,649,802 when whole span
+    # blocks were bounded and skipped).  The ceiling is that count plus 5%;
+    # a change that needs more points is a regression, not a new ceiling.
     runs = record_runs(monkeypatch)
     assert all(result.passed for result in verify.run_suite("certificates"))
     evaluated = sum(run[-1].size for run in runs)
-    assert evaluated <= 13_727, f"{evaluated} points"
-
-
-def test_certificate_suite_psi_budget(monkeypatch):
-    # A count, not a timing: one certificate suite evaluated psi at 7,429
-    # points when its witnesses came in, one call per point, and at the same
-    # 7,429 in 20 calls once all walks stepped together, a call per round of
-    # the deepest walk.  Each ceiling is its count plus 5% or more.
-    points = []
-    psi = certificates._psi
-
-    def counted(k, x, below):
-        points.append(x.size)
-        return psi(k, x, below)
-
-    monkeypatch.setattr(certificates, "_psi", counted)
-    assert all(result.passed for result in verify.run_suite("certificates"))
-    assert sum(points) <= 7_800, f"psi at {sum(points)} points"
-    assert len(points) <= 25, f"{len(points)} calls of psi"
+    assert evaluated <= 8_888, f"{evaluated} points"
 
 
 def pass_sizes(monkeypatch, run):
     """The points of each pass that check_certificates forms while run()
     runs, in order, and the number of checks it is given.  A pass is one
-    check's runs in one chunk: a witness pass shares its chunk with other
-    checks, and a whole-grid pass has a chunk of its own."""
+    check's runs in one chunk, which it shares with other checks unless it
+    holds more than _CHUNK points."""
     runs = record_runs(monkeypatch)
     checks = []
     batch = certificates.check_certificates
@@ -867,17 +867,23 @@ def pass_sizes(monkeypatch, run):
 
 
 def test_certificate_suite_never_takes_the_whole_grid_pass(monkeypatch):
-    # the whole-grid pass forms 106,007 points at once; in one certificate
-    # suite every check ends after its witness pass, the largest of which
-    # (the negative control) held 5,457 points when the check came to form
-    # one array per pass (4,458 with the reach).  A witness pass above one
-    # 8,192-point block is a regression in the witnesses.
+    # each check takes one pass.  Its worst gap above EQUALITY_RTOL once
+    # sent worst-above-tolerance to a second pass over its whole grid of
+    # 106,007 points; the radii at the level of its least contact gap now
+    # skip all but 14,329 of them.  In one certificate suite the largest
+    # pass (the negative control) held 5,457 points when the check came to
+    # form one array per pass, 4,458 with the reach and 3,342 with the
+    # radii.  A pass above one chunk is a regression in the radii.
     worst = REFERENCE_CASES["worst-above-tolerance"]()
     sizes, checks = pass_sizes(monkeypatch, lambda: certificates.check_certificate(*worst))
-    assert (len(sizes), sizes[-1], checks) == (2, 106_007, 1)  # the seam sees a second pass
+    assert (len(sizes), checks) == (1, 1) and sizes[0] < 20_000, sizes
+    report = certificates.check_certificate(*worst)
+    passed, worst_gap, worst_x, localized = reference_check(*worst)
+    assert report[:4] == (passed, worst_gap, worst_x, localized), report
+    assert report.worst_gap.hex() == worst_gap.hex() and worst_gap > certificates.EQUALITY_RTOL
     sizes, checks = pass_sizes(monkeypatch, lambda: verify.run_suite("certificates"))
     assert len(sizes) == checks == 641
-    assert max(sizes) <= oracle._BLOCK, f"{max(sizes)} points"
+    assert max(sizes) <= certificates._CHUNK, f"{max(sizes)} points"
 
 
 def report_bits(report):
@@ -896,6 +902,7 @@ BATCH_EDGE_CASES = {
     **REFERENCE_CASES,
     "negative-control": lambda: (verify_negative_control(), MomentKind.WINSOR, 1.0),
     "nan-gaps-where-f-overflows": OVERFLOW_CASES["exp-c-overflows"],
+    "nan-gaps-left-of-a-tangent": OVERFLOW_CASES["f-overflows-left-of-a-tangent"],
     # F = e^{710x} overflows on (0.99970, 1): a NaN worst gap in a witness
     # pass of 9,507 points, small enough to share its chunk
     "nan-gaps-below-the-cut": lambda: (
@@ -967,49 +974,37 @@ def test_a_nan_contact_gap_fails_its_verify_check(monkeypatch):
     assert sum(not result.passed for result in results.values()) == 1
 
 
-def test_walk_skips_only_points_clear_of_equality(monkeypatch):
-    # one lockstep walk and one reach over all cases; on each walked check's
-    # grid pieces, every point outside its kept intervals has a gap above
-    # EQUALITY_RTOL, as psi > 0 claims.  Where its first pass stands (the
-    # worst gap is NaN or at most EQUALITY_RTOL, so no second pass), those
-    # points and every point of a contact's window outside its reach (the
-    # Taylor rule) keep assert_skip_invariant
-    walks, reaches = [], []
-    walk, reach = certificates._kept, certificates._reach
+def test_radii_skip_only_points_clear_of_equality(monkeypatch):
+    # one _reach over all cases; on each check's grid pieces, every point
+    # outside its kept intervals has a gap above EQUALITY_RTOL, as the radii
+    # claim, and those points and every point of a contact's window outside
+    # its reach keep assert_skip_invariant, whatever the worst gap: with no
+    # second pass, also where the worst gap is above EQUALITY_RTOL
+    reaches, evaluated = recorded_reach(monkeypatch), []
+    evaluate = certificates._evaluate
 
-    def recorded_walk(checks, *args):
-        walks.append((checks, walk(checks, *args)))
-        return walks[-1][1]
+    def recorded_evaluate(checks, *args):
+        evaluated.append(checks)
+        return evaluate(checks, *args)
 
-    def recorded_reach(*args):
-        reaches.append(reach(*args))
-        return reaches[-1]
-
-    monkeypatch.setattr(certificates, "_kept", recorded_walk)
-    monkeypatch.setattr(certificates, "_reach", recorded_reach)
+    monkeypatch.setattr(certificates, "_evaluate", recorded_evaluate)
     cases = [(law.minorant(result), kind, result.tilt) for result, kind in seeded_bounds(40)]
     cases += [make() for make in BATCH_EDGE_CASES.values()]
     reports = certificates.check_certificates(cases)
     report_of = {id(case[0]): report for case, report in zip(cases, reports)}
-    [(checks, kept)], [near] = walks, reaches
-    skipped = reached = whole = second = 0
+    [(near, kept)], [checks] = reaches, evaluated
+    skipped = reached = whole = above = 0
     for check, intervals, contact_reach in zip(checks, kept, near):
         report = report_of[id(check.minorant)]
-        if intervals[0, 0] == -math.inf:
-            whole += 1
-            continue
+        whole += tuple(intervals[0]) == (-math.inf, math.inf)
+        above += report.worst_gap > certificates.EQUALITY_RTOL
         pieces = grid_pieces(check.minorant)
         x = np.concatenate([np.linspace(*piece) for piece in pieces])
-        outside = np.ones(x.size, dtype=bool)
-        for left, right in intervals:
-            outside &= ~((left <= x) & (x < right))
-        gaps = skipped_gaps(check.minorant, check.kind, check.c, x[outside])
-        assert np.all(gaps > certificates.EQUALITY_RTOL), check  # as psi > 0 claims
-        skipped += outside.sum()
-        if report.worst_gap > certificates.EQUALITY_RTOL:  # its second pass evaluated every point
-            second += 1
-            continue
-        assert_skip_invariant(x[outside], gaps, report, check.minorant.contact_points)
+        x = x[outside(intervals, x)]
+        gaps = skipped_gaps(check.minorant, check.kind, check.c, x)
+        assert np.all(gaps > certificates.EQUALITY_RTOL), check
+        assert_skip_invariant(x, gaps, report, check.minorant.contact_points)
+        skipped += x.size
         windows = {point[0]: window for window, point in zip(pieces, pieces[1:]) if point[2] == 1}
         for x0, (lo, hi) in zip(check.minorant.contact_points, contact_reach):
             window = np.linspace(*windows[x0])
@@ -1017,7 +1012,7 @@ def test_walk_skips_only_points_clear_of_equality(monkeypatch):
             gaps = skipped_gaps(check.minorant, check.kind, check.c, points)
             assert_skip_invariant(points, gaps, report, check.minorant.contact_points)
             reached += points.size
-    assert len(checks) == len(cases) and 0 < whole < len(checks) and second > 0
+    assert len(checks) == len(cases) and 0 < whole < len(checks) and above > 0
     assert skipped > 0.9 * sum(check.n_points for check in checks)
     assert reached > 1_000 * len(checks)
 
@@ -1038,14 +1033,14 @@ def window_across_the_cut():
 
 # the cases where the reach must leave a side of a contact whole, with the
 # (contact, side) pairs it must leave whole: a side whose window reaches the
-# cut, the truncated contact on the cut, and a NaN contact gap (F = e^{800x}
-# overflows at the contact 0.8875, and the least x of a NaN gap lies in its
-# window).  In the first and the last the worst point lies in the window of
-# the upper contact, off the contact
+# cut, the truncated contact on the cut (whose right side lies on x >= 1),
+# and a NaN contact gap (F = e^{800x} overflows at the contact 0.8875, and
+# the least x of a NaN gap lies in its window).  In the first and the last
+# the worst point lies in the window of the upper contact, off the contact
 NO_REACH_CASES = {
     "window-across-the-cut": (window_across_the_cut, [(1, 1)]),
     "trunc-contact-on-the-cut": (
-        lambda: solved_trunc(1.0, 0.5, trunc.Branch.SMALL_SIGMA), [(1, 0), (1, 1)]
+        lambda: solved_trunc(1.0, 0.5, trunc.Branch.SMALL_SIGMA), [(1, 0)]
     ),
     "nan-contact-gap": (
         lambda: (from_coefficients(0.0, 1.0, -1.0, (-0.5, 0.8875)), MomentKind.WINSOR, 800.0),
@@ -1059,19 +1054,13 @@ WORST_IN_THE_UPPER_WINDOW = {"window-across-the-cut", "nan-contact-gap"}
 def test_reach_leaves_whole_the_sides_its_bound_does_not_cover(case, monkeypatch):
     make, sides = NO_REACH_CASES[case]
     minorant, kind, c = make()
-    reaches = []
-    reach = certificates._reach
-
-    def recorded(*args):
-        reaches.append(reach(*args))
-        return reaches[-1]
-
-    monkeypatch.setattr(certificates, "_reach", recorded)
+    reaches = recorded_reach(monkeypatch)
     report = certificates.check_certificate(minorant, kind, c)
     monkeypatch.undo()
-    [[near]] = reaches
+    [([near], _)] = reaches
     for contact, side in sides:
         assert near[contact, side] == (-math.inf, math.inf)[side], (contact, side)
+    assert np.isfinite(near).sum() == 4 - len(sides)
     with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         expected = reference_check(minorant, kind, c)
     walked = (report.passed, report.worst_gap, report.worst_x, report.equality_localized)

@@ -563,8 +563,10 @@ class TestLPMin:
         [(MomentKind.WINSOR, 1.0, 1.4e148, "the square of the grid's end sigma * 1e6"),
          (MomentKind.TRUNC, 1.0, 7e-155, "the square of the cut in units of sigma, 1/sigma"),
          (MomentKind.WINSOR, 710.0, 1.0, "the grid's largest F"),
-         (MomentKind.TRUNC, 1e4, 1.0, "the grid's largest F")],
-        ids=["grid-end", "cut", "winsor-f", "trunc-f"],
+         (MomentKind.TRUNC, 1e4, 1.0, "the grid's largest F"),
+         # F is finite, but a basis's dual overflows on the grid; priced, it cycles
+         (MomentKind.WINSOR, 700.0, 1.0, "the grid LP's pricing")],
+        ids=["grid-end", "cut", "winsor-f", "trunc-f", "winsor-pricing"],
     )
     def test_refuses_a_grid_past_the_doubles(self, kind, c, sigma, quantity):
         with warnings.catch_warnings():

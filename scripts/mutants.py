@@ -72,13 +72,14 @@ MUTANTS = [
            "        localized &= bool(near(x[loose], owner).any(0).all())",
            "one stray equality fails every check of its chunk"),
     Mutant("overridden-call-ignored", CERT,
-           "    g = checks[0].minorant(x) if len(checks) == 1 else _horner(x, x_lo, value, slope, gamma, counts)",
-           "    g = _horner(x, x_lo, value, slope, gamma, counts)",
+           "    g = minorants[0](x) if len(minorants) == 1 else None",
+           "    g = None",
            "a minorant that overrides __call__ is checked by its coefficients"),
-    Mutant("no-kind-sort", CERT,
-           "    order = sorted(range(len(cases)), key=lambda j: cases[j][1] is MomentKind.TRUNC)",
-           "    order = list(range(len(cases)))",
-           "chunks mix the two kinds, and each takes its first check's F"),
+    Mutant("chunk-of-one-kind", CERT,
+           "    f, g = _f_and_g(winsor, coef, x, lambda column: np.repeat(column, counts), g)",
+           "    f, g = _f_and_g(winsor[:1].repeat(len(winsor)), coef, x,\n"
+           "                    lambda column: np.repeat(column, counts), g)",
+           "every point of a chunk is formed with its first check's kind of F"),
     # the radii: from each anchor, the points a Taylor bound proves above the worst gap
     Mutant("span-level-without-equality", CERT,
            "np.maximum(q, EQUALITY_RTOL)", "q",
@@ -120,7 +121,7 @@ MUTANTS = [
            "_FLOOR_MARGIN = 1e-9", "_FLOOR_MARGIN = 0.0",
            "a row whose least cell rounds below its floor is skipped"),
     Mutant("scan-nan-rule", ORACLE,
-           "            if not block[k] >= best:", "            if block[k] < best:",
+           "        at = int(values.argmin())", "        at = int(np.nanargmin(values))",
            "a NaN cell is not the scan's argmin"),
     Mutant("refine-nan-rule", ORACLE,
            "            i = int(values.argmin())", "            i = int(np.nanargmin(values))",

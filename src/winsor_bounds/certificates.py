@@ -5,8 +5,8 @@ This module checks its geometry on dense grids (G <= F, equality only near
 the contacts) and reads the value and slope gaps at each contact
 (one-sided on the cut) from the grid's own F and G there.
 
-_capped_exp and _horner (QuadraticMinorant.__call__ for a chunk of checks)
-compute every F and G a report reads.
+_f_and_g computes every F and G a report reads, F by _capped_exp and G as
+QuadraticMinorant.__call__ forms it.
 F - G is convex on each piece of F (x < 1 and x >= 1), so its gap nears
 equality only near a contact, and the grid check skips points by one rule
 (_radius): from each contact, and the cut where the piece x >= 1 holds
@@ -41,39 +41,25 @@ class MomentKind(str, Enum):
     TRUNC = "trunc"
 
 
-def _horner(x, x_lo, value, slope, gamma, counts) -> np.ndarray:
-    """value + slope*u + gamma*u^2 with u = x - x_lo in Horner form, as
-    QuadraticMinorant.__call__ forms it, in u's array with one temporary;
-    each coefficient is repeated ``counts`` times, one at a time."""
-    u = x - np.repeat(x_lo, counts)
-    u_slope = u * np.repeat(gamma, counts)
-    u_slope += np.repeat(slope, counts)
-    u *= u_slope
-    u += np.repeat(value, counts)
-    return u
-
-
-def capped_exp(kind: MomentKind, c, x, out=None):
+def capped_exp(kind: MomentKind, c, x):
     """F(x): exp(c*min(1,x)) for winsor, exp(c*x*1{x<1}) for trunc; c is a
-    scalar or an array that broadcasts against x.  Written into ``out`` when
-    given, which must have the broadcast shape and share no memory with x."""
+    scalar or an array that broadcasts against x."""
     kind = _choice(MomentKind, "kind", kind)
-    x = np.asarray(x, dtype=float)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(c), x.shape))
     with np.errstate(under="ignore"):
-        return _capped_exp(kind, c, x, out)[()]
+        return _capped_exp(kind is MomentKind.WINSOR, c, np.asarray(x, dtype=float))[()]
 
 
-def _capped_exp(kind: MomentKind, c, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """capped_exp's body, for callers that hold an array x, an ``out`` and
-    np.errstate(under="ignore") already."""
-    if kind is MomentKind.WINSOR:
-        np.multiply(c, np.minimum(x, 1.0, out=out), out=out)
-    else:
-        out.fill(0.0)
-        np.multiply(c, x, out=out, where=x < 1.0)
-    return np.exp(out, out=out)
+def _capped_exp(winsor, c, x: np.ndarray) -> np.ndarray:
+    """capped_exp's body, for callers that hold an array x and
+    np.errstate(under="ignore") already, in one new array: the Winsorized F
+    where ``winsor`` (a bool, or an array that broadcasts against x), else
+    the truncated one."""
+    f = np.minimum(x, 1.0, out=np.empty(np.broadcast(c, x).shape))
+    f *= c
+    # F is 1 where the kind is truncated and x is not below the cut (or NaN); a
+    # comparison, not a logical or, is fast with a bool scalar
+    np.copyto(f, 0.0, where=(x < 1.0) < np.logical_not(winsor))
+    return np.exp(f, out=f)
 
 
 class CertificateReport(
@@ -132,15 +118,22 @@ def _slack(f, spread):
     return 1e-12 * f + 1e-13 * spread + 1e-299
 
 
-def _f_and_g(winsor, coef, x):
-    """F and G at points x, an (n, k, j) array, of the n checks with rows
-    (x_lo, x_hi, v, s, gamma, c) of ``coef`` (``winsor`` true for the
-    Winsorized kind), each formed as _fold forms it."""
-    x_lo, _, value, slope, gamma, c = coef.T.reshape(6, -1, 1, 1)
-    cx = np.where(winsor[:, None, None], c * np.minimum(x, 1.0), np.where(x < 1.0, c * x, 0.0))
-    f = np.exp(cx)
-    u = x - x_lo
-    return f, value + u * (gamma * u + slope)
+def _f_and_g(winsor, coef, x, at=lambda column: column[:, None, None], g=None):
+    """F and G at points x of the checks with rows (x_lo, x_hi, v, s, gamma,
+    c) of ``coef`` (``winsor`` true for the Winsorized kind); at(column)
+    spreads a column of the checks over x's shape, by default an (n, k, j)
+    x.  G is QuadraticMinorant.__call__'s Horner form, bit for bit, with one
+    temporary, unless ``g`` is given; F is _capped_exp's, formed once no
+    temporary of G is alive."""
+    x_lo, _, value, slope, gamma, c = coef.T
+    if g is None:
+        u = x - at(x_lo)
+        g = at(gamma) * u
+        g += at(slope)
+        g *= u
+        g += at(value)
+        del u
+    return _capped_exp(at(winsor), at(c), x), g
 
 
 def _radius(winsor, coef, x0, far, level) -> np.ndarray:
@@ -270,15 +263,14 @@ def _points(runs) -> np.ndarray:
     return x
 
 
-def _evaluate(checks, coef, pieces, bounds, kept) -> list[CertificateReport]:
-    """One pass over each of ``checks`` (Winsorized first, check j's pieces
-    from row bounds[j] on), as its report.  Run tables are formed for slabs
-    of checks of one kind with at most _CHUNK (piece, kept slot) pairs, at
-    seven pieces a check, and go to _fold in chunks of whole checks of at
-    most _CHUNK points; a larger check, such as a whole grid, goes alone."""
+def _evaluate(minorants, winsor, coef, pieces, bounds, kept) -> list[CertificateReport]:
+    """One pass over each check (check j's pieces from row bounds[j] on), as
+    its report.  Run tables are formed for slabs of checks with at most
+    _CHUNK (piece, kept slot) pairs, at seven pieces a check, and go to _fold
+    in chunks of whole checks of at most _CHUNK points; a larger check, such
+    as a whole grid, goes alone."""
     folds, slab = [], _CHUNK // 21
-    split = sum(check.kind is MomentKind.WINSOR for check in checks)
-    slabs = [*range(0, split, slab), *range(split, len(checks), slab), len(checks)]
+    slabs = [*range(0, len(minorants), slab), len(minorants)]
     for first, last in zip(slabs, slabs[1:]):
         runs = _runs(pieces[bounds[first]:bounds[last]], kept[first:last])
         ends = [0, *np.cumsum(np.bincount(runs[0], minlength=last - first)).tolist()]
@@ -290,7 +282,7 @@ def _evaluate(checks, coef, pieces, bounds, kept) -> list[CertificateReport]:
                 n, b = n + counts[b], b + 1
             chunk = [column[ends[a]:ends[b]] for column in runs]
             chunk[0], mine = chunk[0] - a, slice(first + a, first + b)
-            folds.append(_fold(checks[mine], coef[mine], chunk, counts[a:b]))
+            folds.append(_fold(minorants[mine], winsor[mine], coef[mine], chunk, counts[a:b]))
             a = b
     worst, worst_x, localized, f, g = (np.concatenate(column, -1) for column in zip(*folds))
     contacts, (slope, gamma, c) = coef[:, :2].T, coef[:, 3:].T
@@ -298,17 +290,19 @@ def _evaluate(checks, coef, pieces, bounds, kept) -> list[CertificateReport]:
     slope_gap = np.where(contacts < 1.0, c * f, 0.0) - g_slope
     slope_gap = np.where(contacts == 1.0, np.where(0.0 > g_slope, 0.0, g_slope), np.abs(slope_gap))
     scale = np.where(f > 1.0, f, 1.0)  # max(1, F), 1 where F is NaN
+    n_points = np.add.reduceat(pieces[:, 2], bounds[:-1]).astype(int).tolist()
     return [CertificateReport(  # passed, worst_gap, worst_x, equality_localized, ...
         worst_gap >= -GAP_RTOL and localized, worst_gap if worst_gap == worst_gap else math.nan,
-        worst_x, localized, check.n_points, dict(zip(check.minorant.contact_points, zip(*gaps))),
-    ) for check, worst_gap, worst_x, localized, *gaps in zip(
-        checks, worst.tolist(), worst_x.tolist(), localized.tolist(),
+        worst_x, localized, n, dict(zip(minorant.contact_points, zip(*gaps))),
+    ) for minorant, n, worst_gap, worst_x, localized, *gaps in zip(
+        minorants, n_points, worst.tolist(), worst_x.tolist(), localized.tolist(),
         (np.abs(f - g) / scale).T.tolist(), (slope_gap / scale).T.tolist(),
     )]
 
 
-def _fold(checks, coef, runs, counts):
-    """One chunk of checks of one kind: F, G and the gap at all their points
+def _fold(minorants, winsor, coef, runs, counts):
+    """One chunk of checks: F, G (_f_and_g, each check's kind and
+    coefficients repeated over its points) and the gap at all their points
     as one array.  Returns each check's worst gap and its x by argmin's rule
     (a NaN first, then the least gap, then the least x), whether its
     equalities lie near its contacts, and F and G at each contact (at its
@@ -317,13 +311,13 @@ def _fold(checks, coef, runs, counts):
     x = _points(runs)
     ends = np.cumsum(size := runs[5] - runs[4])
     starts = np.cumsum(counts) - counts
-    contacts, (x_lo, value, slope, gamma, c) = coef[:, :2].T, coef[:, [0, 2, 3, 4, 5]].T
+    contacts = coef[:, :2].T
     point = np.flatnonzero(runs[3] == 1.0)  # the one-point pieces: each contact and the cut
     slot, piece = np.nonzero(runs[2][point] == contacts[:, runs[0][point]])
     at = np.zeros(contacts.shape, dtype=np.intp)  # each contact's offset in x
     at[slot, runs[0][point[piece]]] = ends[point[piece]] - 1
-    g = checks[0].minorant(x) if len(checks) == 1 else _horner(x, x_lo, value, slope, gamma, counts)
-    f = _capped_exp(checks[0].kind, np.repeat(c, counts), x, np.empty_like(x))
+    g = minorants[0](x) if len(minorants) == 1 else None
+    f, g = _f_and_g(winsor, coef, x, lambda column: np.repeat(column, counts), g)
     at_contacts = f[at], g[at]
     gap = np.subtract(f, g, out=g)
     gap /= np.maximum(f, 1.0, out=f)
@@ -337,16 +331,13 @@ def _fold(checks, coef, runs, counts):
     near = lambda x, j: np.abs(x - contacts[:, j]) <= window[:, j]
     window = CONTACT_WINDOW * (1.0 + np.abs(contacts))
     covered = (near(x[ends - size], runs[0]) & near(x[ends - 1], runs[0])).any(0)
-    localized = np.ones(len(checks), dtype=bool)
+    localized = np.ones(len(minorants), dtype=bool)
     if not covered.all():  # equalities are sought in the runs that no window covers
         loose = np.flatnonzero(np.repeat(~covered, size))
         loose = loose[np.abs(gap[loose]) <= EQUALITY_RTOL]
         owner = runs[0][np.searchsorted(ends, loose, "right")]
         localized[owner[~near(x[loose], owner).any(0)]] = False
     return worst, worst_x, localized, *at_contacts
-
-
-_Check = namedtuple("_Check", "minorant kind c n_points")
 
 
 def check_certificate(
@@ -382,22 +373,19 @@ def check_certificate(
 
 def check_certificates(cases) -> list[CertificateReport]:
     """check_certificate's report for each (minorant, kind, c) of ``cases``,
-    bit for bit.  The checks go by kind; their grid pieces, coefficients and
-    the points they skip (_reach) are formed once, as arrays, and one pass
-    evaluates the rest in chunks (_evaluate)."""
+    bit for bit.  The checks' grid pieces, coefficients and the points they
+    skip (_reach) are formed once, as arrays, and one pass evaluates the
+    rest in chunks (_evaluate)."""
     cases = [(minorant, _choice(MomentKind, "kind", kind), c) for minorant, kind, c in cases]
     if not cases:
         return []
-    order = sorted(range(len(cases)), key=lambda j: cases[j][1] is MomentKind.TRUNC)
-    coef = np.array([(*cases[j][0].contact_points, *cases[j][0][1:], cases[j][2]) for j in order])
-    winsor = np.array([cases[j][1] is MomentKind.WINSOR for j in order], bool)
-    plain = np.array([type(cases[j][0]).__call__ is QuadraticMinorant.__call__ for j in order])
+    minorants = [case[0] for case in cases]
+    coef = np.array([(*minorant.contact_points, *minorant[1:], c) for minorant, _, c in cases])
+    winsor = np.array([kind is MomentKind.WINSOR for _, kind, _ in cases], bool)
+    plain = np.array([type(case[0]).__call__ is QuadraticMinorant.__call__ for case in cases])
     with np.errstate(all="ignore"):
         reach, kept = _reach(winsor, plain, coef)
         pieces = _grid_pieces(coef[:, :2], reach)
         spans = np.flatnonzero(pieces[:, 2] == GRID_BASE_POINTS)  # each check's last piece
         bounds = [0, *(spans + 1).tolist()]
-        n_points = np.add.reduceat(pieces[:, 2], bounds[:-1]).astype(int).tolist()
-        checks = [_Check(*cases[j], n) for j, n in zip(order, n_points)]
-        reports = _evaluate(checks, coef, pieces, bounds, kept)
-    return [reports[j] for j in sorted(range(len(order)), key=order.__getitem__)]
+        return _evaluate(minorants, winsor, coef, pieces, bounds, kept)

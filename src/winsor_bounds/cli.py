@@ -84,7 +84,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify  # its certificates and oracle suites load NumPy when they run
 
-    results = verify.run_suite(args.suite, seed=args.seed)
+    results = verify.run_suite(args.suite)
     for result in results:
         print(result.line())
     failed = [r for r in results if not r.passed]
@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run invariant suites")
     # run_suite names the valid suites when refusing one (exit 2)
     p_verify.add_argument("--suite", default="all", help="a suite name, or all")
-    p_verify.add_argument("--seed", type=int, default=1, help="accepted, selects nothing")
     p_verify.set_defaults(run=cmd_verify)
 
     p_collapse = sub.add_parser("collapse-demo", help="truncated collapse vs the Winsorized floor")

@@ -34,7 +34,6 @@ REFINE_WINDOW_CELLS = 2            # previous-grid cells kept on each side of th
 UNIVERSAL_STAGES = ((2_000, 200), (300, 300), (300, 300))
 UNIVERSAL_TILTS = (0.05, 20.0)     # the tilt span of the joint scan
 UNIVERSAL_WINDOW_CELLS = 12        # previous-grid cells kept on each side of the argmin
-_BLOCK = 8_192  # cells per evaluation block: a 64 KB temporary stays in L2
 # A joint scan skips a row whose floor exceeds U (1 + _FLOOR_MARGIN), U the least cell of the
 # least floor's row.  A cell errs by (c a + 8) 2^-53 (-c*a's rounding, then an ulp a step) where
 # b e^(-ca) matters, c a < ln(b/a) + 37 < 750; a floor by 2e-13 (its exponent is below 710).
@@ -58,38 +57,32 @@ class GridMinResult(namedtuple(
     __slots__ = ()
 
 
-def two_point_moment_grid(
-    kind: MomentKind, c, sigma: float, a: np.ndarray, out=None, scratch=None
-) -> np.ndarray:
+def two_point_moment_grid(kind: MomentKind, c, sigma: float, a: np.ndarray) -> np.ndarray:
     """Closed-form moment of X_{a, sigma^2/a} for each a (and tilt c,
-    broadcastable).  Written into ``out`` when given, with ``scratch`` as
-    the one temporary; both must have the broadcast shape."""
+    broadcastable)."""
     kind = _choice(MomentKind, "kind", kind)
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    shape = np.broadcast_shapes(c.shape, a.shape)
-    out = np.empty(shape) if out is None else out
-    scratch = np.empty(shape) if scratch is None else scratch
     with np.errstate(under="ignore"):
-        return _moment(kind, c, sigma, a, out, scratch)[()]
+        return _moment(kind, np.asarray(c, dtype=float), sigma, np.asarray(a, dtype=float))[()]
 
 
-def _moment(kind: MomentKind, c, sigma: float, a: np.ndarray, out, scratch) -> np.ndarray:
-    """two_point_moment_grid's body, for callers that hold a float array a, ``out``
-    and ``scratch`` of the broadcast shape, and np.errstate(under="ignore") already."""
+def _moment(kind: MomentKind, c, sigma: float, a: np.ndarray) -> np.ndarray:
+    """two_point_moment_grid's body, for callers that hold a float array a
+    and np.errstate(under="ignore") already."""
     b = sigma * sigma / a
-    # (a * F(b) + b * exp(-c * a)) / (a + b), one operation at a time;
-    # where every b >= 1 (so none is NaN), F(b) is F(1) down each column
+    # (a * F(b) + b * exp(-c * a)) / (a + b), one operation at a time in two
+    # arrays; where every b >= 1 (so none is NaN), F(b) is F(1), once per tilt
     if np.all(b >= 1.0):
-        out[...] = _capped_exp(kind, c, np.ones(()), np.empty(np.shape(c)))
+        out = a * _capped_exp(kind is MomentKind.WINSOR, c, np.ones(()))
     else:
-        _capped_exp(kind, c, b, out)
-    np.multiply(a, out, out=out)
-    np.multiply(-c, a, out=scratch)
+        out = _capped_exp(kind is MomentKind.WINSOR, c, b)
+        out *= a
+    scratch = np.multiply(-c, a, out=np.empty_like(out))
     np.exp(scratch, out=scratch)
-    np.multiply(b, scratch, out=scratch)
-    np.add(out, scratch, out=out)
-    return np.divide(out, a + b, out=out)
+    scratch *= b
+    out += scratch
+    b += a
+    out /= b
+    return out
 
 
 def _search(sigma: float, a_ends, c_ends, stages, window: int):
@@ -97,35 +90,22 @@ def _search(sigma: float, a_ends, c_ends, stages, window: int):
     stage of (a points, c points): the first spans a_ends x c_ends, each
     later one ``window`` cells of the last on either side of its argmin.
     Each grid skips the rows that _row_floors rules out (their cells all
-    exceed the least of the least floor's row), then runs in row blocks of
-    about _BLOCK cells in two buffers; its argmin is np.argmin's over the
-    whole grid: the first NaN, else the first least value in row-major
-    order (the smaller a, then the smaller c).  Returns the last grids, the
-    argmin's indices and its value."""
-    kind, out, scratch = MomentKind.WINSOR, np.empty(_BLOCK), np.empty(_BLOCK)
+    exceed the least of the least floor's row) and forms the rest as one
+    array; its argmin is np.argmin's over the whole grid: the first NaN,
+    else the first least value in row-major order (the smaller a, then the
+    smaller c).  Returns the last grids, the argmin's indices and its value."""
+    kind = MomentKind.WINSOR
     for na, nc in stages:
         a, c = np.geomspace(*a_ends, na), np.geomspace(*c_ends, nc)
         floors = _row_floors(sigma, a)
         upper = two_point_moment_grid(kind, c, sigma, a[floors.argmin()]).min()
         kept = np.flatnonzero(~(floors > upper * (1.0 + _FLOOR_MARGIN)))  # NaN keeps rows
-        a_kept = a[kept]
-        rows = _BLOCK // nc
-        best, at = math.inf, 0
-        for first in range(0, a_kept.size, rows):
-            cells = min(rows, a_kept.size - first) * nc
-            block = two_point_moment_grid(
-                kind, c, sigma, a_kept[first : first + rows, None],
-                out=out[:cells].reshape(-1, nc), scratch=scratch[:cells].reshape(-1, nc),
-            ).ravel()
-            k = int(block.argmin())
-            if not block[k] >= best:  # a NaN, or less than every earlier value
-                best, at = float(block[k]), first * nc + k
-                if best != best:
-                    break
+        values = two_point_moment_grid(kind, c, sigma, a[kept, None]).ravel()
+        at = int(values.argmin())
         i, j = int(kept[at // nc]), at % nc
         a_ends = a[max(i - window, 0)], a[min(i + window, na - 1)]
         c_ends = c[max(j - window, 0)], c[min(j + window, nc - 1)]
-    return a, c, i, j, best
+    return a, c, i, j, float(values[at])
 
 
 def _row_floors(sigma: float, a: np.ndarray) -> np.ndarray:
@@ -157,11 +137,11 @@ def refine_grid_min(c: float, sigma: float, kind: MomentKind) -> GridMinResult:
         a_lo = min(sigma2 * 1e-8, 1.0 / c, 0.5 * sigma)
     a_lo = in_range("the grid's lower end", a_lo, c, sigma)
     in_range("b = sigma^2/a at the grid's lower end", sigma2 / a_lo, sigma, a_lo)
-    out, scratch, ends = np.empty(REFINE_STAGES[0]), np.empty(REFINE_STAGES[0]), (a_lo, a_hi)
+    ends = a_lo, a_hi
     with np.errstate(over="ignore" if kind is MomentKind.TRUNC else None, under="ignore"):
         for n in REFINE_STAGES:
             a = np.geomspace(*ends, n)
-            values = _moment(kind, c, sigma, a, out[:n], scratch[:n])
+            values = _moment(kind, c, sigma, a)
             i = int(values.argmin())  # the first NaN, else the first least value
             ends = a[max(i - REFINE_WINDOW_CELLS, 0)], a[min(i + REFINE_WINDOW_CELLS, n - 1)]
     return GridMinResult(
@@ -218,7 +198,8 @@ def lp_min(kind: MomentKind, c: float, sigma: float, start=None) -> LPResult:
     the dual alpha + beta y + gamma y^2 through F at the nodes by Newton's divided
     differences, and the entering column's ratio-test direction the Lagrange basis
     at its y.  The first basis is the grid points at or outside -a and b, with 0,
-    for start = (-a, b), by default (-sigma, sigma).  A basis whose weights are
+    for start = (-a, b), by default (-sigma, sigma); a start that is no such pair
+    of reals is refused as a ParameterError.  A basis whose weights are
     negative beyond the rounding of 1 + y_i y_j is no law and is refused (a first
     one as a ParameterError, a later one as a MaxIterationsError); within it a
     weight reads 0.  Dantzig pricing of costs scaled by max(F, |alpha| + |beta x| +
@@ -238,8 +219,12 @@ def lp_min(kind: MomentKind, c: float, sigma: float, start=None) -> LPResult:
     with np.errstate(over="ignore"):
         f = capped_exp(kind, c, x)
     in_range("the grid's largest F", float(f.max()), c, sigma)
-    lower, upper = (-sigma, sigma) if start is None else start  # -sigma and sigma are grid points
-    if not lower < 0.0 < upper:
+    try:  # -sigma and sigma are grid points
+        lower, upper = (-sigma, sigma) if start is None else start
+        ordered = lower < 0.0 < upper
+    except (TypeError, ValueError):  # no pair, or no reals
+        ordered = False
+    if not ordered:
         raise ParameterError(f"start must be (-a, b) with a, b > 0, got {start!r}")
     basis = [max(int(np.searchsorted(x, lower, "right")) - 1, 0), int(np.searchsorted(x, 0.0)),
              min(int(np.searchsorted(x, upper)), x.size - 1)]

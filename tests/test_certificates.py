@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from winsor_bounds import certificates, law, oracle, trunc, verify, winsor
+from winsor_bounds import certificates, law, trunc, verify, winsor
 from winsor_bounds.certificates import MomentKind
 from winsor_bounds.law import QuadraticMinorant
 from winsor_bounds.winsor import BoundQuery
@@ -513,10 +513,13 @@ def negative_gap_at_a_contact():
 
 # exp is exactly 0.0 below about -745.13 (half the least subnormal)
 EXP_ZERO_BELOW = -746.0
+# the stretch of points that block_kinds classifies and that the exp test
+# shifts values over: 64 KB of doubles, long enough for NumPy's vector loops
+BLOCK = 8_192
 
 
 def block_kinds(minorant, kind, c):
-    """The kinds of stretch of oracle._BLOCK points that this minorant's span
+    """The kinds of stretch of BLOCK points that this minorant's span
     holds (a partition that only classifies the grid; the check forms one
     array per pass), read from np.linspace's points, and "fine-block tie"
     where the worst gap of the windows and points, in piece order, comes
@@ -524,8 +527,8 @@ def block_kinds(minorant, kind, c):
     kinds = set()
     *fine, (start, stop, num) = grid_pieces(minorant)
     points = np.linspace(start, stop, num)
-    for first in range(0, num, oracle._BLOCK):
-        x = points[first : first + oracle._BLOCK]
+    for first in range(0, num, BLOCK):
+        x = points[first : first + BLOCK]
         if x[0] >= 1.0:
             kinds.add("x >= 1")
             continue
@@ -975,46 +978,38 @@ def test_a_nan_contact_gap_fails_its_verify_check(monkeypatch):
 
 
 def test_radii_skip_only_points_clear_of_equality(monkeypatch):
-    # one _reach over all cases; on each check's grid pieces, every point
-    # outside its kept intervals has a gap above EQUALITY_RTOL, as the radii
-    # claim, and those points and every point of a contact's window outside
-    # its reach keep assert_skip_invariant, whatever the worst gap: with no
-    # second pass, also where the worst gap is above EQUALITY_RTOL
-    reaches, evaluated = recorded_reach(monkeypatch), []
-    evaluate = certificates._evaluate
-
-    def recorded_evaluate(checks, *args):
-        evaluated.append(checks)
-        return evaluate(checks, *args)
-
-    monkeypatch.setattr(certificates, "_evaluate", recorded_evaluate)
+    # one _reach over all cases, in their order; on each check's grid
+    # pieces, every point outside its kept intervals has a gap above
+    # EQUALITY_RTOL, as the radii claim, and those points and every point of
+    # a contact's window outside its reach keep assert_skip_invariant,
+    # whatever the worst gap: with no second pass, also where the worst gap
+    # is above EQUALITY_RTOL
+    reaches = recorded_reach(monkeypatch)
     cases = [(law.minorant(result), kind, result.tilt) for result, kind in seeded_bounds(40)]
     cases += [make() for make in BATCH_EDGE_CASES.values()]
     reports = certificates.check_certificates(cases)
-    report_of = {id(case[0]): report for case, report in zip(cases, reports)}
-    [(near, kept)], [checks] = reaches, evaluated
+    [(near, kept)] = reaches
     skipped = reached = whole = above = 0
-    for check, intervals, contact_reach in zip(checks, kept, near):
-        report = report_of[id(check.minorant)]
+    for (minorant, kind, c), report, intervals, contact_reach in zip(cases, reports, kept, near):
         whole += tuple(intervals[0]) == (-math.inf, math.inf)
         above += report.worst_gap > certificates.EQUALITY_RTOL
-        pieces = grid_pieces(check.minorant)
+        pieces = grid_pieces(minorant)
         x = np.concatenate([np.linspace(*piece) for piece in pieces])
         x = x[outside(intervals, x)]
-        gaps = skipped_gaps(check.minorant, check.kind, check.c, x)
-        assert np.all(gaps > certificates.EQUALITY_RTOL), check
-        assert_skip_invariant(x, gaps, report, check.minorant.contact_points)
+        gaps = skipped_gaps(minorant, kind, c, x)
+        assert np.all(gaps > certificates.EQUALITY_RTOL), minorant
+        assert_skip_invariant(x, gaps, report, minorant.contact_points)
         skipped += x.size
         windows = {point[0]: window for window, point in zip(pieces, pieces[1:]) if point[2] == 1}
-        for x0, (lo, hi) in zip(check.minorant.contact_points, contact_reach):
+        for x0, (lo, hi) in zip(minorant.contact_points, contact_reach):
             window = np.linspace(*windows[x0])
             points = window[(window < lo) | (hi < window)]
-            gaps = skipped_gaps(check.minorant, check.kind, check.c, points)
-            assert_skip_invariant(points, gaps, report, check.minorant.contact_points)
+            gaps = skipped_gaps(minorant, kind, c, points)
+            assert_skip_invariant(points, gaps, report, minorant.contact_points)
             reached += points.size
-    assert len(checks) == len(cases) and 0 < whole < len(checks) and above > 0
-    assert skipped > 0.9 * sum(check.n_points for check in checks)
-    assert reached > 1_000 * len(checks)
+    assert len(kept) == len(cases) and 0 < whole < len(cases) and above > 0
+    assert skipped > 0.9 * sum(report.n_points for report in reports)
+    assert reached > 1_000 * len(cases)
 
 
 def window_across_the_cut():
@@ -1166,7 +1161,6 @@ def test_exp_gives_the_same_bits_alone_and_at_any_offset_of_a_block():
         np.linspace(-700.0, 700.0, 24),   # normal results
         np.linspace(709.5, 710.5, 16),    # the last normals, then inf
     ))
-    block = oracle._BLOCK
     with np.errstate(under="ignore", over="ignore"):
         alone = [bits(np.exp(np.float64(v))) for v in values]
         assert alone == [bits(np.exp(values[i : i + 1])) for i in range(values.size)]
@@ -1175,7 +1169,7 @@ def test_exp_gives_the_same_bits_alone_and_at_any_offset_of_a_block():
         ]
         for shift in range(values.size):
             # the value at each offset takes every value once over the shifts
-            at = (np.arange(block) + shift) % values.size
+            at = (np.arange(BLOCK) + shift) % values.size
             assert bits(np.exp(values[at])) == b"".join(alone[i] for i in at), shift
 
 
@@ -1201,11 +1195,7 @@ OUT_CASES = {
 @pytest.mark.parametrize("points", OUT_CASES)
 def test_capped_exp_out_gives_the_allocating_bits(kind, points):
     x = OUT_CASES[points]()
-    out = np.full(x.shape, np.nan)
-    expected = bits(f_by_formula(kind, 2.0, x))
-    assert bits(certificates.capped_exp(kind, 2.0, x)) == expected
-    assert bits(certificates.capped_exp(kind, 2.0, x, out=out)) == expected
-    assert bits(out) == expected
+    assert bits(certificates.capped_exp(kind, 2.0, x)) == bits(f_by_formula(kind, 2.0, x))
 
 
 @pytest.mark.parametrize("kind", list(MomentKind))
@@ -1213,21 +1203,39 @@ def test_capped_exp_out_with_broadcast_tilts(kind):
     # tilts (n, 1) against supports (n, 3), on both sides of the cut
     rng = np.random.default_rng(3)
     c, support = rng.uniform(0.05, 10.0, size=(500, 1)), rng.normal(0.0, 2.0, size=(500, 3))
-    out = np.empty(support.shape)
-    certificates.capped_exp(kind, c, support, out=out)
-    expected = bits(f_by_formula(kind, c, support))
-    assert bits(certificates.capped_exp(kind, c, support)) == expected
-    assert bits(out) == expected
+    assert bits(certificates.capped_exp(kind, c, support)) == bits(f_by_formula(kind, c, support))
 
 
-def test_minorant_gives_the_horner_bits_and_a_float():
-    # the arrays of a check chunk (_horner) and a lone check (__call__) form
-    # the same bits; a float argument gives a float, formed without NumPy
-    minorant = solved_winsor(600.0, 1.0)[0]
-    x = np.linspace(-1e259, 1e259, 5_001)
-    x_lo, value, slope, gamma = minorant.contact_points[0], *minorant[1:]
-    u = x - x_lo
-    expected = bits(value + u * (slope + gamma * u))
-    assert bits(minorant(x)) == expected
-    assert bits(certificates._horner(x, [x_lo], [value], [slope], [gamma], [x.size])) == expected
-    assert type(minorant(0.5)) is float
+# each batch of checks that _f_and_g forms at once: one kind, or both mixed
+F_AND_G_BATCHES = {
+    "winsor": ["winsor-0.5-0.2", "winsor-100-1-window-across-0", "winsor-5-30"],
+    "trunc": ["trunc-small-contact-on-cut", "trunc-large"],
+    "mixed": ["trunc-large", "winsor-100-1-window-across-0", "trunc-small-contact-on-cut",
+              "winsor-1-1"],
+}
+
+
+@pytest.mark.parametrize("batch", F_AND_G_BATCHES)
+def test_f_and_g_give_the_bits_of_capped_exp_and_of_the_minorant(batch):
+    # the one formula of every F and G a report reads: F bit for bit
+    # capped_exp's for each check's kind, G its minorant's own __call__,
+    # both as a chunk repeats each check's column over its points and as the
+    # radii lay points out, an (n, k, j) array; a float argument of the
+    # minorant gives a float, formed without NumPy
+    cases = [REFERENCE_CASES[name]() for name in F_AND_G_BATCHES[batch]]
+    winsor = np.array([kind is MomentKind.WINSOR for _, kind, _ in cases])
+    coef = np.array([(*minorant.contact_points, *minorant[1:], c) for minorant, _, c in cases])
+    x = np.concatenate((  # G's Horner form meets u^2 past the doubles; F meets the cut
+        np.linspace(-1e259, 1e259, 1_001), np.linspace(-800.0, 3.0, 1_001), [1.0, math.nan],
+    ))
+    x = np.stack([np.roll(x, shift) for shift in range(len(cases))])  # each check its own order
+    with np.errstate(all="ignore"):
+        expected_f = [certificates.capped_exp(kind, c, row) for row, (_, kind, c) in zip(x, cases)]
+        expected_g = [minorant(row) for row, (minorant, _, _) in zip(x, cases)]
+        spread = lambda column: np.repeat(column, x.shape[1])  # as a chunk of whole rows
+        chunk = certificates._f_and_g(winsor, coef, x.ravel(), spread)
+        grid = certificates._f_and_g(winsor, coef, x.reshape(len(cases), 2, -1))
+    for f, g in (chunk, grid):
+        assert bits(f) == bits(expected_f)
+        assert bits(g) == bits(expected_g)
+    assert type(cases[0][0](0.5)) is float

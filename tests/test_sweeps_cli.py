@@ -726,11 +726,16 @@ class TestCli:
 
     @pytest.mark.parametrize("seed", ("-1", "-5"))
     def test_verify_refuses_a_negative_seed(self, seed, capsys, monkeypatch):
-        # refused before run_suite builds its Grid, so no suite solves: exit 2
-        # with the error line alone, no traceback
+        # verify takes no --seed, which selected nothing: argparse refuses it,
+        # with any value, before run_suite builds its Grid, so no suite
+        # solves: exit 2 with the usage and the error line, no traceback
         monkeypatch.setattr(verify, "Grid", None)
-        assert cli.main(["verify", "--seed", seed]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr().err == f"error: seed must be an integer >= 0, got {seed}\n"
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--seed", seed])
+        assert excinfo.value.code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: unrecognized arguments: --seed {seed}\n")
+        assert "Traceback" not in err
 
     def test_collapse_demo(self, capsys):
         assert cli.main(["collapse-demo", "--sigma", "1", "--steps", "6"]) == 0
@@ -959,13 +964,13 @@ class TestCli:
         # the session's single run of every suite, printed through cmd_verify
         calls = []
 
-        def recorded(name, seed):
-            calls.append((name, seed))
+        def recorded(name):
+            calls.append(name)
             return verify_all.results
 
         monkeypatch.setattr(verify, "run_suite", recorded)
         assert cli.main(["verify", "--suite", "all"]) == 0
-        assert calls == [("all", 1)]
+        assert calls == ["all"]
         assert sum(verify_all.seconds.values()) < 60.0
         out = capsys.readouterr().out
         assert "33/33 checks passed" in out

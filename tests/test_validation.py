@@ -140,6 +140,17 @@ def test_rejects_bad_argument_by_name(entry, name, call, value):
         call(value)
 
 
+# lp_min starts that are no pair (-a, b) of reals: too few or too many
+# values, a str or a complex in it, or no sequence at all
+MALFORMED_LP_STARTS = [(1,), (-1.0, 1.0, 2.0), ("a", 1), (-0.5, 1j), 5]
+
+
+@pytest.mark.parametrize("start", MALFORMED_LP_STARTS, ids=repr)
+def test_lp_min_refuses_a_malformed_start(start):
+    with pytest.raises(ParameterError, match=r"^start must be \(-a, b\) with a, b > 0, got "):
+        oracle.lp_min(MomentKind.WINSOR, 1.0, 1.0, start=start)
+
+
 def test_minorant_rows_reach_each_truncated_branch():
     assert TRUNC_SMALL_BOUND.branch is trunc.Branch.SMALL_SIGMA
     assert TRUNC_LARGE_BOUND.branch is trunc.Branch.LARGE_SIGMA

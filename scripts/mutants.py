@@ -68,13 +68,17 @@ MUTANTS = [
            "    worst_x = np.minimum.reduceat(np.where(ties, x, math.inf), np.maximum(starts - 1, 0))",
            "each check's least tied x is taken from a segment one point early"),
     Mutant("equality-localized-pooled", CERT,
-           "        localized[owner[~near(x[loose], owner).any(0)]] = False",
-           "        localized &= bool(near(x[loose], owner).any(0).all())",
+           "    localized[owner[~near.any(0)]] = False",
+           "    localized &= bool(near.any(0).all())",
            "one stray equality fails every check of its chunk"),
     Mutant("overridden-call-ignored", CERT,
            "    g = minorants[0](x) if len(minorants) == 1 else None",
            "    g = None",
            "a minorant that overrides __call__ is checked by its coefficients"),
+    Mutant("fake-contact-from-coefficients", CERT,
+           "            g[j, :, 0] = minorants[j](coef[j, :2])",
+           "            pass",
+           "a minorant that overrides __call__ has its contact gaps from its coefficients"),
     Mutant("chunk-of-one-kind", CERT,
            "    f, g = _f_and_g(winsor, coef, x, lambda column: np.repeat(column, counts), g)",
            "    f, g = _f_and_g(winsor[:1].repeat(len(winsor)), coef, x,\n"

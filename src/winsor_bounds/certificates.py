@@ -3,7 +3,7 @@
 ``law.minorant`` builds the parabola G that proves a Bound (see ``law``).
 This module checks its geometry on dense grids (G <= F, equality only near
 the contacts) and reads the value and slope gaps at each contact
-(one-sided on the cut) from the grid's own F and G there.
+(one-sided on the cut) from F and G formed once, at the contact itself.
 
 _f_and_g computes every F and G a report reads, F by _capped_exp and G as
 QuadraticMinorant.__call__ forms it.
@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import _choice
+from .errors import ParameterError, _choice, require_real
 from .law import QuadraticMinorant
 
 GAP_RTOL = 1e-12       # allowed negative gap, relative to max(1, F)
@@ -46,7 +46,19 @@ def capped_exp(kind: MomentKind, c, x):
     scalar or an array that broadcasts against x."""
     kind = _choice(MomentKind, "kind", kind)
     with np.errstate(under="ignore"):
-        return _capped_exp(kind is MomentKind.WINSOR, c, np.asarray(x, dtype=float))[()]
+        return _capped_exp(kind is MomentKind.WINSOR, _reals("c", c), _reals("x", x))[()]
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """value as a float array, or a ParameterError naming ``name`` unless it
+    is a real or an array of reals (of a bool, integer or float dtype)."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "biuf":  # not a str, None, a complex or another object
+            return array.astype(float, copy=False)
+    except ValueError:  # a ragged sequence
+        pass
+    raise ParameterError(f"{name} must be a real or an array of reals, got {value!r}")
 
 
 def _capped_exp(winsor, c, x: np.ndarray) -> np.ndarray:
@@ -182,15 +194,16 @@ def _around(x0, r) -> np.ndarray:
     return x0 + np.array((-1.0, 1.0)) * (r + 2.0**-48 * (np.abs(x0) + r))
 
 
-def _reach(winsor, bounded, coef):
+def _reach(winsor, bounded, coef, f, g):
     """The points each check must evaluate (args as _f_and_g's; ``bounded``
-    false for a check whose minorant overrides __call__): its reach on the
-    window of each of its contacts, as an (n, 2, 2) array, and its kept
-    intervals on the whole grid, as an (n, 3, 2) array, sorted and disjoint.
-    Every other point has a computed gap above q = max(0, the least gap at
-    the check's contacts), and so above its worst gap, which is at most q as
-    the fold evaluates each contact's own point; outside the kept intervals
-    it is above EQUALITY_RTOL too.  Both come from _radius: the reach from
+    false for a check whose minorant overrides __call__; F and G at its
+    contacts, (n, 2, 1)): its reach on the window of each of its contacts,
+    as an (n, 2, 2) array, and its kept intervals on the whole grid, as an
+    (n, 3, 2) array, sorted and disjoint.  Every other point has a computed
+    gap above q = max(0, the least gap at the check's contacts), and so
+    above its worst gap, which is at most q as the fold evaluates each
+    contact's own point; outside the kept intervals it is above
+    EQUALITY_RTOL too.  Both come from _radius: the reach from
     each contact's window, to x0 -+ 1e-3 (1 + |x0|), at level q; the kept
     intervals from each anchor's whole piece of F, x < 1 or x >= 1, within
     the span, at level max(q, EQUALITY_RTOL).  The anchors are the contacts,
@@ -198,7 +211,6 @@ def _reach(winsor, bounded, coef):
     check with x_lo >= 1, contacts out of order or NaN, or not ``bounded``
     keeps every point."""
     contacts = coef[:, :2, None]
-    f, g = _f_and_g(winsor, coef, contacts)
     q = np.maximum(((f - g) / np.maximum(f, 1.0)).min(1, keepdims=True), 0.0)
     window = contacts + np.array((-1.0, 1.0)) * (1e-3 * (1.0 + np.abs(contacts)))
     reach = _around(contacts, _radius(winsor, coef, contacts, window, q))
@@ -263,12 +275,13 @@ def _points(runs) -> np.ndarray:
     return x
 
 
-def _evaluate(minorants, winsor, coef, pieces, bounds, kept) -> list[CertificateReport]:
+def _evaluate(minorants, winsor, coef, pieces, bounds, kept, f, g) -> list[CertificateReport]:
     """One pass over each check (check j's pieces from row bounds[j] on), as
-    its report.  Run tables are formed for slabs of checks with at most
-    _CHUNK (piece, kept slot) pairs, at seven pieces a check, and go to _fold
-    in chunks of whole checks of at most _CHUNK points; a larger check, such
-    as a whole grid, goes alone."""
+    its report, its contact gaps from F and G at its contacts (rows of ``f``
+    and ``g``, (n, 2)).  Run tables are formed for slabs of checks with at
+    most _CHUNK (piece, kept slot) pairs, at seven pieces a check, and go to
+    _fold in chunks of whole checks of at most _CHUNK points; a larger
+    check, such as a whole grid, goes alone."""
     folds, slab = [], _CHUNK // 21
     slabs = [*range(0, len(minorants), slab), len(minorants)]
     for first, last in zip(slabs, slabs[1:]):
@@ -284,9 +297,9 @@ def _evaluate(minorants, winsor, coef, pieces, bounds, kept) -> list[Certificate
             chunk[0], mine = chunk[0] - a, slice(first + a, first + b)
             folds.append(_fold(minorants[mine], winsor[mine], coef[mine], chunk, counts[a:b]))
             a = b
-    worst, worst_x, localized, f, g = (np.concatenate(column, -1) for column in zip(*folds))
-    contacts, (slope, gamma, c) = coef[:, :2].T, coef[:, 3:].T
-    g_slope = slope + 2.0 * gamma * (contacts - contacts[0])
+    worst, worst_x, localized = (np.concatenate(column) for column in zip(*folds))
+    contacts, (slope, gamma, c) = coef[:, :2], coef.T[3:, :, None]
+    g_slope = slope + 2.0 * gamma * (contacts - contacts[:, :1])
     slope_gap = np.where(contacts < 1.0, c * f, 0.0) - g_slope
     slope_gap = np.where(contacts == 1.0, np.where(0.0 > g_slope, 0.0, g_slope), np.abs(slope_gap))
     scale = np.where(f > 1.0, f, 1.0)  # max(1, F), 1 where F is NaN
@@ -296,7 +309,7 @@ def _evaluate(minorants, winsor, coef, pieces, bounds, kept) -> list[Certificate
         worst_x, localized, n, dict(zip(minorant.contact_points, zip(*gaps))),
     ) for minorant, n, worst_gap, worst_x, localized, *gaps in zip(
         minorants, n_points, worst.tolist(), worst_x.tolist(), localized.tolist(),
-        (np.abs(f - g) / scale).T.tolist(), (slope_gap / scale).T.tolist(),
+        (np.abs(f - g) / scale).tolist(), (slope_gap / scale).tolist(),
     )]
 
 
@@ -304,21 +317,14 @@ def _fold(minorants, winsor, coef, runs, counts):
     """One chunk of checks: F, G (_f_and_g, each check's kind and
     coefficients repeated over its points) and the gap at all their points
     as one array.  Returns each check's worst gap and its x by argmin's rule
-    (a NaN first, then the least gap, then the least x), whether its
-    equalities lie near its contacts, and F and G at each contact (at its
-    one-point piece).  A lone check calls its own minorant, whose __call__
-    may be overridden: its whole grid is more than _CHUNK points."""
+    (a NaN first, then the least gap, then the least x), and whether each of
+    its equalities (|gap| <= EQUALITY_RTOL) lies within CONTACT_WINDOW (1 +
+    |x0|) of a contact x0.  A lone check calls its own minorant, whose
+    __call__ may be overridden: its whole grid is more than _CHUNK points."""
     x = _points(runs)
-    ends = np.cumsum(size := runs[5] - runs[4])
     starts = np.cumsum(counts) - counts
-    contacts = coef[:, :2].T
-    point = np.flatnonzero(runs[3] == 1.0)  # the one-point pieces: each contact and the cut
-    slot, piece = np.nonzero(runs[2][point] == contacts[:, runs[0][point]])
-    at = np.zeros(contacts.shape, dtype=np.intp)  # each contact's offset in x
-    at[slot, runs[0][point[piece]]] = ends[point[piece]] - 1
     g = minorants[0](x) if len(minorants) == 1 else None
     f, g = _f_and_g(winsor, coef, x, lambda column: np.repeat(column, counts), g)
-    at_contacts = f[at], g[at]
     gap = np.subtract(f, g, out=g)
     gap /= np.maximum(f, 1.0, out=f)
     del f
@@ -327,17 +333,14 @@ def _fold(minorants, winsor, coef, runs, counts):
     if np.isnan(worst).any():  # a NaN is its check's worst
         ties |= np.isnan(gap)
     worst_x = np.minimum.reduceat(np.where(ties, x, math.inf), starts)
-    # a run's points are sorted: with both its ends in a window, all are near a contact
-    near = lambda x, j: np.abs(x - contacts[:, j]) <= window[:, j]
-    window = CONTACT_WINDOW * (1.0 + np.abs(contacts))
-    covered = (near(x[ends - size], runs[0]) & near(x[ends - 1], runs[0])).any(0)
+    # every point outside the kept intervals is above EQUALITY_RTOL: all equalities are here
+    equal = np.flatnonzero(np.abs(gap) <= EQUALITY_RTOL)
+    owner = np.searchsorted(starts, equal, "right") - 1
+    contacts = coef[owner, :2].T
+    near = np.abs(x[equal] - contacts) <= CONTACT_WINDOW * (1.0 + np.abs(contacts))
     localized = np.ones(len(minorants), dtype=bool)
-    if not covered.all():  # equalities are sought in the runs that no window covers
-        loose = np.flatnonzero(np.repeat(~covered, size))
-        loose = loose[np.abs(gap[loose]) <= EQUALITY_RTOL]
-        owner = runs[0][np.searchsorted(ends, loose, "right")]
-        localized[owner[~near(x[loose], owner).any(0)]] = False
-    return worst, worst_x, localized, *at_contacts
+    localized[owner[~near.any(0)]] = False
+    return worst, worst_x, localized
 
 
 def check_certificate(
@@ -346,12 +349,12 @@ def check_certificate(
     """Verify G <= F on certificate_grid with equality only near the contacts.
 
     contact_gaps holds, for each contact x0, the value and slope gaps
-    relative to max(1, F(x0)), from the F and G computed at x0's own grid
-    point.  Inside a piece of F they are |F - G| and |F' - G'|, with G'(x) =
-    lower_slope + 2 gamma (x - x_lo).  On the cut (x0 = 1) the slope gap is
-    max(G'(1), 0): with gamma < 0, F - G is convex on x < 1 and on x >= 1,
-    so a zero value there plus G'(1) <= 0 is what proves G <= F on the right
-    of the cut.
+    relative to max(1, F(x0)), from F and G formed once at x0 itself, G by
+    the minorant's own __call__ where it is overridden.  Inside a piece of F
+    they are |F - G| and |F' - G'|, with G'(x) = lower_slope + 2 gamma (x -
+    x_lo).  On the cut (x0 = 1) the slope gap is max(G'(1), 0): with gamma <
+    0, F - G is convex on x < 1 and on x >= 1, so a zero value there plus
+    G'(1) <= 0 is what proves G <= F on the right of the cut.
 
     The report is argmin's on the sorted grid: a NaN gap first, then the least
     gap, then the least x.  One np.errstate ignores every floating-point
@@ -371,12 +374,27 @@ def check_certificate(
     return check_certificates([(minorant, kind, c)])[0]
 
 
+def _case(case):
+    """A case of check_certificates, with its kind a MomentKind and its c a
+    float, or a ParameterError."""
+    try:
+        minorant, kind, c = case
+    except (TypeError, ValueError):
+        raise ParameterError(f"cases must hold (minorant, kind, c) triples, got {case!r}") from None
+    if not isinstance(minorant, QuadraticMinorant):
+        raise ParameterError(f"minorant must be a QuadraticMinorant, got {minorant!r}")
+    return minorant, _choice(MomentKind, "kind", kind), require_real("c", c)
+
+
 def check_certificates(cases) -> list[CertificateReport]:
     """check_certificate's report for each (minorant, kind, c) of ``cases``,
-    bit for bit.  The checks' grid pieces, coefficients and the points they
-    skip (_reach) are formed once, as arrays, and one pass evaluates the
-    rest in chunks (_evaluate)."""
-    cases = [(minorant, _choice(MomentKind, "kind", kind), c) for minorant, kind, c in cases]
+    bit for bit.  The checks' grid pieces, coefficients, F and G at their
+    contacts and the points they skip (_reach) are formed once, as arrays,
+    and one pass evaluates the rest in chunks (_evaluate).  A case that is
+    no (minorant, kind, c) triple, a minorant that is no QuadraticMinorant
+    and a c that is no real are refused; a c of 0, below 0, NaN or inf is
+    checked."""
+    cases = [_case(case) for case in cases]
     if not cases:
         return []
     minorants = [case[0] for case in cases]
@@ -384,8 +402,11 @@ def check_certificates(cases) -> list[CertificateReport]:
     winsor = np.array([kind is MomentKind.WINSOR for _, kind, _ in cases], bool)
     plain = np.array([type(case[0]).__call__ is QuadraticMinorant.__call__ for case in cases])
     with np.errstate(all="ignore"):
-        reach, kept = _reach(winsor, plain, coef)
+        f, g = _f_and_g(winsor, coef, coef[:, :2, None])  # at the contacts
+        for j in np.flatnonzero(~plain):  # a minorant that overrides __call__ gives its own G
+            g[j, :, 0] = minorants[j](coef[j, :2])
+        reach, kept = _reach(winsor, plain, coef, f, g)
         pieces = _grid_pieces(coef[:, :2], reach)
         spans = np.flatnonzero(pieces[:, 2] == GRID_BASE_POINTS)  # each check's last piece
         bounds = [0, *(spans + 1).tolist()]
-        return _evaluate(minorants, winsor, coef, pieces, bounds, kept)
+        return _evaluate(minorants, winsor, coef, pieces, bounds, kept, f[..., 0], g[..., 0])

@@ -58,6 +58,16 @@ def require_positive(name: str, value: float, allow_zero: bool = False) -> float
     raise ParameterError(f"{name} must be a positive real, got {value!r}")
 
 
+def require_real(name: str, value) -> float:
+    """value as a Python float, or a ParameterError naming ``name`` unless it
+    is a real; a NaN, an inf, 0 and a negative real are reals here."""
+    try:
+        math.isfinite(value)  # a str, None or a complex raises TypeError
+        return float(value)
+    except (TypeError, OverflowError):
+        raise ParameterError(f"{name} must be a real, got {value!r}") from None
+
+
 def require_integer(name: str, value, least: int) -> None:
     """Raise ParameterError naming ``name`` unless value is an integer >= least."""
     if not isinstance(value, numbers.Integral) or value < least:

@@ -21,7 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .certificates import MomentKind, _capped_exp, capped_exp
+from .certificates import MomentKind, _capped_exp, _reals, capped_exp
 from .errors import (
     ExponentOverflowError, MaxIterationsError, ParameterError, _choice, exp_or_inf, in_range,
     require_positive,
@@ -60,9 +60,9 @@ class GridMinResult(namedtuple(
 def two_point_moment_grid(kind: MomentKind, c, sigma: float, a: np.ndarray) -> np.ndarray:
     """Closed-form moment of X_{a, sigma^2/a} for each a (and tilt c,
     broadcastable)."""
-    kind = _choice(MomentKind, "kind", kind)
+    kind, sigma = _choice(MomentKind, "kind", kind), require_positive("sigma", sigma)
     with np.errstate(under="ignore"):
-        return _moment(kind, np.asarray(c, dtype=float), sigma, np.asarray(a, dtype=float))[()]
+        return _moment(kind, _reals("c", c), sigma, _reals("a", a))[()]
 
 
 def _moment(kind: MomentKind, c, sigma: float, a: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ fixed test grids and reports the worst observed violation.  The suites back
 both the CLI ``verify`` command and the acceptance tests.
 
 Every suite is called as ``suite(grid)``.  ``run_suite`` builds one
-``Grid`` per call and hands it to each suite it runs: every bound, branch
-threshold and refined oracle search a suite reads goes through it, so each
-is solved once per run, when first read, and is not kept past the run.
+``Grid`` per call and hands it to each suite it runs: every bound and
+branch threshold a suite reads goes through it (the oracle suite's refined
+searches through a memo of its own), so each is solved once per run, when
+first read, and is not kept past the run.
 
 The roots, ordering and asymptotics suites are scalar and run on the
 standard library; only the certificates and oracle suites evaluate arrays,
@@ -96,17 +97,10 @@ def _match_residual(a: float, log_support: float, sigma: float) -> float:
     return abs(math.expm1(math.log(a) + log_support - 2.0 * math.log(sigma)))
 
 
-def _refine_grid_min(c, sigma, kind):
-    """oracle.refine_grid_min, looked up when called: the oracle loads NumPy."""
-    from . import oracle
-
-    return oracle.refine_grid_min(c, sigma, kind)
-
-
 class Grid:
     """One run's memo: fixed(c, sigma, cut=1.0), truncated(c, sigma),
-    universal(sigma), threshold(c) (A_c) and refined(c, sigma, kind) each
-    solve on their first call and keep the result, keyed by their arguments."""
+    universal(sigma) and threshold(c) (A_c) each solve on their first call
+    and keep the result, keyed by their arguments."""
 
     def __init__(self):
         fixed = functools.cache(
@@ -118,7 +112,6 @@ class Grid:
         )
         self.universal = functools.cache(winsor.lower_bound_universal)
         self.threshold = functools.cache(trunc.solve_A_c)
-        self.refined = functools.cache(_refine_grid_min)
 
 
 def suite_roots(grid: Grid) -> list[CheckResult]:
@@ -312,6 +305,8 @@ def suite_oracle(grid: Grid) -> list[CheckResult]:
     from .certificates import MomentKind
 
     results = []
+    # each refined search once; refine_grid_min is looked up at each call
+    refined = functools.cache(lambda c, sigma, kind: oracle.refine_grid_min(c, sigma, kind))
 
     values, cells = [], []
     for c, sigma in ORACLE_PAIRS:
@@ -319,7 +314,7 @@ def suite_oracle(grid: Grid) -> list[CheckResult]:
             (MomentKind.WINSOR, grid.fixed(c, sigma)),
             (MomentKind.TRUNC, grid.truncated(c, sigma)),
         ):
-            found = grid.refined(c, sigma, kind)
+            found = refined(c, sigma, kind)
             values.append(_relative_gap(found.min_value, analytic.bound))
             cells.append(abs(math.log(found.argmin_a / analytic.a)) / math.log(found.cell_ratio))
     results.append(_bounded_check("oracle.two_point_grid_min_value", _extreme(max, values), 1e-6))
@@ -340,7 +335,7 @@ def suite_oracle(grid: Grid) -> list[CheckResult]:
     # the minimum by a strictly positive margin.
     values = []
     for c, sigma in ((1.0, 1.0), (2.0, 10.0)):
-        found = grid.refined(c, sigma, MomentKind.WINSOR)
+        found = refined(c, sigma, MomentKind.WINSOR)
         for factor in (found.cell_ratio**3, found.cell_ratio**-3):
             nearby = float(oracle.two_point_moment_grid(
                 MomentKind.WINSOR, c, sigma, np.array([found.argmin_a * factor])

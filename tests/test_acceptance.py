@@ -383,8 +383,9 @@ VERIFY_SOLVES = (
 
 
 def test_all_suites_solve_each_argument_tuple_once(monkeypatch):
-    # every suite reads its bounds, thresholds A_c and refined oracle
-    # searches through the run's Grid, which solves each argument tuple once
+    # every suite reads its bounds and thresholds A_c through the run's
+    # Grid, and the oracle suite its refined searches through its own memo:
+    # each argument tuple is solved once
     calls = collections.Counter()
 
     def counting(name, solve):

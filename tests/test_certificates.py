@@ -361,6 +361,13 @@ class TestCheckCertificate:
         assert reference_check(spikes, kind, c)[1:3] == (-1.0, TWO_SPIKES_AT)
         assert TWO_SPIKES_AT not in np.linspace(-20.0, 20.0, certificates.GRID_BASE_POINTS)
 
+    def test_a_minorant_that_overrides_call_gives_its_own_g_at_its_contacts(self):
+        # G = 2 at both contacts by TwoSpikes' own __call__, where F = 1:
+        # value gaps of 1.0, not those of its coefficients (3.76 and 3.0)
+        report = certificates.check_certificate(*two_spikes())
+        assert list(report.contact_gaps) == [TWO_SPIKES_AT, 2.0]
+        assert [value for value, _ in report.contact_gaps.values()] == [1.0, 1.0]
+
     def test_grid_spans_ten_times_contacts(self):
         minorant = law.minorant(at_root(1.0, 1.0))
         grid = certificates.certificate_grid(minorant)
@@ -389,6 +396,21 @@ def test_contact_gaps_give_the_bits_of_the_closed_form():
             expected = reference_contact_gaps(minorant, kind, c)
         assert list(gaps) == list(minorant.contact_points)
         assert hex_gaps(gaps) == hex_gaps(expected), (c, kind)
+
+
+@pytest.mark.parametrize("kind", list(MomentKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("upper", (math.inf, math.nan), ids=repr)
+def test_a_contact_off_every_grid_point_gives_the_closed_form_gaps(upper, kind):
+    # an upper contact of inf or NaN has no evaluated grid point: its gaps
+    # are the closed form's (inf, inf) or (nan, nan), alone and batched
+    # after a plain check, not the gaps at some other point of the chunk
+    case = (from_coefficients(0.0, 1.0, -1.0, (-0.5, upper)), kind, 1.0)
+    with np.errstate(all="ignore"):
+        expected = hex_gaps(reference_contact_gaps(*case))
+    assert expected[upper.hex()] == (upper.hex(), upper.hex())
+    alone = certificates.check_certificate(*case)
+    batched = certificates.check_certificates([solved_winsor(1.0, 1.0), case])[1]
+    assert hex_gaps(alone.contact_gaps) == hex_gaps(batched.contact_gaps) == expected
 
 
 # verify's cut-rescaling triples, then a cut below 1 on the large branch
@@ -603,15 +625,18 @@ def test_walk_matches_sorted_grid_reference_on_the_verify_grid(kind):
 # at winsor-0.5-0.2 the span's last point index*step + start is not stop
 @pytest.mark.parametrize("case", ["winsor-0.5-0.2", "winsor-5-30", "trunc-large"])
 def test_walked_points_are_the_linspace_points(case):
-    # in grid_pieces order, the windows and points, then the span; each run
-    # is built as index*step + start with the last point set to stop: bit
-    # for bit the points of np.linspace.  Recording overrides __call__, so
-    # no point is skipped.
+    # Recording overrides __call__, so it gives its own G at its two
+    # contacts first, then no point is skipped: in grid_pieces order, the
+    # windows and points, then the span; each run is built as index*step +
+    # start with the last point set to stop: bit for bit the points of
+    # np.linspace.
     minorant, kind, c = REFERENCE_CASES[case]()
     recording = from_coefficients(0.0, 1.0, -1.0, minorant.contact_points, cls=Recording)
     Recording.seen = []
     certificates.check_certificate(recording, kind, c)
-    walked = np.concatenate(Recording.seen)
+    contacts, *grid = Recording.seen
+    assert bits(contacts) == bits(np.array(minorant.contact_points))
+    walked = np.concatenate(grid)
     pieces = grid_pieces(minorant)
     linspace = np.concatenate([np.linspace(*piece) for piece in pieces])
     assert bits(walked) == bits(linspace)

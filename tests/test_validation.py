@@ -151,6 +151,44 @@ def test_lp_min_refuses_a_malformed_start(start):
         oracle.lp_min(MomentKind.WINSOR, 1.0, 1.0, start=start)
 
 
+# The array entry points, each given a value v that is no real, no
+# minorant, no (minorant, kind, c) case or a sigma that is not positive:
+# (entry point, argument name, v, call with the argument set to v).  Each
+# is refused by name, not with NumPy's or Python's own error, nor answered
+# (np.asarray(v, dtype=float) would take None as NaN).
+ARRAY_ARGUMENTS = [
+    *(("check_certificate", "c", v,
+       lambda v: certificates.check_certificate(law.minorant(WINSOR_BOUND), "winsor", v))
+      for v in ("x", None)),
+    ("check_certificate", "minorant", (1.0, 2.0),
+     lambda v: certificates.check_certificate(v, "winsor", 1.0)),
+    ("check_certificates", "cases", [1], lambda v: certificates.check_certificates(v)),
+    *(("capped_exp", "c", v, lambda v: certificates.capped_exp("winsor", v, [0.0]))
+      for v in ("x", None)),
+    ("capped_exp", "x", "x", lambda v: certificates.capped_exp("winsor", 1.0, v)),
+    *(("two_point_moment_grid", "sigma", v,
+       lambda v: oracle.two_point_moment_grid("winsor", 1.0, v, [0.5])) for v in ("x", -1.0, 0.0)),
+    *(("two_point_moment_grid", "a", v,
+       lambda v: oracle.two_point_moment_grid("winsor", 1.0, 1.0, v)) for v in ("x", None)),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, name, value, call", ARRAY_ARGUMENTS,
+    ids=[f"{e}-{n}-{v!r}" for e, n, v, _ in ARRAY_ARGUMENTS],
+)
+def test_array_entry_points_refuse_by_name(entry, name, value, call):
+    with pytest.raises(ParameterError, match=rf"^{name} must"):
+        call(value)
+
+
+@pytest.mark.parametrize("c", (0.0, -2.0, math.nan, math.inf), ids=repr)
+def test_a_certificate_tilt_that_is_a_real_is_data(c):
+    # a tilt of 0, below 0, NaN or inf is checked, not refused
+    report = certificates.check_certificate(law.minorant(WINSOR_BOUND), "winsor", c)
+    assert isinstance(report, certificates.CertificateReport)
+
+
 def test_minorant_rows_reach_each_truncated_branch():
     assert TRUNC_SMALL_BOUND.branch is trunc.Branch.SMALL_SIGMA
     assert TRUNC_LARGE_BOUND.branch is trunc.Branch.LARGE_SIGMA
